@@ -3,14 +3,16 @@
 Each node is a theorem being proved: the root carries the user's
 target, children carry subgoals produced by decomposition. Nodes track
 status, per-agent conversations, a never-cleared provenance history,
-and the retry counters that drive scheduling. The tree serializes to a
-versioned JSON checkpoint and reconstructs complete proofs from proven
-subtrees by splicing child proof bodies into parent sketches.
+and the retry counters that drive scheduling. The tree persists as a
+checkpoint journal (a snapshot line, then one line per save holding
+what changed) and reconstructs complete proofs from proven subtrees by
+splicing child proof bodies into parent sketches.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -28,7 +30,7 @@ from .lean_source import (
 from .ast_model import Subgoal, get_named_subgoal_code
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NodeStatus(Enum):
@@ -105,6 +107,10 @@ class ProofTree:
         self.nodes: dict[str, ProofNode] = {}
         self.root: str | None = None
         self._seq = 0
+        # The checkpoint file this tree last saved to, and per node what
+        # that file holds: its fields and the marks of its transcripts.
+        self._journal_path: str | None = None
+        self._written: dict[str, tuple[dict[str, Any], tuple, dict[str, tuple]]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -373,34 +379,12 @@ class ProofTree:
             "limits": vars(self.limits),
             "nodes": {
                 node.id: {
-                    "id": node.id,
-                    "parent": node.parent,
-                    "depth": node.depth,
-                    "status": node.status.value,
-                    "informal_statement": node.informal_statement,
-                    "formal": None
-                    if node.formal is None
-                    else {"preamble": node.formal.preamble, "body": node.formal.body},
-                    "name": node.name,
-                    "proof_attempt": node.proof_attempt,
-                    "sketch": node.sketch,
-                    "children": list(node.children),
+                    **_node_fields(node),
                     "conversations": {
                         agent: [list(turn) for turn in turns]
                         for agent, turns in node.conversations.items()
                     },
                     "history": node.history,
-                    "counters": node.counters.to_dict(),
-                    "queries": list(node.queries),
-                    "hints": [list(h) for h in node.hints],
-                    "candidate_formalization": node.candidate_formalization,
-                    "candidate_sketch": node.candidate_sketch,
-                    "pending_prompt": node.pending_prompt,
-                    "pending_response": node.pending_response,
-                    "last_failure": node.last_failure,
-                    "last_sketch_failure": node.last_sketch_failure,
-                    "sketch_attempts_total": node.sketch_attempts_total,
-                    "insertion_seq": node.insertion_seq,
                 }
                 for node in self.nodes.values()
             },
@@ -408,60 +392,225 @@ class ProofTree:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-        tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
-        tree.root = data["root"]
-        tree._seq = int(data.get("seq", len(data["nodes"])))
-        for node_id, raw in data["nodes"].items():
-            formal = raw.get("formal")
-            node = ProofNode(
-                id=node_id,
-                parent=raw.get("parent"),
-                depth=int(raw["depth"]),
-                status=NodeStatus(raw["status"]),
-                informal_statement=raw.get("informal_statement"),
-                formal=None if formal is None else LeanSource(**formal),
-                name=raw.get("name"),
-                proof_attempt=raw.get("proof_attempt"),
-                sketch=raw.get("sketch"),
-                children=list(raw.get("children", [])),
-                conversations={
-                    agent: [tuple(turn) for turn in turns]
-                    for agent, turns in raw.get("conversations", {}).items()
-                },
-                history=list(raw.get("history", [])),
-                counters=Counters.from_dict(raw.get("counters", {})),
-                queries=list(raw.get("queries", [])),
-                hints=[tuple(h) for h in raw.get("hints", [])],
-                candidate_formalization=raw.get("candidate_formalization"),
-                candidate_sketch=raw.get("candidate_sketch"),
-                pending_prompt=raw.get("pending_prompt"),
-                pending_response=raw.get("pending_response"),
-                last_failure=raw.get("last_failure"),
-                last_sketch_failure=raw.get("last_sketch_failure"),
-                sketch_attempts_total=int(raw.get("sketch_attempts_total", 0)),
-                insertion_seq=int(raw.get("insertion_seq", 0)),
-            )
-            tree.nodes[node_id] = node
+        """Rebuild a tree from a version 1 or 2 checkpoint record;
+        raises ValueError for any structural defect."""
+        try:
+            if data.get("version") not in (1, CHECKPOINT_VERSION):
+                raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
+            tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
+            tree.root = data["root"]
+            tree._seq = int(data.get("seq", len(data["nodes"])))
+            for node_id, raw in data["nodes"].items():
+                formal = raw.get("formal")
+                node = ProofNode(
+                    id=node_id,
+                    parent=raw.get("parent"),
+                    depth=int(raw["depth"]),
+                    status=NodeStatus(raw["status"]),
+                    informal_statement=raw.get("informal_statement"),
+                    formal=None if formal is None else LeanSource(**formal),
+                    name=raw.get("name"),
+                    proof_attempt=raw.get("proof_attempt"),
+                    sketch=raw.get("sketch"),
+                    children=list(raw.get("children", [])),
+                    conversations={
+                        agent: [tuple(turn) for turn in turns]
+                        for agent, turns in raw.get("conversations", {}).items()
+                    },
+                    history=list(raw.get("history", [])),
+                    counters=Counters.from_dict(raw.get("counters", {})),
+                    queries=list(raw.get("queries", [])),
+                    hints=[tuple(h) for h in raw.get("hints", [])],
+                    candidate_formalization=raw.get("candidate_formalization"),
+                    candidate_sketch=raw.get("candidate_sketch"),
+                    pending_prompt=raw.get("pending_prompt"),
+                    pending_response=raw.get("pending_response"),
+                    last_failure=raw.get("last_failure"),
+                    last_sketch_failure=raw.get("last_sketch_failure"),
+                    sketch_attempts_total=int(raw.get("sketch_attempts_total", 0)),
+                    insertion_seq=int(raw.get("insertion_seq", 0)),
+                )
+                tree.nodes[node_id] = node
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed checkpoint: {exc!r}") from None
+        if tree.root not in tree.nodes:
+            raise ValueError(f"malformed checkpoint: root {tree.root!r} is not a node")
         return tree
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, ensure_ascii=False, indent=2)
+        """
+        Persist the tree to the checkpoint journal at ``path``.
+
+        The first save of this tree to ``path`` writes one snapshot line
+        of the whole tree to a temporary file and renames it over
+        ``path``. Every later save appends one line holding only what
+        changed since the previous save: changed node fields, the new
+        tails of the transcripts and the ids of removed nodes. A failed
+        write makes the next save a snapshot, so a torn line can only
+        be the last one.
+        """
+        path = os.fspath(path)
+        journal, self._journal_path = self._journal_path, None
+        if journal == path:
+            line = self._delta_line()
+            if line is not None:
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(line)
+        else:
+            temp = path + ".tmp"
+            with open(temp, "w", encoding="utf-8") as handle:
+                handle.write(_json_line(self.to_dict()))
+            os.replace(temp, path)
+            self._written = {
+                node.id: (_node_fields(node), *_transcript_marks(node))
+                for node in self.nodes.values()
+            }
+        self._journal_path = path
+
+    def _delta_line(self) -> str | None:
+        """The journal line for what changed since the last save, or
+        None when nothing did; records the new state as written."""
+        changes: dict[str, Any] = {}
+        for node in self.nodes.values():
+            fields = _node_fields(node)
+            old_fields, history_mark, conversation_marks = self._written.get(
+                node.id, ({}, None, {})
+            )
+            change: dict[str, Any] = {}
+            changed_fields = {
+                key: value
+                for key, value in fields.items()
+                if key not in old_fields or old_fields[key] != value
+            }
+            if changed_fields:
+                change["fields"] = changed_fields
+            history = _appended(node.history, history_mark)
+            if history is not None:
+                change["history"] = history
+            conversations = {
+                agent: tail
+                for agent, turns in node.conversations.items()
+                if (tail := _appended(turns, conversation_marks.get(agent))) is not None
+            }
+            if conversations:
+                change["conversations"] = conversations
+            if change:
+                changes[node.id] = change
+                self._written[node.id] = (fields, *_transcript_marks(node))
+        removed = [node_id for node_id in self._written if node_id not in self.nodes]
+        for node_id in removed:
+            del self._written[node_id]
+        if not changes and not removed:
+            return None
+        return _json_line({"seq": self._seq, "nodes": changes, "removed": removed})
 
     @classmethod
     def load(cls, path) -> "ProofTree":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """
+        Read a checkpoint written by ``save``: a snapshot line followed
+        by journal lines replayed in order, or a version-1 file holding
+        one JSON object. A torn final line (a crash mid-append) is
+        dropped; any other defect raises ValueError.
+        """
+        with open(path, "rb") as handle:
+            try:
+                data = json.loads(handle.readline())
+            except ValueError:
+                handle.seek(0)
+                return cls.from_dict(json.load(handle))  # version 1: one indented object
+            if isinstance(data, dict) and data.get("version") == CHECKPOINT_VERSION:
+                pending, number = None, 1
+                for line in handle:
+                    if pending is not None:
+                        _replay(data, pending, number, last=False)
+                    pending, number = line, number + 1
+                if pending is not None:
+                    _replay(data, pending, number, last=True)
+        return cls.from_dict(data)
 
-    def export_triples(self) -> list[tuple[str, str, str]]:
-        """(informal statement, formal theorem, verified proof) for every
-        proven node that has an informal statement."""
-        triples = []
-        for node in self.nodes.values():
-            if node.status is NodeStatus.PROVEN and node.informal_statement and node.formal:
-                triples.append(
-                    (node.informal_statement, node.formal.combined(), self.reconstruct(node.id))
-                )
-        return triples
+
+def _node_fields(node: ProofNode) -> dict[str, Any]:
+    """A node's checkpoint record without its transcripts, ``history``
+    and ``conversations``, which the journal writes as appended tails."""
+    return {
+        "id": node.id,
+        "parent": node.parent,
+        "depth": node.depth,
+        "status": node.status.value,
+        "informal_statement": node.informal_statement,
+        "formal": None
+        if node.formal is None
+        else {"preamble": node.formal.preamble, "body": node.formal.body},
+        "name": node.name,
+        "proof_attempt": node.proof_attempt,
+        "sketch": node.sketch,
+        "children": list(node.children),
+        "counters": node.counters.to_dict(),
+        "queries": list(node.queries),
+        "hints": [list(h) for h in node.hints],
+        "candidate_formalization": node.candidate_formalization,
+        "candidate_sketch": node.candidate_sketch,
+        "pending_prompt": node.pending_prompt,
+        "pending_response": node.pending_response,
+        "last_failure": node.last_failure,
+        "last_sketch_failure": node.last_sketch_failure,
+        "sketch_attempts_total": node.sketch_attempts_total,
+        "insertion_seq": node.insertion_seq,
+    }
+
+
+def _mark(items: list) -> tuple[int, Any]:
+    """The length and last item of a transcript as last written."""
+    return len(items), items[-1] if items else None
+
+
+def _transcript_marks(node: ProofNode) -> tuple[tuple[int, Any], dict[str, tuple[int, Any]]]:
+    return _mark(node.history), {
+        agent: _mark(turns) for agent, turns in node.conversations.items()
+    }
+
+
+def _appended(items: list, mark: tuple[int, Any] | None) -> list | None:
+    """``[start, items[start:]]`` for what a transcript gained since
+    ``mark``, or None when it is unchanged. ``start`` is 0 when the
+    transcript was never written (``mark`` is None) or was replaced
+    rather than extended, as a prover pass rollover replaces the prover
+    conversation."""
+    if mark is not None:
+        length, last = mark
+        if length <= len(items) and (length == 0 or items[length - 1] is last):
+            return None if length == len(items) else [length, items[length:]]
+    return [0, items]
+
+
+def _json_line(data: dict[str, Any]) -> str:
+    return json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:
+    """Apply journal line ``number`` to a checkpoint record in place."""
+    try:
+        change = json.loads(line)
+    except ValueError:
+        if last:
+            return  # torn by a crash mid-append
+        raise ValueError(f"checkpoint line {number} is not valid JSON") from None
+    try:
+        nodes = data["nodes"]
+        for node_id in change["removed"]:
+            del nodes[node_id]
+        for node_id, node_change in change["nodes"].items():
+            record = nodes.setdefault(node_id, {"history": [], "conversations": {}})
+            record.update(node_change.get("fields", {}))
+            tails = [(record["history"], node_change.get("history"))] + [
+                (record["conversations"].setdefault(agent, []), tail)
+                for agent, tail in node_change.get("conversations", {}).items()
+            ]
+            for items, tail in tails:
+                if tail is not None:
+                    start, appended = tail
+                    del items[start:]
+                    items.extend(appended)
+        data["seq"] = change["seq"]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"checkpoint line {number} is malformed: {exc!r}") from None

@@ -41,6 +41,30 @@ ROLE_MODELS = {
 }
 
 
+def checkpoint_text(edit) -> str:
+    """A one-node checkpoint record, changed in place by ``edit``."""
+    data = ProofTree.from_formal(EVEN_SUM_FILE, Limits()).to_dict()
+    edit(data)
+    return json.dumps(data)
+
+
+SNAPSHOT_LINE = checkpoint_text(lambda data: None)
+
+#: Checkpoints that --resume must reject with exit code 2.
+CORRUPT_CHECKPOINTS = {
+    "unsupported-version": '{"version": 999}',
+    "no-limits": '{"version": 1}',
+    "unknown-limit": checkpoint_text(lambda data: data["limits"].update(bogus=1)),
+    "node-without-depth": checkpoint_text(lambda data: data["nodes"]["n0001"].pop("depth")),
+    "not-an-object": "[1]",
+    "root-not-a-node": checkpoint_text(lambda data: data.update(root="n0002")),
+    "bad-journal-line": (
+        SNAPSHOT_LINE + '\n{"seq": 1, "nodes": {\n{"seq": 1, "nodes": {}, "removed": []}\n'
+    ),
+    "journal-line-shape": SNAPSHOT_LINE + '\n{"seq": 1, "nodes": []}\n',
+}
+
+
 # ------------------------------------------------------------ input checks
 
 
@@ -106,9 +130,12 @@ class TestInputErrors:
         assert "import" in diagnostic
         assert "error" in capsys.readouterr().err
 
-    def test_corrupt_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", list(CORRUPT_CHECKPOINTS.values()), ids=list(CORRUPT_CHECKPOINTS)
+    )
+    def test_corrupt_checkpoint(self, tmp_path, text):
         checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text("{\"version\": 999}")
+        checkpoint.write_text(text, encoding="utf-8")
         assert main(["--resume", str(checkpoint), "--out", str(tmp_path / "o")]) == 2
 
     def test_zero_workers(self, tmp_path):

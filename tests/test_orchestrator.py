@@ -1,8 +1,14 @@
 """Scheduler and coordinator behavior, driven entirely by in-process fakes."""
 
+import copy
 import json
+import re
+import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leandecomp.agents import generate_theorem_name
 from leandecomp.ast_model import Subgoal
@@ -16,7 +22,7 @@ from leandecomp.orchestrator import (
     ProveOutcome,
     next_action,
 )
-from leandecomp.proof_state import NodeStatus, ProofTree
+from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.services import TheoremHit
 
 from .fakes import (
@@ -29,6 +35,8 @@ from .fakes import (
     make_backends,
 )
 from .sample_proofs import CANONICAL_PREAMBLE, INFINITUDE_SKETCH, INFINITUDE_SUBGOAL_NAMES
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TRUE_THEOREM = "theorem tst : True := by\n  sorry"
 TRUE_PROOF = "theorem tst : True := by\n  trivial"
@@ -693,8 +701,33 @@ class TestRun:
         root = resumed_tree.root_node()
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
         assert root.counters.passes_used == 1
-        second = Orchestrator(
-            resumed_tree,
+        outcome = self.decomposing_orchestrator(resumed_tree).run()
+        assert outcome.success
+        assert count_sorries(outcome.proof) == 0
+
+    def test_resume_from_version_1_checkpoint(self, tmp_path):
+        """A checkpoint written before the journal format (the tree of
+        test_resume_from_checkpoint after its failed prover pass) still
+        resumes, and the resumed run replaces it with a journal."""
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(FIXTURES / "checkpoint_v1.json", checkpoint)
+        tree = ProofTree.load(checkpoint)
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_QUERY_GEN
+        assert root.counters.passes_used == 1
+        outcome = self.decomposing_orchestrator(tree, checkpoint_path=checkpoint).run()
+        assert outcome.success
+        assert count_sorries(outcome.proof) == 0
+        snapshot, *journal = checkpoint.read_text(encoding="utf-8").splitlines()
+        assert json.loads(snapshot)["version"] == CHECKPOINT_VERSION
+        assert journal and all("version" not in json.loads(line) for line in journal)
+        assert ProofTree.load(checkpoint).to_dict() == tree.to_dict()
+
+    @staticmethod
+    def decomposing_orchestrator(tree, checkpoint_path=None):
+        """Fakes that decompose the infinitude root and prove its subgoals."""
+        return Orchestrator(
+            tree,
             backends=make_backends(
                 prover=content_keyed_prover(),
                 decomposer=ScriptedChat([lean_block(INFINITUDE_SKETCH)]),
@@ -703,10 +736,8 @@ class TestRun:
             verifier=RuleVerifier(),
             ast_client=BuilderAst(),
             search_client=ScriptedSearch(),
+            checkpoint_path=checkpoint_path,
         )
-        outcome = second.run()
-        assert outcome.success
-        assert count_sorries(outcome.proof) == 0
 
     def test_sibling_order_independence(self):
         """Proving siblings in any serial order produces the same final
@@ -724,3 +755,111 @@ class TestRun:
                 {tree.node(cid).name: tree.node(cid).status for cid in children}
             )
         assert final_statuses[0] == final_statuses[1]
+
+
+# -------------------------------------------------------- checkpoint journal
+
+#: Two prover passes of two rounds, so that a failing node's prover
+#: conversation is replaced once a pass is spent; two decompositions per
+#: node; subgoals of subgoals at the depth limit, so that a hard
+#: grandchild backtracks to the root and prunes its subtree.
+JOURNAL_LIMITS = Limits(
+    prover_self_correction=2, prover_max_pass=2, decomposer_self_correction=2, max_depth=2
+)
+
+#: Subgoal names the scripted prover may be told to fail on, besides the
+#: root ``tst``, which it always fails on. A sketch of ``x`` has subgoals
+#: ``x_a`` and ``x_b``, or ``x_c`` and ``x_d`` (``x_e`` and ``x_f``) after
+#: one (two) backtracks to ``x``.
+HARD_SUBGOALS = ["tst_a", "tst_b", "tst_a_a", "tst_b_b", "tst_c", "tst_c_a", "tst_d",
+                 "tst_e", "tst_e_a"]
+
+
+def journal_backends(hard: frozenset[str]):
+    """Stateless scripted chat keyed on content, so that a resumed run
+    gets the same replies as the uninterrupted one."""
+
+    def prove(messages):
+        unit = extract_code_block(messages[0][1])  # each pass opens with the statement
+        name = re.search(r"theorem (\w+)", unit).group(1)
+        return lean_block(unit.replace("sorry", FAIL_MARKER if name in hard else "trivial"))
+
+    def sketch(messages):
+        text = "\n".join(content for _, content in messages)
+        name = re.search(r"theorem (tst\w*)", text).group(1)
+        first, second = ("ab", "cd", "ef")[text.count("COMPLETELY DIFFERENT")]
+        return lean_block(
+            f"theorem {name} : True := by\n"
+            f"  have {name}_{first} : True := by\n    sorry\n"
+            f"  have {name}_{second} : True := by\n    sorry\n"
+            f"  exact {name}_{first}"
+        )
+
+    return make_backends(
+        prover=ScriptedChat(prove),
+        decomposer=ScriptedChat(sketch),
+        search_query=ScriptedChat(lambda messages: QUERY_RESPONSE),
+    )
+
+
+class JournalCheckingOrchestrator(Orchestrator):
+    """Checks the checkpoint journal after every save, and keeps a copy
+    of the file cut at a drawn byte inside the line that save appended,
+    with the tree state from before it."""
+
+    def __init__(self, *args, draw_cut, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.draw_cut = draw_cut
+        self.cuts: list[tuple[bytes, dict]] = []
+        self.saved_state: dict | None = None
+        self.saved_size = 0
+
+    def _checkpoint(self):
+        super()._checkpoint()
+        self.tree.validate()
+        state = copy.deepcopy(self.tree.to_dict())
+        assert ProofTree.load(self.checkpoint_path).to_dict() == state
+        data = self.checkpoint_path.read_bytes()
+        if self.saved_state is not None and len(data) > self.saved_size:
+            # up to the last line's final byte before its newline
+            cut = self.draw_cut(self.saved_size, len(data) - 2)
+            self.cuts.append((data[:cut], self.saved_state))
+        self.saved_state, self.saved_size = state, len(data)
+
+
+class TestCheckpointJournal:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        hard=st.frozensets(st.sampled_from(HARD_SUBGOALS)),
+        workers=st.sampled_from([1, 3]),
+        data=st.data(),
+    )
+    def test_every_cut_reloads_and_resumes_to_the_same_outcome(
+        self, tmp_path_factory, hard, workers, data
+    ):
+        directory = tmp_path_factory.mktemp("journal")
+
+        def orchestrator(tree, cls=Orchestrator, **kwargs):
+            return cls(
+                tree,
+                backends=journal_backends(hard | {"tst"}),
+                verifier=RuleVerifier(),
+                ast_client=BuilderAst(),
+                search_client=ScriptedSearch(),
+                workers=workers,
+                **kwargs,
+            )
+
+        run = orchestrator(
+            formal_tree(limits=JOURNAL_LIMITS),
+            cls=JournalCheckingOrchestrator,
+            checkpoint_path=directory / "checkpoint.json",
+            draw_cut=lambda low, high: data.draw(st.integers(low, high)),
+        )
+        outcome = run.run()
+        for number, (cut, state) in enumerate(run.cuts):
+            path = directory / f"cut{number}.json"
+            path.write_bytes(cut)
+            resumed = ProofTree.load(path)
+            assert resumed.to_dict() == state
+            assert orchestrator(resumed, checkpoint_path=path).run() == outcome

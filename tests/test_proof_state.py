@@ -8,7 +8,7 @@ from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits
 from leandecomp.errors import IncompleteSubtree, LeandecompError, UnknownNode
 from leandecomp.lean_source import count_sorries
-from leandecomp.proof_state import NodeStatus, ProofTree
+from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.services import VerificationResult
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
@@ -313,9 +313,23 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         tree.save(path)
         data = json.loads(path.read_text())
-        assert data["version"] == 1
+        assert data["version"] == CHECKPOINT_VERSION
         clone = ProofTree.load(path)
         assert clone.to_dict() == tree.to_dict()
+
+    def test_failed_append_makes_next_save_a_snapshot(self, tmp_path):
+        tree = sketch_tree()
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        path.unlink()
+        path.mkdir()  # the next append cannot open the file
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", PASS)
+        with pytest.raises(OSError):
+            tree.save(path)
+        path.rmdir()
+        tree.save(path)
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        assert ProofTree.load(path).to_dict() == tree.to_dict()
 
     def test_version_guard(self):
         tree = sketch_tree()
@@ -323,20 +337,6 @@ class TestCheckpoint:
         data["version"] = 99
         with pytest.raises(ValueError):
             ProofTree.from_dict(data)
-
-    def test_export_triples(self):
-        tree = ProofTree.from_formal(
-            EVEN_SUM_PROOF, LIMITS, informal="Prove that even plus even is even."
-        )
-        root = tree.root_node()
-        root.proof_attempt = EVEN_SUM_PROOF
-        root.status = NodeStatus.PROVEN
-        triples = tree.export_triples()
-        assert len(triples) == 1
-        informal, formal, proof = triples[0]
-        assert informal.startswith("Prove that")
-        assert "theorem theorem_b2f45cfb951a" in formal
-        assert proof == EVEN_SUM_PROOF
 
 
 @st.composite
