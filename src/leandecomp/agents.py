@@ -20,9 +20,6 @@ from importlib import resources
 from .errors import MissingVariable, NoJudgement, NoQueries
 from .services import LeanError, VerificationResult
 
-#: Cap on retrieved-theorem hints injected into decomposer prompts.
-HINT_CAP = 20
-
 
 class PromptKind(Enum):
     FORMALIZER = "formalizer"
@@ -187,12 +184,13 @@ def format_theorem_hints(hits) -> str:
     """
     Render retrieved theorems as the decomposer's hint list.
 
-    Accepts TheoremHit objects or (name, statement) pairs; capped at
-    HINT_CAP entries to bound prompt size. Empty input yields a short
-    placeholder line so templates never render an empty section.
+    Accepts TheoremHit objects or (name, statement) pairs; the search
+    client already caps them at ``SearchConfig.hint_cap``. Empty input
+    yields a short placeholder line so templates never render an empty
+    section.
     """
     lines = []
-    for hit in list(hits)[:HINT_CAP]:
+    for hit in hits:
         if hasattr(hit, "full_name"):
             name, statement = hit.full_name, hit.statement
         else:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import AnonymousSorry, DuplicateSubgoalName, MalformedAst, SubgoalNotFound
+from .errors import AnonymousSorry, MalformedAst
 from .lean_source import CanonicalPreamble
 
 #: Syntax kinds marking a ``have`` tactic and its name.
@@ -231,42 +231,12 @@ def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
     return subgoals
 
 
-def get_unproven_subgoal_names(ast: AstNode) -> list[str]:
+def get_named_subgoal_code(subgoal: Subgoal, preamble: CanonicalPreamble) -> str:
     """
-    Names of all sorry-proved haves in source order, duplicates included.
-
-    Raises AnonymousSorry for a sorry with no enclosing named have.
+    Render one subgoal as a complete, self-contained Lean unit: the
+    canonical preamble plus a sorry-proved theorem named after the
+    subgoal, whose hypotheses are the subgoal's context binders.
     """
-    events = _sorry_events(ast)
-    for idx, name in enumerate(events):
-        if name is None:
-            raise AnonymousSorry(f"sorry #{idx + 1} is not attached to a named have")
-    return events  # type: ignore[return-value]
-
-
-def get_named_subgoal_code(
-    subgoals: list[Subgoal],
-    name: str,
-    preamble: CanonicalPreamble,
-    enclosing_binders: list[tuple[str, str]] | None = None,
-) -> str:
-    """
-    Render one subgoal as a complete, self-contained Lean unit.
-
-    The unit is the canonical preamble plus a sorry-proved theorem whose
-    hypotheses are the enclosing theorem's binders followed by the
-    subgoal's own context binders (deduplicated by name).
-
-    Raises SubgoalNotFound when `name` is absent and DuplicateSubgoalName
-    when several subgoals share it.
-    """
-    matches = [sg for sg in subgoals if sg.name == name]
-    if not matches:
-        raise SubgoalNotFound(f"no subgoal named {name!r}")
-    if len(matches) > 1:
-        raise DuplicateSubgoalName(f"{len(matches)} subgoals share the name {name!r}")
-    subgoal = matches[0]
-    enclosing = list(enclosing_binders or [])
-    seen = {bname for bname, _ in enclosing}
-    binders = enclosing + [b for b in subgoal.context_binders if b[0] not in seen]
-    return preamble.text + "\n\n" + _render_statement(name, binders, subgoal.goal_type)
+    return preamble.text + "\n\n" + _render_statement(
+        subgoal.name, subgoal.context_binders, subgoal.goal_type
+    )

@@ -26,7 +26,7 @@ from .errors import (
 from .lean_source import LeanSource, normalize_preamble, split_source
 from .orchestrator import Orchestrator
 from .proof_state import ProofTree
-from .services import AstClient, ChatClient, SearchClient, VerifierClient
+from .services import ChatClient, SearchClient, VerifierClient
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +136,7 @@ def _build_orchestrator(
     config: Config, tree: ProofTree, out_dir: Path, workers: int
 ) -> Orchestrator:
     backends = {role: ChatClient(config.chat_backend(role)) for role in ROLE_SECTIONS}
-    verifier_config = config.verifier()
+    verifier = VerifierClient(config.verifier(), max_concurrent=workers)
     try:
         search_client = SearchClient(config.search())
     except ConfigError:
@@ -144,8 +144,8 @@ def _build_orchestrator(
     return Orchestrator(
         tree,
         backends=backends,
-        verifier=VerifierClient(verifier_config, max_concurrent=workers),
-        ast_client=AstClient(verifier_config),
+        verifier=verifier,
+        ast_client=verifier,
         search_client=search_client,
         workers=workers,
         run_log_path=out_dir / "run.jsonl",

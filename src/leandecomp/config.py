@@ -9,7 +9,6 @@ search budget limits.
 from __future__ import annotations
 
 import configparser
-import io
 import os
 import re
 from dataclasses import dataclass
@@ -123,13 +122,6 @@ class Config:
             ),
             max_depth=self.getint("PROVER_AGENT_LLM", "max_depth", fallback=20),
         )
-
-    def to_ini(self) -> str:
-        parser = configparser.RawConfigParser()
-        parser.read_dict(self.sections)
-        buffer = io.StringIO()
-        parser.write(buffer)
-        return buffer.getvalue()
 
 
 def packaged_defaults() -> str:

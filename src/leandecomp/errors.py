@@ -17,7 +17,7 @@ class NoCodeBlock(LeandecompError):
 
 
 class SubgoalNotFound(LeandecompError):
-    """The named subgoal does not exist in the sketch or subgoal list."""
+    """The named subgoal does not exist in the sketch."""
 
 
 class AmbiguousSubgoal(LeandecompError):
@@ -33,10 +33,6 @@ class MalformedAst(LeandecompError):
 
 class AnonymousSorry(LeandecompError):
     """A sorry placeholder is not attached to a named `have` statement."""
-
-
-class DuplicateSubgoalName(LeandecompError):
-    """Two extracted subgoals share a name; code generation is ambiguous."""
 
 
 # --- Proof tree ---

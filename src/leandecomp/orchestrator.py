@@ -222,8 +222,9 @@ class Orchestrator:
     ``backends`` maps the five agent roles — formalizer, prover,
     semantics, search_query, decomposer — to chat backends exposing
     ``complete(messages) -> str``. ``verifier`` checks Lean units,
-    ``ast_client`` exports sketch ASTs, ``search_client`` retrieves
-    hint theorems (both optional until decomposition is reached).
+    ``ast_client`` exports sketch ASTs (one VerifierClient does both),
+    ``search_client`` retrieves hint theorems (both optional until
+    decomposition is reached).
     """
 
     def __init__(
@@ -513,7 +514,7 @@ class Orchestrator:
     # ------------------------------------------------------- prove / verify
 
     def _prepare_prove(self, node: ProofNode) -> tuple[str, list[tuple[str, str]]]:
-        conversation = node.conversation("prover")
+        conversation = self.tree.conversation(node.id, "prover")
         if not conversation:
             prompt = render_prompt(
                 PromptKind.PROVER_INITIAL,
@@ -527,7 +528,7 @@ class Orchestrator:
                     error_message_for_prev_round=node.last_failure or "unknown error",
                 ),
             )
-        return prompt, list(conversation) + [("user", prompt)]
+        return prompt, conversation + [("user", prompt)]
 
     def _do_prove(self, node: ProofNode) -> None:
         prompt, messages = self._prepare_prove(node)
@@ -618,7 +619,7 @@ class Orchestrator:
             else PromptKind.QUERY_INITIAL
         )
         prompt = render_prompt(kind, PromptVars(formal_theorem=node.formal.body))
-        messages = list(node.conversation("decomposer")) + [("user", prompt)]
+        messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
         queries: list[str] = []
         for _ in range(2):  # one ask plus at most one re-ask
             try:
@@ -671,7 +672,7 @@ class Orchestrator:
                 error_message_for_prev_round=node.last_sketch_failure or "unknown error",
             )
         prompt = render_prompt(kind, vars)
-        messages = list(node.conversation("decomposer")) + [("user", prompt)]
+        messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
         node.sketch_attempts_total += 1
         try:
             response = self._complete("decomposer", messages)
@@ -736,11 +737,7 @@ class Orchestrator:
         """Count a post-verification sketch defect (AST export or subgoal
         extraction) against the correction budget without inventing a
         conversation round for it."""
-        node.history.append(
-            {"role": "decomposer", "prompt": f"({stage})", "response": message, "failed": True,
-             "verdict": None}
-        )
-        node.counters.sketch_corrections_used += 1
+        self.tree.note_sketch_defect(node.id, stage, message)
         node.last_sketch_failure = message
         node.sketch = None
         self._ast_cache.pop(node.id, None)

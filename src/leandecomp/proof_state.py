@@ -2,15 +2,17 @@
 
 Each node is a theorem being proved: the root carries the user's
 target, children carry subgoals produced by decomposition. Nodes track
-status, per-agent conversations, a never-cleared provenance history,
-and the retry counters that drive scheduling. The tree persists as a
-checkpoint journal (a snapshot line, then one line per save holding
-what changed) and reconstructs complete proofs from proven subtrees by
-splicing child proof bodies into parent sketches.
+status, a never-cleared history of agent rounds (from which each
+agent's running conversation is derived), and the retry counters that
+drive scheduling. The tree persists as a checkpoint journal (a snapshot
+line, then one line per save holding what changed) and reconstructs
+complete proofs from proven subtrees by splicing child proof bodies
+into parent sketches.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -30,7 +32,12 @@ from .lean_source import (
 from .ast_model import Subgoal, get_named_subgoal_code
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+#: Stages of a verified sketch whose defects are noted in a node's
+#: history as decomposer entries with the prompt ``(<stage>)``.
+_SKETCH_NOTE_STAGES = ("ast-export", "subgoal-extraction")
+_NOTE_PROMPTS = frozenset(f"({stage})" for stage in _SKETCH_NOTE_STAGES)
 
 
 class NodeStatus(Enum):
@@ -80,7 +87,6 @@ class ProofNode:
     proof_attempt: str | None = None
     sketch: str | None = None
     children: list[str] = field(default_factory=list)
-    conversations: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     history: list[dict[str, Any]] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
     # working data for the current phase
@@ -95,9 +101,6 @@ class ProofNode:
     sketch_attempts_total: int = 0
     insertion_seq: int = 0
 
-    def conversation(self, agent: str) -> list[tuple[str, str]]:
-        return self.conversations.setdefault(agent, [])
-
 
 class ProofTree:
     """Owner of all nodes; every mutation goes through these methods."""
@@ -108,9 +111,9 @@ class ProofTree:
         self.root: str | None = None
         self._seq = 0
         # The checkpoint file this tree last saved to, and per node what
-        # that file holds: its fields and the marks of its transcripts.
+        # that file holds: its fields and the length of its history.
         self._journal_path: str | None = None
-        self._written: dict[str, tuple[dict[str, Any], tuple, dict[str, tuple]]] = {}
+        self._written: dict[str, tuple[dict[str, Any], int]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -173,6 +176,29 @@ class ProofTree:
             distance += 1
             yield distance, node
 
+    def conversation(self, node_id: str, role: str) -> list[tuple[str, str]]:
+        """
+        The running conversation the prover or decomposer continues on a
+        node, derived from its history as (speaker, text) turns.
+
+        The prover's holds the rounds of the current pass: each pass of
+        ``prover_self_correction`` failed rounds starts afresh. The
+        decomposer's holds every round, across backtracks, but not the
+        notes of defects found after a sketch verified.
+        """
+        node = self.node(node_id)
+        rounds = [entry for entry in node.history if entry["role"] == role]
+        if role == "prover":
+            rounds = rounds[node.counters.passes_used * self.limits.prover_self_correction:]
+        elif role == "decomposer":
+            rounds = [entry for entry in rounds if entry["prompt"] not in _NOTE_PROMPTS]
+        else:
+            raise ValueError(f"the {role} agent keeps no conversation")
+        turns: list[tuple[str, str]] = []
+        for entry in rounds:
+            turns += [("user", entry["prompt"]), ("assistant", entry["response"])]
+        return turns
+
     # -------------------------------------------------------------- mutations
 
     def add_child(self, parent_id: str, subgoal: Subgoal) -> str:
@@ -185,7 +211,7 @@ class ProofTree:
         """
         parent = self.node(parent_id)
         preamble = normalize_preamble(parent.formal.preamble if parent.formal else "")
-        code = get_named_subgoal_code([subgoal], subgoal.name, preamble)
+        code = get_named_subgoal_code(subgoal, preamble)
         source = split_source(code)
         child = ProofNode(
             id=self._new_id(),
@@ -213,10 +239,10 @@ class ProofTree:
         Log one agent round and apply the role's counter rules.
 
         A failed prover round consumes one self-correction attempt;
-        filling the per-pass budget rolls over into a new pass with a
-        fresh prover conversation. Formalizer and semantics failures
-        consume formalization retries; decomposer failures consume
-        sketch corrections.
+        filling the per-pass budget rolls over into a new pass, which
+        starts a fresh prover conversation. Formalizer and semantics
+        failures consume formalization retries; decomposer failures
+        consume sketch corrections.
         """
         node = self.node(node_id)
         if failed is None:
@@ -232,9 +258,6 @@ class ProofTree:
                 else {"passed": verdict.passed, "complete": verdict.complete},
             }
         )
-        conversation = node.conversation(role)
-        conversation.append(("user", prompt))
-        conversation.append(("assistant", response))
         if not failed:
             return
         counters = node.counters
@@ -243,11 +266,26 @@ class ProofTree:
             if counters.self_correction_in_pass >= self.limits.prover_self_correction:
                 counters.passes_used += 1
                 counters.self_correction_in_pass = 0
-                node.conversations["prover"] = []
         elif role in ("formalizer", "semantics"):
             counters.formalize_retries += 1
         elif role == "decomposer":
             counters.sketch_corrections_used += 1
+
+    def note_sketch_defect(self, node_id: str, stage: str, message: str) -> None:
+        """
+        Log a defect found in a verified sketch at ``stage``
+        (``ast-export`` or ``subgoal-extraction``) and consume one sketch
+        correction. The note is history only: the decomposer's
+        conversation leaves it out.
+        """
+        if stage not in _SKETCH_NOTE_STAGES:
+            raise ValueError(f"unknown sketch stage {stage!r}")
+        node = self.node(node_id)
+        node.history.append(
+            {"role": "decomposer", "prompt": f"({stage})", "response": message,
+             "failed": True, "verdict": None}
+        )
+        node.counters.sketch_corrections_used += 1
 
     def find_backtrack_ancestor(self, node_id: str) -> str | None:
         """
@@ -272,11 +310,11 @@ class ProofTree:
         Drop all descendants and queue the node for re-decomposition.
 
         The node returns to AwaitingQueryGen with one decomposition
-        consumed and a fresh sketch-correction budget; conversations and
-        history are kept for the backtrack prompts. Raises
-        LeandecompError when the node's decomposition budget is already
-        spent (callers select ancestors with find_backtrack_ancestor,
-        which never picks such a node).
+        consumed and a fresh sketch-correction budget; its history, and
+        so the decomposer's conversation, is kept for the backtrack
+        prompts. Raises LeandecompError when the node's decomposition
+        budget is already spent (callers select ancestors with
+        find_backtrack_ancestor, which never picks such a node).
         """
         node = self.node(node_id)
         if node.counters.decompositions_used >= self.limits.decomposer_self_correction:
@@ -372,30 +410,27 @@ class ProofTree:
     # ------------------------------------------------------------ persistence
 
     def to_dict(self) -> dict[str, Any]:
+        """The checkpoint record of the tree; it shares no object with
+        the tree."""
         return {
             "version": CHECKPOINT_VERSION,
             "root": self.root,
             "seq": self._seq,
-            "limits": vars(self.limits),
+            "limits": dict(vars(self.limits)),
             "nodes": {
-                node.id: {
-                    **_node_fields(node),
-                    "conversations": {
-                        agent: [list(turn) for turn in turns]
-                        for agent, turns in node.conversations.items()
-                    },
-                    "history": node.history,
-                }
+                node.id: {**_node_fields(node), "history": copy.deepcopy(node.history)}
                 for node in self.nodes.values()
             },
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
-        """Rebuild a tree from a version 1 or 2 checkpoint record;
-        raises ValueError for any structural defect."""
+        """Rebuild a tree from a checkpoint record of any version, 1 to
+        3 (the ``conversations`` of versions 1 and 2 are derived from
+        ``history`` instead); raises ValueError for any structural
+        defect."""
         try:
-            if data.get("version") not in (1, CHECKPOINT_VERSION):
+            if data.get("version") not in (1, 2, CHECKPOINT_VERSION):
                 raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
             tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
             tree.root = data["root"]
@@ -413,10 +448,6 @@ class ProofTree:
                     proof_attempt=raw.get("proof_attempt"),
                     sketch=raw.get("sketch"),
                     children=list(raw.get("children", [])),
-                    conversations={
-                        agent: [tuple(turn) for turn in turns]
-                        for agent, turns in raw.get("conversations", {}).items()
-                    },
                     history=list(raw.get("history", [])),
                     counters=Counters.from_dict(raw.get("counters", {})),
                     queries=list(raw.get("queries", [])),
@@ -445,9 +476,9 @@ class ProofTree:
         of the whole tree to a temporary file and renames it over
         ``path``. Every later save appends one line holding only what
         changed since the previous save: changed node fields, the new
-        tails of the transcripts and the ids of removed nodes. A failed
-        write makes the next save a snapshot, so a torn line can only
-        be the last one.
+        tails of the node histories and the ids of removed nodes. A
+        failed write makes the next save a snapshot, so a torn line can
+        only be the last one.
         """
         path = os.fspath(path)
         journal, self._journal_path = self._journal_path, None
@@ -462,8 +493,7 @@ class ProofTree:
                 handle.write(_json_line(self.to_dict()))
             os.replace(temp, path)
             self._written = {
-                node.id: (_node_fields(node), *_transcript_marks(node))
-                for node in self.nodes.values()
+                node.id: (_node_fields(node), len(node.history)) for node in self.nodes.values()
             }
         self._journal_path = path
 
@@ -473,9 +503,7 @@ class ProofTree:
         changes: dict[str, Any] = {}
         for node in self.nodes.values():
             fields = _node_fields(node)
-            old_fields, history_mark, conversation_marks = self._written.get(
-                node.id, ({}, None, {})
-            )
+            old_fields, written_history = self._written.get(node.id, ({}, 0))
             change: dict[str, Any] = {}
             changed_fields = {
                 key: value
@@ -484,19 +512,11 @@ class ProofTree:
             }
             if changed_fields:
                 change["fields"] = changed_fields
-            history = _appended(node.history, history_mark)
-            if history is not None:
-                change["history"] = history
-            conversations = {
-                agent: tail
-                for agent, turns in node.conversations.items()
-                if (tail := _appended(turns, conversation_marks.get(agent))) is not None
-            }
-            if conversations:
-                change["conversations"] = conversations
+            if written_history < len(node.history):
+                change["history"] = [written_history, node.history[written_history:]]
             if change:
                 changes[node.id] = change
-                self._written[node.id] = (fields, *_transcript_marks(node))
+                self._written[node.id] = (fields, len(node.history))
         removed = [node_id for node_id in self._written if node_id not in self.nodes]
         for node_id in removed:
             del self._written[node_id]
@@ -508,9 +528,9 @@ class ProofTree:
     def load(cls, path) -> "ProofTree":
         """
         Read a checkpoint written by ``save``: a snapshot line followed
-        by journal lines replayed in order, or a version-1 file holding
-        one JSON object. A torn final line (a crash mid-append) is
-        dropped; any other defect raises ValueError.
+        by journal lines replayed in order (version 2 or 3), or a
+        version-1 file holding one JSON object. A torn final line (a
+        crash mid-append) is dropped; any other defect raises ValueError.
         """
         with open(path, "rb") as handle:
             try:
@@ -518,7 +538,7 @@ class ProofTree:
             except ValueError:
                 handle.seek(0)
                 return cls.from_dict(json.load(handle))  # version 1: one indented object
-            if isinstance(data, dict) and data.get("version") == CHECKPOINT_VERSION:
+            if isinstance(data, dict) and data.get("version") in (2, CHECKPOINT_VERSION):
                 pending, number = None, 1
                 for line in handle:
                     if pending is not None:
@@ -530,8 +550,8 @@ class ProofTree:
 
 
 def _node_fields(node: ProofNode) -> dict[str, Any]:
-    """A node's checkpoint record without its transcripts, ``history``
-    and ``conversations``, which the journal writes as appended tails."""
+    """A node's checkpoint record without its ``history``, which the
+    journal writes as appended tails."""
     return {
         "id": node.id,
         "parent": node.parent,
@@ -559,36 +579,14 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
     }
 
 
-def _mark(items: list) -> tuple[int, Any]:
-    """The length and last item of a transcript as last written."""
-    return len(items), items[-1] if items else None
-
-
-def _transcript_marks(node: ProofNode) -> tuple[tuple[int, Any], dict[str, tuple[int, Any]]]:
-    return _mark(node.history), {
-        agent: _mark(turns) for agent, turns in node.conversations.items()
-    }
-
-
-def _appended(items: list, mark: tuple[int, Any] | None) -> list | None:
-    """``[start, items[start:]]`` for what a transcript gained since
-    ``mark``, or None when it is unchanged. ``start`` is 0 when the
-    transcript was never written (``mark`` is None) or was replaced
-    rather than extended, as a prover pass rollover replaces the prover
-    conversation."""
-    if mark is not None:
-        length, last = mark
-        if length <= len(items) and (length == 0 or items[length - 1] is last):
-            return None if length == len(items) else [length, items[length:]]
-    return [0, items]
-
-
 def _json_line(data: dict[str, Any]) -> str:
     return json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:
-    """Apply journal line ``number`` to a checkpoint record in place."""
+    """Apply journal line ``number`` to a checkpoint record in place.
+    The ``conversations`` tails of version 2 are skipped: they are
+    derived from ``history``."""
     try:
         change = json.loads(line)
     except ValueError:
@@ -600,17 +598,13 @@ def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:
         for node_id in change["removed"]:
             del nodes[node_id]
         for node_id, node_change in change["nodes"].items():
-            record = nodes.setdefault(node_id, {"history": [], "conversations": {}})
+            record = nodes.setdefault(node_id, {"history": []})
             record.update(node_change.get("fields", {}))
-            tails = [(record["history"], node_change.get("history"))] + [
-                (record["conversations"].setdefault(agent, []), tail)
-                for agent, tail in node_change.get("conversations", {}).items()
-            ]
-            for items, tail in tails:
-                if tail is not None:
-                    start, appended = tail
-                    del items[start:]
-                    items.extend(appended)
+            if "history" in node_change:
+                start, appended = node_change["history"]
+                if start != len(record["history"]):
+                    raise ValueError(f"history of {node_id} resumes at {start}, not its end")
+                record["history"].extend(appended)
         data["seq"] = change["seq"]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"checkpoint line {number} is malformed: {exc!r}") from None

@@ -30,6 +30,8 @@ from .errors import (
 
 _MODULE_NAME_RE = re.compile(r"^[A-Za-z0-9_.]+$")
 _TRANSIENT_STATUS = frozenset({408, 429})
+#: Lean's warning for a declaration that still contains sorry (or admit).
+_SORRY_WARNING = "declaration uses 'sorry'"
 
 Span = tuple[tuple[int, int], tuple[int, int]]
 
@@ -169,7 +171,8 @@ class ChatClient:
 
 
 class VerifierClient:
-    """Client for the Lean verification server's check and AST endpoints."""
+    """The one client for the Lean verification server: proof checking
+    and AST export."""
 
     def __init__(
         self,
@@ -198,10 +201,27 @@ class VerifierClient:
 
     @staticmethod
     def _parse_result(entry: dict) -> VerificationResult:
+        """
+        Grade one result entry, ``{"custom_id", "time", "diagnostics":
+        [{"severity", "message", "pos", "endPos"}], "error"}``.
+
+        An error diagnostic or a non-empty ``error`` fails the unit; only
+        Lean's ``declaration uses 'sorry'`` warning makes it incomplete.
+        Raises BadResponse for an entry with neither a ``diagnostics``
+        list nor an ``error``, and lets a field of the wrong type raise
+        TypeError, ValueError or AttributeError.
+        """
+        diagnostics = entry.get("diagnostics")
+        if not isinstance(diagnostics, list):
+            if not entry.get("error"):
+                raise BadResponse(
+                    f"verification result has neither diagnostics nor an error: {sorted(entry)}"
+                )
+            diagnostics = []
         errors: list[LeanError] = []
         saw_error = False
         saw_incomplete = False
-        for diag in entry.get("diagnostics", []):
+        for diag in diagnostics:
             severity = diag.get("severity", "error")
             message = diag.get("message", "")
             span = None
@@ -215,7 +235,7 @@ class VerifierClient:
             if severity == "error":
                 saw_error = True
                 errors.append(LeanError(message=message, span=span))
-            elif "sorry" in message or "admit" in message:
+            elif severity == "warning" and message.strip() == _SORRY_WARNING:
                 saw_incomplete = True
         if entry.get("error"):
             saw_error = True
@@ -231,8 +251,8 @@ class VerifierClient:
     def verify_code(self, code: str, timeout: float = 300.0) -> VerificationResult:
         """
         Check one Lean unit. ``passed`` means no errors; ``complete``
-        additionally means no sorry/admit warnings (a valid sketch is
-        passed but not complete).
+        additionally means no ``declaration uses 'sorry'`` warning (a
+        valid sketch is passed but not complete).
         """
         return self.verify_batch([code], timeout)[0]
 
@@ -253,26 +273,11 @@ class VerifierClient:
             entry = by_id.get(cid)
             if entry is None:
                 raise BadResponse(f"verification response missing result for {cid}")
-            results.append(self._parse_result(entry))
+            try:
+                results.append(self._parse_result(entry))
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise BadResponse(f"verification result for {cid} is malformed: {exc!r}") from None
         return results
-
-
-class AstClient:
-    """Client for the verification server's AST export endpoints."""
-
-    def __init__(self, config: VerifierConfig, backoff_base: float = 1.0, sleeper=time.sleep):
-        self.config = config
-        self._http = _RetryingHttp(config.max_retries, backoff_base, sleeper)
-
-    def _post(self, path: str, payload: dict, timeout: float) -> dict:
-        url = self.config.url.rstrip("/") + path
-        response = self._http.request("POST", url, json=payload, timeout=timeout + 30)
-        if response.status_code >= 400:
-            raise BadResponse(f"{path} returned HTTP {response.status_code}: {response.text[:200]}")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise BadResponse(f"{path} returned non-JSON body") from exc
 
     def fetch_ast(
         self, code: str, module_name: str = "User.Code", timeout: float = 300.0
@@ -292,13 +297,6 @@ class AstClient:
         if body.get("error"):
             raise AstExportFailed(str(body["error"]))
         return parse_ast({"ast": body.get("ast"), "sorries": body.get("sorries", [])})
-
-    def fetch_module_ast(self, modules: list[str], one: bool = True, timeout: float = 300.0) -> dict:
-        """Export ASTs of installed library modules (raw payload passthrough)."""
-        for module in modules:
-            if not _MODULE_NAME_RE.match(module):
-                raise InvalidModuleName(f"module name {module!r} must match [A-Za-z0-9_.]+")
-        return self._post("/api/ast", {"modules": modules, "one": one, "timeout": timeout}, timeout)
 
 
 class SearchClient:

@@ -21,7 +21,7 @@ from leandecomp.errors import FormalizationExhausted
 from leandecomp.lean_source import count_sorries, extract_code_block
 from leandecomp.orchestrator import ActionKind, Orchestrator, ProveOutcome
 from leandecomp.proof_state import NodeStatus, ProofTree
-from leandecomp.services import AstClient, VerifierClient
+from leandecomp.services import VerifierClient
 
 from .fakes import (
     FAIL_MARKER,
@@ -614,7 +614,7 @@ def test_criterion_10_live_ast_extraction(capsys):
         _skip_live(capsys, 10, "live AST export on the worked sketch")
         return
     with criterion(capsys, 10, "live AST export matches the frozen fixture's subgoals"):
-        client = AstClient(load_config().verifier())
+        client = VerifierClient(load_config().verifier())
         root, sorries = client.fetch_ast(INFINITUDE_SKETCH)
         names = [s.name for s in extract_subgoals(root, sorries)]
         assert names == INFINITUDE_SUBGOAL_NAMES

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leandecomp.agents import (
-    HINT_CAP,
     Judgement,
     PromptKind,
     PromptVars,
@@ -207,11 +206,6 @@ class TestFormatTheoremHints:
             [TheoremHit("Nat.add_comm", "theorem Nat.add_comm : ∀ n m, n + m = m + n", "Mathlib", 0.9)]
         )
         assert "- Nat.add_comm : theorem Nat.add_comm : ∀ n m, n + m = m + n" in hints
-
-    def test_cap(self):
-        hits = [TheoremHit(f"T{i}", "s", "Mathlib", 1.0) for i in range(50)]
-        rendered = format_theorem_hints(hits)
-        assert rendered.count("\n- ") + rendered.startswith("- ") == HINT_CAP
 
     def test_empty(self):
         assert "no potentially useful theorems" in format_theorem_hints([])

@@ -10,15 +10,9 @@ from leandecomp.ast_model import (
     SorryInfo,
     extract_subgoals,
     get_named_subgoal_code,
-    get_unproven_subgoal_names,
     parse_ast,
 )
-from leandecomp.errors import (
-    AnonymousSorry,
-    DuplicateSubgoalName,
-    MalformedAst,
-    SubgoalNotFound,
-)
+from leandecomp.errors import AnonymousSorry, MalformedAst
 from leandecomp.lean_source import count_sorries, normalize_preamble
 from tests.ast_builder import build_sketch_payload
 from tests.sample_proofs import (
@@ -158,17 +152,24 @@ class TestExtractSubgoals:
             ],
         }
         root, _ = parse_ast(payload)
-        assert get_unproven_subgoal_names(root) == ["inner"]
+        subgoals = extract_subgoals(root, [SorryInfo("True", (), (1, 1))])
+        assert [sg.name for sg in subgoals] == ["inner"]
+
+
+def unproven_names(payload) -> list[str]:
+    return [subgoal.name for subgoal in extract_subgoals(*parse_ast(payload))]
 
 
 class TestUnprovenNames:
+    """Subgoal names as extract_subgoals lists them: in source order,
+    duplicates included, so that the orchestrator can reject a sketch
+    that reuses a name."""
+
     def test_infinitude(self):
-        root, _ = parse_ast(load_payload("infinitude_ast.json"))
-        assert get_unproven_subgoal_names(root) == INFINITUDE_SUBGOAL_NAMES
+        assert unproven_names(load_payload("infinitude_ast.json")) == INFINITUDE_SUBGOAL_NAMES
 
     def test_empty_module(self):
-        root, _ = parse_ast({"kind": "module", "args": []})
-        assert get_unproven_subgoal_names(root) == []
+        assert unproven_names({"kind": "module", "args": []}) == []
 
     def test_duplicate_names_both_listed(self):
         payload = build_sketch_payload(
@@ -177,8 +178,7 @@ class TestUnprovenNames:
             "  have h : P := by sorry\n"
             "  trivial"
         )
-        root, _ = parse_ast(payload)
-        assert get_unproven_subgoal_names(root) == ["h", "h"]
+        assert unproven_names(payload) == ["h", "h"]
 
 
 class TestNamedSubgoalCode:
@@ -188,27 +188,10 @@ class TestNamedSubgoalCode:
     def test_base_case_unit(self):
         root, sorries = parse_ast(load_payload("induction_ast.json"))
         subgoals = extract_subgoals(root, sorries)
-        code = get_named_subgoal_code(subgoals, "base_case", self.preamble)
+        base_case = next(sg for sg in subgoals if sg.name == "base_case")
+        code = get_named_subgoal_code(base_case, self.preamble)
         assert code.startswith("import Mathlib\nimport Aesop\n")
         assert code.endswith("theorem base_case : 4 ^ 2 ≤ 4 ! := by\n  sorry")
-
-    def test_absent_name_raises(self):
-        root, sorries = parse_ast(load_payload("induction_ast.json"))
-        subgoals = extract_subgoals(root, sorries)
-        with pytest.raises(SubgoalNotFound):
-            get_named_subgoal_code(subgoals, "missing", self.preamble)
-
-    def test_duplicate_name_raises(self):
-        payload = build_sketch_payload(
-            "theorem t : True := by\n"
-            "  have h : P := by sorry\n"
-            "  have h : P := by sorry\n"
-            "  trivial"
-        )
-        root, sorries = parse_ast(payload)
-        subgoals = extract_subgoals(root, sorries)
-        with pytest.raises(DuplicateSubgoalName):
-            get_named_subgoal_code(subgoals, "h", self.preamble)
 
     def test_context_binder_rendered_before_colon(self):
         payload = {
@@ -219,16 +202,8 @@ class TestNamedSubgoalCode:
         }
         root, sorries = parse_ast(payload)
         subgoals = extract_subgoals(root, sorries)
-        code = get_named_subgoal_code(subgoals, "bound", self.preamble)
+        code = get_named_subgoal_code(subgoals[0], self.preamble)
         assert "theorem bound (n : ℕ) : n ≤ n + 1 := by" in code
-
-    def test_enclosing_binders_come_first_and_dedupe(self):
-        root, sorries = parse_ast(load_payload("induction_ast.json"))
-        subgoals = extract_subgoals(root, sorries)
-        code = get_named_subgoal_code(
-            subgoals, "final_proof", self.preamble, enclosing_binders=[("m", "ℕ")]
-        )
-        assert "theorem final_proof (m : ℕ) : ∀ n ≥ 4, n ^ 2 ≤ n ! := by" in code
 
     @given(st.sampled_from(INFINITUDE_SUBGOAL_NAMES))
     def test_standalone_statement_is_sorry_proved_theorem(self, name):

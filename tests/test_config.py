@@ -127,11 +127,6 @@ class TestErrors:
 
 
 class TestRoundTrip:
-    def test_ini_round_trip(self):
-        cfg = load_config(env={"PROVER_AGENT_LLM__MAX_PASS": "9"})
-        again = load(cfg.to_ini(), None, {})
-        assert again == cfg
-
     def test_package_filters_parse_drops_empty_entries(self):
         cfg = load_config(env={"LEAN_EXPLORE_SERVER__PACKAGE_FILTERS": " Mathlib, ,Std ,"})
         assert cfg.search().package_filters == ("Mathlib", "Std")

@@ -1,6 +1,5 @@
 """Scheduler and coordinator behavior, driven entirely by in-process fakes."""
 
-import copy
 import json
 import re
 import shutil
@@ -817,7 +816,7 @@ class JournalCheckingOrchestrator(Orchestrator):
     def _checkpoint(self):
         super()._checkpoint()
         self.tree.validate()
-        state = copy.deepcopy(self.tree.to_dict())
+        state = self.tree.to_dict()
         assert ProofTree.load(self.checkpoint_path).to_dict() == state
         data = self.checkpoint_path.read_bytes()
         if self.saved_state is not None and len(data) > self.saved_size:
@@ -863,3 +862,107 @@ class TestCheckpointJournal:
             resumed = ProofTree.load(path)
             assert resumed.to_dict() == state
             assert orchestrator(resumed, checkpoint_path=path).run() == outcome
+
+
+# ------------------------------------------------- conversations from history
+
+#: The root rolls a prover pass over; the hard grandchild ``tst_a_a``
+#: backtracks to the root, whose second sketch continues its first.
+GOLDEN_HARD = frozenset({"tst", "tst_a", "tst_a_a"})
+
+
+def golden_run(tree=None, checkpoint_path=None, hard=GOLDEN_HARD, decomposer=None, ast_client=None):
+    """Run the journal scenario serially; returns (outcome, backends)."""
+    backends = journal_backends(hard)
+    if decomposer is not None:
+        backends["decomposer"] = decomposer
+    outcome = Orchestrator(
+        tree or formal_tree(limits=JOURNAL_LIMITS),
+        backends=backends,
+        verifier=RuleVerifier(),
+        ast_client=ast_client or BuilderAst(),
+        search_client=ScriptedSearch(),
+        checkpoint_path=checkpoint_path,
+    ).run()
+    return outcome, backends
+
+
+def stored_conversations(path) -> dict[str, dict[str, list]]:
+    """The ``conversations`` a version-2 journal stores, per node, read
+    independently of ProofTree.load."""
+    snapshot, *journal = path.read_text(encoding="utf-8").splitlines()
+    stored = {
+        node_id: dict(record["conversations"])
+        for node_id, record in json.loads(snapshot)["nodes"].items()
+    }
+    for line in journal:
+        change = json.loads(line)
+        for node_id in change["removed"]:
+            del stored[node_id]
+        for node_id, node_change in change["nodes"].items():
+            agents = stored.setdefault(node_id, {})
+            for agent, (start, turns) in node_change.get("conversations", {}).items():
+                agents[agent] = agents.get(agent, [])[:start] + turns
+    return stored
+
+
+class TestDerivedConversations:
+    def test_backends_receive_the_golden_messages(self, tmp_path):
+        """The prover, decomposer and search-query backends receive
+        exactly the messages recorded from the code that stored each
+        conversation beside the history (fixture written by it)."""
+        checkpoint = tmp_path / "checkpoint.json"
+        outcome, backends = golden_run(checkpoint_path=checkpoint)
+        assert outcome.success
+        golden = json.loads(
+            (FIXTURES / "journal_backend_messages.json").read_text(encoding="utf-8")
+        )
+        for role, transcripts in golden.items():
+            received = backends[role].transcripts
+            assert [[list(turn) for turn in messages] for messages in received] == transcripts
+        snapshot, *journal = (json.loads(line) for line in checkpoint.open(encoding="utf-8"))
+        records = [*snapshot["nodes"].values()] + [
+            change for line in journal for change in line["nodes"].values()
+        ]
+        assert journal and not any("conversations" in record for record in records)
+
+    def test_version_2_journal_derives_its_conversations_and_resumes(self, tmp_path):
+        """A journal the version-2 ``ProofTree.save`` wrote mid-run, after
+        a prover pass rollover and a decomposer round: the derived
+        conversations equal the stored ones, and the run resumes to the
+        uninterrupted outcome."""
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(FIXTURES / "checkpoint_v2.json", checkpoint)
+        stored = stored_conversations(checkpoint)
+        tree = ProofTree.load(checkpoint)
+        assert set(stored) == set(tree.nodes)
+        assert any(
+            node.counters.passes_used and stored[node.id].get("prover")
+            for node in tree.nodes.values()
+        )
+        assert any(agents.get("decomposer") for agents in stored.values())
+        for node_id in tree.nodes:
+            for role in ("prover", "decomposer"):
+                expected = [tuple(turn) for turn in stored[node_id].get(role, [])]
+                assert tree.conversation(node_id, role) == expected, (node_id, role)
+        resumed, _ = golden_run(tree, checkpoint_path=checkpoint)
+        assert resumed == golden_run()[0]
+
+    def test_sketch_note_never_reaches_the_decomposer(self):
+        """An AST-export failure is noted in the history, but the
+        correction sketch that follows continues only the real round."""
+        sketch = "theorem tst : True := by\n  have tst_a : True := by\n    sorry\n  exact tst_a"
+        first = lean_block(sketch + "\n-- unexportable")
+        decomposer = ScriptedChat([first, lean_block(sketch)])
+        tree = formal_tree(limits=JOURNAL_LIMITS)
+        outcome, _ = golden_run(
+            tree,
+            hard=frozenset({"tst"}),
+            decomposer=decomposer,
+            ast_client=BuilderAst(fail_for=["unexportable"]),
+        )
+        assert outcome.success
+        assert [entry["prompt"] for entry in tree.root_node().history].count("(ast-export)") == 1
+        opening, correction = decomposer.transcripts
+        assert correction[:-1] == opening + [("assistant", first)]
+        assert "could not be analyzed" in correction[-1][1]

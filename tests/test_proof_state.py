@@ -82,7 +82,7 @@ class TestRecordAttempt:
         root = tree.root_node()
         assert root.counters.self_correction_in_pass == 1
         assert root.counters.passes_used == 0
-        assert root.conversations["prover"] == [("user", "p1"), ("assistant", "r1")]
+        assert tree.conversation(tree.root, "prover") == [("user", "p1"), ("assistant", "r1")]
 
     def test_pass_rollover_resets_conversation(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
@@ -91,7 +91,7 @@ class TestRecordAttempt:
         root = tree.root_node()
         assert root.counters.passes_used == 1
         assert root.counters.self_correction_in_pass == 0
-        assert root.conversations["prover"] == []
+        assert tree.conversation(tree.root, "prover") == []
         # provenance history is never cleared
         assert [h["prompt"] for h in root.history] == ["p1", "p2"]
 
@@ -111,6 +111,15 @@ class TestRecordAttempt:
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
         tree.record_attempt(tree.root, "decomposer", "p", "r", FAIL)
         assert tree.root_node().counters.sketch_corrections_used == 1
+
+    def test_sketch_note_is_history_only(self):
+        tree = sketch_tree()
+        tree.record_attempt(tree.root, "decomposer", "p", "r", FAIL)
+        tree.note_sketch_defect(tree.root, "ast-export", "the sketch could not be analyzed")
+        root = tree.root_node()
+        assert root.counters.sketch_corrections_used == 2
+        assert [entry["prompt"] for entry in root.history] == ["p", "(ast-export)"]
+        assert tree.conversation(tree.root, "decomposer") == [("user", "p"), ("assistant", "r")]
 
     def test_unknown_node(self):
         tree = sketch_tree()
@@ -207,7 +216,7 @@ class TestPruneSubtree:
         tree = sketch_tree()
         tree.record_attempt(tree.root, "decomposer", "p", "r", FAIL)
         tree.prune_subtree(tree.root)
-        assert tree.root_node().conversations["decomposer"]
+        assert tree.conversation(tree.root, "decomposer")
 
 
 BASE_CASE_PROOF = "theorem base_case : 4 ^ 2 ≤ 4 ! := by\n  norm_num [Nat.factorial]"
@@ -330,6 +339,28 @@ class TestCheckpoint:
         tree.save(path)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         assert ProofTree.load(path).to_dict() == tree.to_dict()
+
+    def test_to_dict_result_is_not_the_tree(self):
+        tree = sketch_tree()
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)
+        history = json.loads(json.dumps(tree.root_node().history))
+        data = tree.to_dict()
+        record = data["nodes"][tree.root]
+        record["history"][0]["prompt"] = "edited"
+        record["history"][0]["verdict"]["passed"] = True
+        record["history"].append({"role": "prover"})
+        data["limits"]["max_depth"] = 0
+        assert tree.root_node().history == history
+        assert tree.limits == LIMITS
+
+    def test_kept_to_dict_result_does_not_follow_the_tree(self):
+        tree = sketch_tree()
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)
+        kept = tree.to_dict()
+        expected = json.loads(json.dumps(kept))
+        tree.record_attempt(tree.root, "decomposer", "again", "there", PASS)
+        tree.root_node().history[0]["verdict"]["passed"] = True
+        assert kept == expected
 
     def test_version_guard(self):
         tree = sketch_tree()

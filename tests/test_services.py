@@ -8,7 +8,6 @@ from leandecomp.errors import (
     ServiceUnavailable,
 )
 from leandecomp.services import (
-    AstClient,
     ChatBackendConfig,
     ChatClient,
     SearchClient,
@@ -146,8 +145,40 @@ class TestVerifierClient:
         client = make_verifier(service, max_concurrent=2)
         assert client.verify_code("theorem t : True := by trivial", timeout=10).passed
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"response": {"messages": [{"severity": "error", "message": "unknown tactic"}]}},
+            {"diagnostics": [], "time": None},
+            {"diagnostics": ["declaration uses 'sorry'"]},
+            {"diagnostics": [{"severity": "error", "message": "x", "pos": {"line": "one"}}]},
+        ],
+        ids=["no-diagnostics-list", "null-time", "diagnostic-not-an-object", "non-numeric-position"],
+    )
+    def test_malformed_entry_is_bad_response(self, service, fields):
+        service.route(
+            "POST",
+            "/api/check",
+            lambda r: (200, {"results": [
+                {"custom_id": item["custom_id"], **fields} for item in r.body["codes"]
+            ]}),
+        )
+        with pytest.raises(BadResponse):
+            make_verifier(service).verify_code("theorem t : True := by trivial", timeout=10)
+
+    def test_warning_mentioning_admit_stays_complete(self, service):
+        def diagnose(code):
+            return [{"severity": "warning", "message": "unused variable `hadmit`",
+                     "pos": {"line": 2, "column": 7}}]
+
+        service.route("POST", "/api/check", verifier_route(diagnose))
+        result = make_verifier(service).verify_code(EVEN_SUM_PROOF, timeout=10)
+        assert result.passed and result.complete
+
 
 class TestAstClient:
+    """AST export through the one Lean server client, VerifierClient."""
+
     def test_fetch_ast_of_sketch(self, service):
         def handler(request):
             payload = build_sketch_payload(request.body["code"], module_name=request.body["module_name"])
@@ -155,13 +186,13 @@ class TestAstClient:
             return 200, payload
 
         service.route("POST", "/api/ast_code", handler)
-        client = AstClient(VerifierConfig(url=service.base_url), backoff_base=0)
+        client = make_verifier(service)
         root, sorries = client.fetch_ast(INFINITUDE_SKETCH, module_name="User.Code", timeout=10)
         assert len(sorries) == 5
         assert service.requests[-1].body["module_name"] == "User.Code"
 
     def test_traversal_module_name_rejected_locally(self, service):
-        client = AstClient(VerifierConfig(url=service.base_url), backoff_base=0)
+        client = make_verifier(service)
         with pytest.raises(InvalidModuleName):
             client.fetch_ast("theorem t : True := by sorry", module_name="../etc")
         assert service.request_count() == 0
@@ -170,20 +201,9 @@ class TestAstClient:
         service.route(
             "POST", "/api/ast_code", lambda r: (200, {"error": "unexpected token 'qed'", "ast": None})
         )
-        client = AstClient(VerifierConfig(url=service.base_url), backoff_base=0)
+        client = make_verifier(service)
         with pytest.raises(AstExportFailed, match="unexpected token"):
             client.fetch_ast("theorem t : True := qed", timeout=10)
-
-    def test_module_ast_endpoint(self, service):
-        service.route("POST", "/api/ast", lambda r: (200, {"asts": [{"kind": "module", "args": []}]}))
-        client = AstClient(VerifierConfig(url=service.base_url), backoff_base=0)
-        body = client.fetch_module_ast(["Mathlib.Logic.Basic"], one=True, timeout=10)
-        assert "asts" in body
-        assert service.requests[-1].body == {
-            "modules": ["Mathlib.Logic.Basic"],
-            "one": True,
-            "timeout": 10,
-        }
 
 
 def search_results_route(table):
