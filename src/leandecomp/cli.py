@@ -114,9 +114,7 @@ def _setup_logging(verbosity: int) -> None:
         level = logging.INFO
     elif verbosity >= 2:
         level = logging.DEBUG
-    logging.basicConfig(
-        stream=sys.stdout, format="%(asctime)s %(levelname)s %(name)s: %(message)s"
-    )
+    logging.basicConfig(format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     logging.getLogger("leandecomp").setLevel(level)
 
 
@@ -210,6 +208,11 @@ def main(argv: list[str] | None = None) -> int:
         (out_dir / "diagnostic.txt").write_text(report + "\n", encoding="utf-8")
         print(report, file=sys.stderr)
         return EXIT_PROOF_FAILURE
+    finally:
+        for client in (*orchestrator.backends.values(), orchestrator.verifier):
+            client.close()
+        if orchestrator.search_client is not None:
+            orchestrator.search_client.close()
 
     if outcome.success:
         proof_path = out_dir / "proof.lean"

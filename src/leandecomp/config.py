@@ -1,7 +1,7 @@
 """Layered configuration: packaged defaults < user INI file < environment.
 
 Environment overrides use ``SECTION__OPTION`` keys (double underscore,
-uppercase), e.g. ``PROVER_AGENT_LLM__NUM_CTX=8192``. Typed accessors
+uppercase), e.g. ``PROVER_AGENT_LLM__MAX_PASS=8``. Typed accessors
 build the per-agent backend configs, the service configs, and the
 search budget limits.
 """
@@ -80,14 +80,11 @@ class Config:
         max_tokens = self.getint(
             section, "max_tokens", fallback=self.getint(section, "max_completion_tokens", fallback=50000)
         )
-        num_ctx = self.get(section, "num_ctx")
-        context_window = self.getint(section, "num_ctx") if num_ctx is not None else None
         return ChatBackendConfig(
             model=self.require(section, "model"),
             base_url=url,
             api_key=api_key,
             max_tokens=max_tokens,
-            context_window=context_window,
             max_remote_retries=self.getint(section, "max_remote_retries", fallback=5),
         )
 

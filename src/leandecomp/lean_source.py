@@ -351,8 +351,3 @@ def extract_code_block(response: str) -> str:
     if not matches:
         raise NoCodeBlock("completion contains no ```lean4 code block")
     return matches[-1].strip("\r\n")
-
-
-def count_sorries(code: str) -> int:
-    """Count ``sorry`` tokens outside comments and string literals."""
-    return sum(1 for tok in tokenize(code) if tok.text == "sorry")

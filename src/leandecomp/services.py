@@ -5,19 +5,26 @@ verification server (proof checking plus AST export), and the theorem
 search service. All clients retry transient failures (network errors,
 HTTP 408/429/5xx) with exponential backoff and full jitter, keep total
 requests within 1 + retry budget, and map failures onto the shared
-exception hierarchy.
+exception hierarchy. Requests go over the standard library's
+``http.client`` on kept-alive connections, through the proxies the
+environment names.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
+import logging
 import random
 import re
+import ssl
 import threading
 import time
+import urllib.request
 import uuid
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
 from .ast_model import AstNode, SorryInfo, parse_ast
 from .errors import (
@@ -28,8 +35,11 @@ from .errors import (
     ServiceUnavailable,
 )
 
+log = logging.getLogger(__name__)
+
 _MODULE_NAME_RE = re.compile(r"^[A-Za-z0-9_.]+$")
 _TRANSIENT_STATUS = frozenset({408, 429})
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 #: Lean's warning for a declaration that still contains sorry (or admit).
 _SORRY_WARNING = "declaration uses 'sorry'"
 
@@ -44,7 +54,6 @@ class ChatBackendConfig:
     base_url: str
     api_key: str = ""
     max_tokens: int = 50000
-    context_window: int | None = None
     max_remote_retries: int = 5
 
 
@@ -91,31 +100,183 @@ def _is_transient_status(status: int) -> bool:
     return status in _TRANSIENT_STATUS or status >= 500
 
 
+@dataclass(frozen=True)
+class HttpResponse:
+    """A response whose body has been read in full."""
+
+    status_code: int
+    body: bytes
+
+    @property
+    def text(self) -> str:
+        return self.body.decode("utf-8", "replace")
+
+    def json(self):
+        """The decoded JSON body; raises ValueError when it is not JSON."""
+        return json.loads(self.body)
+
+
+def _proxy_for(url: SplitResult) -> SplitResult | None:
+    """The proxy the environment names for ``url`` (``http_proxy``,
+    ``https_proxy``, ``all_proxy``), or None when there is none or
+    ``no_proxy`` exempts the host."""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+        return None
+    parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if parts.scheme != "http" or not parts.hostname:
+        raise ServiceUnavailable(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+    return parts
+
+
+def _proxy_headers(proxy: SplitResult) -> dict[str, str]:
+    """Basic credentials from the proxy URL's user info, if it has any."""
+    if proxy.username is None:
+        return {}
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode()).decode()}
+
+
 class _RetryingHttp:
-    """Shared retry loop: at most 1 + budget requests, backoff with full jitter."""
+    """Shared retry loop over kept-alive connections: at most 1 + budget
+    requests, backoff with full jitter.
+
+    Idle connections wait on one stack per (scheme, host, port, proxy),
+    shared by every thread using this object. A connection goes back on
+    its stack once its response has been read in full, unless the
+    response closes it.
+    """
 
     def __init__(self, retries: int, backoff_base: float = 1.0, sleeper=time.sleep):
         self._retries = max(0, retries)
         self._backoff_base = backoff_base
         self._sleep = sleeper
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+        self._tls: ssl.SSLContext | None = None
 
-    def request(self, method: str, url: str, **kwargs) -> requests.Response:
-        last_reason = "no request attempted"
-        for attempt in range(self._retries + 1):
-            if attempt:
-                self._sleep(random.uniform(0, self._backoff_base * 2 ** (attempt - 1)))
+    def close(self) -> None:
+        """Close every idle connection; later requests open new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for stack in idle.values():
+            for conn in stack:
+                conn.close()
+
+    def request(
+        self,
+        method: str,
+        url: str,
+        *,
+        timeout: float,
+        payload=None,
+        params: dict[str, str] | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> HttpResponse:
+        """
+        Send one request, retrying transient failures, and return the
+        first non-transient response.
+
+        ``payload`` is sent as a JSON body and ``params`` as the query
+        string. Raises ServiceUnavailable once the budget is spent and
+        BadResponse for a redirect, which is never followed.
+        """
+        parts = urlsplit(url)
+        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+            raise ServiceUnavailable(f"{method} {url}: not an http:// or https:// URL")
+        query = "&".join(q for q in (parts.query, urlencode(params or {})) if q)
+        target = (parts.path or "/") + ("?" + query if query else "")
+        headers = {"User-Agent": "leandecomp", **(headers or {})}
+        body = None
+        if payload is not None:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            headers.setdefault("Content-Type", "application/json")
+        attempts = self._retries + 1
+        for attempt in range(1, attempts + 1):
             try:
-                response = requests.request(method, url, **kwargs)
-            except requests.RequestException as exc:
-                last_reason = f"network error: {exc}"
-                continue
-            if _is_transient_status(response.status_code):
-                last_reason = f"HTTP {response.status_code}"
-                continue
-            return response
-        raise ServiceUnavailable(
-            f"{method} {url} failed after {self._retries + 1} attempts ({last_reason})"
+                response = self._send(method, parts, target, body, headers, timeout)
+            except (OSError, http.client.HTTPException) as exc:
+                reason = f"network error: {exc!r}"
+            else:
+                if not _is_transient_status(response.status_code):
+                    return response
+                reason = f"HTTP {response.status_code}"
+            if attempt < attempts:
+                log.warning(
+                    "%s %s: attempt %d of %d failed (%s); retrying",
+                    method, url, attempt, attempts, reason,
+                )
+                self._sleep(random.uniform(0, self._backoff_base * 2 ** (attempt - 1)))
+        raise ServiceUnavailable(f"{method} {url} failed after {attempts} attempts ({reason})")
+
+    def _send(self, method, parts, target, body, headers, timeout) -> HttpResponse:
+        """One attempt. A kept-alive connection that turns out to be
+        closed before any response byte arrives is replaced by a fresh
+        one once, without counting as an attempt."""
+        proxy = _proxy_for(parts)
+        port = parts.port or _DEFAULT_PORTS[parts.scheme]
+        key = (parts.scheme, parts.hostname, port, proxy)
+        if proxy is not None and parts.scheme == "http":
+            # An http proxy takes the absolute URL as the request target.
+            target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+            headers = {**headers, **_proxy_headers(proxy)}
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        if conn is not None:
+            conn.sock.settimeout(timeout)
+            try:
+                response = self._start(conn, method, target, body, headers)
+            except ConnectionError:
+                conn = None  # closed while idle; the fresh connection below is the attempt
+        if conn is None:
+            conn = self._connect(parts.scheme, parts.hostname, port, proxy, timeout)
+            response = self._start(conn, method, target, body, headers)
+        try:
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        if 300 <= response.status < 400:
+            raise BadResponse(
+                f"{method} {parts.geturl()} was redirected (HTTP {response.status}) "
+                f"to {response.getheader('Location')}; redirects are not followed"
+            )
+        return HttpResponse(response.status, data)
+
+    @staticmethod
+    def _start(conn, method, target, body, headers) -> http.client.HTTPResponse:
+        """Send the request and read the response's status and headers,
+        closing the connection if either fails."""
+        try:
+            conn.request(method, target, body=body, headers=headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
+
+    def _connect(self, scheme, host, port, proxy, timeout) -> http.client.HTTPConnection:
+        """A new, not yet opened connection to host:port, through an
+        http proxy if one is given (tunnelled with CONNECT for https)."""
+        if scheme == "http":
+            if proxy is not None:
+                host, port = proxy.hostname, proxy.port or 80
+            return http.client.HTTPConnection(host, port, timeout=timeout)
+        if self._tls is None:
+            self._tls = ssl.create_default_context()
+        if proxy is None:
+            return http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+        conn = http.client.HTTPSConnection(
+            proxy.hostname, proxy.port or 80, timeout=timeout, context=self._tls
         )
+        conn.set_tunnel(host, port, headers=_proxy_headers(proxy))
+        return conn
 
 
 class ChatClient:
@@ -131,6 +292,10 @@ class ChatClient:
         self.config = config
         self._request_timeout = request_timeout
         self._http = _RetryingHttp(config.max_remote_retries, backoff_base, sleeper)
+
+    def close(self) -> None:
+        """Close the client's idle connections; later calls open new ones."""
+        self._http.close()
 
     def complete(self, messages: list[tuple[str, str]]) -> str:
         """
@@ -153,7 +318,7 @@ class ChatClient:
         }
         try:
             response = self._http.request(
-                "POST", url, json=payload, headers=headers, timeout=self._request_timeout
+                "POST", url, payload=payload, headers=headers, timeout=self._request_timeout
             )
         except ServiceUnavailable as exc:
             raise RemoteExhausted(str(exc)) from exc
@@ -185,13 +350,17 @@ class VerifierClient:
         self._http = _RetryingHttp(config.max_retries, backoff_base, sleeper)
         self._semaphore = threading.BoundedSemaphore(max_concurrent) if max_concurrent else None
 
+    def close(self) -> None:
+        """Close the client's idle connections; later calls open new ones."""
+        self._http.close()
+
     def _post(self, path: str, payload: dict, timeout: float) -> dict:
         url = self.config.url.rstrip("/") + path
         if self._semaphore:
             with self._semaphore:
-                response = self._http.request("POST", url, json=payload, timeout=timeout + 30)
+                response = self._http.request("POST", url, payload=payload, timeout=timeout + 30)
         else:
-            response = self._http.request("POST", url, json=payload, timeout=timeout + 30)
+            response = self._http.request("POST", url, payload=payload, timeout=timeout + 30)
         if response.status_code >= 400:
             raise BadResponse(f"{path} returned HTTP {response.status_code}: {response.text[:200]}")
         try:
@@ -305,6 +474,10 @@ class SearchClient:
     def __init__(self, config: SearchConfig, backoff_base: float = 1.0, sleeper=time.sleep):
         self.config = config
         self._http = _RetryingHttp(config.max_retries, backoff_base, sleeper)
+
+    def close(self) -> None:
+        """Close the client's idle connections; later calls open new ones."""
+        self._http.close()
 
     def search_theorems(self, queries: list[str]) -> list[TheoremHit]:
         """

@@ -12,13 +12,18 @@ import threading
 
 from leandecomp.ast_model import parse_ast
 from leandecomp.errors import AstExportFailed, ServiceUnavailable
-from leandecomp.lean_source import count_sorries
+from leandecomp.lean_source import tokenize
 from leandecomp.services import LeanError, VerificationResult
 
 from .ast_builder import build_sketch_payload
 
 #: Marker tactic: any code containing it fails verification.
 FAIL_MARKER = "FAILTAC"
+
+
+def count_sorries(code: str) -> int:
+    """Count ``sorry`` tokens outside comments and string literals."""
+    return sum(1 for tok in tokenize(code) if tok.text == "sorry")
 
 
 def lean_block(code: str, chatter: str = "Reasoning first.") -> str:

@@ -2,40 +2,59 @@
 
 Each FakeService binds an ephemeral port, records every request, and
 dispatches on (method, path) to handler callables returning
-(status, json-payload). Transient failures can be queued per route to
-exercise retry behavior.
+(status, json-payload) or (status, json-payload, headers). Transient
+failures can be queued per route to exercise retry behavior.
+
+By default a FakeService speaks HTTP/1.0 and closes every connection
+after one response; ``FakeService(keep_alive=True)`` speaks HTTP/1.1
+and keeps connections open until the client or ``drop_connections``
+closes them. Either way it counts the connections it accepts.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 
 class RecordedRequest:
-    def __init__(self, method: str, path: str, query: dict, body):
+    def __init__(self, method: str, path: str, query: dict, body, target: str = "", headers=None):
         self.method = method
         self.path = path
         self.query = query
         self.body = body
+        self.target = target  # the request line's target, as sent
+        self.headers = headers or {}
 
     def __repr__(self):
         return f"RecordedRequest({self.method} {self.path})"
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client that timed out has gone; report only real handler errors.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class FakeService:
-    def __init__(self):
+    def __init__(self, keep_alive: bool = False):
+        self.keep_alive = keep_alive
+        self.connections = 0
         self.requests: list[RecordedRequest] = []
         self.routes: dict[tuple[str, str], callable] = {}
         self.failure_queue: dict[tuple[str, str], list[int]] = {}
         self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
     def route(self, method: str, path: str, handler):
-        """handler(RecordedRequest) -> (status, payload_dict_or_text)"""
+        """handler(RecordedRequest) -> (status, payload_dict_or_text[, headers])"""
         self.routes[(method, path)] = handler
 
     def fail_next(self, method: str, path: str, statuses: list[int]):
@@ -50,6 +69,17 @@ class FakeService:
                 if (method is None or r.method == method) and (path is None or r.path == path)
             )
 
+    def drop_connections(self):
+        """Close every open connection from the server's side, as a
+        server's idle timeout would."""
+        with self._lock:
+            open_sockets = list(self._open)
+        for sock in open_sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client closed it first
+
     @property
     def base_url(self) -> str:
         assert self._server is not None
@@ -59,8 +89,26 @@ class FakeService:
         service = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if service.keep_alive else "HTTP/1.0"
+
             def log_message(self, *args):  # keep test output clean
                 pass
+
+            def setup(self):
+                super().setup()
+                with service._lock:
+                    service.connections += 1
+                    service._open.add(self.connection)
+
+            def finish(self):
+                with service._lock:
+                    service._open.discard(self.connection)
+                super().finish()
+
+            def _empty_response(self, status: int):
+                self.send_response(status)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
 
             def _handle(self, method: str):
                 parsed = urlparse(self.path)
@@ -73,21 +121,20 @@ class FakeService:
                         body = json.loads(raw)
                     except ValueError:
                         body = raw.decode("utf-8", "replace")
-                record = RecordedRequest(method, parsed.path, query, body)
+                record = RecordedRequest(
+                    method, parsed.path, query, body, self.path, dict(self.headers)
+                )
                 with service._lock:
                     service.requests.append(record)
                     pending = service.failure_queue.get((method, parsed.path))
                     if pending:
-                        status = pending.pop(0)
-                        self.send_response(status)
-                        self.end_headers()
+                        self._empty_response(pending.pop(0))
                         return
                 handler = service.routes.get((method, parsed.path))
                 if handler is None:
-                    self.send_response(404)
-                    self.end_headers()
+                    self._empty_response(404)
                     return
-                status, payload = handler(record)
+                status, payload, *extra = handler(record)
                 data = (
                     payload.encode("utf-8")
                     if isinstance(payload, str)
@@ -96,6 +143,8 @@ class FakeService:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -105,7 +154,10 @@ class FakeService:
             def do_POST(self):
                 self._handle("POST")
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+            def do_CONNECT(self):
+                self._handle("CONNECT")
+
+        self._server = _Server(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.02), daemon=True
         )
@@ -115,6 +167,7 @@ class FakeService:
     def stop(self):
         if self._server:
             self._server.shutdown()
+            self.drop_connections()  # server_close waits for every handler thread
             self._server.server_close()
         if self._thread:
             self._thread.join(timeout=5)

@@ -18,7 +18,7 @@ from leandecomp.agents import PromptKind, PromptVars, render_prompt
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits, load, load_config, packaged_defaults
 from leandecomp.errors import FormalizationExhausted
-from leandecomp.lean_source import count_sorries, extract_code_block
+from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import ActionKind, Orchestrator, ProveOutcome
 from leandecomp.proof_state import NodeStatus, ProofTree
 from leandecomp.services import VerifierClient
@@ -28,6 +28,7 @@ from .fakes import (
     BuilderAst,
     RuleVerifier,
     ScriptedChat,
+    count_sorries,
     lean_block,
     make_backends,
 )
@@ -428,21 +429,17 @@ def test_criterion_6_prompt_goldens(capsys):
 EXPECTED_DEFAULTS = {
     "FORMALIZER_AGENT_LLM": {
         "model": "kdavis/goedel-formalizer-v2:32b",
-        "provider": "ollama",
         "url": "http://localhost:11434/v1",
         "api_key": "ollama",
         "max_tokens": "50000",
-        "num_ctx": "40960",
         "max_retries": "10",
         "max_remote_retries": "5",
     },
     "PROVER_AGENT_LLM": {
         "model": "kdavis/Goedel-Prover-V2:32b",
-        "provider": "ollama",
         "url": "http://localhost:11434/v1",
         "api_key": "ollama",
         "max_tokens": "50000",
-        "num_ctx": "40960",
         "max_self_correction_attempts": "2",
         "max_depth": "20",
         "max_pass": "32",
@@ -450,20 +447,16 @@ EXPECTED_DEFAULTS = {
     },
     "SEMANTICS_AGENT_LLM": {
         "model": "qwen3:30b",
-        "provider": "ollama",
         "url": "http://localhost:11434/v1",
         "api_key": "ollama",
         "max_tokens": "50000",
-        "num_ctx": "262144",
         "max_remote_retries": "5",
     },
     "SEARCH_QUERY_AGENT_LLM": {
         "model": "qwen3:30b",
-        "provider": "ollama",
         "url": "http://localhost:11434/v1",
         "api_key": "ollama",
         "max_tokens": "50000",
-        "num_ctx": "262144",
         "max_remote_retries": "5",
     },
     "DECOMPOSER_AGENT_LLM": {

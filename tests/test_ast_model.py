@@ -13,8 +13,9 @@ from leandecomp.ast_model import (
     parse_ast,
 )
 from leandecomp.errors import AnonymousSorry, MalformedAst
-from leandecomp.lean_source import count_sorries, normalize_preamble
+from leandecomp.lean_source import normalize_preamble
 from tests.ast_builder import build_sketch_payload
+from tests.fakes import count_sorries
 from tests.sample_proofs import (
     INDUCTION_SKETCH,
     INDUCTION_SUBGOAL_NAMES,

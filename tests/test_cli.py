@@ -2,18 +2,21 @@
 against scripted localhost HTTP services."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from leandecomp.cli import main, validate_formal_input
 from leandecomp.errors import MissingDeclaration, MissingHeader
-from leandecomp.lean_source import count_sorries, extract_code_block
+from leandecomp.lean_source import extract_code_block
 from leandecomp.proof_state import NodeStatus, ProofTree
 from leandecomp.config import Limits
 
 from .http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
 from .ast_builder import build_sketch_payload
-from .fakes import FAIL_MARKER, lean_block
+from .fakes import FAIL_MARKER, count_sorries, lean_block
 from .sample_proofs import CANONICAL_PREAMBLE, INFINITUDE_SKETCH, INFINITUDE_SUBGOAL_NAMES
 
 EVEN_SUM_FILE = (
@@ -312,3 +315,24 @@ class TestFullStack:
             service.stop()
         assert code == 0
         assert "trivial" in (out / "proof.lean").read_text()
+
+
+class TestDependencies:
+    def test_cli_loads_only_the_standard_library(self):
+        """The package has no runtime dependencies: importing the CLI in a
+        fresh interpreter, without site-packages, loads only standard
+        library modules besides leandecomp itself."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import leandecomp.cli\n"
+            "loaded = {name.partition('.')[0] for name in sys.modules} - {'__main__'}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'leandecomp'}))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", probe],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

@@ -34,11 +34,9 @@ class TestDefaults:
         prover = cfg.chat_backend("prover")
         assert prover.model == "kdavis/Goedel-Prover-V2:32b"
         assert prover.base_url == "http://localhost:11434/v1"
-        assert prover.context_window == 40960
         assert prover.max_remote_retries == 5
         semantics = cfg.chat_backend("semantics")
         assert semantics.model == "qwen3:30b"
-        assert semantics.context_window == 262144
 
     def test_decomposer_defaults_to_hosted_endpoint(self):
         cfg = load_config(env={})
@@ -60,8 +58,8 @@ class TestDefaults:
 
 class TestLayering:
     def test_env_overrides_default(self):
-        cfg = load_config(env={"PROVER_AGENT_LLM__NUM_CTX": "8192"})
-        assert cfg.chat_backend("prover").context_window == 8192
+        cfg = load_config(env={"PROVER_AGENT_LLM__MAX_TOKENS": "8192"})
+        assert cfg.chat_backend("prover").max_tokens == 8192
 
     def test_env_overrides_verifier_url(self):
         cfg = load_config(env={"KIMINA_LEAN_SERVER__URL": "http://production-server:8000"})

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from leandecomp.errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
 from leandecomp.lean_source import (
     CANONICAL_PREAMBLE_LINES,
-    count_sorries,
     extract_code_block,
     extract_proof_body,
     extract_term_value,
@@ -14,6 +13,7 @@ from leandecomp.lean_source import (
     split_source,
     tokenize,
 )
+from tests.fakes import count_sorries
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
     EVEN_SUM_PROOF,

@@ -13,7 +13,7 @@ from leandecomp.agents import generate_theorem_name
 from leandecomp.ast_model import Subgoal
 from leandecomp.config import Limits
 from leandecomp.errors import FormalizationExhausted, RemoteExhausted
-from leandecomp.lean_source import count_sorries, extract_code_block
+from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import (
     Action,
     ActionKind,
@@ -30,6 +30,7 @@ from .fakes import (
     RuleVerifier,
     ScriptedChat,
     ScriptedSearch,
+    count_sorries,
     lean_block,
     make_backends,
 )

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits
 from leandecomp.errors import IncompleteSubtree, LeandecompError, UnknownNode
-from leandecomp.lean_source import count_sorries
 from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.services import VerificationResult
+from tests.fakes import count_sorries
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
     EVEN_SUM_PROOF,

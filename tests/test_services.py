@@ -1,3 +1,10 @@
+import base64
+import logging
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+
 import pytest
 
 from leandecomp.errors import (
@@ -14,6 +21,7 @@ from leandecomp.services import (
     SearchConfig,
     VerifierClient,
     VerifierConfig,
+    _RetryingHttp,
 )
 from tests.ast_builder import build_sketch_payload
 from tests.http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
@@ -271,3 +279,144 @@ class TestSearchClient:
         with pytest.raises(ServiceUnavailable):
             self.make_client(service).search_theorems(["q"])
         assert service.request_count() == 3  # 1 + 2 retries
+
+
+@pytest.fixture
+def keep_alive_service():
+    with FakeService(keep_alive=True) as fake:
+        yield fake
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """The environment with no proxy variables; tests set their own."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def echo_chat(fake):
+    fake.route(
+        "POST", "/v1/chat/completions", chat_route(lambda m, msgs: msgs[-1]["content"])
+    )
+
+
+class TestConnectionReuse:
+    def test_sequential_calls_share_one_connection(self, keep_alive_service):
+        echo_chat(keep_alive_service)
+        with closing(make_chat_client(keep_alive_service)) as client:
+            assert [client.complete([("user", f"q{i}")]) for i in range(3)] == ["q0", "q1", "q2"]
+            assert keep_alive_service.request_count() == 3
+            assert keep_alive_service.connections == 1
+            client.close()
+            assert client.complete([("user", "after close")]) == "after close"
+        assert keep_alive_service.connections == 2
+
+    def test_server_closed_idle_connection_is_replaced_within_one_attempt(
+        self, keep_alive_service, caplog
+    ):
+        echo_chat(keep_alive_service)
+        with closing(make_chat_client(keep_alive_service, retries=0)) as client:
+            assert client.complete([("user", "first")]) == "first"
+            keep_alive_service.drop_connections()
+            with caplog.at_level(logging.WARNING, logger="leandecomp.services"):
+                assert client.complete([("user", "second")]) == "second"
+        assert keep_alive_service.request_count() == 2
+        assert keep_alive_service.connections == 2
+        assert not caplog.records
+
+    def test_concurrent_calls_each_get_their_own_response(self, keep_alive_service):
+        echo_chat(keep_alive_service)
+        client = make_chat_client(keep_alive_service)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with closing(client), ThreadPoolExecutor(max_workers=4) as pool:
+                futures = {
+                    pool.submit(client.complete, [("user", f"m{i}")]): f"m{i}" for i in range(40)
+                }
+                replies = {sent: future.result(timeout=30) for future, sent in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(reply == sent for sent, reply in replies.items())
+        assert keep_alive_service.request_count() == 40
+        assert keep_alive_service.connections <= 4
+
+
+class TestRetryLogging:
+    def test_one_warning_per_retried_attempt(self, service, caplog):
+        service.fail_next("POST", "/v1/chat/completions", [503])
+        echo_chat(service)
+        with caplog.at_level(logging.WARNING, logger="leandecomp.services"):
+            assert make_chat_client(service).complete([("user", "hi")]) == "hi"
+        assert len(caplog.records) == 1
+        record = caplog.records[0]
+        assert (record.name, record.levelno) == ("leandecomp.services", logging.WARNING)
+        message = record.getMessage()
+        assert f"POST {service.base_url}/v1/chat/completions" in message
+        assert "attempt 1 of 6" in message and "HTTP 503" in message
+
+
+class TestProxies:
+    def test_http_proxy_receives_the_absolute_url(self, service, proxy_env):
+        with FakeService() as proxy:
+            echo_chat(proxy)
+            proxy_env.setenv("http_proxy", proxy.base_url.replace("://", "://user:p%40ss@"))
+            assert make_chat_client(service).complete([("user", "via proxy")]) == "via proxy"
+        assert service.request_count() == 0
+        (seen,) = proxy.requests
+        assert seen.target == service.base_url + "/v1/chat/completions"
+        assert seen.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_no_proxy_bypasses_the_proxy(self, service, proxy_env):
+        echo_chat(service)
+        with FakeService() as proxy:
+            proxy_env.setenv("http_proxy", proxy.base_url)
+            proxy_env.setenv("no_proxy", "127.0.0.1")
+            assert make_chat_client(service).complete([("user", "direct")]) == "direct"
+        assert proxy.request_count() == 0
+        assert service.request_count() == 1
+
+    def test_https_goes_through_a_connect_tunnel(self, proxy_env):
+        with FakeService() as proxy:
+            proxy_env.setenv("https_proxy", proxy.base_url)
+            http = _RetryingHttp(0)
+            with pytest.raises(ServiceUnavailable, match="Tunnel connection failed"):
+                http.request("GET", "https://search.test:8443/api/v1/search", timeout=5)
+        (seen,) = proxy.requests
+        assert (seen.method, seen.target) == ("CONNECT", "search.test:8443")
+
+
+class TestResponses:
+    def test_redirect_is_bad_response_naming_its_location(self, service):
+        service.route(
+            "POST",
+            "/v1/chat/completions",
+            lambda r: (307, {}, {"Location": "https://moved.test/v1/chat/completions"}),
+        )
+        with pytest.raises(BadResponse, match="https://moved.test/v1/chat/completions"):
+            make_chat_client(service).complete([("user", "hi")])
+        assert service.request_count() == 1
+
+    def test_read_timeout(self, service):
+        release = threading.Event()
+
+        def slow(request):
+            release.wait(5)
+            return 200, {}
+
+        service.route("POST", "/v1/chat/completions", slow)
+        config = ChatBackendConfig(
+            model="m", base_url=service.base_url + "/v1", max_remote_retries=0
+        )
+        try:
+            with pytest.raises(ServiceUnavailable, match="timed out"):
+                _RetryingHttp(0).request(
+                    "POST", service.base_url + "/v1/chat/completions", payload={}, timeout=0.2
+                )
+            with pytest.raises(RemoteExhausted, match="timed out"):
+                ChatClient(config, request_timeout=0.2).complete([("user", "hi")])
+        finally:
+            release.set()
+        assert service.request_count() == 2
