@@ -134,7 +134,7 @@ def _build_orchestrator(
     config: Config, tree: ProofTree, out_dir: Path, workers: int
 ) -> Orchestrator:
     backends = {role: ChatClient(config.chat_backend(role)) for role in ROLE_SECTIONS}
-    verifier = VerifierClient(config.verifier(), max_concurrent=workers)
+    verifier = VerifierClient(config.verifier())
     try:
         search_client = SearchClient(config.search())
     except ConfigError:
@@ -209,6 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         print(report, file=sys.stderr)
         return EXIT_PROOF_FAILURE
     finally:
+        tree.close()
         for client in (*orchestrator.backends.values(), orchestrator.verifier):
             client.close()
         if orchestrator.search_client is not None:

@@ -12,8 +12,9 @@ or exhaust their sketch-correction budget trigger a backtrack: the
 nearest grandparent-or-higher ancestor with remaining budget is pruned
 and re-decomposed with the alternative-strategy prompts.
 
-Remote calls for sibling Prove/Verify actions may run on a bounded
-worker pool; all tree mutations happen sequentially on the coordinator.
+Remote calls for sibling Prove/Verify actions may run on one bounded
+worker pool that lives as long as the run; all tree mutations happen
+sequentially on the coordinator.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, TextIO
 
 from .agents import (
     PromptKind,
@@ -42,7 +43,6 @@ from .errors import (
     AnonymousSorry,
     AstExportFailed,
     BadResponse,
-    FormalizationExhausted,
     IncompleteSubtree,
     LeandecompError,
     MalformedAst,
@@ -74,11 +74,6 @@ class ActionKind(Enum):
     FINISH = "Finish"
 
 
-class ProveOutcome(Enum):
-    PROVEN = "Proven"
-    NEEDS_DECOMPOSITION = "NeedsDecomposition"
-
-
 @dataclass(frozen=True)
 class Outcome:
     """Final result of a run: a verified proof or a failure report."""
@@ -99,27 +94,6 @@ class Action:
     kind: ActionKind
     node_id: str | None
     outcome: Outcome | None = None
-
-
-#: Statuses handled by the formalization pipeline driver.
-_FORMALIZATION_STATUSES = frozenset(
-    {
-        NodeStatus.AWAITING_FORMALIZATION,
-        NodeStatus.AWAITING_SYNTAX_CHECK,
-        NodeStatus.AWAITING_SEMANTIC_CHECK,
-    }
-)
-
-#: Statuses handled by the decomposition driver.
-_DECOMPOSITION_STATUSES = frozenset(
-    {
-        NodeStatus.AWAITING_QUERY_GEN,
-        NodeStatus.AWAITING_LOOKUP,
-        NodeStatus.AWAITING_SKETCH,
-        NodeStatus.AWAITING_SKETCH_CHECK,
-        NodeStatus.AWAITING_AST_PARSE,
-    }
-)
 
 
 def _candidate(
@@ -251,30 +225,48 @@ class Orchestrator:
         # checkpoint; a resumed run re-issues ParseAst where needed.
         self._ast_cache: dict[str, tuple[object, list]] = {}
         self._failure_reason: str | None = None
+        # Held only while ``run`` executes.
+        self._pool: ThreadPoolExecutor | None = None
+        self._run_log: TextIO | None = None
 
     # ------------------------------------------------------------- main loop
 
     def run(self) -> Outcome:
-        """Dispatch actions until the run finishes; returns the outcome."""
-        while True:
-            action = next_action(self.tree, self.limits, frozenset(self._ast_cache))
-            if (
-                self.workers > 1
-                and action.kind in (ActionKind.PROVE, ActionKind.VERIFY)
-                and action.node_id is not None
-            ):
-                self._dispatch_parallel(action)
-                self._checkpoint()
-                continue
-            try:
-                outcome = self.dispatch(action)
-            finally:
-                self._checkpoint()
-            self._log(action, outcome)
-            if outcome is not None:
-                if action.kind is not ActionKind.FINISH:
-                    self._log(Action(ActionKind.FINISH, self.tree.root, outcome), outcome)
-                return outcome
+        """Dispatch actions until the run finishes; returns the outcome.
+
+        The worker pool, the run-log handle and the checkpoint journal
+        handle are released when the run returns or raises.
+        """
+        if self.workers > 1:
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        try:
+            while True:
+                action = next_action(self.tree, self.limits, frozenset(self._ast_cache))
+                if (
+                    self._pool is not None
+                    and action.kind in (ActionKind.PROVE, ActionKind.VERIFY)
+                    and action.node_id is not None
+                ):
+                    self._dispatch_parallel(action)
+                    self._checkpoint()
+                    continue
+                try:
+                    outcome = self.dispatch(action)
+                finally:
+                    self._checkpoint()
+                self._log(action, outcome)
+                if outcome is not None:
+                    if action.kind is not ActionKind.FINISH:
+                        self._log(Action(ActionKind.FINISH, self.tree.root, outcome), outcome)
+                    return outcome
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = None
+            if self._run_log is not None:
+                self._run_log.close()
+                self._run_log = None
+            self.tree.close()
 
     def dispatch(self, action: Action) -> Outcome | None:
         """Execute one action; returns the final Outcome when the
@@ -313,72 +305,11 @@ class Orchestrator:
         handler(node)
         return None
 
-    # -------------------------------------------------------- public drivers
-
-    def run_formalization(self, node_id: str) -> None:
-        """Drive one node through formalize/syntax/semantics until it is
-        formal (AwaitingProof) or the shared retry budget is spent.
-
-        Raises FormalizationExhausted in the latter case.
-        """
-        node = self.tree.node(node_id)
-        while node.status in _FORMALIZATION_STATUSES:
-            self.dispatch(self._node_action(node))
-        if node.status is NodeStatus.FAILED:
-            raise FormalizationExhausted(
-                self._failure_reason or f"formalization of node {node_id} failed"
-            )
-
-    def run_prover_pass(self, node_id: str) -> ProveOutcome:
-        """Drive one node's prove/verify/correct loop to its outcome:
-        Proven, or NeedsDecomposition once every pass is spent."""
-        node = self.tree.node(node_id)
-        while node.status in (NodeStatus.AWAITING_PROOF, NodeStatus.AWAITING_VERIFICATION):
-            self.dispatch(self._node_action(node))
-        if node.status is NodeStatus.PROVEN:
-            return ProveOutcome.PROVEN
-        if node.status is NodeStatus.AWAITING_QUERY_GEN:
-            return ProveOutcome.NEEDS_DECOMPOSITION
-        raise LeandecompError(
-            f"prover loop left node {node_id} in unexpected status {node.status.value}"
-        )
-
-    def run_decomposition(self, node_id: str) -> None:
-        """Drive one node through query/lookup/sketch/check/extract until
-        children exist (AwaitingChildren), the node is proven outright,
-        or a backtrack prunes it / fails the run."""
-        while (
-            node_id in self.tree.nodes
-            and self.tree.node(node_id).status in _DECOMPOSITION_STATUSES
-        ):
-            action = self._node_action(self.tree.node(node_id))
-            if self.dispatch(action) is not None:
-                break
-
-    def handle_depth_overflow(self, node_id: str) -> Action:
-        """Backtrack from a node at or beyond the depth limit: prune and
-        re-queue the nearest eligible ancestor, or finish with failure
-        when none exists. Returns the action that was performed."""
-        action = _resolve_backtrack(self.tree, self.tree.node(node_id))
-        self.dispatch(action)
-        return action
-
     # ----------------------------------------------------------- scheduling
-
-    def _node_action(self, node: ProofNode) -> Action:
-        entry = _candidate(node, self.limits, frozenset(self._ast_cache))
-        if entry is None:
-            raise LeandecompError(
-                f"node {node.id} has no applicable action in status {node.status.value}"
-            )
-        _, kind = entry
-        if kind is ActionKind.BACKTRACK:
-            return _resolve_backtrack(self.tree, node)
-        return Action(kind, node.id)
 
     def _dispatch_parallel(self, action: Action) -> None:
         """Run every same-depth sibling of a Prove/Verify action on the
-        worker pool; results are applied sequentially in insertion
+        run's worker pool; results are applied sequentially in insertion
         order so mutation stays on the coordinator."""
         status = (
             NodeStatus.AWAITING_PROOF
@@ -392,17 +323,16 @@ class Orchestrator:
         )
         if action.kind is ActionKind.PROVE:
             prepared = [(node, self._prepare_prove(node)) for node in peers]
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(self._complete, "prover", messages)
-                    for _, (_, messages) in prepared
-                ]
-                results = []
-                for future in futures:
-                    try:
-                        results.append(future.result())
-                    except (RemoteExhausted, BadResponse) as exc:
-                        results.append(exc)
+            futures = [
+                self._pool.submit(self._complete, "prover", messages)
+                for _, (_, messages) in prepared
+            ]
+            results = []
+            for future in futures:
+                try:
+                    results.append(future.result())
+                except (RemoteExhausted, BadResponse) as exc:
+                    results.append(exc)
             for (node, (prompt, _)), result in zip(prepared, results):
                 if isinstance(result, Exception):
                     self._prover_failure(
@@ -858,5 +788,7 @@ class Orchestrator:
             "action": action.kind.value,
             "outcome": result,
         }
-        with open(self.run_log_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        if self._run_log is None:
+            self._run_log = open(self.run_log_path, "a", encoding="utf-8")
+        self._run_log.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        self._run_log.flush()

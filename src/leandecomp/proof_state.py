@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, TextIO
 
 from .config import Limits
 from .errors import IncompleteSubtree, LeandecompError, NoByBlock, UnknownNode
@@ -110,9 +110,11 @@ class ProofTree:
         self.nodes: dict[str, ProofNode] = {}
         self.root: str | None = None
         self._seq = 0
-        # The checkpoint file this tree last saved to, and per node what
+        # The checkpoint file this tree last saved to, the handle that
+        # appends to it (opened by the first append), and per node what
         # that file holds: its fields and the length of its history.
         self._journal_path: str | None = None
+        self._journal: TextIO | None = None
         self._written: dict[str, tuple[dict[str, Any], int]] = {}
 
     # ------------------------------------------------------------------ setup
@@ -478,16 +480,20 @@ class ProofTree:
         changed since the previous save: changed node fields, the new
         tails of the node histories and the ids of removed nodes. A
         failed write makes the next save a snapshot, so a torn line can
-        only be the last one.
+        only be the last one. Appends go through one handle, flushed
+        after every line, until ``close`` or the next snapshot.
         """
         path = os.fspath(path)
         journal, self._journal_path = self._journal_path, None
         if journal == path:
             line = self._delta_line()
             if line is not None:
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
+                if self._journal is None:
+                    self._journal = open(path, "a", encoding="utf-8")
+                self._journal.write(line)
+                self._journal.flush()
         else:
+            self.close()
             temp = path + ".tmp"
             with open(temp, "w", encoding="utf-8") as handle:
                 handle.write(_json_line(self.to_dict()))
@@ -496,6 +502,12 @@ class ProofTree:
                 node.id: (_node_fields(node), len(node.history)) for node in self.nodes.values()
             }
         self._journal_path = path
+
+    def close(self) -> None:
+        """Close the journal handle; a later save reopens it."""
+        handle, self._journal = self._journal, None
+        if handle is not None:
+            handle.close()
 
     def _delta_line(self) -> str | None:
         """The journal line for what changed since the last save, or

@@ -342,13 +342,11 @@ class VerifierClient:
     def __init__(
         self,
         config: VerifierConfig,
-        max_concurrent: int | None = None,
         backoff_base: float = 1.0,
         sleeper=time.sleep,
     ):
         self.config = config
         self._http = _RetryingHttp(config.max_retries, backoff_base, sleeper)
-        self._semaphore = threading.BoundedSemaphore(max_concurrent) if max_concurrent else None
 
     def close(self) -> None:
         """Close the client's idle connections; later calls open new ones."""
@@ -356,11 +354,7 @@ class VerifierClient:
 
     def _post(self, path: str, payload: dict, timeout: float) -> dict:
         url = self.config.url.rstrip("/") + path
-        if self._semaphore:
-            with self._semaphore:
-                response = self._http.request("POST", url, payload=payload, timeout=timeout + 30)
-        else:
-            response = self._http.request("POST", url, payload=payload, timeout=timeout + 30)
+        response = self._http.request("POST", url, payload=payload, timeout=timeout + 30)
         if response.status_code >= 400:
             raise BadResponse(f"{path} returned HTTP {response.status_code}: {response.text[:200]}")
         try:

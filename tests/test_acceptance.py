@@ -19,10 +19,17 @@ from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits, load, load_config, packaged_defaults
 from leandecomp.errors import FormalizationExhausted
 from leandecomp.lean_source import extract_code_block
-from leandecomp.orchestrator import ActionKind, Orchestrator, ProveOutcome
+from leandecomp.orchestrator import ActionKind, Orchestrator
 from leandecomp.proof_state import NodeStatus, ProofTree
 from leandecomp.services import VerifierClient
 
+from .drivers import (
+    ProveOutcome,
+    handle_depth_overflow,
+    run_decomposition,
+    run_formalization,
+    run_prover_pass,
+)
 from .fakes import (
     FAIL_MARKER,
     BuilderAst,
@@ -308,7 +315,7 @@ def _exhaust_prover(self_correction: int, max_pass: int) -> int:
         lambda messages: lean_block(f"theorem t : True := by\n  {FAIL_MARKER}")
     )
     orch = Orchestrator(tree, backends=make_backends(prover=prover), verifier=RuleVerifier())
-    assert orch.run_prover_pass(tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
+    assert run_prover_pass(orch, tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
     return prover.calls
 
 
@@ -359,7 +366,7 @@ def test_criterion_4_backtracking(capsys):
             verifier=RuleVerifier(),
             ast_client=BuilderAst(),
         )
-        action = orch.handle_depth_overflow(deep_id)
+        action = handle_depth_overflow(orch, deep_id)
         assert action.kind is ActionKind.BACKTRACK
         assert action.node_id == grandparent_id
         assert deep_id not in tree.nodes
@@ -367,7 +374,7 @@ def test_criterion_4_backtracking(capsys):
         assert grandparent.children == []
         assert grandparent.counters.decompositions_used == 1
         grandparent.sketch_attempts_total = 1
-        orch.run_decomposition(grandparent_id)
+        run_decomposition(orch, grandparent_id)
         assert "A previous attempt to prove this theorem failed" in (
             search_query.transcripts[0][-1][1]
         )
@@ -382,7 +389,7 @@ def test_criterion_4_backtracking(capsys):
         orch2 = Orchestrator(
             tree2, backends=make_backends(), verifier=RuleVerifier()
         )
-        action2 = orch2.handle_depth_overflow(deep2)
+        action2 = handle_depth_overflow(orch2, deep2)
         assert action2.kind is ActionKind.FINISH
         assert not action2.outcome.success
         assert "no ancestor has remaining decomposition budget" in action2.outcome.report
@@ -406,7 +413,7 @@ def test_criterion_5_formalization_retry_budget(capsys):
             verifier=RuleVerifier(),
         )
         with pytest.raises(FormalizationExhausted):
-            orch.run_formalization(tree.root)
+            run_formalization(orch, tree.root)
         assert formalizer.calls == 10
         assert semantics.calls == 10
         assert tree.root_node().status is NodeStatus.FAILED

@@ -3,27 +3,36 @@
 import json
 import re
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leandecomp.orchestrator as orchestrator_module
+import leandecomp.proof_state as proof_state_module
 from leandecomp.agents import generate_theorem_name
 from leandecomp.ast_model import Subgoal
 from leandecomp.config import Limits
-from leandecomp.errors import FormalizationExhausted, RemoteExhausted
+from leandecomp.errors import FormalizationExhausted, RemoteExhausted, ServiceUnavailable
 from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import (
     Action,
     ActionKind,
     Orchestrator,
-    ProveOutcome,
     next_action,
 )
 from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.services import TheoremHit
 
+from .drivers import (
+    ProveOutcome,
+    handle_depth_overflow,
+    run_decomposition,
+    run_formalization,
+    run_prover_pass,
+)
 from .fakes import (
     FAIL_MARKER,
     BuilderAst,
@@ -259,7 +268,7 @@ class TestFormalization:
             backends=make_backends(formalizer=formalizer, semantics=semantics),
             verifier=verifier,
         )
-        orch.run_formalization(tree.root)
+        run_formalization(orch, tree.root)
         root = tree.root_node()
         assert root.status is NodeStatus.AWAITING_PROOF
         assert root.formal.body == GOOD_STATEMENT
@@ -281,7 +290,7 @@ class TestFormalization:
         orch = make_orchestrator(
             tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
         )
-        orch.run_formalization(tree.root)
+        run_formalization(orch, tree.root)
         root = tree.root_node()
         assert root.status is NodeStatus.AWAITING_PROOF
         assert root.counters.formalize_retries == 1
@@ -294,7 +303,7 @@ class TestFormalization:
         orch = make_orchestrator(
             tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
         )
-        orch.run_formalization(tree.root)
+        run_formalization(orch, tree.root)
         assert tree.root_node().counters.formalize_retries == 1
         assert formalizer.calls == 2
 
@@ -306,7 +315,7 @@ class TestFormalization:
             tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
         )
         with pytest.raises(FormalizationExhausted):
-            orch.run_formalization(tree.root)
+            run_formalization(orch, tree.root)
         root = tree.root_node()
         assert root.status is NodeStatus.FAILED
         assert (formalizer.calls, semantics.calls) == (10, 10)
@@ -335,7 +344,7 @@ class TestProverLoop:
         prover = ScriptedChat([lean_block(TRUE_PROOF)])
         verifier = RuleVerifier()
         orch = make_orchestrator(tree, backends=make_backends(prover=prover), verifier=verifier)
-        assert orch.run_prover_pass(tree.root) is ProveOutcome.PROVEN
+        assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
         assert root.status is NodeStatus.PROVEN
         assert root.proof_attempt == TRUE_PROOF
@@ -351,7 +360,7 @@ class TestProverLoop:
             [lean_block(FAILING_PROOF), lean_block(FAILING_PROOF), lean_block(TRUE_PROOF)]
         )
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
-        assert orch.run_prover_pass(tree.root) is ProveOutcome.PROVEN
+        assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
         assert root.counters.passes_used == 1
         assert prover.calls == 3
@@ -366,7 +375,7 @@ class TestProverLoop:
         tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=32))
         prover = ScriptedChat(lambda messages: lean_block(FAILING_PROOF))
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
-        assert orch.run_prover_pass(tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
+        assert run_prover_pass(orch, tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
         assert prover.calls == 64
         root = tree.root_node()
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
@@ -376,14 +385,14 @@ class TestProverLoop:
         tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=3))
         prover = ScriptedChat(lambda messages: lean_block(FAILING_PROOF))
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
-        assert orch.run_prover_pass(tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
+        assert run_prover_pass(orch, tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
         assert prover.calls == 6
 
     def test_sorry_in_accepted_proof_counts_as_failure(self):
         tree = formal_tree()
         prover = ScriptedChat([lean_block(TRUE_THEOREM), lean_block(TRUE_PROOF)])
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
-        assert orch.run_prover_pass(tree.root) is ProveOutcome.PROVEN
+        assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         correction = prover.transcripts[1][-1][1]
         assert "must not contain sorry or admit" in correction
 
@@ -391,7 +400,7 @@ class TestProverLoop:
         tree = formal_tree()
         prover = ScriptedChat([RemoteExhausted("backend down"), lean_block(TRUE_PROOF)])
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
-        assert orch.run_prover_pass(tree.root) is ProveOutcome.PROVEN
+        assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
         assert root.history[0]["failed"] is True
         assert prover.calls == 2
@@ -413,7 +422,7 @@ class TestDecomposition:
             ast_client=ast or BuilderAst(),
             search_client=search,
         )
-        orch.run_decomposition(tree.root)
+        run_decomposition(orch, tree.root)
         return orch
 
     def test_infinitude_sketch_yields_five_children_in_order(self):
@@ -524,7 +533,7 @@ class TestBacktracking:
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
         grandparent_id = tree.node(tree.node(deep_id).parent).parent
         orch = make_orchestrator(tree)
-        action = orch.handle_depth_overflow(deep_id)
+        action = handle_depth_overflow(orch, deep_id)
         assert action == Action(ActionKind.BACKTRACK, grandparent_id)
         assert deep_id not in tree.nodes
         grandparent = tree.node(grandparent_id)
@@ -541,7 +550,7 @@ class TestBacktracking:
         for _, ancestor in tree.ancestors(deep_id):
             ancestor.counters.decompositions_used = limits.decomposer_self_correction
         orch = make_orchestrator(tree)
-        action = orch.handle_depth_overflow(deep_id)
+        action = handle_depth_overflow(orch, deep_id)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
         assert tree.root_node().status is NodeStatus.FAILED
@@ -561,10 +570,10 @@ class TestBacktracking:
             backends=make_backends(decomposer=decomposer, search_query=search_query),
             ast_client=BuilderAst(),
         )
-        action = orch.handle_depth_overflow(deep_id)
+        action = handle_depth_overflow(orch, deep_id)
         target = tree.node(action.node_id)
         target.sketch_attempts_total = 1  # as if one sketch had been tried before
-        orch.run_decomposition(target.id)
+        run_decomposition(orch, target.id)
         query_prompt = search_query.transcripts[0][-1][1]
         assert "**IMPORTANT**: A previous attempt to prove this theorem failed." in query_prompt
         sketch_prompt = decomposer.transcripts[0][-1][1]
@@ -588,7 +597,7 @@ class TestBacktracking:
             ),
             ast_client=BuilderAst(),
         )
-        orch.run_decomposition(deep_id)
+        run_decomposition(orch, deep_id)
         # two failed sketches exhaust the budget; the root (distance 2) is pruned
         assert deep_id not in tree.nodes
         root = tree.root_node()
@@ -693,7 +702,7 @@ class TestRun:
             [lean_block(INFINITUDE_STATEMENT.replace("sorry", FAIL_MARKER))]
         )
         first = make_orchestrator(tree, backends=make_backends(prover=failing_prover))
-        assert first.run_prover_pass(tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
+        assert run_prover_pass(first, tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
         checkpoint = tmp_path / "checkpoint.json"
         tree.save(checkpoint)
 
@@ -747,10 +756,10 @@ class TestRun:
             orch, _ = self.infinitude_orchestrator()
             tree = orch.tree
             tree.root_node().status = NodeStatus.AWAITING_QUERY_GEN
-            orch.run_decomposition(tree.root)
+            run_decomposition(orch, tree.root)
             children = list(tree.root_node().children)
             for index in order:
-                assert orch.run_prover_pass(children[index]) is ProveOutcome.PROVEN
+                assert run_prover_pass(orch, children[index]) is ProveOutcome.PROVEN
             final_statuses.append(
                 {tree.node(cid).name: tree.node(cid).status for cid in children}
             )
@@ -921,7 +930,7 @@ class TestDerivedConversations:
         for role, transcripts in golden.items():
             received = backends[role].transcripts
             assert [[list(turn) for turn in messages] for messages in received] == transcripts
-        snapshot, *journal = (json.loads(line) for line in checkpoint.open(encoding="utf-8"))
+        snapshot, *journal = map(json.loads, checkpoint.read_text(encoding="utf-8").splitlines())
         records = [*snapshot["nodes"].values()] + [
             change for line in journal for change in line["nodes"].values()
         ]
@@ -967,3 +976,96 @@ class TestDerivedConversations:
         opening, correction = decomposer.transcripts
         assert correction[:-1] == opening + [("assistant", first)]
         assert "could not be analyzed" in correction[-1][1]
+
+
+# ------------------------------------------------------------ run resources
+
+
+class ThreadNotingChat:
+    """Delegates to a chat backend, noting the thread of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads: list[threading.Thread] = []
+
+    def complete(self, messages):
+        self.threads.append(threading.current_thread())
+        return self.inner.complete(messages)
+
+
+class OutageVerifier(RuleVerifier):
+    """Goes down at the first batch of more than one unit, that is, at
+    the first verification of a sibling wave."""
+
+    def verify_batch(self, codes, timeout: float = 300.0):
+        if len(codes) > 1:
+            raise ServiceUnavailable("verifier scripted as unavailable")
+        return super().verify_batch(codes, timeout)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file handle the orchestrator and the proof tree open."""
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handles.append(handle)
+        return handle
+
+    for module in (orchestrator_module, proof_state_module):
+        monkeypatch.setattr(module, "open", recording_open, raising=False)
+    return handles
+
+
+class TestRunResources:
+    WORKERS = 3
+
+    def run_journal_scenario(self, directory, verifier=None, tree=None):
+        """The journal scenario on three workers; returns the outcome
+        (or the exception raised) and the prover's call threads."""
+        directory.mkdir(exist_ok=True)
+        backends = journal_backends(GOLDEN_HARD)
+        prover = backends["prover"] = ThreadNotingChat(backends["prover"])
+        orch = Orchestrator(
+            tree or formal_tree(limits=JOURNAL_LIMITS),
+            backends=backends,
+            verifier=verifier or RuleVerifier(),
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=self.WORKERS,
+            run_log_path=directory / "run.jsonl",
+            checkpoint_path=directory / "checkpoint.json",
+        )
+        try:
+            return orch.run(), prover.threads
+        except ServiceUnavailable as exc:
+            return exc, prover.threads
+
+    @staticmethod
+    def assert_released(threads, handles):
+        assert threads and not any(thread.is_alive() for thread in threads)
+        assert handles and all(handle.closed for handle in handles)
+        for name in ("checkpoint.json", "run.jsonl"):
+            appending = [h for h in handles if Path(h.name).name == name and "a" in h.mode]
+            assert len(appending) == 1, name  # one handle for the whole run
+
+    def test_one_pool_serves_every_wave(self, tmp_path, opened):
+        outcome, threads = self.run_journal_scenario(tmp_path)
+        assert outcome.success
+        # the root alone takes four one-node waves before it decomposes
+        assert len(threads) > self.WORKERS
+        assert len({thread.name for thread in threads}) <= self.WORKERS
+        self.assert_released(threads, opened)
+
+    def test_outage_releases_the_run_and_its_checkpoint_resumes(self, tmp_path, opened):
+        expected, _ = self.run_journal_scenario(tmp_path / "uninterrupted")
+        opened.clear()
+        crashed = tmp_path / "crashed"
+        error, threads = self.run_journal_scenario(crashed, OutageVerifier())
+        assert isinstance(error, ServiceUnavailable)
+        self.assert_released(threads, opened)
+        resumed, _ = self.run_journal_scenario(
+            crashed, tree=ProofTree.load(crashed / "checkpoint.json")
+        )
+        assert expected.success and resumed == expected

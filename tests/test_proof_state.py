@@ -340,6 +340,23 @@ class TestCheckpoint:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         assert ProofTree.load(path).to_dict() == tree.to_dict()
 
+    def test_saving_to_another_path_moves_the_journal(self, tmp_path):
+        """Appends follow the latest snapshot: the open journal of the
+        previous file is closed, and that file no longer changes."""
+        tree = sketch_tree()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        tree.save(first)
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)
+        tree.save(first)
+        kept = first.read_bytes()
+        tree.save(second)
+        tree.record_attempt(tree.root, "decomposer", "again", "there", PASS)
+        tree.save(second)
+        tree.close()
+        assert first.read_bytes() == kept
+        assert len(second.read_text(encoding="utf-8").splitlines()) == 2
+        assert ProofTree.load(second).to_dict() == tree.to_dict()
+
     def test_to_dict_result_is_not_the_tree(self):
         tree = sketch_tree()
         tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)

@@ -148,11 +148,6 @@ class TestVerifierClient:
             make_verifier(service, retries=2).verify_code("x", timeout=10)
         assert service.request_count() == 3
 
-    def test_concurrency_cap_accepted(self, service):
-        service.route("POST", "/api/check", verifier_route(sorry_diagnostics))
-        client = make_verifier(service, max_concurrent=2)
-        assert client.verify_code("theorem t : True := by trivial", timeout=10).passed
-
     @pytest.mark.parametrize(
         "fields",
         [
