@@ -102,10 +102,6 @@ class ConfigTypeError(ConfigError, TypeError):
 # --- Orchestration / CLI ---
 
 
-class FormalizationExhausted(LeandecompError):
-    """All formalization retries were spent without an accepted statement."""
-
-
 class MissingHeader(LeandecompError):
     """A formal input file lacks the required Lean import header."""
 

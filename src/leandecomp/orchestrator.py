@@ -57,6 +57,17 @@ from .proof_state import NodeStatus, ProofNode, ProofTree
 from .services import LeanError, VerificationResult
 
 
+def _reply_code(response: str) -> LeanSource:
+    """The Lean unit a generated reply proposes: its last fenced block,
+    split into preamble and a non-empty declaration body. Raises
+    NoCodeBlock when there is no such block."""
+    source = split_source(extract_code_block(response))
+    body = source.body.strip()
+    if not body:
+        raise NoCodeBlock("code block contains no declaration")
+    return LeanSource(preamble=source.preamble, body=body)
+
+
 class ActionKind(Enum):
     FORMALIZE = "Formalize"
     SYNTAX_CHECK = "SyntaxCheck"
@@ -324,30 +335,17 @@ class Orchestrator:
         if action.kind is ActionKind.PROVE:
             prepared = [(node, self._prepare_prove(node)) for node in peers]
             futures = [
-                self._pool.submit(self._complete, "prover", messages)
-                for _, (_, messages) in prepared
+                self._pool.submit(self._ask, "prover", messages) for _, (_, messages) in prepared
             ]
-            results = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except (RemoteExhausted, BadResponse) as exc:
-                    results.append(exc)
-            for (node, (prompt, _)), result in zip(prepared, results):
-                if isinstance(result, Exception):
-                    self._prover_failure(
-                        node,
-                        prompt,
-                        f"(backend failure: {result})",
-                        "the prover backend failed to respond",
-                    )
-                else:
-                    self._apply_prover_response(node, prompt, result)
+            replies = [future.result() for future in futures]
+            for (node, (prompt, _)), reply in zip(prepared, replies):
+                self._apply_prover_reply(node, prompt, reply)
         else:
-            units = [self._verification_unit(node) for node in peers]
+            decls = [self._proposed_decl(node) for node in peers]
+            units = [node.formal.preamble + "\n\n" + decl for node, decl in zip(peers, decls)]
             results = self.verifier.verify_batch(units)
-            for node, result in zip(peers, results):
-                self._apply_verification(node, result)
+            for node, decl, result in zip(peers, decls, results):
+                self._apply_verification(node, decl, result)
         for node in peers:
             self._log(Action(action.kind, node.id), None)
 
@@ -363,75 +361,48 @@ class Orchestrator:
                 informal_statement=node.informal_statement or "",
             ),
         )
-        try:
-            response = self._complete("formalizer", [("user", prompt)])
-        except (RemoteExhausted, BadResponse) as exc:
-            self._formalization_failure(node, "formalizer", prompt, f"(backend failure: {exc})")
-            return
-        try:
-            source = split_source(extract_code_block(response))
-            body = source.body.strip()
-            if not body:
-                raise NoCodeBlock("code block contains no declaration")
-        except NoCodeBlock:
-            self._formalization_failure(node, "formalizer", prompt, response)
-            return
-        preamble = normalize_preamble(source.preamble).text
-        node.candidate_formalization = preamble + "\n\n" + body
-        node.pending_prompt = prompt
-        node.pending_response = response
-        node.status = NodeStatus.AWAITING_SYNTAX_CHECK
+        reply = self._ask("formalizer", [("user", prompt)])
+        if self._take_reply(node, "formalizer", prompt, reply, NodeStatus.AWAITING_SYNTAX_CHECK):
+            self._after_formalization_failure(node)
+
+    def _formalization(self, node: ProofNode) -> LeanSource:
+        """The statement of the node's latest formalizer round, under its
+        normalized preamble."""
+        source = _reply_code(self.tree.last_round(node.id)["response"])
+        return LeanSource(preamble=normalize_preamble(source.preamble).text, body=source.body)
 
     def _do_syntax_check(self, node: ProofNode) -> None:
-        result = self.verifier.verify_code(node.candidate_formalization)
-        prompt = node.pending_prompt or ""
-        response = node.pending_response or ""
+        result = self.verifier.verify_code(self._formalization(node).combined())
+        self.tree.record_verdict(node.id, result)
         if result.passed:
-            self.tree.record_attempt(node.id, "formalizer", prompt, response, verdict=result)
-            node.pending_prompt = node.pending_response = None
             node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
         else:
-            self._formalization_failure(node, "formalizer", prompt, response, verdict=result)
+            self._after_formalization_failure(node)
 
     def _do_semantic_check(self, node: ProofNode) -> None:
-        body = split_source(node.candidate_formalization).body.strip()
+        formal = self._formalization(node)
         prompt = render_prompt(
             PromptKind.SEMANTIC_CHECK,
             PromptVars(
                 informal_statement=node.informal_statement or "",
-                formal_statement=body,
+                formal_statement=formal.body,
             ),
         )
         try:
             response = self._complete("semantics", [("user", prompt)])
+            appropriate = parse_judgement(response).verdict is Verdict.APPROPRIATE
         except (RemoteExhausted, BadResponse) as exc:
-            self._formalization_failure(node, "semantics", prompt, f"(backend failure: {exc})")
-            return
-        try:
-            judgement = parse_judgement(response)
+            response, appropriate = f"(backend failure: {exc})", False
         except NoJudgement:
-            self._formalization_failure(node, "semantics", prompt, response)
-            return
-        if judgement.verdict is Verdict.APPROPRIATE:
-            self.tree.record_attempt(node.id, "semantics", prompt, response, failed=False)
-            source = split_source(node.candidate_formalization)
-            node.formal = LeanSource(preamble=source.preamble, body=source.body.strip())
-            node.candidate_formalization = None
+            appropriate = False
+        self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
+        if appropriate:
+            node.formal = formal
             node.status = NodeStatus.AWAITING_PROOF
         else:
-            self._formalization_failure(node, "semantics", prompt, response)
+            self._after_formalization_failure(node)
 
-    def _formalization_failure(
-        self,
-        node: ProofNode,
-        role: str,
-        prompt: str,
-        response: str,
-        verdict: VerificationResult | None = None,
-    ) -> None:
-        self.tree.record_attempt(node.id, role, prompt, response, verdict=verdict, failed=True)
-        node.pending_prompt = node.pending_response = None
-        node.candidate_formalization = None
+    def _after_formalization_failure(self, node: ProofNode) -> None:
         if node.counters.formalize_retries >= self.limits.formalizer_max_retries:
             self._fail_run(
                 node,
@@ -462,35 +433,15 @@ class Orchestrator:
 
     def _do_prove(self, node: ProofNode) -> None:
         prompt, messages = self._prepare_prove(node)
-        try:
-            response = self._complete("prover", messages)
-        except (RemoteExhausted, BadResponse) as exc:
-            self._prover_failure(
-                node, prompt, f"(backend failure: {exc})", "the prover backend failed to respond"
-            )
-            return
-        self._apply_prover_response(node, prompt, response)
+        self._apply_prover_reply(node, prompt, self._ask("prover", messages))
 
-    def _apply_prover_response(self, node: ProofNode, prompt: str, response: str) -> None:
-        try:
-            decl = split_source(extract_code_block(response)).body.strip()
-            if not decl:
-                raise NoCodeBlock("code block contains no declaration")
-        except NoCodeBlock:
-            self._prover_failure(
-                node, prompt, response, "the completion did not contain a fenced Lean code block"
-            )
-            return
-        node.proof_attempt = decl
-        node.pending_prompt = prompt
-        node.pending_response = response
-        node.status = NodeStatus.AWAITING_VERIFICATION
-
-    def _prover_failure(self, node: ProofNode, prompt: str, response: str, note: str) -> None:
-        self.tree.record_attempt(node.id, "prover", prompt, response, failed=True)
-        node.last_failure = note
-        node.pending_prompt = node.pending_response = None
-        self._after_prover_round(node)
+    def _apply_prover_reply(
+        self, node: ProofNode, prompt: str, reply: str | LeandecompError
+    ) -> None:
+        note = self._take_reply(node, "prover", prompt, reply, NodeStatus.AWAITING_VERIFICATION)
+        if note is not None:
+            node.last_failure = note
+            self._after_prover_round(node)
 
     def _after_prover_round(self, node: ProofNode) -> None:
         if node.counters.passes_used >= self.limits.prover_max_pass:
@@ -498,19 +449,19 @@ class Orchestrator:
         else:
             node.status = NodeStatus.AWAITING_PROOF
 
-    def _verification_unit(self, node: ProofNode) -> str:
-        return node.formal.preamble + "\n\n" + node.proof_attempt
+    def _proposed_decl(self, node: ProofNode) -> str:
+        """The declaration of the node's round awaiting its check."""
+        return _reply_code(self.tree.unjudged_round(node.id)["response"]).body
 
     def _do_verify(self, node: ProofNode) -> None:
-        result = self.verifier.verify_code(self._verification_unit(node))
-        self._apply_verification(node, result)
+        decl = self._proposed_decl(node)
+        result = self.verifier.verify_code(node.formal.preamble + "\n\n" + decl)
+        self._apply_verification(node, decl, result)
 
-    def _apply_verification(self, node: ProofNode, result: VerificationResult) -> None:
-        prompt = node.pending_prompt or ""
-        response = node.pending_response or ""
+    def _apply_verification(self, node: ProofNode, decl: str, result: VerificationResult) -> None:
         if result.passed and result.complete:
-            self.tree.record_attempt(node.id, "prover", prompt, response, verdict=result)
-            node.pending_prompt = node.pending_response = None
+            self.tree.record_verdict(node.id, result)
+            node.proof_attempt = decl
             node.status = NodeStatus.PROVEN
             self._propagate_proven(node)
             return
@@ -522,9 +473,8 @@ class Orchestrator:
                 errors=(LeanError("the proof must not contain sorry or admit"),),
                 time=result.time,
             )
-        self.tree.record_attempt(node.id, "prover", prompt, response, verdict=result)
-        node.last_failure = build_error_annotation(self._verification_unit(node), result)
-        node.pending_prompt = node.pending_response = None
+        self.tree.record_verdict(node.id, result)
+        node.last_failure = build_error_annotation(node.formal.preamble + "\n\n" + decl, result)
         self._after_prover_round(node)
 
     def _propagate_proven(self, node: ProofNode) -> None:
@@ -604,64 +554,28 @@ class Orchestrator:
         prompt = render_prompt(kind, vars)
         messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
         node.sketch_attempts_total += 1
-        try:
-            response = self._complete("decomposer", messages)
-        except (RemoteExhausted, BadResponse) as exc:
-            self._sketch_round_failure(
-                node,
-                prompt,
-                f"(backend failure: {exc})",
-                "the decomposer backend failed to respond",
-            )
-            return
-        try:
-            decl = split_source(extract_code_block(response)).body.strip()
-            if not decl:
-                raise NoCodeBlock("code block contains no declaration")
-        except NoCodeBlock:
-            self._sketch_round_failure(
-                node, prompt, response, "the completion did not contain a fenced Lean code block"
-            )
-            return
-        node.candidate_sketch = decl
-        node.pending_prompt = prompt
-        node.pending_response = response
-        node.status = NodeStatus.AWAITING_SKETCH_CHECK
+        reply = self._ask("decomposer", messages)
+        note = self._take_reply(node, "decomposer", prompt, reply, NodeStatus.AWAITING_SKETCH_CHECK)
+        if note is not None:
+            node.last_sketch_failure = note
+            self._after_sketch_failure(node)
 
     def _do_sketch_check(self, node: ProofNode) -> None:
-        unit = node.formal.preamble + "\n\n" + node.candidate_sketch
+        decl = self._proposed_decl(node)
+        unit = node.formal.preamble + "\n\n" + decl
         result = self.verifier.verify_code(unit)
-        prompt = node.pending_prompt or ""
-        response = node.pending_response or ""
+        self.tree.record_verdict(node.id, result)
         if result.passed and not result.complete:
-            self.tree.record_attempt(node.id, "decomposer", prompt, response, verdict=result)
             node.sketch = unit
-            node.candidate_sketch = None
-            node.pending_prompt = node.pending_response = None
             node.status = NodeStatus.AWAITING_AST_PARSE
         elif result.passed:
             # no remaining goals: the "sketch" is already a complete proof
-            self.tree.record_attempt(node.id, "decomposer", prompt, response, verdict=result)
-            node.proof_attempt = node.candidate_sketch
-            node.candidate_sketch = None
-            node.pending_prompt = node.pending_response = None
+            node.proof_attempt = decl
             node.status = NodeStatus.PROVEN
             self._propagate_proven(node)
         else:
-            self.tree.record_attempt(node.id, "decomposer", prompt, response, verdict=result)
             node.last_sketch_failure = build_error_annotation(unit, result)
-            node.candidate_sketch = None
-            node.pending_prompt = node.pending_response = None
             self._after_sketch_failure(node)
-
-    def _sketch_round_failure(
-        self, node: ProofNode, prompt: str, response: str, note: str
-    ) -> None:
-        self.tree.record_attempt(node.id, "decomposer", prompt, response, failed=True)
-        node.last_sketch_failure = note
-        node.candidate_sketch = None
-        node.pending_prompt = node.pending_response = None
-        self._after_sketch_failure(node)
 
     def _note_sketch_failure(self, node: ProofNode, stage: str, message: str) -> None:
         """Count a post-verification sketch defect (AST export or subgoal
@@ -722,7 +636,7 @@ class Orchestrator:
 
     # ----------------------------------------------------------- backtracking
 
-    def _backtrack_from(self, node: ProofNode) -> Action:
+    def _backtrack_from(self, node: ProofNode) -> None:
         """Prune and re-queue the nearest eligible ancestor; fail the run
         when none exists. The node itself is pruned away on success."""
         action = _resolve_backtrack(self.tree, node)
@@ -731,7 +645,6 @@ class Orchestrator:
         else:
             self.tree.prune_subtree(action.node_id)
             self._purge_ast_cache()
-        return action
 
     def _purge_ast_cache(self) -> None:
         for stale in [nid for nid in self._ast_cache if nid not in self.tree.nodes]:
@@ -768,6 +681,40 @@ class Orchestrator:
         if backend is None:
             raise LeandecompError(f"no chat backend configured for role {role!r}")
         return backend.complete(messages)
+
+    def _ask(self, role: str, messages: list[tuple[str, str]]) -> str | LeandecompError:
+        """The role's reply, or the backend failure that stands in for it."""
+        try:
+            return self._complete(role, messages)
+        except (RemoteExhausted, BadResponse) as exc:
+            return exc
+
+    def _take_reply(
+        self,
+        node: ProofNode,
+        role: str,
+        prompt: str,
+        reply: str | LeandecompError,
+        awaiting: NodeStatus,
+    ) -> str | None:
+        """Record a generated reply. One that proposes Lean code becomes
+        the round awaiting its check, and the node moves to ``awaiting``;
+        returns None. Any other reply, or a backend failure, is recorded
+        as a failed round; returns what went wrong."""
+        if isinstance(reply, LeandecompError):
+            response, note = f"(backend failure: {reply})", f"the {role} backend failed to respond"
+        else:
+            try:
+                _reply_code(reply)
+            except NoCodeBlock:
+                response = reply
+                note = "the completion did not contain a fenced Lean code block"
+            else:
+                self.tree.record_reply(node.id, role, prompt, reply)
+                node.status = awaiting
+                return None
+        self.tree.record_attempt(node.id, role, prompt, response, failed=True)
+        return note
 
     def _checkpoint(self) -> None:
         if self.checkpoint_path is not None:

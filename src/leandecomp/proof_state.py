@@ -4,7 +4,9 @@ Each node is a theorem being proved: the root carries the user's
 target, children carry subgoals produced by decomposition. Nodes track
 status, a never-cleared history of agent rounds (from which each
 agent's running conversation is derived), and the retry counters that
-drive scheduling. The tree persists as a checkpoint journal (a snapshot
+drive scheduling. A generated reply that still awaits its Lean check is
+the last round of its node's history; the check appends a verdict entry
+after it. The tree persists as a checkpoint journal (a snapshot
 line, then one line per save holding what changed) and reconstructs
 complete proofs from proven subtrees by splicing child proof bodies
 into parent sketches.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, TextIO
@@ -32,7 +35,7 @@ from .lean_source import (
 from .ast_model import Subgoal, get_named_subgoal_code
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Stages of a verified sketch whose defects are noted in a node's
 #: history as decomposer entries with the prompt ``(<stage>)``.
@@ -56,7 +59,13 @@ class NodeStatus(Enum):
     FAILED = "Failed"
 
 
-TERMINAL_STATUSES = frozenset({NodeStatus.PROVEN, NodeStatus.FAILED})
+#: The statuses in which a node's last history entry is a generated
+#: round awaiting its check, and the role that generated it.
+_AWAITING_CHECK = {
+    NodeStatus.AWAITING_SYNTAX_CHECK: "formalizer",
+    NodeStatus.AWAITING_VERIFICATION: "prover",
+    NodeStatus.AWAITING_SKETCH_CHECK: "decomposer",
+}
 
 
 @dataclass
@@ -84,7 +93,7 @@ class ProofNode:
     informal_statement: str | None = None
     formal: LeanSource | None = None
     name: str | None = None  # subgoal name when this node came from a have
-    proof_attempt: str | None = None
+    proof_attempt: str | None = None  # the verified proof of a proven leaf
     sketch: str | None = None
     children: list[str] = field(default_factory=list)
     history: list[dict[str, Any]] = field(default_factory=list)
@@ -92,10 +101,6 @@ class ProofNode:
     # working data for the current phase
     queries: list[str] = field(default_factory=list)
     hints: list[tuple[str, str]] = field(default_factory=list)
-    candidate_formalization: str | None = None
-    candidate_sketch: str | None = None
-    pending_prompt: str | None = None
-    pending_response: str | None = None
     last_failure: str | None = None
     last_sketch_failure: str | None = None
     sketch_attempts_total: int = 0
@@ -186,10 +191,12 @@ class ProofTree:
         The prover's holds the rounds of the current pass: each pass of
         ``prover_self_correction`` failed rounds starts afresh. The
         decomposer's holds every round, across backtracks, but not the
-        notes of defects found after a sketch verified.
+        notes of defects found after a sketch verified. Neither holds a
+        round still awaiting its check.
         """
         node = self.node(node_id)
-        rounds = [entry for entry in node.history if entry["role"] == role]
+        judged = node.history[:-1] if self.unjudged_round(node_id) else node.history
+        rounds = [entry for entry in judged if "prompt" in entry and entry["role"] == role]
         if role == "prover":
             rounds = rounds[node.counters.passes_used * self.limits.prover_self_correction:]
         elif role == "decomposer":
@@ -200,6 +207,19 @@ class ProofTree:
         for entry in rounds:
             turns += [("user", entry["prompt"]), ("assistant", entry["response"])]
         return turns
+
+    def unjudged_round(self, node_id: str) -> dict[str, Any] | None:
+        """The node's generated round still awaiting its check (the last
+        history entry, when it carries no verdict), or None."""
+        history = self.node(node_id).history
+        if history and "failed" not in history[-1]:
+            return history[-1]
+        return None
+
+    def last_round(self, node_id: str) -> dict[str, Any]:
+        """The node's latest agent round, judged or not: the last history
+        entry that carries a prompt and a response."""
+        return next(entry for entry in reversed(self.node(node_id).history) if "prompt" in entry)
 
     # -------------------------------------------------------------- mutations
 
@@ -237,8 +257,25 @@ class ProofTree:
         verdict: VerificationResult | None = None,
         failed: bool | None = None,
     ) -> None:
+        """Log one agent round judged at once, in one history entry, and
+        apply the role's counter rules (see ``record_verdict``)."""
+        node = self.node(node_id)
+        if failed is None:
+            failed = verdict is not None and not verdict.passed
+        node.history.append(
+            {"role": role, "prompt": prompt, "response": response, **_verdict(verdict, failed)}
+        )
+        self._charge(node, role, failed)
+
+    def record_reply(self, node_id: str, role: str, prompt: str, response: str) -> None:
+        """Log a generated round whose Lean check is still to come; it
+        stays unjudged until ``record_verdict``."""
+        self.node(node_id).history.append({"role": role, "prompt": prompt, "response": response})
+
+    def record_verdict(self, node_id: str, verdict: VerificationResult) -> None:
         """
-        Log one agent round and apply the role's counter rules.
+        Log the check of the round awaiting it, as an entry of its own
+        that repeats no text, and apply the round's counter rules.
 
         A failed prover round consumes one self-correction attempt;
         filling the per-pass budget rolls over into a new pass, which
@@ -246,20 +283,14 @@ class ProofTree:
         failures consume formalization retries; decomposer failures
         consume sketch corrections.
         """
+        judged = self.unjudged_round(node_id)
+        if judged is None:
+            raise LeandecompError(f"node {node_id} has no round awaiting a check")
         node = self.node(node_id)
-        if failed is None:
-            failed = verdict is not None and not verdict.passed
-        node.history.append(
-            {
-                "role": role,
-                "prompt": prompt,
-                "response": response,
-                "failed": failed,
-                "verdict": None
-                if verdict is None
-                else {"passed": verdict.passed, "complete": verdict.complete},
-            }
-        )
+        node.history.append(_verdict(verdict, not verdict.passed))
+        self._charge(node, judged["role"], not verdict.passed)
+
+    def _charge(self, node: ProofNode, role: str, failed: bool) -> None:
         if not failed:
             return
         counters = node.counters
@@ -334,7 +365,6 @@ class ProofTree:
         node.counters.decompositions_used += 1
         node.counters.sketch_corrections_used = 0
         node.sketch = None
-        node.candidate_sketch = None
 
     # ---------------------------------------------------------- reconstruction
 
@@ -408,6 +438,15 @@ class ProofTree:
             assert c.passes_used <= limits.prover_max_pass
             assert c.sketch_corrections_used <= limits.decomposer_self_correction
             assert c.decompositions_used <= limits.decomposer_self_correction
+            # j: a round judged at once; o, v: a round and the verdict of its check
+            shape = "".join(
+                "v" if "prompt" not in e else "j" if "failed" in e else "o" for e in node.history
+            )
+            assert re.fullmatch("(j|ov)*o?", shape), f"{node.id} has a round left unjudged"
+            unjudged = self.unjudged_round(node.id)
+            assert (unjudged and unjudged["role"]) == _AWAITING_CHECK.get(node.status), (
+                f"{node.id} is {node.status.value} with unjudged round {unjudged!r}"
+            )
 
     # ------------------------------------------------------------ persistence
 
@@ -428,36 +467,43 @@ class ProofTree:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
         """Rebuild a tree from a checkpoint record of any version, 1 to
-        3 (the ``conversations`` of versions 1 and 2 are derived from
-        ``history`` instead); raises ValueError for any structural
-        defect."""
+        4; raises ValueError for any structural defect. The
+        ``conversations`` of versions 1 and 2 are derived from
+        ``history`` instead, and the ``pending_*`` reply of versions 1 to
+        3 becomes the round awaiting its check."""
         try:
-            if data.get("version") not in (1, 2, CHECKPOINT_VERSION):
-                raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
+            version = data.get("version")
+            if version not in (1, 2, 3, CHECKPOINT_VERSION):
+                raise ValueError(f"unsupported checkpoint version {version!r}")
             tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
             tree.root = data["root"]
             tree._seq = int(data.get("seq", len(data["nodes"])))
             for node_id, raw in data["nodes"].items():
                 formal = raw.get("formal")
+                status = NodeStatus(raw["status"])
+                history = list(raw.get("history", []))
+                if version < 4:
+                    if raw.get("pending_response") is not None:
+                        history.append({"role": _AWAITING_CHECK[status],
+                                        "prompt": raw.get("pending_prompt") or "",
+                                        "response": raw["pending_response"]})
+                    if status is not NodeStatus.PROVEN:
+                        raw = {**raw, "proof_attempt": None}  # an unverified attempt
                 node = ProofNode(
                     id=node_id,
                     parent=raw.get("parent"),
                     depth=int(raw["depth"]),
-                    status=NodeStatus(raw["status"]),
+                    status=status,
                     informal_statement=raw.get("informal_statement"),
                     formal=None if formal is None else LeanSource(**formal),
                     name=raw.get("name"),
                     proof_attempt=raw.get("proof_attempt"),
                     sketch=raw.get("sketch"),
                     children=list(raw.get("children", [])),
-                    history=list(raw.get("history", [])),
+                    history=history,
                     counters=Counters.from_dict(raw.get("counters", {})),
                     queries=list(raw.get("queries", [])),
                     hints=[tuple(h) for h in raw.get("hints", [])],
-                    candidate_formalization=raw.get("candidate_formalization"),
-                    candidate_sketch=raw.get("candidate_sketch"),
-                    pending_prompt=raw.get("pending_prompt"),
-                    pending_response=raw.get("pending_response"),
                     last_failure=raw.get("last_failure"),
                     last_sketch_failure=raw.get("last_sketch_failure"),
                     sketch_attempts_total=int(raw.get("sketch_attempts_total", 0)),
@@ -540,7 +586,7 @@ class ProofTree:
     def load(cls, path) -> "ProofTree":
         """
         Read a checkpoint written by ``save``: a snapshot line followed
-        by journal lines replayed in order (version 2 or 3), or a
+        by journal lines replayed in order (version 2 to 4), or a
         version-1 file holding one JSON object. A torn final line (a
         crash mid-append) is dropped; any other defect raises ValueError.
         """
@@ -550,7 +596,7 @@ class ProofTree:
             except ValueError:
                 handle.seek(0)
                 return cls.from_dict(json.load(handle))  # version 1: one indented object
-            if isinstance(data, dict) and data.get("version") in (2, CHECKPOINT_VERSION):
+            if isinstance(data, dict) and data.get("version") in (2, 3, CHECKPOINT_VERSION):
                 pending, number = None, 1
                 for line in handle:
                     if pending is not None:
@@ -580,15 +626,17 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
         "counters": node.counters.to_dict(),
         "queries": list(node.queries),
         "hints": [list(h) for h in node.hints],
-        "candidate_formalization": node.candidate_formalization,
-        "candidate_sketch": node.candidate_sketch,
-        "pending_prompt": node.pending_prompt,
-        "pending_response": node.pending_response,
         "last_failure": node.last_failure,
         "last_sketch_failure": node.last_sketch_failure,
         "sketch_attempts_total": node.sketch_attempts_total,
         "insertion_seq": node.insertion_seq,
     }
+
+
+def _verdict(verdict: VerificationResult | None, failed: bool) -> dict[str, Any]:
+    """The judgement fields of a history entry."""
+    judged = None if verdict is None else {"passed": verdict.passed, "complete": verdict.complete}
+    return {"failed": failed, "verdict": judged}
 
 
 def _json_line(data: dict[str, Any]) -> str:

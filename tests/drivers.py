@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from enum import Enum
 
-from leandecomp.errors import FormalizationExhausted, LeandecompError
+from leandecomp.errors import LeandecompError
 from leandecomp.orchestrator import Action, ActionKind, Orchestrator, _candidate, _resolve_backtrack
 from leandecomp.proof_state import NodeStatus, ProofNode
+
+
+class FormalizationExhausted(LeandecompError):
+    """All formalization retries were spent without an accepted statement."""
 
 
 class ProveOutcome(Enum):

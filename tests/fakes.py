@@ -37,7 +37,8 @@ class ScriptedChat:
     ``script`` is either a callable ``(messages) -> str`` or a list
     whose items are strings (returned), exceptions (raised), or
     callables ``(messages) -> str``. Every call's messages are kept in
-    ``transcripts`` for prompt assertions.
+    ``transcripts`` for prompt assertions, and every returned reply in
+    ``replies``.
     """
 
     def __init__(self, script):
@@ -45,6 +46,7 @@ class ScriptedChat:
         self._lock = threading.Lock()
         self.calls = 0
         self.transcripts: list[list[tuple[str, str]]] = []
+        self.replies: list[str] = []
 
     def complete(self, messages):
         with self._lock:
@@ -60,6 +62,7 @@ class ScriptedChat:
             item = item(messages)
         if isinstance(item, Exception):
             raise item
+        self.replies.append(item)
         return item
 
 

@@ -17,13 +17,13 @@ import pytest
 from leandecomp.agents import PromptKind, PromptVars, render_prompt
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits, load, load_config, packaged_defaults
-from leandecomp.errors import FormalizationExhausted
 from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import ActionKind, Orchestrator
 from leandecomp.proof_state import NodeStatus, ProofTree
 from leandecomp.services import VerifierClient
 
 from .drivers import (
+    FormalizationExhausted,
     ProveOutcome,
     handle_depth_overflow,
     run_decomposition,

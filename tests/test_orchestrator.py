@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import leandecomp.proof_state as proof_state_module
 from leandecomp.agents import generate_theorem_name
 from leandecomp.ast_model import Subgoal
 from leandecomp.config import Limits
-from leandecomp.errors import FormalizationExhausted, RemoteExhausted, ServiceUnavailable
+from leandecomp.errors import RemoteExhausted, ServiceUnavailable
 from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import (
     Action,
@@ -27,6 +28,7 @@ from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.services import TheoremHit
 
 from .drivers import (
+    FormalizationExhausted,
     ProveOutcome,
     handle_depth_overflow,
     run_decomposition,
@@ -958,6 +960,42 @@ class TestDerivedConversations:
         resumed, _ = golden_run(tree, checkpoint_path=checkpoint)
         assert resumed == golden_run()[0]
 
+    def test_each_generated_reply_is_stored_once(self, tmp_path):
+        """A reply is written once, as its round in the history; the
+        verdict entry its check appends repeats none of its text."""
+        checkpoint = tmp_path / "checkpoint.json"
+        outcome, backends = golden_run(checkpoint_path=checkpoint)
+        assert outcome.success
+        text = checkpoint.read_text(encoding="utf-8")
+        generated = Counter(
+            reply
+            for backend in backends.values()
+            if isinstance(backend, ScriptedChat)
+            for reply in backend.replies
+        )
+        assert generated
+        for reply, times in generated.items():
+            assert text.count(json.dumps(reply, ensure_ascii=False)) == times, reply
+
+    def test_version_3_journal_resumes_without_asking_again(self, tmp_path):
+        """A journal the version-3 ``ProofTree.save`` wrote while the
+        root's first sketch awaited its check: the stored reply becomes
+        the round awaiting that check, and the resumed run reaches the
+        uninterrupted outcome without generating any reply again."""
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(FIXTURES / "checkpoint_v3.json", checkpoint)
+        tree = ProofTree.load(checkpoint)
+        tree.validate()
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_SKETCH_CHECK
+        assert tree.unjudged_round(root.id)["role"] == "decomposer"
+        asked = Counter(entry["role"] for entry in root.history if "prompt" in entry)
+        resumed, backends = golden_run(tree, checkpoint_path=checkpoint)
+        uninterrupted, fresh = golden_run()
+        assert resumed == uninterrupted
+        for role in ("prover", "search_query", "decomposer"):
+            assert backends[role].calls + asked[role] == fresh[role].calls, role
+
     def test_sketch_note_never_reaches_the_decomposer(self):
         """An AST-export failure is noted in the history, but the
         correction sketch that follows continues only the real round."""
@@ -972,7 +1010,7 @@ class TestDerivedConversations:
             ast_client=BuilderAst(fail_for=["unexportable"]),
         )
         assert outcome.success
-        assert [entry["prompt"] for entry in tree.root_node().history].count("(ast-export)") == 1
+        assert [entry.get("prompt") for entry in tree.root_node().history].count("(ast-export)") == 1
         opening, correction = decomposer.transcripts
         assert correction[:-1] == opening + [("assistant", first)]
         assert "could not be analyzed" in correction[-1][1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits
 from leandecomp.errors import IncompleteSubtree, LeandecompError, UnknownNode
-from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
+from leandecomp.lean_source import LeanSource
+from leandecomp.orchestrator import Action, ActionKind, Orchestrator
+from leandecomp.proof_state import CHECKPOINT_VERSION, Counters, NodeStatus, ProofNode, ProofTree
 from leandecomp.services import VerificationResult
-from tests.fakes import count_sorries
+from tests.fakes import RuleVerifier, count_sorries, lean_block, make_backends
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
     EVEN_SUM_PROOF,
@@ -125,6 +128,54 @@ class TestRecordAttempt:
         tree = sketch_tree()
         with pytest.raises(UnknownNode):
             tree.record_attempt("nope", "prover", "p", "r", FAIL)
+
+
+class TestAwaitingCheck:
+    def test_verdict_closes_the_round_and_charges_its_role(self):
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        tree.record_reply(tree.root, "prover", "p1", "r1")
+        root = tree.root_node()
+        root.status = NodeStatus.AWAITING_VERIFICATION
+        tree.validate()
+        assert tree.unjudged_round(tree.root) == {"role": "prover", "prompt": "p1", "response": "r1"}
+        assert tree.conversation(tree.root, "prover") == []
+        assert root.counters.self_correction_in_pass == 0
+        tree.record_verdict(tree.root, FAIL)
+        root.status = NodeStatus.AWAITING_PROOF
+        tree.validate()
+        assert root.history[-1] == {"failed": True, "verdict": {"passed": False, "complete": False}}
+        assert tree.unjudged_round(tree.root) is None
+        assert root.counters.self_correction_in_pass == 1
+        assert tree.conversation(tree.root, "prover") == [("user", "p1"), ("assistant", "r1")]
+
+    def test_no_verdict_without_a_round(self):
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        with pytest.raises(LeandecompError):
+            tree.record_verdict(tree.root, PASS)
+
+    @pytest.mark.parametrize(
+        "status, history",
+        [
+            # awaiting verification with every round judged
+            ("AwaitingVerification", [{"role": "prover", "prompt": "p", "response": "r"},
+                                      {"failed": True, "verdict": None}]),
+            # a round awaiting its check on a node that awaits none
+            ("AwaitingProof", [{"role": "prover", "prompt": "p", "response": "r"}]),
+            # the wrong role awaiting the check
+            ("AwaitingVerification", [{"role": "decomposer", "prompt": "p", "response": "r"}]),
+            # a round left unjudged under a later one
+            ("AwaitingVerification", [{"role": "prover", "prompt": "p", "response": "r"},
+                                      {"role": "prover", "prompt": "p", "response": "r"}]),
+            # a verdict with no round before it
+            ("AwaitingProof", [{"failed": True, "verdict": None}]),
+        ],
+    )
+    def test_validate_catches_a_misplaced_unjudged_round(self, status, history):
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        root = tree.root_node()
+        root.status, root.history = NodeStatus(status), history
+        with pytest.raises(AssertionError):
+            tree.validate()
 
 
 def chain_tree(depth):
@@ -378,6 +429,77 @@ class TestCheckpoint:
         tree.record_attempt(tree.root, "decomposer", "again", "there", PASS)
         tree.root_node().history[0]["verdict"]["passed"] = True
         assert kept == expected
+
+    def test_every_node_field_is_persisted_and_restored(self, tmp_path):
+        """Each ProofNode field but ``history`` (which the journal writes
+        as tails) survives to_dict/from_dict and a journal append."""
+        tree = sketch_tree()
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        node = tree.node(tree.root_node().children[0])
+        grandchild = tree.add_child(node.id, make_subgoal("tiny"))
+        values = {
+            "status": NodeStatus.PROVEN,
+            "informal_statement": "informal",
+            "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
+            "name": "renamed",
+            "proof_attempt": "theorem x : True := by\n  trivial",
+            "sketch": "theorem x : True := by\n  have tiny : True := by\n    sorry",
+            "counters": Counters(1, 1, 1, 1, 1),
+            "queries": ["q"],
+            "hints": [("Nat.foo", "theorem Nat.foo : True")],
+            "last_failure": "failure",
+            "last_sketch_failure": "sketch failure",
+            "sketch_attempts_total": 3,
+            "insertion_seq": 9,
+        }
+        for field in dataclasses.fields(ProofNode):
+            if field.name in values:
+                setattr(node, field.name, values[field.name])
+            if field.name == "history":
+                continue
+            default = (
+                field.default_factory() if callable(field.default_factory) else field.default
+            )
+            assert getattr(node, field.name) != default, field.name
+        assert node.children == [grandchild] and node.parent and node.depth
+        assert ProofTree.from_dict(tree.to_dict()).node(node.id) == node
+        tree.save(path)
+        tree.close()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+        assert ProofTree.load(path).node(node.id) == node
+
+    def test_version_3_formalization_awaiting_its_syntax_check(self):
+        """The ``pending_*`` reply of a version-3 node becomes the round
+        awaiting its check, and the check verifies the statement the
+        version-3 ``candidate_formalization`` held."""
+        statement = "theorem t : True := by\n  sorry"
+        reply = lean_block("import Mathlib\n\n" + statement)
+        tree = ProofTree.from_informal("prove something", LIMITS)
+        data = tree.to_dict()
+        data["version"] = 3
+        data["nodes"][tree.root].update(
+            status="AwaitingSyntaxCheck",
+            name="t",
+            proof_attempt=None,
+            candidate_formalization=CANONICAL_PREAMBLE + "\n\n" + statement,
+            candidate_sketch=None,
+            pending_prompt="formalize",
+            pending_response=reply,
+        )
+        migrated = ProofTree.from_dict(data)
+        migrated.validate()
+        round_ = {"role": "formalizer", "prompt": "formalize", "response": reply}
+        assert migrated.root_node().history == [round_]
+        assert migrated.unjudged_round(migrated.root) == round_
+        assert not any("pending" in key for key in migrated.to_dict()["nodes"][migrated.root])
+        verifier = RuleVerifier()
+        Orchestrator(migrated, make_backends(), verifier).dispatch(
+            Action(ActionKind.SYNTAX_CHECK, migrated.root)
+        )
+        assert verifier.checked == [CANONICAL_PREAMBLE + "\n\n" + statement]
+        assert migrated.root_node().status is NodeStatus.AWAITING_SEMANTIC_CHECK
+        migrated.validate()
 
     def test_version_guard(self):
         tree = sketch_tree()
