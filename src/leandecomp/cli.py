@@ -26,7 +26,7 @@ from .errors import (
 from .lean_source import LeanSource, normalize_preamble, split_source
 from .orchestrator import Orchestrator
 from .proof_state import ProofTree
-from .services import ChatClient, SearchClient, VerifierClient
+from .services import ChatClient, SearchClient, VerifierClient, close_idle_connections
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="maximum sibling subgoals proven in parallel (default: %(default)s)",
+        help="maximum remote calls in flight at once (default: %(default)s)",
     )
     parser.add_argument(
         "-v",
@@ -210,10 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PROOF_FAILURE
     finally:
         tree.close()
-        for client in (*orchestrator.backends.values(), orchestrator.verifier):
-            client.close()
-        if orchestrator.search_client is not None:
-            orchestrator.search_client.close()
+        close_idle_connections()
 
     if outcome.success:
         proof_path = out_dir / "proof.lean"

@@ -148,6 +148,8 @@ def tokenize(code: str) -> list[Token]:
 
 def _line_outside_comments(line: str, block_depth: int) -> tuple[str, int]:
     """Return the non-comment content of one line and the new block-comment depth."""
+    if block_depth == 0 and "--" not in line and "/-" not in line:
+        return line, 0
     out: list[str] = []
     i, n = 0, len(line)
     while i < n:

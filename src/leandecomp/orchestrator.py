@@ -1,30 +1,41 @@
 """Supervisor state machine driving the proof search.
 
-A single coordinator owns the proof tree and repeatedly asks
-``next_action`` for the highest-priority piece of work: formalizing the
-root, syntax/semantics-validating a formalization, proving and
-verifying leaves, and — when direct proving exhausts its passes —
-generating search queries, retrieving hint theorems, sketching a
-decomposition, checking the sketch, and recursing into extracted
-subgoals. Equal-priority work is ordered by depth then insertion, so
-subgoals are processed breadth-first. Nodes that exceed the depth limit
-or exhaust their sketch-correction budget trigger a backtrack: the
-nearest grandparent-or-higher ancestor with remaining budget is pruned
-and re-decomposed with the alternative-strategy prompts.
+A single coordinator owns the proof tree and repeatedly picks the
+highest-priority ready work: formalizing the root, syntax/semantics-
+validating a formalization, proving and verifying leaves, and — when
+direct proving exhausts its passes — generating search queries,
+retrieving hint theorems, sketching a decomposition, checking the
+sketch, and recursing into extracted subgoals. Equal-priority work is
+ordered by depth then insertion, so subgoals are processed
+breadth-first. Nodes that exceed the depth limit or exhaust their
+sketch-correction budget trigger a backtrack: the nearest
+grandparent-or-higher ancestor with remaining budget is pruned and
+re-decomposed with the alternative-strategy prompts.
 
-Remote calls for sibling Prove/Verify actions may run on one bounded
-worker pool that lives as long as the run; all tree mutations happen
-sequentially on the coordinator.
+Every remote call (each chat role, each verify request, AST export and
+theorem search) runs on one worker pool that lives as long as the run,
+with at most ``workers`` calls in flight. The coordinator prepares each
+call, applies each result as it lands, writes the checkpoint journal
+once per wake-up and dispatches again, so all tree mutations happen on
+the coordinator and the subtrees of a sketch advance independently. A
+node whose call is in flight is not ready; a result for a node that a
+backtrack pruned, or one that lands after the run has failed, is
+dropped. Verify actions coalesce: a reply is not verified while a
+Prove of its own dispatch pass is in flight, and then the ready
+Verifies at its depth share one request; with nothing else in flight
+only those of its pass do, which keeps the order of a single worker.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Mapping, TextIO
+from functools import partial
+from queue import SimpleQueue
+from typing import Any, Callable, Mapping, TextIO
 
 from .agents import (
     PromptKind,
@@ -156,8 +167,11 @@ def _resolve_backtrack(tree: ProofTree, node: ProofNode) -> Action:
 
 
 def next_action(
-    tree: ProofTree, limits: Limits, ast_ready: frozenset[str] = frozenset()
-) -> Action:
+    tree: ProofTree,
+    limits: Limits,
+    ast_ready: frozenset[str] = frozenset(),
+    busy: frozenset[str] = frozenset(),
+) -> Action | None:
     """
     Choose the next action for the tree (pure; no mutation).
 
@@ -168,12 +182,14 @@ def next_action(
     processed before any at the next (breadth-first).
 
     ``ast_ready`` names nodes whose AST export is already in hand, for
-    which the parse step is replaced by extraction. A Proven root maps
-    to Reconstruct, a Failed root to Finish(failure).
+    which the parse step is replaced by extraction. ``busy`` names nodes
+    that are not ready (their call is in flight); None means that every
+    node with work is busy. A Proven root maps to Reconstruct, a Failed
+    root to Finish(failure).
     """
     root = tree.root_node()
     if root.status is NodeStatus.PROVEN:
-        return Action(ActionKind.RECONSTRUCT, root.id)
+        return None if root.id in busy else Action(ActionKind.RECONSTRUCT, root.id)
     if root.status is NodeStatus.FAILED:
         return Action(
             ActionKind.FINISH,
@@ -181,15 +197,21 @@ def next_action(
             Outcome(success=False, report="proof search failed; see the run history"),
         )
     best: tuple[tuple[int, int, int], ProofNode, ActionKind] | None = None
+    waiting = False
     for node in tree.nodes.values():
         entry = _candidate(node, limits, ast_ready)
         if entry is None:
+            continue
+        if node.id in busy:
+            waiting = True
             continue
         priority, kind = entry
         key = (priority, node.depth, node.insertion_seq)
         if best is None or key < best[0]:
             best = (key, node, kind)
     if best is None:
+        if waiting:
+            return None
         return Action(
             ActionKind.FINISH,
             root.id,
@@ -201,6 +223,22 @@ def next_action(
     return Action(kind, node.id)
 
 
+@dataclass
+class _Call:
+    """The remote half of an action. ``remote`` runs on a pool thread;
+    a Lean check names its unit as ``unit`` instead, so that Verify
+    actions can share one request. ``apply`` takes the result on the
+    coordinator and returns the Outcome when the action ends the run."""
+
+    apply: Callable[[Any], Outcome | None]
+    remote: Callable[[], Any] | None = None
+    unit: str | None = None
+
+
+#: The actions dispatched together as one remote request.
+_Group = list[tuple[Action, _Call]]
+
+
 class Orchestrator:
     """Coordinator that executes actions against the proof tree.
 
@@ -209,7 +247,9 @@ class Orchestrator:
     ``complete(messages) -> str``. ``verifier`` checks Lean units,
     ``ast_client`` exports sketch ASTs (one VerifierClient does both),
     ``search_client`` retrieves hint theorems (both optional until
-    decomposition is reached).
+    decomposition is reached). ``run`` keeps up to ``workers`` remote
+    calls in flight; ``workers=1`` makes one call at a time, in the
+    order of ``next_action``.
     """
 
     def __init__(
@@ -235,45 +275,48 @@ class Orchestrator:
         # AST exports are cheap to refetch, so they live outside the
         # checkpoint; a resumed run re-issues ParseAst where needed.
         self._ast_cache: dict[str, tuple[object, list]] = {}
+        # The code of each node's latest generated reply, parsed when the
+        # reply arrived; a resumed run parses it again from the history.
+        self._sources: dict[str, LeanSource] = {}
         self._failure_reason: str | None = None
-        # Held only while ``run`` executes.
+        # Held only while ``run`` executes: the pool, the run log, the
+        # calls dispatch started and the run loop has yet to submit, the
+        # calls in flight with their dispatch pass, the queue they land
+        # on, and the dispatch pass of each reply awaiting its Verify.
         self._pool: ThreadPoolExecutor | None = None
         self._run_log: TextIO | None = None
+        self._started: _Group | None = None
+        self._inflight: dict[Future, tuple[int, _Group]] = {}
+        self._landed: SimpleQueue | None = None
+        self._reply_pass: dict[str, int] = {}
+        self._passes = 0
 
     # ------------------------------------------------------------- main loop
 
     def run(self) -> Outcome:
         """Dispatch actions until the run finishes; returns the outcome.
 
-        The worker pool, the run-log handle and the checkpoint journal
-        handle are released when the run returns or raises.
+        Each wake-up applies the results that landed and dispatches
+        again; the checkpoint journal and the run log are written before
+        the coordinator waits. The worker pool, the run-log handle and
+        the checkpoint journal handle are released when the run returns
+        or raises; calls still in flight are waited for and dropped.
         """
-        if self.workers > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        self._landed = SimpleQueue()
+        self._started = []
         try:
-            while True:
-                action = next_action(self.tree, self.limits, frozenset(self._ast_cache))
-                if (
-                    self._pool is not None
-                    and action.kind in (ActionKind.PROVE, ActionKind.VERIFY)
-                    and action.node_id is not None
-                ):
-                    self._dispatch_parallel(action)
-                    self._checkpoint()
-                    continue
-                try:
-                    outcome = self.dispatch(action)
-                finally:
-                    self._checkpoint()
-                self._log(action, outcome)
-                if outcome is not None:
-                    if action.kind is not ActionKind.FINISH:
-                        self._log(Action(ActionKind.FINISH, self.tree.root, outcome), outcome)
-                    return outcome
+            outcome = self._dispatch_ready()
+            while outcome is None:
+                self._persist()
+                outcome = self._apply_landed() or self._dispatch_ready()
+            return outcome
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(cancel_futures=True)
-                self._pool = None
+            self._persist()
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = self._landed = self._started = None
+            self._inflight.clear()
+            self._reply_pass.clear()
             if self._run_log is not None:
                 self._run_log.close()
                 self._run_log = None
@@ -281,7 +324,12 @@ class Orchestrator:
 
     def dispatch(self, action: Action) -> Outcome | None:
         """Execute one action; returns the final Outcome when the
-        action terminates the run (Finish or Reconstruct), else None."""
+        action terminates the run (Finish or Reconstruct), else None.
+
+        While ``run`` drives, an action's remote call is left for the run
+        loop to start on the pool, and its result is applied when it
+        lands; otherwise the call is made and applied here.
+        """
         kind = action.kind
         if kind is ActionKind.FINISH:
             outcome = action.outcome or Outcome(success=False, report="no work remains")
@@ -295,63 +343,130 @@ class Orchestrator:
             return outcome
         if kind is ActionKind.BACKTRACK:
             self.tree.prune_subtree(action.node_id)
-            self._purge_ast_cache()
+            self._forget_pruned()
             return None
-        node = self.tree.node(action.node_id)
-        if kind is ActionKind.RECONSTRUCT:
-            return self._do_reconstruct(node)
-        handler = {
-            ActionKind.FORMALIZE: self._do_formalize,
-            ActionKind.SYNTAX_CHECK: self._do_syntax_check,
-            ActionKind.SEMANTIC_CHECK: self._do_semantic_check,
-            ActionKind.PROVE: self._do_prove,
-            ActionKind.VERIFY: self._do_verify,
-            ActionKind.PARSE_AST: self._do_parse_ast,
-            ActionKind.GEN_QUERIES: self._do_gen_queries,
-            ActionKind.LOOKUP: self._do_lookup,
-            ActionKind.SKETCH: self._do_sketch,
-            ActionKind.SKETCH_CHECK: self._do_sketch_check,
-            ActionKind.EXTRACT_SUBGOALS: self._do_extract_subgoals,
-        }[kind]
-        handler(node)
-        return None
+        handler = getattr(self, "_do_" + kind.name.lower())
+        call = handler(self.tree.node(action.node_id))
+        if not isinstance(call, _Call):
+            return call
+        if self._started is not None:
+            self._started.append((action, call))
+            return None
+        return call.apply(self._remote([call])[0])
 
     # ----------------------------------------------------------- scheduling
 
-    def _dispatch_parallel(self, action: Action) -> None:
-        """Run every same-depth sibling of a Prove/Verify action on the
-        run's worker pool; results are applied sequentially in insertion
-        order so mutation stays on the coordinator."""
-        status = (
-            NodeStatus.AWAITING_PROOF
-            if action.kind is ActionKind.PROVE
-            else NodeStatus.AWAITING_VERIFICATION
-        )
+    def _dispatch_ready(self) -> Outcome | None:
+        """Dispatch ready actions in priority order until ``workers``
+        calls are in flight or none is ready; an action without a remote
+        call runs at once. Returns the outcome of an action that ends
+        the run."""
+        self._passes += 1
+        while len(self._inflight) < self.workers:
+            not_ready = self._not_ready()
+            action = next_action(self.tree, self.limits, frozenset(self._ast_cache), not_ready)
+            if action is None:
+                return None
+            for action in self._coalesced(action, not_ready):
+                started = len(self._started)
+                outcome = self.dispatch(action)
+                if outcome is not None:
+                    return self._end(action, outcome)
+                if len(self._started) == started:
+                    self._log(action, None)
+            if self._started:
+                group, self._started = self._started, []
+                future = self._pool.submit(self._remote, [call for _, call in group])
+                self._inflight[future] = (self._passes, group)
+                future.add_done_callback(self._landed.put)
+        return None
+
+    def _not_ready(self) -> frozenset[str]:
+        """Nodes whose call is in flight, and those whose reply waits
+        for a Prove of its own dispatch pass still in flight."""
+        busy: set[str] = set()
+        proving: set[int] = set()
+        for pass_, group in self._inflight.values():
+            for action, _ in group:
+                busy.add(action.node_id)
+                if action.kind is ActionKind.PROVE:
+                    proving.add(pass_)
+        busy.update(node_id for node_id, pass_ in self._reply_pass.items() if pass_ in proving)
+        return frozenset(busy)
+
+    def _coalesced(self, action: Action, not_ready: frozenset[str]) -> list[Action]:
+        """The action, or for a Verify the ready Verifies at its depth, in
+        insertion order: all of them while other calls are in flight, else
+        those whose replies came from its dispatch pass. (A single worker
+        has nothing else in flight, so it verifies one pass at a time.)"""
+        if action.kind is not ActionKind.VERIFY:
+            return [action]
         depth = self.tree.node(action.node_id).depth
+        reply_pass = self._reply_pass.get(action.node_id)
         peers = sorted(
-            (n for n in self.tree.nodes.values() if n.status is status and n.depth == depth),
-            key=lambda n: n.insertion_seq,
+            (
+                node
+                for node in self.tree.nodes.values()
+                if node.status is NodeStatus.AWAITING_VERIFICATION
+                and node.depth == depth
+                and node.id not in not_ready
+                and (bool(self._inflight) or self._reply_pass.get(node.id) == reply_pass)
+            ),
+            key=lambda node: node.insertion_seq,
         )
-        if action.kind is ActionKind.PROVE:
-            prepared = [(node, self._prepare_prove(node)) for node in peers]
-            futures = [
-                self._pool.submit(self._ask, "prover", messages) for _, (_, messages) in prepared
-            ]
-            replies = [future.result() for future in futures]
-            for (node, (prompt, _)), reply in zip(prepared, replies):
-                self._apply_prover_reply(node, prompt, reply)
-        else:
-            decls = [self._proposed_decl(node) for node in peers]
-            units = [node.formal.preamble + "\n\n" + decl for node, decl in zip(peers, decls)]
-            results = self.verifier.verify_batch(units)
-            for node, decl, result in zip(peers, decls, results):
-                self._apply_verification(node, decl, result)
         for node in peers:
-            self._log(Action(action.kind, node.id), None)
+            self._reply_pass.pop(node.id, None)
+        return [Action(ActionKind.VERIFY, node.id) for node in peers]
+
+    def _remote(self, calls: list[_Call]) -> list:
+        """The request of a group, made on a pool thread: one Lean check
+        of the calls' units, or the group's single call."""
+        if calls[0].unit is None:
+            return [calls[0].remote()]
+        return self.verifier.verify_batch([call.unit for call in calls])
+
+    def _apply_landed(self) -> Outcome | None:
+        """Wait for a call to land, then apply every result that has, in
+        the order they landed. Results for pruned nodes, and every result
+        after one that fails the run, are dropped. Raises the first
+        remote failure once the other results are applied."""
+        landed = [self._landed.get()]
+        while not self._landed.empty():
+            landed.append(self._landed.get_nowait())
+        error: Exception | None = None
+        for future in landed:
+            pass_, group = self._inflight.pop(future)
+            if self.tree.root_node().status is NodeStatus.FAILED:
+                continue
+            try:
+                results = future.result()
+            except Exception as exc:
+                error = error or exc
+                continue
+            for (action, call), result in zip(group, results):
+                if action.node_id not in self.tree.nodes:
+                    self._log(action, None)  # logged as pruned
+                    continue
+                outcome = call.apply(result)
+                if outcome is not None:
+                    return self._end(action, outcome)
+                node = self.tree.node(action.node_id)
+                if action.kind is ActionKind.PROVE and node.status is NodeStatus.AWAITING_VERIFICATION:
+                    self._reply_pass[node.id] = pass_
+                self._log(action, None)
+        if error is not None:
+            raise error
+        return None
+
+    def _end(self, action: Action, outcome: Outcome) -> Outcome:
+        self._log(action, outcome)
+        if action.kind is not ActionKind.FINISH:
+            self._log(Action(ActionKind.FINISH, self.tree.root, outcome), outcome)
+        return outcome
 
     # -------------------------------------------------------- formalization
 
-    def _do_formalize(self, node: ProofNode) -> None:
+    def _do_formalize(self, node: ProofNode) -> _Call:
         if node.name is None:
             node.name = generate_theorem_name(node.informal_statement or "")
         prompt = render_prompt(
@@ -361,25 +476,30 @@ class Orchestrator:
                 informal_statement=node.informal_statement or "",
             ),
         )
-        reply = self._ask("formalizer", [("user", prompt)])
-        if self._take_reply(node, "formalizer", prompt, reply, NodeStatus.AWAITING_SYNTAX_CHECK):
-            self._after_formalization_failure(node)
+
+        def apply(reply: str | LeandecompError) -> None:
+            if self._take_reply(node, "formalizer", prompt, reply, NodeStatus.AWAITING_SYNTAX_CHECK):
+                self._after_formalization_failure(node)
+
+        return _Call(apply, partial(self._ask, "formalizer", [("user", prompt)]))
 
     def _formalization(self, node: ProofNode) -> LeanSource:
         """The statement of the node's latest formalizer round, under its
         normalized preamble."""
-        source = _reply_code(self.tree.last_round(node.id)["response"])
+        source = self._reply_source(node)
         return LeanSource(preamble=normalize_preamble(source.preamble).text, body=source.body)
 
-    def _do_syntax_check(self, node: ProofNode) -> None:
-        result = self.verifier.verify_code(self._formalization(node).combined())
-        self.tree.record_verdict(node.id, result)
-        if result.passed:
-            node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
-        else:
-            self._after_formalization_failure(node)
+    def _do_syntax_check(self, node: ProofNode) -> _Call:
+        def apply(result: VerificationResult) -> None:
+            self.tree.record_verdict(node.id, result)
+            if result.passed:
+                node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
+            else:
+                self._after_formalization_failure(node)
 
-    def _do_semantic_check(self, node: ProofNode) -> None:
+        return _Call(apply, unit=self._formalization(node).combined())
+
+    def _do_semantic_check(self, node: ProofNode) -> _Call:
         formal = self._formalization(node)
         prompt = render_prompt(
             PromptKind.SEMANTIC_CHECK,
@@ -388,19 +508,23 @@ class Orchestrator:
                 formal_statement=formal.body,
             ),
         )
-        try:
-            response = self._complete("semantics", [("user", prompt)])
-            appropriate = parse_judgement(response).verdict is Verdict.APPROPRIATE
-        except (RemoteExhausted, BadResponse) as exc:
-            response, appropriate = f"(backend failure: {exc})", False
-        except NoJudgement:
-            appropriate = False
-        self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
-        if appropriate:
-            node.formal = formal
-            node.status = NodeStatus.AWAITING_PROOF
-        else:
-            self._after_formalization_failure(node)
+
+        def apply(response: str | LeandecompError) -> None:
+            if isinstance(response, LeandecompError):
+                response, appropriate = f"(backend failure: {response})", False
+            else:
+                try:
+                    appropriate = parse_judgement(response).verdict is Verdict.APPROPRIATE
+                except NoJudgement:
+                    appropriate = False
+            self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
+            if appropriate:
+                node.formal = formal
+                node.status = NodeStatus.AWAITING_PROOF
+            else:
+                self._after_formalization_failure(node)
+
+        return _Call(apply, partial(self._ask, "semantics", [("user", prompt)]))
 
     def _after_formalization_failure(self, node: ProofNode) -> None:
         if node.counters.formalize_retries >= self.limits.formalizer_max_retries:
@@ -414,7 +538,7 @@ class Orchestrator:
 
     # ------------------------------------------------------- prove / verify
 
-    def _prepare_prove(self, node: ProofNode) -> tuple[str, list[tuple[str, str]]]:
+    def _do_prove(self, node: ProofNode) -> _Call:
         conversation = self.tree.conversation(node.id, "prover")
         if not conversation:
             prompt = render_prompt(
@@ -429,19 +553,14 @@ class Orchestrator:
                     error_message_for_prev_round=node.last_failure or "unknown error",
                 ),
             )
-        return prompt, conversation + [("user", prompt)]
 
-    def _do_prove(self, node: ProofNode) -> None:
-        prompt, messages = self._prepare_prove(node)
-        self._apply_prover_reply(node, prompt, self._ask("prover", messages))
+        def apply(reply: str | LeandecompError) -> None:
+            note = self._take_reply(node, "prover", prompt, reply, NodeStatus.AWAITING_VERIFICATION)
+            if note is not None:
+                node.last_failure = note
+                self._after_prover_round(node)
 
-    def _apply_prover_reply(
-        self, node: ProofNode, prompt: str, reply: str | LeandecompError
-    ) -> None:
-        note = self._take_reply(node, "prover", prompt, reply, NodeStatus.AWAITING_VERIFICATION)
-        if note is not None:
-            node.last_failure = note
-            self._after_prover_round(node)
+        return _Call(apply, partial(self._ask, "prover", conversation + [("user", prompt)]))
 
     def _after_prover_round(self, node: ProofNode) -> None:
         if node.counters.passes_used >= self.limits.prover_max_pass:
@@ -449,14 +568,12 @@ class Orchestrator:
         else:
             node.status = NodeStatus.AWAITING_PROOF
 
-    def _proposed_decl(self, node: ProofNode) -> str:
-        """The declaration of the node's round awaiting its check."""
-        return _reply_code(self.tree.unjudged_round(node.id)["response"]).body
-
-    def _do_verify(self, node: ProofNode) -> None:
-        decl = self._proposed_decl(node)
-        result = self.verifier.verify_code(node.formal.preamble + "\n\n" + decl)
-        self._apply_verification(node, decl, result)
+    def _do_verify(self, node: ProofNode) -> _Call:
+        decl = self._reply_source(node).body
+        return _Call(
+            partial(self._apply_verification, node, decl),
+            unit=node.formal.preamble + "\n\n" + decl,
+        )
 
     def _apply_verification(self, node: ProofNode, decl: str, result: VerificationResult) -> None:
         if result.passed and result.complete:
@@ -492,7 +609,7 @@ class Orchestrator:
 
     # -------------------------------------------------------- decomposition
 
-    def _do_gen_queries(self, node: ProofNode) -> None:
+    def _do_gen_queries(self, node: ProofNode) -> _Call:
         kind = (
             PromptKind.QUERY_BACKTRACK
             if node.counters.decompositions_used > 0
@@ -500,38 +617,52 @@ class Orchestrator:
         )
         prompt = render_prompt(kind, PromptVars(formal_theorem=node.formal.body))
         messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
-        queries: list[str] = []
-        for _ in range(2):  # one ask plus at most one re-ask
-            try:
-                response = self._complete("search_query", messages)
-            except (RemoteExhausted, BadResponse) as exc:
+
+        def ask() -> list[tuple[str | LeandecompError, list[str] | None]]:
+            """Each reply with its queries (None when it has none): one
+            ask plus at most one re-ask."""
+            rounds, turns = [], messages
+            for _ in range(2):
+                reply = self._ask("search_query", turns)
+                if isinstance(reply, LeandecompError):
+                    return rounds + [(reply, None)]
+                try:
+                    return rounds + [(reply, parse_search_queries(reply))]
+                except NoQueries:
+                    rounds.append((reply, None))
+                    turns = turns + [("assistant", reply), ("user", prompt)]
+            return rounds
+
+        def apply(rounds) -> None:
+            node.queries = []
+            for reply, queries in rounds:
+                if isinstance(reply, LeandecompError):
+                    reply = f"(backend failure: {reply})"
                 self.tree.record_attempt(
-                    node.id, "search_query", prompt, f"(backend failure: {exc})", failed=True
+                    node.id, "search_query", prompt, reply, failed=queries is None
                 )
-                break
-            try:
-                queries = parse_search_queries(response)
-            except NoQueries:
-                self.tree.record_attempt(node.id, "search_query", prompt, response, failed=True)
-                messages = messages + [("assistant", response), ("user", prompt)]
-                continue
-            self.tree.record_attempt(node.id, "search_query", prompt, response, failed=False)
-            break
-        node.queries = queries
-        node.status = NodeStatus.AWAITING_LOOKUP
+                node.queries = queries or []
+            node.status = NodeStatus.AWAITING_LOOKUP
 
-    def _do_lookup(self, node: ProofNode) -> None:
-        hints: list[tuple[str, str]] = []
-        if node.queries and self.search_client is not None:
-            try:
-                hits = self.search_client.search_theorems(list(node.queries))
-                hints = [(hit.full_name, hit.statement) for hit in hits]
-            except (ServiceUnavailable, BadResponse):
-                hints = []  # retrieval is an aid, not a requirement
-        node.hints = hints
-        node.status = NodeStatus.AWAITING_SKETCH
+        return _Call(apply, ask)
 
-    def _do_sketch(self, node: ProofNode) -> None:
+    def _do_lookup(self, node: ProofNode) -> _Call | None:
+        def apply(hints: list[tuple[str, str]]) -> None:
+            node.hints = hints
+            node.status = NodeStatus.AWAITING_SKETCH
+
+        if not node.queries or self.search_client is None:
+            return apply([])
+        return _Call(apply, partial(self._search, list(node.queries)))
+
+    def _search(self, queries: list[str]) -> list[tuple[str, str]]:
+        try:
+            hits = self.search_client.search_theorems(queries)
+        except (ServiceUnavailable, BadResponse):
+            return []  # retrieval is an aid, not a requirement
+        return [(hit.full_name, hit.statement) for hit in hits]
+
+    def _do_sketch(self, node: ProofNode) -> _Call:
         counters = node.counters
         if counters.sketch_corrections_used == 0 and counters.decompositions_used > 0:
             kind = PromptKind.DECOMPOSER_BACKTRACK
@@ -553,29 +684,37 @@ class Orchestrator:
             )
         prompt = render_prompt(kind, vars)
         messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
-        node.sketch_attempts_total += 1
-        reply = self._ask("decomposer", messages)
-        note = self._take_reply(node, "decomposer", prompt, reply, NodeStatus.AWAITING_SKETCH_CHECK)
-        if note is not None:
-            node.last_sketch_failure = note
-            self._after_sketch_failure(node)
 
-    def _do_sketch_check(self, node: ProofNode) -> None:
-        decl = self._proposed_decl(node)
+        def apply(reply: str | LeandecompError) -> None:
+            node.sketch_attempts_total += 1
+            note = self._take_reply(
+                node, "decomposer", prompt, reply, NodeStatus.AWAITING_SKETCH_CHECK
+            )
+            if note is not None:
+                node.last_sketch_failure = note
+                self._after_sketch_failure(node)
+
+        return _Call(apply, partial(self._ask, "decomposer", messages))
+
+    def _do_sketch_check(self, node: ProofNode) -> _Call:
+        decl = self._reply_source(node).body
         unit = node.formal.preamble + "\n\n" + decl
-        result = self.verifier.verify_code(unit)
-        self.tree.record_verdict(node.id, result)
-        if result.passed and not result.complete:
-            node.sketch = unit
-            node.status = NodeStatus.AWAITING_AST_PARSE
-        elif result.passed:
-            # no remaining goals: the "sketch" is already a complete proof
-            node.proof_attempt = decl
-            node.status = NodeStatus.PROVEN
-            self._propagate_proven(node)
-        else:
-            node.last_sketch_failure = build_error_annotation(unit, result)
-            self._after_sketch_failure(node)
+
+        def apply(result: VerificationResult) -> None:
+            self.tree.record_verdict(node.id, result)
+            if result.passed and not result.complete:
+                node.sketch = unit
+                node.status = NodeStatus.AWAITING_AST_PARSE
+            elif result.passed:
+                # no remaining goals: the "sketch" is already a complete proof
+                node.proof_attempt = decl
+                node.status = NodeStatus.PROVEN
+                self._propagate_proven(node)
+            else:
+                node.last_sketch_failure = build_error_annotation(unit, result)
+                self._after_sketch_failure(node)
+
+        return _Call(apply, unit=unit)
 
     def _note_sketch_failure(self, node: ProofNode, stage: str, message: str) -> None:
         """Count a post-verification sketch defect (AST export or subgoal
@@ -593,17 +732,25 @@ class Orchestrator:
         else:
             node.status = NodeStatus.AWAITING_SKETCH
 
-    def _do_parse_ast(self, node: ProofNode) -> None:
+    def _do_parse_ast(self, node: ProofNode) -> _Call:
         if self.ast_client is None:
             raise LeandecompError("decomposition requires an AST client, none configured")
+
+        def apply(export: tuple[object, list] | LeandecompError) -> None:
+            if isinstance(export, LeandecompError):
+                self._note_sketch_failure(
+                    node, "ast-export", f"the proof sketch could not be analyzed: {export}"
+                )
+            else:
+                self._ast_cache[node.id] = export
+
+        return _Call(apply, partial(self._fetch_ast, node.sketch))
+
+    def _fetch_ast(self, sketch: str) -> tuple[object, list] | LeandecompError:
         try:
-            ast, sorries = self.ast_client.fetch_ast(node.sketch)
+            return self.ast_client.fetch_ast(sketch)
         except (AstExportFailed, MalformedAst) as exc:
-            self._note_sketch_failure(
-                node, "ast-export", f"the proof sketch could not be analyzed: {exc}"
-            )
-            return
-        self._ast_cache[node.id] = (ast, sorries)
+            return exc
 
     def _do_extract_subgoals(self, node: ProofNode) -> None:
         cached = self._ast_cache.pop(node.id, None)
@@ -644,11 +791,13 @@ class Orchestrator:
             self._fail_run(node, action.outcome.report or "backtracking impossible")
         else:
             self.tree.prune_subtree(action.node_id)
-            self._purge_ast_cache()
+            self._forget_pruned()
 
-    def _purge_ast_cache(self) -> None:
-        for stale in [nid for nid in self._ast_cache if nid not in self.tree.nodes]:
-            del self._ast_cache[stale]
+    def _forget_pruned(self) -> None:
+        """Drop what the coordinator keeps in memory for pruned nodes."""
+        for kept in (self._ast_cache, self._sources, self._reply_pass):
+            for stale in [node_id for node_id in kept if node_id not in self.tree.nodes]:
+                del kept[stale]
 
     def _fail_run(self, node: ProofNode, reason: str) -> None:
         node.status = NodeStatus.FAILED
@@ -658,21 +807,24 @@ class Orchestrator:
 
     # --------------------------------------------------------- reconstruction
 
-    def _do_reconstruct(self, node: ProofNode) -> Outcome:
+    def _do_reconstruct(self, node: ProofNode) -> _Call | Outcome:
         try:
             proof = self.tree.reconstruct(node.id)
         except IncompleteSubtree as exc:
             return Outcome(success=False, report=f"reconstruction failed: {exc}")
-        result = self.verifier.verify_code(proof)
-        if result.passed and result.complete:
-            return Outcome(success=True, proof=proof)
-        messages = "; ".join(err.message for err in result.errors if err.message)
-        return Outcome(
-            success=False,
-            proof=proof,
-            report="reconstructed proof failed final verification"
-            + (f": {messages}" if messages else ""),
-        )
+
+        def apply(result: VerificationResult) -> Outcome:
+            if result.passed and result.complete:
+                return Outcome(success=True, proof=proof)
+            messages = "; ".join(err.message for err in result.errors if err.message)
+            return Outcome(
+                success=False,
+                proof=proof,
+                report="reconstructed proof failed final verification"
+                + (f": {messages}" if messages else ""),
+            )
+
+        return _Call(apply, unit=proof)
 
     # -------------------------------------------------------------- plumbing
 
@@ -688,6 +840,14 @@ class Orchestrator:
             return self._complete(role, messages)
         except (RemoteExhausted, BadResponse) as exc:
             return exc
+
+    def _reply_source(self, node: ProofNode) -> LeanSource:
+        """The Lean unit of the node's latest generated round: parsed
+        when the reply arrived, or from the history after a resume."""
+        source = self._sources.get(node.id)
+        if source is None:
+            source = self._sources[node.id] = _reply_code(self.tree.last_round(node.id)["response"])
+        return source
 
     def _take_reply(
         self,
@@ -705,16 +865,23 @@ class Orchestrator:
             response, note = f"(backend failure: {reply})", f"the {role} backend failed to respond"
         else:
             try:
-                _reply_code(reply)
+                source = _reply_code(reply)
             except NoCodeBlock:
                 response = reply
                 note = "the completion did not contain a fenced Lean code block"
             else:
                 self.tree.record_reply(node.id, role, prompt, reply)
+                self._sources[node.id] = source
                 node.status = awaiting
                 return None
         self.tree.record_attempt(node.id, role, prompt, response, failed=True)
         return note
+
+    def _persist(self) -> None:
+        """Write the checkpoint journal and flush the run log."""
+        self._checkpoint()
+        if self._run_log is not None:
+            self._run_log.flush()
 
     def _checkpoint(self) -> None:
         if self.checkpoint_path is not None:
@@ -738,4 +905,3 @@ class Orchestrator:
         if self._run_log is None:
             self._run_log = open(self.run_log_path, "a", encoding="utf-8")
         self._run_log.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        self._run_log.flush()

@@ -117,10 +117,11 @@ class ProofTree:
         self._seq = 0
         # The checkpoint file this tree last saved to, the handle that
         # appends to it (opened by the first append), and per node what
-        # that file holds: its fields and the length of its history.
+        # that file holds: its ``_node_key``, its fields and the length
+        # of its history.
         self._journal_path: str | None = None
         self._journal: TextIO | None = None
-        self._written: dict[str, tuple[dict[str, Any], int]] = {}
+        self._written: dict[str, tuple[tuple, dict[str, Any], int]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -545,7 +546,8 @@ class ProofTree:
                 handle.write(_json_line(self.to_dict()))
             os.replace(temp, path)
             self._written = {
-                node.id: (_node_fields(node), len(node.history)) for node in self.nodes.values()
+                node.id: (_node_key(node), _node_fields(node), len(node.history))
+                for node in self.nodes.values()
             }
         self._journal_path = path
 
@@ -560,8 +562,11 @@ class ProofTree:
         None when nothing did; records the new state as written."""
         changes: dict[str, Any] = {}
         for node in self.nodes.values():
-            fields = _node_fields(node)
-            old_fields, written_history = self._written.get(node.id, ({}, 0))
+            node_key = _node_key(node)
+            old_key, old_fields, written_history = self._written.get(node.id, ((), {}, 0))
+            if node_key == old_key and written_history == len(node.history):
+                continue
+            fields = old_fields if node_key == old_key else _node_fields(node)
             change: dict[str, Any] = {}
             changed_fields = {
                 key: value
@@ -574,7 +579,7 @@ class ProofTree:
                 change["history"] = [written_history, node.history[written_history:]]
             if change:
                 changes[node.id] = change
-                self._written[node.id] = (fields, len(node.history))
+                self._written[node.id] = (node_key, fields, len(node.history))
         removed = [node_id for node_id in self._written if node_id not in self.nodes]
         for node_id in removed:
             del self._written[node_id]
@@ -605,6 +610,29 @@ class ProofTree:
                 if pending is not None:
                     _replay(data, pending, number, last=True)
         return cls.from_dict(data)
+
+
+def _node_key(node: ProofNode) -> tuple:
+    """Every value ``_node_fields`` records, as a tuple that is cheaper to
+    build and compare: a save skips the nodes whose key is unchanged."""
+    return (
+        node.parent,
+        node.depth,
+        node.status,
+        node.informal_statement,
+        node.formal,
+        node.name,
+        node.proof_attempt,
+        node.sketch,
+        tuple(node.children),
+        tuple(vars(node.counters).values()),
+        tuple(node.queries),
+        tuple(map(tuple, node.hints)),
+        node.last_failure,
+        node.last_sketch_failure,
+        node.sketch_attempts_total,
+        node.insertion_seq,
+    )
 
 
 def _node_fields(node: ProofNode) -> dict[str, Any]:

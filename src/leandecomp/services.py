@@ -6,13 +6,14 @@ search service. All clients retry transient failures (network errors,
 HTTP 408/429/5xx) with exponential backoff and full jitter, keep total
 requests within 1 + retry budget, and map failures onto the shared
 exception hierarchy. Requests go over the standard library's
-``http.client`` on kept-alive connections, through the proxies the
-environment names.
+``http.client`` on kept-alive connections that every client of the
+process shares, through the proxies the environment names.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import http.client
 import json
 import logging
@@ -138,31 +139,38 @@ def _proxy_headers(proxy: SplitResult) -> dict[str, str]:
     return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode()).decode()}
 
 
-class _RetryingHttp:
-    """Shared retry loop over kept-alive connections: at most 1 + budget
-    requests, backoff with full jitter.
+#: Idle kept-alive connections, one stack per (scheme, host, port,
+#: proxy), shared by every client and thread of the process. A
+#: connection goes back on its stack once its response has been read in
+#: full, unless the response closes it.
+_idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+_idle_lock = threading.Lock()
 
-    Idle connections wait on one stack per (scheme, host, port, proxy),
-    shared by every thread using this object. A connection goes back on
-    its stack once its response has been read in full, unless the
-    response closes it.
-    """
+
+def close_idle_connections() -> None:
+    """Close every idle connection of the process; later requests open
+    new ones."""
+    with _idle_lock:
+        stacks = list(_idle.values())
+        _idle.clear()
+    for stack in stacks:
+        for conn in stack:
+            conn.close()
+
+
+@functools.lru_cache(maxsize=None)
+def _tls() -> ssl.SSLContext:
+    return ssl.create_default_context()
+
+
+class _RetryingHttp:
+    """One client's retry loop over the shared kept-alive connections:
+    at most 1 + budget requests, backoff with full jitter."""
 
     def __init__(self, retries: int, backoff_base: float = 1.0, sleeper=time.sleep):
         self._retries = max(0, retries)
         self._backoff_base = backoff_base
         self._sleep = sleeper
-        self._lock = threading.Lock()
-        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
-        self._tls: ssl.SSLContext | None = None
-
-    def close(self) -> None:
-        """Close every idle connection; later requests open new ones."""
-        with self._lock:
-            idle, self._idle = self._idle, {}
-        for stack in idle.values():
-            for conn in stack:
-                conn.close()
 
     def request(
         self,
@@ -221,8 +229,8 @@ class _RetryingHttp:
             # An http proxy takes the absolute URL as the request target.
             target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
             headers = {**headers, **_proxy_headers(proxy)}
-        with self._lock:
-            idle = self._idle.get(key)
+        with _idle_lock:
+            idle = _idle.get(key)
             conn = idle.pop() if idle else None
         if conn is not None:
             conn.sock.settimeout(timeout)
@@ -241,8 +249,8 @@ class _RetryingHttp:
         if response.will_close:
             conn.close()
         else:
-            with self._lock:
-                self._idle.setdefault(key, []).append(conn)
+            with _idle_lock:
+                _idle.setdefault(key, []).append(conn)
         if 300 <= response.status < 400:
             raise BadResponse(
                 f"{method} {parts.geturl()} was redirected (HTTP {response.status}) "
@@ -261,19 +269,18 @@ class _RetryingHttp:
             conn.close()
             raise
 
-    def _connect(self, scheme, host, port, proxy, timeout) -> http.client.HTTPConnection:
+    @staticmethod
+    def _connect(scheme, host, port, proxy, timeout) -> http.client.HTTPConnection:
         """A new, not yet opened connection to host:port, through an
         http proxy if one is given (tunnelled with CONNECT for https)."""
         if scheme == "http":
             if proxy is not None:
                 host, port = proxy.hostname, proxy.port or 80
             return http.client.HTTPConnection(host, port, timeout=timeout)
-        if self._tls is None:
-            self._tls = ssl.create_default_context()
         if proxy is None:
-            return http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+            return http.client.HTTPSConnection(host, port, timeout=timeout, context=_tls())
         conn = http.client.HTTPSConnection(
-            proxy.hostname, proxy.port or 80, timeout=timeout, context=self._tls
+            proxy.hostname, proxy.port or 80, timeout=timeout, context=_tls()
         )
         conn.set_tunnel(host, port, headers=_proxy_headers(proxy))
         return conn
@@ -292,10 +299,6 @@ class ChatClient:
         self.config = config
         self._request_timeout = request_timeout
         self._http = _RetryingHttp(config.max_remote_retries, backoff_base, sleeper)
-
-    def close(self) -> None:
-        """Close the client's idle connections; later calls open new ones."""
-        self._http.close()
 
     def complete(self, messages: list[tuple[str, str]]) -> str:
         """
@@ -347,10 +350,6 @@ class VerifierClient:
     ):
         self.config = config
         self._http = _RetryingHttp(config.max_retries, backoff_base, sleeper)
-
-    def close(self) -> None:
-        """Close the client's idle connections; later calls open new ones."""
-        self._http.close()
 
     def _post(self, path: str, payload: dict, timeout: float) -> dict:
         url = self.config.url.rstrip("/") + path
@@ -468,10 +467,6 @@ class SearchClient:
     def __init__(self, config: SearchConfig, backoff_base: float = 1.0, sleeper=time.sleep):
         self.config = config
         self._http = _RetryingHttp(config.max_retries, backoff_base, sleeper)
-
-    def close(self) -> None:
-        """Close the client's idle connections; later calls open new ones."""
-        self._http.close()
 
     def search_theorems(self, queries: list[str]) -> list[TheoremHit]:
         """

@@ -691,11 +691,16 @@ class TestRun:
         assert len(restored.root_node().children) == 5
 
     def test_parallel_workers_batch_sibling_work(self):
+        """Sibling proofs whose Proves one dispatch pass started share a
+        verify request: at four workers the first four subgoals go
+        together, and the fifth, whose Prove started once a slot freed,
+        goes alone."""
         orch, prover = self.infinitude_orchestrator(workers=4)
         outcome = orch.run()
         assert outcome.success
         assert prover.calls == 6
-        assert 5 in orch.verifier.batch_sizes  # sibling proofs verified in one batch
+        # the root's proof, its sketch, four siblings, the fifth, the final check
+        assert sorted(orch.verifier.batch_sizes) == [1, 1, 1, 1, 4]
 
     def test_resume_from_checkpoint(self, tmp_path):
         limits = Limits(prover_self_correction=1, prover_max_pass=1)
@@ -883,7 +888,14 @@ class TestCheckpointJournal:
 GOLDEN_HARD = frozenset({"tst", "tst_a", "tst_a_a"})
 
 
-def golden_run(tree=None, checkpoint_path=None, hard=GOLDEN_HARD, decomposer=None, ast_client=None):
+def golden_run(
+    tree=None,
+    checkpoint_path=None,
+    hard=GOLDEN_HARD,
+    decomposer=None,
+    ast_client=None,
+    run_log_path=None,
+):
     """Run the journal scenario serially; returns (outcome, backends)."""
     backends = journal_backends(hard)
     if decomposer is not None:
@@ -895,6 +907,7 @@ def golden_run(tree=None, checkpoint_path=None, hard=GOLDEN_HARD, decomposer=Non
         ast_client=ast_client or BuilderAst(),
         search_client=ScriptedSearch(),
         checkpoint_path=checkpoint_path,
+        run_log_path=run_log_path,
     ).run()
     return outcome, backends
 
@@ -916,6 +929,19 @@ def stored_conversations(path) -> dict[str, dict[str, list]]:
             for agent, (start, turns) in node_change.get("conversations", {}).items():
                 agents[agent] = agents.get(agent, [])[:start] + turns
     return stored
+
+
+class TestSerialSchedule:
+    def test_one_worker_keeps_the_recorded_action_sequence(self, tmp_path):
+        """At one worker the journal scenario dispatches exactly the
+        (node, action, outcome) sequence recorded from the scheduler that
+        ran every action on the coordinator (fixture written by it)."""
+        log = tmp_path / "run.jsonl"
+        outcome, _ = golden_run(run_log_path=log)
+        assert outcome.success
+        entries = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        recorded = json.loads((FIXTURES / "serial_schedule.json").read_text(encoding="utf-8"))
+        assert [[e["node"], e["action"], e["outcome"]] for e in entries] == recorded
 
 
 class TestDerivedConversations:
@@ -1107,3 +1133,157 @@ class TestRunResources:
             crashed, tree=ProofTree.load(crashed / "checkpoint.json")
         )
         assert expected.success and resumed == expected
+
+
+# ------------------------------------------------------ completion scheduler
+
+
+class GatedChat:
+    """Answers like ``inner``, but a call about theorem ``name`` first
+    sets ``started[name]`` and then waits until ``gates[name]`` is set."""
+
+    def __init__(self, inner, names):
+        self.inner = inner
+        self.started = {name: threading.Event() for name in names}
+        self.gates = {name: threading.Event() for name in names}
+
+    def complete(self, messages):
+        text = "\n".join(content for _, content in messages)
+        for name, gate in self.gates.items():
+            if f"theorem {name} :" in text:
+                self.started[name].set()
+                assert gate.wait(timeout=10), f"the call about {name} was never released"
+        return self.inner.complete(messages)
+
+
+class BatchRecordingVerifier(RuleVerifier):
+    def __init__(self):
+        super().__init__()
+        self.batches: list[list[str]] = []
+
+    def verify_batch(self, codes, timeout: float = 300.0):
+        self.batches.append(list(codes))
+        return super().verify_batch(codes, timeout)
+
+
+class HookedOrchestrator(Orchestrator):
+    """Calls ``on_dispatch(self, action)`` after every dispatched action,
+    and ``on_wait(self)`` whenever the coordinator is about to wait for
+    a call to land."""
+
+    def __init__(self, *args, on_dispatch=None, on_wait=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.on_dispatch = on_dispatch or (lambda orch, action: None)
+        self.on_wait = on_wait or (lambda orch: None)
+
+    def dispatch(self, action):
+        outcome = super().dispatch(action)
+        self.on_dispatch(self, action)
+        return outcome
+
+    def _apply_landed(self):
+        self.on_wait(self)
+        return super()._apply_landed()
+
+
+def named(tree: ProofTree, name: str):
+    return next((node for node in tree.nodes.values() if node.name == name), None)
+
+
+class TestCompletionScheduler:
+    """Two workers over the journal scenario, with some calls held back
+    by events, so that the order in which results land is fixed."""
+
+    @staticmethod
+    def orchestrator(hard, role, gated, directory=None, **hooks):
+        """Returns the orchestrator and the gated backend of ``role``."""
+        backends = journal_backends(hard)
+        chat = backends[role] = GatedChat(backends[role], gated)
+        if "tst_a" in gated and "tst_b" in gated:
+            # tst_a's call answers only once tst_b's is in flight
+            chat.gates["tst_a"] = chat.started["tst_b"]
+        orch = HookedOrchestrator(
+            formal_tree(limits=JOURNAL_LIMITS),
+            backends=backends,
+            verifier=BatchRecordingVerifier(),
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=2,
+            run_log_path=None if directory is None else directory / "run.jsonl",
+            checkpoint_path=None if directory is None else directory / "checkpoint.json",
+            **hooks,
+        )
+        return orch, chat
+
+    def test_siblings_dispatched_together_share_a_verify_request(self):
+        """The prover's reply for tst_a is held until tst_b's reply has
+        been applied and the coordinator waits again; tst_b's Verify
+        waits for it, and both go in one request."""
+
+        def on_wait(orch):
+            sibling = named(orch.tree, "tst_b")
+            if sibling is not None and sibling.status is NodeStatus.AWAITING_VERIFICATION:
+                prover.gates["tst_a"].set()
+
+        orch, prover = self.orchestrator(frozenset({"tst"}), "prover", ["tst_a"], on_wait=on_wait)
+        assert orch.run().success
+        verified = [
+            {name for name in ("tst_a", "tst_b") if any(f"theorem {name} :" in u for u in batch)}
+            for batch in orch.verifier.batches
+        ]
+        assert {"tst_a", "tst_b"} in verified
+        assert {"tst_a"} not in verified and {"tst_b"} not in verified
+
+    def test_deeper_prove_starts_while_a_sibling_of_its_parent_sketches(self):
+        """tst_b's decomposer call is held; tst_a's subgoals are
+        dispatched for proof meanwhile, and that releases it."""
+        seen = []
+
+        def on_dispatch(orch, action):
+            if action.kind is ActionKind.PROVE and orch.tree.node(action.node_id).depth == 2:
+                gate = decomposer.gates["tst_b"]
+                seen.append(decomposer.started["tst_b"].is_set() and not gate.is_set())
+                gate.set()
+
+        hard = frozenset({"tst", "tst_a", "tst_b"})
+        orch, decomposer = self.orchestrator(
+            hard, "decomposer", ["tst_a", "tst_b"], on_dispatch=on_dispatch
+        )
+        assert orch.run().success
+        assert seen and seen[0], "a depth-2 Prove waited for tst_b's decomposer call"
+
+    def test_a_reply_for_a_pruned_node_is_dropped(self, tmp_path):
+        """tst_b's decomposer call is in flight when tst_a_a overflows the
+        depth limit and the root's subtree is pruned; its reply is then
+        released, and nothing of it is recorded."""
+        pruned_in_flight = []
+
+        def on_dispatch(orch, action):
+            if action.kind is ActionKind.BACKTRACK:
+                gate = decomposer.gates["tst_b"]
+                pruned_in_flight.append(decomposer.started["tst_b"].is_set() and not gate.is_set())
+                gate.set()
+
+        hard = frozenset({"tst", "tst_a", "tst_b", "tst_a_a"})
+        orch, decomposer = self.orchestrator(
+            hard, "decomposer", ["tst_a", "tst_b"], tmp_path, on_dispatch=on_dispatch
+        )
+        assert orch.run().success
+        assert pruned_in_flight == [True]
+        dropped = next(r for r in decomposer.inner.replies if "theorem tst_b :" in r)
+        orch.tree.validate()
+        assert not any(
+            entry.get("response") == dropped
+            for node in orch.tree.nodes.values()
+            for entry in node.history
+        )
+        assert json.dumps(dropped, ensure_ascii=False) not in (
+            tmp_path / "checkpoint.json"
+        ).read_text(encoding="utf-8")
+        restored = ProofTree.load(tmp_path / "checkpoint.json")
+        restored.validate()
+        assert restored.to_dict() == orch.tree.to_dict()
+        entries = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
+        assert {"action": "Sketch", "outcome": "pruned"} in [
+            {"action": e["action"], "outcome": e["outcome"]} for e in entries
+        ]

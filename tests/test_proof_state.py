@@ -469,6 +469,42 @@ class TestCheckpoint:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
         assert ProofTree.load(path).node(node.id) == node
 
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(ProofNode) if f.name not in ("id", "history")],
+    )
+    def test_a_change_to_any_one_field_is_appended(self, tmp_path, field):
+        """A save appends a node whose only change is one field, so the
+        cheap comparison that lets a save skip unchanged nodes covers
+        every field."""
+        tree = sketch_tree()
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        node = tree.node(tree.root_node().children[0])
+        changed = {
+            "parent": "n9999",
+            "depth": 7,
+            "status": NodeStatus.PROVEN,
+            "informal_statement": "informal",
+            "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
+            "name": "renamed",
+            "proof_attempt": "theorem x : True := by\n  trivial",
+            "sketch": "theorem x : True := by\n  sorry",
+            "children": ["n9998"],
+            "counters": Counters(0, 0, 0, 0, 1),
+            "queries": ["q"],
+            "hints": [("Nat.foo", "theorem Nat.foo : True")],
+            "last_failure": "failure",
+            "last_sketch_failure": "sketch failure",
+            "sketch_attempts_total": 3,
+            "insertion_seq": 9,
+        }[field]
+        setattr(node, field, changed)
+        tree.save(path)
+        tree.close()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+        assert getattr(ProofTree.load(path).node(node.id), field) == getattr(node, field)
+
     def test_version_3_formalization_awaiting_its_syntax_check(self):
         """The ``pending_*`` reply of a version-3 node becomes the round
         awaiting its check, and the check verifies the statement the

@@ -3,7 +3,6 @@ import logging
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 
 import pytest
 
@@ -22,6 +21,7 @@ from leandecomp.services import (
     VerifierClient,
     VerifierConfig,
     _RetryingHttp,
+    close_idle_connections,
 )
 from tests.ast_builder import build_sketch_payload
 from tests.http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
@@ -280,6 +280,7 @@ class TestSearchClient:
 def keep_alive_service():
     with FakeService(keep_alive=True) as fake:
         yield fake
+    close_idle_connections()
 
 
 @pytest.fixture
@@ -300,23 +301,40 @@ def echo_chat(fake):
 class TestConnectionReuse:
     def test_sequential_calls_share_one_connection(self, keep_alive_service):
         echo_chat(keep_alive_service)
-        with closing(make_chat_client(keep_alive_service)) as client:
-            assert [client.complete([("user", f"q{i}")]) for i in range(3)] == ["q0", "q1", "q2"]
-            assert keep_alive_service.request_count() == 3
-            assert keep_alive_service.connections == 1
-            client.close()
-            assert client.complete([("user", "after close")]) == "after close"
+        client = make_chat_client(keep_alive_service)
+        assert [client.complete([("user", f"q{i}")]) for i in range(3)] == ["q0", "q1", "q2"]
+        assert keep_alive_service.request_count() == 3
+        assert keep_alive_service.connections == 1
+        close_idle_connections()
+        assert client.complete([("user", "after close")]) == "after close"
         assert keep_alive_service.connections == 2
+
+    def test_every_client_shares_the_idle_connections(self, keep_alive_service):
+        """Five chat clients, the Lean client and the search client,
+        called in turn against one server, use one connection."""
+        fake = keep_alive_service
+        echo_chat(fake)
+        fake.route("POST", "/api/check", verifier_route(lambda code: []))
+        fake.route("GET", "/api/v1/search", search_results_route({}))
+        chats = [make_chat_client(fake) for _ in range(5)]
+        lean = make_verifier(fake)
+        search = SearchClient(SearchConfig(url=fake.base_url + "/api/v1"), backoff_base=0)
+        for number, chat in enumerate(chats):
+            assert chat.complete([("user", f"c{number}")]) == f"c{number}"
+        assert lean.verify_code("theorem t : True := trivial").complete
+        assert search.search_theorems(["q"]) == []
+        assert fake.request_count() == 7
+        assert fake.connections == 1
 
     def test_server_closed_idle_connection_is_replaced_within_one_attempt(
         self, keep_alive_service, caplog
     ):
         echo_chat(keep_alive_service)
-        with closing(make_chat_client(keep_alive_service, retries=0)) as client:
-            assert client.complete([("user", "first")]) == "first"
-            keep_alive_service.drop_connections()
-            with caplog.at_level(logging.WARNING, logger="leandecomp.services"):
-                assert client.complete([("user", "second")]) == "second"
+        client = make_chat_client(keep_alive_service, retries=0)
+        assert client.complete([("user", "first")]) == "first"
+        keep_alive_service.drop_connections()
+        with caplog.at_level(logging.WARNING, logger="leandecomp.services"):
+            assert client.complete([("user", "second")]) == "second"
         assert keep_alive_service.request_count() == 2
         assert keep_alive_service.connections == 2
         assert not caplog.records
@@ -327,7 +345,7 @@ class TestConnectionReuse:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with closing(client), ThreadPoolExecutor(max_workers=4) as pool:
+            with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = {
                     pool.submit(client.complete, [("user", f"m{i}")]): f"m{i}" for i in range(40)
                 }
