@@ -13,28 +13,30 @@ grandparent-or-higher ancestor with remaining budget is pruned and
 re-decomposed with the alternative-strategy prompts.
 
 Every remote call (each chat role, each verify request, AST export and
-theorem search) runs on one worker pool that lives as long as the run,
-with at most ``workers`` calls in flight. The coordinator prepares each
-call, applies each result as it lands, writes the checkpoint journal
-once per wake-up and dispatches again, so all tree mutations happen on
-the coordinator and the subtrees of a sketch advance independently. A
-node whose call is in flight is not ready; a result for a node that a
-backtrack pruned, or one that lands after the run has failed, is
-dropped. Verify actions coalesce: a reply is not verified while a
-Prove of its own dispatch pass is in flight, and then the ready
+theorem search) runs on one of at most ``workers`` threads that live as
+long as the run, with at most ``workers`` calls in flight: a dispatched
+call goes onto one queue, a worker makes it and puts its result on a
+second queue, which the coordinator waits on. The coordinator prepares
+each call, applies each result as it lands, writes the checkpoint
+journal once per wake-up and dispatches again, so all tree mutations
+happen on the coordinator and the subtrees of a sketch advance
+independently. A node whose call is in flight is not ready; a result
+for a node that a backtrack pruned, or one that lands after the run has
+failed, is dropped. Verify actions coalesce: a reply is not verified
+while a Prove of its own dispatch pass is in flight, and then the ready
 Verifies at its depth share one request; with nothing else in flight
 only those of its pass do, which keeps the order of a single worker.
 """
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
-from queue import SimpleQueue
+from json.encoder import encode_basestring
+from queue import Empty, SimpleQueue
 from typing import Any, Callable, Mapping, TextIO
 
 from .agents import (
@@ -225,7 +227,7 @@ def next_action(
 
 @dataclass
 class _Call:
-    """The remote half of an action. ``remote`` runs on a pool thread;
+    """The remote half of an action. ``remote`` runs on a worker thread;
     a Lean check names its unit as ``unit`` instead, so that Verify
     actions can share one request. ``apply`` takes the result on the
     coordinator and returns the Outcome when the action ends the run."""
@@ -248,8 +250,9 @@ class Orchestrator:
     ``ast_client`` exports sketch ASTs (one VerifierClient does both),
     ``search_client`` retrieves hint theorems (both optional until
     decomposition is reached). ``run`` keeps up to ``workers`` remote
-    calls in flight; ``workers=1`` makes one call at a time, in the
-    order of ``next_action``.
+    calls in flight on as many worker threads, started as calls need
+    them and joined when the run ends; ``workers=1`` makes one call at
+    a time, in the order of ``next_action``.
     """
 
     def __init__(
@@ -279,15 +282,17 @@ class Orchestrator:
         # reply arrived; a resumed run parses it again from the history.
         self._sources: dict[str, LeanSource] = {}
         self._failure_reason: str | None = None
-        # Held only while ``run`` executes: the pool, the run log, the
-        # calls dispatch started and the run loop has yet to submit, the
-        # calls in flight with their dispatch pass, the queue they land
-        # on, and the dispatch pass of each reply awaiting its Verify.
-        self._pool: ThreadPoolExecutor | None = None
+        # Held only while ``run`` executes: the worker threads, the queue
+        # of groups for them to take and the queue their results land on,
+        # the run log, the calls dispatch started and the run loop has yet
+        # to queue, the groups in flight (by identity) with their dispatch
+        # pass, and the dispatch pass of each reply awaiting its Verify.
+        self._workers: list[threading.Thread] = []
+        self._work: SimpleQueue | None = None
+        self._landed: SimpleQueue | None = None
         self._run_log: TextIO | None = None
         self._started: _Group | None = None
-        self._inflight: dict[Future, tuple[int, _Group]] = {}
-        self._landed: SimpleQueue | None = None
+        self._inflight: dict[int, tuple[int, _Group]] = {}
         self._reply_pass: dict[str, int] = {}
         self._passes = 0
 
@@ -298,12 +303,13 @@ class Orchestrator:
 
         Each wake-up applies the results that landed and dispatches
         again; the checkpoint journal and the run log are written before
-        the coordinator waits. The worker pool, the run-log handle and
+        the coordinator waits. The worker threads, the run-log handle and
         the checkpoint journal handle are released when the run returns
-        or raises; calls still in flight are waited for and dropped.
+        or raises, even when that last journal write fails; calls still
+        in flight are waited for and dropped, and queued calls no worker
+        has taken are never made.
         """
-        self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        self._landed = SimpleQueue()
+        self._work, self._landed = SimpleQueue(), SimpleQueue()
         self._started = []
         try:
             outcome = self._dispatch_ready()
@@ -312,22 +318,24 @@ class Orchestrator:
                 outcome = self._apply_landed() or self._dispatch_ready()
             return outcome
         finally:
-            self._persist()
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = self._landed = self._started = None
-            self._inflight.clear()
-            self._reply_pass.clear()
-            if self._run_log is not None:
-                self._run_log.close()
-                self._run_log = None
-            self.tree.close()
+            try:
+                self._persist()
+            finally:
+                self._stop_workers()
+                self._work = self._landed = self._started = None
+                self._inflight.clear()
+                self._reply_pass.clear()
+                if self._run_log is not None:
+                    self._run_log.close()
+                    self._run_log = None
+                self.tree.close()
 
     def dispatch(self, action: Action) -> Outcome | None:
         """Execute one action; returns the final Outcome when the
         action terminates the run (Finish or Reconstruct), else None.
 
         While ``run`` drives, an action's remote call is left for the run
-        loop to start on the pool, and its result is applied when it
+        loop to hand to a worker, and its result is applied when it
         lands; otherwise the call is made and applied here.
         """
         kind = action.kind
@@ -376,10 +384,40 @@ class Orchestrator:
                     self._log(action, None)
             if self._started:
                 group, self._started = self._started, []
-                future = self._pool.submit(self._remote, [call for _, call in group])
-                self._inflight[future] = (self._passes, group)
-                future.add_done_callback(self._landed.put)
+                self._inflight[id(group)] = (self._passes, group)
+                self._work.put(group)
+                if len(self._workers) < len(self._inflight):
+                    worker = threading.Thread(
+                        target=self._serve, args=(self._work, self._landed), daemon=True
+                    )
+                    worker.start()
+                    self._workers.append(worker)
         return None
+
+    def _serve(self, work: SimpleQueue, landed: SimpleQueue) -> None:
+        """A worker thread: makes the request of each group it takes and
+        puts the group with its results, or the exception the request
+        raised, where the coordinator waits. Stops at None."""
+        for group in iter(work.get, None):
+            try:
+                results = self._remote([call for _, call in group])
+            except BaseException as exc:
+                results = exc
+            landed.put((group, results))
+
+    def _stop_workers(self) -> None:
+        """Take back the groups no worker has taken, then stop every
+        worker once its call in flight returns, and join it."""
+        try:
+            while True:
+                self._work.get_nowait()
+        except Empty:
+            pass
+        for _ in self._workers:
+            self._work.put(None)
+        for worker in self._workers:
+            worker.join()
+        self._workers.clear()
 
     def _not_ready(self) -> frozenset[str]:
         """Nodes whose call is in flight, and those whose reply waits
@@ -419,7 +457,7 @@ class Orchestrator:
         return [Action(ActionKind.VERIFY, node.id) for node in peers]
 
     def _remote(self, calls: list[_Call]) -> list:
-        """The request of a group, made on a pool thread: one Lean check
+        """The request of a group, made on a worker thread: one Lean check
         of the calls' units, or the group's single call."""
         if calls[0].unit is None:
             return [calls[0].remote()]
@@ -433,15 +471,13 @@ class Orchestrator:
         landed = [self._landed.get()]
         while not self._landed.empty():
             landed.append(self._landed.get_nowait())
-        error: Exception | None = None
-        for future in landed:
-            pass_, group = self._inflight.pop(future)
+        error: BaseException | None = None
+        for group, results in landed:
+            pass_, _ = self._inflight.pop(id(group))
             if self.tree.root_node().status is NodeStatus.FAILED:
                 continue
-            try:
-                results = future.result()
-            except Exception as exc:
-                error = error or exc
+            if isinstance(results, BaseException):
+                error = error or results
                 continue
             for (action, call), result in zip(group, results):
                 if action.node_id not in self.tree.nodes:
@@ -896,12 +932,12 @@ class Orchestrator:
             result = self.tree.node(action.node_id).status.value
         else:
             result = "pruned"
-        entry = {
-            "ts": datetime.now(timezone.utc).isoformat(),
-            "node": action.node_id,
-            "action": action.kind.value,
-            "outcome": result,
-        }
+        # The line json.dumps(..., ensure_ascii=False) would write; only
+        # the node id can need escaping (timestamps and enum values never do).
+        node = "null" if action.node_id is None else encode_basestring(action.node_id)
         if self._run_log is None:
             self._run_log = open(self.run_log_path, "a", encoding="utf-8")
-        self._run_log.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        self._run_log.write(
+            f'{{"ts": "{datetime.now(timezone.utc).isoformat()}", "node": {node}, '
+            f'"action": "{action.kind.value}", "outcome": "{result}"}}\n'
+        )

@@ -667,8 +667,13 @@ def _verdict(verdict: VerificationResult | None, failed: bool) -> dict[str, Any]
     return {"failed": failed, "verdict": judged}
 
 
+#: Encodes every snapshot and journal line; json.dumps with these
+#: options would build a new encoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def _json_line(data: dict[str, Any]) -> str:
-    return json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(data) + "\n"
 
 
 def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:

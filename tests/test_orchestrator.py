@@ -4,7 +4,9 @@ import json
 import re
 import shutil
 import threading
+import time
 from collections import Counter
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -944,6 +946,40 @@ class TestSerialSchedule:
         assert [[e["node"], e["action"], e["outcome"]] for e in entries] == recorded
 
 
+class TestRunLogFormat:
+    def test_every_line_is_the_json_of_its_four_fields(self, tmp_path):
+        """Each run.jsonl line of the journal scenario holds ts, node,
+        action and outcome, in that order, with an ISO-8601 UTC time,
+        byte-equal to what json.dumps writes for it."""
+        log = tmp_path / "run.jsonl"
+        outcome, _ = golden_run(run_log_path=log)
+        assert outcome.success
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines
+        for line in lines:
+            entry = json.loads(line)
+            assert list(entry) == ["ts", "node", "action", "outcome"]
+            assert datetime.fromisoformat(entry["ts"]).utcoffset() == timedelta(0)
+            assert line == json.dumps(entry, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("node_id", [None, 'n"1\\2', "nα\n\t\x01"])
+    def test_a_node_id_is_escaped_as_json_escapes_it(self, tmp_path, node_id):
+        log = tmp_path / "run.jsonl"
+        orch = make_orchestrator(formal_tree(), run_log_path=log)
+        try:
+            orch._log(Action(ActionKind.BACKTRACK, node_id), None)
+        finally:
+            orch._run_log.close()
+        (line,) = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        entry = json.loads(line)
+        assert entry["node"] == node_id and entry["outcome"] == "pruned"
+        assert line == json.dumps(entry, ensure_ascii=False) + "\n"
+
+    def test_enum_values_need_no_escaping(self):
+        for value in [kind.value for kind in ActionKind] + [s.value for s in NodeStatus]:
+            assert json.dumps(value, ensure_ascii=False) == f'"{value}"'
+
+
 class TestDerivedConversations:
     def test_backends_receive_the_golden_messages(self, tmp_path):
         """The prover, decomposer and search-query backends receive
@@ -1135,6 +1171,40 @@ class TestRunResources:
         assert expected.success and resumed == expected
 
 
+class TestFailedFinalWrite:
+    def test_workers_and_handles_are_released_when_the_last_save_fails(
+        self, tmp_path, opened
+    ):
+        """The journal write after the run has finished raises; run()
+        raises it, with every worker stopped and both handles closed."""
+        tree = formal_tree(limits=JOURNAL_LIMITS)
+        save = tree.save
+
+        def failing_save(path):
+            if tree.root_node().status is NodeStatus.PROVEN:
+                raise OSError("no space left on device")
+            save(path)
+
+        tree.save = failing_save
+        before = set(threading.enumerate())
+        orch = Orchestrator(
+            tree,
+            backends=journal_backends(GOLDEN_HARD),
+            verifier=RuleVerifier(),
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=3,
+            run_log_path=tmp_path / "run.jsonl",
+            checkpoint_path=tmp_path / "checkpoint.json",
+        )
+        with pytest.raises(OSError, match="no space left"):
+            orch.run()
+        assert not [thread for thread in threading.enumerate() if thread not in before]
+        names = {Path(handle.name).name for handle in opened}
+        assert {"checkpoint.json", "run.jsonl"} <= names
+        assert all(handle.closed for handle in opened)
+
+
 # ------------------------------------------------------ completion scheduler
 
 
@@ -1287,3 +1357,82 @@ class TestCompletionScheduler:
         assert {"action": "Sketch", "outcome": "pruned"} in [
             {"action": e["action"], "outcome": e["outcome"]} for e in entries
         ]
+
+
+
+class Recorded:
+    """Proxies ``inner``, appending the name of every method called on
+    it to ``calls`` as the call starts."""
+
+    def __init__(self, inner, calls: list[str]):
+        self.inner = inner
+        self.calls = calls
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return recorded
+
+
+class TestHandOffUnderFailure:
+    def test_an_outage_waits_for_the_held_call_and_drops_its_reply(self, tmp_path):
+        """Two workers. tst_a_a's prover call is held in flight when a
+        verify request fails; run() raises the outage, and the held call
+        is released only as the run stops its workers. Its reply is
+        waited for and dropped, and nothing is called after the outage."""
+        calls: list[str] = []
+        backends = journal_backends(frozenset({"tst", "tst_a", "tst_b"}))
+        answers = backends["prover"]
+
+        class LateAnswer:
+            """Takes a moment to answer once released, so that a run
+            that does not wait for its workers returns first."""
+
+            def complete(self, messages):
+                if held.is_set():
+                    time.sleep(0.05)
+                return answers.complete(messages)
+
+        prover = GatedChat(LateAnswer(), ["tst_a_a"])
+        held = prover.gates["tst_a_a"]
+
+        class HeldCallOutage(RuleVerifier):
+            def verify_batch(self, codes, timeout: float = 300.0):
+                if prover.started["tst_a_a"].is_set() and not held.is_set():
+                    calls.append("outage")
+                    raise ServiceUnavailable("verifier scripted as unavailable")
+                return super().verify_batch(codes, timeout)
+
+        class ReleasingOrchestrator(Orchestrator):
+            def _stop_workers(self):
+                held.set()
+                super()._stop_workers()
+
+        backends = {role: Recorded(chat, calls) for role, chat in backends.items()}
+        backends["prover"] = Recorded(prover, calls)
+        orch = ReleasingOrchestrator(
+            formal_tree(limits=JOURNAL_LIMITS),
+            backends=backends,
+            verifier=Recorded(HeldCallOutage(), calls),
+            ast_client=Recorded(BuilderAst(), calls),
+            search_client=Recorded(ScriptedSearch(), calls),
+            workers=2,
+            checkpoint_path=tmp_path / "checkpoint.json",
+        )
+        before = set(threading.enumerate())
+        with pytest.raises(ServiceUnavailable):
+            orch.run()
+        assert not [thread for thread in threading.enumerate() if thread not in before]
+        assert calls.count("outage") == 1
+        assert calls[calls.index("outage") + 1 :] == []
+        reply = next(r for r in answers.replies if "theorem tst_a_a :" in r)
+        node = named(orch.tree, "tst_a_a")
+        assert node is not None and node.status is NodeStatus.AWAITING_PROOF
+        assert not any(entry.get("response") == reply for entry in node.history)
+        assert json.dumps(reply, ensure_ascii=False) not in (
+            tmp_path / "checkpoint.json"
+        ).read_text(encoding="utf-8")
