@@ -203,7 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     except LeandecompError as exc:
         # Infrastructure died mid-run; the last checkpoint is already on
         # disk, so the run can be resumed once the service is back.
-        tree.save(out_dir / "checkpoint.json")
         report = f"proof search aborted: {exc}\nresume with --resume {out_dir / 'checkpoint.json'}"
         (out_dir / "diagnostic.txt").write_text(report + "\n", encoding="utf-8")
         print(report, file=sys.stderr)

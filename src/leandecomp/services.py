@@ -7,7 +7,8 @@ HTTP 408/429/5xx) with exponential backoff and full jitter, keep total
 requests within 1 + retry budget, and map failures onto the shared
 exception hierarchy. Requests go over the standard library's
 ``http.client`` on kept-alive connections that every client of the
-process shares, through the proxies the environment names.
+process shares, through the proxies the environment names when a
+client first contacts a host.
 """
 
 from __future__ import annotations
@@ -171,6 +172,19 @@ class _RetryingHttp:
         self._retries = max(0, retries)
         self._backoff_base = backoff_base
         self._sleep = sleeper
+        self._routes: dict[tuple[str, str], tuple[tuple, dict[str, str] | None]] = {}
+
+    def _route(self, parts: SplitResult) -> tuple[tuple, dict[str, str] | None]:
+        """The idle-connection key for ``parts``' host and the headers of
+        the http proxy that forwards requests there (None if none does),
+        read on the first request to the host. A rejected proxy is not kept."""
+        route = self._routes.get((parts.scheme, parts.netloc))
+        if route is None:
+            proxy = _proxy_for(parts)
+            key = (parts.scheme, parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme], proxy)
+            headers = _proxy_headers(proxy) if proxy is not None and parts.scheme == "http" else None
+            route = self._routes[parts.scheme, parts.netloc] = (key, headers)
+        return route
 
     def request(
         self,
@@ -222,13 +236,10 @@ class _RetryingHttp:
         """One attempt. A kept-alive connection that turns out to be
         closed before any response byte arrives is replaced by a fresh
         one once, without counting as an attempt."""
-        proxy = _proxy_for(parts)
-        port = parts.port or _DEFAULT_PORTS[parts.scheme]
-        key = (parts.scheme, parts.hostname, port, proxy)
-        if proxy is not None and parts.scheme == "http":
-            # An http proxy takes the absolute URL as the request target.
+        key, proxy_headers = self._route(parts)
+        if proxy_headers is not None:  # an http proxy takes the absolute URL as the target
             target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
-            headers = {**headers, **_proxy_headers(proxy)}
+            headers = {**headers, **proxy_headers}
         with _idle_lock:
             idle = _idle.get(key)
             conn = idle.pop() if idle else None
@@ -239,7 +250,7 @@ class _RetryingHttp:
             except ConnectionError:
                 conn = None  # closed while idle; the fresh connection below is the attempt
         if conn is None:
-            conn = self._connect(parts.scheme, parts.hostname, port, proxy, timeout)
+            conn = self._connect(*key, timeout)
             response = self._start(conn, method, target, body, headers)
         try:
             data = response.read()

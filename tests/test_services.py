@@ -1,7 +1,9 @@
 import base64
 import logging
+import socket
 import sys
 import threading
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -399,6 +401,70 @@ class TestProxies:
                 http.request("GET", "https://search.test:8443/api/v1/search", timeout=5)
         (seen,) = proxy.requests
         assert (seen.method, seen.target) == ("CONNECT", "search.test:8443")
+
+    def test_unsupported_proxy_fails_every_request_without_connecting(
+        self, service, proxy_env, monkeypatch
+    ):
+        opened = []
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **k: opened.append(a))
+        proxy_env.setenv("http_proxy", "socks5://127.0.0.1:1080")
+        http = _RetryingHttp(3, backoff_base=0)
+        for _ in range(2):
+            with pytest.raises(ServiceUnavailable, match="unsupported proxy 'socks5://127.0.0.1:1080'"):
+                http.request("POST", service.base_url + "/v1/chat/completions", payload={}, timeout=5)
+        assert opened == []
+        assert service.request_count() == 0
+
+
+@pytest.fixture
+def environment_lookups(monkeypatch):
+    """Counts of ``getproxies`` calls and of the ``getproxies_environment``
+    calls that ``proxy_bypass`` makes."""
+    calls = {"getproxies": 0, "getproxies_environment": 0}
+    for name in calls:
+        original = getattr(urllib.request, name)
+
+        def counted(original=original, name=name):
+            calls[name] += 1
+            return original()
+
+        monkeypatch.setattr(urllib.request, name, counted)
+    return calls
+
+
+class TestRouteResolution:
+    """A client reads the proxy variables when it first contacts a host."""
+
+    def test_direct_route_is_resolved_once(self, service, proxy_env, environment_lookups):
+        echo_chat(service)
+        client = make_chat_client(service)
+        assert [client.complete([("user", f"d{i}")]) for i in range(3)] == ["d0", "d1", "d2"]
+        assert service.request_count() == 3
+        assert environment_lookups == {"getproxies": 1, "getproxies_environment": 0}
+
+    def test_proxy_route_is_resolved_once(self, service, proxy_env, environment_lookups):
+        with FakeService() as proxy:
+            echo_chat(proxy)
+            proxy_env.setenv("http_proxy", proxy.base_url.replace("://", "://user:pw@"))
+            client = make_chat_client(service)
+            assert [client.complete([("user", f"p{i}")]) for i in range(3)] == ["p0", "p1", "p2"]
+        assert service.request_count() == 0
+        assert [seen.target for seen in proxy.requests] == [service.base_url + "/v1/chat/completions"] * 3
+        credentials = "Basic " + base64.b64encode(b"user:pw").decode()
+        assert all(seen.headers["Proxy-Authorization"] == credentials for seen in proxy.requests)
+        assert environment_lookups == {"getproxies": 1, "getproxies_environment": 1}
+
+    def test_a_client_keeps_the_route_it_resolved_first(self, service, proxy_env):
+        echo_chat(service)
+        early = make_chat_client(service)
+        assert early.complete([("user", "direct")]) == "direct"
+        with FakeService() as proxy:
+            echo_chat(proxy)
+            proxy_env.setenv("http_proxy", proxy.base_url)
+            assert make_chat_client(service).complete([("user", "proxied")]) == "proxied"
+            assert early.complete([("user", "still direct")]) == "still direct"
+        assert [seen.body["messages"][-1]["content"] for seen in proxy.requests] == ["proxied"]
+        assert service.request_count() == 2
 
 
 class TestResponses:
