@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import AnonymousSorry, MalformedAst
-from .lean_source import CanonicalPreamble
 
 #: Syntax kinds marking a ``have`` tactic and its name.
 HAVE_KINDS = frozenset({"Lean.Parser.Tactic.tacticHave_", "Lean.Parser.Term.have"})
@@ -230,13 +229,3 @@ def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
         earlier.add(name)
     return subgoals
 
-
-def get_named_subgoal_code(subgoal: Subgoal, preamble: CanonicalPreamble) -> str:
-    """
-    Render one subgoal as a complete, self-contained Lean unit: the
-    canonical preamble plus a sorry-proved theorem named after the
-    subgoal, whose hypotheses are the subgoal's context binders.
-    """
-    return preamble.text + "\n\n" + _render_statement(
-        subgoal.name, subgoal.context_binders, subgoal.goal_type
-    )

@@ -103,9 +103,7 @@ def validate_formal_input(code: str) -> LeanSource:
         raise MissingDeclaration(
             "formal input contains a header but no theorem declaration"
         )
-    return LeanSource(
-        preamble=normalize_preamble(source.preamble).text, body=source.body.strip()
-    )
+    return LeanSource(preamble=normalize_preamble(source.preamble), body=source.body.strip())
 
 
 def _setup_logging(verbosity: int) -> None:
@@ -208,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         print(report, file=sys.stderr)
         return EXIT_PROOF_FAILURE
     finally:
-        tree.close()
         close_idle_connections()
 
     if outcome.success:

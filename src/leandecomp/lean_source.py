@@ -2,14 +2,16 @@
 
 Covers the operations the proving pipeline needs without a real Lean
 parser: splitting a unit into preamble and body, normalizing preambles,
-pulling tactic bodies out of declarations, splicing sub-proofs into
-sketch placeholders, and counting ``sorry`` tokens. Everything here is a
-pure function over immutable inputs.
+pulling tactic bodies out of declarations, and splicing sub-proofs into
+sketch placeholders. One scanner reads the code for all of them:
+``tokenize``, which skips comments and string literals. Everything here
+is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
@@ -51,17 +53,6 @@ class LeanSource:
 
 
 @dataclass(frozen=True)
-class CanonicalPreamble:
-    """A normalized preamble: the canonical block plus deduplicated extras."""
-
-    lines: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines)
-
-
-@dataclass(frozen=True)
 class Token:
     """A code token with byte offsets and the bracket depth at its start."""
 
@@ -84,7 +75,11 @@ def tokenize(code: str) -> list[Token]:
     ``:=`` is emitted as a single token; identifier-like runs (including
     ``'`` as in ``cases'``) are kept together.
     """
-    tokens: list[Token] = []
+    return list(_tokens(code))
+
+
+def _tokens(code: str) -> Iterator[Token]:
+    """``tokenize``'s scan, yielding each token as it is found."""
     i, n = 0, len(code)
     depth = 0
     while i < n:
@@ -121,83 +116,54 @@ def tokenize(code: str) -> list[Token]:
             i += 1
             continue
         if code.startswith(":=", i):
-            tokens.append(Token(":=", i, i + 2, depth))
+            yield Token(":=", i, i + 2, depth)
             i += 2
             continue
         if ch in _OPEN_BRACKETS:
-            tokens.append(Token(ch, i, i + 1, depth))
+            yield Token(ch, i, i + 1, depth)
             depth += 1
             i += 1
             continue
         if ch in _CLOSE_BRACKETS:
             depth = max(0, depth - 1)
-            tokens.append(Token(ch, i, i + 1, depth))
+            yield Token(ch, i, i + 1, depth)
             i += 1
             continue
         if _is_word_char(ch):
             j = i + 1
             while j < n and _is_word_char(code[j]):
                 j += 1
-            tokens.append(Token(code[i:j], i, j, depth))
+            yield Token(code[i:j], i, j, depth)
             i = j
             continue
-        tokens.append(Token(ch, i, i + 1, depth))
+        yield Token(ch, i, i + 1, depth)
         i += 1
-    return tokens
-
-
-def _line_outside_comments(line: str, block_depth: int) -> tuple[str, int]:
-    """Return the non-comment content of one line and the new block-comment depth."""
-    if block_depth == 0 and "--" not in line and "/-" not in line:
-        return line, 0
-    out: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        if block_depth > 0:
-            if line.startswith("/-", i):
-                block_depth += 1
-                i += 2
-            elif line.startswith("-/", i):
-                block_depth -= 1
-                i += 2
-            else:
-                i += 1
-            continue
-        if line.startswith("--", i):
-            break
-        if line.startswith("/-", i):
-            block_depth += 1
-            i += 2
-            continue
-        out.append(line[i])
-        i += 1
-    return "".join(out), block_depth
 
 
 def split_source(code: str) -> LeanSource:
     """
     Split a Lean unit into preamble and body.
 
-    The preamble is the maximal prefix of lines that are imports,
-    ``open``, ``set_option``, ``variable``, comments, or blank; the body
-    is the remainder, starting at the first declaration line. A unit
-    with no declaration yields an empty body.
+    The body starts at the first line whose first token, as ``tokenize``
+    reads past comments and string literals, is not one of
+    ``HEADER_KEYWORDS``; the lines before it, comment-only and blank ones
+    included, are the preamble. A unit with no such line yields an empty
+    body. Only a line feed ends a line.
     """
-    offset = 0
-    block_depth = 0
-    for line in code.splitlines(keepends=True):
-        content, new_depth = _line_outside_comments(line, block_depth)
-        stripped = content.strip()
-        if stripped and stripped.split()[0] not in HEADER_KEYWORDS:
+    line_end = -1  # the line feed ending the last header line read
+    for tok in _tokens(code):
+        if tok.start < line_end:
+            continue
+        if tok.text not in HEADER_KEYWORDS:
+            start = code.rfind("\n", 0, tok.start) + 1
+            return LeanSource(preamble=code[:start].rstrip(), body=code[start:])
+        line_end = code.find("\n", tok.start)
+        if line_end < 0:
             break
-        offset += len(line)
-        block_depth = new_depth
-    preamble = code[:offset].rstrip()
-    body = code[offset:]
-    return LeanSource(preamble=preamble, body=body)
+    return LeanSource(preamble=code.rstrip(), body="")
 
 
-def normalize_preamble(preamble: str) -> CanonicalPreamble:
+def normalize_preamble(preamble: str) -> str:
     """
     Normalize a preamble to the canonical header block.
 
@@ -225,7 +191,7 @@ def normalize_preamble(preamble: str) -> CanonicalPreamble:
     if extras:
         lines.append("")
         lines.extend(extras)
-    return CanonicalPreamble(lines=tuple(lines))
+    return "\n".join(lines)
 
 
 def _dedent_tail(tail: str) -> str:
@@ -252,11 +218,10 @@ def _dedent_tail(tail: str) -> str:
 
 def _first_top_level_assign(proof: str) -> tuple[Token, Token | None]:
     """Find the declaration's first depth-0 ``:=`` and the token after it."""
-    tokens = tokenize(proof)
-    for idx, tok in enumerate(tokens):
+    tokens = _tokens(proof)
+    for tok in tokens:
         if tok.text == ":=" and tok.depth == 0:
-            nxt = tokens[idx + 1] if idx + 1 < len(tokens) else None
-            return tok, nxt
+            return tok, next(tokens, None)
     raise NoByBlock("declaration has no top-level ':='")
 
 

@@ -56,7 +56,6 @@ from .errors import (
     AnonymousSorry,
     AstExportFailed,
     BadResponse,
-    IncompleteSubtree,
     LeandecompError,
     MalformedAst,
     NoCodeBlock,
@@ -523,7 +522,7 @@ class Orchestrator:
         """The statement of the node's latest formalizer round, under its
         normalized preamble."""
         source = self._reply_source(node)
-        return LeanSource(preamble=normalize_preamble(source.preamble).text, body=source.body)
+        return LeanSource(preamble=normalize_preamble(source.preamble), body=source.body)
 
     def _do_syntax_check(self, node: ProofNode) -> _Call:
         def apply(result: VerificationResult) -> None:
@@ -846,7 +845,7 @@ class Orchestrator:
     def _do_reconstruct(self, node: ProofNode) -> _Call | Outcome:
         try:
             proof = self.tree.reconstruct(node.id)
-        except IncompleteSubtree as exc:
+        except LeandecompError as exc:
             return Outcome(success=False, report=f"reconstruction failed: {exc}")
 
         def apply(result: VerificationResult) -> Outcome:
@@ -864,16 +863,14 @@ class Orchestrator:
 
     # -------------------------------------------------------------- plumbing
 
-    def _complete(self, role: str, messages: list[tuple[str, str]]) -> str:
+    def _ask(self, role: str, messages: list[tuple[str, str]]) -> str | LeandecompError:
+        """The role's reply, or the backend failure that stands in for it.
+        Raises LeandecompError when no backend serves the role."""
         backend = self.backends.get(role)
         if backend is None:
             raise LeandecompError(f"no chat backend configured for role {role!r}")
-        return backend.complete(messages)
-
-    def _ask(self, role: str, messages: list[tuple[str, str]]) -> str | LeandecompError:
-        """The role's reply, or the backend failure that stands in for it."""
         try:
-            return self._complete(role, messages)
+            return backend.complete(messages)
         except (RemoteExhausted, BadResponse) as exc:
             return exc
 
@@ -915,13 +912,10 @@ class Orchestrator:
 
     def _persist(self) -> None:
         """Write the checkpoint journal and flush the run log."""
-        self._checkpoint()
-        if self._run_log is not None:
-            self._run_log.flush()
-
-    def _checkpoint(self) -> None:
         if self.checkpoint_path is not None:
             self.tree.save(self.checkpoint_path)
+        if self._run_log is not None:
+            self._run_log.flush()
 
     def _log(self, action: Action, outcome: Outcome | None) -> None:
         if self.run_log_path is None:

@@ -32,7 +32,7 @@ from .lean_source import (
     replace_subgoal,
     split_source,
 )
-from .ast_model import Subgoal, get_named_subgoal_code
+from .ast_model import Subgoal
 from .services import VerificationResult
 
 CHECKPOINT_VERSION = 4
@@ -155,7 +155,7 @@ class ProofTree:
             status=NodeStatus.AWAITING_PROOF,
             informal_statement=informal,
             formal=LeanSource(
-                preamble=normalize_preamble(source.preamble).text, body=source.body.strip()
+                preamble=normalize_preamble(source.preamble), body=source.body.strip()
             ),
             insertion_seq=tree._seq,
         )
@@ -228,21 +228,19 @@ class ProofTree:
         """
         Attach a subgoal as a new leaf one level below its parent.
 
-        The child's formal unit is the subgoal rendered standalone under
-        the parent's normalized preamble; it starts at AwaitingProof
+        The child's formal unit is the subgoal's standalone statement
+        under the parent's normalized preamble; it starts at AwaitingProof
         since it is already formal.
         """
         parent = self.node(parent_id)
         preamble = normalize_preamble(parent.formal.preamble if parent.formal else "")
-        code = get_named_subgoal_code(subgoal, preamble)
-        source = split_source(code)
         child = ProofNode(
             id=self._new_id(),
             parent=parent_id,
             depth=parent.depth + 1,
             status=NodeStatus.AWAITING_PROOF,
             name=subgoal.name,
-            formal=LeanSource(preamble=preamble.text, body=source.body.strip()),
+            formal=LeanSource(preamble=preamble, body=subgoal.standalone_statement),
             insertion_seq=self._seq,
         )
         self.nodes[child.id] = child
@@ -401,12 +399,12 @@ class ProofTree:
         child's reconstructed proof body. The result is a full unit
         under the node's stored canonical preamble.
 
-        Raises IncompleteSubtree if any descendant is not Proven.
+        Raises IncompleteSubtree if any descendant is not Proven, and
+        the LeandecompError of a child proof that does not splice.
         """
         node = self.node(node_id)
         decl = self._reconstruct_decl(node)
-        preamble = normalize_preamble(node.formal.preamble if node.formal else "")
-        return preamble.text + "\n\n" + decl
+        return normalize_preamble(node.formal.preamble if node.formal else "") + "\n\n" + decl
 
     # ------------------------------------------------------------- invariants
 

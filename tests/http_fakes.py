@@ -90,6 +90,10 @@ class FakeService:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1" if service.keep_alive else "HTTP/1.0"
+            # Buffer each response so that handle_one_request's flush sends
+            # head and body in one write; a body sent in a second write
+            # waits about 40 ms on the client's delayed ACK.
+            wbufsize = -1
 
             def log_message(self, *args):  # keep test output clean
                 pass

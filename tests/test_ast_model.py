@@ -9,11 +9,9 @@ from leandecomp.ast_model import (
     AstNode,
     SorryInfo,
     extract_subgoals,
-    get_named_subgoal_code,
     parse_ast,
 )
 from leandecomp.errors import AnonymousSorry, MalformedAst
-from leandecomp.lean_source import normalize_preamble
 from tests.ast_builder import build_sketch_payload
 from tests.fakes import count_sorries
 from tests.sample_proofs import (
@@ -182,17 +180,12 @@ class TestUnprovenNames:
         assert unproven_names(payload) == ["h", "h"]
 
 
-class TestNamedSubgoalCode:
-    def setup_method(self):
-        self.preamble = normalize_preamble("")
-
-    def test_base_case_unit(self):
+class TestStandaloneStatement:
+    def test_base_case_statement(self):
         root, sorries = parse_ast(load_payload("induction_ast.json"))
         subgoals = extract_subgoals(root, sorries)
         base_case = next(sg for sg in subgoals if sg.name == "base_case")
-        code = get_named_subgoal_code(base_case, self.preamble)
-        assert code.startswith("import Mathlib\nimport Aesop\n")
-        assert code.endswith("theorem base_case : 4 ^ 2 ≤ 4 ! := by\n  sorry")
+        assert base_case.standalone_statement == "theorem base_case : 4 ^ 2 ≤ 4 ! := by\n  sorry"
 
     def test_context_binder_rendered_before_colon(self):
         payload = {
@@ -203,8 +196,8 @@ class TestNamedSubgoalCode:
         }
         root, sorries = parse_ast(payload)
         subgoals = extract_subgoals(root, sorries)
-        code = get_named_subgoal_code(subgoals[0], self.preamble)
-        assert "theorem bound (n : ℕ) : n ≤ n + 1 := by" in code
+        statement = subgoals[0].standalone_statement
+        assert statement.startswith("theorem bound (n : ℕ) : n ≤ n + 1 := by")
 
     @given(st.sampled_from(INFINITUDE_SUBGOAL_NAMES))
     def test_standalone_statement_is_sorry_proved_theorem(self, name):

@@ -249,6 +249,27 @@ class TestFullStack:
         restored = ProofTree.load(out / "checkpoint.json")
         assert restored.root_node().status is NodeStatus.PROVEN
 
+    def test_comment_opener_in_a_header_string(self, tmp_path, monkeypatch):
+        text = (
+            'import Mathlib\nset_option trace.profiler.output "/-tmp"\n\n'
+            "theorem t : True := by\n  sorry"
+        )
+
+        def reply(model, messages):
+            return lean_block(text.replace("sorry", "trivial"))
+
+        service = fake_stack(monkeypatch, reply)
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text(text)
+            out = tmp_path / "out"
+            code = main(["--file", str(lean), "--out", str(out)])
+        finally:
+            service.stop()
+        assert code == 0
+        proof = (out / "proof.lean").read_text()
+        assert 'set_option trace.profiler.output "/-tmp"\n\ntheorem t : True := by\n  trivial' in proof
+
     def test_informal_statement_with_recursion(self, tmp_path, monkeypatch):
         service = fake_stack(monkeypatch, content_keyed_reply)
         try:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from leandecomp.errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
 from leandecomp.lean_source import (
     CANONICAL_PREAMBLE_LINES,
+    HEADER_KEYWORDS,
     extract_code_block,
     extract_proof_body,
     extract_term_value,
@@ -20,6 +21,29 @@ from tests.sample_proofs import (
     INDUCTION_SKETCH,
     INFINITUDE_SKETCH,
 )
+
+#: (kind, line) pairs that units in split_source's property are built from.
+UNIT_LINES = [
+    ("header", "import Mathlib"),
+    ("header", "open Nat Real"),
+    ("header", "set_option maxHeartbeats 400000"),
+    ("header", 'set_option trace.profiler.output "/-tmp"'),
+    ("header", 'set_option trace.profiler.output "-- x"'),
+    ("header", "variable (p : Prop)"),
+    ("header", "  import Aesop -- trailing note"),
+    ("header", "/- lead -/ open Nat"),
+    ("comment", "-- theorem in a line comment"),
+    ("comment", "/- theorem in a block comment -/"),
+    ("comment", "/- a block comment\n  over two lines /- nested -/ -/"),
+    ("comment", "/-- doc comment -/"),
+    ("blank", ""),
+    ("blank", "   "),
+    ("decl", "theorem t : True := by"),
+    ("decl", "  trivial"),
+    ("decl", "lemma l (n : ℕ) : n = n := rfl"),
+    ("decl", "/- lead -/ example : True := trivial"),
+    ("decl", "@[simp] theorem s : True := trivial"),
+]
 
 
 class TestSplitSource:
@@ -61,24 +85,42 @@ class TestSplitSource:
         src = split_source(EVEN_SUM_PROOF)
         assert src.combined() == EVEN_SUM_PROOF
 
+    def test_comment_opener_inside_a_header_string(self):
+        header = 'import Mathlib\nset_option trace.profiler.output "/-tmp"'
+        src = split_source(header + "\n\ntheorem t : True := by\n  sorry")
+        assert src.preamble == header
+        assert src.body == "theorem t : True := by\n  sorry"
+
+    @given(st.lists(st.tuples(st.sampled_from(UNIT_LINES), st.sampled_from(["\n", "\r\n"]))))
+    def test_body_starts_at_the_first_declaration_line(self, lines):
+        code = "".join(text + end for (_, text), end in lines)
+        src = split_source(code)
+        assert code.startswith(src.preamble)
+        assert code.endswith(src.body)
+        assert not code[len(src.preamble) : len(code) - len(src.body)].strip()
+        body_tokens = tokenize(src.body)
+        assert not body_tokens or body_tokens[0].text not in HEADER_KEYWORDS
+        first = next((i for i, ((kind, _), _) in enumerate(lines) if kind == "decl"), len(lines))
+        assert src.body == "".join(text + end for (_, text), end in lines[first:])
+
 
 class TestNormalizePreamble:
     def test_empty_input_yields_canonical_block(self):
         result = normalize_preamble("")
-        assert [ln for ln in result.lines if ln] == list(CANONICAL_PREAMBLE_LINES)
+        assert [ln for ln in result.split("\n") if ln] == list(CANONICAL_PREAMBLE_LINES)
 
     def test_canonical_is_fixed_point(self):
-        assert normalize_preamble(CANONICAL_PREAMBLE).text == CANONICAL_PREAMBLE
+        assert normalize_preamble(CANONICAL_PREAMBLE) == CANONICAL_PREAMBLE
 
     def test_duplicate_import_removed(self):
         result = normalize_preamble(CANONICAL_PREAMBLE + "\nimport Mathlib")
-        assert result.text == CANONICAL_PREAMBLE
-        assert result.text.count("import Mathlib") == 1
+        assert result == CANONICAL_PREAMBLE
+        assert result.count("import Mathlib") == 1
 
     def test_extra_lines_kept_after_canonical_block(self):
         result = normalize_preamble("import MyLib\nopen Polynomial")
-        assert result.lines[-2:] == ("import MyLib", "open Polynomial")
-        assert result.lines[0] == "import Mathlib"
+        assert result.split("\n")[-2:] == ["import MyLib", "open Polynomial"]
+        assert result.split("\n")[0] == "import Mathlib"
 
     @given(
         st.lists(
@@ -91,7 +133,7 @@ class TestNormalizePreamble:
     )
     def test_idempotent(self, lines):
         once = normalize_preamble("\n".join(lines))
-        assert normalize_preamble(once.text) == once
+        assert normalize_preamble(once) == once
 
 
 class TestExtractProofBody:

@@ -640,6 +640,21 @@ class TestRun:
         restored = ProofTree.load(checkpoint_path)
         assert restored.root_node().status is NodeStatus.PROVEN
 
+    def test_a_child_proof_that_does_not_splice_fails_the_run(self, tmp_path):
+        tree = formal_tree()
+        root = tree.root_node()
+        root.sketch = "theorem tst : True := by\n  have step0 : True := sorry\n  exact step0"
+        child = tree.node(tree.add_child(root.id, make_subgoal("step0")))
+        child.proof_attempt = "theorem step0 : True := by\n  trivial"
+        child.status = root.status = NodeStatus.PROVEN
+        verifier = RuleVerifier()
+        outcome = make_orchestrator(
+            tree, verifier=verifier, checkpoint_path=tmp_path / "checkpoint.json"
+        ).run()
+        assert not outcome.success
+        assert outcome.report.startswith("reconstruction failed: no unproven have named 'step0'")
+        assert verifier.calls == 0
+
     def test_informal_statement_end_to_end(self):
         tree = ProofTree.from_informal(INFORMAL, Limits())
         proof = GOOD_STATEMENT.replace("sorry", "exact fun m n hm hn => hm.add hn")
@@ -832,8 +847,8 @@ class JournalCheckingOrchestrator(Orchestrator):
         self.saved_state: dict | None = None
         self.saved_size = 0
 
-    def _checkpoint(self):
-        super()._checkpoint()
+    def _persist(self):
+        super()._persist()
         self.tree.validate()
         state = self.tree.to_dict()
         assert ProofTree.load(self.checkpoint_path).to_dict() == state
