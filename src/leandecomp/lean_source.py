@@ -24,6 +24,11 @@ CANONICAL_PREAMBLE_LINES = (
     "open BigOperators Real Nat Topology Rat",
 )
 
+#: The canonical lines as a preamble, with blank lines between groups.
+_CANONICAL_PREAMBLE = "\n\n".join(
+    ["\n".join(CANONICAL_PREAMBLE_LINES[:2]), *CANONICAL_PREAMBLE_LINES[2:]]
+)
+
 #: Line-initial keywords that may appear in a preamble.
 HEADER_KEYWORDS = frozenset({"import", "open", "set_option", "variable", "variables"})
 
@@ -78,8 +83,9 @@ def tokenize(code: str) -> list[Token]:
     return list(_tokens(code))
 
 
-def _tokens(code: str) -> Iterator[Token]:
-    """``tokenize``'s scan, yielding each token as it is found."""
+def _tokens(code: str, comments: bool = False) -> Iterator[Token]:
+    """``tokenize``'s scan, yielding each token as it is found; with
+    ``comments``, each block comment is a token too, with text ``/-``."""
     i, n = 0, len(code)
     depth = 0
     while i < n:
@@ -89,7 +95,7 @@ def _tokens(code: str) -> Iterator[Token]:
             i = n if nl < 0 else nl
             continue
         if code.startswith("/-", i):
-            level = 1
+            start, level = i, 1
             i += 2
             while i < n and level:
                 if code.startswith("/-", i):
@@ -100,6 +106,8 @@ def _tokens(code: str) -> Iterator[Token]:
                     i += 2
                 else:
                     i += 1
+            if comments:
+                yield Token("/-", start, i, depth)
             continue
         if ch == '"':
             i += 1
@@ -140,6 +148,28 @@ def _tokens(code: str) -> Iterator[Token]:
         i += 1
 
 
+def _line_heads(code: str) -> Iterator[tuple[int, Token]]:
+    """
+    The first token of each line that has one, as ``tokenize`` reads
+    past comments and string literals, with the offset where the line's
+    code starts: the line's start, or the token's own start when the
+    line begins inside a block comment opened on an earlier line. Only a
+    line feed ends a line.
+    """
+    line_end = -1  # the line feed ending the last line read
+    comment_end = 0  # the end of the last block comment spanning a line feed
+    for tok in _tokens(code, comments=True):
+        if tok.text == "/-":
+            if code.find("\n", tok.start, tok.end) >= 0:
+                comment_end = tok.end
+        elif tok.start > line_end:
+            start = code.rfind("\n", 0, tok.start) + 1
+            yield (tok.start if start < comment_end else start), tok
+            line_end = code.find("\n", tok.start)
+            if line_end < 0:
+                return
+
+
 def split_source(code: str) -> LeanSource:
     """
     Split a Lean unit into preamble and body.
@@ -147,19 +177,13 @@ def split_source(code: str) -> LeanSource:
     The body starts at the first line whose first token, as ``tokenize``
     reads past comments and string literals, is not one of
     ``HEADER_KEYWORDS``; the lines before it, comment-only and blank ones
-    included, are the preamble. A unit with no such line yields an empty
-    body. Only a line feed ends a line.
+    included, are the preamble. When that line begins inside a block
+    comment, the body starts at the token. A unit with no such line
+    yields an empty body. Only a line feed ends a line.
     """
-    line_end = -1  # the line feed ending the last header line read
-    for tok in _tokens(code):
-        if tok.start < line_end:
-            continue
+    for start, tok in _line_heads(code):
         if tok.text not in HEADER_KEYWORDS:
-            start = code.rfind("\n", 0, tok.start) + 1
             return LeanSource(preamble=code[:start].rstrip(), body=code[start:])
-        line_end = code.find("\n", tok.start)
-        if line_end < 0:
-            break
     return LeanSource(preamble=code.rstrip(), body="")
 
 
@@ -167,31 +191,28 @@ def normalize_preamble(preamble: str) -> str:
     """
     Normalize a preamble to the canonical header block.
 
-    The canonical lines always come first, in order; any extra
-    user-supplied lines (additional imports, opens, variables, comments)
-    follow, deduplicated, in order of first appearance. Idempotent.
+    The canonical lines always come first, in order; the other lines
+    follow in order, blank ones dropped. Header commands (lines whose
+    first token is one of ``HEADER_KEYWORDS``) are stripped and
+    deduplicated; every other line, comments included, is kept as it
+    is, so a comment the input closes stays closed. Idempotent.
     """
-    canonical = set(CANONICAL_PREAMBLE_LINES)
+    headers = {start for start, tok in _line_heads(preamble) if tok.text in HEADER_KEYWORDS}
     extras: list[str] = []
-    seen: set[str] = set()
-    for raw in preamble.splitlines():
+    seen = set(CANONICAL_PREAMBLE_LINES)
+    offset = 0
+    for raw in preamble.split("\n"):
         line = raw.strip()
-        if not line or line in canonical or line in seen:
-            continue
-        seen.add(line)
-        extras.append(line)
-    lines = [
-        CANONICAL_PREAMBLE_LINES[0],
-        CANONICAL_PREAMBLE_LINES[1],
-        "",
-        CANONICAL_PREAMBLE_LINES[2],
-        "",
-        CANONICAL_PREAMBLE_LINES[3],
-    ]
-    if extras:
-        lines.append("")
-        lines.extend(extras)
-    return "\n".join(lines)
+        if offset in headers:
+            if line not in seen:
+                seen.add(line)
+                extras.append(line)
+        elif line:
+            extras.append(raw.rstrip())
+        offset += len(raw) + 1
+    if not extras:
+        return _CANONICAL_PREAMBLE
+    return _CANONICAL_PREAMBLE + "\n\n" + "\n".join(extras)
 
 
 def _dedent_tail(tail: str) -> str:

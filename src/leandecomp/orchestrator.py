@@ -6,7 +6,7 @@ validating a formalization, proving and verifying leaves, and — when
 direct proving exhausts its passes — generating search queries,
 retrieving hint theorems, sketching a decomposition, checking the
 sketch, and recursing into extracted subgoals. Equal-priority work is
-ordered by depth then insertion, so subgoals are processed
+ordered by depth then node creation, so subgoals are processed
 breadth-first. Nodes that exceed the depth limit or exhaust their
 sketch-correction budget trigger a backtrack: the nearest
 grandparent-or-higher ancestor with remaining budget is pruned and
@@ -14,11 +14,12 @@ re-decomposed with the alternative-strategy prompts.
 
 Every remote call (each chat role, each verify request, AST export and
 theorem search) runs on one of at most ``workers`` threads that live as
-long as the run, with at most ``workers`` calls in flight: a dispatched
-call goes onto one queue, a worker makes it and puts its result on a
-second queue, which the coordinator waits on. The coordinator prepares
-each call, applies each result as it lands, writes the checkpoint
-journal once per wake-up and dispatches again, so all tree mutations
+long as the run, with at most ``workers`` calls in flight: ``dispatch``
+returns an action's remote call, the calls dispatched together go onto
+one queue, a worker makes them and puts the results on a second queue,
+which the coordinator waits on. The coordinator applies each result as
+it lands, writes the checkpoint journal once per wake-up and
+dispatches again, so all tree mutations
 happen on the coordinator and the subtrees of a sketch advance
 independently. A node whose call is in flight is not ready; a result
 for a node that a backtrack pruned, or one that lands after the run has
@@ -179,7 +180,7 @@ def next_action(
     Priority order: formalize > syntax check > semantic check > prove >
     verify > AST parse > query generation > lookup > sketch > sketch
     check > subgoal extraction. Among equal priorities the lowest depth
-    wins, then insertion order — so all subgoals at one depth are
+    wins, then creation order — so all subgoals at one depth are
     processed before any at the next (breadth-first).
 
     ``ast_ready`` names nodes whose AST export is already in hand, for
@@ -197,7 +198,7 @@ def next_action(
             root.id,
             Outcome(success=False, report="proof search failed; see the run history"),
         )
-    best: tuple[tuple[int, int, int], ProofNode, ActionKind] | None = None
+    best: tuple[tuple[int, int], ProofNode, ActionKind] | None = None
     waiting = False
     for node in tree.nodes.values():
         entry = _candidate(node, limits, ast_ready)
@@ -207,7 +208,7 @@ def next_action(
             waiting = True
             continue
         priority, kind = entry
-        key = (priority, node.depth, node.insertion_seq)
+        key = (priority, node.depth)
         if best is None or key < best[0]:
             best = (key, node, kind)
     if best is None:
@@ -283,14 +284,12 @@ class Orchestrator:
         self._failure_reason: str | None = None
         # Held only while ``run`` executes: the worker threads, the queue
         # of groups for them to take and the queue their results land on,
-        # the run log, the calls dispatch started and the run loop has yet
-        # to queue, the groups in flight (by identity) with their dispatch
+        # the run log, the groups in flight (by identity) with their dispatch
         # pass, and the dispatch pass of each reply awaiting its Verify.
         self._workers: list[threading.Thread] = []
         self._work: SimpleQueue | None = None
         self._landed: SimpleQueue | None = None
         self._run_log: TextIO | None = None
-        self._started: _Group | None = None
         self._inflight: dict[int, tuple[int, _Group]] = {}
         self._reply_pass: dict[str, int] = {}
         self._passes = 0
@@ -309,7 +308,6 @@ class Orchestrator:
         has taken are never made.
         """
         self._work, self._landed = SimpleQueue(), SimpleQueue()
-        self._started = []
         try:
             outcome = self._dispatch_ready()
             while outcome is None:
@@ -321,7 +319,7 @@ class Orchestrator:
                 self._persist()
             finally:
                 self._stop_workers()
-                self._work = self._landed = self._started = None
+                self._work = self._landed = None
                 self._inflight.clear()
                 self._reply_pass.clear()
                 if self._run_log is not None:
@@ -329,14 +327,10 @@ class Orchestrator:
                     self._run_log = None
                 self.tree.close()
 
-    def dispatch(self, action: Action) -> Outcome | None:
-        """Execute one action; returns the final Outcome when the
-        action terminates the run (Finish or Reconstruct), else None.
-
-        While ``run`` drives, an action's remote call is left for the run
-        loop to hand to a worker, and its result is applied when it
-        lands; otherwise the call is made and applied here.
-        """
+    def dispatch(self, action: Action) -> Outcome | _Call | None:
+        """Execute the local half of one action. Returns its remote half,
+        the ``_Call`` that ``run`` hands to a worker; the final Outcome
+        when the action ends the run; else None. Makes no remote call."""
         kind = action.kind
         if kind is ActionKind.FINISH:
             outcome = action.outcome or Outcome(success=False, report="no work remains")
@@ -353,13 +347,7 @@ class Orchestrator:
             self._forget_pruned()
             return None
         handler = getattr(self, "_do_" + kind.name.lower())
-        call = handler(self.tree.node(action.node_id))
-        if not isinstance(call, _Call):
-            return call
-        if self._started is not None:
-            self._started.append((action, call))
-            return None
-        return call.apply(self._remote([call])[0])
+        return handler(self.tree.node(action.node_id))
 
     # ----------------------------------------------------------- scheduling
 
@@ -374,15 +362,16 @@ class Orchestrator:
             action = next_action(self.tree, self.limits, frozenset(self._ast_cache), not_ready)
             if action is None:
                 return None
+            group: _Group = []
             for action in self._coalesced(action, not_ready):
-                started = len(self._started)
-                outcome = self.dispatch(action)
-                if outcome is not None:
-                    return self._end(action, outcome)
-                if len(self._started) == started:
+                result = self.dispatch(action)
+                if isinstance(result, _Call):
+                    group.append((action, result))
+                elif result is not None:
+                    return self._end(action, result)
+                else:
                     self._log(action, None)
-            if self._started:
-                group, self._started = self._started, []
+            if group:
                 self._inflight[id(group)] = (self._passes, group)
                 self._work.put(group)
                 if len(self._workers) < len(self._inflight):
@@ -433,24 +422,21 @@ class Orchestrator:
 
     def _coalesced(self, action: Action, not_ready: frozenset[str]) -> list[Action]:
         """The action, or for a Verify the ready Verifies at its depth, in
-        insertion order: all of them while other calls are in flight, else
+        creation order: all of them while other calls are in flight, else
         those whose replies came from its dispatch pass. (A single worker
         has nothing else in flight, so it verifies one pass at a time.)"""
         if action.kind is not ActionKind.VERIFY:
             return [action]
         depth = self.tree.node(action.node_id).depth
         reply_pass = self._reply_pass.get(action.node_id)
-        peers = sorted(
-            (
-                node
-                for node in self.tree.nodes.values()
-                if node.status is NodeStatus.AWAITING_VERIFICATION
-                and node.depth == depth
-                and node.id not in not_ready
-                and (bool(self._inflight) or self._reply_pass.get(node.id) == reply_pass)
-            ),
-            key=lambda node: node.insertion_seq,
-        )
+        peers = [
+            node
+            for node in self.tree.nodes.values()
+            if node.status is NodeStatus.AWAITING_VERIFICATION
+            and node.depth == depth
+            and node.id not in not_ready
+            and (bool(self._inflight) or self._reply_pass.get(node.id) == reply_pass)
+        ]
         for node in peers:
             self._reply_pass.pop(node.id, None)
         return [Action(ActionKind.VERIFY, node.id) for node in peers]
@@ -699,10 +685,11 @@ class Orchestrator:
 
     def _do_sketch(self, node: ProofNode) -> _Call:
         counters = node.counters
+        conversation = self.tree.conversation(node.id, "decomposer")
         if counters.sketch_corrections_used == 0 and counters.decompositions_used > 0:
             kind = PromptKind.DECOMPOSER_BACKTRACK
             vars = PromptVars(
-                prev_round_num=str(node.sketch_attempts_total),
+                prev_round_num=str(len(conversation) // 2),
                 theorem_hints_section=format_theorem_hints(node.hints),
             )
         elif counters.sketch_corrections_used == 0:
@@ -718,10 +705,9 @@ class Orchestrator:
                 error_message_for_prev_round=node.last_sketch_failure or "unknown error",
             )
         prompt = render_prompt(kind, vars)
-        messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
+        messages = conversation + [("user", prompt)]
 
         def apply(reply: str | LeandecompError) -> None:
-            node.sketch_attempts_total += 1
             note = self._take_reply(
                 node, "decomposer", prompt, reply, NodeStatus.AWAITING_SKETCH_CHECK
             )

@@ -103,8 +103,6 @@ class ProofNode:
     hints: list[tuple[str, str]] = field(default_factory=list)
     last_failure: str | None = None
     last_sketch_failure: str | None = None
-    sketch_attempts_total: int = 0
-    insertion_seq: int = 0
 
 
 class ProofTree:
@@ -130,38 +128,26 @@ class ProofTree:
         return f"n{self._seq:04d}"
 
     @classmethod
-    def from_informal(cls, informal: str, limits: Limits) -> "ProofTree":
+    def _with_root(cls, limits: Limits, **fields: Any) -> "ProofTree":
         tree = cls(limits)
-        node = ProofNode(
-            id=tree._new_id(),
-            parent=None,
-            depth=0,
-            status=NodeStatus.AWAITING_FORMALIZATION,
-            informal_statement=informal,
-            insertion_seq=tree._seq,
-        )
-        tree.nodes[node.id] = node
-        tree.root = node.id
+        root = ProofNode(id=tree._new_id(), parent=None, depth=0, **fields)
+        tree.nodes[root.id] = root
+        tree.root = root.id
         return tree
 
     @classmethod
-    def from_formal(cls, code: str, limits: Limits, informal: str | None = None) -> "ProofTree":
-        tree = cls(limits)
-        source = split_source(code)
-        node = ProofNode(
-            id=tree._new_id(),
-            parent=None,
-            depth=0,
-            status=NodeStatus.AWAITING_PROOF,
-            informal_statement=informal,
-            formal=LeanSource(
-                preamble=normalize_preamble(source.preamble), body=source.body.strip()
-            ),
-            insertion_seq=tree._seq,
+    def from_informal(cls, informal: str, limits: Limits) -> "ProofTree":
+        return cls._with_root(
+            limits, status=NodeStatus.AWAITING_FORMALIZATION, informal_statement=informal
         )
-        tree.nodes[node.id] = node
-        tree.root = node.id
-        return tree
+
+    @classmethod
+    def from_formal(cls, code: str, limits: Limits, informal: str | None = None) -> "ProofTree":
+        source = split_source(code)
+        formal = LeanSource(preamble=normalize_preamble(source.preamble), body=source.body.strip())
+        return cls._with_root(
+            limits, status=NodeStatus.AWAITING_PROOF, informal_statement=informal, formal=formal
+        )
 
     # ------------------------------------------------------------- navigation
 
@@ -241,7 +227,6 @@ class ProofTree:
             status=NodeStatus.AWAITING_PROOF,
             name=subgoal.name,
             formal=LeanSource(preamble=preamble, body=subgoal.standalone_statement),
-            insertion_seq=self._seq,
         )
         self.nodes[child.id] = child
         parent.children.append(child.id)
@@ -427,6 +412,9 @@ class ProofTree:
         assert seen == set(self.nodes), "unreachable nodes present"
         root = self.nodes[self.root]
         assert root.parent is None and root.depth == 0, "root must be depth 0"
+        # creation order, which scheduling ties fall back on
+        numbers = [int(node_id[1:]) for node_id in self.nodes]
+        assert all(a < b for a, b in zip(numbers, numbers[1:])), "node ids out of creation order"
         limits = self.limits
         for node in self.nodes.values():
             if node.children:
@@ -505,8 +493,6 @@ class ProofTree:
                     hints=[tuple(h) for h in raw.get("hints", [])],
                     last_failure=raw.get("last_failure"),
                     last_sketch_failure=raw.get("last_sketch_failure"),
-                    sketch_attempts_total=int(raw.get("sketch_attempts_total", 0)),
-                    insertion_seq=int(raw.get("insertion_seq", 0)),
                 )
                 tree.nodes[node_id] = node
         except (KeyError, TypeError, AttributeError) as exc:
@@ -628,8 +614,6 @@ def _node_key(node: ProofNode) -> tuple:
         tuple(map(tuple, node.hints)),
         node.last_failure,
         node.last_sketch_failure,
-        node.sketch_attempts_total,
-        node.insertion_seq,
     )
 
 
@@ -654,8 +638,6 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
         "hints": [list(h) for h in node.hints],
         "last_failure": node.last_failure,
         "last_sketch_failure": node.last_sketch_failure,
-        "sketch_attempts_total": node.sketch_attempts_total,
-        "insertion_seq": node.insertion_seq,
     }
 
 

@@ -11,7 +11,15 @@ from __future__ import annotations
 from enum import Enum
 
 from leandecomp.errors import LeandecompError
-from leandecomp.orchestrator import Action, ActionKind, Orchestrator, _candidate, _resolve_backtrack
+from leandecomp.orchestrator import (
+    Action,
+    ActionKind,
+    Orchestrator,
+    Outcome,
+    _Call,
+    _candidate,
+    _resolve_backtrack,
+)
 from leandecomp.proof_state import NodeStatus, ProofNode
 
 
@@ -45,6 +53,16 @@ _DECOMPOSITION_STATUSES = frozenset(
 )
 
 
+def dispatch_now(orch: Orchestrator, action: Action) -> Outcome | None:
+    """Dispatch one action and, when it returns a remote call, make the
+    call here and apply its result; returns the Outcome that ends the
+    run, else None."""
+    result = orch.dispatch(action)
+    if isinstance(result, _Call):
+        return result.apply(orch._remote([result])[0])
+    return result
+
+
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:
     entry = _candidate(node, orch.limits, frozenset(orch._ast_cache))
     if entry is None:
@@ -65,7 +83,7 @@ def run_formalization(orch: Orchestrator, node_id: str) -> None:
     """
     node = orch.tree.node(node_id)
     while node.status in _FORMALIZATION_STATUSES:
-        orch.dispatch(_node_action(orch, node))
+        dispatch_now(orch, _node_action(orch, node))
     if node.status is NodeStatus.FAILED:
         raise FormalizationExhausted(
             orch._failure_reason or f"formalization of node {node_id} failed"
@@ -77,7 +95,7 @@ def run_prover_pass(orch: Orchestrator, node_id: str) -> ProveOutcome:
     Proven, or NeedsDecomposition once every pass is spent."""
     node = orch.tree.node(node_id)
     while node.status in (NodeStatus.AWAITING_PROOF, NodeStatus.AWAITING_VERIFICATION):
-        orch.dispatch(_node_action(orch, node))
+        dispatch_now(orch, _node_action(orch, node))
     if node.status is NodeStatus.PROVEN:
         return ProveOutcome.PROVEN
     if node.status is NodeStatus.AWAITING_QUERY_GEN:
@@ -93,7 +111,7 @@ def run_decomposition(orch: Orchestrator, node_id: str) -> None:
     backtrack prunes it / fails the run."""
     tree = orch.tree
     while node_id in tree.nodes and tree.node(node_id).status in _DECOMPOSITION_STATUSES:
-        if orch.dispatch(_node_action(orch, tree.node(node_id))) is not None:
+        if dispatch_now(orch, _node_action(orch, tree.node(node_id))) is not None:
             break
 
 
@@ -102,5 +120,5 @@ def handle_depth_overflow(orch: Orchestrator, node_id: str) -> Action:
     re-queue the nearest eligible ancestor, or finish with failure when
     none exists. Returns the action that was performed."""
     action = _resolve_backtrack(orch.tree, orch.tree.node(node_id))
-    orch.dispatch(action)
+    dispatch_now(orch, action)
     return action

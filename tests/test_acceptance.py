@@ -373,7 +373,9 @@ def test_criterion_4_backtracking(capsys):
         grandparent = tree.node(grandparent_id)
         assert grandparent.children == []
         assert grandparent.counters.decompositions_used == 1
-        grandparent.sketch_attempts_total = 1
+        tree.record_attempt(
+            grandparent_id, "decomposer", "sketch", "an earlier sketch", failed=False
+        )
         run_decomposition(orch, grandparent_id)
         assert "A previous attempt to prove this theorem failed" in (
             search_query.transcripts[0][-1][1]

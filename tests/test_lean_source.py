@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leandecomp.config import Limits
 from leandecomp.errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
 from leandecomp.lean_source import (
     CANONICAL_PREAMBLE_LINES,
@@ -14,6 +15,7 @@ from leandecomp.lean_source import (
     split_source,
     tokenize,
 )
+from leandecomp.proof_state import ProofTree
 from tests.fakes import count_sorries
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
@@ -91,6 +93,16 @@ class TestSplitSource:
         assert src.preamble == header
         assert src.body == "theorem t : True := by\n  sorry"
 
+    def test_line_beginning_inside_a_block_comment_is_not_a_body_start(self):
+        src = split_source("import Mathlib\n/- note\n-/ theorem t : True := by\n  trivial")
+        assert src.preamble == "import Mathlib\n/- note\n-/"
+        assert src.body == "theorem t : True := by\n  trivial"
+
+    def test_one_line_doc_comment_stays_in_the_body(self):
+        src = split_source("import Mathlib\n/-- doc -/ theorem t : True := by\n  trivial")
+        assert src.preamble == "import Mathlib"
+        assert src.body == "/-- doc -/ theorem t : True := by\n  trivial"
+
     @given(st.lists(st.tuples(st.sampled_from(UNIT_LINES), st.sampled_from(["\n", "\r\n"]))))
     def test_body_starts_at_the_first_declaration_line(self, lines):
         code = "".join(text + end for (_, text), end in lines)
@@ -127,6 +139,7 @@ class TestNormalizePreamble:
             st.sampled_from(
                 list(CANONICAL_PREAMBLE_LINES)
                 + ["import MyLib", "open Polynomial", "variable (n : Nat)", ""]
+                + ["-- note", "/- open", "  comment body", "-/", "/-- doc -/"]
             ),
             max_size=12,
         )
@@ -134,6 +147,17 @@ class TestNormalizePreamble:
     def test_idempotent(self, lines):
         once = normalize_preamble("\n".join(lines))
         assert normalize_preamble(once) == once
+
+    def test_repeated_comment_lines_are_kept(self):
+        result = normalize_preamble("import Mathlib\n/- first\n-/\n/- second\n-/\nimport Mathlib")
+        assert result == CANONICAL_PREAMBLE + "\n\n/- first\n-/\n/- second\n-/"
+
+    def test_comments_after_the_header_leave_the_body_outside(self):
+        tree = ProofTree.from_formal(
+            "import Mathlib\n/- first\n-/\n/- second\n-/\ntheorem t : True := by\n  trivial",
+            Limits(),
+        )
+        assert split_source(tree.root_node().formal.combined()).body.startswith("theorem t")
 
 
 class TestExtractProofBody:

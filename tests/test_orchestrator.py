@@ -576,7 +576,8 @@ class TestBacktracking:
         )
         action = handle_depth_overflow(orch, deep_id)
         target = tree.node(action.node_id)
-        target.sketch_attempts_total = 1  # as if one sketch had been tried before
+        # as if one sketch had been tried before
+        tree.record_attempt(target.id, "decomposer", "sketch", "an earlier sketch", failed=False)
         run_decomposition(orch, target.id)
         query_prompt = search_query.transcripts[0][-1][1]
         assert "**IMPORTANT**: A previous attempt to prove this theorem failed." in query_prompt
@@ -894,6 +895,7 @@ class TestCheckpointJournal:
             path = directory / f"cut{number}.json"
             path.write_bytes(cut)
             resumed = ProofTree.load(path)
+            resumed.validate()
             assert resumed.to_dict() == state
             assert orchestrator(resumed, checkpoint_path=path).run() == outcome
 
@@ -1072,6 +1074,31 @@ class TestDerivedConversations:
         assert resumed == uninterrupted
         for role in ("prover", "search_query", "decomposer"):
             assert backends[role].calls + asked[role] == fresh[role].calls, role
+
+    def test_version_4_journal_with_dropped_fields_resumes(self, tmp_path):
+        """A journal the earlier version-4 ``ProofTree.save`` wrote just
+        after the backtrack to the root, whose node records still carry
+        ``insertion_seq`` and ``sketch_attempts_total``: it resumes to
+        success, its backtrack sketch prompt names the round that writer
+        named, "(Round 1)", and the snapshot the resumed run writes holds
+        neither key."""
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(FIXTURES / "checkpoint_v4.json", checkpoint)
+        stored = checkpoint.read_text(encoding="utf-8")
+        assert "insertion_seq" in stored and "sketch_attempts_total" in stored
+        tree = ProofTree.load(checkpoint)
+        tree.validate()
+        assert tree.root_node().counters.decompositions_used == 1
+        outcome, backends = golden_run(tree, checkpoint_path=checkpoint)
+        assert outcome.success and outcome == golden_run()[0]
+        backtrack = [
+            transcript[-1][1]
+            for transcript in backends["decomposer"].transcripts
+            if "COMPLETELY DIFFERENT" in transcript[-1][1]
+        ]
+        assert len(backtrack) == 1 and "(Round 1)" in backtrack[0]
+        snapshot = checkpoint.read_text(encoding="utf-8").splitlines()[0]
+        assert "insertion_seq" not in snapshot and "sketch_attempts_total" not in snapshot
 
     def test_sketch_note_never_reaches_the_decomposer(self):
         """An AST-export failure is noted in the history, but the

@@ -12,6 +12,7 @@ from leandecomp.lean_source import LeanSource
 from leandecomp.orchestrator import Action, ActionKind, Orchestrator
 from leandecomp.proof_state import CHECKPOINT_VERSION, Counters, NodeStatus, ProofNode, ProofTree
 from leandecomp.services import VerificationResult
+from tests.drivers import dispatch_now
 from tests.fakes import RuleVerifier, count_sorries, lean_block, make_backends
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
@@ -450,8 +451,6 @@ class TestCheckpoint:
             "hints": [("Nat.foo", "theorem Nat.foo : True")],
             "last_failure": "failure",
             "last_sketch_failure": "sketch failure",
-            "sketch_attempts_total": 3,
-            "insertion_seq": 9,
         }
         for field in dataclasses.fields(ProofNode):
             if field.name in values:
@@ -496,8 +495,6 @@ class TestCheckpoint:
             "hints": [("Nat.foo", "theorem Nat.foo : True")],
             "last_failure": "failure",
             "last_sketch_failure": "sketch failure",
-            "sketch_attempts_total": 3,
-            "insertion_seq": 9,
         }[field]
         setattr(node, field, changed)
         tree.save(path)
@@ -530,8 +527,9 @@ class TestCheckpoint:
         assert migrated.unjudged_round(migrated.root) == round_
         assert not any("pending" in key for key in migrated.to_dict()["nodes"][migrated.root])
         verifier = RuleVerifier()
-        Orchestrator(migrated, make_backends(), verifier).dispatch(
-            Action(ActionKind.SYNTAX_CHECK, migrated.root)
+        dispatch_now(
+            Orchestrator(migrated, make_backends(), verifier),
+            Action(ActionKind.SYNTAX_CHECK, migrated.root),
         )
         assert verifier.checked == [CANONICAL_PREAMBLE + "\n\n" + statement]
         assert migrated.root_node().status is NodeStatus.AWAITING_SEMANTIC_CHECK
