@@ -51,12 +51,6 @@ class Verdict(Enum):
     INAPPROPRIATE = "Inappropriate"
 
 
-@dataclass(frozen=True)
-class Judgement:
-    verdict: Verdict
-    rationale: str = ""
-
-
 _PLACEHOLDER_RE = re.compile(r"\{\{\s*(\w+)\s*\}\}")
 
 
@@ -102,36 +96,28 @@ def parse_search_queries(response: str) -> list[str]:
     return queries
 
 
-def parse_judgement(response: str) -> Judgement:
+def parse_judgement(response: str) -> Verdict:
     """
     Parse the semantic checker's verdict.
 
     The last line starting with ``Judgement:`` wins, so chain-of-thought
-    restatements of the expected format do not confuse the parse. The
-    rationale is the text of the last ``Thought:`` line before the
-    verdict, when present. Raises NoJudgement.
+    restatements of the expected format do not confuse the parse.
+    Raises NoJudgement.
     """
-    lines = response.splitlines()
     verdict = None
-    verdict_idx = -1
-    for idx, line in enumerate(lines):
+    for line in response.splitlines():
         stripped = line.strip()
         if not stripped.lower().startswith("judgement:"):
             continue
         payload = stripped[len("judgement:") :].lower()
         # check the negative first: "inappropriate" contains "appropriate"
         if "inappropriate" in payload:
-            verdict, verdict_idx = Verdict.INAPPROPRIATE, idx
+            verdict = Verdict.INAPPROPRIATE
         elif "appropriate" in payload:
-            verdict, verdict_idx = Verdict.APPROPRIATE, idx
+            verdict = Verdict.APPROPRIATE
     if verdict is None:
         raise NoJudgement("completion contains no parseable Judgement line")
-    rationale = ""
-    for line in lines[:verdict_idx]:
-        stripped = line.strip()
-        if stripped.lower().startswith("thought:"):
-            rationale = stripped[len("thought:") :].strip()
-    return Judgement(verdict=verdict, rationale=rationale)
+    return verdict
 
 
 def generate_theorem_name(informal: str) -> str:
@@ -180,22 +166,14 @@ def build_error_annotation(code: str, result: VerificationResult) -> str:
     return annotated + "\n\nErrors:\n" + "\n".join(f"- {m}" for m in messages)
 
 
-def format_theorem_hints(hits) -> str:
+def format_theorem_hints(hints: list[tuple[str, str]]) -> str:
     """
-    Render retrieved theorems as the decomposer's hint list.
-
-    Accepts TheoremHit objects or (name, statement) pairs; the search
-    client already caps them at ``SearchConfig.hint_cap``. Empty input
-    yields a short placeholder line so templates never render an empty
-    section.
+    Render retrieved theorems, as (name, statement) pairs, as the
+    decomposer's hint list; the search client already caps them at
+    ``SearchConfig.hint_cap``. Empty input yields a short placeholder
+    line so templates never render an empty section.
     """
-    lines = []
-    for hit in hits:
-        if hasattr(hit, "full_name"):
-            name, statement = hit.full_name, hit.statement
-        else:
-            name, statement = hit
-        lines.append(f"- {name} : {' '.join(statement.split())}")
+    lines = [f"- {name} : {' '.join(statement.split())}" for name, statement in hints]
     if not lines:
         return "(no potentially useful theorems were found)"
     return "Potentially useful theorems:\n\n" + "\n".join(lines)

@@ -9,7 +9,6 @@ proved independently.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -116,36 +115,23 @@ def _parse_sorry(raw: Any) -> SorryInfo:
         raise MalformedAst("sorries entry needs 'goal' text and 'pos' object")
     try:
         position = (int(pos["line"]), int(pos["column"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedAst(f"sorries entry has bad position: {pos!r}") from exc
     goal_type, binders = _parse_goal(goal)
     return SorryInfo(goal_type=goal_type, binders=binders, position=position)
 
 
-def parse_ast(payload: str | dict[str, Any]) -> tuple[AstNode, list[SorryInfo]]:
+def parse_ast(payload: dict[str, Any]) -> tuple[AstNode, list[SorryInfo]]:
     """
-    Parse an AST-endpoint payload into a node tree and sorry metadata.
-
-    Accepts either the JSON text or the decoded object; the object may
-    be ``{"ast": …, "sorries": […]}`` or a bare root node.
+    Parse an AST-endpoint payload, ``{"ast": …, "sorries": […]}``, into
+    a node tree and sorry metadata.
 
     Raises MalformedAst on missing kinds or non-tree shapes.
     """
-    if isinstance(payload, str):
-        try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise MalformedAst(f"payload is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise MalformedAst("payload must be a JSON object")
-    if "ast" in payload:
-        root_raw = payload["ast"]
-        sorries_raw = payload.get("sorries", [])
-    else:
-        root_raw, sorries_raw = payload, []
+    sorries_raw = payload.get("sorries", [])
     if not isinstance(sorries_raw, list):
         raise MalformedAst("'sorries' must be a list")
-    root = _parse_node(root_raw)
+    root = _parse_node(payload.get("ast"))
     sorries = [_parse_sorry(s) for s in sorries_raw]
     return root, sorries
 

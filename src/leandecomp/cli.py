@@ -23,7 +23,7 @@ from .errors import (
     MissingDeclaration,
     MissingHeader,
 )
-from .lean_source import LeanSource, normalize_preamble, split_source
+from .lean_source import LeanSource, _line_heads, normalize_preamble, split_source
 from .orchestrator import Orchestrator
 from .proof_state import ProofTree
 from .services import ChatClient, SearchClient, VerifierClient, close_idle_connections
@@ -91,10 +91,7 @@ def validate_formal_input(code: str) -> LeanSource:
     canonical preamble with any extra lines preserved.
     """
     source = split_source(code)
-    has_import = any(
-        line.strip().startswith("import ") for line in source.preamble.splitlines()
-    )
-    if not source.preamble or not has_import:
+    if not any(tok.text == "import" for _, tok in _line_heads(source.preamble)):
         raise MissingHeader(
             "formal input must begin with a Lean header containing at least "
             "one import line (e.g. 'import Mathlib')"

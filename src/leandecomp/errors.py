@@ -76,10 +76,6 @@ class ServiceUnavailable(LeandecompError):
     """The verification / AST / search service could not be reached."""
 
 
-class InvalidModuleName(LeandecompError):
-    """Module name rejected (must match [A-Za-z0-9_.]+)."""
-
-
 class AstExportFailed(LeandecompError):
     """The AST endpoint reported an export error for the submitted code."""
 

@@ -195,9 +195,16 @@ def normalize_preamble(preamble: str) -> str:
     follow in order, blank ones dropped. Header commands (lines whose
     first token is one of ``HEADER_KEYWORDS``) are stripped and
     deduplicated; every other line, comments included, is kept as it
-    is, so a comment the input closes stays closed. Idempotent.
+    is, and so is a header command whose line ends inside a block
+    comment, so a comment the input closes stays closed. Idempotent.
     """
     headers = {start for start, tok in _line_heads(preamble) if tok.text in HEADER_KEYWORDS}
+    if "/-" in preamble:  # a header line ending inside a block comment stays as it is
+        headers -= {
+            preamble.rfind("\n", 0, tok.start) + 1
+            for tok in _tokens(preamble, comments=True)
+            if tok.text == "/-" and preamble.find("\n", tok.start, tok.end) >= 0
+        }
     extras: list[str] = []
     seen = set(CANONICAL_PREAMBLE_LINES)
     offset = 0

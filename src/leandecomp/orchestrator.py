@@ -333,15 +333,8 @@ class Orchestrator:
         when the action ends the run; else None. Makes no remote call."""
         kind = action.kind
         if kind is ActionKind.FINISH:
-            outcome = action.outcome or Outcome(success=False, report="no work remains")
-            if not outcome.success:
-                if action.node_id is not None and action.node_id in self.tree.nodes:
-                    target = self.tree.node(action.node_id)
-                else:
-                    target = self.tree.root_node()
-                self._fail_run(target, outcome.report or "proof search failed")
-                outcome = Outcome(success=False, proof=outcome.proof, report=self._failure_reason)
-            return outcome
+            self._fail_run(self.tree.node(action.node_id), action.outcome.report)
+            return Outcome(success=False, report=self._failure_reason)
         if kind is ActionKind.BACKTRACK:
             self.tree.prune_subtree(action.node_id)
             self._forget_pruned()
@@ -535,7 +528,7 @@ class Orchestrator:
                 response, appropriate = f"(backend failure: {response})", False
             else:
                 try:
-                    appropriate = parse_judgement(response).verdict is Verdict.APPROPRIATE
+                    appropriate = parse_judgement(response) is Verdict.APPROPRIATE
                 except NoJudgement:
                     appropriate = False
             self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
@@ -739,9 +732,10 @@ class Orchestrator:
 
     def _note_sketch_failure(self, node: ProofNode, stage: str, message: str) -> None:
         """Count a post-verification sketch defect (AST export or subgoal
-        extraction) against the correction budget without inventing a
-        conversation round for it."""
-        self.tree.note_sketch_defect(node.id, stage, message)
+        extraction) against the correction budget, as a failed decomposer
+        entry with the prompt ``(<stage>)``, which the decomposer's
+        conversation leaves out."""
+        self.tree.record_attempt(node.id, "decomposer", f"({stage})", message, failed=True)
         node.last_sketch_failure = message
         node.sketch = None
         self._ast_cache.pop(node.id, None)
@@ -774,10 +768,7 @@ class Orchestrator:
             return exc
 
     def _do_extract_subgoals(self, node: ProofNode) -> None:
-        cached = self._ast_cache.pop(node.id, None)
-        if cached is None:
-            return  # cache lost (e.g. resumed run): next_action re-issues ParseAst
-        ast, sorries = cached
+        ast, sorries = self._ast_cache.pop(node.id)
         try:
             subgoals = extract_subgoals(ast, sorries)
         except (AnonymousSorry, MalformedAst) as exc:
@@ -809,7 +800,7 @@ class Orchestrator:
         when none exists. The node itself is pruned away on success."""
         action = _resolve_backtrack(self.tree, node)
         if action.kind is ActionKind.FINISH:
-            self._fail_run(node, action.outcome.report or "backtracking impossible")
+            self._fail_run(node, action.outcome.report)
         else:
             self.tree.prune_subtree(action.node_id)
             self._forget_pruned()

@@ -37,10 +37,9 @@ from .services import VerificationResult
 
 CHECKPOINT_VERSION = 4
 
-#: Stages of a verified sketch whose defects are noted in a node's
-#: history as decomposer entries with the prompt ``(<stage>)``.
-_SKETCH_NOTE_STAGES = ("ast-export", "subgoal-extraction")
-_NOTE_PROMPTS = frozenset(f"({stage})" for stage in _SKETCH_NOTE_STAGES)
+#: The prompts of the decomposer entries that note a defect found in a
+#: verified sketch, at AST export or at subgoal extraction.
+_NOTE_PROMPTS = frozenset({"(ast-export)", "(subgoal-extraction)"})
 
 
 class NodeStatus(Enum):
@@ -142,12 +141,10 @@ class ProofTree:
         )
 
     @classmethod
-    def from_formal(cls, code: str, limits: Limits, informal: str | None = None) -> "ProofTree":
+    def from_formal(cls, code: str, limits: Limits) -> "ProofTree":
         source = split_source(code)
         formal = LeanSource(preamble=normalize_preamble(source.preamble), body=source.body.strip())
-        return cls._with_root(
-            limits, status=NodeStatus.AWAITING_PROOF, informal_statement=informal, formal=formal
-        )
+        return cls._with_root(limits, status=NodeStatus.AWAITING_PROOF, formal=formal)
 
     # ------------------------------------------------------------- navigation
 
@@ -233,21 +230,14 @@ class ProofTree:
         return child.id
 
     def record_attempt(
-        self,
-        node_id: str,
-        role: str,
-        prompt: str,
-        response: str,
-        verdict: VerificationResult | None = None,
-        failed: bool | None = None,
+        self, node_id: str, role: str, prompt: str, response: str, failed: bool
     ) -> None:
         """Log one agent round judged at once, in one history entry, and
         apply the role's counter rules (see ``record_verdict``)."""
         node = self.node(node_id)
-        if failed is None:
-            failed = verdict is not None and not verdict.passed
         node.history.append(
-            {"role": role, "prompt": prompt, "response": response, **_verdict(verdict, failed)}
+            {"role": role, "prompt": prompt, "response": response,
+             "failed": failed, "verdict": None}
         )
         self._charge(node, role, failed)
 
@@ -271,7 +261,10 @@ class ProofTree:
         if judged is None:
             raise LeandecompError(f"node {node_id} has no round awaiting a check")
         node = self.node(node_id)
-        node.history.append(_verdict(verdict, not verdict.passed))
+        node.history.append(
+            {"failed": not verdict.passed,
+             "verdict": {"passed": verdict.passed, "complete": verdict.complete}}
+        )
         self._charge(node, judged["role"], not verdict.passed)
 
     def _charge(self, node: ProofNode, role: str, failed: bool) -> None:
@@ -287,22 +280,6 @@ class ProofTree:
             counters.formalize_retries += 1
         elif role == "decomposer":
             counters.sketch_corrections_used += 1
-
-    def note_sketch_defect(self, node_id: str, stage: str, message: str) -> None:
-        """
-        Log a defect found in a verified sketch at ``stage``
-        (``ast-export`` or ``subgoal-extraction``) and consume one sketch
-        correction. The note is history only: the decomposer's
-        conversation leaves it out.
-        """
-        if stage not in _SKETCH_NOTE_STAGES:
-            raise ValueError(f"unknown sketch stage {stage!r}")
-        node = self.node(node_id)
-        node.history.append(
-            {"role": "decomposer", "prompt": f"({stage})", "response": message,
-             "failed": True, "verdict": None}
-        )
-        node.counters.sketch_corrections_used += 1
 
     def find_backtrack_ancestor(self, node_id: str) -> str | None:
         """
@@ -639,12 +616,6 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
         "last_failure": node.last_failure,
         "last_sketch_failure": node.last_sketch_failure,
     }
-
-
-def _verdict(verdict: VerificationResult | None, failed: bool) -> dict[str, Any]:
-    """The judgement fields of a history entry."""
-    judged = None if verdict is None else {"passed": verdict.passed, "complete": verdict.complete}
-    return {"failed": failed, "verdict": judged}
 
 
 #: Encodes every snapshot and journal line; json.dumps with these

@@ -19,7 +19,6 @@ import http.client
 import json
 import logging
 import random
-import re
 import ssl
 import threading
 import time
@@ -29,17 +28,10 @@ from dataclasses import dataclass
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
 from .ast_model import AstNode, SorryInfo, parse_ast
-from .errors import (
-    AstExportFailed,
-    BadResponse,
-    InvalidModuleName,
-    RemoteExhausted,
-    ServiceUnavailable,
-)
+from .errors import AstExportFailed, BadResponse, RemoteExhausted, ServiceUnavailable
 
 log = logging.getLogger(__name__)
 
-_MODULE_NAME_RE = re.compile(r"^[A-Za-z0-9_.]+$")
 _TRANSIENT_STATUS = frozenset({408, 429})
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 #: Lean's warning for a declaration that still contains sorry (or admit).
@@ -102,20 +94,20 @@ def _is_transient_status(status: int) -> bool:
     return status in _TRANSIENT_STATUS or status >= 500
 
 
-@dataclass(frozen=True)
-class HttpResponse:
-    """A response whose body has been read in full."""
-
-    status_code: int
-    body: bytes
-
-    @property
-    def text(self) -> str:
-        return self.body.decode("utf-8", "replace")
-
-    def json(self):
-        """The decoded JSON body; raises ValueError when it is not JSON."""
-        return json.loads(self.body)
+def _json_object(request: str, status: int, data: bytes) -> dict:
+    """The JSON object of a final answer to ``request``; raises
+    BadResponse for a 4xx or 5xx status and for a body that is not a
+    JSON object."""
+    if status >= 400:
+        text = data[:200].decode("utf-8", "replace")
+        raise BadResponse(f"{request} returned HTTP {status}: {text}")
+    try:
+        body = json.loads(data)
+    except ValueError:
+        raise BadResponse(f"{request} returned a body that is not JSON") from None
+    if not isinstance(body, dict):
+        raise BadResponse(f"{request} returned JSON that is not an object: {type(body).__name__}")
+    return body
 
 
 def _proxy_for(url: SplitResult) -> SplitResult | None:
@@ -195,14 +187,16 @@ class _RetryingHttp:
         payload=None,
         params: dict[str, str] | None = None,
         headers: dict[str, str] | None = None,
-    ) -> HttpResponse:
+    ) -> dict:
         """
         Send one request, retrying transient failures, and return the
-        first non-transient response.
+        JSON object of the first non-transient response.
 
         ``payload`` is sent as a JSON body and ``params`` as the query
-        string. Raises ServiceUnavailable once the budget is spent and
-        BadResponse for a redirect, which is never followed.
+        string. Raises ServiceUnavailable once the budget is spent, and
+        BadResponse for a redirect, which is never followed, for a 4xx
+        answer that is not retried, and for a body that is not a JSON
+        object.
         """
         parts = urlsplit(url)
         if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
@@ -217,13 +211,13 @@ class _RetryingHttp:
         attempts = self._retries + 1
         for attempt in range(1, attempts + 1):
             try:
-                response = self._send(method, parts, target, body, headers, timeout)
+                status, data = self._send(method, parts, target, body, headers, timeout)
             except (OSError, http.client.HTTPException) as exc:
                 reason = f"network error: {exc!r}"
             else:
-                if not _is_transient_status(response.status_code):
-                    return response
-                reason = f"HTTP {response.status_code}"
+                if not _is_transient_status(status):
+                    return _json_object(f"{method} {url}", status, data)
+                reason = f"HTTP {status}"
             if attempt < attempts:
                 log.warning(
                     "%s %s: attempt %d of %d failed (%s); retrying",
@@ -232,10 +226,10 @@ class _RetryingHttp:
                 self._sleep(random.uniform(0, self._backoff_base * 2 ** (attempt - 1)))
         raise ServiceUnavailable(f"{method} {url} failed after {attempts} attempts ({reason})")
 
-    def _send(self, method, parts, target, body, headers, timeout) -> HttpResponse:
-        """One attempt. A kept-alive connection that turns out to be
-        closed before any response byte arrives is replaced by a fresh
-        one once, without counting as an attempt."""
+    def _send(self, method, parts, target, body, headers, timeout) -> tuple[int, bytes]:
+        """One attempt's status and body. A kept-alive connection that
+        turns out to be closed before any response byte arrives is
+        replaced by a fresh one once, without counting as an attempt."""
         key, proxy_headers = self._route(parts)
         if proxy_headers is not None:  # an http proxy takes the absolute URL as the target
             target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
@@ -267,7 +261,7 @@ class _RetryingHttp:
                 f"{method} {parts.geturl()} was redirected (HTTP {response.status}) "
                 f"to {response.getheader('Location')}; redirects are not followed"
             )
-        return HttpResponse(response.status, data)
+        return response.status, data
 
     @staticmethod
     def _start(conn, method, target, body, headers) -> http.client.HTTPResponse:
@@ -331,18 +325,14 @@ class ChatClient:
             "max_tokens": self.config.max_tokens,
         }
         try:
-            response = self._http.request(
+            body = self._http.request(
                 "POST", url, payload=payload, headers=headers, timeout=self._request_timeout
             )
         except ServiceUnavailable as exc:
             raise RemoteExhausted(str(exc)) from exc
-        if response.status_code >= 400:
-            raise BadResponse(f"chat backend returned HTTP {response.status_code}: {response.text[:200]}")
         try:
-            body = response.json()
-            choices = body["choices"]
-            content = choices[0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
+            content = body["choices"][0]["message"]["content"]
+        except (LookupError, TypeError) as exc:
             raise BadResponse(f"chat response missing choices: {exc}") from exc
         if not isinstance(content, str):
             raise BadResponse("chat response content is not text")
@@ -364,13 +354,7 @@ class VerifierClient:
 
     def _post(self, path: str, payload: dict, timeout: float) -> dict:
         url = self.config.url.rstrip("/") + path
-        response = self._http.request("POST", url, payload=payload, timeout=timeout + 30)
-        if response.status_code >= 400:
-            raise BadResponse(f"{path} returned HTTP {response.status_code}: {response.text[:200]}")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise BadResponse(f"{path} returned non-JSON body") from exc
+        return self._http.request("POST", url, payload=payload, timeout=timeout + 30)
 
     @staticmethod
     def _parse_result(entry: dict) -> VerificationResult:
@@ -382,7 +366,7 @@ class VerifierClient:
         Lean's ``declaration uses 'sorry'`` warning makes it incomplete.
         Raises BadResponse for an entry with neither a ``diagnostics``
         list nor an ``error``, and lets a field of the wrong type raise
-        TypeError, ValueError or AttributeError.
+        TypeError, ValueError, OverflowError or AttributeError.
         """
         diagnostics = entry.get("diagnostics")
         if not isinstance(diagnostics, list):
@@ -397,6 +381,8 @@ class VerifierClient:
         for diag in diagnostics:
             severity = diag.get("severity", "error")
             message = diag.get("message", "")
+            if not isinstance(message, str):
+                raise TypeError(f"diagnostic message is not text: {message!r}")
             span = None
             pos = diag.get("pos")
             if isinstance(pos, dict):
@@ -421,26 +407,26 @@ class VerifierClient:
             time=float(entry.get("time", 0.0)),
         )
 
-    def verify_code(self, code: str, timeout: float = 300.0) -> VerificationResult:
-        """
-        Check one Lean unit. ``passed`` means no errors; ``complete``
-        additionally means no ``declaration uses 'sorry'`` warning (a
-        valid sketch is passed but not complete).
-        """
-        return self.verify_batch([code], timeout)[0]
-
     def verify_batch(self, codes: list[str], timeout: float = 300.0) -> list[VerificationResult]:
-        """Check several units in one request, preserving input order."""
+        """
+        Check several Lean units in one request, preserving input order.
+        ``passed`` means no errors; ``complete`` additionally means no
+        ``declaration uses 'sorry'`` warning (a valid sketch is passed
+        but not complete).
+        """
         ids = [f"code-{uuid.uuid4().hex[:8]}-{i}" for i in range(len(codes))]
         payload = {
             "codes": [{"custom_id": cid, "code": code} for cid, code in zip(ids, codes)],
             "timeout": timeout,
         }
-        body = self._post(self.config.verify_path, payload, timeout)
-        by_id: dict[str, dict] = {}
-        for entry in body.get("results", []):
-            if isinstance(entry, dict) and "custom_id" in entry:
-                by_id[entry["custom_id"]] = entry
+        entries = self._post(self.config.verify_path, payload, timeout).get("results", [])
+        if not isinstance(entries, list):
+            raise BadResponse("verification response 'results' is not a list")
+        by_id = {
+            entry["custom_id"]: entry
+            for entry in entries
+            if isinstance(entry, dict) and isinstance(entry.get("custom_id"), str)
+        }
         results = []
         for cid in ids:
             entry = by_id.get(cid)
@@ -448,28 +434,22 @@ class VerifierClient:
                 raise BadResponse(f"verification response missing result for {cid}")
             try:
                 results.append(self._parse_result(entry))
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise BadResponse(f"verification result for {cid} is malformed: {exc!r}") from None
         return results
 
-    def fetch_ast(
-        self, code: str, module_name: str = "User.Code", timeout: float = 300.0
-    ) -> tuple[AstNode, list[SorryInfo]]:
+    def fetch_ast(self, code: str, timeout: float = 300.0) -> tuple[AstNode, list[SorryInfo]]:
         """
-        Export the AST of arbitrary Lean code.
-
-        The module name is validated against ``[A-Za-z0-9_.]+`` before
-        leaving the process, preventing path traversal on the server.
-        Raises AstExportFailed when the service reports a compile error.
+        Export the AST of arbitrary Lean code as module ``User.Code``.
+        Raises AstExportFailed when the service reports a compile error,
+        and MalformedAst for an export that is not a syntax tree.
         """
-        if not _MODULE_NAME_RE.match(module_name):
-            raise InvalidModuleName(f"module name {module_name!r} must match [A-Za-z0-9_.]+")
         body = self._post(
-            "/api/ast_code", {"code": code, "module_name": module_name, "timeout": timeout}, timeout
+            "/api/ast_code", {"code": code, "module_name": "User.Code", "timeout": timeout}, timeout
         )
         if body.get("error"):
             raise AstExportFailed(str(body["error"]))
-        return parse_ast({"ast": body.get("ast"), "sorries": body.get("sorries", [])})
+        return parse_ast(body)
 
 
 class SearchClient:
@@ -491,18 +471,14 @@ class SearchClient:
         best: dict[str, TheoremHit] = {}
         for query in queries:
             url = self.config.url.rstrip("/") + "/search"
-            response = self._http.request(
+            results = self._http.request(
                 "GET",
                 url,
                 params={"q": query, "pkg": ",".join(self.config.package_filters)},
                 timeout=60,
-            )
-            if response.status_code >= 400:
-                raise BadResponse(f"search returned HTTP {response.status_code}")
-            try:
-                results = response.json().get("results", [])
-            except ValueError as exc:
-                raise BadResponse("search returned non-JSON body") from exc
+            ).get("results", [])
+            if not isinstance(results, list):
+                raise BadResponse("search response 'results' is not a list")
             for raw in results:
                 try:
                     hit = TheoremHit(
@@ -511,8 +487,11 @@ class SearchClient:
                         source_package=raw.get("package", ""),
                         score=float(raw.get("score", 0.0)),
                     )
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, OverflowError):
                     continue
+                texts = (hit.full_name, hit.statement, hit.source_package)
+                if not all(isinstance(text, str) for text in texts):
+                    continue  # malformed, like a hit without a name
                 if allowed and hit.source_package not in allowed:
                     continue
                 known = best.get(hit.full_name)

@@ -87,9 +87,6 @@ class RuleVerifier:
         self.checked: list[str] = []
         self.batch_sizes: list[int] = []
 
-    def verify_code(self, code: str, timeout: float = 300.0) -> VerificationResult:
-        return self.verify_batch([code], timeout)[0]
-
     def verify_batch(self, codes, timeout: float = 300.0):
         self.calls += len(codes)
         self.batch_sizes.append(len(codes))

@@ -604,9 +604,8 @@ def test_criterion_9_live_verification(capsys):
         return
     with criterion(capsys, 9, "live verifier: proof complete, sketch passed/incomplete"):
         client = VerifierClient(load_config().verifier())
-        proof_result = client.verify_code(EVEN_SUM_PROOF)
+        proof_result, sketch_result = client.verify_batch([EVEN_SUM_PROOF, INFINITUDE_SKETCH])
         assert proof_result.passed and proof_result.complete
-        sketch_result = client.verify_code(INFINITUDE_SKETCH)
         assert sketch_result.passed and not sketch_result.complete
         assert count_sorries(INFINITUDE_SKETCH) == 5
 

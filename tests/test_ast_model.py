@@ -36,8 +36,8 @@ class TestParseAst:
         assert len(sorries) == 5
         assert all(isinstance(s, SorryInfo) for s in sorries)
 
-    def test_bare_single_node(self):
-        root, sorries = parse_ast({"kind": "module", "children": []})
+    def test_single_node_without_sorries(self):
+        root, sorries = parse_ast({"ast": {"kind": "module", "children": []}})
         assert root.kind == "module"
         assert root.children == []
         assert sorries == []
@@ -46,8 +46,9 @@ class TestParseAst:
         with pytest.raises(MalformedAst):
             parse_ast({"ast": {"args": [{"nope": 1}], "kind": "module"}})
 
-    def test_json_text_accepted(self):
-        root, _ = parse_ast('{"kind": "module", "args": [{"val": "x"}]}')
+    def test_val_node_is_an_atom(self):
+        root, _ = parse_ast({"ast": {"kind": "module", "args": [{"val": "x"}]}})
+        assert root.children[0].kind == "atom"
         assert root.children[0].value == "x"
 
     def test_positions_are_one_based(self):
@@ -80,7 +81,7 @@ class TestExtractSubgoals:
         assert names == INDUCTION_SUBGOAL_NAMES
 
     def test_fully_proven_tree_yields_nothing(self):
-        root, sorries = parse_ast({"kind": "module", "args": [{"val": "rfl"}]})
+        root, sorries = parse_ast({"ast": {"kind": "module", "args": [{"val": "rfl"}]}})
         assert extract_subgoals(root, sorries) == []
 
     def test_count_matches_source_sorries(self):
@@ -150,7 +151,7 @@ class TestExtractSubgoals:
                 }
             ],
         }
-        root, _ = parse_ast(payload)
+        root, _ = parse_ast({"ast": payload})
         subgoals = extract_subgoals(root, [SorryInfo("True", (), (1, 1))])
         assert [sg.name for sg in subgoals] == ["inner"]
 
@@ -168,7 +169,7 @@ class TestUnprovenNames:
         assert unproven_names(load_payload("infinitude_ast.json")) == INFINITUDE_SUBGOAL_NAMES
 
     def test_empty_module(self):
-        assert unproven_names({"kind": "module", "args": []}) == []
+        assert unproven_names({"ast": {"kind": "module", "args": []}}) == []
 
     def test_duplicate_names_both_listed(self):
         payload = build_sketch_payload(
@@ -221,4 +222,4 @@ class TestAstNodeShape:
             node = {"kind": "k", "args": [node]}
         node["args"].append(42)
         with pytest.raises(MalformedAst):
-            parse_ast(node)
+            parse_ast({"ast": node})

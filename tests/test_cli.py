@@ -90,6 +90,14 @@ class TestValidateFormalInput:
         with pytest.raises(MissingDeclaration):
             validate_formal_input(CANONICAL_PREAMBLE + "\n")
 
+    def test_commented_out_import_rejected(self):
+        with pytest.raises(MissingHeader):
+            validate_formal_input("/-\nimport Mathlib\n-/\ntheorem t : True := trivial")
+
+    def test_import_after_a_comment_accepted(self):
+        source = validate_formal_input("/- c -/ import Mathlib\ntheorem t : True := trivial")
+        assert source.body == "theorem t : True := trivial"
+
 
 # ------------------------------------------------------------- exit code 2
 
@@ -316,6 +324,45 @@ class TestFullStack:
         assert "failed" in capsys.readouterr().err
         restored = ProofTree.load(out / "checkpoint.json")
         assert restored.root_node().status is NodeStatus.FAILED
+
+    def test_search_answering_an_array_leaves_the_sketch_without_hints(
+        self, tmp_path, monkeypatch
+    ):
+        service = fake_stack(monkeypatch, content_keyed_reply)
+        service.route("GET", "/search", lambda request: (200, []))
+        try:
+            out = tmp_path / "out"
+            code = main(["--informal", "There are infinitely many primes.", "--out", str(out)])
+        finally:
+            service.stop()
+        assert code == 0
+        assert service.request_count("GET", "/search") >= 1
+        sketch_prompts = [
+            request.body["messages"][-1]["content"]
+            for request in service.requests
+            if request.path == "/chat/completions"
+            and request.body["model"] == ROLE_MODELS["decomposer"]
+        ]
+        assert sketch_prompts
+        assert all("(no potentially useful theorems were found)" in p for p in sketch_prompts)
+
+    def test_lean_server_answering_an_array_exits_one(self, tmp_path, monkeypatch, capsys):
+        def reply(model, messages):
+            return lean_block("theorem t : True := by\n  trivial")
+
+        service = fake_stack(monkeypatch, reply)
+        service.route("POST", "/api/check", lambda request: (200, []))
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text("import Mathlib\n\ntheorem t : True := by\n  sorry\n")
+            out = tmp_path / "out"
+            code = main(["--file", str(lean), "--out", str(out)])
+        finally:
+            service.stop()
+        assert code == 1
+        report = (out / "diagnostic.txt").read_text()
+        assert "proof search aborted" in report and "not an object" in report
+        assert "--resume" in capsys.readouterr().err
 
     def test_resume_checkpoint_through_cli(self, tmp_path, monkeypatch):
         tree = ProofTree.from_formal(

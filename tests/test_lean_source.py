@@ -140,6 +140,7 @@ class TestNormalizePreamble:
                 list(CANONICAL_PREAMBLE_LINES)
                 + ["import MyLib", "open Polynomial", "variable (n : Nat)", ""]
                 + ["-- note", "/- open", "  comment body", "-/", "/-- doc -/"]
+                + ["import MyLib /- opens a comment"]
             ),
             max_size=12,
         )
@@ -151,6 +152,12 @@ class TestNormalizePreamble:
     def test_repeated_comment_lines_are_kept(self):
         result = normalize_preamble("import Mathlib\n/- first\n-/\n/- second\n-/\nimport Mathlib")
         assert result == CANONICAL_PREAMBLE + "\n\n/- first\n-/\n/- second\n-/"
+
+    def test_repeated_header_ending_inside_a_comment_is_kept(self):
+        result = normalize_preamble("import A /- x\n-/\nimport A /- x\n-/")
+        assert result == CANONICAL_PREAMBLE + "\n\nimport A /- x\n-/\nimport A /- x\n-/"
+        body = split_source(result + "\ntheorem t : True := trivial").body
+        assert body == "theorem t : True := trivial"
 
     def test_comments_after_the_header_leave_the_body_outside(self):
         tree = ProofTree.from_formal(

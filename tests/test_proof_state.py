@@ -82,7 +82,7 @@ class TestAddChild:
 class TestRecordAttempt:
     def test_prover_failure_consumes_self_correction(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "prover", "p1", "r1", FAIL)
+        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True)
         root = tree.root_node()
         assert root.counters.self_correction_in_pass == 1
         assert root.counters.passes_used == 0
@@ -90,8 +90,8 @@ class TestRecordAttempt:
 
     def test_pass_rollover_resets_conversation(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "prover", "p1", "r1", FAIL)
-        tree.record_attempt(tree.root, "prover", "p2", "r2", FAIL)
+        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True)
+        tree.record_attempt(tree.root, "prover", "p2", "r2", failed=True)
         root = tree.root_node()
         assert root.counters.passes_used == 1
         assert root.counters.self_correction_in_pass == 0
@@ -101,7 +101,7 @@ class TestRecordAttempt:
 
     def test_success_changes_no_counters(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "prover", "p", "r", PASS)
+        tree.record_attempt(tree.root, "prover", "p", "r", failed=False)
         counters = tree.root_node().counters
         assert counters.self_correction_in_pass == 0 and counters.passes_used == 0
 
@@ -113,13 +113,15 @@ class TestRecordAttempt:
 
     def test_decomposer_failure_consumes_sketch_correction(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "decomposer", "p", "r", FAIL)
+        tree.record_attempt(tree.root, "decomposer", "p", "r", failed=True)
         assert tree.root_node().counters.sketch_corrections_used == 1
 
     def test_sketch_note_is_history_only(self):
         tree = sketch_tree()
-        tree.record_attempt(tree.root, "decomposer", "p", "r", FAIL)
-        tree.note_sketch_defect(tree.root, "ast-export", "the sketch could not be analyzed")
+        tree.record_attempt(tree.root, "decomposer", "p", "r", failed=True)
+        tree.record_attempt(
+            tree.root, "decomposer", "(ast-export)", "the sketch could not be analyzed", failed=True
+        )
         root = tree.root_node()
         assert root.counters.sketch_corrections_used == 2
         assert [entry["prompt"] for entry in root.history] == ["p", "(ast-export)"]
@@ -128,7 +130,7 @@ class TestRecordAttempt:
     def test_unknown_node(self):
         tree = sketch_tree()
         with pytest.raises(UnknownNode):
-            tree.record_attempt("nope", "prover", "p", "r", FAIL)
+            tree.record_attempt("nope", "prover", "p", "r", failed=True)
 
 
 class TestAwaitingCheck:
@@ -266,7 +268,7 @@ class TestPruneSubtree:
 
     def test_conversations_survive_prune(self):
         tree = sketch_tree()
-        tree.record_attempt(tree.root, "decomposer", "p", "r", FAIL)
+        tree.record_attempt(tree.root, "decomposer", "p", "r", failed=True)
         tree.prune_subtree(tree.root)
         assert tree.conversation(tree.root, "decomposer")
 
@@ -364,7 +366,7 @@ class TestReconstruct:
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self):
         tree = proven_sketch_tree()
-        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", PASS)
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", failed=False)
         clone = ProofTree.from_dict(tree.to_dict())
         assert clone.to_dict() == tree.to_dict()
         assert clone.reconstruct(clone.root) == tree.reconstruct(tree.root)
@@ -384,7 +386,7 @@ class TestCheckpoint:
         tree.save(path)
         path.unlink()
         path.mkdir()  # the next append cannot open the file
-        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", PASS)
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", failed=False)
         with pytest.raises(OSError):
             tree.save(path)
         path.rmdir()
@@ -398,11 +400,11 @@ class TestCheckpoint:
         tree = sketch_tree()
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         tree.save(first)
-        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", failed=True)
         tree.save(first)
         kept = first.read_bytes()
         tree.save(second)
-        tree.record_attempt(tree.root, "decomposer", "again", "there", PASS)
+        tree.record_attempt(tree.root, "decomposer", "again", "there", failed=False)
         tree.save(second)
         tree.close()
         assert first.read_bytes() == kept
@@ -411,12 +413,13 @@ class TestCheckpoint:
 
     def test_to_dict_result_is_not_the_tree(self):
         tree = sketch_tree()
-        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)
+        tree.record_reply(tree.root, "decomposer", "sketch please", "here")
+        tree.record_verdict(tree.root, FAIL)
         history = json.loads(json.dumps(tree.root_node().history))
         data = tree.to_dict()
         record = data["nodes"][tree.root]
         record["history"][0]["prompt"] = "edited"
-        record["history"][0]["verdict"]["passed"] = True
+        record["history"][1]["verdict"]["passed"] = True
         record["history"].append({"role": "prover"})
         data["limits"]["max_depth"] = 0
         assert tree.root_node().history == history
@@ -424,11 +427,12 @@ class TestCheckpoint:
 
     def test_kept_to_dict_result_does_not_follow_the_tree(self):
         tree = sketch_tree()
-        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", FAIL)
+        tree.record_reply(tree.root, "decomposer", "sketch please", "here")
+        tree.record_verdict(tree.root, FAIL)
         kept = tree.to_dict()
         expected = json.loads(json.dumps(kept))
-        tree.record_attempt(tree.root, "decomposer", "again", "there", PASS)
-        tree.root_node().history[0]["verdict"]["passed"] = True
+        tree.record_attempt(tree.root, "decomposer", "again", "there", failed=False)
+        tree.root_node().history[1]["verdict"]["passed"] = True
         assert kept == expected
 
     def test_every_node_field_is_persisted_and_restored(self, tmp_path):
@@ -581,5 +585,5 @@ class TestInvariantsUnderMutation:
                     tree.node(target).counters.passes_used
                     < LIMITS.prover_max_pass - 1
                 ):
-                    tree.record_attempt(target, "prover", "p", "r", FAIL)
+                    tree.record_attempt(target, "prover", "p", "r", failed=True)
             tree.validate()

@@ -1,4 +1,5 @@
 import base64
+import json
 import logging
 import socket
 import sys
@@ -7,11 +8,14 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from leandecomp.agents import format_theorem_hints
 from leandecomp.errors import (
     AstExportFailed,
     BadResponse,
-    InvalidModuleName,
+    LeandecompError,
     RemoteExhausted,
     ServiceUnavailable,
 )
@@ -108,13 +112,13 @@ def make_verifier(fake, retries=5, **kwargs):
 class TestVerifierClient:
     def test_complete_proof(self, service):
         service.route("POST", "/api/check", verifier_route(sorry_diagnostics))
-        result = make_verifier(service).verify_code(EVEN_SUM_PROOF, timeout=10)
+        result = make_verifier(service).verify_batch([EVEN_SUM_PROOF], timeout=10)[0]
         assert result.passed and result.complete
         assert result.errors == ()
 
     def test_sketch_passes_but_incomplete(self, service):
         service.route("POST", "/api/check", verifier_route(sorry_diagnostics))
-        result = make_verifier(service).verify_code(INFINITUDE_SKETCH, timeout=10)
+        result = make_verifier(service).verify_batch([INFINITUDE_SKETCH], timeout=10)[0]
         assert result.passed and not result.complete
 
     def test_type_error_fails_with_span(self, service):
@@ -129,7 +133,7 @@ class TestVerifierClient:
             ]
 
         service.route("POST", "/api/check", verifier_route(diagnose))
-        result = make_verifier(service).verify_code("theorem t : True := by exact 0", timeout=10)
+        result = make_verifier(service).verify_batch(["theorem t : True := by exact 0"], timeout=10)[0]
         assert not result.passed and not result.complete
         assert result.errors[0].message.startswith("type mismatch")
         assert result.errors[0].span == ((1, 30), (1, 37))
@@ -147,7 +151,7 @@ class TestVerifierClient:
     def test_unavailable_after_retries(self, service):
         service.fail_next("POST", "/api/check", [500] * 10)
         with pytest.raises(ServiceUnavailable):
-            make_verifier(service, retries=2).verify_code("x", timeout=10)
+            make_verifier(service, retries=2).verify_batch(["x"], timeout=10)
         assert service.request_count() == 3
 
     @pytest.mark.parametrize(
@@ -169,7 +173,7 @@ class TestVerifierClient:
             ]}),
         )
         with pytest.raises(BadResponse):
-            make_verifier(service).verify_code("theorem t : True := by trivial", timeout=10)
+            make_verifier(service).verify_batch(["theorem t : True := by trivial"], timeout=10)
 
     def test_warning_mentioning_admit_stays_complete(self, service):
         def diagnose(code):
@@ -177,7 +181,7 @@ class TestVerifierClient:
                      "pos": {"line": 2, "column": 7}}]
 
         service.route("POST", "/api/check", verifier_route(diagnose))
-        result = make_verifier(service).verify_code(EVEN_SUM_PROOF, timeout=10)
+        result = make_verifier(service).verify_batch([EVEN_SUM_PROOF], timeout=10)[0]
         assert result.passed and result.complete
 
 
@@ -192,15 +196,9 @@ class TestAstClient:
 
         service.route("POST", "/api/ast_code", handler)
         client = make_verifier(service)
-        root, sorries = client.fetch_ast(INFINITUDE_SKETCH, module_name="User.Code", timeout=10)
+        root, sorries = client.fetch_ast(INFINITUDE_SKETCH, timeout=10)
         assert len(sorries) == 5
         assert service.requests[-1].body["module_name"] == "User.Code"
-
-    def test_traversal_module_name_rejected_locally(self, service):
-        client = make_verifier(service)
-        with pytest.raises(InvalidModuleName):
-            client.fetch_ast("theorem t : True := by sorry", module_name="../etc")
-        assert service.request_count() == 0
 
     def test_compile_error_maps_to_ast_export_failed(self, service):
         service.route(
@@ -323,7 +321,7 @@ class TestConnectionReuse:
         search = SearchClient(SearchConfig(url=fake.base_url + "/api/v1"), backoff_base=0)
         for number, chat in enumerate(chats):
             assert chat.complete([("user", f"c{number}")]) == f"c{number}"
-        assert lean.verify_code("theorem t : True := trivial").complete
+        assert lean.verify_batch(["theorem t : True := trivial"])[0].complete
         assert search.search_theorems(["q"]) == []
         assert fake.request_count() == 7
         assert fake.connections == 1
@@ -499,3 +497,91 @@ class TestResponses:
         finally:
             release.set()
         assert service.request_count() == 2
+
+
+#: Object keys, most of them ones the clients read.
+JSON_KEYS = st.sampled_from([
+    "results", "custom_id", "diagnostics", "error", "severity", "message", "pos", "endPos",
+    "line", "column", "time", "ast", "sorries", "kind", "args", "val", "goal",
+    "full_name", "statement", "package", "score", "choices", "content",
+]) | st.text(max_size=3)
+
+#: JSON values, NaN and infinities included. The string "@id" stands for
+#: the custom id of the unit a verification request sends.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.just("@id"),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def with_id(value, custom_id):
+    """``value`` with every "@id" string replaced by ``custom_id``."""
+    if value == "@id":
+        return custom_id
+    if isinstance(value, list):
+        return [with_id(item, custom_id) for item in value]
+    if isinstance(value, dict):
+        return {key: with_id(item, custom_id) for key, item in value.items()}
+    return value
+
+
+class TestMalformedAnswers:
+    @pytest.mark.parametrize(
+        "status, body",
+        [(200, "not json"), (200, "[]"), (200, "null"), (200, '"text"'), (404, "{}")],
+        ids=["not-json", "array", "null", "string", "not-found"],
+    )
+    def test_a_final_answer_that_is_not_a_json_object_is_bad_response(
+        self, service, status, body
+    ):
+        service.route("POST", "/api/check", lambda r: (status, body))
+        with pytest.raises(BadResponse, match=f"POST {service.base_url}/api/check returned"):
+            _RetryingHttp(0).request("POST", service.base_url + "/api/check", payload={}, timeout=5)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(body=JSON_VALUES)
+    @example(body=[])
+    @example(body=None)
+    @example(body={"results": 5})
+    @example(body={"results": [{"custom_id": "@id", "diagnostics": [{"pos": {"line": 1e400}}]}]})
+    @example(body={"results": [{"custom_id": "@id", "diagnostics": [{"message": 5}]}]})
+    @example(body={"results": [{"full_name": [], "statement": "s"}]})
+    @example(body={"results": [{"full_name": "A", "statement": 7}]})
+    @example(body={"results": [{"full_name": "A", "package": None}]})
+    def test_any_json_answer_returns_or_raises_a_leandecomp_error(self, service, body):
+        """Whatever JSON a service answers with HTTP 200, each client
+        returns or raises a LeandecompError, and what the Lean and
+        search clients return is text where the program expects text."""
+        text = json.dumps(body)
+        service.route(
+            "POST",
+            "/api/check",
+            lambda r: (200, json.dumps(with_id(body, r.body["codes"][0]["custom_id"]))),
+        )
+        service.route("POST", "/api/ast_code", lambda r: (200, text))
+        service.route("GET", "/search", lambda r: (200, text))
+        service.route("POST", "/v1/chat/completions", lambda r: (200, text))
+        lean = make_verifier(service, retries=0)
+        search = SearchClient(
+            SearchConfig(url=service.base_url, package_filters=(), max_retries=0), backoff_base=0
+        )
+        def verify():
+            (result,) = lean.verify_batch(["theorem t : True := trivial"], timeout=10)
+            assert all(isinstance(error.message, str) for error in result.errors)
+
+        calls = [
+            verify,
+            lambda: lean.fetch_ast("theorem t : True := by sorry", timeout=10),
+            lambda: format_theorem_hints(
+                [(hit.full_name, hit.statement) for hit in search.search_theorems(["q"])]
+            ),
+            lambda: make_chat_client(service, retries=0).complete([("user", "hi")]),
+        ]
+        for call in calls:
+            try:
+                call()
+            except LeandecompError:
+                pass
