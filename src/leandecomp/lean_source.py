@@ -24,10 +24,9 @@ CANONICAL_PREAMBLE_LINES = (
     "open BigOperators Real Nat Topology Rat",
 )
 
-#: The canonical lines as a preamble, with blank lines between groups.
-_CANONICAL_PREAMBLE = "\n\n".join(
-    ["\n".join(CANONICAL_PREAMBLE_LINES[:2]), *CANONICAL_PREAMBLE_LINES[2:]]
-)
+#: The canonical imports, and the canonical lines after them as a block.
+_CANONICAL_IMPORTS = "\n".join(CANONICAL_PREAMBLE_LINES[:2])
+_CANONICAL_SETTINGS = "\n\n".join(CANONICAL_PREAMBLE_LINES[2:])
 
 #: Line-initial keywords that may appear in a preamble.
 HEADER_KEYWORDS = frozenset({"import", "open", "set_option", "variable", "variables"})
@@ -191,20 +190,22 @@ def normalize_preamble(preamble: str) -> str:
     """
     Normalize a preamble to the canonical header block.
 
-    The canonical lines always come first, in order; the other lines
-    follow in order, blank ones dropped. Header commands (lines whose
-    first token is one of ``HEADER_KEYWORDS``) are stripped and
+    The canonical lines always come first, in order, with the other
+    ``import`` lines right after the canonical ones, since Lean accepts
+    imports only at the top of a file; the other lines follow the
+    canonical block in order, blank ones dropped. Header commands (lines
+    whose first token is one of ``HEADER_KEYWORDS``) are stripped and
     deduplicated; every other line, comments included, is kept as it
     is, and so is a header command whose line ends inside a block
     comment, so a comment the input closes stays closed. Idempotent.
     """
-    headers = {start for start, tok in _line_heads(preamble) if tok.text in HEADER_KEYWORDS}
+    headers = {s: tok.text for s, tok in _line_heads(preamble) if tok.text in HEADER_KEYWORDS}
     if "/-" in preamble:  # a header line ending inside a block comment stays as it is
-        headers -= {
-            preamble.rfind("\n", 0, tok.start) + 1
-            for tok in _tokens(preamble, comments=True)
-            if tok.text == "/-" and preamble.find("\n", tok.start, tok.end) >= 0
-        }
+        text = preamble + "\n"  # so that a comment left open ends inside its line
+        for tok in _tokens(text, comments=True):
+            if tok.text == "/-" and text.find("\n", tok.start, tok.end) >= 0:
+                headers.pop(text.rfind("\n", 0, tok.start) + 1, None)
+    imports: list[str] = []
     extras: list[str] = []
     seen = set(CANONICAL_PREAMBLE_LINES)
     offset = 0
@@ -213,13 +214,12 @@ def normalize_preamble(preamble: str) -> str:
         if offset in headers:
             if line not in seen:
                 seen.add(line)
-                extras.append(line)
+                (imports if headers[offset] == "import" else extras).append(line)
         elif line:
             extras.append(raw.rstrip())
         offset += len(raw) + 1
-    if not extras:
-        return _CANONICAL_PREAMBLE
-    return _CANONICAL_PREAMBLE + "\n\n" + "\n".join(extras)
+    blocks = ["\n".join([_CANONICAL_IMPORTS, *imports]), _CANONICAL_SETTINGS, "\n".join(extras)]
+    return "\n\n".join(block for block in blocks if block)
 
 
 def _dedent_tail(tail: str) -> str:

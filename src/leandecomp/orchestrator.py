@@ -52,7 +52,6 @@ from .agents import (
     render_prompt,
 )
 from .ast_model import extract_subgoals
-from .config import Limits
 from .errors import (
     AnonymousSorry,
     AstExportFailed,
@@ -65,20 +64,9 @@ from .errors import (
     RemoteExhausted,
     ServiceUnavailable,
 )
-from .lean_source import LeanSource, extract_code_block, normalize_preamble, split_source
-from .proof_state import NodeStatus, ProofNode, ProofTree
+from .lean_source import LeanSource, normalize_preamble
+from .proof_state import NodeStatus, ProofNode, ProofTree, reply_code
 from .services import LeanError, VerificationResult
-
-
-def _reply_code(response: str) -> LeanSource:
-    """The Lean unit a generated reply proposes: its last fenced block,
-    split into preamble and a non-empty declaration body. Raises
-    NoCodeBlock when there is no such block."""
-    source = split_source(extract_code_block(response))
-    body = source.body.strip()
-    if not body:
-        raise NoCodeBlock("code block contains no declaration")
-    return LeanSource(preamble=source.preamble, body=body)
 
 
 class ActionKind(Enum):
@@ -121,7 +109,7 @@ class Action:
 
 
 def _candidate(
-    node: ProofNode, limits: Limits, ast_ready: frozenset[str]
+    tree: ProofTree, node: ProofNode, ast_ready: frozenset[str]
 ) -> tuple[int, ActionKind] | None:
     """Priority (lower = sooner) and action kind for one node, or None
     when the node has no work of its own (terminal or waiting on
@@ -143,7 +131,7 @@ def _candidate(
             return 11, ActionKind.EXTRACT_SUBGOALS
         return 6, ActionKind.PARSE_AST
     if status is NodeStatus.AWAITING_QUERY_GEN:
-        if node.depth >= limits.max_depth:
+        if node.depth >= tree.limits.max_depth:
             return 7, ActionKind.BACKTRACK
         return 7, ActionKind.GEN_QUERIES
     if status is NodeStatus.AWAITING_LOOKUP:
@@ -170,7 +158,6 @@ def _resolve_backtrack(tree: ProofTree, node: ProofNode) -> Action:
 
 def next_action(
     tree: ProofTree,
-    limits: Limits,
     ast_ready: frozenset[str] = frozenset(),
     busy: frozenset[str] = frozenset(),
 ) -> Action | None:
@@ -201,7 +188,7 @@ def next_action(
     best: tuple[tuple[int, int], ProofNode, ActionKind] | None = None
     waiting = False
     for node in tree.nodes.values():
-        entry = _candidate(node, limits, ast_ready)
+        entry = _candidate(tree, node, ast_ready)
         if entry is None:
             continue
         if node.id in busy:
@@ -267,7 +254,6 @@ class Orchestrator:
         checkpoint_path=None,
     ):
         self.tree = tree
-        self.limits = tree.limits
         self.backends = dict(backends)
         self.verifier = verifier
         self.ast_client = ast_client
@@ -352,7 +338,7 @@ class Orchestrator:
         self._passes += 1
         while len(self._inflight) < self.workers:
             not_ready = self._not_ready()
-            action = next_action(self.tree, self.limits, frozenset(self._ast_cache), not_ready)
+            action = next_action(self.tree, frozenset(self._ast_cache), not_ready)
             if action is None:
                 return None
             group: _Group = []
@@ -492,7 +478,7 @@ class Orchestrator:
         )
 
         def apply(reply: str | LeandecompError) -> None:
-            if self._take_reply(node, "formalizer", prompt, reply, NodeStatus.AWAITING_SYNTAX_CHECK):
+            if self._take_reply(node, "formalizer", prompt, reply):
                 self._after_formalization_failure(node)
 
         return _Call(apply, partial(self._ask, "formalizer", [("user", prompt)]))
@@ -541,11 +527,11 @@ class Orchestrator:
         return _Call(apply, partial(self._ask, "semantics", [("user", prompt)]))
 
     def _after_formalization_failure(self, node: ProofNode) -> None:
-        if node.counters.formalize_retries >= self.limits.formalizer_max_retries:
+        if node.counters.formalize_retries >= self.tree.limits.formalizer_max_retries:
             self._fail_run(
                 node,
                 f"formalization of node {node.id} exhausted its "
-                f"{self.limits.formalizer_max_retries} retries without an accepted statement",
+                f"{self.tree.limits.formalizer_max_retries} retries without an accepted statement",
             )
         else:
             node.status = NodeStatus.AWAITING_FORMALIZATION
@@ -569,7 +555,7 @@ class Orchestrator:
             )
 
         def apply(reply: str | LeandecompError) -> None:
-            note = self._take_reply(node, "prover", prompt, reply, NodeStatus.AWAITING_VERIFICATION)
+            note = self._take_reply(node, "prover", prompt, reply)
             if note is not None:
                 node.last_failure = note
                 self._after_prover_round(node)
@@ -577,22 +563,18 @@ class Orchestrator:
         return _Call(apply, partial(self._ask, "prover", conversation + [("user", prompt)]))
 
     def _after_prover_round(self, node: ProofNode) -> None:
-        if node.counters.passes_used >= self.limits.prover_max_pass:
+        if node.counters.passes_used >= self.tree.limits.prover_max_pass:
             node.status = NodeStatus.AWAITING_QUERY_GEN
         else:
             node.status = NodeStatus.AWAITING_PROOF
 
     def _do_verify(self, node: ProofNode) -> _Call:
-        decl = self._reply_source(node).body
-        return _Call(
-            partial(self._apply_verification, node, decl),
-            unit=node.formal.preamble + "\n\n" + decl,
-        )
+        unit = self._reply_unit(node)
+        return _Call(partial(self._apply_verification, node, unit), unit=unit)
 
-    def _apply_verification(self, node: ProofNode, decl: str, result: VerificationResult) -> None:
+    def _apply_verification(self, node: ProofNode, unit: str, result: VerificationResult) -> None:
         if result.passed and result.complete:
             self.tree.record_verdict(node.id, result)
-            node.proof_attempt = decl
             node.status = NodeStatus.PROVEN
             self._propagate_proven(node)
             return
@@ -605,7 +587,7 @@ class Orchestrator:
                 time=result.time,
             )
         self.tree.record_verdict(node.id, result)
-        node.last_failure = build_error_annotation(node.formal.preamble + "\n\n" + decl, result)
+        node.last_failure = build_error_annotation(unit, result)
         self._after_prover_round(node)
 
     def _propagate_proven(self, node: ProofNode) -> None:
@@ -648,14 +630,12 @@ class Orchestrator:
             return rounds
 
         def apply(rounds) -> None:
-            node.queries = []
             for reply, queries in rounds:
                 if isinstance(reply, LeandecompError):
                     reply = f"(backend failure: {reply})"
                 self.tree.record_attempt(
                     node.id, "search_query", prompt, reply, failed=queries is None
                 )
-                node.queries = queries or []
             node.status = NodeStatus.AWAITING_LOOKUP
 
         return _Call(apply, ask)
@@ -665,9 +645,10 @@ class Orchestrator:
             node.hints = hints
             node.status = NodeStatus.AWAITING_SKETCH
 
-        if not node.queries or self.search_client is None:
+        asked = self.tree.last_round(node.id)  # the latest search-query round
+        if asked["failed"] or self.search_client is None:
             return apply([])
-        return _Call(apply, partial(self._search, list(node.queries)))
+        return _Call(apply, partial(self._search, parse_search_queries(asked["response"])))
 
     def _search(self, queries: list[str]) -> list[tuple[str, str]]:
         try:
@@ -695,37 +676,32 @@ class Orchestrator:
             kind = PromptKind.DECOMPOSER_CORRECTION
             vars = PromptVars(
                 prev_round_num=str(counters.sketch_corrections_used),
-                error_message_for_prev_round=node.last_sketch_failure or "unknown error",
+                error_message_for_prev_round=node.last_failure or "unknown error",
             )
         prompt = render_prompt(kind, vars)
         messages = conversation + [("user", prompt)]
 
         def apply(reply: str | LeandecompError) -> None:
-            note = self._take_reply(
-                node, "decomposer", prompt, reply, NodeStatus.AWAITING_SKETCH_CHECK
-            )
+            note = self._take_reply(node, "decomposer", prompt, reply)
             if note is not None:
-                node.last_sketch_failure = note
+                node.last_failure = note
                 self._after_sketch_failure(node)
 
         return _Call(apply, partial(self._ask, "decomposer", messages))
 
     def _do_sketch_check(self, node: ProofNode) -> _Call:
-        decl = self._reply_source(node).body
-        unit = node.formal.preamble + "\n\n" + decl
+        unit = self._reply_unit(node)
 
         def apply(result: VerificationResult) -> None:
             self.tree.record_verdict(node.id, result)
             if result.passed and not result.complete:
-                node.sketch = unit
                 node.status = NodeStatus.AWAITING_AST_PARSE
             elif result.passed:
                 # no remaining goals: the "sketch" is already a complete proof
-                node.proof_attempt = decl
                 node.status = NodeStatus.PROVEN
                 self._propagate_proven(node)
             else:
-                node.last_sketch_failure = build_error_annotation(unit, result)
+                node.last_failure = build_error_annotation(unit, result)
                 self._after_sketch_failure(node)
 
         return _Call(apply, unit=unit)
@@ -736,13 +712,12 @@ class Orchestrator:
         entry with the prompt ``(<stage>)``, which the decomposer's
         conversation leaves out."""
         self.tree.record_attempt(node.id, "decomposer", f"({stage})", message, failed=True)
-        node.last_sketch_failure = message
-        node.sketch = None
+        node.last_failure = message
         self._ast_cache.pop(node.id, None)
         self._after_sketch_failure(node)
 
     def _after_sketch_failure(self, node: ProofNode) -> None:
-        if node.counters.sketch_corrections_used >= self.limits.decomposer_self_correction:
+        if node.counters.sketch_corrections_used >= self.tree.limits.decomposer_self_correction:
             self._backtrack_from(node)
         else:
             node.status = NodeStatus.AWAITING_SKETCH
@@ -759,7 +734,7 @@ class Orchestrator:
             else:
                 self._ast_cache[node.id] = export
 
-        return _Call(apply, partial(self._fetch_ast, node.sketch))
+        return _Call(apply, partial(self._fetch_ast, self._reply_unit(node)))
 
     def _fetch_ast(self, sketch: str) -> tuple[object, list] | LeandecompError:
         try:
@@ -856,33 +831,32 @@ class Orchestrator:
         when the reply arrived, or from the history after a resume."""
         source = self._sources.get(node.id)
         if source is None:
-            source = self._sources[node.id] = _reply_code(self.tree.last_round(node.id)["response"])
+            source = self._sources[node.id] = reply_code(self.tree.last_round(node.id)["response"])
         return source
 
+    def _reply_unit(self, node: ProofNode) -> str:
+        """The declaration of the node's latest generated round under the
+        node's preamble: the unit its Lean check and AST export read."""
+        return node.formal.preamble + "\n\n" + self._reply_source(node).body
+
     def _take_reply(
-        self,
-        node: ProofNode,
-        role: str,
-        prompt: str,
-        reply: str | LeandecompError,
-        awaiting: NodeStatus,
+        self, node: ProofNode, role: str, prompt: str, reply: str | LeandecompError
     ) -> str | None:
         """Record a generated reply. One that proposes Lean code becomes
-        the round awaiting its check, and the node moves to ``awaiting``;
+        the round awaiting its check, and the node awaits that check;
         returns None. Any other reply, or a backend failure, is recorded
         as a failed round; returns what went wrong."""
         if isinstance(reply, LeandecompError):
             response, note = f"(backend failure: {reply})", f"the {role} backend failed to respond"
         else:
             try:
-                source = _reply_code(reply)
+                source = reply_code(reply)
             except NoCodeBlock:
                 response = reply
                 note = "the completion did not contain a fenced Lean code block"
             else:
                 self.tree.record_reply(node.id, role, prompt, reply)
                 self._sources[node.id] = source
-                node.status = awaiting
                 return None
         self.tree.record_attempt(node.id, role, prompt, response, failed=True)
         return note

@@ -9,7 +9,7 @@ the last round of its node's history; the check appends a verdict entry
 after it. The tree persists as a checkpoint journal (a snapshot
 line, then one line per save holding what changed) and reconstructs
 complete proofs from proven subtrees by splicing child proof bodies
-into parent sketches.
+into parent sketches, each read from its node's history.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from enum import Enum
 from typing import Any, TextIO
 
 from .config import Limits
-from .errors import IncompleteSubtree, LeandecompError, NoByBlock, UnknownNode
+from .errors import IncompleteSubtree, LeandecompError, NoByBlock, NoCodeBlock, UnknownNode
 from .lean_source import (
     LeanSource,
+    extract_code_block,
     extract_proof_body,
     extract_term_value,
     normalize_preamble,
@@ -35,7 +36,7 @@ from .lean_source import (
 from .ast_model import Subgoal
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: The prompts of the decomposer entries that note a defect found in a
 #: verified sketch, at AST export or at subgoal extraction.
@@ -67,6 +68,17 @@ _AWAITING_CHECK = {
 }
 
 
+def reply_code(response: str) -> LeanSource:
+    """The Lean unit a generated reply proposes: its last fenced block,
+    split into preamble and a non-empty declaration body. Raises
+    NoCodeBlock when there is no such block."""
+    source = split_source(extract_code_block(response))
+    body = source.body.strip()
+    if not body:
+        raise NoCodeBlock("code block contains no declaration")
+    return LeanSource(preamble=source.preamble, body=body)
+
+
 @dataclass
 class Counters:
     formalize_retries: int = 0
@@ -92,20 +104,18 @@ class ProofNode:
     informal_statement: str | None = None
     formal: LeanSource | None = None
     name: str | None = None  # subgoal name when this node came from a have
-    proof_attempt: str | None = None  # the verified proof of a proven leaf
-    sketch: str | None = None
     children: list[str] = field(default_factory=list)
     history: list[dict[str, Any]] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
     # working data for the current phase
-    queries: list[str] = field(default_factory=list)
     hints: list[tuple[str, str]] = field(default_factory=list)
-    last_failure: str | None = None
-    last_sketch_failure: str | None = None
+    last_failure: str | None = None  # what the next correction prompt shows
 
 
 class ProofTree:
-    """Owner of all nodes; every mutation goes through these methods."""
+    """Owner of all nodes, which its methods add, prune and record rounds
+    on; the orchestrator sets ``status``, ``formal``, ``hints`` and
+    ``last_failure`` itself."""
 
     def __init__(self, limits: Limits):
         self.limits = limits
@@ -200,10 +210,10 @@ class ProofTree:
             return history[-1]
         return None
 
-    def last_round(self, node_id: str) -> dict[str, Any]:
+    def last_round(self, node_id: str) -> dict[str, Any] | None:
         """The node's latest agent round, judged or not: the last history
-        entry that carries a prompt and a response."""
-        return next(entry for entry in reversed(self.node(node_id).history) if "prompt" in entry)
+        entry that carries a prompt and a response; None when it has none."""
+        return next((e for e in reversed(self.node(node_id).history) if "prompt" in e), None)
 
     # -------------------------------------------------------------- mutations
 
@@ -242,9 +252,11 @@ class ProofTree:
         self._charge(node, role, failed)
 
     def record_reply(self, node_id: str, role: str, prompt: str, response: str) -> None:
-        """Log a generated round whose Lean check is still to come; it
-        stays unjudged until ``record_verdict``."""
-        self.node(node_id).history.append({"role": role, "prompt": prompt, "response": response})
+        """Log a generated round whose Lean check is still to come, and
+        move the node to the status awaiting that check."""
+        node = self.node(node_id)
+        node.history.append({"role": role, "prompt": prompt, "response": response})
+        node.status = next(s for s, checked in _AWAITING_CHECK.items() if checked == role)
 
     def record_verdict(self, node_id: str, verdict: VerificationResult) -> None:
         """
@@ -325,20 +337,16 @@ class ProofTree:
         node.status = NodeStatus.AWAITING_QUERY_GEN
         node.counters.decompositions_used += 1
         node.counters.sketch_corrections_used = 0
-        node.sketch = None
 
     # ---------------------------------------------------------- reconstruction
 
     def _reconstruct_decl(self, node: ProofNode) -> str:
         if node.status is not NodeStatus.PROVEN:
             raise IncompleteSubtree(f"node {node.id} is {node.status.value}, not Proven")
-        if not node.children:
-            if node.proof_attempt is None:
-                raise IncompleteSubtree(f"proven leaf {node.id} has no proof text")
-            return split_source(node.proof_attempt).body.strip() or node.proof_attempt.strip()
-        if node.sketch is None:
-            raise IncompleteSubtree(f"internal node {node.id} has no sketch")
-        text = split_source(node.sketch).body.strip()
+        verified = self.last_round(node.id)
+        if verified is None:
+            raise IncompleteSubtree(f"proven node {node.id} has no generated round")
+        text = reply_code(verified["response"]).body
         for child_id in node.children:
             child = self.node(child_id)
             child_decl = self._reconstruct_decl(child)
@@ -356,13 +364,13 @@ class ProofTree:
         """
         Assemble the complete proof of a proven subtree.
 
-        A leaf contributes its verified proof attempt; an internal node
-        contributes its sketch with every child's sorry replaced by that
-        child's reconstructed proof body. The result is a full unit
-        under the node's stored canonical preamble.
+        Each node contributes the declaration of its latest (verified)
+        round: a leaf's proof, or an internal node's sketch with every
+        child's sorry replaced by that child's reconstructed proof body.
+        The result is a full unit under the node's canonical preamble.
 
         Raises IncompleteSubtree if any descendant is not Proven, and
-        the LeandecompError of a child proof that does not splice.
+        the LeandecompError of a reply or child proof that does not splice.
         """
         node = self.node(node_id)
         decl = self._reconstruct_decl(node)
@@ -395,7 +403,8 @@ class ProofTree:
         limits = self.limits
         for node in self.nodes.values():
             if node.children:
-                assert node.sketch is not None, f"internal node {node.id} lacks a sketch"
+                sketch = self.last_round(node.id)
+                assert sketch and sketch["role"] == "decomposer", f"{node.id} lacks a sketch"
             c = node.counters
             assert c.formalize_retries <= limits.formalizer_max_retries
             assert c.self_correction_in_pass <= limits.prover_self_correction
@@ -431,13 +440,14 @@ class ProofTree:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
         """Rebuild a tree from a checkpoint record of any version, 1 to
-        4; raises ValueError for any structural defect. The
+        5; raises ValueError for any structural defect. The
         ``conversations`` of versions 1 and 2 are derived from
         ``history`` instead, and the ``pending_*`` reply of versions 1 to
-        3 becomes the round awaiting its check."""
+        3 becomes the round awaiting its check. The proof, sketch and
+        queries that versions 1 to 4 also store are read from ``history``."""
         try:
             version = data.get("version")
-            if version not in (1, 2, 3, CHECKPOINT_VERSION):
+            if version not in (1, 2, 3, 4, CHECKPOINT_VERSION):
                 raise ValueError(f"unsupported checkpoint version {version!r}")
             tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
             tree.root = data["root"]
@@ -446,13 +456,10 @@ class ProofTree:
                 formal = raw.get("formal")
                 status = NodeStatus(raw["status"])
                 history = list(raw.get("history", []))
-                if version < 4:
-                    if raw.get("pending_response") is not None:
-                        history.append({"role": _AWAITING_CHECK[status],
-                                        "prompt": raw.get("pending_prompt") or "",
-                                        "response": raw["pending_response"]})
-                    if status is not NodeStatus.PROVEN:
-                        raw = {**raw, "proof_attempt": None}  # an unverified attempt
+                if version < 4 and raw.get("pending_response") is not None:
+                    history.append({"role": _AWAITING_CHECK[status],
+                                    "prompt": raw.get("pending_prompt") or "",
+                                    "response": raw["pending_response"]})
                 node = ProofNode(
                     id=node_id,
                     parent=raw.get("parent"),
@@ -461,15 +468,12 @@ class ProofTree:
                     informal_statement=raw.get("informal_statement"),
                     formal=None if formal is None else LeanSource(**formal),
                     name=raw.get("name"),
-                    proof_attempt=raw.get("proof_attempt"),
-                    sketch=raw.get("sketch"),
                     children=list(raw.get("children", [])),
                     history=history,
                     counters=Counters.from_dict(raw.get("counters", {})),
-                    queries=list(raw.get("queries", [])),
                     hints=[tuple(h) for h in raw.get("hints", [])],
-                    last_failure=raw.get("last_failure"),
-                    last_sketch_failure=raw.get("last_sketch_failure"),
+                    # versions 1 to 4 keep a failed sketch's note apart
+                    last_failure=raw.get("last_sketch_failure") or raw.get("last_failure"),
                 )
                 tree.nodes[node_id] = node
         except (KeyError, TypeError, AttributeError) as exc:
@@ -552,7 +556,7 @@ class ProofTree:
     def load(cls, path) -> "ProofTree":
         """
         Read a checkpoint written by ``save``: a snapshot line followed
-        by journal lines replayed in order (version 2 to 4), or a
+        by journal lines replayed in order (version 2 to 5), or a
         version-1 file holding one JSON object. A torn final line (a
         crash mid-append) is dropped; any other defect raises ValueError.
         """
@@ -562,7 +566,7 @@ class ProofTree:
             except ValueError:
                 handle.seek(0)
                 return cls.from_dict(json.load(handle))  # version 1: one indented object
-            if isinstance(data, dict) and data.get("version") in (2, 3, CHECKPOINT_VERSION):
+            if isinstance(data, dict) and data.get("version") in (2, 3, 4, CHECKPOINT_VERSION):
                 pending, number = None, 1
                 for line in handle:
                     if pending is not None:
@@ -583,14 +587,10 @@ def _node_key(node: ProofNode) -> tuple:
         node.informal_statement,
         node.formal,
         node.name,
-        node.proof_attempt,
-        node.sketch,
         tuple(node.children),
         tuple(vars(node.counters).values()),
-        tuple(node.queries),
         tuple(map(tuple, node.hints)),
         node.last_failure,
-        node.last_sketch_failure,
     )
 
 
@@ -607,14 +607,10 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
         if node.formal is None
         else {"preamble": node.formal.preamble, "body": node.formal.body},
         "name": node.name,
-        "proof_attempt": node.proof_attempt,
-        "sketch": node.sketch,
         "children": list(node.children),
         "counters": node.counters.to_dict(),
-        "queries": list(node.queries),
         "hints": [list(h) for h in node.hints],
         "last_failure": node.last_failure,
-        "last_sketch_failure": node.last_sketch_failure,
     }
 
 

@@ -20,7 +20,9 @@ from leandecomp.orchestrator import (
     _candidate,
     _resolve_backtrack,
 )
-from leandecomp.proof_state import NodeStatus, ProofNode
+from leandecomp.proof_state import NodeStatus, ProofNode, ProofTree, reply_code
+
+from .fakes import lean_block
 
 
 class FormalizationExhausted(LeandecompError):
@@ -63,8 +65,20 @@ def dispatch_now(orch: Orchestrator, action: Action) -> Outcome | None:
     return result
 
 
+def record_verified(tree: ProofTree, node_id: str, role: str, code: str) -> None:
+    """Record ``code`` as the node's latest generated round, judged
+    passed: a prover's proof or a decomposer's sketch, as a reply that
+    verified would leave it in the history."""
+    tree.record_attempt(node_id, role, f"({role} prompt)", lean_block(code), failed=False)
+
+
+def latest_decl(tree: ProofTree, node_id: str) -> str:
+    """The declaration of the node's latest generated round."""
+    return reply_code(tree.last_round(node_id)["response"]).body
+
+
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:
-    entry = _candidate(node, orch.limits, frozenset(orch._ast_cache))
+    entry = _candidate(orch.tree, node, frozenset(orch._ast_cache))
     if entry is None:
         raise LeandecompError(
             f"node {node.id} has no applicable action in status {node.status.value}"

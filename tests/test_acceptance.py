@@ -26,6 +26,7 @@ from .drivers import (
     FormalizationExhausted,
     ProveOutcome,
     handle_depth_overflow,
+    record_verified,
     run_decomposition,
     run_formalization,
     run_prover_pass,
@@ -213,10 +214,10 @@ def _reconstruct(sketch_body: str, leaf_proofs: dict[str, str]) -> str:
     statement = sketch_body.splitlines()[0] + "\n  sorry"
     tree = ProofTree.from_formal(CANONICAL_PREAMBLE + "\n\n" + statement, Limits())
     root = tree.root_node()
-    root.sketch = CANONICAL_PREAMBLE + "\n\n" + sketch_body
+    record_verified(tree, root.id, "decomposer", CANONICAL_PREAMBLE + "\n\n" + sketch_body)
     for name, decl in leaf_proofs.items():
         child = tree.node(tree.add_child(root.id, _leaf(name)))
-        child.proof_attempt = decl
+        record_verified(tree, child.id, "prover", decl)
         child.status = NodeStatus.PROVEN
     root.status = NodeStatus.PROVEN
     tree.validate()
@@ -274,17 +275,23 @@ def test_criterion_2_reconstruction_against_goldens(capsys):
             CANONICAL_PREAMBLE + "\n\ntheorem s9 : True := by\n  sorry", Limits()
         )
         root = tree.root_node()
-        root.sketch = (
+        record_verified(
+            tree,
+            root.id,
+            "decomposer",
             CANONICAL_PREAMBLE
-            + "\n\ntheorem s9 : True := by\n  have mid : True := by\n    sorry\n  exact mid"
+            + "\n\ntheorem s9 : True := by\n  have mid : True := by\n    sorry\n  exact mid",
         )
         mid = tree.node(tree.add_child(root.id, _leaf("mid")))
-        mid.sketch = (
+        record_verified(
+            tree,
+            mid.id,
+            "decomposer",
             CANONICAL_PREAMBLE
-            + "\n\ntheorem mid : True := by\n  have leaf : True := by\n    sorry\n  exact leaf"
+            + "\n\ntheorem mid : True := by\n  have leaf : True := by\n    sorry\n  exact leaf",
         )
         leaf = tree.node(tree.add_child(mid.id, _leaf("leaf")))
-        leaf.proof_attempt = "theorem leaf : True := by\n  trivial"
+        record_verified(tree, leaf.id, "prover", "theorem leaf : True := by\n  trivial")
         leaf.status = NodeStatus.PROVEN
         mid.status = NodeStatus.PROVEN
         root.status = NodeStatus.PROVEN
@@ -333,10 +340,13 @@ def _chain(depth: int, limits: Limits) -> tuple[ProofTree, str]:
     current = tree.root_node()
     for level in range(depth):
         name = f"step{level}"
-        current.sketch = (
+        record_verified(
+            tree,
+            current.id,
+            "decomposer",
             current.formal.preamble
             + f"\n\ntheorem chain : True := by\n  have {name} : True := by\n    sorry\n"
-            + f"  exact {name}"
+            + f"  exact {name}",
         )
         child_id = tree.add_child(current.id, _leaf(name))
         current.status = NodeStatus.AWAITING_CHILDREN
@@ -373,9 +383,6 @@ def test_criterion_4_backtracking(capsys):
         grandparent = tree.node(grandparent_id)
         assert grandparent.children == []
         assert grandparent.counters.decompositions_used == 1
-        tree.record_attempt(
-            grandparent_id, "decomposer", "sketch", "an earlier sketch", failed=False
-        )
         run_decomposition(orch, grandparent_id)
         assert "A previous attempt to prove this theorem failed" in (
             search_query.transcripts[0][-1][1]

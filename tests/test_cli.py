@@ -257,6 +257,39 @@ class TestFullStack:
         restored = ProofTree.load(out / "checkpoint.json")
         assert restored.root_node().status is NodeStatus.PROVEN
 
+    def test_a_final_check_failure_exits_one_with_the_candidate_proof(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The prover's proof verifies, but the same unit fails the final
+        check: the run fails, and diagnostic.txt holds the candidate."""
+        proof = EVEN_SUM_FILE.replace("sorry", "exact fun m n hm hn => hm.add hn")
+        service = fake_stack(monkeypatch, lambda model, messages: lean_block(proof))
+        checked: set[str] = set()
+
+        def diagnose(code):
+            if code in checked:
+                return [{"severity": "error", "message": "kernel rejected the unit",
+                         "pos": {"line": 1, "column": 1}}]
+            checked.add(code)
+            return sorry_diagnostics(code)
+
+        service.route("POST", "/api/check", verifier_route(diagnose))
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text(EVEN_SUM_FILE)
+            out = tmp_path / "out"
+            code = main(["--file", str(lean), "--out", str(out)])
+        finally:
+            service.stop()
+        assert code == 1
+        assert not (out / "proof.lean").exists()
+        report, candidate = (out / "diagnostic.txt").read_text().split(
+            "\n\ncandidate proof (did not verify):\n"
+        )
+        assert report == "reconstructed proof failed final verification: kernel rejected the unit"
+        assert candidate == CANONICAL_PREAMBLE + "\n\n" + proof.split("\n\n", 1)[1]
+        assert "final verification" in capsys.readouterr().err
+
     def test_comment_opener_in_a_header_string(self, tmp_path, monkeypatch):
         text = (
             'import Mathlib\nset_option trace.profiler.output "/-tmp"\n\n'

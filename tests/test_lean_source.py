@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leandecomp.cli import validate_formal_input
 from leandecomp.config import Limits
 from leandecomp.errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
 from leandecomp.lean_source import (
@@ -131,14 +132,32 @@ class TestNormalizePreamble:
 
     def test_extra_lines_kept_after_canonical_block(self):
         result = normalize_preamble("import MyLib\nopen Polynomial")
-        assert result.split("\n")[-2:] == ["import MyLib", "open Polynomial"]
+        assert result.split("\n")[-1] == "open Polynomial"
         assert result.split("\n")[0] == "import Mathlib"
+
+    def test_extra_imports_follow_the_canonical_imports(self):
+        """Lean accepts ``import`` only before every other command."""
+        source = validate_formal_input(
+            "import Mathlib\nimport Mathlib.Tactic.Linarith\n\ntheorem t : True := trivial"
+        )
+        assert source.combined() == (
+            "import Mathlib\nimport Aesop\nimport Mathlib.Tactic.Linarith\n\n"
+            "set_option maxHeartbeats 0\n\nopen BigOperators Real Nat Topology Rat\n\n"
+            "theorem t : True := trivial"
+        )
+        result = normalize_preamble("-- note\nimport MyLib\nopen Polynomial\nimport Other")
+        assert result == (
+            "import Mathlib\nimport Aesop\nimport MyLib\nimport Other\n\n"
+            "set_option maxHeartbeats 0\n\nopen BigOperators Real Nat Topology Rat\n\n"
+            "-- note\nopen Polynomial"
+        )
 
     @given(
         st.lists(
             st.sampled_from(
                 list(CANONICAL_PREAMBLE_LINES)
-                + ["import MyLib", "open Polynomial", "variable (n : Nat)", ""]
+                + ["import MyLib", "import Mathlib.Tactic.Linarith", "open Polynomial"]
+                + ["variable (n : Nat)", ""]
                 + ["-- note", "/- open", "  comment body", "-/", "/-- doc -/"]
                 + ["import MyLib /- opens a comment"]
             ),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import leandecomp.orchestrator as orchestrator_module
 import leandecomp.proof_state as proof_state_module
 from leandecomp.agents import generate_theorem_name
-from leandecomp.ast_model import Subgoal
+from leandecomp.ast_model import Subgoal, parse_ast
 from leandecomp.config import Limits
 from leandecomp.errors import RemoteExhausted, ServiceUnavailable
 from leandecomp.lean_source import extract_code_block
@@ -29,10 +29,14 @@ from leandecomp.orchestrator import (
 from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.services import TheoremHit
 
+from .ast_builder import build_sketch_payload
 from .drivers import (
     FormalizationExhausted,
+    dispatch_now,
     ProveOutcome,
     handle_depth_overflow,
+    latest_decl,
+    record_verified,
     run_decomposition,
     run_formalization,
     run_prover_pass,
@@ -101,10 +105,13 @@ def chain_tree(depth: int, limits: Limits) -> tuple[ProofTree, str]:
     current = tree.root_node()
     for level in range(depth):
         name = f"step{level}"
-        current.sketch = (
+        record_verified(
+            tree,
+            current.id,
+            "decomposer",
             current.formal.preamble
             + f"\n\ntheorem chain : True := by\n  have {name} : True := by\n    sorry\n"
-            + f"  exact {name}"
+            + f"  exact {name}",
         )
         child_id = tree.add_child(current.id, make_subgoal(name))
         current.status = NodeStatus.AWAITING_CHILDREN
@@ -127,6 +134,20 @@ def content_keyed_prover() -> ScriptedChat:
         return lean_block(unit.replace("sorry", "aesop"))
 
     return ScriptedChat(reply)
+
+
+class AnonymousSorryAst(BuilderAst):
+    """Exports a sketch marked ``anonymous`` with its one sorry outside
+    any ``have``, as an export of ``exact sorry`` would place it."""
+
+    def fetch_ast(self, code, module_name="User.Code", timeout=300.0):
+        if "anonymous" not in code:
+            return super().fetch_ast(code, module_name, timeout)
+        self.calls += 1
+        payload = build_sketch_payload(code)
+        tactics = payload["ast"]["args"][1]["args"][3]["args"][1]
+        tactics["args"] = [{"kind": "Lean.Parser.Tactic.tacticSorry", "args": [{"val": "sorry"}]}]
+        return parse_ast(payload)
 
 
 class RecordingOrchestrator(Orchestrator):
@@ -158,7 +179,7 @@ class RecordingOrchestrator(Orchestrator):
 class TestNextAction:
     def test_informal_root_formalizes_first(self):
         tree = ProofTree.from_informal(INFORMAL, Limits())
-        action = next_action(tree, tree.limits)
+        action = next_action(tree)
         assert action.kind is ActionKind.FORMALIZE
         assert action.node_id == tree.root
 
@@ -167,41 +188,41 @@ class TestNextAction:
         root = tree.root_node()
         child_id = tree.add_child(root.id, make_subgoal("sub"))
         root.status = NodeStatus.AWAITING_SKETCH
-        action = next_action(tree, tree.limits)
+        action = next_action(tree)
         assert action.kind is ActionKind.PROVE
         assert action.node_id == child_id
 
     def test_breadth_first_among_prove_candidates(self):
         tree = formal_tree()
         root = tree.root_node()
-        root.sketch = "theorem tst : True := by\n  sorry"
+        record_verified(tree, root.id, "decomposer", "theorem tst : True := by\n  sorry")
         a_id = tree.add_child(root.id, make_subgoal("a"))
         b_id = tree.add_child(root.id, make_subgoal("b"))
         root.status = NodeStatus.AWAITING_CHILDREN
         a = tree.node(a_id)
-        a.sketch = "theorem a : True := by\n  sorry"
+        record_verified(tree, a_id, "decomposer", "theorem a : True := by\n  sorry")
         deep_id = tree.add_child(a_id, make_subgoal("deep"))
         a.status = NodeStatus.AWAITING_CHILDREN
         # depth-1 b beats depth-2 deep; then insertion order among equals
-        action = next_action(tree, tree.limits)
+        action = next_action(tree)
         assert (action.kind, action.node_id) == (ActionKind.PROVE, b_id)
         tree.node(b_id).status = NodeStatus.PROVEN
-        action = next_action(tree, tree.limits)
+        action = next_action(tree)
         assert (action.kind, action.node_id) == (ActionKind.PROVE, deep_id)
 
     def test_proven_root_reconstructs(self):
         tree = formal_tree()
         root = tree.root_node()
         root.status = NodeStatus.PROVEN
-        root.proof_attempt = TRUE_PROOF
-        action = next_action(tree, tree.limits)
+        record_verified(tree, root.id, "prover", TRUE_PROOF)
+        action = next_action(tree)
         assert action.kind is ActionKind.RECONSTRUCT
         assert action.node_id == root.id
 
     def test_failed_root_finishes_with_failure(self):
         tree = formal_tree()
         tree.root_node().status = NodeStatus.FAILED
-        action = next_action(tree, tree.limits)
+        action = next_action(tree)
         assert action.kind is ActionKind.FINISH
         assert action.outcome is not None and not action.outcome.success
 
@@ -209,27 +230,27 @@ class TestNextAction:
         tree = formal_tree()
         root = tree.root_node()
         root.status = NodeStatus.AWAITING_AST_PARSE
-        assert next_action(tree, tree.limits).kind is ActionKind.PARSE_AST
-        action = next_action(tree, tree.limits, frozenset({root.id}))
+        assert next_action(tree).kind is ActionKind.PARSE_AST
+        action = next_action(tree, frozenset({root.id}))
         assert action.kind is ActionKind.EXTRACT_SUBGOALS
 
     def test_extraction_has_lowest_priority(self):
         tree = formal_tree()
         root = tree.root_node()
-        root.sketch = "theorem tst : True := by\n  sorry"
+        record_verified(tree, root.id, "decomposer", "theorem tst : True := by\n  sorry")
         ready_id = tree.add_child(root.id, make_subgoal("ready"))
         sketching_id = tree.add_child(root.id, make_subgoal("sketching"))
         root.status = NodeStatus.AWAITING_CHILDREN
         tree.node(ready_id).status = NodeStatus.AWAITING_AST_PARSE
         tree.node(sketching_id).status = NodeStatus.AWAITING_SKETCH
-        action = next_action(tree, tree.limits, frozenset({ready_id}))
+        action = next_action(tree, frozenset({ready_id}))
         assert (action.kind, action.node_id) == (ActionKind.SKETCH, sketching_id)
 
     def test_depth_overflow_resolves_to_backtrack(self):
         limits = Limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
-        action = next_action(tree, limits)
+        action = next_action(tree)
         assert action.kind is ActionKind.BACKTRACK
         grandparent = tree.node(tree.node(tree.node(deep_id).parent).parent)
         assert action.node_id == grandparent.id
@@ -241,7 +262,7 @@ class TestNextAction:
         deep.status = NodeStatus.AWAITING_QUERY_GEN
         for _, ancestor in tree.ancestors(deep_id):
             ancestor.counters.decompositions_used = limits.decomposer_self_correction
-        action = next_action(tree, limits)
+        action = next_action(tree)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
         assert deep_id in action.outcome.report
@@ -249,11 +270,11 @@ class TestNextAction:
     def test_waiting_only_tree_finishes_defensively(self):
         tree = formal_tree()
         root = tree.root_node()
-        root.sketch = "theorem tst : True := by\n  sorry"
+        record_verified(tree, root.id, "decomposer", "theorem tst : True := by\n  sorry")
         child_id = tree.add_child(root.id, make_subgoal("done"))
         root.status = NodeStatus.AWAITING_CHILDREN
         tree.node(child_id).status = NodeStatus.PROVEN
-        action = next_action(tree, tree.limits)
+        action = next_action(tree)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
 
@@ -311,6 +332,25 @@ class TestFormalization:
         assert tree.root_node().counters.formalize_retries == 1
         assert formalizer.calls == 2
 
+    def test_semantics_outage_and_missing_judgement_each_consume_a_retry(self):
+        tree = ProofTree.from_informal(INFORMAL, Limits())
+        formalizer = ScriptedChat(lambda messages: GOOD_FORMALIZATION)
+        semantics = ScriptedChat([RemoteExhausted("semantics down"), "Looks fine to me.", APPROPRIATE])
+        orch = make_orchestrator(
+            tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
+        )
+        run_formalization(orch, tree.root)
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_PROOF
+        assert root.counters.formalize_retries == 2
+        assert (formalizer.calls, semantics.calls) == (3, 3)
+        judged = [(e["response"], e["failed"]) for e in root.history if e.get("role") == "semantics"]
+        assert judged == [
+            ("(backend failure: semantics down)", True),
+            ("Looks fine to me.", True),
+            (APPROPRIATE, False),
+        ]
+
     def test_semantic_veto_exhausts_after_ten_rounds(self):
         tree = ProofTree.from_informal(INFORMAL, Limits())
         formalizer = ScriptedChat(lambda messages: GOOD_FORMALIZATION)
@@ -351,7 +391,7 @@ class TestProverLoop:
         assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
         assert root.status is NodeStatus.PROVEN
-        assert root.proof_attempt == TRUE_PROOF
+        assert latest_decl(tree, root.id) == TRUE_PROOF
         assert prover.calls == 1
         assert verifier.checked[0].startswith("import Mathlib")
         initial_prompt = prover.transcripts[0][0][1]
@@ -462,7 +502,7 @@ class TestDecomposition:
         sketch_prompt = decomposer.transcripts[0][-1][1]
         assert "Potentially useful theorems:" in sketch_prompt
         assert "Nat.exists_infinite_primes" in sketch_prompt
-        assert root.sketch is not None and "have conclusion" in root.sketch
+        assert "have conclusion" in latest_decl(tree, root.id)
         tree.validate()
 
     def test_six_bad_sketches_fail_the_run(self):
@@ -502,6 +542,83 @@ class TestDecomposition:
         correction = decomposer.transcripts[1][-1][1]
         assert "could not be analyzed" in correction
 
+    def test_decomposer_outage_and_unfenced_reply_each_consume_a_correction(self):
+        tree = formal_tree()
+        sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
+        decomposer = ScriptedChat(
+            [RemoteExhausted("decomposer down"), "A sketch without code.", lean_block(sketch)]
+        )
+        self.decompose(tree, decomposer)
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_CHILDREN
+        assert root.counters.sketch_corrections_used == 2
+        assert decomposer.transcripts[1][-1][1].startswith("The proof sketch (Round 1) is not correct.")
+        assert "the decomposer backend failed to respond" in decomposer.transcripts[1][-1][1]
+        assert decomposer.transcripts[2][-1][1].startswith("The proof sketch (Round 2) is not correct.")
+        assert "did not contain a fenced Lean code block" in decomposer.transcripts[2][-1][1]
+
+    @pytest.mark.parametrize(
+        "defective, note",
+        [
+            (
+                "theorem tst : True := by\n  have lone : True := by\n    sorry\n  exact lone -- anonymous",
+                "is not attached to a named have",
+            ),
+            ("theorem tst : True := by\n  exact sorry", "contains no named subgoals"),
+            (
+                "theorem tst : True := by\n  have twice : True := by\n    sorry\n"
+                "  have twice : True := by\n    sorry\n  exact twice",
+                "reuses a subgoal name",
+            ),
+        ],
+        ids=["sorry-outside-a-have", "no-named-subgoal", "repeated-name"],
+    )
+    def test_subgoal_extraction_defect_consumes_a_correction(self, defective, note):
+        tree = formal_tree()
+        sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
+        decomposer = ScriptedChat([lean_block(defective), lean_block(sketch)])
+        self.decompose(tree, decomposer, ast=AnonymousSorryAst())
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_CHILDREN
+        assert [tree.node(c).name for c in root.children] == ["step"]
+        assert root.counters.sketch_corrections_used == 1
+        notes = [e for e in root.history if e.get("prompt") == "(subgoal-extraction)"]
+        assert len(notes) == 1 and note in notes[0]["response"]
+        correction = decomposer.transcripts[1]
+        assert correction[-1][1].startswith("The proof sketch (Round 1) is not correct.")
+        assert note in correction[-1][1]
+        assert correction[:-1] == decomposer.transcripts[0] + [("assistant", lean_block(defective))]
+
+    @pytest.mark.parametrize(
+        "replies, asked",
+        [
+            ([RemoteExhausted("search query down")], None),
+            (["no tags here", QUERY_RESPONSE], ["prime divisor of factorial plus one",
+                                                "product of primes in a finite range",
+                                                "existence of a prime greater than n"]),
+        ],
+        ids=["outage", "queries-of-the-re-ask"],
+    )
+    def test_lookup_reads_the_queries_of_the_latest_search_query_round(self, replies, asked):
+        tree = formal_tree()
+        tree.root_node().status = NodeStatus.AWAITING_QUERY_GEN
+        search_query, calls = ScriptedChat(list(replies)), len(replies)
+        search = ScriptedSearch()
+        orch = make_orchestrator(
+            tree, backends=make_backends(search_query=search_query), search_client=search
+        )
+        dispatch_now(orch, Action(ActionKind.GEN_QUERIES, tree.root))
+        assert tree.root_node().status is NodeStatus.AWAITING_LOOKUP
+        assert search_query.calls == calls
+        # a resumed run reads the same queries from the history
+        resumed = ProofTree.from_dict(tree.to_dict())
+        for tree_ in (tree, resumed):
+            dispatch_now(
+                make_orchestrator(tree_, search_client=search), Action(ActionKind.LOOKUP, tree_.root)
+            )
+            assert tree_.root_node().status is NodeStatus.AWAITING_SKETCH
+        assert search.seen_queries == ([] if asked is None else [asked, asked])
+
     def test_complete_sketch_is_adopted_as_proof(self):
         tree = formal_tree()
         full_proof = "theorem tst : True := by\n  have done : True := trivial\n  exact done"
@@ -509,7 +626,7 @@ class TestDecomposition:
         self.decompose(tree, decomposer)
         root = tree.root_node()
         assert root.status is NodeStatus.PROVEN
-        assert root.proof_attempt == full_proof
+        assert latest_decl(tree, root.id) == full_proof
         assert root.children == []
 
     def test_query_reask_then_sketch_without_hints(self):
@@ -544,7 +661,6 @@ class TestBacktracking:
         assert grandparent.status is NodeStatus.AWAITING_QUERY_GEN
         assert grandparent.children == []
         assert grandparent.counters.decompositions_used == 1
-        assert grandparent.sketch is None
         tree.validate()
 
     def test_depth_overflow_without_ancestor_fails_run(self):
@@ -576,8 +692,6 @@ class TestBacktracking:
         )
         action = handle_depth_overflow(orch, deep_id)
         target = tree.node(action.node_id)
-        # as if one sketch had been tried before
-        tree.record_attempt(target.id, "decomposer", "sketch", "an earlier sketch", failed=False)
         run_decomposition(orch, target.id)
         query_prompt = search_query.transcripts[0][-1][1]
         assert "**IMPORTANT**: A previous attempt to prove this theorem failed." in query_prompt
@@ -644,9 +758,12 @@ class TestRun:
     def test_a_child_proof_that_does_not_splice_fails_the_run(self, tmp_path):
         tree = formal_tree()
         root = tree.root_node()
-        root.sketch = "theorem tst : True := by\n  have step0 : True := sorry\n  exact step0"
+        record_verified(
+            tree, root.id, "decomposer",
+            "theorem tst : True := by\n  have step0 : True := sorry\n  exact step0",
+        )
         child = tree.node(tree.add_child(root.id, make_subgoal("step0")))
-        child.proof_attempt = "theorem step0 : True := by\n  trivial"
+        record_verified(tree, child.id, "prover", "theorem step0 : True := by\n  trivial")
         child.status = root.status = NodeStatus.PROVEN
         verifier = RuleVerifier()
         outcome = make_orchestrator(
@@ -809,6 +926,29 @@ HARD_SUBGOALS = ["tst_a", "tst_b", "tst_a_a", "tst_b_b", "tst_c", "tst_c_a", "ts
                  "tst_e", "tst_e_a"]
 
 
+def journal_sketch(messages):
+    """The journal scenario's decomposer reply, keyed on content."""
+    text = "\n".join(content for _, content in messages)
+    name = re.search(r"theorem (tst\w*)", text).group(1)
+    first, second = ("ab", "cd", "ef")[text.count("COMPLETELY DIFFERENT")]
+    return lean_block(
+        f"theorem {name} : True := by\n"
+        f"  have {name}_{first} : True := by\n    sorry\n"
+        f"  have {name}_{second} : True := by\n    sorry\n"
+        f"  exact {name}_{first}"
+    )
+
+
+def correcting_sketch(messages):
+    """A decomposer whose first sketch of a node fails its Lean check,
+    and whose correction is the journal scenario's sketch."""
+    if "is not correct" in messages[-1][1]:
+        return journal_sketch(messages)
+    return lean_block(
+        f"theorem tst : True := by\n  have tst_a : True := by\n    {FAIL_MARKER}\n  exact tst_a"
+    )
+
+
 def journal_backends(hard: frozenset[str]):
     """Stateless scripted chat keyed on content, so that a resumed run
     gets the same replies as the uninterrupted one."""
@@ -818,20 +958,9 @@ def journal_backends(hard: frozenset[str]):
         name = re.search(r"theorem (\w+)", unit).group(1)
         return lean_block(unit.replace("sorry", FAIL_MARKER if name in hard else "trivial"))
 
-    def sketch(messages):
-        text = "\n".join(content for _, content in messages)
-        name = re.search(r"theorem (tst\w*)", text).group(1)
-        first, second = ("ab", "cd", "ef")[text.count("COMPLETELY DIFFERENT")]
-        return lean_block(
-            f"theorem {name} : True := by\n"
-            f"  have {name}_{first} : True := by\n    sorry\n"
-            f"  have {name}_{second} : True := by\n    sorry\n"
-            f"  exact {name}_{first}"
-        )
-
     return make_backends(
         prover=ScriptedChat(prove),
-        decomposer=ScriptedChat(sketch),
+        decomposer=ScriptedChat(journal_sketch),
         search_query=ScriptedChat(lambda messages: QUERY_RESPONSE),
     )
 
@@ -1099,6 +1228,47 @@ class TestDerivedConversations:
         assert len(backtrack) == 1 and "(Round 1)" in backtrack[0]
         snapshot = checkpoint.read_text(encoding="utf-8").splitlines()[0]
         assert "insertion_seq" not in snapshot and "sketch_attempts_total" not in snapshot
+
+    def test_version_4_journal_awaiting_a_sketch_correction_resumes(self, tmp_path):
+        """A journal the version-4 ``ProofTree.save`` wrote while the root
+        waited for its first sketch correction, storing the prover's
+        ``last_failure`` and the sketch's ``last_sketch_failure``: the
+        resumed run sends the uninterrupted run's correction messages,
+        byte for byte, and reaches its outcome."""
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(FIXTURES / "checkpoint_v4_sketch_correction.json", checkpoint)
+        stored = checkpoint.read_text(encoding="utf-8")
+        tree = ProofTree.load(checkpoint)
+        tree.validate()
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_SKETCH
+        assert root.counters.sketch_corrections_used == 1
+        failure = json.dumps(root.last_failure, ensure_ascii=False)
+        assert f'"last_sketch_failure":{failure}' in stored
+        assert f'"last_failure":{failure}' not in stored
+        hard = frozenset({"tst"})
+        resumed, backends = golden_run(
+            tree, checkpoint_path=checkpoint, hard=hard, decomposer=ScriptedChat(correcting_sketch)
+        )
+        uninterrupted, fresh = golden_run(hard=hard, decomposer=ScriptedChat(correcting_sketch))
+        assert resumed.success and resumed == uninterrupted
+        (correction,) = backends["decomposer"].transcripts
+        assert correction == fresh["decomposer"].transcripts[1]
+        assert correction[-1][1].startswith("The proof sketch (Round 1) is not correct.")
+
+    def test_each_verified_declaration_is_stored_once(self, tmp_path):
+        """A proven node's declaration is stored only in the history
+        round that proposed it; no node field repeats it."""
+        checkpoint = tmp_path / "checkpoint.json"
+        tree = formal_tree(limits=JOURNAL_LIMITS)
+        outcome, _ = golden_run(tree, checkpoint_path=checkpoint)
+        assert outcome.success
+        text = checkpoint.read_text(encoding="utf-8")
+        proven = [node.id for node in tree.nodes.values() if node.status is NodeStatus.PROVEN]
+        assert len(proven) > 1 and tree.root in proven
+        for node_id in proven:
+            escaped = json.dumps(latest_decl(tree, node_id), ensure_ascii=False)[1:-1]
+            assert text.count(escaped) == 1, node_id
 
     def test_sketch_note_never_reaches_the_decomposer(self):
         """An AST-export failure is noted in the history, but the

@@ -12,7 +12,7 @@ from leandecomp.lean_source import LeanSource
 from leandecomp.orchestrator import Action, ActionKind, Orchestrator
 from leandecomp.proof_state import CHECKPOINT_VERSION, Counters, NodeStatus, ProofNode, ProofTree
 from leandecomp.services import VerificationResult
-from tests.drivers import dispatch_now
+from tests.drivers import dispatch_now, record_verified
 from tests.fakes import RuleVerifier, count_sorries, lean_block, make_backends
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
@@ -41,9 +41,8 @@ def make_subgoal(name, goal_type="True"):
 def sketch_tree():
     """Root with the induction sketch adopted and three subgoal children."""
     tree = ProofTree.from_formal(INDUCTION_SKETCH, LIMITS)
-    root = tree.root_node()
-    root.sketch = INDUCTION_SKETCH
-    root.status = NodeStatus.AWAITING_CHILDREN
+    record_verified(tree, tree.root, "decomposer", INDUCTION_SKETCH)
+    tree.root_node().status = NodeStatus.AWAITING_CHILDREN
     payload = load_payload("induction_ast.json")
     for subgoal in extract_subgoals(*parse_ast(payload)):
         tree.add_child(tree.root, subgoal)
@@ -59,7 +58,7 @@ class TestAddChild:
 
     def test_children_match_extraction_order(self):
         tree = ProofTree.from_formal(INFINITUDE_SKETCH, LIMITS)
-        tree.root_node().sketch = INFINITUDE_SKETCH
+        record_verified(tree, tree.root, "decomposer", INFINITUDE_SKETCH)
         subgoals = extract_subgoals(*parse_ast(load_payload("infinitude_ast.json")))
         for subgoal in subgoals:
             tree.add_child(tree.root, subgoal)
@@ -124,8 +123,8 @@ class TestRecordAttempt:
         )
         root = tree.root_node()
         assert root.counters.sketch_corrections_used == 2
-        assert [entry["prompt"] for entry in root.history] == ["p", "(ast-export)"]
-        assert tree.conversation(tree.root, "decomposer") == [("user", "p"), ("assistant", "r")]
+        assert [entry["prompt"] for entry in root.history[-2:]] == ["p", "(ast-export)"]
+        assert tree.conversation(tree.root, "decomposer")[-2:] == [("user", "p"), ("assistant", "r")]
 
     def test_unknown_node(self):
         tree = sketch_tree()
@@ -186,7 +185,7 @@ def chain_tree(depth):
     tree = ProofTree.from_formal("theorem t0 : True := by sorry", LIMITS)
     current = tree.root
     for level in range(1, depth + 1):
-        tree.node(current).sketch = f"theorem t{level - 1} : True := by\n  sorry"
+        record_verified(tree, current, "decomposer", f"theorem t{level - 1} : True := by\n  sorry")
         current = tree.add_child(current, make_subgoal(f"g{level}"))
     return tree, current
 
@@ -243,7 +242,6 @@ class TestPruneSubtree:
         assert root.children == []
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
         assert root.counters.decompositions_used == 1
-        assert root.sketch is None
         tree.validate()
 
     def test_nested_levels_all_removed(self):
@@ -312,7 +310,7 @@ def proven_sketch_tree():
     }
     for child_id in tree.root_node().children:
         child = tree.node(child_id)
-        child.proof_attempt = proofs[child.name]
+        record_verified(tree, child_id, "prover", proofs[child.name])
         child.status = NodeStatus.PROVEN
     tree.root_node().status = NodeStatus.PROVEN
     return tree
@@ -321,9 +319,8 @@ def proven_sketch_tree():
 class TestReconstruct:
     def test_single_proven_leaf_verbatim(self):
         tree = ProofTree.from_formal(EVEN_SUM_PROOF, LIMITS)
-        root = tree.root_node()
-        root.proof_attempt = EVEN_SUM_PROOF
-        root.status = NodeStatus.PROVEN
+        record_verified(tree, tree.root, "prover", EVEN_SUM_PROOF)
+        tree.root_node().status = NodeStatus.PROVEN
         assert tree.reconstruct(tree.root) == EVEN_SUM_PROOF
 
     def test_spliced_golden(self):
@@ -341,22 +338,25 @@ class TestReconstruct:
     def test_term_mode_child_wrapped_as_exact(self):
         tree = proven_sketch_tree()
         child = tree.node(tree.root_node().children[0])
-        child.proof_attempt = "theorem base_case : 4 ^ 2 ≤ 4 ! := proof_term"
+        record_verified(tree, child.id, "prover", "theorem base_case : 4 ^ 2 ≤ 4 ! := proof_term")
         merged = tree.reconstruct(tree.root)
         assert "have base_case : 4 ^ 2 ≤ 4 ! := by\n    exact (proof_term)" in merged
 
     def test_grandchild_recursion(self):
         tree = proven_sketch_tree()
         middle = tree.node(tree.root_node().children[0])
-        middle.sketch = (
+        record_verified(
+            tree,
+            middle.id,
+            "decomposer",
             "theorem base_case : 4 ^ 2 ≤ 4 ! := by\n"
             "  have tiny : (4 : ℕ) ! = 24 := by\n"
             "    sorry\n"
-            "  norm_num [tiny]"
+            "  norm_num [tiny]",
         )
         grandchild_id = tree.add_child(middle.id, make_subgoal("tiny", "(4 : ℕ) ! = 24"))
         grandchild = tree.node(grandchild_id)
-        grandchild.proof_attempt = "theorem tiny : (4 : ℕ) ! = 24 := by\n  decide"
+        record_verified(tree, grandchild_id, "prover", "theorem tiny : (4 : ℕ) ! = 24 := by\n  decide")
         grandchild.status = NodeStatus.PROVEN
         merged = tree.reconstruct(tree.root)
         assert "have tiny : (4 : ℕ) ! = 24 := by\n      decide" in merged
@@ -366,7 +366,9 @@ class TestReconstruct:
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self):
         tree = proven_sketch_tree()
-        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", failed=False)
+        tree.record_attempt(
+            tree.root, "decomposer", "sketch please", lean_block(INDUCTION_SKETCH), failed=False
+        )
         clone = ProofTree.from_dict(tree.to_dict())
         assert clone.to_dict() == tree.to_dict()
         assert clone.reconstruct(clone.root) == tree.reconstruct(tree.root)
@@ -419,7 +421,7 @@ class TestCheckpoint:
         data = tree.to_dict()
         record = data["nodes"][tree.root]
         record["history"][0]["prompt"] = "edited"
-        record["history"][1]["verdict"]["passed"] = True
+        record["history"][-1]["verdict"]["passed"] = True
         record["history"].append({"role": "prover"})
         data["limits"]["max_depth"] = 0
         assert tree.root_node().history == history
@@ -432,7 +434,7 @@ class TestCheckpoint:
         kept = tree.to_dict()
         expected = json.loads(json.dumps(kept))
         tree.record_attempt(tree.root, "decomposer", "again", "there", failed=False)
-        tree.root_node().history[1]["verdict"]["passed"] = True
+        tree.root_node().history[-2]["verdict"]["passed"] = True
         assert kept == expected
 
     def test_every_node_field_is_persisted_and_restored(self, tmp_path):
@@ -448,13 +450,9 @@ class TestCheckpoint:
             "informal_statement": "informal",
             "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
             "name": "renamed",
-            "proof_attempt": "theorem x : True := by\n  trivial",
-            "sketch": "theorem x : True := by\n  have tiny : True := by\n    sorry",
             "counters": Counters(1, 1, 1, 1, 1),
-            "queries": ["q"],
             "hints": [("Nat.foo", "theorem Nat.foo : True")],
             "last_failure": "failure",
-            "last_sketch_failure": "sketch failure",
         }
         for field in dataclasses.fields(ProofNode):
             if field.name in values:
@@ -491,14 +489,10 @@ class TestCheckpoint:
             "informal_statement": "informal",
             "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
             "name": "renamed",
-            "proof_attempt": "theorem x : True := by\n  trivial",
-            "sketch": "theorem x : True := by\n  sorry",
             "children": ["n9998"],
             "counters": Counters(0, 0, 0, 0, 1),
-            "queries": ["q"],
             "hints": [("Nat.foo", "theorem Nat.foo : True")],
             "last_failure": "failure",
-            "last_sketch_failure": "sketch failure",
         }[field]
         setattr(node, field, changed)
         tree.save(path)
@@ -568,7 +562,7 @@ class TestInvariantsUnderMutation:
             target = node_ids[pick % len(node_ids)]
             if op == "add":
                 counter += 1
-                tree.node(target).sketch = "theorem s : True := by\n  sorry"
+                record_verified(tree, target, "decomposer", "theorem s : True := by\n  sorry")
                 tree.add_child(target, make_subgoal(f"g{counter}"))
             elif op == "prune":
                 budget_left = (
@@ -581,9 +575,10 @@ class TestInvariantsUnderMutation:
                     with pytest.raises(LeandecompError):
                         tree.prune_subtree(target)
             else:
+                # the prover works only on nodes without children
                 if (
-                    tree.node(target).counters.passes_used
-                    < LIMITS.prover_max_pass - 1
+                    not tree.node(target).children
+                    and tree.node(target).counters.passes_used < LIMITS.prover_max_pass - 1
                 ):
                     tree.record_attempt(target, "prover", "p", "r", failed=True)
             tree.validate()

@@ -175,6 +175,18 @@ class TestVerifierClient:
         with pytest.raises(BadResponse):
             make_verifier(service).verify_batch(["theorem t : True := by trivial"], timeout=10)
 
+    def test_error_entry_without_diagnostics_fails_the_unit(self, service):
+        service.route(
+            "POST",
+            "/api/check",
+            lambda r: (200, {"results": [
+                {"custom_id": item["custom_id"], "error": "timeout"} for item in r.body["codes"]
+            ]}),
+        )
+        (result,) = make_verifier(service).verify_batch(["theorem t : True := by trivial"], timeout=10)
+        assert not result.passed and not result.complete
+        assert [error.message for error in result.errors] == ["timeout"]
+
     def test_warning_mentioning_admit_stays_complete(self, service):
         def diagnose(code):
             return [{"severity": "warning", "message": "unused variable `hadmit`",
