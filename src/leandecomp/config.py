@@ -77,14 +77,18 @@ class Config:
         section = ROLE_SECTIONS[role]
         url = self.get(section, "url") or DEFAULT_OPENAI_URL
         api_key = self.get(section, "api_key") or os.environ.get("OPENAI_API_KEY", "")
-        max_tokens = self.getint(
-            section, "max_tokens", fallback=self.getint(section, "max_completion_tokens", fallback=50000)
-        )
+        # The limit goes out under the name the section sets it by, max_tokens
+        # when it sets both or neither: Ollama reads max_tokens, and OpenAI's
+        # reasoning models accept only max_completion_tokens.
+        param = "max_completion_tokens"
+        if self.get(section, param) is None or self.get(section, "max_tokens") is not None:
+            param = "max_tokens"
         return ChatBackendConfig(
             model=self.require(section, "model"),
             base_url=url,
             api_key=api_key,
-            max_tokens=max_tokens,
+            max_tokens=self.getint(section, param, fallback=50000),
+            max_tokens_param=param,
             max_remote_retries=self.getint(section, "max_remote_retries", fallback=5),
         )
 

@@ -190,34 +190,44 @@ def normalize_preamble(preamble: str) -> str:
     """
     Normalize a preamble to the canonical header block.
 
-    The canonical lines always come first, in order, with the other
-    ``import`` lines right after the canonical ones, since Lean accepts
-    imports only at the top of a file; the other lines follow the
-    canonical block in order, blank ones dropped. Header commands (lines
-    whose first token is one of ``HEADER_KEYWORDS``) are stripped and
-    deduplicated; every other line, comments included, is kept as it
-    is, and so is a header command whose line ends inside a block
-    comment, so a comment the input closes stays closed. Idempotent.
+    The preamble is read in entries: a line, together with the lines
+    that a block comment opened on it spans. The canonical lines always
+    come first, in order, with the other ``import`` entries right after
+    the canonical ones, since Lean accepts imports only at the top of a
+    file; the other entries follow the canonical block in order, blank
+    lines dropped. Header commands (entries whose first token is one of
+    ``HEADER_KEYWORDS``) are stripped and deduplicated; every other
+    entry, comments included, is kept as it is, and so is one that ends
+    inside a comment left open, which stays last. Idempotent.
     """
-    headers = {s: tok.text for s, tok in _line_heads(preamble) if tok.text in HEADER_KEYWORDS}
-    if "/-" in preamble:  # a header line ending inside a block comment stays as it is
-        text = preamble + "\n"  # so that a comment left open ends inside its line
-        for tok in _tokens(text, comments=True):
-            if tok.text == "/-" and text.find("\n", tok.start, tok.end) >= 0:
-                headers.pop(text.rfind("\n", 0, tok.start) + 1, None)
+    text = preamble + "\n"  # so that a comment left open ends inside its line
+    spans = [
+        (tok.start, tok.end)
+        for tok in (_tokens(text, comments=True) if "/-" in preamble else ())
+        if tok.text == "/-" and text.find("\n", tok.start, tok.end) >= 0
+    ]
+    entries: list[list[str]] = []
+    offset = 0
+    for raw in preamble.split("\n"):
+        if any(start < offset - 1 < end for start, end in spans):
+            entries[-1].append(raw)
+        else:
+            entries.append([raw])
+        offset += len(raw) + 1
+    left_open = bool(spans) and spans[-1][1] == len(text)
     imports: list[str] = []
     extras: list[str] = []
     seen = set(CANONICAL_PREAMBLE_LINES)
-    offset = 0
-    for raw in preamble.split("\n"):
-        line = raw.strip()
-        if offset in headers:
-            if line not in seen:
-                seen.add(line)
-                (imports if headers[offset] == "import" else extras).append(line)
-        elif line:
-            extras.append(raw.rstrip())
-        offset += len(raw) + 1
+    for index, lines in enumerate(entries):
+        head = next(_tokens("\n".join(lines)), None)
+        kind = head.text if head and not (left_open and index == len(entries) - 1) else None
+        if kind in HEADER_KEYWORDS:
+            entry = "\n".join([lines[0].strip(), *(raw.rstrip() for raw in lines[1:])])
+            if entry not in seen:
+                seen.add(entry)
+                (imports if kind == "import" else extras).append(entry)
+        else:
+            extras += [raw.rstrip() for raw in lines if raw.strip()]
     blocks = ["\n".join([_CANONICAL_IMPORTS, *imports]), _CANONICAL_SETTINGS, "\n".join(extras)]
     return "\n\n".join(block for block in blocks if block)
 

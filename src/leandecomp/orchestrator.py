@@ -108,39 +108,33 @@ class Action:
     outcome: Outcome | None = None
 
 
+#: The work of a node in each status: its priority (lower = sooner) and
+#: its action. Other statuses have none (terminal, or waiting on children).
+_STATUS_ACTIONS = {
+    NodeStatus.AWAITING_FORMALIZATION: (1, ActionKind.FORMALIZE),
+    NodeStatus.AWAITING_SYNTAX_CHECK: (2, ActionKind.SYNTAX_CHECK),
+    NodeStatus.AWAITING_SEMANTIC_CHECK: (3, ActionKind.SEMANTIC_CHECK),
+    NodeStatus.AWAITING_PROOF: (4, ActionKind.PROVE),
+    NodeStatus.AWAITING_VERIFICATION: (5, ActionKind.VERIFY),
+    NodeStatus.AWAITING_AST_PARSE: (6, ActionKind.PARSE_AST),
+    NodeStatus.AWAITING_QUERY_GEN: (7, ActionKind.GEN_QUERIES),
+    NodeStatus.AWAITING_LOOKUP: (8, ActionKind.LOOKUP),
+    NodeStatus.AWAITING_SKETCH: (9, ActionKind.SKETCH),
+    NodeStatus.AWAITING_SKETCH_CHECK: (10, ActionKind.SKETCH_CHECK),
+}
+
+
 def _candidate(
     tree: ProofTree, node: ProofNode, ast_ready: frozenset[str]
 ) -> tuple[int, ActionKind] | None:
-    """Priority (lower = sooner) and action kind for one node, or None
-    when the node has no work of its own (terminal or waiting on
-    children)."""
-    status = node.status
-    if status is NodeStatus.AWAITING_FORMALIZATION:
-        return 1, ActionKind.FORMALIZE
-    if status is NodeStatus.AWAITING_SYNTAX_CHECK:
-        return 2, ActionKind.SYNTAX_CHECK
-    if status is NodeStatus.AWAITING_SEMANTIC_CHECK:
-        return 3, ActionKind.SEMANTIC_CHECK
-    if status is NodeStatus.AWAITING_PROOF:
-        return 4, ActionKind.PROVE
-    if status is NodeStatus.AWAITING_VERIFICATION:
-        return 5, ActionKind.VERIFY
-    if status is NodeStatus.AWAITING_AST_PARSE:
-        if node.id in ast_ready:
-            # recursion (creating children) has the lowest priority
-            return 11, ActionKind.EXTRACT_SUBGOALS
-        return 6, ActionKind.PARSE_AST
-    if status is NodeStatus.AWAITING_QUERY_GEN:
-        if node.depth >= tree.limits.max_depth:
-            return 7, ActionKind.BACKTRACK
-        return 7, ActionKind.GEN_QUERIES
-    if status is NodeStatus.AWAITING_LOOKUP:
-        return 8, ActionKind.LOOKUP
-    if status is NodeStatus.AWAITING_SKETCH:
-        return 9, ActionKind.SKETCH
-    if status is NodeStatus.AWAITING_SKETCH_CHECK:
-        return 10, ActionKind.SKETCH_CHECK
-    return None
+    """The node's entry of ``_STATUS_ACTIONS``, or None, with two
+    overrides: extraction for a node whose AST export is in hand, and a
+    backtrack in place of query generation at the depth limit."""
+    if node.status is NodeStatus.AWAITING_AST_PARSE and node.id in ast_ready:
+        return 11, ActionKind.EXTRACT_SUBGOALS  # recursion has the lowest priority
+    if node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
+        return 7, ActionKind.BACKTRACK
+    return _STATUS_ACTIONS.get(node.status)
 
 
 def _resolve_backtrack(tree: ProofTree, node: ProofNode) -> Action:
@@ -164,10 +158,9 @@ def next_action(
     """
     Choose the next action for the tree (pure; no mutation).
 
-    Priority order: formalize > syntax check > semantic check > prove >
-    verify > AST parse > query generation > lookup > sketch > sketch
-    check > subgoal extraction. Among equal priorities the lowest depth
-    wins, then creation order — so all subgoals at one depth are
+    Each node's action and priority come from ``_STATUS_ACTIONS``, with
+    the overrides of ``_candidate``. Among equal priorities the lowest
+    depth wins, then creation order — so all subgoals at one depth are
     processed before any at the next (breadth-first).
 
     ``ast_ready`` names nodes whose AST export is already in hand, for
@@ -476,28 +469,13 @@ class Orchestrator:
                 informal_statement=node.informal_statement or "",
             ),
         )
-
-        def apply(reply: str | LeandecompError) -> None:
-            if self._take_reply(node, "formalizer", prompt, reply):
-                self._after_formalization_failure(node)
-
-        return _Call(apply, partial(self._ask, "formalizer", [("user", prompt)]))
+        return self._generate(node, "formalizer", [], prompt)
 
     def _formalization(self, node: ProofNode) -> LeanSource:
         """The statement of the node's latest formalizer round, under its
         normalized preamble."""
         source = self._reply_source(node)
         return LeanSource(preamble=normalize_preamble(source.preamble), body=source.body)
-
-    def _do_syntax_check(self, node: ProofNode) -> _Call:
-        def apply(result: VerificationResult) -> None:
-            self.tree.record_verdict(node.id, result)
-            if result.passed:
-                node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
-            else:
-                self._after_formalization_failure(node)
-
-        return _Call(apply, unit=self._formalization(node).combined())
 
     def _do_semantic_check(self, node: ProofNode) -> _Call:
         formal = self._formalization(node)
@@ -522,21 +500,11 @@ class Orchestrator:
                 node.formal = formal
                 node.status = NodeStatus.AWAITING_PROOF
             else:
-                self._after_formalization_failure(node)
+                self._failed(node, "semantics", None)
 
         return _Call(apply, partial(self._ask, "semantics", [("user", prompt)]))
 
-    def _after_formalization_failure(self, node: ProofNode) -> None:
-        if node.counters.formalize_retries >= self.tree.limits.formalizer_max_retries:
-            self._fail_run(
-                node,
-                f"formalization of node {node.id} exhausted its "
-                f"{self.tree.limits.formalizer_max_retries} retries without an accepted statement",
-            )
-        else:
-            node.status = NodeStatus.AWAITING_FORMALIZATION
-
-    # ------------------------------------------------------- prove / verify
+    # ---------------------------------------------------------------- prove
 
     def _do_prove(self, node: ProofNode) -> _Call:
         conversation = self.tree.conversation(node.id, "prover")
@@ -553,42 +521,7 @@ class Orchestrator:
                     error_message_for_prev_round=node.last_failure or "unknown error",
                 ),
             )
-
-        def apply(reply: str | LeandecompError) -> None:
-            note = self._take_reply(node, "prover", prompt, reply)
-            if note is not None:
-                node.last_failure = note
-                self._after_prover_round(node)
-
-        return _Call(apply, partial(self._ask, "prover", conversation + [("user", prompt)]))
-
-    def _after_prover_round(self, node: ProofNode) -> None:
-        if node.counters.passes_used >= self.tree.limits.prover_max_pass:
-            node.status = NodeStatus.AWAITING_QUERY_GEN
-        else:
-            node.status = NodeStatus.AWAITING_PROOF
-
-    def _do_verify(self, node: ProofNode) -> _Call:
-        unit = self._reply_unit(node)
-        return _Call(partial(self._apply_verification, node, unit), unit=unit)
-
-    def _apply_verification(self, node: ProofNode, unit: str, result: VerificationResult) -> None:
-        if result.passed and result.complete:
-            self.tree.record_verdict(node.id, result)
-            node.status = NodeStatus.PROVEN
-            self._propagate_proven(node)
-            return
-        if result.passed:
-            # compiled, but only because sorry/admit remains: still a failure
-            result = VerificationResult(
-                passed=False,
-                complete=False,
-                errors=(LeanError("the proof must not contain sorry or admit"),),
-                time=result.time,
-            )
-        self.tree.record_verdict(node.id, result)
-        node.last_failure = build_error_annotation(unit, result)
-        self._after_prover_round(node)
+        return self._generate(node, "prover", conversation, prompt)
 
     def _propagate_proven(self, node: ProofNode) -> None:
         current = node
@@ -602,6 +535,97 @@ class Orchestrator:
                 break
             parent.status = NodeStatus.PROVEN
             current = parent
+
+    # ------------------------------------------------------ rounds and checks
+
+    def _generate(
+        self, node: ProofNode, role: str, conversation: list[tuple[str, str]], prompt: str
+    ) -> _Call:
+        """The call that asks ``role`` to continue ``conversation`` with
+        ``prompt``. A reply that proposes Lean code becomes the round
+        awaiting its Lean check, and the node awaits that check. Any other
+        reply, or a backend failure, is a failed round."""
+
+        def apply(reply: str | LeandecompError) -> None:
+            if isinstance(reply, LeandecompError):
+                response = f"(backend failure: {reply})"
+                note = f"the {role} backend failed to respond"
+            else:
+                try:
+                    self._sources[node.id] = reply_code(reply)
+                except NoCodeBlock:
+                    response = reply
+                    note = "the completion did not contain a fenced Lean code block"
+                else:
+                    self.tree.record_reply(node.id, role, prompt, reply)
+                    return
+            self.tree.record_attempt(node.id, role, prompt, response, failed=True)
+            self._failed(node, role, note)
+
+        return _Call(apply, partial(self._ask, role, conversation + [("user", prompt)]))
+
+    def _do_verify(self, node: ProofNode) -> _Call:
+        """The Lean check of the node's round awaiting it, for every role:
+        a formalizer's statement (SyntaxCheck), a prover's proof (Verify)
+        or a decomposer's sketch (SketchCheck). A proof that compiles only
+        because sorry or admit remains fails; a sketch with goals left
+        goes on to its AST export, and one with none proves the node."""
+        role = self.tree.unjudged_round(node.id)["role"]
+        if role == "formalizer":
+            unit = self._formalization(node).combined()
+        else:
+            unit = self._reply_unit(node)
+
+        def apply(result: VerificationResult) -> None:
+            if role == "prover" and result.passed and not result.complete:
+                result = VerificationResult(
+                    passed=False,
+                    complete=False,
+                    errors=(LeanError("the proof must not contain sorry or admit"),),
+                    time=result.time,
+                )
+            self.tree.record_verdict(node.id, result)
+            if not result.passed:
+                note = None if role == "formalizer" else build_error_annotation(unit, result)
+                self._failed(node, role, note)
+            elif role == "formalizer":
+                node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
+            elif not result.complete:
+                node.status = NodeStatus.AWAITING_AST_PARSE
+            else:
+                node.status = NodeStatus.PROVEN
+                self._propagate_proven(node)
+
+        return _Call(apply, unit=unit)
+
+    _do_syntax_check = _do_sketch_check = _do_verify
+
+    def _failed(self, node: ProofNode, role: str, note: str | None) -> None:
+        """Go on after a failed round of ``role``, which the tree has
+        charged to the role's budget. The role tries again until that
+        budget is spent; then formalization fails the run, proving gives
+        way to decomposition and sketching backtracks. ``note`` says what
+        went wrong, for the next prover or decomposer correction prompt;
+        a formalization retry starts afresh and shows none."""
+        limits, counters = self.tree.limits, node.counters
+        if role in ("formalizer", "semantics"):
+            if counters.formalize_retries < limits.formalizer_max_retries:
+                node.status = NodeStatus.AWAITING_FORMALIZATION
+            else:
+                self._fail_run(
+                    node,
+                    f"formalization of node {node.id} exhausted its "
+                    f"{limits.formalizer_max_retries} retries without an accepted statement",
+                )
+            return
+        node.last_failure = note
+        if role == "prover":
+            spent = counters.passes_used >= limits.prover_max_pass
+            node.status = NodeStatus.AWAITING_QUERY_GEN if spent else NodeStatus.AWAITING_PROOF
+        elif counters.sketch_corrections_used < limits.decomposer_self_correction:
+            node.status = NodeStatus.AWAITING_SKETCH
+        else:
+            self.dispatch(_resolve_backtrack(self.tree, node))  # prunes the node, or fails the run
 
     # -------------------------------------------------------- decomposition
 
@@ -678,33 +702,7 @@ class Orchestrator:
                 prev_round_num=str(counters.sketch_corrections_used),
                 error_message_for_prev_round=node.last_failure or "unknown error",
             )
-        prompt = render_prompt(kind, vars)
-        messages = conversation + [("user", prompt)]
-
-        def apply(reply: str | LeandecompError) -> None:
-            note = self._take_reply(node, "decomposer", prompt, reply)
-            if note is not None:
-                node.last_failure = note
-                self._after_sketch_failure(node)
-
-        return _Call(apply, partial(self._ask, "decomposer", messages))
-
-    def _do_sketch_check(self, node: ProofNode) -> _Call:
-        unit = self._reply_unit(node)
-
-        def apply(result: VerificationResult) -> None:
-            self.tree.record_verdict(node.id, result)
-            if result.passed and not result.complete:
-                node.status = NodeStatus.AWAITING_AST_PARSE
-            elif result.passed:
-                # no remaining goals: the "sketch" is already a complete proof
-                node.status = NodeStatus.PROVEN
-                self._propagate_proven(node)
-            else:
-                node.last_failure = build_error_annotation(unit, result)
-                self._after_sketch_failure(node)
-
-        return _Call(apply, unit=unit)
+        return self._generate(node, "decomposer", conversation, render_prompt(kind, vars))
 
     def _note_sketch_failure(self, node: ProofNode, stage: str, message: str) -> None:
         """Count a post-verification sketch defect (AST export or subgoal
@@ -712,15 +710,8 @@ class Orchestrator:
         entry with the prompt ``(<stage>)``, which the decomposer's
         conversation leaves out."""
         self.tree.record_attempt(node.id, "decomposer", f"({stage})", message, failed=True)
-        node.last_failure = message
         self._ast_cache.pop(node.id, None)
-        self._after_sketch_failure(node)
-
-    def _after_sketch_failure(self, node: ProofNode) -> None:
-        if node.counters.sketch_corrections_used >= self.tree.limits.decomposer_self_correction:
-            self._backtrack_from(node)
-        else:
-            node.status = NodeStatus.AWAITING_SKETCH
+        self._failed(node, "decomposer", message)
 
     def _do_parse_ast(self, node: ProofNode) -> _Call:
         if self.ast_client is None:
@@ -747,38 +738,24 @@ class Orchestrator:
         try:
             subgoals = extract_subgoals(ast, sorries)
         except (AnonymousSorry, MalformedAst) as exc:
-            self._note_sketch_failure(
-                node, "subgoal-extraction", f"the proof sketch could not be decomposed: {exc}"
-            )
-            return
-        names = [subgoal.name for subgoal in subgoals]
-        if not names:
-            self._note_sketch_failure(
-                node, "subgoal-extraction", "the proof sketch contains no named subgoals"
-            )
-            return
-        if len(set(names)) != len(names):
-            self._note_sketch_failure(
-                node,
-                "subgoal-extraction",
-                "the proof sketch reuses a subgoal name; every have must introduce a distinct name",
-            )
-            return
-        for subgoal in subgoals:
-            self.tree.add_child(node.id, subgoal)
-        node.status = NodeStatus.AWAITING_CHILDREN
+            defect = f"the proof sketch could not be decomposed: {exc}"
+        else:
+            names = [subgoal.name for subgoal in subgoals]
+            if not names:
+                defect = "the proof sketch contains no named subgoals"
+            elif len(set(names)) != len(names):
+                defect = (
+                    "the proof sketch reuses a subgoal name; "
+                    "every have must introduce a distinct name"
+                )
+            else:
+                for subgoal in subgoals:
+                    self.tree.add_child(node.id, subgoal)
+                node.status = NodeStatus.AWAITING_CHILDREN
+                return
+        self._note_sketch_failure(node, "subgoal-extraction", defect)
 
     # ----------------------------------------------------------- backtracking
-
-    def _backtrack_from(self, node: ProofNode) -> None:
-        """Prune and re-queue the nearest eligible ancestor; fail the run
-        when none exists. The node itself is pruned away on success."""
-        action = _resolve_backtrack(self.tree, node)
-        if action.kind is ActionKind.FINISH:
-            self._fail_run(node, action.outcome.report)
-        else:
-            self.tree.prune_subtree(action.node_id)
-            self._forget_pruned()
 
     def _forget_pruned(self) -> None:
         """Drop what the coordinator keeps in memory for pruned nodes."""
@@ -838,28 +815,6 @@ class Orchestrator:
         """The declaration of the node's latest generated round under the
         node's preamble: the unit its Lean check and AST export read."""
         return node.formal.preamble + "\n\n" + self._reply_source(node).body
-
-    def _take_reply(
-        self, node: ProofNode, role: str, prompt: str, reply: str | LeandecompError
-    ) -> str | None:
-        """Record a generated reply. One that proposes Lean code becomes
-        the round awaiting its check, and the node awaits that check;
-        returns None. Any other reply, or a backend failure, is recorded
-        as a failed round; returns what went wrong."""
-        if isinstance(reply, LeandecompError):
-            response, note = f"(backend failure: {reply})", f"the {role} backend failed to respond"
-        else:
-            try:
-                source = reply_code(reply)
-            except NoCodeBlock:
-                response = reply
-                note = "the completion did not contain a fenced Lean code block"
-            else:
-                self.tree.record_reply(node.id, role, prompt, reply)
-                self._sources[node.id] = source
-                return None
-        self.tree.record_attempt(node.id, role, prompt, response, failed=True)
-        return note
 
     def _persist(self) -> None:
         """Write the checkpoint journal and flush the run log."""

@@ -48,6 +48,7 @@ class ChatBackendConfig:
     base_url: str
     api_key: str = ""
     max_tokens: int = 50000
+    max_tokens_param: str = "max_tokens"  # the request field that carries max_tokens
     max_remote_retries: int = 5
 
 
@@ -322,7 +323,7 @@ class ChatClient:
         payload = {
             "model": self.config.model,
             "messages": [{"role": role, "content": content} for role, content in messages],
-            "max_tokens": self.config.max_tokens,
+            self.config.max_tokens_param: self.config.max_tokens,
         }
         try:
             body = self._http.request(

@@ -1,17 +1,24 @@
-"""Every public name of the program is used by the program.
+"""Every name of the program is used by the program.
 
-A public module-level function, class or constant, or a public method,
-of ``src/leandecomp`` or ``perfbench`` must be referenced somewhere in
-those files (as a name, an attribute or an imported name) other than at
-its own definition. A name that only tests call is not part of the
-program: delete it, or call what the program calls.
+A module-level function, class or constant, or a method or class-level
+name, of ``src/leandecomp`` or ``perfbench`` must be referenced somewhere
+in those files (as a name, an attribute, an imported name or the literal
+name given to ``getattr``) other than at its own definition. A public
+name that only tests call is not part of the program: delete it, or call
+what the program calls. A private name that nothing references is dead
+code. The one exception is by rule: ``Orchestrator.dispatch`` finds the
+handler of each action as ``_do_<kind>``, so those handlers must match
+the action kinds one to one.
 """
 
 import ast
 from pathlib import Path
 
+from leandecomp.orchestrator import ActionKind
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/leandecomp/*.py"), *ROOT.glob("perfbench/*.py")])
+ORCHESTRATOR = ROOT / "src" / "leandecomp" / "orchestrator.py"
 
 #: Definitions that the program does not use, each with why it stays.
 ALLOWED = {
@@ -20,25 +27,39 @@ ALLOWED = {
     "which starts declarations at these keywords",
 }
 
+#: The action kinds that ``dispatch`` runs itself, with no handler.
+UNHANDLED = {ActionKind.FINISH, ActionKind.BACKTRACK}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
 
 def definitions(module: ast.Module):
-    """(qualified name, bare name) of each public definition."""
+    """(qualified name, bare name) of each module-level and class-level
+    definition. Annotated class-level names are dataclass fields, not
+    definitions; dunder names are the language's. Both are left out."""
+
+    def named(body, prefix, assigns):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield prefix + node.name, node.name
+            elif isinstance(node, assigns):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        yield prefix + target.id, target.id
+
+    found = list(named(module.body, "", (ast.Assign, ast.AnnAssign)))
     for node in module.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield f"{node.name}.{item.name}", item.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    yield target.id, target.id
+        if isinstance(node, ast.ClassDef):
+            found += named(node.body, node.name + ".", (ast.Assign,))
+    return [(q, name) for q, name in found if not (name.startswith("__") and name.endswith("__"))]
 
 
 def references(module: ast.Module):
-    """Every name the module reads, as a name, an attribute or an import."""
+    """Every name the module reads: as a name, an attribute, an import,
+    or the literal second argument of ``getattr``."""
     for node in ast.walk(module):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
@@ -46,24 +67,57 @@ def references(module: ast.Module):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
 
 
-def unused_public_names() -> set[str]:
-    modules = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES]
+def unused_names() -> set[str]:
+    modules = [parse(path) for path in SOURCES]
     used = {name for module in modules for name in references(module)}
     return {
         qualified
         for module in modules
         for qualified, name in definitions(module)
-        if not name.startswith("_") and name not in used
+        if name not in used
     }
+
+
+def is_handler(qualified: str) -> bool:
+    return qualified.startswith("Orchestrator._do_")
 
 
 def test_every_public_name_is_used_by_the_program():
     assert SOURCES
-    unused = unused_public_names() - set(ALLOWED)
+    unused = {name for name in unused_names() if not name.rpartition(".")[2].startswith("_")}
+    unused -= set(ALLOWED)
     assert not unused, f"public names that only tests use: {sorted(unused)}"
 
 
+def test_every_private_name_is_used_by_the_program():
+    unused = {
+        name
+        for name in unused_names()
+        if name.rpartition(".")[2].startswith("_") and not is_handler(name)
+    }
+    assert not unused, f"private names that nothing references: {sorted(unused)}"
+
+
+def test_the_action_handlers_match_the_action_kinds():
+    handlers = {
+        qualified.rpartition(".")[2]
+        for qualified, _ in definitions(parse(ORCHESTRATOR))
+        if is_handler(qualified)
+    }
+    expected = {"_do_" + kind.name.lower() for kind in ActionKind if kind not in UNHANDLED}
+    assert not handlers - expected, "handlers that match no action kind"
+    assert not expected - handlers, "action kinds with no handler"
+
+
 def test_every_allowed_name_is_still_defined_and_unused():
-    assert unused_public_names() >= set(ALLOWED), "drop the stale entries from ALLOWED"
+    assert unused_names() >= set(ALLOWED), "drop the stale entries from ALLOWED"

@@ -44,6 +44,23 @@ class TestDefaults:
         assert decomposer.model == "gpt-5-2025-08-07"
         assert decomposer.base_url == "https://api.openai.com/v1"
         assert decomposer.max_tokens == 50000  # from max_completion_tokens
+        assert decomposer.max_tokens_param == "max_completion_tokens"
+        assert cfg.chat_backend("prover").max_tokens_param == "max_tokens"
+
+    def test_max_tokens_wins_and_the_other_name_is_not_read(self):
+        cfg = load_config(
+            env={
+                "DECOMPOSER_AGENT_LLM__MAX_TOKENS": "100",
+                "DECOMPOSER_AGENT_LLM__MAX_COMPLETION_TOKENS": "lots",
+            }
+        )
+        decomposer = cfg.chat_backend("decomposer")
+        assert (decomposer.max_tokens, decomposer.max_tokens_param) == (100, "max_tokens")
+
+    def test_a_section_with_no_limit_sends_max_tokens(self):
+        cfg = load("[PROVER_AGENT_LLM]\nmodel = m\n", env={})
+        prover = cfg.chat_backend("prover")
+        assert (prover.max_tokens, prover.max_tokens_param) == (50000, "max_tokens")
 
     def test_default_services(self):
         cfg = load_config(env={})

@@ -172,11 +172,25 @@ class TestNormalizePreamble:
         result = normalize_preamble("import Mathlib\n/- first\n-/\n/- second\n-/\nimport Mathlib")
         assert result == CANONICAL_PREAMBLE + "\n\n/- first\n-/\n/- second\n-/"
 
-    def test_repeated_header_ending_inside_a_comment_is_kept(self):
+    def test_repeated_header_ending_inside_a_comment_moves_up_once(self):
         result = normalize_preamble("import A /- x\n-/\nimport A /- x\n-/")
-        assert result == CANONICAL_PREAMBLE + "\n\nimport A /- x\n-/\nimport A /- x\n-/"
+        assert result == CANONICAL_PREAMBLE.replace("Aesop", "Aesop\nimport A /- x\n-/")
         body = split_source(result + "\ntheorem t : True := trivial").body
         assert body == "theorem t : True := trivial"
+
+    def test_an_import_ending_inside_a_comment_moves_up_with_its_comment(self):
+        """Lean accepts ``import`` only at the top of a file, so an import
+        whose comment closes on a later line goes up with those lines."""
+        result = normalize_preamble("import A /- x\n-/")
+        assert result == (
+            "import Mathlib\nimport Aesop\nimport A /- x\n-/\n\n"
+            "set_option maxHeartbeats 0\n\nopen BigOperators Real Nat Topology Rat"
+        )
+        body = split_source(result + "\n\ntheorem t : True := trivial").body
+        assert body.startswith("theorem")
+        assert normalize_preamble(result) == result
+        # a comment that never closes would swallow the canonical lines: it stays last
+        assert normalize_preamble("import A /- x") == CANONICAL_PREAMBLE + "\n\nimport A /- x"
 
     def test_comments_after_the_header_leave_the_body_outside(self):
         tree = ProofTree.from_formal(

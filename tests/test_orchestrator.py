@@ -725,6 +725,135 @@ class TestBacktracking:
         assert decomposer.calls == 2
 
 
+# ------------------------------------------------------ failed-round rule
+
+EDGE_LIMITS = Limits(
+    formalizer_max_retries=2,
+    prover_self_correction=2,
+    prover_max_pass=1,
+    decomposer_self_correction=2,
+    max_depth=10,
+)
+BAD_FORMALIZATION = lean_block(
+    CANONICAL_PREAMBLE + f"\n\ntheorem {INFORMAL_NAME} : {FAIL_MARKER} := by\n  sorry"
+)
+STEP_SKETCH = "theorem step1 : True := by\n  have s : True := by\n    {}\n  exact s"
+
+#: The first failed round of each phase: a Lean error.
+FIRST_FAILURES = {
+    "formalization": {"formalizer": BAD_FORMALIZATION},
+    "proving": {"prover": lean_block(FAILING_PROOF)},
+    "sketching": {"decomposer": lean_block(STEP_SKETCH.format(FAIL_MARKER))},
+}
+
+#: Each failure kind of each role, as the replies of the round that spends
+#: the last unit of its phase's budget, with what ``last_failure`` then holds.
+LAST_FAILURES = {
+    "formalizer-outage": ("formalization", {"formalizer": RemoteExhausted("down")}, None),
+    "formalizer-unfenced": ("formalization", {"formalizer": "No code here."}, None),
+    "formalizer-lean-error": ("formalization", {"formalizer": BAD_FORMALIZATION}, None),
+    "semantics-outage": (
+        "formalization",
+        {"formalizer": GOOD_FORMALIZATION, "semantics": RemoteExhausted("down")},
+        None,
+    ),
+    "semantics-no-judgement": (
+        "formalization",
+        {"formalizer": GOOD_FORMALIZATION, "semantics": "Looks fine to me."},
+        None,
+    ),
+    "prover-outage": (
+        "proving", {"prover": RemoteExhausted("down")}, "the prover backend failed to respond"
+    ),
+    "prover-unfenced": (
+        "proving", {"prover": "No code here."}, "did not contain a fenced Lean code block"
+    ),
+    "prover-lean-error": (
+        "proving", {"prover": lean_block(FAILING_PROOF)}, f"unknown identifier '{FAIL_MARKER}'"
+    ),
+    "prover-sorry-only": (
+        "proving", {"prover": lean_block(TRUE_THEOREM)}, "must not contain sorry or admit"
+    ),
+    "decomposer-outage": (
+        "sketching",
+        {"decomposer": RemoteExhausted("down")},
+        "the decomposer backend failed to respond",
+    ),
+    "decomposer-unfenced": (
+        "sketching", {"decomposer": "No code here."}, "did not contain a fenced Lean code block"
+    ),
+    "sketch-lean-error": (
+        "sketching",
+        {"decomposer": lean_block(STEP_SKETCH.format(FAIL_MARKER))},
+        f"unknown identifier '{FAIL_MARKER}'",
+    ),
+    "ast-export-defect": (
+        "sketching",
+        {"decomposer": lean_block(STEP_SKETCH.format("sorry") + "\n-- BADAST")},
+        "the proof sketch could not be analyzed",
+    ),
+    "extraction-defect": (
+        "sketching",
+        {"decomposer": lean_block("theorem step1 : True := by\n  exact sorry")},
+        "the proof sketch contains no named subgoals",
+    ),
+}
+
+
+class TestFailedRoundAtTheBudgetEdge:
+    @pytest.mark.parametrize("case", list(LAST_FAILURES))
+    def test_the_last_unit_of_a_budget_ends_as_a_failed_lean_check_does(self, case):
+        """Whatever went wrong, a failed round that spends the last unit
+        of its budget fails the run (formalization), moves the node on
+        to decomposition (proving) or backtracks (sketching)."""
+        phase, last, note = LAST_FAILURES[case]
+        first = FIRST_FAILURES[phase]
+        scripts = {
+            role: [reply for reply in (first.get(role), last.get(role)) if reply is not None]
+            for role in {*first, *last}
+        }
+        backends = {role: ScriptedChat(list(script)) for role, script in scripts.items()}
+        backends["search_query"] = ScriptedChat(lambda messages: QUERY_RESPONSE)
+        if phase == "formalization":
+            tree = ProofTree.from_informal(INFORMAL, EDGE_LIMITS)
+            node_id = tree.root
+        elif phase == "proving":
+            tree = formal_tree(limits=EDGE_LIMITS)
+            node_id = tree.root
+        else:
+            tree, node_id = chain_tree(2, EDGE_LIMITS)
+            tree.node(node_id).status = NodeStatus.AWAITING_QUERY_GEN
+        node = tree.node(node_id)
+        orch = make_orchestrator(
+            tree,
+            backends=make_backends(**backends),
+            ast_client=BuilderAst(fail_for=("BADAST",)),
+        )
+        if phase == "formalization":
+            with pytest.raises(FormalizationExhausted, match="exhausted its 2 retries"):
+                run_formalization(orch, node_id)
+            assert node.status is NodeStatus.FAILED
+            assert node.counters.formalize_retries == 2
+        elif phase == "proving":
+            assert run_prover_pass(orch, node_id) is ProveOutcome.NEEDS_DECOMPOSITION
+            assert node.status is NodeStatus.AWAITING_QUERY_GEN
+            assert node.counters.passes_used == 1
+        else:
+            run_decomposition(orch, node_id)
+            assert node_id not in tree.nodes  # the root, two levels up, was pruned
+            assert node.counters.sketch_corrections_used == 2
+            root = tree.root_node()
+            assert root.status is NodeStatus.AWAITING_QUERY_GEN
+            assert root.counters.decompositions_used == 1
+            tree.validate()
+        for role, script in scripts.items():
+            assert backends[role].calls == len(script), role
+        if note is None:
+            assert node.last_failure is None
+        else:
+            assert note in node.last_failure
+
+
 # ------------------------------------------------------------- full runs
 
 

@@ -6,12 +6,14 @@ import sys
 import threading
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from leandecomp.agents import format_theorem_hints
+from leandecomp.config import load_config
 from leandecomp.errors import (
     AstExportFailed,
     BadResponse,
@@ -101,6 +103,24 @@ class TestChatClient:
             {"role": "user", "content": "u"},
         ]
         assert body["max_tokens"] == 128
+
+    @pytest.mark.parametrize(
+        "role, sent, unsent",
+        [("decomposer", "max_completion_tokens", "max_tokens"),
+         ("prover", "max_tokens", "max_completion_tokens")],
+    )
+    def test_packaged_sections_send_the_limit_under_their_own_name(
+        self, service, role, sent, unsent
+    ):
+        """OpenAI's reasoning models reject ``max_tokens``; Ollama reads it."""
+        service.route("POST", "/v1/chat/completions", chat_route(lambda m, msgs: "ok"))
+        config = replace(
+            load_config(env={}).chat_backend(role), base_url=service.base_url + "/v1"
+        )
+        ChatClient(config, request_timeout=5, backoff_base=0).complete([("user", "hi")])
+        body = service.requests[-1].body
+        assert body[sent] == 50000
+        assert unsent not in body
 
 
 def make_verifier(fake, retries=5, **kwargs):
