@@ -191,7 +191,8 @@ def normalize_preamble(preamble: str) -> str:
     Normalize a preamble to the canonical header block.
 
     The preamble is read in entries: a line, together with the lines
-    that a block comment opened on it spans. The canonical lines always
+    that a block comment opened on it spans; code that follows where
+    such a comment closes starts the next entry. The canonical lines always
     come first, in order, with the other ``import`` entries right after
     the canonical ones, since Lean accepts imports only at the top of a
     file; the other entries follow the canonical block in order, blank
@@ -209,10 +210,14 @@ def normalize_preamble(preamble: str) -> str:
     entries: list[list[str]] = []
     offset = 0
     for raw in preamble.split("\n"):
-        if any(start < offset - 1 < end for start, end in spans):
-            entries[-1].append(raw)
-        else:
+        end = next((end for start, end in spans if start < offset - 1 < end), None)
+        if end is None:
             entries.append([raw])
+        elif next(_tokens(raw[end - offset:]), None) is None:
+            entries[-1].append(raw)
+        else:  # code follows where the comment closes: it starts an entry
+            entries[-1].append(raw[:end - offset])
+            entries.append([raw[end - offset:]])
         offset += len(raw) + 1
     left_open = bool(spans) and spans[-1][1] == len(text)
     imports: list[str] = []

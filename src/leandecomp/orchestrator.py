@@ -64,8 +64,7 @@ from .errors import (
     RemoteExhausted,
     ServiceUnavailable,
 )
-from .lean_source import LeanSource, normalize_preamble
-from .proof_state import NodeStatus, ProofNode, ProofTree, reply_code
+from .proof_state import NodeStatus, ProofNode, ProofTree
 from .services import LeanError, VerificationResult
 
 
@@ -257,9 +256,6 @@ class Orchestrator:
         # AST exports are cheap to refetch, so they live outside the
         # checkpoint; a resumed run re-issues ParseAst where needed.
         self._ast_cache: dict[str, tuple[object, list]] = {}
-        # The code of each node's latest generated reply, parsed when the
-        # reply arrived; a resumed run parses it again from the history.
-        self._sources: dict[str, LeanSource] = {}
         self._failure_reason: str | None = None
         # Held only while ``run`` executes: the worker threads, the queue
         # of groups for them to take and the queue their results land on,
@@ -471,14 +467,8 @@ class Orchestrator:
         )
         return self._generate(node, "formalizer", [], prompt)
 
-    def _formalization(self, node: ProofNode) -> LeanSource:
-        """The statement of the node's latest formalizer round, under its
-        normalized preamble."""
-        source = self._reply_source(node)
-        return LeanSource(preamble=normalize_preamble(source.preamble), body=source.body)
-
     def _do_semantic_check(self, node: ProofNode) -> _Call:
-        formal = self._formalization(node)
+        formal = self.tree.unit(node.id)
         prompt = render_prompt(
             PromptKind.SEMANTIC_CHECK,
             PromptVars(
@@ -552,13 +542,11 @@ class Orchestrator:
                 note = f"the {role} backend failed to respond"
             else:
                 try:
-                    self._sources[node.id] = reply_code(reply)
+                    self.tree.record_reply(node.id, role, prompt, reply)
+                    return
                 except NoCodeBlock:
                     response = reply
                     note = "the completion did not contain a fenced Lean code block"
-                else:
-                    self.tree.record_reply(node.id, role, prompt, reply)
-                    return
             self.tree.record_attempt(node.id, role, prompt, response, failed=True)
             self._failed(node, role, note)
 
@@ -571,10 +559,7 @@ class Orchestrator:
         because sorry or admit remains fails; a sketch with goals left
         goes on to its AST export, and one with none proves the node."""
         role = self.tree.unjudged_round(node.id)["role"]
-        if role == "formalizer":
-            unit = self._formalization(node).combined()
-        else:
-            unit = self._reply_unit(node)
+        unit = self.tree.unit(node.id).combined()
 
         def apply(result: VerificationResult) -> None:
             if role == "prover" and result.passed and not result.complete:
@@ -725,7 +710,7 @@ class Orchestrator:
             else:
                 self._ast_cache[node.id] = export
 
-        return _Call(apply, partial(self._fetch_ast, self._reply_unit(node)))
+        return _Call(apply, partial(self._fetch_ast, self.tree.unit(node.id).combined()))
 
     def _fetch_ast(self, sketch: str) -> tuple[object, list] | LeandecompError:
         try:
@@ -759,7 +744,7 @@ class Orchestrator:
 
     def _forget_pruned(self) -> None:
         """Drop what the coordinator keeps in memory for pruned nodes."""
-        for kept in (self._ast_cache, self._sources, self._reply_pass):
+        for kept in (self._ast_cache, self._reply_pass):
             for stale in [node_id for node_id in kept if node_id not in self.tree.nodes]:
                 del kept[stale]
 
@@ -802,19 +787,6 @@ class Orchestrator:
             return backend.complete(messages)
         except (RemoteExhausted, BadResponse) as exc:
             return exc
-
-    def _reply_source(self, node: ProofNode) -> LeanSource:
-        """The Lean unit of the node's latest generated round: parsed
-        when the reply arrived, or from the history after a resume."""
-        source = self._sources.get(node.id)
-        if source is None:
-            source = self._sources[node.id] = reply_code(self.tree.last_round(node.id)["response"])
-        return source
-
-    def _reply_unit(self, node: ProofNode) -> str:
-        """The declaration of the node's latest generated round under the
-        node's preamble: the unit its Lean check and AST export read."""
-        return node.formal.preamble + "\n\n" + self._reply_source(node).body
 
     def _persist(self) -> None:
         """Write the checkpoint journal and flush the run log."""

@@ -114,14 +114,17 @@ class ProofNode:
 
 class ProofTree:
     """Owner of all nodes, which its methods add, prune and record rounds
-    on; the orchestrator sets ``status``, ``formal``, ``hints`` and
-    ``last_failure`` itself."""
+    on, and of the Lean unit that each node's latest round proposes
+    (``unit``); the orchestrator sets ``status``, ``formal``, ``hints``
+    and ``last_failure`` itself."""
 
     def __init__(self, limits: Limits):
         self.limits = limits
         self.nodes: dict[str, ProofNode] = {}
         self.root: str | None = None
         self._seq = 0
+        # The code that each node's latest round proposes, once parsed.
+        self._codes: dict[str, LeanSource] = {}
         # The checkpoint file this tree last saved to, the handle that
         # appends to it (opened by the first append), and per node what
         # that file holds: its ``_node_key``, its fields and the length
@@ -222,18 +225,17 @@ class ProofTree:
         Attach a subgoal as a new leaf one level below its parent.
 
         The child's formal unit is the subgoal's standalone statement
-        under the parent's normalized preamble; it starts at AwaitingProof
-        since it is already formal.
+        under the parent's preamble; it starts at AwaitingProof since it is
+        already formal.
         """
         parent = self.node(parent_id)
-        preamble = normalize_preamble(parent.formal.preamble if parent.formal else "")
         child = ProofNode(
             id=self._new_id(),
             parent=parent_id,
             depth=parent.depth + 1,
             status=NodeStatus.AWAITING_PROOF,
             name=subgoal.name,
-            formal=LeanSource(preamble=preamble, body=subgoal.standalone_statement),
+            formal=LeanSource(preamble=parent.formal.preamble, body=subgoal.standalone_statement),
         )
         self.nodes[child.id] = child
         parent.children.append(child.id)
@@ -249,12 +251,16 @@ class ProofTree:
             {"role": role, "prompt": prompt, "response": response,
              "failed": failed, "verdict": None}
         )
+        self._codes.pop(node_id, None)
         self._charge(node, role, failed)
 
     def record_reply(self, node_id: str, role: str, prompt: str, response: str) -> None:
-        """Log a generated round whose Lean check is still to come, and
-        move the node to the status awaiting that check."""
+        """Log a generated round whose Lean check is still to come, keep
+        the code it proposes for ``unit`` and move the node to the status
+        awaiting that check. Raises NoCodeBlock, logging nothing, when the
+        reply proposes no declaration."""
         node = self.node(node_id)
+        self._codes[node_id] = reply_code(response)
         node.history.append({"role": role, "prompt": prompt, "response": response})
         node.status = next(s for s, checked in _AWAITING_CHECK.items() if checked == role)
 
@@ -331,6 +337,7 @@ class ProofTree:
         while stack:
             child_id = stack.pop()
             child = self.nodes.pop(child_id, None)
+            self._codes.pop(child_id, None)
             if child is not None:
                 stack.extend(child.children)
         node.children = []
@@ -338,15 +345,28 @@ class ProofTree:
         node.counters.decompositions_used += 1
         node.counters.sketch_corrections_used = 0
 
-    # ---------------------------------------------------------- reconstruction
+    # ---------------------------------------------------------- Lean units
+
+    def unit(self, node_id: str) -> LeanSource:
+        """The Lean unit of the node's latest round: the declaration its
+        reply proposes, under the node's preamble, or while the node has
+        no formal statement, under the (formalizer) reply's own preamble,
+        normalized. The reply is parsed once: by ``record_reply``, or
+        here, from the history, for a round it did not log (after a load)."""
+        node = self.node(node_id)
+        code = self._codes.get(node_id)
+        if code is None:
+            code = self._codes[node_id] = reply_code(self.last_round(node_id)["response"])
+        if node.formal is None:
+            return LeanSource(preamble=normalize_preamble(code.preamble), body=code.body)
+        return LeanSource(preamble=node.formal.preamble, body=code.body)
 
     def _reconstruct_decl(self, node: ProofNode) -> str:
         if node.status is not NodeStatus.PROVEN:
             raise IncompleteSubtree(f"node {node.id} is {node.status.value}, not Proven")
-        verified = self.last_round(node.id)
-        if verified is None:
+        if self.last_round(node.id) is None:
             raise IncompleteSubtree(f"proven node {node.id} has no generated round")
-        text = reply_code(verified["response"]).body
+        text = self.unit(node.id).body
         for child_id in node.children:
             child = self.node(child_id)
             child_decl = self._reconstruct_decl(child)
@@ -367,14 +387,14 @@ class ProofTree:
         Each node contributes the declaration of its latest (verified)
         round: a leaf's proof, or an internal node's sketch with every
         child's sorry replaced by that child's reconstructed proof body.
-        The result is a full unit under the node's canonical preamble.
+        The result is a full unit under the node's preamble.
 
         Raises IncompleteSubtree if any descendant is not Proven, and
         the LeandecompError of a reply or child proof that does not splice.
         """
         node = self.node(node_id)
         decl = self._reconstruct_decl(node)
-        return normalize_preamble(node.formal.preamble if node.formal else "") + "\n\n" + decl
+        return LeanSource(preamble=node.formal.preamble, body=decl).combined()
 
     # ------------------------------------------------------------- invariants
 

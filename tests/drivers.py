@@ -20,7 +20,7 @@ from leandecomp.orchestrator import (
     _candidate,
     _resolve_backtrack,
 )
-from leandecomp.proof_state import NodeStatus, ProofNode, ProofTree, reply_code
+from leandecomp.proof_state import NodeStatus, ProofNode, ProofTree
 
 from .fakes import lean_block
 
@@ -74,7 +74,7 @@ def record_verified(tree: ProofTree, node_id: str, role: str, code: str) -> None
 
 def latest_decl(tree: ProofTree, node_id: str) -> str:
     """The declaration of the node's latest generated round."""
-    return reply_code(tree.last_round(node_id)["response"]).body
+    return tree.unit(node_id).body
 
 
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:

@@ -8,7 +8,8 @@ name that only tests call is not part of the program: delete it, or call
 what the program calls. A private name that nothing references is dead
 code. The one exception is by rule: ``Orchestrator.dispatch`` finds the
 handler of each action as ``_do_<kind>``, so those handlers must match
-the action kinds one to one.
+the action kinds one to one. Last, the orchestrator leaves each node's
+Lean text to the proof tree.
 """
 
 import ast
@@ -121,3 +122,23 @@ def test_the_action_handlers_match_the_action_kinds():
 
 def test_every_allowed_name_is_still_defined_and_unused():
     assert unused_names() >= set(ALLOWED), "drop the stale entries from ALLOWED"
+
+
+def test_the_proof_tree_owns_each_node_lean_unit():
+    """The orchestrator reads a node's Lean unit from the tree
+    (``ProofTree.unit``): it parses, normalizes and joins no Lean text
+    itself, so every decision about that text has one owner."""
+    module = parse(ORCHESTRATOR)
+    imported = {
+        node.module.rpartition(".")[2]
+        for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom) and node.module
+    } | {
+        alias.name.rpartition(".")[2]
+        for node in ast.walk(module)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert "lean_source" not in imported
+    named = set(references(module)) & {"reply_code", "split_source", "normalize_preamble"}
+    assert not named, f"orchestrator.py names {sorted(named)}"

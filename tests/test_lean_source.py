@@ -192,6 +192,45 @@ class TestNormalizePreamble:
         # a comment that never closes would swallow the canonical lines: it stays last
         assert normalize_preamble("import A /- x") == CANONICAL_PREAMBLE + "\n\nimport A /- x"
 
+    def test_an_import_after_a_comment_closing_mid_line_moves_up(self):
+        """Code that follows where a multi-line comment closes starts an
+        entry of its own: an ``import`` there joins the imports, and the
+        command the comment trails stays with the other commands."""
+        result = normalize_preamble("set_option a 1 /- c\n-/ import X")
+        assert result == (
+            "import Mathlib\nimport Aesop\nimport X\n\n"
+            "set_option maxHeartbeats 0\n\nopen BigOperators Real Nat Topology Rat\n\n"
+            "set_option a 1 /- c\n-/"
+        )
+        assert normalize_preamble(result) == result
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    list(CANONICAL_PREAMBLE_LINES)
+                    + ["import X", "import MyLib", "open Polynomial", "set_option a 1"]
+                    + ["variable (n : Nat)", "/- lead -/ import Y", "/-- doc -/"]
+                ),
+                st.sampled_from(
+                    ["\n", "\n\n", "\n-- note\n", " /- c\n-/ ", " /- c\n-/\n", "\n/- a\n b -/ "]
+                ),
+            ),
+            max_size=10,
+        )
+    )
+    def test_every_import_comes_before_the_other_commands(self, pieces):
+        """Lean accepts ``import`` only at the top of a file. Over
+        preambles whose comments all close (one left open stays last,
+        see above), no ``import`` token of the result follows the first
+        token of another header command, and a second pass changes
+        nothing."""
+        once = normalize_preamble("".join(line + end for line, end in pieces))
+        tokens = tokenize(once)
+        others = [tok.start for tok in tokens if tok.text in HEADER_KEYWORDS - {"import"}]
+        assert all(tok.start < min(others) for tok in tokens if tok.text == "import")
+        assert normalize_preamble(once) == once
+
     def test_comments_after_the_header_leave_the_body_outside(self):
         tree = ProofTree.from_formal(
             "import Mathlib\n/- first\n-/\n/- second\n-/\ntheorem t : True := by\n  trivial",

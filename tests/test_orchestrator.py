@@ -1094,16 +1094,39 @@ def journal_backends(hard: frozenset[str]):
     )
 
 
+#: The statuses in which a node's Lean unit is read: for its Lean check,
+#: its AST export or the reconstruction.
+UNIT_STATUSES = frozenset(
+    {
+        NodeStatus.AWAITING_SYNTAX_CHECK,
+        NodeStatus.AWAITING_VERIFICATION,
+        NodeStatus.AWAITING_SKETCH_CHECK,
+        NodeStatus.AWAITING_AST_PARSE,
+        NodeStatus.PROVEN,
+    }
+)
+
+
+def lean_units(tree: ProofTree) -> dict:
+    """The unit of every node in one of ``UNIT_STATUSES``."""
+    return {
+        node.id: tree.unit(node.id)
+        for node in tree.nodes.values()
+        if node.status in UNIT_STATUSES
+    }
+
+
 class JournalCheckingOrchestrator(Orchestrator):
     """Checks the checkpoint journal after every save, and keeps a copy
     of the file cut at a drawn byte inside the line that save appended,
-    with the tree state from before it."""
+    with the tree state and the Lean units from before it."""
 
     def __init__(self, *args, draw_cut, **kwargs):
         super().__init__(*args, **kwargs)
         self.draw_cut = draw_cut
-        self.cuts: list[tuple[bytes, dict]] = []
+        self.cuts: list[tuple[bytes, dict, dict]] = []
         self.saved_state: dict | None = None
+        self.saved_units: dict = {}
         self.saved_size = 0
 
     def _persist(self):
@@ -1115,8 +1138,9 @@ class JournalCheckingOrchestrator(Orchestrator):
         if self.saved_state is not None and len(data) > self.saved_size:
             # up to the last line's final byte before its newline
             cut = self.draw_cut(self.saved_size, len(data) - 2)
-            self.cuts.append((data[:cut], self.saved_state))
+            self.cuts.append((data[:cut], self.saved_state, self.saved_units))
         self.saved_state, self.saved_size = state, len(data)
+        self.saved_units = lean_units(self.tree)
 
 
 class TestCheckpointJournal:
@@ -1149,12 +1173,13 @@ class TestCheckpointJournal:
             draw_cut=lambda low, high: data.draw(st.integers(low, high)),
         )
         outcome = run.run()
-        for number, (cut, state) in enumerate(run.cuts):
+        for number, (cut, state, units) in enumerate(run.cuts):
             path = directory / f"cut{number}.json"
             path.write_bytes(cut)
             resumed = ProofTree.load(path)
             resumed.validate()
             assert resumed.to_dict() == state
+            assert lean_units(resumed) == units
             assert orchestrator(resumed, checkpoint_path=path).run() == outcome
 
 
@@ -1313,6 +1338,37 @@ class TestDerivedConversations:
         assert generated
         for reply, times in generated.items():
             assert text.count(json.dumps(reply, ensure_ascii=False)) == times, reply
+
+    def test_each_generated_reply_is_parsed_once(self, monkeypatch):
+        """Over a whole run, reconstruction included, the code of each
+        reply is parsed at most once, and only the formal input's
+        preamble is normalized."""
+        calls = Counter()
+
+        def counted(name):
+            function = getattr(proof_state_module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+
+            for module in (proof_state_module, orchestrator_module):
+                if getattr(module, name, None) is function:
+                    monkeypatch.setattr(module, name, call)
+
+        counted("reply_code")
+        counted("normalize_preamble")
+        outcome, backends = golden_run()
+        assert outcome.success
+        fenced = [
+            reply
+            for backend in backends.values()
+            if isinstance(backend, ScriptedChat)
+            for reply in backend.replies
+            if "```lean" in reply
+        ]
+        assert fenced and calls["reply_code"] <= len(fenced)
+        assert calls["normalize_preamble"] == 1
 
     def test_version_3_journal_resumes_without_asking_again(self, tmp_path):
         """A journal the version-3 ``ProofTree.save`` wrote while the

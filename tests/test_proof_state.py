@@ -135,11 +135,12 @@ class TestRecordAttempt:
 class TestAwaitingCheck:
     def test_verdict_closes_the_round_and_charges_its_role(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_reply(tree.root, "prover", "p1", "r1")
+        reply = lean_block("theorem t : True := trivial")
+        tree.record_reply(tree.root, "prover", "p1", reply)
         root = tree.root_node()
         root.status = NodeStatus.AWAITING_VERIFICATION
         tree.validate()
-        assert tree.unjudged_round(tree.root) == {"role": "prover", "prompt": "p1", "response": "r1"}
+        assert tree.unjudged_round(tree.root) == {"role": "prover", "prompt": "p1", "response": reply}
         assert tree.conversation(tree.root, "prover") == []
         assert root.counters.self_correction_in_pass == 0
         tree.record_verdict(tree.root, FAIL)
@@ -148,7 +149,7 @@ class TestAwaitingCheck:
         assert root.history[-1] == {"failed": True, "verdict": {"passed": False, "complete": False}}
         assert tree.unjudged_round(tree.root) is None
         assert root.counters.self_correction_in_pass == 1
-        assert tree.conversation(tree.root, "prover") == [("user", "p1"), ("assistant", "r1")]
+        assert tree.conversation(tree.root, "prover") == [("user", "p1"), ("assistant", reply)]
 
     def test_no_verdict_without_a_round(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
@@ -415,7 +416,7 @@ class TestCheckpoint:
 
     def test_to_dict_result_is_not_the_tree(self):
         tree = sketch_tree()
-        tree.record_reply(tree.root, "decomposer", "sketch please", "here")
+        tree.record_reply(tree.root, "decomposer", "sketch please", lean_block(INDUCTION_SKETCH))
         tree.record_verdict(tree.root, FAIL)
         history = json.loads(json.dumps(tree.root_node().history))
         data = tree.to_dict()
@@ -429,7 +430,7 @@ class TestCheckpoint:
 
     def test_kept_to_dict_result_does_not_follow_the_tree(self):
         tree = sketch_tree()
-        tree.record_reply(tree.root, "decomposer", "sketch please", "here")
+        tree.record_reply(tree.root, "decomposer", "sketch please", lean_block(INDUCTION_SKETCH))
         tree.record_verdict(tree.root, FAIL)
         kept = tree.to_dict()
         expected = json.loads(json.dumps(kept))
