@@ -2,9 +2,9 @@
 
 The endpoint returns a nested JSON syntax tree plus a ``sorries`` list
 with goal metadata for each placeholder. This module parses that
-payload, enumerates the unproven subgoals (``have`` statements proved
-by ``sorry``), and renders each one as a standalone theorem that can be
-proved independently.
+payload, enumerates the unproven subgoals (one per ``sorry``, named
+after the ``have`` around it), and renders each one as a standalone
+theorem that can be proved independently.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class SorryInfo:
 
 @dataclass(frozen=True)
 class Subgoal:
-    """An unproven ``have`` subgoal, self-contained enough to prove on its own."""
+    """The goal at one ``sorry``, self-contained enough to prove on its own."""
 
     name: str
     goal_type: str
@@ -176,12 +176,14 @@ def _render_statement(name: str, binders, goal_type: str) -> str:
 
 def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
     """
-    Enumerate unproven subgoals: one per ``have`` proved by ``sorry``.
+    Enumerate unproven subgoals: one per ``sorry``, named after the
+    nearest ``have`` around it.
 
     Subgoals come out in source order, each paired by position with its
-    SorryInfo. Hypotheses naming an earlier sibling subgoal are kept
-    only when this subgoal's goal type mentions them, so that proofs of
-    independent siblings stay independent.
+    SorryInfo, so the k-th subgoal is the k-th sorry of the sketch.
+    Hypotheses naming an earlier sibling subgoal are kept only when this
+    subgoal's goal type mentions them, so that proofs of independent
+    siblings stay independent.
 
     Raises AnonymousSorry for a sorry outside any named have, and
     MalformedAst when the tree and the sorries metadata disagree.

@@ -23,7 +23,7 @@ from .errors import (
     MissingDeclaration,
     MissingHeader,
 )
-from .lean_source import LeanSource, _line_heads, normalize_preamble, split_source
+from .lean_source import LeanSource, _line_heads, split_source
 from .orchestrator import Orchestrator
 from .proof_state import ProofTree
 from .services import ChatClient, SearchClient, VerifierClient, close_idle_connections
@@ -84,11 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def validate_formal_input(code: str) -> LeanSource:
     """
-    Check a formal input file and return its normalized source.
+    Check a formal input file and return it split into header and body.
 
     The file must start with a Lean header (at least one ``import``
-    line) followed by a declaration; the header is rewritten to the
-    canonical preamble with any extra lines preserved.
+    line) followed by a declaration. The header is returned as written:
+    ``ProofTree.from_formal`` normalizes it.
     """
     source = split_source(code)
     if not any(tok.text == "import" for _, tok in _line_heads(source.preamble)):
@@ -100,7 +100,7 @@ def validate_formal_input(code: str) -> LeanSource:
         raise MissingDeclaration(
             "formal input contains a header but no theorem declaration"
         )
-    return LeanSource(preamble=normalize_preamble(source.preamble), body=source.body.strip())
+    return source
 
 
 def _setup_logging(verbosity: int) -> None:
@@ -121,8 +121,8 @@ def _build_tree(args: argparse.Namespace, limits: Limits) -> ProofTree:
     if args.informal is not None:
         return ProofTree.from_informal(args.informal, limits)
     code = Path(args.file).read_text(encoding="utf-8")
-    source = validate_formal_input(code)
-    return ProofTree.from_formal(source.combined(), limits)
+    validate_formal_input(code)
+    return ProofTree.from_formal(code, limits)
 
 
 def _build_orchestrator(

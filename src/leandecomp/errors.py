@@ -8,20 +8,14 @@ class LeandecompError(Exception):
 # --- Lean source manipulation ---
 
 
-class NoByBlock(LeandecompError):
-    """The declaration has no top-level `:= by`; the proof is term-mode."""
-
-
 class NoCodeBlock(LeandecompError):
     """A model completion contained no fenced ```lean4 / ```lean block."""
 
 
 class SubgoalNotFound(LeandecompError):
-    """The named subgoal does not exist in the sketch."""
-
-
-class AmbiguousSubgoal(LeandecompError):
-    """More than one unproven `have` with the requested name."""
+    """A sketch's sorries and its subgoals' proofs do not splice: their
+    numbers differ, a sorry is neither a tactic nor a term, or a proof
+    has no top-level `:=`."""
 
 
 # --- AST handling ---

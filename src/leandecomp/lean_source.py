@@ -2,19 +2,20 @@
 
 Covers the operations the proving pipeline needs without a real Lean
 parser: splitting a unit into preamble and body, normalizing preambles,
-pulling tactic bodies out of declarations, and splicing sub-proofs into
-sketch placeholders. One scanner reads the code for all of them:
-``tokenize``, which skips comments and string literals. Everything here
-is a pure function over immutable inputs.
+extracting fenced code, and splicing each subgoal's proof into its
+sketch at the sorry it came from. One scanner reads the code for all of
+them: ``tokenize``, which skips comments and string literals.
+Everything here is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
 
 import re
+import textwrap
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
+from .errors import NoCodeBlock, SubgoalNotFound
 
 #: Header lines every formal artifact is required to carry, in order.
 CANONICAL_PREAMBLE_LINES = (
@@ -237,55 +238,22 @@ def normalize_preamble(preamble: str) -> str:
     return "\n\n".join(block for block in blocks if block)
 
 
-def _dedent_tail(tail: str) -> str:
-    """Dedent the text following a ``by`` / ``:=`` token, preserving relative indentation."""
-    if "\n" in tail:
-        head, rest = tail.split("\n", 1)
-        lines = rest.split("\n")
-    else:
-        head, lines = tail, []
-    head = head.strip()
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if lines:
-        cut = min(len(ln) - len(ln.lstrip(" ")) for ln in lines if ln.strip())
-        lines = [ln[cut:] if ln.strip() else "" for ln in lines]
-    if head and lines:
-        return "\n".join([head, *lines])
-    if head:
-        return head
-    return "\n".join(lines)
-
-
-def _first_top_level_assign(proof: str) -> tuple[Token, Token | None]:
-    """Find the declaration's first depth-0 ``:=`` and the token after it."""
-    tokens = _tokens(proof)
+def _tactic_block(decl: str) -> str:
+    """
+    The proof of a declaration as a tactic block: the tactics after its
+    first top-level ``:= by``, or ``exact (<term>)`` for a term-mode
+    proof, dedented with relative indentation kept; never begins with
+    ``by``. Raises SubgoalNotFound when there is no top-level ``:=``.
+    """
+    tokens = _tokens(decl)
     for tok in tokens:
         if tok.text == ":=" and tok.depth == 0:
-            return tok, next(tokens, None)
-    raise NoByBlock("declaration has no top-level ':='")
-
-
-def extract_proof_body(proof: str) -> str:
-    """
-    Return the tactic block after the declaration's first top-level ``:= by``.
-
-    Raises NoByBlock for term-mode proofs (no top-level ``by``). The
-    result never begins with the ``by`` token itself; relative
-    indentation of the tactic lines is preserved.
-    """
-    assign, nxt = _first_top_level_assign(proof)
-    if nxt is None or nxt.text != "by" or nxt.depth != 0:
-        raise NoByBlock("proof term does not start with 'by'")
-    return _dedent_tail(proof[nxt.end :])
-
-
-def extract_term_value(proof: str) -> str:
-    """Return the proof term after the first top-level ``:=`` (term-mode proofs)."""
-    assign, _ = _first_top_level_assign(proof)
-    return _dedent_tail(proof[assign.end :])
+            nxt = next(tokens, None)
+            tactics = nxt is not None and nxt.text == "by"
+            head, _, rest = decl[(nxt if tactics else tok).end :].partition("\n")
+            block = "\n".join(filter(None, (head.strip(), textwrap.dedent(rest).strip("\n"))))
+            return block if tactics else f"exact ({block})"
+    raise SubgoalNotFound("a subgoal's proof has no top-level ':='")
 
 
 def _indent_block(body: str, columns: int) -> str:
@@ -294,60 +262,62 @@ def _indent_block(body: str, columns: int) -> str:
     return "\n".join(pad + ln if ln.strip() else "" for ln in lines)
 
 
-def _find_unproven_have_sites(sketch: str, name: str) -> list[tuple[Token, Token, Token]]:
-    """Locate every ``have <name> … := by sorry`` as (have, by, sorry) tokens."""
+def splice_sorries(sketch: str, child_decls: list[str]) -> str:
+    """
+    Replace the k-th ``sorry`` of a sketch, as ``tokenize`` reads it past
+    comments and string literals, with the proof of the k-th declaration
+    as a tactic block (``_tactic_block``).
+
+    The token before a sorry decides its form. After ``by``, or first on
+    its own line, it is a tactic: the block replaces it, each later line
+    indented to the sorry's column. After ``:=`` it is a term: the block
+    gets ``by`` first. A block of several lines that would start
+    mid-line starts on the next line instead, two columns right of the
+    line's first tactic (past a focusing ``·``), and the spaces before
+    it go. All other text is left byte-identical.
+
+    Raises SubgoalNotFound when the number of sorries and of declarations
+    differ, or a sorry is neither a tactic nor a term.
+    """
     tokens = tokenize(sketch)
-    sites = []
-    for idx, tok in enumerate(tokens):
-        if tok.text != "have" or idx + 1 >= len(tokens):
-            continue
-        if tokens[idx + 1].text != name:
-            continue
-        depth = tok.depth
-        j = idx + 2
-        assign = None
-        while j < len(tokens):
-            tj = tokens[j]
-            if tj.depth == depth and tj.text == ":=":
-                assign = j
-                break
-            if tj.depth == depth and tj.text == "have":
-                break  # ran into the next have without seeing ':='
-            j += 1
-        if assign is None or assign + 2 >= len(tokens):
-            continue
-        by_tok, sorry_tok = tokens[assign + 1], tokens[assign + 2]
-        if by_tok.text == "by" and sorry_tok.text == "sorry":
-            sites.append((tok, by_tok, sorry_tok))
-    return sites
-
-
-def replace_subgoal(sketch: str, name: str, proof_body: str) -> str:
-    """
-    Replace the ``sorry`` of ``have <name> : … := by sorry`` with a proof body.
-
-    Inserted lines are re-indented one level (2 spaces) under the
-    ``have`` column; all other text is left byte-identical. Handles both
-    the inline form (``:= by sorry``) and the sorry-on-next-line form.
-
-    Raises SubgoalNotFound if no unproven ``have`` named ``name``
-    exists, AmbiguousSubgoal if more than one does.
-    """
-    sites = _find_unproven_have_sites(sketch, name)
-    if not sites:
-        raise SubgoalNotFound(f"no unproven have named {name!r} in sketch")
-    if len(sites) > 1:
-        raise AmbiguousSubgoal(f"have named {name!r} occurs {len(sites)} times unproven")
-    have_tok, by_tok, sorry_tok = sites[0]
-    have_col = have_tok.start - (sketch.rfind("\n", 0, have_tok.start) + 1)
-    body = proof_body.rstrip()
-    inline = "\n" not in sketch[by_tok.end : sorry_tok.start]
-    if inline:
-        if "\n" not in body.strip():
-            return sketch[: sorry_tok.start] + body.strip() + sketch[sorry_tok.end :]
-        return sketch[: by_tok.end] + "\n" + _indent_block(body, have_col + 2) + sketch[sorry_tok.end :]
-    line_start = sketch.rfind("\n", 0, sorry_tok.start) + 1
-    return sketch[:line_start] + _indent_block(body, have_col + 2) + sketch[sorry_tok.end :]
+    sites = [index for index, tok in enumerate(tokens) if tok.text == "sorry"]
+    if len(sites) != len(child_decls):
+        raise SubgoalNotFound(
+            f"the sketch's sorry count, {len(sites)}, is not its subgoal count, {len(child_decls)}"
+        )
+    pieces: list[str] = []
+    done = 0
+    for index, decl in zip(sites, child_decls):
+        sorry = tokens[index]
+        line_start = sketch.rfind("\n", 0, sorry.start) + 1
+        before = tokens[index - 1] if index else None
+        own_line = before is None or before.end <= line_start
+        lead = "by" if before is not None and before.text == ":=" else ""
+        if not (lead or own_line or before.text == "by"):
+            line = sketch[line_start:].split("\n", 1)[0].strip()
+            raise SubgoalNotFound(
+                f"the sorry in {line!r} follows {before.text!r}: "
+                "it is neither a tactic nor a term"
+            )
+        head = sketch[done : sorry.start]
+        block = _tactic_block(decl)
+        if own_line and not lead:
+            column = sorry.start - line_start
+            text = _indent_block(block, column)[column:]
+        elif "\n" not in block.strip():
+            text = " ".join(filter(None, (lead, block.strip())))
+        else:
+            first = index
+            while first and tokens[first - 1].start >= line_start:
+                first -= 1
+            if tokens[first].text == "·":
+                first += 1
+            text = lead + "\n" + _indent_block(block, tokens[first].start - line_start + 2)
+            if not lead:
+                head = head.rstrip(" \t")
+        pieces += [head, text]
+        done = sorry.end
+    return "".join(pieces) + sketch[done:]
 
 
 def extract_code_block(response: str) -> str:

@@ -63,6 +63,7 @@ from .errors import (
     NoQueries,
     RemoteExhausted,
     ServiceUnavailable,
+    SubgoalNotFound,
 )
 from .proof_state import NodeStatus, ProofNode, ProofTree
 from .services import LeanError, VerificationResult
@@ -722,9 +723,6 @@ class Orchestrator:
         ast, sorries = self._ast_cache.pop(node.id)
         try:
             subgoals = extract_subgoals(ast, sorries)
-        except (AnonymousSorry, MalformedAst) as exc:
-            defect = f"the proof sketch could not be decomposed: {exc}"
-        else:
             names = [subgoal.name for subgoal in subgoals]
             if not names:
                 defect = "the proof sketch contains no named subgoals"
@@ -734,10 +732,13 @@ class Orchestrator:
                     "every have must introduce a distinct name"
                 )
             else:
+                self.tree.check_splice(node.id, subgoals)
                 for subgoal in subgoals:
                     self.tree.add_child(node.id, subgoal)
                 node.status = NodeStatus.AWAITING_CHILDREN
                 return
+        except (AnonymousSorry, MalformedAst, SubgoalNotFound) as exc:
+            defect = f"the proof sketch could not be decomposed: {exc}"
         self._note_sketch_failure(node, "subgoal-extraction", defect)
 
     # ----------------------------------------------------------- backtracking

@@ -8,8 +8,9 @@ drive scheduling. A generated reply that still awaits its Lean check is
 the last round of its node's history; the check appends a verdict entry
 after it. The tree persists as a checkpoint journal (a snapshot
 line, then one line per save holding what changed) and reconstructs
-complete proofs from proven subtrees by splicing child proof bodies
-into parent sketches, each read from its node's history.
+complete proofs from proven subtrees by splicing each child's proof
+into its parent's sketch at the child's sorry, each read from its
+node's history.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from enum import Enum
 from typing import Any, TextIO
 
 from .config import Limits
-from .errors import IncompleteSubtree, LeandecompError, NoByBlock, NoCodeBlock, UnknownNode
+from .errors import IncompleteSubtree, LeandecompError, NoCodeBlock, UnknownNode
 from .lean_source import (
     LeanSource,
     extract_code_block,
-    extract_proof_body,
-    extract_term_value,
     normalize_preamble,
-    replace_subgoal,
+    splice_sorries,
     split_source,
 )
 from .ast_model import Subgoal
@@ -361,33 +360,29 @@ class ProofTree:
             return LeanSource(preamble=normalize_preamble(code.preamble), body=code.body)
         return LeanSource(preamble=node.formal.preamble, body=code.body)
 
+    def check_splice(self, node_id: str, subgoals: list[Subgoal]) -> None:
+        """Raise SubgoalNotFound unless reconstruction can splice proofs of
+        these subgoals into the node's latest sketch: the same splice,
+        run on the subgoals' own statements."""
+        splice_sorries(self.unit(node_id).body, [s.standalone_statement for s in subgoals])
+
     def _reconstruct_decl(self, node: ProofNode) -> str:
         if node.status is not NodeStatus.PROVEN:
             raise IncompleteSubtree(f"node {node.id} is {node.status.value}, not Proven")
         if self.last_round(node.id) is None:
             raise IncompleteSubtree(f"proven node {node.id} has no generated round")
-        text = self.unit(node.id).body
-        for child_id in node.children:
-            child = self.node(child_id)
-            child_decl = self._reconstruct_decl(child)
-            try:
-                body = extract_proof_body(child_decl)
-            except NoByBlock:
-                # term-mode child proof: keep it a tactic block
-                body = "exact (" + extract_term_value(child_decl) + ")"
-            if child.name is None:
-                raise IncompleteSubtree(f"child {child.id} has no subgoal name")
-            text = replace_subgoal(text, child.name, body)
-        return text
+        children = [self._reconstruct_decl(self.node(child_id)) for child_id in node.children]
+        return splice_sorries(self.unit(node.id).body, children)
 
     def reconstruct(self, node_id: str) -> str:
         """
         Assemble the complete proof of a proven subtree.
 
         Each node contributes the declaration of its latest (verified)
-        round: a leaf's proof, or an internal node's sketch with every
-        child's sorry replaced by that child's reconstructed proof body.
-        The result is a full unit under the node's preamble.
+        round: a leaf's proof, or an internal node's sketch with its k-th
+        sorry replaced by the proof of its k-th child, reconstructed in
+        turn (``splice_sorries``). The result is a full unit under the
+        node's preamble.
 
         Raises IncompleteSubtree if any descendant is not Proven, and
         the LeandecompError of a reply or child proof that does not splice.

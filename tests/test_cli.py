@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from leandecomp import cli, lean_source, proof_state
 from leandecomp.cli import main, validate_formal_input
 from leandecomp.errors import MissingDeclaration, MissingHeader
-from leandecomp.lean_source import extract_code_block
+from leandecomp.lean_source import LeanSource, extract_code_block
 from leandecomp.proof_state import NodeStatus, ProofTree
 from leandecomp.config import Limits
 
@@ -74,9 +75,26 @@ CORRUPT_CHECKPOINTS = {
 class TestValidateFormalInput:
     def test_accepts_headered_statement(self):
         source = validate_formal_input(EVEN_SUM_FILE)
-        assert source.preamble.startswith("import Mathlib")
-        assert "set_option maxHeartbeats 0" in source.preamble
+        assert source.preamble == "import Mathlib"  # as written: from_formal normalizes
         assert source.body.startswith("theorem even_sum")
+
+    def test_a_formal_input_is_normalized_once(self, tmp_path, monkeypatch):
+        """Reading a formal input checks it, then ``ProofTree.from_formal``
+        normalizes its preamble: one normalization, the same tree."""
+        real, calls = lean_source.normalize_preamble, []
+
+        def counted(preamble):
+            calls.append(preamble)
+            return real(preamble)
+
+        for module in (cli, proof_state):
+            if getattr(module, "normalize_preamble", None) is real:
+                monkeypatch.setattr(module, "normalize_preamble", counted)
+        path = tmp_path / "t.lean"
+        path.write_text("import Mathlib\n\ntheorem t : True := trivial", encoding="utf-8")
+        tree = cli._build_tree(cli.build_parser().parse_args(["--file", str(path)]), Limits())
+        assert calls == ["import Mathlib"]
+        assert tree.root_node().formal == LeanSource(CANONICAL_PREAMBLE, "theorem t : True := trivial")
 
     def test_missing_header_rejected(self):
         with pytest.raises(MissingHeader):

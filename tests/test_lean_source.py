@@ -2,17 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leandecomp.cli import validate_formal_input
 from leandecomp.config import Limits
-from leandecomp.errors import AmbiguousSubgoal, NoByBlock, NoCodeBlock, SubgoalNotFound
+from leandecomp.errors import NoCodeBlock, SubgoalNotFound
 from leandecomp.lean_source import (
     CANONICAL_PREAMBLE_LINES,
     HEADER_KEYWORDS,
     extract_code_block,
-    extract_proof_body,
-    extract_term_value,
     normalize_preamble,
-    replace_subgoal,
+    splice_sorries,
     split_source,
     tokenize,
 )
@@ -137,10 +134,10 @@ class TestNormalizePreamble:
 
     def test_extra_imports_follow_the_canonical_imports(self):
         """Lean accepts ``import`` only before every other command."""
-        source = validate_formal_input(
-            "import Mathlib\nimport Mathlib.Tactic.Linarith\n\ntheorem t : True := trivial"
+        tree = ProofTree.from_formal(
+            "import Mathlib\nimport Mathlib.Tactic.Linarith\n\ntheorem t : True := trivial", Limits()
         )
-        assert source.combined() == (
+        assert tree.root_node().formal.combined() == (
             "import Mathlib\nimport Aesop\nimport Mathlib.Tactic.Linarith\n\n"
             "set_option maxHeartbeats 0\n\nopen BigOperators Real Nat Topology Rat\n\n"
             "theorem t : True := trivial"
@@ -239,15 +236,26 @@ class TestNormalizePreamble:
         assert split_source(tree.root_node().formal.combined()).body.startswith("theorem t")
 
 
-class TestExtractProofBody:
+def proof(block: str) -> str:
+    """A child declaration proving its goal by the tactic block ``block``."""
+    return "theorem c : True := by\n" + "\n".join("  " + ln for ln in block.split("\n"))
+
+
+#: A child declaration whose tactic block is ``sorry`` again.
+UNPROVEN = "theorem c : True := by\n  sorry"
+
+
+class TestChildBlock:
+    """The tactic block a child's proof becomes, spliced alone at column 0."""
+
     def test_single_tactic(self):
-        assert extract_proof_body("theorem t : True := by\n  trivial") == "trivial"
+        assert splice_sorries("sorry", ["theorem t : True := by\n  trivial"]) == "trivial"
 
     def test_inline_tactic(self):
-        assert extract_proof_body("theorem t : True := by trivial") == "trivial"
+        assert splice_sorries("sorry", ["theorem t : True := by trivial"]) == "trivial"
 
     def test_even_sum_listing(self):
-        body = extract_proof_body(EVEN_SUM_PROOF)
+        body = splice_sorries("sorry", [EVEN_SUM_PROOF])
         assert body.startswith("intro m n hm hn")
         assert body.endswith("exact h_main")
         # tactic lines keep their relative nesting under the have
@@ -255,34 +263,71 @@ class TestExtractProofBody:
         assert "\n  cases' hm with a ha" in body
 
     def test_split_happens_at_first_top_level_by(self):
-        proof = (
+        decl = (
             "theorem t : 1 = 1 := by\n"
             "  have h : 1 = 1 := by rfl\n"
             "  exact h"
         )
-        assert extract_proof_body(proof) == "have h : 1 = 1 := by rfl\nexact h"
+        assert splice_sorries("sorry", [decl]) == "have h : 1 = 1 := by rfl\nexact h"
 
     def test_assign_inside_binder_parens_is_skipped(self):
-        proof = "theorem t (x : Nat := 0) : True := by trivial"
-        assert extract_proof_body(proof) == "trivial"
+        decl = "theorem t (x : Nat := 0) : True := by trivial"
+        assert splice_sorries("sorry", [decl]) == "trivial"
 
-    def test_term_mode_raises(self):
-        with pytest.raises(NoByBlock):
-            extract_proof_body("theorem t : True := trivial")
+    def test_term_mode_proof_becomes_exact(self):
+        assert splice_sorries("sorry", ["theorem t : True := trivial"]) == "exact (trivial)"
 
-    def test_term_value_extraction(self):
-        assert extract_term_value("theorem t : True := trivial") == "trivial"
+    def test_no_top_level_assign_raises(self):
+        with pytest.raises(SubgoalNotFound):
+            splice_sorries("sorry", ["theorem t (x : Nat := 0) : True"])
 
     @given(st.sampled_from([EVEN_SUM_PROOF, INFINITUDE_SKETCH, "theorem t : True := by trivial"]))
-    def test_body_never_starts_with_by_token(self, proof):
-        body = extract_proof_body(proof)
+    def test_block_never_starts_with_by_token(self, decl):
+        body = splice_sorries("sorry", [decl])
         first = body.split()[0] if body.split() else ""
         assert first != "by"
 
 
-class TestReplaceSubgoal:
+#: (sketch line, form) pieces that splice_sorries' property builds the
+#: body of ``theorem t : True := by`` from; ``{}`` marks the one sorry of
+#: a site, and every other ``sorry`` sits in a comment or a string.
+SKETCH_PIECES = [
+    ("have h{n} : True := by {}", "inline"),
+    ("have h{n} : True := by\n    {}", "own-line"),
+    ("have h{n} : True := by\n    intro x\n    {}", "own-line"),
+    ("have h{n} : True := {}", "term"),
+    ("-- sorry in a line comment", None),
+    ("/- sorry in a block comment\n  sorry -/", None),
+    ('have s{n} : "sorry" = "sorry" := rfl', None),
+    ("have p{n} : True := by trivial -- not sorry", None),
+]
+
+#: (child declaration, the tactic block it splices as): one line, a
+#: term-mode proof, and two lines.
+CHILDREN = [
+    ("theorem c : True := by trivial", "trivial"),
+    ("theorem c : True := trivial", "exact (trivial)"),
+    ("theorem c : True := by\n  constructor\n  <;> trivial", "constructor\n<;> trivial"),
+]
+
+
+def expected_site(form: str, block: str) -> str:
+    """What a site of ``form`` holding ``{}`` becomes under ``block``,
+    written out by hand for a site whose line is indented two columns."""
+    lines = block.split("\n")
+    under = "\n" + "\n".join("    " + ln for ln in lines)  # two columns under the line
+    if form == "own-line":
+        return "\n    ".join(lines)
+    if form == "inline":
+        return block if len(lines) == 1 else under
+    return "by " + block if len(lines) == 1 else "by" + under
+
+
+class TestSpliceSorries:
     def test_splice_into_induction_sketch(self):
-        out = replace_subgoal(INDUCTION_SKETCH, "base_case", "norm_num [Nat.factorial]")
+        out = splice_sorries(
+            INDUCTION_SKETCH, [proof("norm_num [Nat.factorial]"), UNPROVEN, UNPROVEN]
+        )
         assert "have base_case : 4 ^ 2 ≤ 4 ! := by\n    norm_num [Nat.factorial]" in out
         assert count_sorries(out) == 2
         # untouched text is byte-identical
@@ -290,26 +335,32 @@ class TestReplaceSubgoal:
             "have inductive_step", 1
         )[1]
 
-    def test_replacing_sorry_with_sorry_is_whitespace_neutral(self):
-        out = replace_subgoal(INDUCTION_SKETCH, "inductive_step", "sorry")
-        assert [ln.strip() for ln in out.splitlines()] == [
-            ln.strip() for ln in INDUCTION_SKETCH.splitlines()
-        ]
-        assert count_sorries(out) == count_sorries(INDUCTION_SKETCH)
+    def test_replacing_sorry_with_sorry_changes_nothing(self):
+        assert splice_sorries(INDUCTION_SKETCH, [UNPROVEN] * 3) == INDUCTION_SKETCH
 
-    def test_unknown_name_raises(self):
+    @pytest.mark.parametrize(
+        "sketch, decls",
+        [
+            (INDUCTION_SKETCH, [proof("rfl")]),
+            ("theorem t : True := by\n  exact h", [proof("rfl")]),
+            ("theorem t : True := by\n  exact sorry", [proof("rfl")]),
+            ("theorem t : True := by\n  · sorry", [proof("rfl")]),
+        ],
+        ids=["too-few-proofs", "no-sorry", "sorry-after-a-tactic", "sorry-after-a-focus-dot"],
+    )
+    def test_a_sketch_that_does_not_splice_raises(self, sketch, decls):
         with pytest.raises(SubgoalNotFound):
-            replace_subgoal(INDUCTION_SKETCH, "missing_goal", "rfl")
+            splice_sorries(sketch, decls)
 
-    def test_duplicate_unproven_name_raises(self):
+    def test_repeated_have_names_splice_by_position(self):
         sketch = (
             "theorem t : True := by\n"
             "  have h : True := by sorry\n"
             "  have h : True := by sorry\n"
             "  exact h"
         )
-        with pytest.raises(AmbiguousSubgoal):
-            replace_subgoal(sketch, "h", "trivial")
+        out = splice_sorries(sketch, [proof("first"), proof("second")])
+        assert out.index("by first") < out.index("by second")
 
     def test_proved_have_with_same_name_is_not_a_site(self):
         sketch = (
@@ -318,28 +369,60 @@ class TestReplaceSubgoal:
             "  have g : True := by sorry\n"
             "  exact g"
         )
-        out = replace_subgoal(sketch, "g", "exact h")
+        out = splice_sorries(sketch, [proof("exact h")])
         assert "have g : True := by exact h" in out
+        assert "have h : True := by trivial" in out
 
     def test_multiline_body_under_inline_sorry(self):
         sketch = "theorem t : True := by\n  have h : True := by sorry\n  exact h"
-        out = replace_subgoal(sketch, "h", "constructor\n<;> trivial")
+        out = splice_sorries(sketch, [proof("constructor\n<;> trivial")])
         assert (
             out
             == "theorem t : True := by\n  have h : True := by\n    constructor\n    <;> trivial\n  exact h"
         )
 
+    def test_multiline_body_under_a_focused_have(self):
+        sketch = "theorem t : True := by\n  · have h : True := by sorry\n    exact h"
+        out = splice_sorries(sketch, [proof("constructor\n<;> trivial")])
+        assert out == (
+            "theorem t : True := by\n  · have h : True := by\n      constructor\n"
+            "      <;> trivial\n    exact h"
+        )
+
     def test_infinitude_sketch_all_subgoals(self):
-        out = INFINITUDE_SKETCH
-        for name in ["prod_primes_def", "choose_P", "prime_divisor_exists", "divisor_gt_n", "conclusion"]:
-            out = replace_subgoal(out, name, "sorry_free_placeholder_tactic")
+        out = splice_sorries(INFINITUDE_SKETCH, [proof("sorry_free_placeholder_tactic")] * 5)
         assert count_sorries(out) == 0
 
-    @given(st.sampled_from(["base_case", "inductive_step", "final_proof"]))
-    def test_sorry_count_decreases_by_one(self, name):
-        before = count_sorries(INDUCTION_SKETCH)
-        after = count_sorries(replace_subgoal(INDUCTION_SKETCH, name, "norm_num"))
-        assert after == before - 1
+    @given(st.integers(min_value=0, max_value=2))
+    def test_sorry_count_decreases_by_one(self, site):
+        decls = [UNPROVEN] * 3
+        decls[site] = proof("norm_num")
+        after = count_sorries(splice_sorries(INDUCTION_SKETCH, decls))
+        assert after == count_sorries(INDUCTION_SKETCH) - 1
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(SKETCH_PIECES), st.sampled_from(CHILDREN)), max_size=6
+        )
+    )
+    def test_each_site_takes_its_block_and_nothing_else_changes(self, pieces):
+        """A sorry in a comment or a string is never a site; the k-th
+        site takes the k-th block in the form its token before calls
+        for; every other byte of the sketch stays as it was."""
+        head = "theorem t : True := by\n"
+        lines, expected, decls = [], [], []
+        for n, ((line, form), (decl, block)) in enumerate(pieces):
+            lines.append("  " + line.format("sorry", n=n))
+            if form is None:
+                expected.append(lines[-1])
+                continue
+            expected.append("  " + line.format(expected_site(form, block), n=n))
+            decls.append(decl)
+        sketch = head + "\n".join(lines)
+        want = head + "\n".join(expected)
+        # an inline site's several-line block moves below: the space after by goes
+        want = want.replace("by \n", "by\n")
+        assert splice_sorries(sketch, decls) == want
 
 
 class TestExtractCodeBlock:
