@@ -7,10 +7,17 @@ direct proving exhausts its passes — generating search queries,
 retrieving hint theorems, sketching a decomposition, checking the
 sketch, and recursing into extracted subgoals. Equal-priority work is
 ordered by depth then node creation, so subgoals are processed
-breadth-first. Nodes that exceed the depth limit or exhaust their
-sketch-correction budget trigger a backtrack: the nearest
-grandparent-or-higher ancestor with remaining budget is pruned and
-re-decomposed with the alternative-strategy prompts.
+breadth-first. A node proves in passes of self-correction rounds. The
+passes are independent, so a worker that would otherwise idle opens
+another pass on the lowest-depth node whose open passes are all busy,
+once that node has failed a round: at most as many passes as workers
+are open on a node, the first to verify proves it, and a reply that
+lands later is recorded unchecked. So a node proven after a failed
+round may cost up to ``workers - 1`` more prover calls. Nodes that
+exceed the depth limit or exhaust their sketch-correction budget
+trigger a backtrack: the nearest grandparent-or-higher ancestor with
+remaining budget is pruned and re-decomposed with the
+alternative-strategy prompts.
 
 Every remote call (each chat role, each verify request, AST export and
 theorem search) runs on one of at most ``workers`` threads that live as
@@ -24,9 +31,9 @@ happen on the coordinator and the subtrees of a sketch advance
 independently. A node whose call is in flight is not ready; a result
 for a node that a backtrack pruned, or one that lands after the run has
 failed, is dropped. Verify actions coalesce: a reply is not verified
-while a Prove of its own dispatch pass is in flight, and then the ready
+while a Prove of its own dispatch wave is in flight, and then the ready
 Verifies at its depth share one request; with nothing else in flight
-only those of its pass do, which keeps the order of a single worker.
+only those of its wave do, which keeps the order of a single worker.
 """
 
 from __future__ import annotations
@@ -101,11 +108,13 @@ class Action:
 
     ``node_id`` is the acting node — for BACKTRACK it is the ancestor
     being re-decomposed; FINISH carries the terminal outcome instead.
+    A Prove, and the Verify of its reply, name their prover pass.
     """
 
     kind: ActionKind
     node_id: str | None
     outcome: Outcome | None = None
+    pass_: int | None = None
 
 
 #: The work of a node in each status: its priority (lower = sooner) and
@@ -124,17 +133,45 @@ _STATUS_ACTIONS = {
 }
 
 
-def _candidate(
-    tree: ProofTree, node: ProofNode, ast_ready: frozenset[str]
-) -> tuple[int, ActionKind] | None:
-    """The node's entry of ``_STATUS_ACTIONS``, or None, with two
-    overrides: extraction for a node whose AST export is in hand, and a
-    backtrack in place of query generation at the depth limit."""
-    if node.status is NodeStatus.AWAITING_AST_PARSE and node.id in ast_ready:
-        return 11, ActionKind.EXTRACT_SUBGOALS  # recursion has the lowest priority
-    if node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
-        return 7, ActionKind.BACKTRACK
-    return _STATUS_ACTIONS.get(node.status)
+#: The statuses of a node in its prover phase, by whether a pass's reply
+#: awaits its check.
+_AWAITING_REPLY = {False: NodeStatus.AWAITING_PROOF, True: NodeStatus.AWAITING_VERIFICATION}
+_PROVING = frozenset(_AWAITING_REPLY.values())
+
+
+def _candidates(tree: ProofTree, node: ProofNode, ast_ready: frozenset[str]):
+    """The node's work as (priority, kind, prover pass) triples, from
+    ``_STATUS_ACTIONS``. In the prover phase, each open pass has a Prove,
+    or the Verify of its reply; with none open, a Prove opens the next.
+    Otherwise the node's status has its entry, with two overrides:
+    extraction for a node whose AST export is in hand, and a backtrack in
+    place of query generation at the depth limit."""
+    if node.status in _PROVING:
+        passes = tree.passes(node.id)
+        for pass_ in passes.open or [passes.next]:
+            replied = pass_ in passes.unjudged
+            yield (*_STATUS_ACTIONS[_AWAITING_REPLY[replied]], pass_)
+    elif node.status is NodeStatus.AWAITING_AST_PARSE and node.id in ast_ready:
+        yield 11, ActionKind.EXTRACT_SUBGOALS, None  # recursion has the lowest priority
+    elif node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
+        yield 7, ActionKind.BACKTRACK, None
+    elif node.status in _STATUS_ACTIONS:
+        yield (*_STATUS_ACTIONS[node.status], None)
+
+
+def _may_open_pass(tree: ProofTree, node: ProofNode, open_passes: int) -> bool:
+    """Whether a node with no ready work may open one more prover pass:
+    it is in its prover phase with fewer than ``open_passes`` passes
+    open, has failed a prover round, and has opened fewer passes than
+    its budget allows."""
+    if node.status not in _PROVING:
+        return False
+    passes = tree.passes(node.id)
+    return (
+        len(passes.open) < open_passes
+        and len(passes.seen) < tree.limits.prover_max_pass
+        and bool(passes.notes)  # a note per pass that failed a round
+    )
 
 
 def _resolve_backtrack(tree: ProofTree, node: ProofNode) -> Action:
@@ -153,45 +190,59 @@ def _resolve_backtrack(tree: ProofTree, node: ProofNode) -> Action:
 def next_action(
     tree: ProofTree,
     ast_ready: frozenset[str] = frozenset(),
-    busy: frozenset[str] = frozenset(),
+    busy: frozenset[tuple[str, int | None]] = frozenset(),
+    *,
+    open_passes: int,
 ) -> Action | None:
     """
     Choose the next action for the tree (pure; no mutation).
 
-    Each node's action and priority come from ``_STATUS_ACTIONS``, with
-    the overrides of ``_candidate``. Among equal priorities the lowest
-    depth wins, then creation order — so all subgoals at one depth are
-    processed before any at the next (breadth-first).
+    Each node's actions and priorities come from ``_candidates``. Among
+    equal priorities the lowest depth wins, then creation order — so all
+    subgoals at one depth are processed before any at the next
+    (breadth-first).
 
     ``ast_ready`` names nodes whose AST export is already in hand, for
-    which the parse step is replaced by extraction. ``busy`` names nodes
-    that are not ready (their call is in flight); None means that every
-    node with work is busy. A Proven root maps to Reconstruct, a Failed
-    root to Finish(failure).
+    which the parse step is replaced by extraction. ``busy`` names the
+    work that is not ready (its call is in flight, or its reply is held)
+    as (node id, prover pass) pairs, the pass None for work outside a
+    prover pass. When nothing else is ready, a Prove opens one more pass
+    on the lowest-depth, earliest node that ``_may_open_pass`` allows,
+    with at most ``open_passes`` open on a node; else None means that
+    every node with work is busy. A Proven root maps to Reconstruct, a
+    Failed root to Finish(failure).
     """
     root = tree.root_node()
     if root.status is NodeStatus.PROVEN:
-        return None if root.id in busy else Action(ActionKind.RECONSTRUCT, root.id)
+        return None if (root.id, None) in busy else Action(ActionKind.RECONSTRUCT, root.id)
     if root.status is NodeStatus.FAILED:
         return Action(
             ActionKind.FINISH,
             root.id,
             Outcome(success=False, report="proof search failed; see the run history"),
         )
-    best: tuple[tuple[int, int], ProofNode, ActionKind] | None = None
+    best: tuple[tuple[int, int], ProofNode, ActionKind, int | None] | None = None
+    spare: ProofNode | None = None  # the node to open another prover pass on
     waiting = False
     for node in tree.nodes.values():
-        entry = _candidate(tree, node, ast_ready)
-        if entry is None:
-            continue
-        if node.id in busy:
-            waiting = True
-            continue
-        priority, kind = entry
-        key = (priority, node.depth)
-        if best is None or key < best[0]:
-            best = (key, node, kind)
+        ready = False
+        for priority, kind, pass_ in _candidates(tree, node, ast_ready):
+            if (node.id, pass_) in busy:
+                waiting = True
+                continue
+            ready = True
+            key = (priority, node.depth)
+            if best is None or key < best[0]:
+                best = (key, node, kind, pass_)
+        if (
+            not ready
+            and (spare is None or node.depth < spare.depth)
+            and _may_open_pass(tree, node, open_passes)
+        ):
+            spare = node
     if best is None:
+        if spare is not None:
+            return Action(ActionKind.PROVE, spare.id, pass_=tree.passes(spare.id).next)
         if waiting:
             return None
         return Action(
@@ -199,10 +250,10 @@ def next_action(
             root.id,
             Outcome(success=False, report="no actionable nodes remain"),
         )
-    _, node, kind = best
+    _, node, kind, pass_ = best
     if kind is ActionKind.BACKTRACK:
         return _resolve_backtrack(tree, node)
-    return Action(kind, node.id)
+    return Action(kind, node.id, pass_=pass_)
 
 
 @dataclass
@@ -260,15 +311,16 @@ class Orchestrator:
         self._failure_reason: str | None = None
         # Held only while ``run`` executes: the worker threads, the queue
         # of groups for them to take and the queue their results land on,
-        # the run log, the groups in flight (by identity) with their dispatch
-        # pass, and the dispatch pass of each reply awaiting its Verify.
+        # the run log, the groups in flight (by identity) with their
+        # dispatch wave, and the wave of each reply awaiting its Verify,
+        # by (node id, prover pass).
         self._workers: list[threading.Thread] = []
         self._work: SimpleQueue | None = None
         self._landed: SimpleQueue | None = None
         self._run_log: TextIO | None = None
         self._inflight: dict[int, tuple[int, _Group]] = {}
-        self._reply_pass: dict[str, int] = {}
-        self._passes = 0
+        self._reply_wave: dict[tuple[str, int], int] = {}
+        self._wave = 0
 
     # ------------------------------------------------------------- main loop
 
@@ -297,7 +349,7 @@ class Orchestrator:
                 self._stop_workers()
                 self._work = self._landed = None
                 self._inflight.clear()
-                self._reply_pass.clear()
+                self._reply_wave.clear()
                 if self._run_log is not None:
                     self._run_log.close()
                     self._run_log = None
@@ -316,7 +368,8 @@ class Orchestrator:
             self._forget_pruned()
             return None
         handler = getattr(self, "_do_" + kind.name.lower())
-        return handler(self.tree.node(action.node_id))
+        node = self.tree.node(action.node_id)
+        return handler(node) if action.pass_ is None else handler(node, action.pass_)
 
     # ----------------------------------------------------------- scheduling
 
@@ -324,11 +377,14 @@ class Orchestrator:
         """Dispatch ready actions in priority order until ``workers``
         calls are in flight or none is ready; an action without a remote
         call runs at once. Returns the outcome of an action that ends
-        the run."""
-        self._passes += 1
+        the run. A node may have as many prover passes open as there are
+        workers."""
+        self._wave += 1
         while len(self._inflight) < self.workers:
             not_ready = self._not_ready()
-            action = next_action(self.tree, frozenset(self._ast_cache), not_ready)
+            action = next_action(
+                self.tree, frozenset(self._ast_cache), not_ready, open_passes=self.workers
+            )
             if action is None:
                 return None
             group: _Group = []
@@ -341,7 +397,7 @@ class Orchestrator:
                 else:
                     self._log(action, None)
             if group:
-                self._inflight[id(group)] = (self._passes, group)
+                self._inflight[id(group)] = (self._wave, group)
                 self._work.put(group)
                 if len(self._workers) < len(self._inflight):
                     worker = threading.Thread(
@@ -376,39 +432,43 @@ class Orchestrator:
             worker.join()
         self._workers.clear()
 
-    def _not_ready(self) -> frozenset[str]:
-        """Nodes whose call is in flight, and those whose reply waits
-        for a Prove of its own dispatch pass still in flight."""
-        busy: set[str] = set()
+    def _not_ready(self) -> frozenset[tuple[str, int | None]]:
+        """The (node id, prover pass) of each call in flight, and of each
+        reply that waits for a Prove of its own dispatch wave still in
+        flight."""
+        busy: set[tuple[str, int | None]] = set()
         proving: set[int] = set()
-        for pass_, group in self._inflight.values():
+        for wave, group in self._inflight.values():
             for action, _ in group:
-                busy.add(action.node_id)
+                busy.add((action.node_id, action.pass_))
                 if action.kind is ActionKind.PROVE:
-                    proving.add(pass_)
-        busy.update(node_id for node_id, pass_ in self._reply_pass.items() if pass_ in proving)
+                    proving.add(wave)
+        busy.update(key for key, wave in self._reply_wave.items() if wave in proving)
         return frozenset(busy)
 
-    def _coalesced(self, action: Action, not_ready: frozenset[str]) -> list[Action]:
+    def _coalesced(
+        self, action: Action, not_ready: frozenset[tuple[str, int | None]]
+    ) -> list[Action]:
         """The action, or for a Verify the ready Verifies at its depth, in
-        creation order: all of them while other calls are in flight, else
-        those whose replies came from its dispatch pass. (A single worker
-        has nothing else in flight, so it verifies one pass at a time.)"""
+        creation order of their nodes: all of them while other calls are
+        in flight, else those whose replies came from its dispatch wave.
+        (A single worker has nothing else in flight, so it verifies one
+        wave at a time.)"""
         if action.kind is not ActionKind.VERIFY:
             return [action]
         depth = self.tree.node(action.node_id).depth
-        reply_pass = self._reply_pass.get(action.node_id)
+        wave = self._reply_wave.get((action.node_id, action.pass_))
         peers = [
-            node
+            (node.id, pass_)
             for node in self.tree.nodes.values()
-            if node.status is NodeStatus.AWAITING_VERIFICATION
-            and node.depth == depth
-            and node.id not in not_ready
-            and (bool(self._inflight) or self._reply_pass.get(node.id) == reply_pass)
+            if node.status is NodeStatus.AWAITING_VERIFICATION and node.depth == depth
+            for pass_ in self.tree.passes(node.id).unjudged
+            if (node.id, pass_) not in not_ready
+            and (bool(self._inflight) or self._reply_wave.get((node.id, pass_)) == wave)
         ]
-        for node in peers:
-            self._reply_pass.pop(node.id, None)
-        return [Action(ActionKind.VERIFY, node.id) for node in peers]
+        for key in peers:
+            self._reply_wave.pop(key, None)
+        return [Action(ActionKind.VERIFY, node_id, pass_=pass_) for node_id, pass_ in peers]
 
     def _remote(self, calls: list[_Call]) -> list:
         """The request of a group, made on a worker thread: one Lean check
@@ -427,7 +487,7 @@ class Orchestrator:
             landed.append(self._landed.get_nowait())
         error: BaseException | None = None
         for group, results in landed:
-            pass_, _ = self._inflight.pop(id(group))
+            wave, _ = self._inflight.pop(id(group))
             if self.tree.root_node().status is NodeStatus.FAILED:
                 continue
             if isinstance(results, BaseException):
@@ -440,9 +500,9 @@ class Orchestrator:
                 outcome = call.apply(result)
                 if outcome is not None:
                     return self._end(action, outcome)
-                node = self.tree.node(action.node_id)
-                if action.kind is ActionKind.PROVE and node.status is NodeStatus.AWAITING_VERIFICATION:
-                    self._reply_pass[node.id] = pass_
+                key = (action.node_id, action.pass_)
+                if action.kind is ActionKind.PROVE and self.tree.unjudged_round(*key):
+                    self._reply_wave[key] = wave
                 self._log(action, None)
         if error is not None:
             raise error
@@ -497,8 +557,12 @@ class Orchestrator:
 
     # ---------------------------------------------------------------- prove
 
-    def _do_prove(self, node: ProofNode) -> _Call:
-        conversation = self.tree.conversation(node.id, "prover")
+    def _do_prove(self, node: ProofNode, pass_: int) -> _Call:
+        """The next round of prover pass ``pass_``, opening it if need be."""
+        passes = self.tree.passes(node.id)
+        if pass_ not in passes.open:
+            self.tree.open_pass(node.id, pass_)
+        conversation = self.tree.conversation(node.id, "prover", pass_)
         if not conversation:
             prompt = render_prompt(
                 PromptKind.PROVER_INITIAL,
@@ -508,11 +572,11 @@ class Orchestrator:
             prompt = render_prompt(
                 PromptKind.PROVER_CORRECTION,
                 PromptVars(
-                    prev_round_num=str(node.counters.self_correction_in_pass),
-                    error_message_for_prev_round=node.last_failure or "unknown error",
+                    prev_round_num=str(passes.open[pass_]),
+                    error_message_for_prev_round=passes.notes[pass_] or "unknown error",
                 ),
             )
-        return self._generate(node, "prover", conversation, prompt)
+        return self._generate(node, "prover", conversation, prompt, pass_)
 
     def _propagate_proven(self, node: ProofNode) -> None:
         current = node
@@ -530,39 +594,48 @@ class Orchestrator:
     # ------------------------------------------------------ rounds and checks
 
     def _generate(
-        self, node: ProofNode, role: str, conversation: list[tuple[str, str]], prompt: str
+        self, node: ProofNode, role: str, conversation: list[tuple[str, str]], prompt: str,
+        pass_: int | None = None,
     ) -> _Call:
         """The call that asks ``role`` to continue ``conversation`` with
-        ``prompt``. A reply that proposes Lean code becomes the round
-        awaiting its Lean check, and the node awaits that check. Any other
-        reply, or a backend failure, is a failed round."""
+        ``prompt`` (in prover pass ``pass_``). A reply that proposes Lean
+        code becomes the round awaiting its Lean check, and the node
+        awaits that check. Any other reply, or a backend failure, is a
+        failed round. A reply for a node that another prover pass proved
+        meanwhile is recorded unchecked."""
 
         def apply(reply: str | LeandecompError) -> None:
+            response = reply if isinstance(reply, str) else f"(backend failure: {reply})"
+            if node.status is NodeStatus.PROVEN:
+                self.tree.record_attempt(node.id, role, prompt, response, None, pass_)
+                return
             if isinstance(reply, LeandecompError):
-                response = f"(backend failure: {reply})"
                 note = f"the {role} backend failed to respond"
             else:
                 try:
-                    self.tree.record_reply(node.id, role, prompt, reply)
+                    self.tree.record_reply(node.id, role, prompt, reply, pass_)
                     return
                 except NoCodeBlock:
-                    response = reply
                     note = "the completion did not contain a fenced Lean code block"
-            self.tree.record_attempt(node.id, role, prompt, response, failed=True)
+            self.tree.record_attempt(node.id, role, prompt, response, True, pass_, note)
             self._failed(node, role, note)
 
         return _Call(apply, partial(self._ask, role, conversation + [("user", prompt)]))
 
-    def _do_verify(self, node: ProofNode) -> _Call:
+    def _do_verify(self, node: ProofNode, pass_: int | None = None) -> _Call:
         """The Lean check of the node's round awaiting it, for every role:
-        a formalizer's statement (SyntaxCheck), a prover's proof (Verify)
-        or a decomposer's sketch (SketchCheck). A proof that compiles only
-        because sorry or admit remains fails; a sketch with goals left
-        goes on to its AST export, and one with none proves the node."""
-        role = self.tree.unjudged_round(node.id)["role"]
-        unit = self.tree.unit(node.id).combined()
+        a formalizer's statement (SyntaxCheck), a prover's proof of pass
+        ``pass_`` (Verify) or a decomposer's sketch (SketchCheck). A proof
+        that compiles only because sorry or admit remains fails; a sketch
+        with goals left goes on to its AST export, and one with none
+        proves the node. The first prover pass to verify proves the node;
+        a result for a round it closed unchecked is dropped."""
+        role = self.tree.unjudged_round(node.id, pass_)["role"]
+        unit = self.tree.unit(node.id, pass_).combined()
 
         def apply(result: VerificationResult) -> None:
+            if self.tree.unjudged_round(node.id, pass_) is None:
+                return
             if role == "prover" and result.passed and not result.complete:
                 result = VerificationResult(
                     passed=False,
@@ -570,9 +643,10 @@ class Orchestrator:
                     errors=(LeanError("the proof must not contain sorry or admit"),),
                     time=result.time,
                 )
-            self.tree.record_verdict(node.id, result)
+            annotate = not result.passed and role != "formalizer"
+            note = build_error_annotation(unit, result) if annotate else None
+            self.tree.record_verdict(node.id, result, pass_, note)
             if not result.passed:
-                note = None if role == "formalizer" else build_error_annotation(unit, result)
                 self._failed(node, role, note)
             elif role == "formalizer":
                 node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
@@ -591,8 +665,10 @@ class Orchestrator:
         charged to the role's budget. The role tries again until that
         budget is spent; then formalization fails the run, proving gives
         way to decomposition and sketching backtracks. ``note`` says what
-        went wrong, for the next prover or decomposer correction prompt;
-        a formalization retry starts afresh and shows none."""
+        went wrong, for the next decomposer correction prompt (a prover
+        round keeps its note in its pass); a formalization retry starts
+        afresh and shows none. A prover node awaits the check of another
+        pass's round, or its next round, until every pass has ended."""
         limits, counters = self.tree.limits, node.counters
         if role in ("formalizer", "semantics"):
             if counters.formalize_retries < limits.formalizer_max_retries:
@@ -604,11 +680,13 @@ class Orchestrator:
                     f"{limits.formalizer_max_retries} retries without an accepted statement",
                 )
             return
-        node.last_failure = note
         if role == "prover":
-            spent = counters.passes_used >= limits.prover_max_pass
-            node.status = NodeStatus.AWAITING_QUERY_GEN if spent else NodeStatus.AWAITING_PROOF
-        elif counters.sketch_corrections_used < limits.decomposer_self_correction:
+            spent = self.tree.passes(node.id).ended >= limits.prover_max_pass
+            replied = bool(self.tree.passes(node.id).unjudged)
+            node.status = NodeStatus.AWAITING_QUERY_GEN if spent else _AWAITING_REPLY[replied]
+            return
+        node.last_failure = note
+        if counters.sketch_corrections_used < limits.decomposer_self_correction:
             node.status = NodeStatus.AWAITING_SKETCH
         else:
             self.dispatch(_resolve_backtrack(self.tree, node))  # prunes the node, or fails the run
@@ -723,14 +801,8 @@ class Orchestrator:
         ast, sorries = self._ast_cache.pop(node.id)
         try:
             subgoals = extract_subgoals(ast, sorries)
-            names = [subgoal.name for subgoal in subgoals]
-            if not names:
+            if not subgoals:
                 defect = "the proof sketch contains no named subgoals"
-            elif len(set(names)) != len(names):
-                defect = (
-                    "the proof sketch reuses a subgoal name; "
-                    "every have must introduce a distinct name"
-                )
             else:
                 self.tree.check_splice(node.id, subgoals)
                 for subgoal in subgoals:
@@ -745,9 +817,9 @@ class Orchestrator:
 
     def _forget_pruned(self) -> None:
         """Drop what the coordinator keeps in memory for pruned nodes."""
-        for kept in (self._ast_cache, self._reply_pass):
-            for stale in [node_id for node_id in kept if node_id not in self.tree.nodes]:
-                del kept[stale]
+        nodes = self.tree.nodes
+        self._ast_cache = {key: kept for key, kept in self._ast_cache.items() if key in nodes}
+        self._reply_wave = {key: kept for key, kept in self._reply_wave.items() if key[0] in nodes}
 
     def _fail_run(self, node: ProofNode, reason: str) -> None:
         node.status = NodeStatus.FAILED

@@ -5,9 +5,12 @@ target, children carry subgoals produced by decomposition. Nodes track
 status, a never-cleared history of agent rounds (from which each
 agent's running conversation is derived), and the retry counters that
 drive scheduling. A generated reply that still awaits its Lean check is
-the last round of its node's history; the check appends a verdict entry
-after it. The tree persists as a checkpoint journal (a snapshot
-line, then one line per save holding what changed) and reconstructs
+a round of its node's history; the check appends a verdict entry after
+it. Prover rounds and their verdicts carry the number of their
+``pass``, so that several passes of one node can be open at once, each
+with at most one round awaiting its check. The tree persists as a
+checkpoint journal (a snapshot line, then one line per save holding
+what changed) and reconstructs
 complete proofs from proven subtrees by splicing each child's proof
 into its parent's sketch at the child's sorry, each read from its
 node's history.
@@ -18,7 +21,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, TextIO
@@ -35,7 +37,7 @@ from .lean_source import (
 from .ast_model import Subgoal
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: The prompts of the decomposer entries that note a defect found in a
 #: verified sketch, at AST export or at subgoal extraction.
@@ -58,8 +60,8 @@ class NodeStatus(Enum):
     FAILED = "Failed"
 
 
-#: The statuses in which a node's last history entry is a generated
-#: round awaiting its check, and the role that generated it.
+#: The statuses in which a node has a generated round awaiting its
+#: check (a prover node, one per open pass), and the role that generated it.
 _AWAITING_CHECK = {
     NodeStatus.AWAITING_SYNTAX_CHECK: "formalizer",
     NodeStatus.AWAITING_VERIFICATION: "prover",
@@ -81,8 +83,6 @@ def reply_code(response: str) -> LeanSource:
 @dataclass
 class Counters:
     formalize_retries: int = 0
-    self_correction_in_pass: int = 0
-    passes_used: int = 0
     sketch_corrections_used: int = 0
     decompositions_used: int = 0
 
@@ -108,22 +108,77 @@ class ProofNode:
     counters: Counters = field(default_factory=Counters)
     # working data for the current phase
     hints: list[tuple[str, str]] = field(default_factory=list)
-    last_failure: str | None = None  # what the next correction prompt shows
+    last_failure: str | None = None  # what the next sketch correction shows
+
+
+@dataclass
+class _Passes:
+    """A node's prover passes, as the ``pass`` tags of its history give
+    them, plus any opened for a Prove still in flight: every pass number
+    opened (``seen``); per open pass its failed rounds (``open``), its
+    round awaiting a check (``unjudged``) and the note its next
+    correction quotes (``notes``); the number of passes ended by failure
+    (``ended``); and the round that verified (``won``).
+    A pass ends when it has failed ``prover_self_correction`` rounds, or
+    when a round of any pass verifies."""
+
+    seen: set[int] = field(default_factory=set)
+    open: dict[int, int] = field(default_factory=dict)
+    unjudged: dict[int, dict[str, Any]] = field(default_factory=dict)
+    notes: dict[int, str | None] = field(default_factory=dict)
+    ended: int = 0
+    won: dict[str, Any] | None = None
+
+    @property
+    def next(self) -> int:
+        """The number of the pass opened next."""
+        return max(self.seen, default=0) + 1
+
+    def fold(self, entry: dict[str, Any], per_pass: int) -> None:
+        """Apply one history entry. A ``failed`` of None closes a round
+        unchecked: its reply landed, or awaited its check, when another
+        pass had already verified."""
+        pass_ = entry.get("pass")
+        if pass_ is None:
+            return
+        if pass_ not in self.seen:
+            self.seen.add(pass_)
+            if self.won is None:
+                self.open[pass_] = 0
+        if "prompt" not in entry:
+            round_ = self.unjudged.pop(pass_)
+        elif "failed" not in entry:
+            self.unjudged[pass_] = entry
+            return
+        else:
+            round_ = entry
+        if entry["failed"]:
+            self.open[pass_] += 1
+            self.notes[pass_] = entry.get("note")
+            if self.open[pass_] >= per_pass:
+                del self.open[pass_]
+                self.ended += 1
+        elif entry["failed"] is False:
+            self.won = round_
+            self.open.clear()
 
 
 class ProofTree:
     """Owner of all nodes, which its methods add, prune and record rounds
-    on, and of the Lean unit that each node's latest round proposes
-    (``unit``); the orchestrator sets ``status``, ``formal``, ``hints``
-    and ``last_failure`` itself."""
+    on, of each node's prover passes (``passes``) and of the Lean unit
+    that each round proposes (``unit``); the orchestrator sets
+    ``status``, ``formal``, ``hints`` and ``last_failure`` itself."""
 
     def __init__(self, limits: Limits):
         self.limits = limits
         self.nodes: dict[str, ProofNode] = {}
         self.root: str | None = None
         self._seq = 0
-        # The code that each node's latest round proposes, once parsed.
-        self._codes: dict[str, LeanSource] = {}
+        # Per node, the code that the latest round of each prover pass
+        # (key: the pass) and of the other roles (key: None) proposes,
+        # once parsed; and the node's prover passes, once derived.
+        self._codes: dict[str, dict[int | None, LeanSource]] = {}
+        self._passes: dict[str, _Passes] = {}
         # The checkpoint file this tree last saved to, the handle that
         # appends to it (opened by the first append), and per node what
         # that file holds: its ``_node_key``, its fields and the length
@@ -179,24 +234,29 @@ class ProofTree:
             distance += 1
             yield distance, node
 
-    def conversation(self, node_id: str, role: str) -> list[tuple[str, str]]:
+    def conversation(
+        self, node_id: str, role: str, pass_: int | None = None
+    ) -> list[tuple[str, str]]:
         """
         The running conversation the prover or decomposer continues on a
         node, derived from its history as (speaker, text) turns.
 
-        The prover's holds the rounds of the current pass: each pass of
-        ``prover_self_correction`` failed rounds starts afresh. The
-        decomposer's holds every round, across backtracks, but not the
-        notes of defects found after a sketch verified. Neither holds a
-        round still awaiting its check.
+        The prover's holds the rounds of pass ``pass_``: each pass starts
+        afresh. The decomposer's holds every round, across backtracks, but
+        not the notes of defects found after a sketch verified. Neither
+        holds a round still awaiting its check.
         """
         node = self.node(node_id)
-        judged = node.history[:-1] if self.unjudged_round(node_id) else node.history
-        rounds = [entry for entry in judged if "prompt" in entry and entry["role"] == role]
         if role == "prover":
-            rounds = rounds[node.counters.passes_used * self.limits.prover_self_correction:]
+            _require_pass(pass_)
+            unjudged = self.passes(node_id).unjudged.get(pass_)
+            rounds = [e for e in node.history
+                      if e.get("pass") == pass_ and "prompt" in e and e is not unjudged]
         elif role == "decomposer":
-            rounds = [entry for entry in rounds if entry["prompt"] not in _NOTE_PROMPTS]
+            unjudged = self.unjudged_round(node_id)
+            rounds = [e for e in node.history
+                      if "prompt" in e and e["role"] == role and e is not unjudged
+                      and e["prompt"] not in _NOTE_PROMPTS]
         else:
             raise ValueError(f"the {role} agent keeps no conversation")
         turns: list[tuple[str, str]] = []
@@ -204,13 +264,26 @@ class ProofTree:
             turns += [("user", entry["prompt"]), ("assistant", entry["response"])]
         return turns
 
-    def unjudged_round(self, node_id: str) -> dict[str, Any] | None:
-        """The node's generated round still awaiting its check (the last
-        history entry, when it carries no verdict), or None."""
+    def unjudged_round(self, node_id: str, pass_: int | None = None) -> dict[str, Any] | None:
+        """The generated round of prover pass ``pass_`` still awaiting its
+        check, or without a pass the node's last history entry when it is
+        a round awaiting its check; None when there is none."""
+        if pass_ is not None:
+            return self.passes(node_id).unjudged.get(pass_)
         history = self.node(node_id).history
-        if history and "failed" not in history[-1]:
+        if history and "prompt" in history[-1] and "failed" not in history[-1]:
             return history[-1]
         return None
+
+    def passes(self, node_id: str) -> _Passes:
+        """The node's prover passes: derived from its history once, then
+        kept up to date as rounds are recorded and passes opened."""
+        passes = self._passes.get(node_id)
+        if passes is None:
+            passes = self._passes[node_id] = _Passes()
+            for entry in self.node(node_id).history:
+                passes.fold(entry, self.limits.prover_self_correction)
+        return passes
 
     def last_round(self, node_id: str) -> dict[str, Any] | None:
         """The node's latest agent round, judged or not: the last history
@@ -240,63 +313,91 @@ class ProofTree:
         parent.children.append(child.id)
         return child.id
 
-    def record_attempt(
-        self, node_id: str, role: str, prompt: str, response: str, failed: bool
-    ) -> None:
-        """Log one agent round judged at once, in one history entry, and
-        apply the role's counter rules (see ``record_verdict``)."""
-        node = self.node(node_id)
-        node.history.append(
-            {"role": role, "prompt": prompt, "response": response,
-             "failed": failed, "verdict": None}
-        )
-        self._codes.pop(node_id, None)
-        self._charge(node, role, failed)
+    def open_pass(self, node_id: str, pass_: int) -> None:
+        """Open prover pass ``pass_``, the node's next, for its first Prove.
+        Raises LeandecompError when the node has opened every pass its
+        budget allows."""
+        passes = self.passes(node_id)
+        if pass_ != passes.next or len(passes.seen) >= self.limits.prover_max_pass:
+            raise LeandecompError(f"node {node_id} cannot open prover pass {pass_}")
+        passes.seen.add(pass_)
+        passes.open[pass_] = 0
 
-    def record_reply(self, node_id: str, role: str, prompt: str, response: str) -> None:
+    def record_attempt(
+        self, node_id: str, role: str, prompt: str, response: str, failed: bool | None,
+        pass_: int | None = None, note: str | None = None,
+    ) -> None:
+        """Log one agent round judged at once, in one history entry (see
+        ``_log``). A prover round of no ``failed`` verdict is a reply that
+        landed after another pass verified; it is charged to no budget."""
+        entry = {"role": role, "prompt": prompt, "response": response,
+                 "failed": failed, "verdict": None}
+        pass_ = self._log(self.node(node_id), entry, role, pass_, note)
+        self._codes.get(node_id, {}).pop(pass_, None)
+
+    def record_reply(
+        self, node_id: str, role: str, prompt: str, response: str, pass_: int | None = None
+    ) -> None:
         """Log a generated round whose Lean check is still to come, keep
         the code it proposes for ``unit`` and move the node to the status
         awaiting that check. Raises NoCodeBlock, logging nothing, when the
         reply proposes no declaration."""
         node = self.node(node_id)
-        self._codes[node_id] = reply_code(response)
-        node.history.append({"role": role, "prompt": prompt, "response": response})
+        code = reply_code(response)
+        entry = {"role": role, "prompt": prompt, "response": response}
+        self._codes.setdefault(node_id, {})[self._log(node, entry, role, pass_)] = code
         node.status = next(s for s, checked in _AWAITING_CHECK.items() if checked == role)
 
-    def record_verdict(self, node_id: str, verdict: VerificationResult) -> None:
+    def record_verdict(
+        self, node_id: str, verdict: VerificationResult, pass_: int | None = None,
+        note: str | None = None,
+    ) -> None:
         """
-        Log the check of the round awaiting it, as an entry of its own
-        that repeats no text, and apply the round's counter rules.
+        Log the check of the round awaiting it (of prover pass ``pass_``,
+        if given), as an entry of its own that repeats no text, and apply
+        the round's counter rules.
 
-        A failed prover round consumes one self-correction attempt;
-        filling the per-pass budget rolls over into a new pass, which
-        starts a fresh prover conversation. Formalizer and semantics
-        failures consume formalization retries; decomposer failures
-        consume sketch corrections.
+        A failed prover round consumes one self-correction attempt of its
+        pass, and keeps ``note`` for the pass's next correction; the pass
+        ends when its budget is spent, and the next pass starts a fresh
+        prover conversation. Formalizer and semantics failures consume
+        formalization retries; decomposer failures consume sketch
+        corrections.
         """
-        judged = self.unjudged_round(node_id)
+        judged = self.unjudged_round(node_id, pass_)
         if judged is None:
             raise LeandecompError(f"node {node_id} has no round awaiting a check")
-        node = self.node(node_id)
-        node.history.append(
-            {"failed": not verdict.passed,
-             "verdict": {"passed": verdict.passed, "complete": verdict.complete}}
-        )
-        self._charge(node, judged["role"], not verdict.passed)
+        entry = {"failed": not verdict.passed,
+                 "verdict": {"passed": verdict.passed, "complete": verdict.complete}}
+        self._log(self.node(node_id), entry, judged["role"], judged.get("pass"), note)
 
-    def _charge(self, node: ProofNode, role: str, failed: bool) -> None:
-        if not failed:
-            return
-        counters = node.counters
+    def _log(
+        self, node: ProofNode, entry: dict[str, Any], role: str, pass_: int | None = None,
+        note: str | None = None,
+    ) -> int | None:
+        """Append a history entry of a ``role`` round, and return its
+        prover pass: an entry of a prover round carries its pass, which
+        it must name, and, when the round failed, ``note``. A failed
+        round of another role is charged to that role's budget. A
+        verified prover round ends every pass: the rounds other passes
+        still have awaiting a check are closed unchecked."""
         if role == "prover":
-            counters.self_correction_in_pass += 1
-            if counters.self_correction_in_pass >= self.limits.prover_self_correction:
-                counters.passes_used += 1
-                counters.self_correction_in_pass = 0
-        elif role in ("formalizer", "semantics"):
-            counters.formalize_retries += 1
-        elif role == "decomposer":
-            counters.sketch_corrections_used += 1
+            entry["pass"] = _require_pass(pass_)
+            if note is not None and entry.get("failed"):
+                entry["note"] = note
+        passes = self.passes(node.id)
+        node.history.append(entry)
+        passes.fold(entry, self.limits.prover_self_correction)
+        if role == "prover" and entry.get("failed") is False:
+            for other in list(passes.unjudged):
+                closed = {"pass": other, "failed": None, "verdict": None}
+                node.history.append(closed)
+                passes.fold(closed, self.limits.prover_self_correction)
+        if entry.get("failed") and role in ("formalizer", "semantics"):
+            node.counters.formalize_retries += 1
+        elif entry.get("failed") and role == "decomposer":
+            node.counters.sketch_corrections_used += 1
+        return pass_
 
     def find_backtrack_ancestor(self, node_id: str) -> str | None:
         """
@@ -337,6 +438,7 @@ class ProofTree:
             child_id = stack.pop()
             child = self.nodes.pop(child_id, None)
             self._codes.pop(child_id, None)
+            self._passes.pop(child_id, None)
             if child is not None:
                 stack.extend(child.children)
         node.children = []
@@ -346,16 +448,25 @@ class ProofTree:
 
     # ---------------------------------------------------------- Lean units
 
-    def unit(self, node_id: str) -> LeanSource:
-        """The Lean unit of the node's latest round: the declaration its
-        reply proposes, under the node's preamble, or while the node has
-        no formal statement, under the (formalizer) reply's own preamble,
-        normalized. The reply is parsed once: by ``record_reply``, or
-        here, from the history, for a round it did not log (after a load)."""
+    def unit(self, node_id: str, pass_: int | None = None) -> LeanSource:
+        """The Lean unit of a round of the node: with ``pass_``, that
+        prover pass's round awaiting its check; else the prover round
+        that verified, or failing that the node's latest round. It is
+        the declaration the reply proposes, under the node's preamble,
+        or while the node has no formal statement, under the
+        (formalizer) reply's own preamble, normalized. The reply is
+        parsed once: by ``record_reply``, or here, from the history, for
+        a round it did not log (after a load)."""
         node = self.node(node_id)
-        code = self._codes.get(node_id)
+        passes = self.passes(node_id)
+        if pass_ is not None:
+            round_ = passes.unjudged[pass_]
+        else:
+            round_ = passes.won or self.last_round(node_id)
+        codes = self._codes.setdefault(node_id, {})
+        code = codes.get(round_.get("pass"))
         if code is None:
-            code = self._codes[node_id] = reply_code(self.last_round(node_id)["response"])
+            code = codes[round_.get("pass")] = reply_code(round_["response"])
         if node.formal is None:
             return LeanSource(preamble=normalize_preamble(code.preamble), body=code.body)
         return LeanSource(preamble=node.formal.preamble, body=code.body)
@@ -378,8 +489,8 @@ class ProofTree:
         """
         Assemble the complete proof of a proven subtree.
 
-        Each node contributes the declaration of its latest (verified)
-        round: a leaf's proof, or an internal node's sketch with its k-th
+        Each node contributes the declaration of its verified round
+        (``unit``): a leaf's proof, or an internal node's sketch with its k-th
         sorry replaced by the proof of its k-th child, reconstructed in
         turn (``splice_sorries``). The result is a full unit under the
         node's preamble.
@@ -422,18 +533,30 @@ class ProofTree:
                 assert sketch and sketch["role"] == "decomposer", f"{node.id} lacks a sketch"
             c = node.counters
             assert c.formalize_retries <= limits.formalizer_max_retries
-            assert c.self_correction_in_pass <= limits.prover_self_correction
-            assert c.passes_used <= limits.prover_max_pass
             assert c.sketch_corrections_used <= limits.decomposer_self_correction
             assert c.decompositions_used <= limits.decomposer_self_correction
-            # j: a round judged at once; o, v: a round and the verdict of its check
-            shape = "".join(
-                "v" if "prompt" not in e else "j" if "failed" in e else "o" for e in node.history
-            )
-            assert re.fullmatch("(j|ov)*o?", shape), f"{node.id} has a round left unjudged"
-            unjudged = self.unjudged_round(node.id)
-            assert (unjudged and unjudged["role"]) == _AWAITING_CHECK.get(node.status), (
-                f"{node.id} is {node.status.value} with unjudged round {unjudged!r}"
+            # Per prover pass (None: the other roles) the round awaiting its
+            # check and the failed rounds. Another role's round awaiting its
+            # check is the last entry, or its verdict follows it.
+            unjudged: dict[int | None, dict[str, Any]] = {}
+            failed: dict[int, int] = {}
+            for entry in node.history:
+                pass_ = entry.get("pass")
+                assert None not in unjudged or ("prompt" not in entry and pass_ is None), (
+                    f"{node.id} has a round left unjudged"
+                )
+                if "prompt" not in entry:
+                    assert unjudged.pop(pass_, None), f"{node.id} has a verdict with no round"
+                elif "failed" not in entry:
+                    assert pass_ not in unjudged, f"{node.id} has two unjudged rounds in a pass"
+                    unjudged[pass_] = entry
+                if pass_ is not None:
+                    failed[pass_] = failed.get(pass_, 0) + (entry.get("failed") is True)
+            assert max(failed.values(), default=0) <= limits.prover_self_correction
+            assert len(failed) <= limits.prover_max_pass, f"{node.id} opened too many passes"
+            awaiting = {entry["role"] for entry in unjudged.values()}
+            assert awaiting == {_AWAITING_CHECK.get(node.status)} - {None}, (
+                f"{node.id} is {node.status.value} with rounds awaiting a check by {awaiting}"
             )
 
     # ------------------------------------------------------------ persistence
@@ -455,14 +578,17 @@ class ProofTree:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
         """Rebuild a tree from a checkpoint record of any version, 1 to
-        5; raises ValueError for any structural defect. The
+        6; raises ValueError for any structural defect. The
         ``conversations`` of versions 1 and 2 are derived from
         ``history`` instead, and the ``pending_*`` reply of versions 1 to
         3 becomes the round awaiting its check. The proof, sketch and
-        queries that versions 1 to 4 also store are read from ``history``."""
+        queries that versions 1 to 4 also store are read from
+        ``history``. The prover rounds of versions 1 to 5 get their pass
+        by order (``_tag_passes``), and a node proving keeps its note in
+        its last failed round instead of ``last_failure``."""
         try:
             version = data.get("version")
-            if version not in (1, 2, 3, 4, CHECKPOINT_VERSION):
+            if version not in range(1, CHECKPOINT_VERSION + 1):
                 raise ValueError(f"unsupported checkpoint version {version!r}")
             tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
             tree.root = data["root"]
@@ -475,6 +601,14 @@ class ProofTree:
                     history.append({"role": _AWAITING_CHECK[status],
                                     "prompt": raw.get("pending_prompt") or "",
                                     "response": raw["pending_response"]})
+                # versions 1 to 4 keep a failed sketch's note apart
+                last_failure = raw.get("last_sketch_failure") or raw.get("last_failure")
+                if version < 6:
+                    # a proving node's note moves to its last failed prover round
+                    proving = status in (NodeStatus.AWAITING_PROOF,
+                                         NodeStatus.AWAITING_VERIFICATION)
+                    note, last_failure = (last_failure, None) if proving else (None, last_failure)
+                    history = _tag_passes(history, tree.limits.prover_self_correction, note)
                 node = ProofNode(
                     id=node_id,
                     parent=raw.get("parent"),
@@ -487,8 +621,7 @@ class ProofTree:
                     history=history,
                     counters=Counters.from_dict(raw.get("counters", {})),
                     hints=[tuple(h) for h in raw.get("hints", [])],
-                    # versions 1 to 4 keep a failed sketch's note apart
-                    last_failure=raw.get("last_sketch_failure") or raw.get("last_failure"),
+                    last_failure=last_failure,
                 )
                 tree.nodes[node_id] = node
         except (KeyError, TypeError, AttributeError) as exc:
@@ -571,7 +704,7 @@ class ProofTree:
     def load(cls, path) -> "ProofTree":
         """
         Read a checkpoint written by ``save``: a snapshot line followed
-        by journal lines replayed in order (version 2 to 5), or a
+        by journal lines replayed in order (version 2 to 6), or a
         version-1 file holding one JSON object. A torn final line (a
         crash mid-append) is dropped; any other defect raises ValueError.
         """
@@ -581,7 +714,7 @@ class ProofTree:
             except ValueError:
                 handle.seek(0)
                 return cls.from_dict(json.load(handle))  # version 1: one indented object
-            if isinstance(data, dict) and data.get("version") in (2, 3, 4, CHECKPOINT_VERSION):
+            if isinstance(data, dict) and data.get("version") in range(2, CHECKPOINT_VERSION + 1):
                 pending, number = None, 1
                 for line in handle:
                     if pending is not None:
@@ -590,6 +723,32 @@ class ProofTree:
                 if pending is not None:
                     _replay(data, pending, number, last=True)
         return cls.from_dict(data)
+
+
+def _require_pass(pass_: int | None) -> int:
+    if pass_ is None:
+        raise LeandecompError("a prover round must name its pass")
+    return pass_
+
+
+def _tag_passes(
+    history: list[dict[str, Any]], per_pass: int, note: str | None
+) -> list[dict[str, Any]]:
+    """A version-1-to-5 history with each prover round, and its verdict,
+    tagged with its pass: the serial run that wrote it opened a new pass
+    every ``per_pass`` prover rounds. The last failed prover round keeps
+    ``note``, if any, for its pass's next correction."""
+    tagged, pass_, rounds = [], None, 0
+    for entry in history:
+        if "prompt" in entry:
+            pass_ = None
+            if entry["role"] == "prover":
+                pass_, rounds = rounds // per_pass + 1, rounds + 1
+        tagged.append(entry if pass_ is None else {**entry, "pass": pass_})
+    failed = [entry for entry in tagged if "pass" in entry and entry.get("failed")]
+    if note is not None and failed:
+        failed[-1]["note"] = note
+    return tagged
 
 
 def _node_key(node: ProofNode) -> tuple:

@@ -17,7 +17,7 @@ from leandecomp.orchestrator import (
     Orchestrator,
     Outcome,
     _Call,
-    _candidate,
+    _candidates,
     _resolve_backtrack,
 )
 from leandecomp.proof_state import NodeStatus, ProofNode, ProofTree
@@ -69,7 +69,8 @@ def record_verified(tree: ProofTree, node_id: str, role: str, code: str) -> None
     """Record ``code`` as the node's latest generated round, judged
     passed: a prover's proof or a decomposer's sketch, as a reply that
     verified would leave it in the history."""
-    tree.record_attempt(node_id, role, f"({role} prompt)", lean_block(code), failed=False)
+    pass_ = 1 if role == "prover" else None
+    tree.record_attempt(node_id, role, f"({role} prompt)", lean_block(code), False, pass_)
 
 
 def latest_decl(tree: ProofTree, node_id: str) -> str:
@@ -78,15 +79,16 @@ def latest_decl(tree: ProofTree, node_id: str) -> str:
 
 
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:
-    entry = _candidate(orch.tree, node, frozenset(orch._ast_cache))
+    """The node's first action, as a single worker would take it."""
+    entry = next(_candidates(orch.tree, node, frozenset(orch._ast_cache)), None)
     if entry is None:
         raise LeandecompError(
             f"node {node.id} has no applicable action in status {node.status.value}"
         )
-    _, kind = entry
+    _, kind, pass_ = entry
     if kind is ActionKind.BACKTRACK:
         return _resolve_backtrack(orch.tree, node)
-    return Action(kind, node.id)
+    return Action(kind, node.id, pass_=pass_)
 
 
 def run_formalization(orch: Orchestrator, node_id: str) -> None:

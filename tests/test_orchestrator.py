@@ -1,6 +1,7 @@
 """Scheduler and coordinator behavior, driven entirely by in-process fakes."""
 
 import json
+import random
 import re
 import shutil
 import threading
@@ -188,7 +189,7 @@ class RecordingOrchestrator(Orchestrator):
 class TestNextAction:
     def test_informal_root_formalizes_first(self):
         tree = ProofTree.from_informal(INFORMAL, Limits())
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FORMALIZE
         assert action.node_id == tree.root
 
@@ -197,7 +198,7 @@ class TestNextAction:
         root = tree.root_node()
         child_id = tree.add_child(root.id, make_subgoal("sub"))
         root.status = NodeStatus.AWAITING_SKETCH
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.PROVE
         assert action.node_id == child_id
 
@@ -213,10 +214,10 @@ class TestNextAction:
         deep_id = tree.add_child(a_id, make_subgoal("deep"))
         a.status = NodeStatus.AWAITING_CHILDREN
         # depth-1 b beats depth-2 deep; then insertion order among equals
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert (action.kind, action.node_id) == (ActionKind.PROVE, b_id)
         tree.node(b_id).status = NodeStatus.PROVEN
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert (action.kind, action.node_id) == (ActionKind.PROVE, deep_id)
 
     def test_proven_root_reconstructs(self):
@@ -224,14 +225,14 @@ class TestNextAction:
         root = tree.root_node()
         root.status = NodeStatus.PROVEN
         record_verified(tree, root.id, "prover", TRUE_PROOF)
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.RECONSTRUCT
         assert action.node_id == root.id
 
     def test_failed_root_finishes_with_failure(self):
         tree = formal_tree()
         tree.root_node().status = NodeStatus.FAILED
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FINISH
         assert action.outcome is not None and not action.outcome.success
 
@@ -239,8 +240,8 @@ class TestNextAction:
         tree = formal_tree()
         root = tree.root_node()
         root.status = NodeStatus.AWAITING_AST_PARSE
-        assert next_action(tree).kind is ActionKind.PARSE_AST
-        action = next_action(tree, frozenset({root.id}))
+        assert next_action(tree, open_passes=1).kind is ActionKind.PARSE_AST
+        action = next_action(tree, frozenset({root.id}), open_passes=1)
         assert action.kind is ActionKind.EXTRACT_SUBGOALS
 
     def test_extraction_has_lowest_priority(self):
@@ -252,14 +253,14 @@ class TestNextAction:
         root.status = NodeStatus.AWAITING_CHILDREN
         tree.node(ready_id).status = NodeStatus.AWAITING_AST_PARSE
         tree.node(sketching_id).status = NodeStatus.AWAITING_SKETCH
-        action = next_action(tree, frozenset({ready_id}))
+        action = next_action(tree, frozenset({ready_id}), open_passes=1)
         assert (action.kind, action.node_id) == (ActionKind.SKETCH, sketching_id)
 
     def test_depth_overflow_resolves_to_backtrack(self):
         limits = Limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.BACKTRACK
         grandparent = tree.node(tree.node(tree.node(deep_id).parent).parent)
         assert action.node_id == grandparent.id
@@ -271,7 +272,7 @@ class TestNextAction:
         deep.status = NodeStatus.AWAITING_QUERY_GEN
         for _, ancestor in tree.ancestors(deep_id):
             ancestor.counters.decompositions_used = limits.decomposer_self_correction
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
         assert deep_id in action.outcome.report
@@ -283,7 +284,7 @@ class TestNextAction:
         child_id = tree.add_child(root.id, make_subgoal("done"))
         root.status = NodeStatus.AWAITING_CHILDREN
         tree.node(child_id).status = NodeStatus.PROVEN
-        action = next_action(tree)
+        action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
 
@@ -415,7 +416,7 @@ class TestProverLoop:
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
         assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
-        assert root.counters.passes_used == 1
+        assert tree.passes(root.id).ended == 1
         assert prover.calls == 3
         correction = prover.transcripts[1][-1][1]
         assert correction.startswith("The proof (Round 1) is not correct.")
@@ -432,7 +433,7 @@ class TestProverLoop:
         assert prover.calls == 64
         root = tree.root_node()
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
-        assert root.counters.passes_used == 32
+        assert tree.passes(root.id).ended == 32
 
     def test_small_pass_budget_spends_six_calls(self):
         tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=3))
@@ -574,14 +575,9 @@ class TestDecomposition:
                 "is not attached to a named have",
             ),
             ("theorem tst : True := by\n  exact sorry", "contains no named subgoals"),
-            (
-                "theorem tst : True := by\n  have twice : True := by\n    sorry\n"
-                "  have twice : True := by\n    sorry\n  exact twice",
-                "reuses a subgoal name",
-            ),
             (UNSPLICEABLE_SKETCH, "the sketch's sorry count, 2, is not its subgoal count, 1"),
         ],
-        ids=["sorry-outside-a-have", "no-named-subgoal", "repeated-name", "does-not-splice"],
+        ids=["sorry-outside-a-have", "no-named-subgoal", "does-not-splice"],
     )
     def test_subgoal_extraction_defect_consumes_a_correction(self, defective, note):
         tree = formal_tree()
@@ -598,6 +594,34 @@ class TestDecomposition:
         assert correction[-1][1].startswith("The proof sketch (Round 1) is not correct.")
         assert note in correction[-1][1]
         assert correction[:-1] == decomposer.transcripts[0] + [("assistant", lean_block(defective))]
+
+    def test_a_sketch_repeating_a_have_name_gets_a_child_per_have(self):
+        """Splicing is by position, so names need not be distinct: each
+        ``have twice`` becomes a child, each child's proof lands at its
+        own sorry, and the final unit verifies."""
+        tree = formal_tree()
+        tree.root_node().status = NodeStatus.AWAITING_QUERY_GEN
+        sketch = (
+            "theorem tst : True := by\n  have twice : True := by\n    sorry\n"
+            "  have twice : True := by\n    sorry\n  exact twice"
+        )
+        verifier = RuleVerifier()
+        outcome = make_orchestrator(
+            tree,
+            backends=make_backends(
+                decomposer=ScriptedChat([lean_block(sketch)]),
+                search_query=ScriptedChat([QUERY_RESPONSE]),
+                prover=content_keyed_prover(),
+            ),
+            verifier=verifier,
+            ast_client=BuilderAst(),
+        ).run()
+        assert outcome.success
+        root = tree.root_node()
+        assert [tree.node(c).name for c in root.children] == ["twice", "twice"]
+        assert root.counters.sketch_corrections_used == 0
+        assert outcome.proof.endswith(sketch.replace("sorry", "aesop"))
+        assert verifier.checked[-1] == outcome.proof
 
     @pytest.mark.parametrize(
         "replies, asked",
@@ -852,7 +876,7 @@ class TestFailedRoundAtTheBudgetEdge:
         elif phase == "proving":
             assert run_prover_pass(orch, node_id) is ProveOutcome.NEEDS_DECOMPOSITION
             assert node.status is NodeStatus.AWAITING_QUERY_GEN
-            assert node.counters.passes_used == 1
+            assert tree.passes(node.id).ended == 1
         else:
             run_decomposition(orch, node_id)
             assert node_id not in tree.nodes  # the root, two levels up, was pruned
@@ -863,10 +887,12 @@ class TestFailedRoundAtTheBudgetEdge:
             tree.validate()
         for role, script in scripts.items():
             assert backends[role].calls == len(script), role
+        # a prover round keeps its note in its pass, the others in last_failure
+        failure = node.history[-1].get("note") if phase == "proving" else node.last_failure
         if note is None:
-            assert node.last_failure is None
+            assert failure is None
         else:
-            assert note in node.last_failure
+            assert note in failure
 
 
 # ------------------------------------------------------------- full runs
@@ -1008,7 +1034,7 @@ class TestRun:
         resumed_tree = ProofTree.load(checkpoint)
         root = resumed_tree.root_node()
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
-        assert root.counters.passes_used == 1
+        assert resumed_tree.passes(root.id).ended == 1
         outcome = self.decomposing_orchestrator(resumed_tree).run()
         assert outcome.success
         assert count_sorries(outcome.proof) == 0
@@ -1022,7 +1048,7 @@ class TestRun:
         tree = ProofTree.load(checkpoint)
         root = tree.root_node()
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
-        assert root.counters.passes_used == 1
+        assert tree.passes(root.id).ended == 1
         outcome = self.decomposing_orchestrator(tree, checkpoint_path=checkpoint).run()
         assert outcome.success
         assert count_sorries(outcome.proof) == 0
@@ -1136,12 +1162,17 @@ UNIT_STATUSES = frozenset(
 
 
 def lean_units(tree: ProofTree) -> dict:
-    """The unit of every node in one of ``UNIT_STATUSES``."""
-    return {
+    """The unit of every node in one of ``UNIT_STATUSES``, and of each
+    prover round awaiting its check."""
+    units = {
         node.id: tree.unit(node.id)
         for node in tree.nodes.values()
         if node.status in UNIT_STATUSES
     }
+    for node in tree.nodes.values():
+        for pass_ in tree.passes(node.id).unjudged:
+            units[node.id, pass_] = tree.unit(node.id, pass_)
+    return units
 
 
 class JournalCheckingOrchestrator(Orchestrator):
@@ -1181,7 +1212,29 @@ class TestCheckpointJournal:
     def test_every_cut_reloads_and_resumes_to_the_same_outcome(
         self, tmp_path_factory, hard, workers, data
     ):
-        directory = tmp_path_factory.mktemp("journal")
+        self.resume_every_cut(
+            tmp_path_factory.mktemp("journal"),
+            hard,
+            workers,
+            lambda low, high: data.draw(st.integers(low, high)),
+        )
+
+    def test_cuts_with_two_passes_open_resume_to_the_same_outcome(self, tmp_path):
+        """At two workers the root, which fails every round, proves in
+        two passes at once; a cut while both are open resumes too."""
+        rng = random.Random(17)
+        cuts = self.resume_every_cut(tmp_path, frozenset({"tst_a"}), 2, rng.randint)
+        assert any(
+            len(ProofTree.from_dict(state).passes(state["root"]).open) == 2
+            for _, state, _ in cuts
+        )
+
+    @staticmethod
+    def resume_every_cut(directory, hard, workers, draw_cut):
+        """Run the journal scenario, with ``tst`` hard as well, cutting the
+        checkpoint inside each line a save appends; every cut reloads to
+        the state saved before it and resumes to the same outcome.
+        Returns the cuts."""
 
         def orchestrator(tree, cls=Orchestrator, **kwargs):
             return cls(
@@ -1198,7 +1251,7 @@ class TestCheckpointJournal:
             formal_tree(limits=JOURNAL_LIMITS),
             cls=JournalCheckingOrchestrator,
             checkpoint_path=directory / "checkpoint.json",
-            draw_cut=lambda low, high: data.draw(st.integers(low, high)),
+            draw_cut=draw_cut,
         )
         outcome = run.run()
         for number, (cut, state, units) in enumerate(run.cuts):
@@ -1209,6 +1262,7 @@ class TestCheckpointJournal:
             assert resumed.to_dict() == state
             assert lean_units(resumed) == units
             assert orchestrator(resumed, checkpoint_path=path).run() == outcome
+        return run.cuts
 
 
 # ------------------------------------------------- conversations from history
@@ -1339,14 +1393,16 @@ class TestDerivedConversations:
         tree = ProofTree.load(checkpoint)
         assert set(stored) == set(tree.nodes)
         assert any(
-            node.counters.passes_used and stored[node.id].get("prover")
+            tree.passes(node.id).ended and stored[node.id].get("prover")
             for node in tree.nodes.values()
         )
         assert any(agents.get("decomposer") for agents in stored.values())
         for node_id in tree.nodes:
-            for role in ("prover", "decomposer"):
+            passes = tree.passes(node_id)
+            current = passes.won["pass"] if passes.won else min(passes.open, default=passes.next)
+            for role, pass_ in (("prover", current), ("decomposer", None)):
                 expected = [tuple(turn) for turn in stored[node_id].get(role, [])]
-                assert tree.conversation(node_id, role) == expected, (node_id, role)
+                assert tree.conversation(node_id, role, pass_) == expected, (node_id, role)
         resumed, _ = golden_run(tree, checkpoint_path=checkpoint)
         assert resumed == golden_run()[0]
 
@@ -1468,6 +1524,37 @@ class TestDerivedConversations:
         (correction,) = backends["decomposer"].transcripts
         assert correction == fresh["decomposer"].transcripts[1]
         assert correction[-1][1].startswith("The proof sketch (Round 1) is not correct.")
+
+    def test_version_5_journal_awaiting_a_mid_pass_check_resumes(self, tmp_path):
+        """A journal the version-5 ``ProofTree.save`` wrote while the
+        root's second prover round, the first correction of its first
+        pass, awaited its check: the rounds get their pass by order, the
+        stored reply is checked without being asked for again, and every
+        prover message after it, corrections included, is byte-identical
+        to the uninterrupted run's. The prover's note, which version 5
+        kept in ``last_failure``, moves to the failed round."""
+        checkpoint = tmp_path / "checkpoint.json"
+        shutil.copy(FIXTURES / "checkpoint_v5_awaiting_verification.json", checkpoint)
+        snapshot, *journal = map(json.loads, checkpoint.read_text(encoding="utf-8").splitlines())
+        assert snapshot["version"] == 5
+        stored_note = [
+            line["nodes"][snapshot["root"]]["fields"]["last_failure"]
+            for line in journal
+            if "last_failure" in line["nodes"].get(snapshot["root"], {}).get("fields", {})
+        ][-1]
+        tree = ProofTree.load(checkpoint)
+        tree.validate()
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_VERIFICATION
+        assert [e["pass"] for e in root.history] == [1, 1, 1]  # round, verdict, round
+        assert stored_note and root.history[1]["note"] == stored_note
+        assert root.last_failure is None
+        assert tree.unjudged_round(root.id, 1) is root.history[-1]
+        resumed, backends = golden_run(tree, checkpoint_path=checkpoint)
+        uninterrupted, fresh = golden_run()
+        assert resumed.success and resumed == uninterrupted
+        assert backends["prover"].transcripts == fresh["prover"].transcripts[2:]
+        assert any("(Round 1)" in messages[-1][1] for messages in backends["prover"].transcripts)
 
     def test_each_verified_declaration_is_stored_once(self, tmp_path):
         """A proven node's declaration is stored only in the history
@@ -1783,6 +1870,259 @@ class TestCompletionScheduler:
             {"action": e["action"], "outcome": e["outcome"]} for e in entries
         ]
 
+
+# ------------------------------------------------------ overlapping passes
+
+
+class PairedCalls:
+    """Answers like ``inner``; the calls numbered in ``paired`` (from 1)
+    each wait until the others are in flight too, and keep their
+    messages in ``pair``."""
+
+    def __init__(self, inner, paired=(2, 3)):
+        self.inner = inner
+        self.paired = paired
+        self.calls = 0
+        self.lock = threading.Lock()
+        self.barrier = threading.Barrier(len(paired), timeout=10)
+        self.pair: list = []
+
+    def complete(self, messages):
+        with self.lock:
+            self.calls += 1
+            number = self.calls
+        if number in self.paired:
+            self.barrier.wait()
+            self.pair.append(messages)
+        return self.inner.complete(messages)
+
+
+def in_flight(orch, node_id):
+    """The actions of the node whose calls are in flight."""
+    return [a for _, group in orch._inflight.values() for a, _ in group if a.node_id == node_id]
+
+
+LATE_PROOF = "theorem tst : True := by\n  exact True.intro"
+
+
+class LateSecondPass:
+    """The root's prover, by round. Pass 1 fails, then proves the root
+    with its correction, sent once pass 2's correction is in flight.
+    Pass 2 opens with a backend failure, and its correction answers
+    ``LATE_PROOF`` once ``release`` is set."""
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.correcting = threading.Event()
+        self.lock = threading.Lock()
+        self.openings = 0
+
+    def complete(self, messages):
+        if len(messages) == 1:
+            with self.lock:
+                self.openings += 1
+                if self.openings == 1:
+                    return lean_block(FAILING_PROOF)
+            raise RemoteExhausted("prover down")
+        if "failed to respond" in messages[-1][1]:
+            self.correcting.set()
+            assert self.release.wait(timeout=10), "the late reply was never released"
+            return lean_block(LATE_PROOF)
+        assert self.correcting.wait(timeout=10), "pass 2 never sent its correction"
+        return lean_block(TRUE_PROOF)
+
+
+class TestOverlappingPasses:
+    """Two workers; a node's prover passes overlap once it has failed a
+    round, and the budgets stay exact."""
+
+    def test_a_second_pass_opens_beside_the_first_pass_correction(self):
+        """The root fails its first round; its second and third prover
+        calls, pass 1's correction and pass 2's opening, are in flight
+        together (each waits for the other)."""
+        backends = journal_backends(frozenset({"tst"}))
+        prover = backends["prover"] = PairedCalls(backends["prover"])
+        tree = formal_tree(limits=JOURNAL_LIMITS)
+        orch = Orchestrator(
+            tree,
+            backends=backends,
+            verifier=RuleVerifier(),
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=2,
+        )
+        assert orch.run().success
+        opening, correction = sorted(prover.pair, key=len)
+        assert len(opening) == 1 and opening[0][1].startswith("Complete the following")
+        assert len(correction) == 3
+        assert correction[-1][1].startswith("The proof (Round 1) is not correct.")
+        root = tree.root_node()
+        assert sorted(e["pass"] for e in root.history if e.get("role") == "prover") == [1, 1, 2, 2]
+        assert prover.inner.calls == 2 * 2 + 2  # the root's budget, then tst_a and tst_b
+        tree.validate()
+
+    def test_an_unprovable_node_spends_its_budget_before_it_decomposes(self):
+        """The root fails every round of three passes of two: it makes
+        exactly six prover calls, with two passes, never more, open at
+        once, and it generates search queries only once its last pass has
+        ended."""
+        limits = Limits(
+            prover_self_correction=2, prover_max_pass=3, decomposer_self_correction=2, max_depth=2
+        )
+        open_passes, decomposing = [], []
+
+        def on_dispatch(orch, action):
+            if action.node_id != orch.tree.root:
+                return
+            if action.kind is ActionKind.PROVE:
+                open_passes.append(len(orch.tree.passes(action.node_id).open))
+            elif action.kind is ActionKind.GEN_QUERIES:
+                passes = orch.tree.passes(action.node_id)
+                root_calls = sum("theorem tst :" in m[0][1] for m in prover.transcripts)
+                decomposing.append(
+                    (in_flight(orch, action.node_id), passes.open, passes.unjudged, root_calls)
+                )
+
+        backends = journal_backends(frozenset({"tst"}))
+        prover = backends["prover"]
+        tree = formal_tree(limits=limits)
+        orch = HookedOrchestrator(
+            tree,
+            backends=backends,
+            verifier=RuleVerifier(),
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=2,
+            on_dispatch=on_dispatch,
+        )
+        assert orch.run().success
+        assert decomposing == [([], {}, {}, 6)]
+        assert max(open_passes) == 2
+        assert tree.passes(tree.root).ended == 3
+
+    def test_a_reply_landing_after_another_pass_proved_the_node_is_never_checked(
+        self, tmp_path
+    ):
+        """Pass 1's correction proves the root while pass 2's correction
+        is in flight. Its reply lands before the final check returns: it
+        is recorded, unchecked, and never sent to the verifier, and the
+        proof (which the CLI writes to proof.lean) and the checkpoint's
+        unit hold pass 1's proof."""
+        prover = LateSecondPass()
+        recorded = threading.Event()
+
+        class HeldFinalCheck(RuleVerifier):
+            def verify_batch(self, codes, timeout: float = 300.0):
+                if len(self.checked) == 2:  # after the root's two proofs: the final unit
+                    assert recorded.wait(timeout=10), "the late reply was never recorded"
+                return super().verify_batch(codes, timeout)
+
+        def on_wait(orch):
+            root = orch.tree.root_node()
+            if root.status is NodeStatus.PROVEN:
+                prover.release.set()
+            if any(e.get("failed", False) is None for e in root.history):
+                recorded.set()
+
+        tree = formal_tree(limits=JOURNAL_LIMITS)
+        verifier = HeldFinalCheck()
+        outcome = HookedOrchestrator(
+            tree,
+            backends=make_backends(prover=prover),
+            verifier=verifier,
+            workers=2,
+            checkpoint_path=tmp_path / "checkpoint.json",
+            on_wait=on_wait,
+        ).run()
+        assert outcome.success
+        assert outcome.proof.endswith(TRUE_PROOF)
+        late = [e for e in tree.root_node().history if e.get("response") == lean_block(LATE_PROOF)]
+        assert [(e["pass"], e["failed"]) for e in late] == [(2, None)]
+        assert len(verifier.checked) == 3
+        assert not any("True.intro" in unit for unit in verifier.checked)
+        tree.validate()
+        restored = ProofTree.load(tmp_path / "checkpoint.json")
+        restored.validate()
+        assert restored.unit(restored.root).body == TRUE_PROOF
+        assert restored.reconstruct(restored.root) == outcome.proof
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("proving_reply", [2, 3])
+    def test_a_node_proven_after_a_failed_round_costs_at_most_workers_minus_one_more_calls(
+        self, workers, proving_reply
+    ):
+        """The root's prover replies fail until its ``proving_reply``-th,
+        in whichever pass that reply falls; every later reply would pass
+        too. One worker makes exactly ``proving_reply`` prover calls.
+        More workers open extra passes beside the first pass's
+        correction: the overlap costs up to ``workers - 1`` more calls,
+        whose replies are spent, and the proof still reconstructs."""
+        failing, passing = lean_block(FAILING_PROOF), lean_block(TRUE_PROOF)
+        prover = ScriptedChat([failing] * (proving_reply - 1) + [passing] * 8)
+        tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=4))
+        orch = make_orchestrator(tree, backends=make_backends(prover=prover), workers=workers)
+        outcome = orch.run()
+        assert outcome.success and outcome.proof.endswith(TRUE_PROOF)
+        if workers == 1:
+            assert prover.calls == proving_reply
+        assert proving_reply <= prover.calls <= proving_reply + workers - 1
+        tree.validate()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_more_workers_make_the_same_calls_with_the_same_prompts(self, seed):
+        """Criterion 8's randomized trees with three passes of two
+        rounds: every node's verdicts are uniform, so at two and four
+        workers the (role, theorem) calls and their messages, and the
+        units verified, are those of one worker."""
+        calls = [random_tree_calls(seed, workers) for workers in (1, 2, 4)]
+        assert calls[1] == calls[0] and calls[2] == calls[0]
+
+
+def random_tree_calls(seed: int, workers: int) -> Counter:
+    """Run criterion 8's randomized scenario (nodes named ``_split`` fail
+    every prover round and decompose into a seeded brood; ``_leaf``
+    nodes prove at once) at ``workers``; returns every remote call as
+    (role, theorem, messages or unit)."""
+    limits = Limits(prover_self_correction=2, prover_max_pass=3, max_depth=6)
+    tree = ProofTree.from_formal(f"theorem g{seed}_split : True := by\n  sorry", limits)
+
+    def prove(messages):
+        unit = extract_code_block(messages[0][1])
+        tactic = FAIL_MARKER if re.search(r"theorem \w+_split ", unit) else "aesop"
+        return lean_block(unit.replace("sorry", tactic))
+
+    def sketch(messages):
+        name = re.search(r"theorem (g\w+_split)", messages[-1][1]).group(1)
+        base = name.rsplit("_", 1)[0]
+        rng = random.Random(f"{seed}:{name}")
+        blocks = [
+            f"  have {base}c{index}_{kind} : True := by\n    sorry"
+            for index in range(rng.randint(1, 3))
+            for kind in ["split" if base.count("c") < 3 and rng.random() < 0.4 else "leaf"]
+        ]
+        return lean_block(f"theorem {name} : True := by\n" + "\n".join(blocks) + "\n  exact trivial")
+
+    backends = make_backends(
+        prover=ScriptedChat(prove),
+        decomposer=ScriptedChat(sketch),
+        search_query=ScriptedChat(lambda messages: QUERY_RESPONSE),
+    )
+    verifier = RuleVerifier()
+    outcome = Orchestrator(
+        tree, backends=backends, verifier=verifier, ast_client=BuilderAst(), workers=workers
+    ).run()
+    assert outcome.success and count_sorries(outcome.proof) == 0
+    tree.validate()
+    theorem = re.compile(r"theorem (\w+)")
+    made = Counter(
+        (role, theorem.search(messages[0][1]).group(1), tuple(messages))
+        for role, backend in backends.items()
+        if isinstance(backend, ScriptedChat)
+        for messages in backend.transcripts
+    )
+    made.update(("verifier", theorem.search(unit).group(1), unit) for unit in verifier.checked)
+    return made
 
 
 class Recorded:

@@ -81,28 +81,28 @@ class TestAddChild:
 class TestRecordAttempt:
     def test_prover_failure_consumes_self_correction(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True)
-        root = tree.root_node()
-        assert root.counters.self_correction_in_pass == 1
-        assert root.counters.passes_used == 0
-        assert tree.conversation(tree.root, "prover") == [("user", "p1"), ("assistant", "r1")]
+        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True, pass_=1)
+        assert tree.passes(tree.root).open == {1: 1}  # pass 1, one failed round
+        assert tree.passes(tree.root).ended == 0
+        assert tree.conversation(tree.root, "prover", 1) == [("user", "p1"), ("assistant", "r1")]
 
     def test_pass_rollover_resets_conversation(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True)
-        tree.record_attempt(tree.root, "prover", "p2", "r2", failed=True)
+        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True, pass_=1)
+        tree.record_attempt(tree.root, "prover", "p2", "r2", failed=True, pass_=1)
         root = tree.root_node()
-        assert root.counters.passes_used == 1
-        assert root.counters.self_correction_in_pass == 0
-        assert tree.conversation(tree.root, "prover") == []
+        assert tree.passes(tree.root).ended == 1
+        assert tree.passes(tree.root).open == {}
+        assert tree.conversation(tree.root, "prover", 2) == []
         # provenance history is never cleared
         assert [h["prompt"] for h in root.history] == ["p1", "p2"]
 
     def test_success_changes_no_counters(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
-        tree.record_attempt(tree.root, "prover", "p", "r", failed=False)
-        counters = tree.root_node().counters
-        assert counters.self_correction_in_pass == 0 and counters.passes_used == 0
+        tree.record_attempt(tree.root, "prover", "p", "r", failed=False, pass_=1)
+        assert tree.root_node().counters == Counters()
+        assert tree.passes(tree.root).ended == 0
+        assert tree.passes(tree.root).won is tree.root_node().history[-1]
 
     def test_formalizer_and_semantics_failures_share_budget(self):
         tree = ProofTree.from_informal("prove something", LIMITS)
@@ -129,27 +129,77 @@ class TestRecordAttempt:
     def test_unknown_node(self):
         tree = sketch_tree()
         with pytest.raises(UnknownNode):
-            tree.record_attempt("nope", "prover", "p", "r", failed=True)
+            tree.record_attempt("nope", "prover", "p", "r", failed=True, pass_=1)
+
+    def test_a_prover_round_must_name_its_pass(self):
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        with pytest.raises(LeandecompError):
+            tree.record_attempt(tree.root, "prover", "p", "r", failed=True)
+        with pytest.raises(LeandecompError):
+            tree.conversation(tree.root, "prover")
+        assert tree.root_node().history == []
+
+
+def prover_round(pass_, failed=None):
+    """A prover round of ``pass_``: awaiting its check, or judged at once."""
+    round_ = {"role": "prover", "prompt": "p", "response": "r", "pass": pass_}
+    if failed is not None:
+        round_.update(failed=failed, verdict=None)
+    return round_
 
 
 class TestAwaitingCheck:
     def test_verdict_closes_the_round_and_charges_its_role(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
         reply = lean_block("theorem t : True := trivial")
-        tree.record_reply(tree.root, "prover", "p1", reply)
+        tree.record_reply(tree.root, "prover", "p1", reply, pass_=1)
         root = tree.root_node()
         root.status = NodeStatus.AWAITING_VERIFICATION
         tree.validate()
-        assert tree.unjudged_round(tree.root) == {"role": "prover", "prompt": "p1", "response": reply}
-        assert tree.conversation(tree.root, "prover") == []
-        assert root.counters.self_correction_in_pass == 0
+        round_ = {"role": "prover", "prompt": "p1", "response": reply, "pass": 1}
+        assert tree.unjudged_round(tree.root) == round_
+        assert tree.conversation(tree.root, "prover", 1) == []
+        assert tree.passes(tree.root).open == {1: 0}
         tree.record_verdict(tree.root, FAIL)
         root.status = NodeStatus.AWAITING_PROOF
         tree.validate()
-        assert root.history[-1] == {"failed": True, "verdict": {"passed": False, "complete": False}}
+        assert root.history[-1] == {
+            "failed": True, "verdict": {"passed": False, "complete": False}, "pass": 1
+        }
         assert tree.unjudged_round(tree.root) is None
-        assert root.counters.self_correction_in_pass == 1
-        assert tree.conversation(tree.root, "prover") == [("user", "p1"), ("assistant", reply)]
+        assert tree.passes(tree.root).open == {1: 1}
+        assert tree.conversation(tree.root, "prover", 1) == [("user", "p1"), ("assistant", reply)]
+
+    def test_each_pass_judges_its_own_round(self):
+        """Two passes each have a round awaiting its check; a verdict
+        judges the round of its pass, and a verified round closes the
+        other pass's round unchecked."""
+        limits = Limits(prover_max_pass=2)
+        tree = ProofTree.from_formal("theorem t : True := by sorry", limits)
+        root = tree.root_node()
+        tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True, pass_=1)
+        tree.open_pass(tree.root, 2)
+        with pytest.raises(LeandecompError):
+            tree.open_pass(tree.root, 3)  # both passes the budget allows are open
+        replies = {p: lean_block(f"theorem t : True := by\n  exact t{p}") for p in (1, 2)}
+        for p, reply in replies.items():
+            tree.record_reply(tree.root, "prover", f"q{p}", reply, pass_=p)
+        tree.validate()
+        assert tree.passes(tree.root).open == {1: 1, 2: 0}
+        assert tree.unit(tree.root, 2).body.endswith("exact t2")
+        tree.record_verdict(tree.root, FAIL, pass_=2, note="n2")
+        assert tree.passes(tree.root).open == {1: 1, 2: 1}
+        assert tree.passes(tree.root).notes[2] == "n2"
+        assert tree.conversation(tree.root, "prover", 2) == [("user", "q2"), ("assistant", replies[2])]
+        tree.record_reply(tree.root, "prover", "q3", replies[2], pass_=2)
+        tree.record_verdict(tree.root, PASS, pass_=1)
+        root.status = NodeStatus.PROVEN
+        tree.validate()
+        assert root.history[-1] == {"pass": 2, "failed": None, "verdict": None}
+        assert tree.unit(tree.root).body.endswith("exact t1")
+        assert tree.passes(tree.root).open == {} and tree.passes(tree.root).ended == 0
+        clone = ProofTree.from_dict(tree.to_dict())
+        assert clone.passes(clone.root) == tree.passes(tree.root)
 
     def test_no_verdict_without_a_round(self):
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
@@ -171,6 +221,14 @@ class TestAwaitingCheck:
                                       {"role": "prover", "prompt": "p", "response": "r"}]),
             # a verdict with no round before it
             ("AwaitingProof", [{"failed": True, "verdict": None}]),
+            # two rounds of one pass awaiting their check
+            ("AwaitingVerification", [prover_round(1), prover_round(1)]),
+            # a pass that failed more rounds than its budget
+            ("AwaitingProof", [prover_round(1, failed=True)] * 3),
+            # more passes than the budget
+            ("AwaitingProof", [prover_round(p, failed=True) for p in range(1, 34)]),
+            # a pass's round awaiting its check on a node that awaits none
+            ("AwaitingProof", [prover_round(1, failed=True), prover_round(2)]),
         ],
     )
     def test_validate_catches_a_misplaced_unjudged_round(self, status, history):
@@ -302,7 +360,9 @@ SPLICED_GOLDEN = (
 )
 
 
-def proven_sketch_tree():
+def proven_sketch_tree(unproven=()):
+    """The sketch tree with each child, but those named in ``unproven``,
+    proven by its prover."""
     tree = sketch_tree()
     proofs = {
         "base_case": BASE_CASE_PROOF,
@@ -311,6 +371,8 @@ def proven_sketch_tree():
     }
     for child_id in tree.root_node().children:
         child = tree.node(child_id)
+        if child.name in unproven:
+            continue
         record_verified(tree, child_id, "prover", proofs[child.name])
         child.status = NodeStatus.PROVEN
     tree.root_node().status = NodeStatus.PROVEN
@@ -344,8 +406,9 @@ class TestReconstruct:
         assert "have base_case : 4 ^ 2 ≤ 4 ! := by\n    exact (proof_term)" in merged
 
     def test_grandchild_recursion(self):
-        tree = proven_sketch_tree()
+        tree = proven_sketch_tree(unproven={"base_case"})
         middle = tree.node(tree.root_node().children[0])
+        middle.status = NodeStatus.PROVEN
         record_verified(
             tree,
             middle.id,
@@ -451,7 +514,7 @@ class TestCheckpoint:
             "informal_statement": "informal",
             "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
             "name": "renamed",
-            "counters": Counters(1, 1, 1, 1, 1),
+            "counters": Counters(1, 1, 1),
             "hints": [("Nat.foo", "theorem Nat.foo : True")],
             "last_failure": "failure",
         }
@@ -491,7 +554,7 @@ class TestCheckpoint:
             "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
             "name": "renamed",
             "children": ["n9998"],
-            "counters": Counters(0, 0, 0, 0, 1),
+            "counters": Counters(0, 0, 1),
             "hints": [("Nat.foo", "theorem Nat.foo : True")],
             "last_failure": "failure",
         }[field]
@@ -577,9 +640,11 @@ class TestInvariantsUnderMutation:
                         tree.prune_subtree(target)
             else:
                 # the prover works only on nodes without children
+                passes = tree.passes(target)
                 if (
                     not tree.node(target).children
-                    and tree.node(target).counters.passes_used < LIMITS.prover_max_pass - 1
+                    and passes.ended < LIMITS.prover_max_pass - 1
                 ):
-                    tree.record_attempt(target, "prover", "p", "r", failed=True)
+                    pass_ = min(passes.open, default=passes.next)
+                    tree.record_attempt(target, "prover", "p", "r", failed=True, pass_=pass_)
             tree.validate()
