@@ -52,8 +52,6 @@ class Subgoal:
     """The goal at one ``sorry``, self-contained enough to prove on its own."""
 
     name: str
-    goal_type: str
-    context_binders: tuple[tuple[str, str], ...]
     standalone_statement: str
 
 
@@ -206,14 +204,7 @@ def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
             for bname, btype in info.binders
             if bname not in earlier or _mentions(info.goal_type, bname)
         )
-        subgoals.append(
-            Subgoal(
-                name=name,
-                goal_type=info.goal_type,
-                context_binders=kept,
-                standalone_statement=_render_statement(name, kept, info.goal_type),
-            )
-        )
+        subgoals.append(Subgoal(name, _render_statement(name, kept, info.goal_type)))
         earlier.add(name)
     return subgoals
 

@@ -139,48 +139,44 @@ _AWAITING_REPLY = {False: NodeStatus.AWAITING_PROOF, True: NodeStatus.AWAITING_V
 _PROVING = frozenset(_AWAITING_REPLY.values())
 
 
-def _candidates(tree: ProofTree, node: ProofNode, ast_ready: frozenset[str]):
+def _candidates(tree: ProofTree, node: ProofNode, ast_ready: frozenset[str], open_passes: int):
     """The node's work as (priority, kind, prover pass) triples, from
     ``_STATUS_ACTIONS``. In the prover phase, each open pass has a Prove,
     or the Verify of its reply; with none open, a Prove opens the next.
-    Otherwise the node's status has its entry, with two overrides:
-    extraction for a node whose AST export is in hand, and a backtrack in
-    place of query generation at the depth limit."""
+    Once the node has failed a round, a last Prove at the lowest priority
+    opens one more pass, while fewer than ``open_passes`` are open and
+    fewer than ``prover_max_pass`` have opened. Otherwise the node's
+    status has its entry, with two overrides: extraction for a node whose
+    AST export is in hand, and a backtrack in place of query generation
+    at the depth limit."""
     if node.status in _PROVING:
         passes = tree.passes(node.id)
         for pass_ in passes.open or [passes.next]:
             replied = pass_ in passes.unjudged
             yield (*_STATUS_ACTIONS[_AWAITING_REPLY[replied]], pass_)
+        if (
+            passes.open
+            and passes.notes  # a note per pass that failed a round
+            and len(passes.open) < open_passes
+            and len(passes.seen) < tree.limits.prover_max_pass
+        ):
+            yield 12, ActionKind.PROVE, passes.next  # the lowest priority of all
     elif node.status is NodeStatus.AWAITING_AST_PARSE and node.id in ast_ready:
-        yield 11, ActionKind.EXTRACT_SUBGOALS, None  # recursion has the lowest priority
+        yield 11, ActionKind.EXTRACT_SUBGOALS, None  # recursion after all but an extra pass
     elif node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
         yield 7, ActionKind.BACKTRACK, None
     elif node.status in _STATUS_ACTIONS:
         yield (*_STATUS_ACTIONS[node.status], None)
 
 
-def _may_open_pass(tree: ProofTree, node: ProofNode, open_passes: int) -> bool:
-    """Whether a node with no ready work may open one more prover pass:
-    it is in its prover phase with fewer than ``open_passes`` passes
-    open, has failed a prover round, and has opened fewer passes than
-    its budget allows."""
-    if node.status not in _PROVING:
-        return False
-    passes = tree.passes(node.id)
-    return (
-        len(passes.open) < open_passes
-        and len(passes.seen) < tree.limits.prover_max_pass
-        and bool(passes.notes)  # a note per pass that failed a round
-    )
-
-
-def _resolve_backtrack(tree: ProofTree, node: ProofNode) -> Action:
-    """Turn a depth-overflowing node into a Backtrack on its eligible
-    ancestor, or a failure Finish when no ancestor has budget left."""
+def _resolve_backtrack(tree: ProofTree, node: ProofNode, cause: str) -> Action:
+    """Turn a node that cannot decompose, for ``cause``, into a Backtrack
+    on its eligible ancestor, or a failure Finish when no ancestor has
+    budget left."""
     ancestor_id = tree.find_backtrack_ancestor(node.id)
     if ancestor_id is None:
         report = (
-            f"node {node.id} at depth {node.depth} needs decomposition but cannot: "
+            f"node {node.id} at depth {node.depth} {cause}, and "
             "no ancestor has remaining decomposition budget for backtracking"
         )
         return Action(ActionKind.FINISH, node.id, Outcome(success=False, report=report))
@@ -206,11 +202,9 @@ def next_action(
     which the parse step is replaced by extraction. ``busy`` names the
     work that is not ready (its call is in flight, or its reply is held)
     as (node id, prover pass) pairs, the pass None for work outside a
-    prover pass. When nothing else is ready, a Prove opens one more pass
-    on the lowest-depth, earliest node that ``_may_open_pass`` allows,
-    with at most ``open_passes`` open on a node; else None means that
-    every node with work is busy. A Proven root maps to Reconstruct, a
-    Failed root to Finish(failure).
+    prover pass. ``open_passes`` caps the prover passes open on a node.
+    None means that every node with work is busy. A Proven root maps to
+    Reconstruct, a Failed root to Finish(failure).
     """
     root = tree.root_node()
     if root.status is NodeStatus.PROVEN:
@@ -222,27 +216,16 @@ def next_action(
             Outcome(success=False, report="proof search failed; see the run history"),
         )
     best: tuple[tuple[int, int], ProofNode, ActionKind, int | None] | None = None
-    spare: ProofNode | None = None  # the node to open another prover pass on
     waiting = False
     for node in tree.nodes.values():
-        ready = False
-        for priority, kind, pass_ in _candidates(tree, node, ast_ready):
+        for priority, kind, pass_ in _candidates(tree, node, ast_ready, open_passes):
             if (node.id, pass_) in busy:
                 waiting = True
                 continue
-            ready = True
             key = (priority, node.depth)
             if best is None or key < best[0]:
                 best = (key, node, kind, pass_)
-        if (
-            not ready
-            and (spare is None or node.depth < spare.depth)
-            and _may_open_pass(tree, node, open_passes)
-        ):
-            spare = node
     if best is None:
-        if spare is not None:
-            return Action(ActionKind.PROVE, spare.id, pass_=tree.passes(spare.id).next)
         if waiting:
             return None
         return Action(
@@ -252,7 +235,7 @@ def next_action(
         )
     _, node, kind, pass_ = best
     if kind is ActionKind.BACKTRACK:
-        return _resolve_backtrack(tree, node)
+        return _resolve_backtrack(tree, node, f"reached the depth limit {tree.limits.max_depth}")
     return Action(kind, node.id, pass_=pass_)
 
 
@@ -689,7 +672,10 @@ class Orchestrator:
         if counters.sketch_corrections_used < limits.decomposer_self_correction:
             node.status = NodeStatus.AWAITING_SKETCH
         else:
-            self.dispatch(_resolve_backtrack(self.tree, node))  # prunes the node, or fails the run
+            spent = f"spent its sketch-correction budget ({limits.decomposer_self_correction})"
+            action = _resolve_backtrack(self.tree, node, spent)
+            if self.dispatch(action) is None:  # pruned the node; a Finish is logged by _end
+                self._log(action, None)
 
     # -------------------------------------------------------- decomposition
 

@@ -80,15 +80,21 @@ def latest_decl(tree: ProofTree, node_id: str) -> str:
 
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:
     """The node's first action, as a single worker would take it."""
-    entry = next(_candidates(orch.tree, node, frozenset(orch._ast_cache)), None)
+    entry = next(_candidates(orch.tree, node, frozenset(orch._ast_cache), orch.workers), None)
     if entry is None:
         raise LeandecompError(
             f"node {node.id} has no applicable action in status {node.status.value}"
         )
     _, kind, pass_ = entry
     if kind is ActionKind.BACKTRACK:
-        return _resolve_backtrack(orch.tree, node)
+        return _depth_backtrack(orch, node)
     return Action(kind, node.id, pass_=pass_)
+
+
+def _depth_backtrack(orch: Orchestrator, node: ProofNode) -> Action:
+    """The Backtrack, or failure Finish, of a node at the depth limit."""
+    limit = orch.tree.limits.max_depth
+    return _resolve_backtrack(orch.tree, node, f"reached the depth limit {limit}")
 
 
 def run_formalization(orch: Orchestrator, node_id: str) -> None:
@@ -135,6 +141,6 @@ def handle_depth_overflow(orch: Orchestrator, node_id: str) -> Action:
     """Backtrack from a node at or beyond the depth limit: prune and
     re-queue the nearest eligible ancestor, or finish with failure when
     none exists. Returns the action that was performed."""
-    action = _resolve_backtrack(orch.tree, orch.tree.node(node_id))
+    action = _depth_backtrack(orch, orch.tree.node(node_id))
     dispatch_now(orch, action)
     return action

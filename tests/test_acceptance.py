@@ -202,12 +202,7 @@ BLOCK_CASES = [
 
 
 def _leaf(name: str, goal: str = "True") -> Subgoal:
-    return Subgoal(
-        name=name,
-        goal_type=goal,
-        context_binders=(),
-        standalone_statement=f"theorem {name} : {goal} := by\n  sorry",
-    )
+    return Subgoal(name=name, standalone_statement=f"theorem {name} : {goal} := by\n  sorry")
 
 
 def _reconstruct(sketch_body: str, leaf_proofs: dict[str, str]) -> str:

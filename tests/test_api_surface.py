@@ -8,8 +8,11 @@ name that only tests call is not part of the program: delete it, or call
 what the program calls. A private name that nothing references is dead
 code. The one exception is by rule: ``Orchestrator.dispatch`` finds the
 handler of each action as ``_do_<kind>``, so those handlers must match
-the action kinds one to one. Last, the orchestrator leaves each node's
-Lean text to the proof tree.
+the action kinds one to one. A dataclass field must be read as an
+attribute (``x.field``) in those files. The check goes by the bare name,
+so a field that nothing reads passes when another class's attribute of
+the same name is read. Last, the orchestrator leaves each node's Lean
+text to the proof tree.
 """
 
 import ast
@@ -26,6 +29,11 @@ ALLOWED = {
     "ProofTree.validate": "the invariant checker that the tests run after every step",
     "DECLARATION_KEYWORDS": "kept for the statement check planned in ROADMAP.md, "
     "which starts declarations at these keywords",
+}
+
+#: Dataclasses whose fields the program reads by name, not as attributes.
+FIELDS_READ_BY_NAME = {
+    "PromptVars": "render_prompt reads each field with getattr, by the template's placeholders",
 }
 
 #: The action kinds that ``dispatch`` runs itself, with no handler.
@@ -78,6 +86,22 @@ def references(module: ast.Module):
             yield node.args[1].value
 
 
+def dataclass_fields(module: ast.Module):
+    """(class name, field name) of each field of each module-level
+    dataclass."""
+    for node in module.body:
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                    yield node.name, statement.target.id
+
+
+def is_dataclass(decorator: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return ast.unparse(target) in ("dataclass", "dataclasses.dataclass")
+
+
 def unused_names() -> set[str]:
     modules = [parse(path) for path in SOURCES]
     used = {name for module in modules for name in references(module)}
@@ -107,6 +131,24 @@ def test_every_private_name_is_used_by_the_program():
         if name.rpartition(".")[2].startswith("_") and not is_handler(name)
     }
     assert not unused, f"private names that nothing references: {sorted(unused)}"
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    modules = [parse(path) for path in SOURCES]
+    read = {
+        node.attr
+        for module in modules
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [field for module in modules for field in dataclass_fields(module)]
+    assert {cls for cls, _ in fields} >= set(FIELDS_READ_BY_NAME), "drop the stale entries"
+    unread = [
+        f"{cls}.{name}"
+        for cls, name in fields
+        if cls not in FIELDS_READ_BY_NAME and name not in read
+    ]
+    assert not unread, f"dataclass fields that the program never reads: {unread}"
 
 
 def test_the_action_handlers_match_the_action_kinds():

@@ -128,9 +128,11 @@ class TestExtractSubgoals:
         root, sorries = parse_ast(payload)
         subgoals = extract_subgoals(root, sorries)
         # step_two's goal mentions step_one, so the hypothesis is kept
-        assert subgoals[1].context_binders == (("step_one", "P 1"),)
+        assert subgoals[1].standalone_statement == (
+            "theorem step_two (step_one : P 1) : Q (step_one) := by\n  sorry"
+        )
         # step_three's goal mentions neither sibling
-        assert subgoals[2].context_binders == ()
+        assert subgoals[2].standalone_statement == "theorem step_three : R 3 := by\n  sorry"
 
     def test_nested_sorry_attaches_to_nearest_have(self):
         payload = {

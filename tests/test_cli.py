@@ -371,10 +371,40 @@ class TestFullStack:
             service.stop()
         assert code == 1
         report = (out / "diagnostic.txt").read_text()
-        assert "budget" in report
+        assert "node n0001 at depth 0 spent its sketch-correction budget (1), and " in report
+        assert "no ancestor has remaining decomposition budget" in report
         assert "failed" in capsys.readouterr().err
         restored = ProofTree.load(out / "checkpoint.json")
         assert restored.root_node().status is NodeStatus.FAILED
+
+    def test_a_subgoal_at_the_depth_limit_names_the_limit(self, tmp_path, monkeypatch):
+        """The root's sketch leaves one subgoal at depth 1, the depth
+        limit; its prover fails, and with no ancestor to backtrack to,
+        diagnostic.txt names the limit it reached."""
+
+        def reply(model, messages):
+            if model == ROLE_MODELS["search_query"]:
+                return QUERY_RESPONSE
+            if model == ROLE_MODELS["decomposer"]:
+                return lean_block("theorem t : True := by\n  have s : True := by\n    sorry\n  exact s")
+            assert model == ROLE_MODELS["prover"]
+            return lean_block(f"theorem t : True := by\n  {FAIL_MARKER}")
+
+        service = fake_stack(monkeypatch, reply)
+        monkeypatch.setenv("PROVER_AGENT_LLM__MAX_PASS", "1")
+        monkeypatch.setenv("PROVER_AGENT_LLM__MAX_DEPTH", "1")
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text("import Mathlib\n\ntheorem t : True := by\n  sorry\n")
+            out = tmp_path / "out"
+            code = main(["--file", str(lean), "--out", str(out)])
+        finally:
+            service.stop()
+        assert code == 1
+        assert (out / "diagnostic.txt").read_text() == (
+            "node n0002 at depth 1 reached the depth limit 1, and "
+            "no ancestor has remaining decomposition budget for backtracking\n"
+        )
 
     def test_search_answering_an_array_leaves_the_sketch_without_hints(
         self, tmp_path, monkeypatch

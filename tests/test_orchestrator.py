@@ -95,12 +95,7 @@ def formal_tree(statement: str = TRUE_THEOREM, limits: Limits | None = None) -> 
 
 
 def make_subgoal(name: str) -> Subgoal:
-    return Subgoal(
-        name=name,
-        goal_type="True",
-        context_binders=(),
-        standalone_statement=f"theorem {name} : True := by\n  sorry",
-    )
+    return Subgoal(name=name, standalone_statement=f"theorem {name} : True := by\n  sorry")
 
 
 def make_orchestrator(tree: ProofTree, **kwargs) -> Orchestrator:
@@ -127,6 +122,21 @@ def chain_tree(depth: int, limits: Limits) -> tuple[ProofTree, str]:
         current.status = NodeStatus.AWAITING_CHILDREN
         current = tree.node(child_id)
     return tree, current.id
+
+
+def sibling_tree(*names: str) -> tuple[ProofTree, list[str]]:
+    """Root decomposed into one child per name; returns the child ids."""
+    tree = formal_tree()
+    record_verified(tree, tree.root, "decomposer", "theorem tst : True := by\n  sorry")
+    children = [tree.add_child(tree.root, make_subgoal(name)) for name in names]
+    tree.root_node().status = NodeStatus.AWAITING_CHILDREN
+    return tree, children
+
+
+def fail_a_prover_round(tree: ProofTree, node_id: str) -> None:
+    """Open the node's first prover pass and record one failed round in it."""
+    tree.open_pass(node_id, 1)
+    tree.record_attempt(node_id, "prover", "(prover prompt)", "(reply)", True, 1, "(note)")
 
 
 def content_keyed_prover() -> ScriptedChat:
@@ -275,7 +285,10 @@ class TestNextAction:
         action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
-        assert deep_id in action.outcome.report
+        assert action.outcome.report == (
+            f"node {deep_id} at depth 3 reached the depth limit 3, and "
+            "no ancestor has remaining decomposition budget for backtracking"
+        )
 
     def test_waiting_only_tree_finishes_defensively(self):
         tree = formal_tree()
@@ -287,6 +300,58 @@ class TestNextAction:
         action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
+
+    # The extra prover pass: the lowest-priority candidate of a node whose
+    # open pass is busy, once that node has failed a round.
+
+    def test_a_busy_pass_that_failed_a_round_gets_another_pass(self):
+        tree = formal_tree()
+        fail_a_prover_round(tree, tree.root)
+        busy = frozenset({(tree.root, 1)})
+        assert next_action(tree, open_passes=2) == Action(ActionKind.PROVE, tree.root, pass_=1)
+        action = next_action(tree, busy=busy, open_passes=2)
+        assert action == Action(ActionKind.PROVE, tree.root, pass_=2)
+
+    def test_another_pass_waits_for_ready_work_on_any_node(self):
+        tree, (proving, extracting) = sibling_tree("proving", "extracting")
+        fail_a_prover_round(tree, proving)
+        tree.node(extracting).status = NodeStatus.AWAITING_AST_PARSE
+        busy = frozenset({(proving, 1)})
+        action = next_action(tree, frozenset({extracting}), busy, open_passes=2)
+        assert action == Action(ActionKind.EXTRACT_SUBGOALS, extracting)
+        action = next_action(tree, busy=busy | {(extracting, None)}, open_passes=2)
+        assert action == Action(ActionKind.PROVE, proving, pass_=2)
+
+    def test_another_pass_goes_to_the_shallower_then_the_earlier_node(self):
+        tree, (first, second) = sibling_tree("first", "second")
+        tree.node(first).status = NodeStatus.AWAITING_CHILDREN
+        deep = tree.add_child(first, make_subgoal("deep"))
+        shallow = tree.add_child(tree.root, make_subgoal("shallow"))  # created after deep
+        for node_id in (second, deep, shallow):
+            fail_a_prover_round(tree, node_id)
+        busy = frozenset({(second, 1), (deep, 1), (shallow, 1)})
+        action = next_action(tree, busy=busy, open_passes=2)
+        assert action == Action(ActionKind.PROVE, second, pass_=2)
+        tree.node(second).status = NodeStatus.PROVEN
+        action = next_action(tree, busy=busy, open_passes=2)
+        assert action == Action(ActionKind.PROVE, shallow, pass_=2)
+
+    def test_no_other_pass_with_one_pass_per_node(self):
+        tree = formal_tree()
+        fail_a_prover_round(tree, tree.root)
+        assert next_action(tree, busy=frozenset({(tree.root, 1)}), open_passes=1) is None
+
+    def test_no_other_pass_beyond_the_pass_budget(self):
+        tree = formal_tree(limits=Limits(prover_max_pass=2))
+        fail_a_prover_round(tree, tree.root)
+        tree.open_pass(tree.root, 2)  # its first Prove is in flight
+        busy = frozenset({(tree.root, 1), (tree.root, 2)})
+        assert next_action(tree, busy=busy, open_passes=3) is None
+
+    def test_no_other_pass_before_a_failed_round(self):
+        tree = formal_tree()
+        tree.open_pass(tree.root, 1)  # its first Prove is in flight
+        assert next_action(tree, busy=frozenset({(tree.root, 1)}), open_passes=2) is None
 
 
 # ------------------------------------------------------------- formalization
@@ -757,6 +822,46 @@ class TestBacktracking:
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
         assert root.counters.decompositions_used == 1
         assert decomposer.calls == 2
+
+    def test_a_spent_sketch_budget_logs_its_backtrack_and_names_its_cause(self, tmp_path):
+        """Through ``run``: the backtrack that a spent sketch budget
+        performs is a line of the run log, written while the failed check
+        is applied, so before that check's own line. When the root's
+        budget is spent too, the report names that budget."""
+        limits = Limits(max_depth=10, decomposer_self_correction=2)
+        tree, deep_id = chain_tree(2, limits)
+        tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
+        bad_sketch = (
+            f"theorem step1 : True := by\n  have s : True := by\n    {FAIL_MARKER}\n  exact s"
+        )
+        log = tmp_path / "run.jsonl"
+        outcome = make_orchestrator(
+            tree,
+            backends=make_backends(
+                decomposer=ScriptedChat(lambda messages: lean_block(bad_sketch)),
+                search_query=ScriptedChat(lambda m: QUERY_RESPONSE),
+            ),
+            ast_client=BuilderAst(),
+            run_log_path=log,
+        ).run()
+        lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        steps = [(line["node"], line["action"], line["outcome"]) for line in lines]
+        backtrack = (tree.root, "Backtrack", "AwaitingQueryGen")
+        assert steps.count(backtrack) == 1
+        at = steps.index(backtrack)
+        assert steps[at + 1 : at + 3] == [
+            (deep_id, "SketchCheck", "pruned"),
+            (tree.root, "GenQueries", "AwaitingLookup"),
+        ]
+        assert steps[-2:] == [
+            (tree.root, "SketchCheck", "Failed"),
+            (tree.root, "Finish", "failure"),
+        ]
+        assert not outcome.success
+        assert outcome.report == (
+            f"node {tree.root} at depth 0 spent its sketch-correction budget (2), and "
+            "no ancestor has remaining decomposition budget for backtracking"
+        )
 
 
 # ------------------------------------------------------ failed-round rule

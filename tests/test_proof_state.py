@@ -30,12 +30,7 @@ FAIL = VerificationResult(passed=False, complete=False)
 
 
 def make_subgoal(name, goal_type="True"):
-    return Subgoal(
-        name=name,
-        goal_type=goal_type,
-        context_binders=(),
-        standalone_statement=f"theorem {name} : {goal_type} := by\n  sorry",
-    )
+    return Subgoal(name=name, standalone_statement=f"theorem {name} : {goal_type} := by\n  sorry")
 
 
 def sketch_tree():
