@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .config import ROLE_SECTIONS, Config, Limits, load_config
@@ -201,6 +202,12 @@ def main(argv: list[str] | None = None) -> int:
         report = f"proof search aborted: {exc}\nresume with --resume {out_dir / 'checkpoint.json'}"
         (out_dir / "diagnostic.txt").write_text(report + "\n", encoding="utf-8")
         print(report, file=sys.stderr)
+        return EXIT_PROOF_FAILURE
+    except OSError as exc:  # the checkpoint journal or the run log could not be written
+        report = f"proof search aborted: cannot write to {out_dir}: {exc}"
+        with suppress(OSError):
+            (out_dir / "diagnostic.txt").write_text(report + "\n", encoding="utf-8")
+        print(f"error: {report}", file=sys.stderr)
         return EXIT_PROOF_FAILURE
     finally:
         close_idle_connections()

@@ -31,9 +31,10 @@ happen on the coordinator and the subtrees of a sketch advance
 independently. A node whose call is in flight is not ready; a result
 for a node that a backtrack pruned, or one that lands after the run has
 failed, is dropped. Verify actions coalesce: a reply is not verified
-while a Prove of its own dispatch wave is in flight, and then the ready
-Verifies at its depth share one request; with nothing else in flight
-only those of its wave do, which keeps the order of a single worker.
+while a Prove of another node from its dispatch wave is in flight (the
+passes of a node are independent), and then the ready Verifies at its
+depth share one request; with nothing else in flight only those of its
+wave do, which keeps the order of a single worker.
 """
 
 from __future__ import annotations
@@ -296,7 +297,8 @@ class Orchestrator:
         # of groups for them to take and the queue their results land on,
         # the run log, the groups in flight (by identity) with their
         # dispatch wave, and the wave of each reply awaiting its Verify,
-        # by (node id, prover pass).
+        # by (node id, prover pass): the Verify waits while a Prove of
+        # another node from that wave is in flight.
         self._workers: list[threading.Thread] = []
         self._work: SimpleQueue | None = None
         self._landed: SimpleQueue | None = None
@@ -417,16 +419,18 @@ class Orchestrator:
 
     def _not_ready(self) -> frozenset[tuple[str, int | None]]:
         """The (node id, prover pass) of each call in flight, and of each
-        reply that waits for a Prove of its own dispatch wave still in
-        flight."""
+        reply that waits for a Prove of another node from its dispatch
+        wave still in flight."""
         busy: set[tuple[str, int | None]] = set()
-        proving: set[int] = set()
+        proving: dict[int, set[str]] = {}
         for wave, group in self._inflight.values():
             for action, _ in group:
                 busy.add((action.node_id, action.pass_))
                 if action.kind is ActionKind.PROVE:
-                    proving.add(wave)
-        busy.update(key for key, wave in self._reply_wave.items() if wave in proving)
+                    proving.setdefault(wave, set()).add(action.node_id)
+        busy.update(
+            key for key, wave in self._reply_wave.items() if proving.get(wave, set()) - {key[0]}
+        )
         return frozenset(busy)
 
     def _coalesced(
@@ -436,7 +440,7 @@ class Orchestrator:
         creation order of their nodes: all of them while other calls are
         in flight, else those whose replies came from its dispatch wave.
         (A single worker has nothing else in flight, so it verifies one
-        wave at a time.)"""
+        wave at a time; a reply never waits for its node's other passes.)"""
         if action.kind is not ActionKind.VERIFY:
             return [action]
         depth = self.tree.node(action.node_id).depth

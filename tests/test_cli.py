@@ -445,6 +445,35 @@ class TestFullStack:
         assert "proof search aborted" in report and "not an object" in report
         assert "--resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unwritable", ["checkpoint.json", "run.jsonl", "diagnostic.txt"])
+    def test_a_write_error_exits_one_with_one_error_line(
+        self, tmp_path, monkeypatch, capsys, unwritable
+    ):
+        """A file of the output directory that cannot be written (here a
+        directory in its place) ends the run with exit code 1 and one
+        ``error:`` line, not a traceback. diagnostic.txt holds the report
+        unless it is the file that cannot be written."""
+        def reply(model, messages):
+            return lean_block("theorem t : True := by\n  trivial")
+
+        service = fake_stack(monkeypatch, reply)
+        out = tmp_path / "out"
+        (out / unwritable).mkdir(parents=True)
+        if unwritable == "diagnostic.txt":
+            (out / "run.jsonl").mkdir()
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text("import Mathlib\n\ntheorem t : True := by\n  sorry\n")
+            code = main(["--file", str(lean), "--out", str(out)])
+        finally:
+            service.stop()
+        assert code == 1
+        assert not (out / "proof.lean").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: proof search aborted: cannot write")
+        if unwritable != "diagnostic.txt":
+            assert (out / "diagnostic.txt").read_text() == err[0].removeprefix("error: ") + "\n"
+
     def test_resume_checkpoint_through_cli(self, tmp_path, monkeypatch):
         tree = ProofTree.from_formal(
             "import Mathlib\n\ntheorem t : True := by\n  sorry", Limits()

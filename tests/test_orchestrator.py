@@ -2184,6 +2184,66 @@ class TestOverlappingPasses:
         assert calls[1] == calls[0] and calls[2] == calls[0]
 
 
+class HeldSecondPass:
+    """The root's prover, by round. Pass 1 opens with a failing proof and
+    proves the root with its correction. Pass 2's opening answers only
+    once ``checked`` is set, and then once ``release`` is."""
+
+    def __init__(self):
+        self.checked = threading.Event()
+        self.release = threading.Event()
+        self.lock = threading.Lock()
+        self.openings = 0
+
+    def complete(self, messages):
+        if len(messages) > 1:
+            return lean_block(TRUE_PROOF)
+        with self.lock:
+            self.openings += 1
+            if self.openings == 1:
+                return lean_block(FAILING_PROOF)
+        assert self.checked.wait(timeout=10), "pass 1's reply waited for pass 2's Prove"
+        assert self.release.wait(timeout=10), "pass 2's reply was never released"
+        return lean_block(LATE_PROOF)
+
+
+class TestIndependentPasses:
+    """A reply's check waits for no Prove of another pass of its node."""
+
+    def test_a_reply_is_checked_while_another_pass_of_its_node_proves(self):
+        """Two workers on a lone root that has failed a round: pass 1's
+        correction and pass 2's opening are dispatched together. Pass 2's
+        Prove is held until the verifier has received pass 1's reply, so
+        that reply's check cannot wait for it. The check proves the root,
+        alone in its request; pass 2's reply is never checked."""
+        prover = HeldSecondPass()
+
+        class Verifier(RuleVerifier):
+            def verify_batch(self, codes, timeout: float = 300.0):
+                if any(code.endswith(TRUE_PROOF) for code in codes):
+                    prover.checked.set()
+                return super().verify_batch(codes, timeout)
+
+        def on_wait(orch):
+            if orch.tree.root_node().status is NodeStatus.PROVEN:
+                prover.release.set()
+
+        tree = formal_tree(limits=JOURNAL_LIMITS)
+        verifier = Verifier()
+        outcome = HookedOrchestrator(
+            tree,
+            backends=make_backends(prover=prover),
+            verifier=verifier,
+            workers=2,
+            on_wait=on_wait,
+        ).run()
+        assert outcome.success and outcome.proof.endswith(TRUE_PROOF)
+        assert prover.openings == 2
+        assert verifier.batch_sizes == [1, 1, 1]  # pass 1's two replies, then the final unit
+        assert not any("True.intro" in unit for unit in verifier.checked)
+        tree.validate()
+
+
 def random_tree_calls(seed: int, workers: int) -> Counter:
     """Run criterion 8's randomized scenario (nodes named ``_split`` fail
     every prover round and decompose into a seeded brood; ``_leaf``
