@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from .errors import MissingVariable, NoJudgement, NoQueries
+from .errors import BadReply, LeandecompError
 from .services import LeanError, VerificationResult
 
 
@@ -46,11 +46,6 @@ class PromptVars:
     theorem_hints_section: str | None = None
 
 
-class Verdict(Enum):
-    APPROPRIATE = "Appropriate"
-    INAPPROPRIATE = "Inappropriate"
-
-
 _PLACEHOLDER_RE = re.compile(r"\{\{\s*(\w+)\s*\}\}")
 
 
@@ -65,7 +60,7 @@ def render_prompt(kind: PromptKind, vars: PromptVars) -> str:
     Fill a prompt template with the given variables.
 
     Substitution is single-pass: values containing ``{{`` are inserted
-    verbatim, never re-expanded. Raises MissingVariable when the
+    verbatim, never re-expanded. Raises LeandecompError when the
     template references a field left as None.
     """
     template = _template_text(kind)
@@ -74,7 +69,7 @@ def render_prompt(kind: PromptKind, vars: PromptVars) -> str:
         name = match.group(1)
         value = getattr(vars, name, None)
         if value is None:
-            raise MissingVariable(f"template {kind.value!r} needs variable {name!r}")
+            raise LeandecompError(f"template {kind.value!r} needs variable {name!r}")
         return value
 
     return _PLACEHOLDER_RE.sub(substitute, template)
@@ -87,37 +82,33 @@ def parse_search_queries(response: str) -> list[str]:
     """
     Extract search queries from ``<search>…</search>`` tags, in order.
 
-    Raises NoQueries when no non-empty tag is present.
+    Raises BadReply when no non-empty tag is present.
     """
     queries = [m.strip() for m in _SEARCH_RE.findall(response)]
     queries = [q for q in queries if q]
     if not queries:
-        raise NoQueries("completion contains no <search> tags")
+        raise BadReply("completion contains no <search> tags")
     return queries
 
 
-def parse_judgement(response: str) -> Verdict:
+def parse_judgement(response: str) -> bool:
     """
-    Parse the semantic checker's verdict.
+    Whether the semantic checker's verdict is Appropriate.
 
-    The last line starting with ``Judgement:`` wins, so chain-of-thought
-    restatements of the expected format do not confuse the parse.
-    Raises NoJudgement.
+    The last line starting with ``Judgement:`` decides, so chain-of-thought
+    restatements of the expected format do not confuse the parse. Its one
+    word must be Appropriate or Inappropriate, in any case, with any
+    markdown or punctuation around it. Raises BadReply otherwise, for a
+    negated or hedged verdict too.
     """
-    verdict = None
-    for line in response.splitlines():
-        stripped = line.strip()
-        if not stripped.lower().startswith("judgement:"):
-            continue
-        payload = stripped[len("judgement:") :].lower()
-        # check the negative first: "inappropriate" contains "appropriate"
-        if "inappropriate" in payload:
-            verdict = Verdict.INAPPROPRIATE
-        elif "appropriate" in payload:
-            verdict = Verdict.APPROPRIATE
-    if verdict is None:
-        raise NoJudgement("completion contains no parseable Judgement line")
-    return verdict
+    lines = [line.strip() for line in response.splitlines()]
+    payloads = [
+        line[len("judgement:") :] for line in lines if line.lower().startswith("judgement:")
+    ]
+    words = re.findall(r"[a-z]+", payloads[-1].lower()) if payloads else []
+    if words not in (["appropriate"], ["inappropriate"]):
+        raise BadReply("completion contains no parseable Judgement line")
+    return words == ["appropriate"]
 
 
 def generate_theorem_name(informal: str) -> str:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import AnonymousSorry, MalformedAst
+from .errors import BadSketch
 
 #: Syntax kinds marking a ``have`` tactic and its name.
 HAVE_KINDS = frozenset({"Lean.Parser.Tactic.tacticHave_", "Lean.Parser.Term.have"})
@@ -63,20 +63,20 @@ def _parse_node(raw: Any) -> AstNode:
     if isinstance(raw, str):
         return AstNode(kind="atom", value=raw)
     if not isinstance(raw, dict):
-        raise MalformedAst(f"AST node must be an object or string, got {type(raw).__name__}")
+        raise BadSketch(f"AST node must be an object or string, got {type(raw).__name__}")
     kind = raw.get("kind")
     value = raw.get("val", raw.get("value"))
     if kind is None and value is None:
-        raise MalformedAst(f"AST node has neither 'kind' nor 'val': {sorted(raw)}")
+        raise BadSketch(f"AST node has neither 'kind' nor 'val': {sorted(raw)}")
     if kind is None:
         kind = "atom"
     if not isinstance(kind, str) or not kind:
-        raise MalformedAst("AST node 'kind' must be a non-empty string")
+        raise BadSketch("AST node 'kind' must be a non-empty string")
     raw_children = raw.get("args", raw.get("children", []))
     if raw_children is None:
         raw_children = []
     if not isinstance(raw_children, list):
-        raise MalformedAst(f"AST node children must be a list in kind {kind!r}")
+        raise BadSketch(f"AST node children must be a list in kind {kind!r}")
     children = [_parse_node(c) for c in raw_children if c is not None]
     return AstNode(kind=kind, value=None if value is None else str(value), children=children)
 
@@ -106,15 +106,15 @@ def _parse_goal(goal: str) -> tuple[str, tuple[tuple[str, str], ...]]:
 
 def _parse_sorry(raw: Any) -> SorryInfo:
     if not isinstance(raw, dict):
-        raise MalformedAst("sorries entry must be an object")
+        raise BadSketch("sorries entry must be an object")
     goal = raw.get("goal")
     pos = raw.get("pos")
     if not isinstance(goal, str) or not isinstance(pos, dict):
-        raise MalformedAst("sorries entry needs 'goal' text and 'pos' object")
+        raise BadSketch("sorries entry needs 'goal' text and 'pos' object")
     try:
         position = (int(pos["line"]), int(pos["column"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedAst(f"sorries entry has bad position: {pos!r}") from exc
+        raise BadSketch(f"sorries entry has bad position: {pos!r}") from exc
     goal_type, binders = _parse_goal(goal)
     return SorryInfo(goal_type=goal_type, binders=binders, position=position)
 
@@ -124,11 +124,11 @@ def parse_ast(payload: dict[str, Any]) -> tuple[AstNode, list[SorryInfo]]:
     Parse an AST-endpoint payload, ``{"ast": …, "sorries": […]}``, into
     a node tree and sorry metadata.
 
-    Raises MalformedAst on missing kinds or non-tree shapes.
+    Raises BadSketch on missing kinds or non-tree shapes.
     """
     sorries_raw = payload.get("sorries", [])
     if not isinstance(sorries_raw, list):
-        raise MalformedAst("'sorries' must be a list")
+        raise BadSketch("'sorries' must be a list")
     root = _parse_node(payload.get("ast"))
     sorries = [_parse_sorry(s) for s in sorries_raw]
     return root, sorries
@@ -183,20 +183,20 @@ def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
     subgoal's goal type mentions them, so that proofs of independent
     siblings stay independent.
 
-    Raises AnonymousSorry for a sorry outside any named have, and
-    MalformedAst when the tree and the sorries metadata disagree.
+    Raises BadSketch for a sorry outside any named have, and when the
+    tree and the sorries metadata disagree.
     """
     events = _sorry_events(ast)
     ordered = sorted(sorries, key=lambda s: s.position)
     if len(events) != len(ordered):
-        raise MalformedAst(
+        raise BadSketch(
             f"AST has {len(events)} sorry nodes but metadata lists {len(ordered)}"
         )
     subgoals: list[Subgoal] = []
     earlier: set[str] = set()
     for name, info in zip(events, ordered):
         if name is None:
-            raise AnonymousSorry(
+            raise BadSketch(
                 f"sorry at line {info.position[0]} is not attached to a named have"
             )
         kept = tuple(

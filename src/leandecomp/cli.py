@@ -18,12 +18,7 @@ from contextlib import suppress
 from pathlib import Path
 
 from .config import ROLE_SECTIONS, Config, Limits, load_config
-from .errors import (
-    ConfigError,
-    LeandecompError,
-    MissingDeclaration,
-    MissingHeader,
-)
+from .errors import ConfigError, InputError, LeandecompError
 from .lean_source import LeanSource, _line_heads, split_source
 from .orchestrator import Orchestrator
 from .proof_state import ProofTree
@@ -93,12 +88,12 @@ def validate_formal_input(code: str) -> LeanSource:
     """
     source = split_source(code)
     if not any(tok.text == "import" for _, tok in _line_heads(source.preamble)):
-        raise MissingHeader(
+        raise InputError(
             "formal input must begin with a Lean header containing at least "
             "one import line (e.g. 'import Mathlib')"
         )
     if not source.body.strip():
-        raise MissingDeclaration(
+        raise InputError(
             "formal input contains a header but no theorem declaration"
         )
     return source
@@ -131,10 +126,9 @@ def _build_orchestrator(
 ) -> Orchestrator:
     backends = {role: ChatClient(config.chat_backend(role)) for role in ROLE_SECTIONS}
     verifier = VerifierClient(config.verifier())
-    try:
+    search_client = None  # retrieval is optional: without a url, sketch without hints
+    if config.get("LEAN_EXPLORE_SERVER", "url"):
         search_client = SearchClient(config.search())
-    except ConfigError:
-        search_client = None  # retrieval is optional; sketch without hints
     return Orchestrator(
         tree,
         backends=backends,
@@ -177,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         tree = _build_tree(args, limits)
-    except (MissingHeader, MissingDeclaration) as exc:
+    except InputError as exc:
         diagnostic = out_dir / "diagnostic.txt"
         diagnostic.write_text(f"input rejected: {exc}\n", encoding="utf-8")
         print(f"error: {exc} (details in {diagnostic})", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .errors import ConfigError, ConfigParseError, ConfigTypeError
+from .errors import ConfigError
 from .services import ChatBackendConfig, SearchConfig, VerifierConfig
 
 #: Agent role → config section.
@@ -59,18 +59,23 @@ class Config:
             raise ConfigError(f"missing required option [{section}] {option}")
         return value
 
-    def getint(self, section: str, option: str, fallback: int | None = None) -> int:
+    def getint(self, section: str, option: str, fallback: int, minimum: int = 0) -> int:
+        """The option as an integer of at least ``minimum``, or ``fallback``
+        when it is unset. Raises ConfigError for any other value."""
         raw = self.get(section, option)
         if raw is None:
-            if fallback is None:
-                raise ConfigError(f"missing required option [{section}] {option}")
             return fallback
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
-            raise ConfigTypeError(
+            raise ConfigError(
                 f"option [{section}] {option} must be an integer, got {raw!r}"
             ) from None
+        if value < minimum:
+            raise ConfigError(
+                f"option [{section}] {option} must be at least {minimum}, got {value}"
+            )
+        return value
 
     def chat_backend(self, role: str) -> ChatBackendConfig:
         """Typed backend config for one of the five agent roles."""
@@ -115,9 +120,9 @@ class Config:
         return Limits(
             formalizer_max_retries=self.getint("FORMALIZER_AGENT_LLM", "max_retries", fallback=10),
             prover_self_correction=self.getint(
-                "PROVER_AGENT_LLM", "max_self_correction_attempts", fallback=2
+                "PROVER_AGENT_LLM", "max_self_correction_attempts", fallback=2, minimum=1
             ),
-            prover_max_pass=self.getint("PROVER_AGENT_LLM", "max_pass", fallback=32),
+            prover_max_pass=self.getint("PROVER_AGENT_LLM", "max_pass", fallback=32, minimum=1),
             decomposer_self_correction=self.getint(
                 "DECOMPOSER_AGENT_LLM", "max_self_correction_attempts", fallback=6
             ),
@@ -135,7 +140,7 @@ def _parse_ini(text: str, origin: str) -> dict[str, dict[str, str]]:
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
-        raise ConfigParseError(f"malformed INI in {origin}: {exc}") from exc
+        raise ConfigError(f"malformed INI in {origin}: {exc}") from exc
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 

@@ -15,7 +15,7 @@ import textwrap
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import NoCodeBlock, SubgoalNotFound
+from .errors import BadReply, BadSketch
 
 #: Header lines every formal artifact is required to carry, in order.
 CANONICAL_PREAMBLE_LINES = (
@@ -243,7 +243,7 @@ def _tactic_block(decl: str) -> str:
     The proof of a declaration as a tactic block: the tactics after its
     first top-level ``:= by``, or ``exact (<term>)`` for a term-mode
     proof, dedented with relative indentation kept; never begins with
-    ``by``. Raises SubgoalNotFound when there is no top-level ``:=``.
+    ``by``. Raises BadSketch when there is no top-level ``:=``.
     """
     tokens = _tokens(decl)
     for tok in tokens:
@@ -253,7 +253,7 @@ def _tactic_block(decl: str) -> str:
             head, _, rest = decl[(nxt if tactics else tok).end :].partition("\n")
             block = "\n".join(filter(None, (head.strip(), textwrap.dedent(rest).strip("\n"))))
             return block if tactics else f"exact ({block})"
-    raise SubgoalNotFound("a subgoal's proof has no top-level ':='")
+    raise BadSketch("a subgoal's proof has no top-level ':='")
 
 
 def _indent_block(body: str, columns: int) -> str:
@@ -276,13 +276,13 @@ def splice_sorries(sketch: str, child_decls: list[str]) -> str:
     line's first tactic (past a focusing ``·``), and the spaces before
     it go. All other text is left byte-identical.
 
-    Raises SubgoalNotFound when the number of sorries and of declarations
+    Raises BadSketch when the number of sorries and of declarations
     differ, or a sorry is neither a tactic nor a term.
     """
     tokens = tokenize(sketch)
     sites = [index for index, tok in enumerate(tokens) if tok.text == "sorry"]
     if len(sites) != len(child_decls):
-        raise SubgoalNotFound(
+        raise BadSketch(
             f"the sketch's sorry count, {len(sites)}, is not its subgoal count, {len(child_decls)}"
         )
     pieces: list[str] = []
@@ -295,7 +295,7 @@ def splice_sorries(sketch: str, child_decls: list[str]) -> str:
         lead = "by" if before is not None and before.text == ":=" else ""
         if not (lead or own_line or before.text == "by"):
             line = sketch[line_start:].split("\n", 1)[0].strip()
-            raise SubgoalNotFound(
+            raise BadSketch(
                 f"the sorry in {line!r} follows {before.text!r}: "
                 "it is neither a tactic nor a term"
             )
@@ -325,9 +325,9 @@ def extract_code_block(response: str) -> str:
     Return the contents of the last fenced ```lean4 (or ```lean) block.
 
     Correction prompts elicit analysis followed by code, so the last
-    block wins. Raises NoCodeBlock when no fenced Lean block exists.
+    block wins. Raises BadReply when no fenced Lean block exists.
     """
     matches = _FENCE_RE.findall(response)
     if not matches:
-        raise NoCodeBlock("completion contains no ```lean4 code block")
+        raise BadReply("completion contains no ```lean4 code block")
     return matches[-1].strip("\r\n")

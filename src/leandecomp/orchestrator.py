@@ -51,7 +51,6 @@ from typing import Any, Callable, Mapping, TextIO
 from .agents import (
     PromptKind,
     PromptVars,
-    Verdict,
     build_error_annotation,
     format_theorem_hints,
     generate_theorem_name,
@@ -60,19 +59,7 @@ from .agents import (
     render_prompt,
 )
 from .ast_model import extract_subgoals
-from .errors import (
-    AnonymousSorry,
-    AstExportFailed,
-    BadResponse,
-    LeandecompError,
-    MalformedAst,
-    NoCodeBlock,
-    NoJudgement,
-    NoQueries,
-    RemoteExhausted,
-    ServiceUnavailable,
-    SubgoalNotFound,
-)
+from .errors import BadReply, BadSketch, LeandecompError, ServiceError
 from .proof_state import NodeStatus, ProofNode, ProofTree
 from .services import LeanError, VerificationResult
 
@@ -530,8 +517,8 @@ class Orchestrator:
                 response, appropriate = f"(backend failure: {response})", False
             else:
                 try:
-                    appropriate = parse_judgement(response) is Verdict.APPROPRIATE
-                except NoJudgement:
+                    appropriate = parse_judgement(response)
+                except BadReply:
                     appropriate = False
             self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
             if appropriate:
@@ -602,7 +589,7 @@ class Orchestrator:
                 try:
                     self.tree.record_reply(node.id, role, prompt, reply, pass_)
                     return
-                except NoCodeBlock:
+                except BadReply:
                     note = "the completion did not contain a fenced Lean code block"
             self.tree.record_attempt(node.id, role, prompt, response, True, pass_, note)
             self._failed(node, role, note)
@@ -702,7 +689,7 @@ class Orchestrator:
                     return rounds + [(reply, None)]
                 try:
                     return rounds + [(reply, parse_search_queries(reply))]
-                except NoQueries:
+                except BadReply:
                     rounds.append((reply, None))
                     turns = turns + [("assistant", reply), ("user", prompt)]
             return rounds
@@ -731,7 +718,7 @@ class Orchestrator:
     def _search(self, queries: list[str]) -> list[tuple[str, str]]:
         try:
             hits = self.search_client.search_theorems(queries)
-        except (ServiceUnavailable, BadResponse):
+        except ServiceError:
             return []  # retrieval is an aid, not a requirement
         return [(hit.full_name, hit.statement) for hit in hits]
 
@@ -784,7 +771,7 @@ class Orchestrator:
     def _fetch_ast(self, sketch: str) -> tuple[object, list] | LeandecompError:
         try:
             return self.ast_client.fetch_ast(sketch)
-        except (AstExportFailed, MalformedAst) as exc:
+        except BadSketch as exc:
             return exc
 
     def _do_extract_subgoals(self, node: ProofNode) -> None:
@@ -799,7 +786,7 @@ class Orchestrator:
                     self.tree.add_child(node.id, subgoal)
                 node.status = NodeStatus.AWAITING_CHILDREN
                 return
-        except (AnonymousSorry, MalformedAst, SubgoalNotFound) as exc:
+        except BadSketch as exc:
             defect = f"the proof sketch could not be decomposed: {exc}"
         self._note_sketch_failure(node, "subgoal-extraction", defect)
 
@@ -848,7 +835,7 @@ class Orchestrator:
             raise LeandecompError(f"no chat backend configured for role {role!r}")
         try:
             return backend.complete(messages)
-        except (RemoteExhausted, BadResponse) as exc:
+        except ServiceError as exc:
             return exc
 
     def _persist(self) -> None:

@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Any, TextIO
 
 from .config import Limits
-from .errors import IncompleteSubtree, LeandecompError, NoCodeBlock, UnknownNode
+from .errors import BadReply, LeandecompError
 from .lean_source import (
     LeanSource,
     extract_code_block,
@@ -72,11 +72,11 @@ _AWAITING_CHECK = {
 def reply_code(response: str) -> LeanSource:
     """The Lean unit a generated reply proposes: its last fenced block,
     split into preamble and a non-empty declaration body. Raises
-    NoCodeBlock when there is no such block."""
+    BadReply when there is no such block."""
     source = split_source(extract_code_block(response))
     body = source.body.strip()
     if not body:
-        raise NoCodeBlock("code block contains no declaration")
+        raise BadReply("code block contains no declaration")
     return LeanSource(preamble=source.preamble, body=body)
 
 
@@ -219,7 +219,7 @@ class ProofTree:
         try:
             return self.nodes[node_id]
         except KeyError:
-            raise UnknownNode(f"no node with id {node_id!r}") from None
+            raise LeandecompError(f"no node with id {node_id!r}") from None
 
     def root_node(self) -> ProofNode:
         assert self.root is not None
@@ -340,7 +340,7 @@ class ProofTree:
     ) -> None:
         """Log a generated round whose Lean check is still to come, keep
         the code it proposes for ``unit`` and move the node to the status
-        awaiting that check. Raises NoCodeBlock, logging nothing, when the
+        awaiting that check. Raises BadReply, logging nothing, when the
         reply proposes no declaration."""
         node = self.node(node_id)
         code = reply_code(response)
@@ -472,16 +472,16 @@ class ProofTree:
         return LeanSource(preamble=node.formal.preamble, body=code.body)
 
     def check_splice(self, node_id: str, subgoals: list[Subgoal]) -> None:
-        """Raise SubgoalNotFound unless reconstruction can splice proofs of
+        """Raise BadSketch unless reconstruction can splice proofs of
         these subgoals into the node's latest sketch: the same splice,
         run on the subgoals' own statements."""
         splice_sorries(self.unit(node_id).body, [s.standalone_statement for s in subgoals])
 
     def _reconstruct_decl(self, node: ProofNode) -> str:
         if node.status is not NodeStatus.PROVEN:
-            raise IncompleteSubtree(f"node {node.id} is {node.status.value}, not Proven")
+            raise LeandecompError(f"node {node.id} is {node.status.value}, not Proven")
         if self.last_round(node.id) is None:
-            raise IncompleteSubtree(f"proven node {node.id} has no generated round")
+            raise LeandecompError(f"proven node {node.id} has no generated round")
         children = [self._reconstruct_decl(self.node(child_id)) for child_id in node.children]
         return splice_sorries(self.unit(node.id).body, children)
 
@@ -495,7 +495,7 @@ class ProofTree:
         turn (``splice_sorries``). The result is a full unit under the
         node's preamble.
 
-        Raises IncompleteSubtree if any descendant is not Proven, and
+        Raises LeandecompError if any descendant is not Proven, and
         the LeandecompError of a reply or child proof that does not splice.
         """
         node = self.node(node_id)

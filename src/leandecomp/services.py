@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
 from .ast_model import AstNode, SorryInfo, parse_ast
-from .errors import AstExportFailed, BadResponse, RemoteExhausted, ServiceUnavailable
+from .errors import BadSketch, ServiceError
 
 log = logging.getLogger(__name__)
 
@@ -97,17 +97,17 @@ def _is_transient_status(status: int) -> bool:
 
 def _json_object(request: str, status: int, data: bytes) -> dict:
     """The JSON object of a final answer to ``request``; raises
-    BadResponse for a 4xx or 5xx status and for a body that is not a
+    ServiceError for a 4xx or 5xx status and for a body that is not a
     JSON object."""
     if status >= 400:
         text = data[:200].decode("utf-8", "replace")
-        raise BadResponse(f"{request} returned HTTP {status}: {text}")
+        raise ServiceError(f"{request} returned HTTP {status}: {text}")
     try:
         body = json.loads(data)
     except ValueError:
-        raise BadResponse(f"{request} returned a body that is not JSON") from None
+        raise ServiceError(f"{request} returned a body that is not JSON") from None
     if not isinstance(body, dict):
-        raise BadResponse(f"{request} returned JSON that is not an object: {type(body).__name__}")
+        raise ServiceError(f"{request} returned JSON that is not an object: {type(body).__name__}")
     return body
 
 
@@ -121,7 +121,7 @@ def _proxy_for(url: SplitResult) -> SplitResult | None:
         return None
     parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if parts.scheme != "http" or not parts.hostname:
-        raise ServiceUnavailable(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+        raise ServiceError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
     return parts
 
 
@@ -194,14 +194,13 @@ class _RetryingHttp:
         JSON object of the first non-transient response.
 
         ``payload`` is sent as a JSON body and ``params`` as the query
-        string. Raises ServiceUnavailable once the budget is spent, and
-        BadResponse for a redirect, which is never followed, for a 4xx
-        answer that is not retried, and for a body that is not a JSON
-        object.
+        string. Raises ServiceError once the budget is spent, for a
+        redirect, which is never followed, for a 4xx answer that is not
+        retried, and for a body that is not a JSON object.
         """
         parts = urlsplit(url)
         if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
-            raise ServiceUnavailable(f"{method} {url}: not an http:// or https:// URL")
+            raise ServiceError(f"{method} {url}: not an http:// or https:// URL")
         query = "&".join(q for q in (parts.query, urlencode(params or {})) if q)
         target = (parts.path or "/") + ("?" + query if query else "")
         headers = {"User-Agent": "leandecomp", **(headers or {})}
@@ -225,7 +224,7 @@ class _RetryingHttp:
                     method, url, attempt, attempts, reason,
                 )
                 self._sleep(random.uniform(0, self._backoff_base * 2 ** (attempt - 1)))
-        raise ServiceUnavailable(f"{method} {url} failed after {attempts} attempts ({reason})")
+        raise ServiceError(f"{method} {url} failed after {attempts} attempts ({reason})")
 
     def _send(self, method, parts, target, body, headers, timeout) -> tuple[int, bytes]:
         """One attempt's status and body. A kept-alive connection that
@@ -258,7 +257,7 @@ class _RetryingHttp:
             with _idle_lock:
                 _idle.setdefault(key, []).append(conn)
         if 300 <= response.status < 400:
-            raise BadResponse(
+            raise ServiceError(
                 f"{method} {parts.geturl()} was redirected (HTTP {response.status}) "
                 f"to {response.getheader('Location')}; redirects are not followed"
             )
@@ -310,9 +309,9 @@ class ChatClient:
         """
         Send a conversation, return the first choice's assistant text.
 
-        Raises RemoteExhausted when the retry budget is spent on
-        transient failures and BadResponse on anything structurally
-        wrong (non-transient HTTP errors, missing choices).
+        Raises ServiceError when the retry budget is spent on transient
+        failures and on anything structurally wrong (non-transient HTTP
+        errors, missing choices).
         """
         if not messages:
             raise ValueError("messages must be non-empty")
@@ -325,18 +324,15 @@ class ChatClient:
             "messages": [{"role": role, "content": content} for role, content in messages],
             self.config.max_tokens_param: self.config.max_tokens,
         }
-        try:
-            body = self._http.request(
-                "POST", url, payload=payload, headers=headers, timeout=self._request_timeout
-            )
-        except ServiceUnavailable as exc:
-            raise RemoteExhausted(str(exc)) from exc
+        body = self._http.request(
+            "POST", url, payload=payload, headers=headers, timeout=self._request_timeout
+        )
         try:
             content = body["choices"][0]["message"]["content"]
         except (LookupError, TypeError) as exc:
-            raise BadResponse(f"chat response missing choices: {exc}") from exc
+            raise ServiceError(f"chat response missing choices: {exc}") from exc
         if not isinstance(content, str):
-            raise BadResponse("chat response content is not text")
+            raise ServiceError("chat response content is not text")
         return content
 
 
@@ -365,14 +361,14 @@ class VerifierClient:
 
         An error diagnostic or a non-empty ``error`` fails the unit; only
         Lean's ``declaration uses 'sorry'`` warning makes it incomplete.
-        Raises BadResponse for an entry with neither a ``diagnostics``
+        Raises ServiceError for an entry with neither a ``diagnostics``
         list nor an ``error``, and lets a field of the wrong type raise
         TypeError, ValueError, OverflowError or AttributeError.
         """
         diagnostics = entry.get("diagnostics")
         if not isinstance(diagnostics, list):
             if not entry.get("error"):
-                raise BadResponse(
+                raise ServiceError(
                     f"verification result has neither diagnostics nor an error: {sorted(entry)}"
                 )
             diagnostics = []
@@ -422,7 +418,7 @@ class VerifierClient:
         }
         entries = self._post(self.config.verify_path, payload, timeout).get("results", [])
         if not isinstance(entries, list):
-            raise BadResponse("verification response 'results' is not a list")
+            raise ServiceError("verification response 'results' is not a list")
         by_id = {
             entry["custom_id"]: entry
             for entry in entries
@@ -432,24 +428,24 @@ class VerifierClient:
         for cid in ids:
             entry = by_id.get(cid)
             if entry is None:
-                raise BadResponse(f"verification response missing result for {cid}")
+                raise ServiceError(f"verification response missing result for {cid}")
             try:
                 results.append(self._parse_result(entry))
             except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise BadResponse(f"verification result for {cid} is malformed: {exc!r}") from None
+                raise ServiceError(f"verification result for {cid} is malformed: {exc!r}") from None
         return results
 
     def fetch_ast(self, code: str, timeout: float = 300.0) -> tuple[AstNode, list[SorryInfo]]:
         """
         Export the AST of arbitrary Lean code as module ``User.Code``.
-        Raises AstExportFailed when the service reports a compile error,
-        and MalformedAst for an export that is not a syntax tree.
+        Raises BadSketch when the service reports a compile error or
+        the export is not a syntax tree.
         """
         body = self._post(
             "/api/ast_code", {"code": code, "module_name": "User.Code", "timeout": timeout}, timeout
         )
         if body.get("error"):
-            raise AstExportFailed(str(body["error"]))
+            raise BadSketch(str(body["error"]))
         return parse_ast(body)
 
 
@@ -479,7 +475,7 @@ class SearchClient:
                 timeout=60,
             ).get("results", [])
             if not isinstance(results, list):
-                raise BadResponse("search response 'results' is not a list")
+                raise ServiceError("search response 'results' is not a list")
             for raw in results:
                 try:
                     hit = TheoremHit(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 
 from leandecomp.ast_model import parse_ast
-from leandecomp.errors import AstExportFailed, ServiceUnavailable
+from leandecomp.errors import BadSketch, ServiceError
 from leandecomp.lean_source import tokenize
 from leandecomp.services import LeanError, VerificationResult
 
@@ -108,7 +108,7 @@ class BuilderAst:
         self.seen.append(code)
         for marker in self.fail_for:
             if marker in code:
-                raise AstExportFailed(f"export rejected marker {marker!r}")
+                raise BadSketch(f"export rejected marker {marker!r}")
         return parse_ast(build_sketch_payload(code))
 
 
@@ -125,7 +125,7 @@ class ScriptedSearch:
         self.calls += 1
         self.seen_queries.append(list(queries))
         if self.unavailable:
-            raise ServiceUnavailable("search scripted as unavailable")
+            raise ServiceError("search scripted as unavailable")
         return list(self.hits)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from leandecomp.agents import (
     PromptKind,
     PromptVars,
-    Verdict,
     build_error_annotation,
     format_theorem_hints,
     generate_theorem_name,
@@ -15,7 +14,7 @@ from leandecomp.agents import (
     parse_search_queries,
     render_prompt,
 )
-from leandecomp.errors import MissingVariable, NoJudgement, NoQueries
+from leandecomp.errors import BadReply, LeandecompError
 from leandecomp.services import LeanError, VerificationResult
 
 EVEN_SUM_INFORMAL = (
@@ -68,7 +67,7 @@ class TestRenderPrompt:
         assert "```lean4\ntheorem t : True := by\n  sorry```" in rendered
 
     def test_missing_variable_raises(self):
-        with pytest.raises(MissingVariable):
+        with pytest.raises(LeandecompError, match="needs variable"):
             render_prompt(PromptKind.PROVER_CORRECTION, PromptVars(prev_round_num="2"))
 
     def test_substitution_is_single_pass(self):
@@ -102,11 +101,11 @@ class TestParseSearchQueries:
         ]
 
     def test_no_tags_raises(self):
-        with pytest.raises(NoQueries):
+        with pytest.raises(BadReply, match="no <search> tags"):
             parse_search_queries("no tags here")
 
     def test_empty_tags_ignored(self):
-        with pytest.raises(NoQueries):
+        with pytest.raises(BadReply, match="no <search> tags"):
             parse_search_queries("<search>  </search>")
 
     @given(st.lists(st.text(alphabet=st.characters(blacklist_characters="<>"), min_size=1).map(str.strip).filter(bool), min_size=1, max_size=6))
@@ -117,14 +116,14 @@ class TestParseSearchQueries:
 
 class TestParseJudgement:
     def test_appropriate(self):
-        assert parse_judgement("Thought: ok\n\nJudgement: Appropriate") is Verdict.APPROPRIATE
+        assert parse_judgement("Thought: ok\n\nJudgement: Appropriate") is True
 
     def test_inappropriate(self):
-        assert parse_judgement("Judgement: Inappropriate") is Verdict.INAPPROPRIATE
+        assert parse_judgement("Judgement: Inappropriate") is False
 
     def test_inappropriate_not_shadowed_by_substring(self):
         # "Inappropriate" contains "appropriate"; the negative must win
-        assert parse_judgement("judgement: INAPPROPRIATE") is Verdict.INAPPROPRIATE
+        assert parse_judgement("judgement: INAPPROPRIATE") is False
 
     def test_last_judgement_line_wins(self):
         response = (
@@ -132,11 +131,30 @@ class TestParseJudgement:
             "Thought: the hypothesis a > 0 is dropped\n"
             "Judgement: Inappropriate"
         )
-        assert parse_judgement(response) is Verdict.INAPPROPRIATE
+        assert parse_judgement(response) is False
 
     def test_missing_line_raises(self):
-        with pytest.raises(NoJudgement):
+        with pytest.raises(BadReply, match="no parseable Judgement"):
             parse_judgement("I think it is fine.")
+
+    @pytest.mark.parametrize(
+        "response, appropriate",
+        [("Judgement: **Appropriate**.", True), ("JUDGEMENT: `inappropriate`!", False)],
+    )
+    def test_case_markdown_and_punctuation_are_ignored(self, response, appropriate):
+        assert parse_judgement(response) is appropriate
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["Not appropriate", "not Appropriate.", "Appropriate? No.", "Appropriate, mostly", ""],
+    )
+    def test_anything_but_a_bare_verdict_raises(self, payload):
+        with pytest.raises(BadReply, match="no parseable Judgement"):
+            parse_judgement(f"Thought: the statements differ.\nJudgement: {payload}")
+
+    def test_a_last_line_without_a_verdict_is_not_skipped(self):
+        with pytest.raises(BadReply, match="no parseable Judgement"):
+            parse_judgement("Judgement: Appropriate\nJudgement: not sure yet")
 
 
 class TestGenerateTheoremName:

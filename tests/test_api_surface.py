@@ -11,8 +11,10 @@ handler of each action as ``_do_<kind>``, so those handlers must match
 the action kinds one to one. A dataclass field must be read as an
 attribute (``x.field``) in those files. The check goes by the bare name,
 so a field that nothing reads passes when another class's attribute of
-the same name is read. Last, the orchestrator leaves each node's Lean
-text to the proof tree.
+the same name is read. The orchestrator leaves each node's Lean text
+to the proof tree. Last, each exception class of the program stands for
+one way the program reacts to a failure: some ``except`` names it, and
+no ``except`` names two of them.
 """
 
 import ast
@@ -23,6 +25,7 @@ from leandecomp.orchestrator import ActionKind
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/leandecomp/*.py"), *ROOT.glob("perfbench/*.py")])
 ORCHESTRATOR = ROOT / "src" / "leandecomp" / "orchestrator.py"
+PROGRAM = sorted(ROOT.glob("src/leandecomp/*.py"))
 
 #: Definitions that the program does not use, each with why it stays.
 ALLOWED = {
@@ -184,3 +187,41 @@ def test_the_proof_tree_owns_each_node_lean_unit():
     assert "lean_source" not in imported
     named = set(references(module)) & {"reply_code", "split_source", "normalize_preamble"}
     assert not named, f"orchestrator.py names {sorted(named)}"
+
+
+def error_classes(modules: list[ast.Module]) -> set[str]:
+    """LeandecompError and every class that derives from it, directly or
+    through another of them."""
+    bases = {
+        node.name: {ast.unparse(base) for base in node.bases}
+        for module in modules
+        for node in ast.walk(module)
+        if isinstance(node, ast.ClassDef)
+    }
+    family = {"LeandecompError"}
+    while grown := {name for name, named in bases.items() if named & family} - family:
+        family |= grown
+    return family
+
+
+def caught_names(modules: list[ast.Module]):
+    """The names in each ``except`` clause, one list per clause."""
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                yield [ast.unparse(t).rpartition(".")[2] for t in types]
+
+
+def test_each_error_class_is_one_reaction_of_the_program():
+    """Each LeandecompError subclass is caught by name somewhere, so it
+    marks a failure the program reacts to in its own way; and no ``except``
+    names two of the family, which would make one of them redundant."""
+    modules = [parse(path) for path in PROGRAM]
+    family = error_classes(modules)
+    clauses = list(caught_names(modules))
+    assert family > {"LeandecompError"}
+    never = family - {"LeandecompError"} - {name for names in clauses for name in names}
+    assert not never, f"error classes that no except clause names: {sorted(never)}"
+    merged = [names for names in clauses if len(family.intersection(names)) > 1]
+    assert not merged, f"except clauses that name two error classes: {merged}"

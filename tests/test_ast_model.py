@@ -11,7 +11,7 @@ from leandecomp.ast_model import (
     extract_subgoals,
     parse_ast,
 )
-from leandecomp.errors import AnonymousSorry, MalformedAst
+from leandecomp.errors import BadSketch
 from tests.ast_builder import build_sketch_payload
 from tests.fakes import count_sorries
 from tests.sample_proofs import (
@@ -43,7 +43,7 @@ class TestParseAst:
         assert sorries == []
 
     def test_missing_kind_raises(self):
-        with pytest.raises(MalformedAst):
+        with pytest.raises(BadSketch, match="neither 'kind' nor 'val'"):
             parse_ast({"ast": {"args": [{"nope": 1}], "kind": "module"}})
 
     def test_val_node_is_an_atom(self):
@@ -101,12 +101,12 @@ class TestExtractSubgoals:
             "sorries": [{"goal": "⊢ True", "pos": {"line": 1, "column": 1}}],
         }
         root, sorries = parse_ast(payload)
-        with pytest.raises(AnonymousSorry):
+        with pytest.raises(BadSketch, match="not attached to a named have"):
             extract_subgoals(root, sorries)
 
     def test_tree_metadata_mismatch_raises(self):
         root, _ = parse_ast(load_payload("infinitude_ast.json"))
-        with pytest.raises(MalformedAst):
+        with pytest.raises(BadSketch, match="sorry nodes but metadata lists"):
             extract_subgoals(root, [])
 
     def test_sibling_binder_dropped_unless_mentioned(self):
@@ -223,5 +223,5 @@ class TestAstNodeShape:
         for _ in range(depth):
             node = {"kind": "k", "args": [node]}
         node["args"].append(42)
-        with pytest.raises(MalformedAst):
+        with pytest.raises(BadSketch, match="must be an object or string, got int"):
             parse_ast({"ast": node})

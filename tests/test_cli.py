@@ -10,10 +10,10 @@ import pytest
 
 from leandecomp import cli, lean_source, proof_state
 from leandecomp.cli import main, validate_formal_input
-from leandecomp.errors import MissingDeclaration, MissingHeader
+from leandecomp.errors import InputError
 from leandecomp.lean_source import LeanSource, extract_code_block
 from leandecomp.proof_state import NodeStatus, ProofTree
-from leandecomp.config import Limits
+from leandecomp.config import Limits, load_config
 
 from .http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
 from .ast_builder import build_sketch_payload
@@ -97,19 +97,19 @@ class TestValidateFormalInput:
         assert tree.root_node().formal == LeanSource(CANONICAL_PREAMBLE, "theorem t : True := trivial")
 
     def test_missing_header_rejected(self):
-        with pytest.raises(MissingHeader):
+        with pytest.raises(InputError, match="one import line"):
             validate_formal_input("theorem t : True := by sorry")
 
     def test_header_without_import_rejected(self):
-        with pytest.raises(MissingHeader):
+        with pytest.raises(InputError, match="one import line"):
             validate_formal_input("open Nat\n\ntheorem t : True := by sorry")
 
     def test_header_only_rejected(self):
-        with pytest.raises(MissingDeclaration):
+        with pytest.raises(InputError, match="no theorem declaration"):
             validate_formal_input(CANONICAL_PREAMBLE + "\n")
 
     def test_commented_out_import_rejected(self):
-        with pytest.raises(MissingHeader):
+        with pytest.raises(InputError, match="one import line"):
             validate_formal_input("/-\nimport Mathlib\n-/\ntheorem t : True := trivial")
 
     def test_import_after_a_comment_accepted(self):
@@ -169,6 +169,23 @@ class TestInputErrors:
 
     def test_zero_workers(self, tmp_path):
         assert main(["--informal", "x", "--workers", "0", "--out", str(tmp_path / "o")]) == 2
+
+    def test_an_out_of_range_limit_exits_two_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PROVER_AGENT_LLM__MAX_PASS", "0")
+        lean = tmp_path / "t.lean"
+        lean.write_text(EVEN_SUM_FILE)
+        out = tmp_path / "out"
+        assert main(["--file", str(lean), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "[PROVER_AGENT_LLM] max_pass must be at least 1, got 0" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("url, enabled", [("", False), ("http://localhost:1", True)])
+    def test_an_empty_search_url_turns_retrieval_off(self, tmp_path, url, enabled):
+        config = load_config(env={"LEAN_EXPLORE_SERVER__URL": url})
+        tree = ProofTree.from_formal(EVEN_SUM_FILE, Limits())
+        orchestrator = cli._build_orchestrator(config, tree, tmp_path, 1)
+        assert (orchestrator.search_client is not None) is enabled
 
 
 # ------------------------------------------------------- full-stack HTTP
@@ -405,6 +422,27 @@ class TestFullStack:
             "node n0002 at depth 1 reached the depth limit 1, and "
             "no ancestor has remaining decomposition budget for backtracking\n"
         )
+
+    @pytest.mark.parametrize(
+        "option, value", [("HINT_CAP", "abc"), ("MAX_RETRIES", "5x"), ("HINT_CAP", "-1")]
+    )
+    def test_a_malformed_search_option_exits_two(
+        self, tmp_path, monkeypatch, capsys, option, value
+    ):
+        def reply(model, messages):
+            return lean_block(EVEN_SUM_FILE.replace("sorry", "exact fun m n hm hn => hm.add hn"))
+
+        service = fake_stack(monkeypatch, reply)
+        monkeypatch.setenv(f"LEAN_EXPLORE_SERVER__{option}", value)
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text(EVEN_SUM_FILE)
+            code = main(["--file", str(lean), "--out", str(tmp_path / "out")])
+        finally:
+            service.stop()
+        assert code == 2
+        assert f"[LEAN_EXPLORE_SERVER] {option.lower()} must be" in capsys.readouterr().err
+        assert service.requests == []
 
     def test_search_answering_an_array_leaves_the_sketch_without_hints(
         self, tmp_path, monkeypatch

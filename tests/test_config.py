@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leandecomp.config import Config, Limits, load, load_config, packaged_defaults
-from leandecomp.errors import ConfigError, ConfigParseError, ConfigTypeError
+from leandecomp.errors import ConfigError
 
 
 class TestDefaults:
@@ -120,24 +120,61 @@ class TestLayering:
 
 class TestErrors:
     def test_malformed_ini(self):
-        with pytest.raises(ConfigParseError):
+        with pytest.raises(ConfigError, match="malformed INI"):
             load("not an ini\n[whoops", None, {})
 
     def test_non_integer_limit_names_section_and_option(self):
         cfg = load_config(env={"PROVER_AGENT_LLM__MAX_DEPTH": "abc"})
-        with pytest.raises(ConfigTypeError, match=r"PROVER_AGENT_LLM.*max_depth"):
+        with pytest.raises(ConfigError, match=r"PROVER_AGENT_LLM.*max_depth"):
             cfg.typed_limits()
 
-    def test_config_type_error_is_a_type_error(self):
-        assert issubclass(ConfigTypeError, TypeError)
+    @pytest.mark.parametrize(
+        "section, option, value, minimum",
+        [
+            ("PROVER_AGENT_LLM", "max_pass", "0", 1),
+            ("PROVER_AGENT_LLM", "max_self_correction_attempts", "0", 1),
+            ("PROVER_AGENT_LLM", "max_depth", "-1", 0),
+            ("FORMALIZER_AGENT_LLM", "max_retries", "-2", 0),
+            ("DECOMPOSER_AGENT_LLM", "max_self_correction_attempts", "-1", 0),
+        ],
+    )
+    def test_out_of_range_limit_names_section_and_option(self, section, option, value, minimum):
+        cfg = load_config(env={f"{section}__{option.upper()}": value})
+        with pytest.raises(
+            ConfigError, match=rf"\[{section}\] {option} must be at least {minimum}, got {value}"
+        ):
+            cfg.typed_limits()
+
+    def test_the_smallest_limits_are_accepted(self):
+        cfg = load_config(
+            env={
+                "PROVER_AGENT_LLM__MAX_PASS": "1",
+                "PROVER_AGENT_LLM__MAX_SELF_CORRECTION_ATTEMPTS": "1",
+                "PROVER_AGENT_LLM__MAX_DEPTH": "0",
+                "FORMALIZER_AGENT_LLM__MAX_RETRIES": "0",
+                "DECOMPOSER_AGENT_LLM__MAX_SELF_CORRECTION_ATTEMPTS": "0",
+            }
+        )
+        assert cfg.typed_limits() == Limits(
+            formalizer_max_retries=0,
+            prover_self_correction=1,
+            prover_max_pass=1,
+            decomposer_self_correction=0,
+            max_depth=0,
+        )
+
+    def test_a_negative_service_retry_budget_is_rejected(self):
+        cfg = load_config(env={"KIMINA_LEAN_SERVER__MAX_RETRIES": "-1"})
+        with pytest.raises(ConfigError, match=r"\[KIMINA_LEAN_SERVER\] max_retries must be at least 0"):
+            cfg.verifier()
 
     def test_missing_required_option(self):
         cfg = load("[KIMINA_LEAN_SERVER]\nmax_retries = 5\n", None, {})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"missing required option \[KIMINA_LEAN_SERVER\] url"):
             cfg.verifier()
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="cannot read config file"):
             load_config(user_file=tmp_path / "absent.ini", env={})
 
 

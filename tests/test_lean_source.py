@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leandecomp.config import Limits
-from leandecomp.errors import NoCodeBlock, SubgoalNotFound
+from leandecomp.errors import BadReply, BadSketch
 from leandecomp.lean_source import (
     CANONICAL_PREAMBLE_LINES,
     HEADER_KEYWORDS,
@@ -278,7 +278,7 @@ class TestChildBlock:
         assert splice_sorries("sorry", ["theorem t : True := trivial"]) == "exact (trivial)"
 
     def test_no_top_level_assign_raises(self):
-        with pytest.raises(SubgoalNotFound):
+        with pytest.raises(BadSketch, match="no top-level ':='"):
             splice_sorries("sorry", ["theorem t (x : Nat := 0) : True"])
 
     @given(st.sampled_from([EVEN_SUM_PROOF, INFINITUDE_SKETCH, "theorem t : True := by trivial"]))
@@ -349,7 +349,7 @@ class TestSpliceSorries:
         ids=["too-few-proofs", "no-sorry", "sorry-after-a-tactic", "sorry-after-a-focus-dot"],
     )
     def test_a_sketch_that_does_not_splice_raises(self, sketch, decls):
-        with pytest.raises(SubgoalNotFound):
+        with pytest.raises(BadSketch, match="sorry count|neither a tactic nor a term"):
             splice_sorries(sketch, decls)
 
     def test_repeated_have_names_splice_by_position(self):
@@ -449,11 +449,11 @@ class TestExtractCodeBlock:
         )
 
     def test_prose_only_raises(self):
-        with pytest.raises(NoCodeBlock):
+        with pytest.raises(BadReply, match="no ```lean4 code block"):
             extract_code_block("I could not produce a proof.")
 
     def test_untagged_fence_is_not_lean(self):
-        with pytest.raises(NoCodeBlock):
+        with pytest.raises(BadReply, match="no ```lean4 code block"):
             extract_code_block("```\nnot lean\n```")
 
 

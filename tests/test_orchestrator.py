@@ -19,7 +19,7 @@ import leandecomp.proof_state as proof_state_module
 from leandecomp.agents import generate_theorem_name
 from leandecomp.ast_model import Subgoal, parse_ast
 from leandecomp.config import Limits
-from leandecomp.errors import RemoteExhausted, ServiceUnavailable
+from leandecomp.errors import ServiceError
 from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import (
     Action,
@@ -410,7 +410,7 @@ class TestFormalization:
     def test_semantics_outage_and_missing_judgement_each_consume_a_retry(self):
         tree = ProofTree.from_informal(INFORMAL, Limits())
         formalizer = ScriptedChat(lambda messages: GOOD_FORMALIZATION)
-        semantics = ScriptedChat([RemoteExhausted("semantics down"), "Looks fine to me.", APPROPRIATE])
+        semantics = ScriptedChat([ServiceError("semantics down"), "Looks fine to me.", APPROPRIATE])
         orch = make_orchestrator(
             tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
         )
@@ -517,7 +517,7 @@ class TestProverLoop:
 
     def test_backend_outage_is_a_recorded_failure(self):
         tree = formal_tree()
-        prover = ScriptedChat([RemoteExhausted("backend down"), lean_block(TRUE_PROOF)])
+        prover = ScriptedChat([ServiceError("backend down"), lean_block(TRUE_PROOF)])
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
         assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
@@ -621,7 +621,7 @@ class TestDecomposition:
         tree = formal_tree()
         sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
         decomposer = ScriptedChat(
-            [RemoteExhausted("decomposer down"), "A sketch without code.", lean_block(sketch)]
+            [ServiceError("decomposer down"), "A sketch without code.", lean_block(sketch)]
         )
         self.decompose(tree, decomposer)
         root = tree.root_node()
@@ -691,7 +691,7 @@ class TestDecomposition:
     @pytest.mark.parametrize(
         "replies, asked",
         [
-            ([RemoteExhausted("search query down")], None),
+            ([ServiceError("search query down")], None),
             (["no tags here", QUERY_RESPONSE], ["prime divisor of factorial plus one",
                                                 "product of primes in a finite range",
                                                 "existence of a prime greater than n"]),
@@ -888,12 +888,12 @@ FIRST_FAILURES = {
 #: Each failure kind of each role, as the replies of the round that spends
 #: the last unit of its phase's budget, with what ``last_failure`` then holds.
 LAST_FAILURES = {
-    "formalizer-outage": ("formalization", {"formalizer": RemoteExhausted("down")}, None),
+    "formalizer-outage": ("formalization", {"formalizer": ServiceError("down")}, None),
     "formalizer-unfenced": ("formalization", {"formalizer": "No code here."}, None),
     "formalizer-lean-error": ("formalization", {"formalizer": BAD_FORMALIZATION}, None),
     "semantics-outage": (
         "formalization",
-        {"formalizer": GOOD_FORMALIZATION, "semantics": RemoteExhausted("down")},
+        {"formalizer": GOOD_FORMALIZATION, "semantics": ServiceError("down")},
         None,
     ),
     "semantics-no-judgement": (
@@ -902,7 +902,7 @@ LAST_FAILURES = {
         None,
     ),
     "prover-outage": (
-        "proving", {"prover": RemoteExhausted("down")}, "the prover backend failed to respond"
+        "proving", {"prover": ServiceError("down")}, "the prover backend failed to respond"
     ),
     "prover-unfenced": (
         "proving", {"prover": "No code here."}, "did not contain a fenced Lean code block"
@@ -915,7 +915,7 @@ LAST_FAILURES = {
     ),
     "decomposer-outage": (
         "sketching",
-        {"decomposer": RemoteExhausted("down")},
+        {"decomposer": ServiceError("down")},
         "the decomposer backend failed to respond",
     ),
     "decomposer-unfenced": (
@@ -1716,7 +1716,7 @@ class OutageVerifier(RuleVerifier):
 
     def verify_batch(self, codes, timeout: float = 300.0):
         if len(codes) > 1:
-            raise ServiceUnavailable("verifier scripted as unavailable")
+            raise ServiceError("verifier scripted as unavailable")
         return super().verify_batch(codes, timeout)
 
 
@@ -1756,7 +1756,7 @@ class TestRunResources:
         )
         try:
             return orch.run(), prover.threads
-        except ServiceUnavailable as exc:
+        except ServiceError as exc:
             return exc, prover.threads
 
     @staticmethod
@@ -1780,7 +1780,7 @@ class TestRunResources:
         opened.clear()
         crashed = tmp_path / "crashed"
         error, threads = self.run_journal_scenario(crashed, OutageVerifier())
-        assert isinstance(error, ServiceUnavailable)
+        assert isinstance(error, ServiceError)
         self.assert_released(threads, opened)
         resumed, _ = self.run_journal_scenario(
             crashed, tree=ProofTree.load(crashed / "checkpoint.json")
@@ -2028,7 +2028,7 @@ class LateSecondPass:
                 self.openings += 1
                 if self.openings == 1:
                     return lean_block(FAILING_PROOF)
-            raise RemoteExhausted("prover down")
+            raise ServiceError("prover down")
         if "failed to respond" in messages[-1][1]:
             self.correcting.set()
             assert self.release.wait(timeout=10), "the late reply was never released"
@@ -2334,7 +2334,7 @@ class TestHandOffUnderFailure:
             def verify_batch(self, codes, timeout: float = 300.0):
                 if prover.started["tst_a_a"].is_set() and not held.is_set():
                     calls.append("outage")
-                    raise ServiceUnavailable("verifier scripted as unavailable")
+                    raise ServiceError("verifier scripted as unavailable")
                 return super().verify_batch(codes, timeout)
 
         class ReleasingOrchestrator(Orchestrator):
@@ -2354,7 +2354,7 @@ class TestHandOffUnderFailure:
             checkpoint_path=tmp_path / "checkpoint.json",
         )
         before = set(threading.enumerate())
-        with pytest.raises(ServiceUnavailable):
+        with pytest.raises(ServiceError, match="verifier scripted as unavailable"):
             orch.run()
         assert not [thread for thread in threading.enumerate() if thread not in before]
         assert calls.count("outage") == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits
-from leandecomp.errors import IncompleteSubtree, LeandecompError, UnknownNode
+from leandecomp.errors import LeandecompError
 from leandecomp.lean_source import LeanSource
 from leandecomp.orchestrator import Action, ActionKind, Orchestrator
 from leandecomp.proof_state import CHECKPOINT_VERSION, Counters, NodeStatus, ProofNode, ProofTree
@@ -69,7 +69,7 @@ class TestAddChild:
 
     def test_unknown_parent(self):
         tree = sketch_tree()
-        with pytest.raises(UnknownNode):
+        with pytest.raises(LeandecompError, match="no node with id"):
             tree.add_child("n9999", make_subgoal("g"))
 
 
@@ -123,7 +123,7 @@ class TestRecordAttempt:
 
     def test_unknown_node(self):
         tree = sketch_tree()
-        with pytest.raises(UnknownNode):
+        with pytest.raises(LeandecompError, match="no node with id"):
             tree.record_attempt("nope", "prover", "p", "r", failed=True, pass_=1)
 
     def test_a_prover_round_must_name_its_pass(self):
@@ -390,7 +390,7 @@ class TestReconstruct:
     def test_unproven_child_raises(self):
         tree = proven_sketch_tree()
         tree.node(tree.root_node().children[1]).status = NodeStatus.AWAITING_PROOF
-        with pytest.raises(IncompleteSubtree):
+        with pytest.raises(LeandecompError, match="not Proven"):
             tree.reconstruct(tree.root)
 
     def test_term_mode_child_wrapped_as_exact(self):
