@@ -91,20 +91,21 @@ def parse_search_queries(response: str) -> list[str]:
     return queries
 
 
+_JUDGEMENT_RE = re.compile(r"\s*[*_]*judgement[*_]*:(.*)", re.IGNORECASE)
+
+
 def parse_judgement(response: str) -> bool:
     """
     Whether the semantic checker's verdict is Appropriate.
 
-    The last line starting with ``Judgement:`` decides, so chain-of-thought
-    restatements of the expected format do not confuse the parse. Its one
-    word must be Appropriate or Inappropriate, in any case, with any
-    markdown or punctuation around it. Raises BadReply otherwise, for a
-    negated or hedged verdict too.
+    The last line starting with ``Judgement:``, its key bare or in
+    markdown emphasis (``**Judgement:**``, ``**Judgement**:``), decides, so
+    chain-of-thought restatements of the expected format do not confuse
+    the parse. Its one word must be Appropriate or Inappropriate, in any
+    case, with any markdown or punctuation around it. Raises BadReply
+    otherwise, for a negated or hedged verdict too.
     """
-    lines = [line.strip() for line in response.splitlines()]
-    payloads = [
-        line[len("judgement:") :] for line in lines if line.lower().startswith("judgement:")
-    ]
+    payloads = [m[1] for line in response.splitlines() if (m := _JUDGEMENT_RE.match(line))]
     words = re.findall(r"[a-z]+", payloads[-1].lower()) if payloads else []
     if words not in (["appropriate"], ["inappropriate"]):
         raise BadReply("completion contains no parseable Judgement line")

@@ -110,13 +110,16 @@ def _setup_logging(verbosity: int) -> None:
 
 
 def _build_tree(args: argparse.Namespace, limits: Limits) -> ProofTree:
-    if args.resume:
-        tree = ProofTree.load(args.resume)
-        log.info("resumed checkpoint %s (%d nodes)", args.resume, len(tree.nodes))
-        return tree
     if args.informal is not None:
         return ProofTree.from_informal(args.informal, limits)
-    code = Path(args.file).read_text(encoding="utf-8")
+    try:
+        if args.resume:
+            tree = ProofTree.load(args.resume)
+            log.info("resumed checkpoint %s (%d nodes)", args.resume, len(tree.nodes))
+            return tree
+        code = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {args.resume or args.file}: {exc}") from None
     validate_formal_input(code)
     return ProofTree.from_formal(code, limits)
 
@@ -163,28 +166,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
-        limits = config.typed_limits()
-    except ConfigError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    try:
-        tree = _build_tree(args, limits)
-    except InputError as exc:
-        diagnostic = out_dir / "diagnostic.txt"
-        diagnostic.write_text(f"input rejected: {exc}\n", encoding="utf-8")
-        print(f"error: {exc} (details in {diagnostic})", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError, LeandecompError) as exc:
-        print(f"error: cannot load input: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    try:
+        tree = _build_tree(args, config.typed_limits())
         orchestrator = _build_orchestrator(config, tree, out_dir, args.workers)
     except ConfigError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except InputError as exc:
+        diagnostic = out_dir / "diagnostic.txt"
+        diagnostic.write_text(f"input rejected: {exc}\n", encoding="utf-8")
+        print(f"error: {exc} (details in {diagnostic})", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     log.info("proof search started (workers=%d, out=%s)", args.workers, out_dir)

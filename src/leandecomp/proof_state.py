@@ -89,10 +89,6 @@ class Counters:
     def to_dict(self) -> dict[str, int]:
         return dict(vars(self))
 
-    @classmethod
-    def from_dict(cls, data: dict[str, int]) -> "Counters":
-        return cls(**{k: int(v) for k, v in data.items() if k in vars(cls())})
-
 
 @dataclass
 class ProofNode:
@@ -577,53 +573,30 @@ class ProofTree:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
-        """Rebuild a tree from a checkpoint record of any version, 1 to
-        6; raises ValueError for any structural defect. The
-        ``conversations`` of versions 1 and 2 are derived from
-        ``history`` instead, and the ``pending_*`` reply of versions 1 to
-        3 becomes the round awaiting its check. The proof, sketch and
-        queries that versions 1 to 4 also store are read from
-        ``history``. The prover rounds of versions 1 to 5 get their pass
-        by order (``_tag_passes``), and a node proving keeps its note in
-        its last failed round instead of ``last_failure``."""
+        """Rebuild a tree from a checkpoint record of ``CHECKPOINT_VERSION``;
+        raises ValueError for another version or any structural defect,
+        a missing node field included."""
+        _check_version(data)
         try:
-            version = data.get("version")
-            if version not in range(1, CHECKPOINT_VERSION + 1):
-                raise ValueError(f"unsupported checkpoint version {version!r}")
             tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
             tree.root = data["root"]
-            tree._seq = int(data.get("seq", len(data["nodes"])))
+            tree._seq = int(data["seq"])
             for node_id, raw in data["nodes"].items():
-                formal = raw.get("formal")
-                status = NodeStatus(raw["status"])
-                history = list(raw.get("history", []))
-                if version < 4 and raw.get("pending_response") is not None:
-                    history.append({"role": _AWAITING_CHECK[status],
-                                    "prompt": raw.get("pending_prompt") or "",
-                                    "response": raw["pending_response"]})
-                # versions 1 to 4 keep a failed sketch's note apart
-                last_failure = raw.get("last_sketch_failure") or raw.get("last_failure")
-                if version < 6:
-                    # a proving node's note moves to its last failed prover round
-                    proving = status in (NodeStatus.AWAITING_PROOF,
-                                         NodeStatus.AWAITING_VERIFICATION)
-                    note, last_failure = (last_failure, None) if proving else (None, last_failure)
-                    history = _tag_passes(history, tree.limits.prover_self_correction, note)
-                node = ProofNode(
+                formal = raw["formal"]
+                tree.nodes[node_id] = ProofNode(
                     id=node_id,
-                    parent=raw.get("parent"),
+                    parent=raw["parent"],
                     depth=int(raw["depth"]),
-                    status=status,
-                    informal_statement=raw.get("informal_statement"),
+                    status=NodeStatus(raw["status"]),
+                    informal_statement=raw["informal_statement"],
                     formal=None if formal is None else LeanSource(**formal),
-                    name=raw.get("name"),
-                    children=list(raw.get("children", [])),
-                    history=history,
-                    counters=Counters.from_dict(raw.get("counters", {})),
-                    hints=[tuple(h) for h in raw.get("hints", [])],
-                    last_failure=last_failure,
+                    name=raw["name"],
+                    children=list(raw["children"]),
+                    history=list(raw["history"]),
+                    counters=Counters(**{k: int(v) for k, v in raw["counters"].items()}),
+                    hints=[tuple(h) for h in raw["hints"]],
+                    last_failure=raw["last_failure"],
                 )
-                tree.nodes[node_id] = node
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed checkpoint: {exc!r}") from None
         if tree.root not in tree.nodes:
@@ -704,51 +677,44 @@ class ProofTree:
     def load(cls, path) -> "ProofTree":
         """
         Read a checkpoint written by ``save``: a snapshot line followed
-        by journal lines replayed in order (version 2 to 6), or a
-        version-1 file holding one JSON object. A torn final line (a
-        crash mid-append) is dropped; any other defect raises ValueError.
+        by journal lines replayed in order. A torn final line (a crash
+        mid-append) is dropped; a file of another version, or any other
+        defect, raises ValueError.
         """
         with open(path, "rb") as handle:
             try:
                 data = json.loads(handle.readline())
             except ValueError:
                 handle.seek(0)
-                return cls.from_dict(json.load(handle))  # version 1: one indented object
-            if isinstance(data, dict) and data.get("version") in range(2, CHECKPOINT_VERSION + 1):
-                pending, number = None, 1
-                for line in handle:
-                    if pending is not None:
-                        _replay(data, pending, number, last=False)
-                    pending, number = line, number + 1
+                _check_version(json.load(handle))  # one indented object, as version 1 wrote
+                raise ValueError("checkpoint line 1 is not valid JSON") from None
+            _check_version(data)
+            pending, number = None, 1
+            for line in handle:
                 if pending is not None:
-                    _replay(data, pending, number, last=True)
+                    _replay(data, pending, number, last=False)
+                pending, number = line, number + 1
+            if pending is not None:
+                _replay(data, pending, number, last=True)
         return cls.from_dict(data)
+
+
+def _check_version(data: Any) -> None:
+    """Raise ValueError unless ``data`` is a record of this build's
+    format: a format change bumps ``CHECKPOINT_VERSION``, and a
+    checkpoint of any other version is not read."""
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint version {version!r} is not supported: this build reads "
+            f"only version {CHECKPOINT_VERSION}; start a new run"
+        )
 
 
 def _require_pass(pass_: int | None) -> int:
     if pass_ is None:
         raise LeandecompError("a prover round must name its pass")
     return pass_
-
-
-def _tag_passes(
-    history: list[dict[str, Any]], per_pass: int, note: str | None
-) -> list[dict[str, Any]]:
-    """A version-1-to-5 history with each prover round, and its verdict,
-    tagged with its pass: the serial run that wrote it opened a new pass
-    every ``per_pass`` prover rounds. The last failed prover round keeps
-    ``note``, if any, for its pass's next correction."""
-    tagged, pass_, rounds = [], None, 0
-    for entry in history:
-        if "prompt" in entry:
-            pass_ = None
-            if entry["role"] == "prover":
-                pass_, rounds = rounds // per_pass + 1, rounds + 1
-        tagged.append(entry if pass_ is None else {**entry, "pass": pass_})
-    failed = [entry for entry in tagged if "pass" in entry and entry.get("failed")]
-    if note is not None and failed:
-        failed[-1]["note"] = note
-    return tagged
 
 
 def _node_key(node: ProofNode) -> tuple:
@@ -798,9 +764,7 @@ def _json_line(data: dict[str, Any]) -> str:
 
 
 def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:
-    """Apply journal line ``number`` to a checkpoint record in place.
-    The ``conversations`` tails of version 2 are skipped: they are
-    derived from ``history``."""
+    """Apply journal line ``number`` to a checkpoint record in place."""
     try:
         change = json.loads(line)
     except ValueError:

@@ -145,6 +145,24 @@ class TestParseJudgement:
         assert parse_judgement(response) is appropriate
 
     @pytest.mark.parametrize(
+        "response, appropriate",
+        [
+            ("Thought: fine.\n**Judgement:** Appropriate", True),
+            ("**Judgement**: Inappropriate", False),
+            ("__judgement:__ *appropriate*", True),
+            ("**Judgement:** Appropriate\nThought: no.\n**Judgement**: Inappropriate", False),
+        ],
+    )
+    def test_a_key_in_markdown_emphasis_is_read(self, response, appropriate):
+        assert parse_judgement(response) is appropriate
+
+    @pytest.mark.parametrize("key", ["**Judgement:**", "**Judgement**:"])
+    @pytest.mark.parametrize("payload", ["Not appropriate", "Appropriate, mostly"])
+    def test_an_emphasized_key_with_a_negated_or_hedged_verdict_raises(self, key, payload):
+        with pytest.raises(BadReply, match="no parseable Judgement"):
+            parse_judgement(f"{key} {payload}")
+
+    @pytest.mark.parametrize(
         "payload",
         ["Not appropriate", "not Appropriate.", "Appropriate? No.", "Appropriate, mostly", ""],
     )

@@ -54,10 +54,11 @@ def checkpoint_text(edit) -> str:
 
 SNAPSHOT_LINE = checkpoint_text(lambda data: None)
 
-#: Checkpoints that --resume must reject with exit code 2.
+#: Checkpoints that --resume must reject with exit code 2 (None: no file).
 CORRUPT_CHECKPOINTS = {
+    "missing": None,
     "unsupported-version": '{"version": 999}',
-    "no-limits": '{"version": 1}',
+    "no-limits": '{"version": 6}',
     "unknown-limit": checkpoint_text(lambda data: data["limits"].update(bogus=1)),
     "node-without-depth": checkpoint_text(lambda data: data["nodes"]["n0001"].pop("depth")),
     "not-an-object": "[1]",
@@ -148,7 +149,10 @@ class TestInputErrors:
         assert "usage" in err and "absent.ini" in err
 
     def test_missing_input_file(self, tmp_path):
-        assert main(["--file", str(tmp_path / "absent.lean"), "--out", str(tmp_path / "o")]) == 2
+        lean = tmp_path / "absent.lean"
+        assert main(["--file", str(lean), "--out", str(tmp_path / "o")]) == 2
+        diagnostic = (tmp_path / "o" / "diagnostic.txt").read_text(encoding="utf-8")
+        assert diagnostic.startswith(f"input rejected: cannot read {lean}: ")
 
     def test_headerless_file_writes_diagnostic(self, tmp_path, capsys):
         lean = tmp_path / "t.lean"
@@ -162,10 +166,35 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "text", list(CORRUPT_CHECKPOINTS.values()), ids=list(CORRUPT_CHECKPOINTS)
     )
-    def test_corrupt_checkpoint(self, tmp_path, text):
+    def test_corrupt_checkpoint(self, tmp_path, capsys, text):
         checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(text, encoding="utf-8")
+        if text is not None:
+            checkpoint.write_text(text, encoding="utf-8")
         assert main(["--resume", str(checkpoint), "--out", str(tmp_path / "o")]) == 2
+        diagnostic = (tmp_path / "o" / "diagnostic.txt").read_text(encoding="utf-8")
+        assert diagnostic.startswith(f"input rejected: cannot read {checkpoint}: ")
+        assert "diagnostic.txt" in capsys.readouterr().err
+
+    def test_a_checkpoint_of_another_version_is_left_as_it_was(self, tmp_path):
+        out = tmp_path / "run1"
+        out.mkdir()
+        checkpoint = out / "checkpoint.json"
+        tree = ProofTree.from_formal(EVEN_SUM_FILE, Limits())
+        tree.save(checkpoint)
+        tree.root_node().last_failure = "appended"
+        tree.save(checkpoint)
+        tree.close()
+        snapshot, journal = checkpoint.read_bytes().splitlines(keepends=True)
+        assert snapshot.startswith(b'{"version":6,')
+        checkpoint.write_bytes(snapshot.replace(b'"version":6', b'"version":5', 1) + journal)
+        stored = checkpoint.read_bytes()
+        assert main(["--resume", str(checkpoint), "--out", str(out)]) == 2
+        assert checkpoint.read_bytes() == stored
+        assert (out / "diagnostic.txt").read_text(encoding="utf-8") == (
+            f"input rejected: cannot read {checkpoint}: checkpoint version 5 is not "
+            "supported: this build reads only version 6; start a new run\n"
+        )
+        assert sorted(path.name for path in out.iterdir()) == ["checkpoint.json", "diagnostic.txt"]
 
     def test_zero_workers(self, tmp_path):
         assert main(["--informal", "x", "--workers", "0", "--out", str(tmp_path / "o")]) == 2

@@ -3,7 +3,6 @@
 import json
 import random
 import re
-import shutil
 import threading
 import time
 from collections import Counter
@@ -27,7 +26,7 @@ from leandecomp.orchestrator import (
     Orchestrator,
     next_action,
 )
-from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
+from leandecomp.proof_state import NodeStatus, ProofTree
 from leandecomp.services import TheoremHit
 
 from .ast_builder import build_sketch_payload
@@ -1144,26 +1143,8 @@ class TestRun:
         assert outcome.success
         assert count_sorries(outcome.proof) == 0
 
-    def test_resume_from_version_1_checkpoint(self, tmp_path):
-        """A checkpoint written before the journal format (the tree of
-        test_resume_from_checkpoint after its failed prover pass) still
-        resumes, and the resumed run replaces it with a journal."""
-        checkpoint = tmp_path / "checkpoint.json"
-        shutil.copy(FIXTURES / "checkpoint_v1.json", checkpoint)
-        tree = ProofTree.load(checkpoint)
-        root = tree.root_node()
-        assert root.status is NodeStatus.AWAITING_QUERY_GEN
-        assert tree.passes(root.id).ended == 1
-        outcome = self.decomposing_orchestrator(tree, checkpoint_path=checkpoint).run()
-        assert outcome.success
-        assert count_sorries(outcome.proof) == 0
-        snapshot, *journal = checkpoint.read_text(encoding="utf-8").splitlines()
-        assert json.loads(snapshot)["version"] == CHECKPOINT_VERSION
-        assert journal and all("version" not in json.loads(line) for line in journal)
-        assert ProofTree.load(checkpoint).to_dict() == tree.to_dict()
-
     @staticmethod
-    def decomposing_orchestrator(tree, checkpoint_path=None):
+    def decomposing_orchestrator(tree):
         """Fakes that decompose the infinitude root and prove its subgoals."""
         return Orchestrator(
             tree,
@@ -1175,7 +1156,6 @@ class TestRun:
             verifier=RuleVerifier(),
             ast_client=BuilderAst(),
             search_client=ScriptedSearch(),
-            checkpoint_path=checkpoint_path,
         )
 
     def test_sibling_order_independence(self):
@@ -1224,16 +1204,6 @@ def journal_sketch(messages):
         f"  have {name}_{first} : True := by\n    sorry\n"
         f"  have {name}_{second} : True := by\n    sorry\n"
         f"  exact {name}_{first}"
-    )
-
-
-def correcting_sketch(messages):
-    """A decomposer whose first sketch of a node fails its Lean check,
-    and whose correction is the journal scenario's sketch."""
-    if "is not correct" in messages[-1][1]:
-        return journal_sketch(messages)
-    return lean_block(
-        f"theorem tst : True := by\n  have tst_a : True := by\n    {FAIL_MARKER}\n  exact tst_a"
     )
 
 
@@ -1401,25 +1371,6 @@ def golden_run(
     return outcome, backends
 
 
-def stored_conversations(path) -> dict[str, dict[str, list]]:
-    """The ``conversations`` a version-2 journal stores, per node, read
-    independently of ProofTree.load."""
-    snapshot, *journal = path.read_text(encoding="utf-8").splitlines()
-    stored = {
-        node_id: dict(record["conversations"])
-        for node_id, record in json.loads(snapshot)["nodes"].items()
-    }
-    for line in journal:
-        change = json.loads(line)
-        for node_id in change["removed"]:
-            del stored[node_id]
-        for node_id, node_change in change["nodes"].items():
-            agents = stored.setdefault(node_id, {})
-            for agent, (start, turns) in node_change.get("conversations", {}).items():
-                agents[agent] = agents.get(agent, [])[:start] + turns
-    return stored
-
-
 class TestSerialSchedule:
     def test_one_worker_keeps_the_recorded_action_sequence(self, tmp_path):
         """At one worker the journal scenario dispatches exactly the
@@ -1487,30 +1438,6 @@ class TestDerivedConversations:
         ]
         assert journal and not any("conversations" in record for record in records)
 
-    def test_version_2_journal_derives_its_conversations_and_resumes(self, tmp_path):
-        """A journal the version-2 ``ProofTree.save`` wrote mid-run, after
-        a prover pass rollover and a decomposer round: the derived
-        conversations equal the stored ones, and the run resumes to the
-        uninterrupted outcome."""
-        checkpoint = tmp_path / "checkpoint.json"
-        shutil.copy(FIXTURES / "checkpoint_v2.json", checkpoint)
-        stored = stored_conversations(checkpoint)
-        tree = ProofTree.load(checkpoint)
-        assert set(stored) == set(tree.nodes)
-        assert any(
-            tree.passes(node.id).ended and stored[node.id].get("prover")
-            for node in tree.nodes.values()
-        )
-        assert any(agents.get("decomposer") for agents in stored.values())
-        for node_id in tree.nodes:
-            passes = tree.passes(node_id)
-            current = passes.won["pass"] if passes.won else min(passes.open, default=passes.next)
-            for role, pass_ in (("prover", current), ("decomposer", None)):
-                expected = [tuple(turn) for turn in stored[node_id].get(role, [])]
-                assert tree.conversation(node_id, role, pass_) == expected, (node_id, role)
-        resumed, _ = golden_run(tree, checkpoint_path=checkpoint)
-        assert resumed == golden_run()[0]
-
     def test_each_generated_reply_is_stored_once(self, tmp_path):
         """A reply is written once, as its round in the history; the
         verdict entry its check appends repeats none of its text."""
@@ -1558,108 +1485,6 @@ class TestDerivedConversations:
         ]
         assert fenced and calls["reply_code"] <= len(fenced)
         assert calls["normalize_preamble"] == 1
-
-    def test_version_3_journal_resumes_without_asking_again(self, tmp_path):
-        """A journal the version-3 ``ProofTree.save`` wrote while the
-        root's first sketch awaited its check: the stored reply becomes
-        the round awaiting that check, and the resumed run reaches the
-        uninterrupted outcome without generating any reply again."""
-        checkpoint = tmp_path / "checkpoint.json"
-        shutil.copy(FIXTURES / "checkpoint_v3.json", checkpoint)
-        tree = ProofTree.load(checkpoint)
-        tree.validate()
-        root = tree.root_node()
-        assert root.status is NodeStatus.AWAITING_SKETCH_CHECK
-        assert tree.unjudged_round(root.id)["role"] == "decomposer"
-        asked = Counter(entry["role"] for entry in root.history if "prompt" in entry)
-        resumed, backends = golden_run(tree, checkpoint_path=checkpoint)
-        uninterrupted, fresh = golden_run()
-        assert resumed == uninterrupted
-        for role in ("prover", "search_query", "decomposer"):
-            assert backends[role].calls + asked[role] == fresh[role].calls, role
-
-    def test_version_4_journal_with_dropped_fields_resumes(self, tmp_path):
-        """A journal the earlier version-4 ``ProofTree.save`` wrote just
-        after the backtrack to the root, whose node records still carry
-        ``insertion_seq`` and ``sketch_attempts_total``: it resumes to
-        success, its backtrack sketch prompt names the round that writer
-        named, "(Round 1)", and the snapshot the resumed run writes holds
-        neither key."""
-        checkpoint = tmp_path / "checkpoint.json"
-        shutil.copy(FIXTURES / "checkpoint_v4.json", checkpoint)
-        stored = checkpoint.read_text(encoding="utf-8")
-        assert "insertion_seq" in stored and "sketch_attempts_total" in stored
-        tree = ProofTree.load(checkpoint)
-        tree.validate()
-        assert tree.root_node().counters.decompositions_used == 1
-        outcome, backends = golden_run(tree, checkpoint_path=checkpoint)
-        assert outcome.success and outcome == golden_run()[0]
-        backtrack = [
-            transcript[-1][1]
-            for transcript in backends["decomposer"].transcripts
-            if "COMPLETELY DIFFERENT" in transcript[-1][1]
-        ]
-        assert len(backtrack) == 1 and "(Round 1)" in backtrack[0]
-        snapshot = checkpoint.read_text(encoding="utf-8").splitlines()[0]
-        assert "insertion_seq" not in snapshot and "sketch_attempts_total" not in snapshot
-
-    def test_version_4_journal_awaiting_a_sketch_correction_resumes(self, tmp_path):
-        """A journal the version-4 ``ProofTree.save`` wrote while the root
-        waited for its first sketch correction, storing the prover's
-        ``last_failure`` and the sketch's ``last_sketch_failure``: the
-        resumed run sends the uninterrupted run's correction messages,
-        byte for byte, and reaches its outcome."""
-        checkpoint = tmp_path / "checkpoint.json"
-        shutil.copy(FIXTURES / "checkpoint_v4_sketch_correction.json", checkpoint)
-        stored = checkpoint.read_text(encoding="utf-8")
-        tree = ProofTree.load(checkpoint)
-        tree.validate()
-        root = tree.root_node()
-        assert root.status is NodeStatus.AWAITING_SKETCH
-        assert root.counters.sketch_corrections_used == 1
-        failure = json.dumps(root.last_failure, ensure_ascii=False)
-        assert f'"last_sketch_failure":{failure}' in stored
-        assert f'"last_failure":{failure}' not in stored
-        hard = frozenset({"tst"})
-        resumed, backends = golden_run(
-            tree, checkpoint_path=checkpoint, hard=hard, decomposer=ScriptedChat(correcting_sketch)
-        )
-        uninterrupted, fresh = golden_run(hard=hard, decomposer=ScriptedChat(correcting_sketch))
-        assert resumed.success and resumed == uninterrupted
-        (correction,) = backends["decomposer"].transcripts
-        assert correction == fresh["decomposer"].transcripts[1]
-        assert correction[-1][1].startswith("The proof sketch (Round 1) is not correct.")
-
-    def test_version_5_journal_awaiting_a_mid_pass_check_resumes(self, tmp_path):
-        """A journal the version-5 ``ProofTree.save`` wrote while the
-        root's second prover round, the first correction of its first
-        pass, awaited its check: the rounds get their pass by order, the
-        stored reply is checked without being asked for again, and every
-        prover message after it, corrections included, is byte-identical
-        to the uninterrupted run's. The prover's note, which version 5
-        kept in ``last_failure``, moves to the failed round."""
-        checkpoint = tmp_path / "checkpoint.json"
-        shutil.copy(FIXTURES / "checkpoint_v5_awaiting_verification.json", checkpoint)
-        snapshot, *journal = map(json.loads, checkpoint.read_text(encoding="utf-8").splitlines())
-        assert snapshot["version"] == 5
-        stored_note = [
-            line["nodes"][snapshot["root"]]["fields"]["last_failure"]
-            for line in journal
-            if "last_failure" in line["nodes"].get(snapshot["root"], {}).get("fields", {})
-        ][-1]
-        tree = ProofTree.load(checkpoint)
-        tree.validate()
-        root = tree.root_node()
-        assert root.status is NodeStatus.AWAITING_VERIFICATION
-        assert [e["pass"] for e in root.history] == [1, 1, 1]  # round, verdict, round
-        assert stored_note and root.history[1]["note"] == stored_note
-        assert root.last_failure is None
-        assert tree.unjudged_round(root.id, 1) is root.history[-1]
-        resumed, backends = golden_run(tree, checkpoint_path=checkpoint)
-        uninterrupted, fresh = golden_run()
-        assert resumed.success and resumed == uninterrupted
-        assert backends["prover"].transcripts == fresh["prover"].transcripts[2:]
-        assert any("(Round 1)" in messages[-1][1] for messages in backends["prover"].transcripts)
 
     def test_each_verified_declaration_is_stored_once(self, tmp_path):
         """A proven node's declaration is stored only in the history

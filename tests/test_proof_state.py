@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,10 @@ from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits
 from leandecomp.errors import LeandecompError
 from leandecomp.lean_source import LeanSource
-from leandecomp.orchestrator import Action, ActionKind, Orchestrator
 from leandecomp.proof_state import CHECKPOINT_VERSION, Counters, NodeStatus, ProofNode, ProofTree
 from leandecomp.services import VerificationResult
-from tests.drivers import dispatch_now, record_verified
-from tests.fakes import RuleVerifier, count_sorries, lean_block, make_backends
+from tests.drivers import record_verified
+from tests.fakes import count_sorries, lean_block
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
     EVEN_SUM_PROOF,
@@ -559,45 +559,48 @@ class TestCheckpoint:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
         assert getattr(ProofTree.load(path).node(node.id), field) == getattr(node, field)
 
-    def test_version_3_formalization_awaiting_its_syntax_check(self):
-        """The ``pending_*`` reply of a version-3 node becomes the round
-        awaiting its check, and the check verifies the statement the
-        version-3 ``candidate_formalization`` held."""
-        statement = "theorem t : True := by\n  sorry"
-        reply = lean_block("import Mathlib\n\n" + statement)
-        tree = ProofTree.from_informal("prove something", LIMITS)
-        data = tree.to_dict()
-        data["version"] = 3
-        data["nodes"][tree.root].update(
-            status="AwaitingSyntaxCheck",
-            name="t",
-            proof_attempt=None,
-            candidate_formalization=CANONICAL_PREAMBLE + "\n\n" + statement,
-            candidate_sketch=None,
-            pending_prompt="formalize",
-            pending_response=reply,
-        )
-        migrated = ProofTree.from_dict(data)
-        migrated.validate()
-        round_ = {"role": "formalizer", "prompt": "formalize", "response": reply}
-        assert migrated.root_node().history == [round_]
-        assert migrated.unjudged_round(migrated.root) == round_
-        assert not any("pending" in key for key in migrated.to_dict()["nodes"][migrated.root])
-        verifier = RuleVerifier()
-        dispatch_now(
-            Orchestrator(migrated, make_backends(), verifier),
-            Action(ActionKind.SYNTAX_CHECK, migrated.root),
-        )
-        assert verifier.checked == [CANONICAL_PREAMBLE + "\n\n" + statement]
-        assert migrated.root_node().status is NodeStatus.AWAITING_SEMANTIC_CHECK
-        migrated.validate()
-
-    def test_version_guard(self):
-        tree = sketch_tree()
-        data = tree.to_dict()
-        data["version"] = 99
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ProofNode) if f.name != "id"]
+    )
+    def test_a_node_record_without_a_field_is_malformed(self, field):
+        """Every field of a node record is read as required; the record's
+        key names the node."""
+        data = sketch_tree().to_dict()
+        del data["nodes"][data["root"]][field]
+        with pytest.raises(ValueError, match="malformed checkpoint"):
             ProofTree.from_dict(data)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7, 99, None, "missing"])
+    def test_version_guard(self, tmp_path, version):
+        """Only CHECKPOINT_VERSION is read, as a record or as a file; the
+        error names any other version. A version-1 file is one indented
+        object, a later one a journal whose snapshot line holds the version."""
+
+        def stamped(data):
+            data.pop("version")
+            return data if version == "missing" else {**data, "version": version}
+
+        tree = sketch_tree()
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        tree.root_node().last_failure = "appended"
+        tree.save(path)
+        tree.close()
+        if version == 1:
+            path.write_text(json.dumps(stamped(tree.to_dict()), indent=2), encoding="utf-8")
+        else:
+            snapshot, journal = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            snapshot = json.dumps(stamped(json.loads(snapshot)))
+            path.write_text(snapshot + "\n" + journal, encoding="utf-8")
+        named = None if version == "missing" else version
+        message = re.escape(
+            f"checkpoint version {named!r} is not supported: "
+            f"this build reads only version {CHECKPOINT_VERSION}; start a new run"
+        )
+        with pytest.raises(ValueError, match=message):
+            ProofTree.from_dict(stamped(tree.to_dict()))
+        with pytest.raises(ValueError, match=message):
+            ProofTree.load(path)
 
 
 @st.composite
