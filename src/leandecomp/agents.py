@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import BadReply, LeandecompError
-from .services import LeanError, VerificationResult
+from .services import VerificationResult
 
 
 class PromptKind(Enum):
@@ -143,15 +143,23 @@ def build_error_annotation(code: str, result: VerificationResult) -> str:
     Unpositioned errors contribute only trailing messages; an empty
     error list degenerates to an "unknown error" trailer.
     """
-    annotated = code
-    positioned: list[tuple[tuple[int, int], LeanError]] = []
+    markers: list[tuple[int, int, str]] = []
     for err in result.errors:
         offsets = _span_offsets(code, err.span) if err.span else None
-        if offsets:
-            positioned.append((offsets, err))
-    # insert from the end so earlier offsets stay valid
-    for (start, end), _ in sorted(positioned, key=lambda p: p[0][0], reverse=True):
-        annotated = annotated[:start] + "<error>" + annotated[start:end] + "</error>" + annotated[end:]
+        if offsets is None:
+            continue
+        start, end = offsets
+        if start == end:
+            markers.append((start, 1, "<error></error>"))
+        else:
+            markers += [(start, 2, "<error>"), (end, 0, "</error>")]
+    # One pass in offset order. At one offset, closes go before an empty
+    # span's markers, and those before opens, so nested spans stay nested.
+    pieces, at = [], 0
+    for offset, _, marker in sorted(markers):
+        pieces += [code[at:offset], marker]
+        at = offset
+    annotated = "".join(pieces) + code[at:]
     messages = [err.message for err in result.errors if err.message]
     if not messages:
         messages = ["unknown error"]

@@ -5,19 +5,19 @@ highest-priority ready work: formalizing the root, syntax/semantics-
 validating a formalization, proving and verifying leaves, and — when
 direct proving exhausts its passes — generating search queries,
 retrieving hint theorems, sketching a decomposition, checking the
-sketch, and recursing into extracted subgoals. Equal-priority work is
-ordered by depth then node creation, so subgoals are processed
-breadth-first. A node proves in passes of self-correction rounds. The
-passes are independent, so a worker that would otherwise idle opens
-another pass on the lowest-depth node whose open passes are all busy,
-once that node has failed a round: at most as many passes as workers
-are open on a node, the first to verify proves it, and a reply that
-lands later is recorded unchecked. So a node proven after a failed
-round may cost up to ``workers - 1`` more prover calls. Nodes that
-exceed the depth limit or exhaust their sketch-correction budget
-trigger a backtrack: the nearest grandparent-or-higher ancestor with
-remaining budget is pruned and re-decomposed with the
-alternative-strategy prompts.
+sketch and exporting its AST, whose named subgoals become the node's
+children as the export lands. Equal-priority work is ordered by depth
+then node creation, so subgoals are processed breadth-first. A node
+proves in passes of self-correction rounds. The passes are independent,
+so a worker that would otherwise idle opens another pass on the
+lowest-depth node whose open passes are all busy, once that node has
+failed a round: at most as many passes as workers are open on a node,
+the first to verify proves it, and a reply that lands later is recorded
+unchecked. So a node proven after a failed round may cost up to
+``workers - 1`` more prover calls. Nodes that exceed the depth limit
+or exhaust their sketch-correction budget trigger a backtrack: the
+nearest grandparent-or-higher ancestor with remaining budget is pruned
+and re-decomposed with the alternative-strategy prompts.
 
 Every remote call (each chat role, each verify request, AST export and
 theorem search) runs on one of at most ``workers`` threads that live as
@@ -75,7 +75,6 @@ class ActionKind(Enum):
     LOOKUP = "Lookup"
     SKETCH = "Sketch"
     SKETCH_CHECK = "SketchCheck"
-    EXTRACT_SUBGOALS = "ExtractSubgoals"
     BACKTRACK = "Backtrack"
     RECONSTRUCT = "Reconstruct"
     FINISH = "Finish"
@@ -127,16 +126,15 @@ _AWAITING_REPLY = {False: NodeStatus.AWAITING_PROOF, True: NodeStatus.AWAITING_V
 _PROVING = frozenset(_AWAITING_REPLY.values())
 
 
-def _candidates(tree: ProofTree, node: ProofNode, ast_ready: frozenset[str], open_passes: int):
+def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
     """The node's work as (priority, kind, prover pass) triples, from
     ``_STATUS_ACTIONS``. In the prover phase, each open pass has a Prove,
     or the Verify of its reply; with none open, a Prove opens the next.
     Once the node has failed a round, a last Prove at the lowest priority
     opens one more pass, while fewer than ``open_passes`` are open and
     fewer than ``prover_max_pass`` have opened. Otherwise the node's
-    status has its entry, with two overrides: extraction for a node whose
-    AST export is in hand, and a backtrack in place of query generation
-    at the depth limit."""
+    status has its entry, but a node at the depth limit backtracks in
+    place of query generation."""
     if node.status in _PROVING:
         passes = tree.passes(node.id)
         for pass_ in passes.open or [passes.next]:
@@ -148,9 +146,7 @@ def _candidates(tree: ProofTree, node: ProofNode, ast_ready: frozenset[str], ope
             and len(passes.open) < open_passes
             and len(passes.seen) < tree.limits.prover_max_pass
         ):
-            yield 12, ActionKind.PROVE, passes.next  # the lowest priority of all
-    elif node.status is NodeStatus.AWAITING_AST_PARSE and node.id in ast_ready:
-        yield 11, ActionKind.EXTRACT_SUBGOALS, None  # recursion after all but an extra pass
+            yield 11, ActionKind.PROVE, passes.next  # the lowest priority of all
     elif node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
         yield 7, ActionKind.BACKTRACK, None
     elif node.status in _STATUS_ACTIONS:
@@ -173,7 +169,6 @@ def _resolve_backtrack(tree: ProofTree, node: ProofNode, cause: str) -> Action:
 
 def next_action(
     tree: ProofTree,
-    ast_ready: frozenset[str] = frozenset(),
     busy: frozenset[tuple[str, int | None]] = frozenset(),
     *,
     open_passes: int,
@@ -186,12 +181,10 @@ def next_action(
     subgoals at one depth are processed before any at the next
     (breadth-first).
 
-    ``ast_ready`` names nodes whose AST export is already in hand, for
-    which the parse step is replaced by extraction. ``busy`` names the
-    work that is not ready (its call is in flight, or its reply is held)
-    as (node id, prover pass) pairs, the pass None for work outside a
-    prover pass. ``open_passes`` caps the prover passes open on a node.
-    None means that every node with work is busy. A Proven root maps to
+    ``busy`` names the work that is not ready (its call is in flight, or
+    its reply is held) as (node id, prover pass) pairs, the pass None for
+    work outside a prover pass. ``open_passes`` caps the prover passes
+    open on a node. None means that every node with work is busy. A Proven root maps to
     Reconstruct, a Failed root to Finish(failure).
     """
     root = tree.root_node()
@@ -206,7 +199,7 @@ def next_action(
     best: tuple[tuple[int, int], ProofNode, ActionKind, int | None] | None = None
     waiting = False
     for node in tree.nodes.values():
-        for priority, kind, pass_ in _candidates(tree, node, ast_ready, open_passes):
+        for priority, kind, pass_ in _candidates(tree, node, open_passes):
             if (node.id, pass_) in busy:
                 waiting = True
                 continue
@@ -276,9 +269,6 @@ class Orchestrator:
         self.workers = max(1, int(workers))
         self.run_log_path = run_log_path
         self.checkpoint_path = checkpoint_path
-        # AST exports are cheap to refetch, so they live outside the
-        # checkpoint; a resumed run re-issues ParseAst where needed.
-        self._ast_cache: dict[str, tuple[object, list]] = {}
         self._failure_reason: str | None = None
         # Held only while ``run`` executes: the worker threads, the queue
         # of groups for them to take and the queue their results land on,
@@ -337,7 +327,8 @@ class Orchestrator:
             return Outcome(success=False, report=self._failure_reason)
         if kind is ActionKind.BACKTRACK:
             self.tree.prune_subtree(action.node_id)
-            self._forget_pruned()
+            nodes = self.tree.nodes  # forget the held replies of pruned nodes
+            self._reply_wave = {key: w for key, w in self._reply_wave.items() if key[0] in nodes}
             return None
         handler = getattr(self, "_do_" + kind.name.lower())
         node = self.tree.node(action.node_id)
@@ -354,9 +345,7 @@ class Orchestrator:
         self._wave += 1
         while len(self._inflight) < self.workers:
             not_ready = self._not_ready()
-            action = next_action(
-                self.tree, frozenset(self._ast_cache), not_ready, open_passes=self.workers
-            )
+            action = next_action(self.tree, not_ready, open_passes=self.workers)
             if action is None:
                 return None
             group: _Group = []
@@ -745,26 +734,35 @@ class Orchestrator:
             )
         return self._generate(node, "decomposer", conversation, render_prompt(kind, vars))
 
-    def _note_sketch_failure(self, node: ProofNode, stage: str, message: str) -> None:
-        """Count a post-verification sketch defect (AST export or subgoal
-        extraction) against the correction budget, as a failed decomposer
-        entry with the prompt ``(<stage>)``, which the decomposer's
-        conversation leaves out."""
-        self.tree.record_attempt(node.id, "decomposer", f"({stage})", message, failed=True)
-        self._ast_cache.pop(node.id, None)
-        self._failed(node, "decomposer", message)
-
     def _do_parse_ast(self, node: ProofNode) -> _Call:
+        """The AST export of the node's checked sketch. When it lands, the
+        sketch's named subgoals become the node's children and the node
+        awaits them. A sketch that cannot be exported, or that yields no
+        subgoals to splice, counts against the correction budget as a
+        failed decomposer entry with the prompt ``(ast-export)`` or
+        ``(subgoal-extraction)``, which the decomposer's conversation
+        leaves out."""
         if self.ast_client is None:
             raise LeandecompError("decomposition requires an AST client, none configured")
 
         def apply(export: tuple[object, list] | LeandecompError) -> None:
             if isinstance(export, LeandecompError):
-                self._note_sketch_failure(
-                    node, "ast-export", f"the proof sketch could not be analyzed: {export}"
-                )
+                stage, defect = "ast-export", f"the proof sketch could not be analyzed: {export}"
             else:
-                self._ast_cache[node.id] = export
+                stage = "subgoal-extraction"
+                try:
+                    subgoals = extract_subgoals(*export)
+                    if subgoals:
+                        self.tree.check_splice(node.id, subgoals)
+                        for subgoal in subgoals:
+                            self.tree.add_child(node.id, subgoal)
+                        node.status = NodeStatus.AWAITING_CHILDREN
+                        return
+                    defect = "the proof sketch contains no named subgoals"
+                except BadSketch as exc:
+                    defect = f"the proof sketch could not be decomposed: {exc}"
+            self.tree.record_attempt(node.id, "decomposer", f"({stage})", defect, failed=True)
+            self._failed(node, "decomposer", defect)
 
         return _Call(apply, partial(self._fetch_ast, self.tree.unit(node.id).combined()))
 
@@ -774,29 +772,7 @@ class Orchestrator:
         except BadSketch as exc:
             return exc
 
-    def _do_extract_subgoals(self, node: ProofNode) -> None:
-        ast, sorries = self._ast_cache.pop(node.id)
-        try:
-            subgoals = extract_subgoals(ast, sorries)
-            if not subgoals:
-                defect = "the proof sketch contains no named subgoals"
-            else:
-                self.tree.check_splice(node.id, subgoals)
-                for subgoal in subgoals:
-                    self.tree.add_child(node.id, subgoal)
-                node.status = NodeStatus.AWAITING_CHILDREN
-                return
-        except BadSketch as exc:
-            defect = f"the proof sketch could not be decomposed: {exc}"
-        self._note_sketch_failure(node, "subgoal-extraction", defect)
-
     # ----------------------------------------------------------- backtracking
-
-    def _forget_pruned(self) -> None:
-        """Drop what the coordinator keeps in memory for pruned nodes."""
-        nodes = self.tree.nodes
-        self._ast_cache = {key: kept for key, kept in self._ast_cache.items() if key in nodes}
-        self._reply_wave = {key: kept for key, kept in self._reply_wave.items() if key[0] in nodes}
 
     def _fail_run(self, node: ProofNode, reason: str) -> None:
         node.status = NodeStatus.FAILED

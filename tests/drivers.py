@@ -80,7 +80,7 @@ def latest_decl(tree: ProofTree, node_id: str) -> str:
 
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:
     """The node's first action, as a single worker would take it."""
-    entry = next(_candidates(orch.tree, node, frozenset(orch._ast_cache), orch.workers), None)
+    entry = next(_candidates(orch.tree, node, orch.workers), None)
     if entry is None:
         raise LeandecompError(
             f"node {node.id} has no applicable action in status {node.status.value}"
@@ -128,7 +128,7 @@ def run_prover_pass(orch: Orchestrator, node_id: str) -> ProveOutcome:
 
 
 def run_decomposition(orch: Orchestrator, node_id: str) -> None:
-    """Drive one node through query/lookup/sketch/check/extract until
+    """Drive one node through query/lookup/sketch/check/AST export until
     children exist (AwaitingChildren), the node is proven outright, or a
     backtrack prunes it / fails the run."""
     tree = orch.tree

@@ -223,6 +223,35 @@ class TestBuildErrorAnnotation:
         assert "<error>done</error>" in annotated
         assert annotated.index("first") < annotated.index("second")
 
+    def test_nested_spans_stay_nested(self):
+        code = "theorem t : 1 = 1 := by\n  simp\n  linarith"
+        result = VerificationResult(
+            passed=False,
+            complete=False,
+            errors=(
+                LeanError("unsolved goals", span=((1, 22), (3, 11))),
+                LeanError("linarith failed", span=((3, 3), (3, 11))),
+            ),
+        )
+        annotated = build_error_annotation(code, result)
+        assert annotated.startswith(
+            "theorem t : 1 = 1 := <error>by\n  simp\n  <error>linarith</error></error>\n\n"
+        )
+
+    def test_adjacent_spans_and_an_empty_span_between_them(self):
+        result = VerificationResult(
+            passed=False,
+            complete=False,
+            errors=(
+                LeanError("first", span=((2, 3), (2, 8))),
+                LeanError("empty", span=((2, 8), (2, 8))),
+                LeanError("second", span=((2, 8), (2, 10))),
+            ),
+        )
+        annotated = build_error_annotation(self.CODE, result)
+        assert "  <error>exact</error><error></error><error> 0</error>\n  done" in annotated
+        assert annotated.endswith("Errors:\n- first\n- empty\n- second")
+
     def test_unpositioned_error_is_message_only(self):
         result = VerificationResult(
             passed=False, complete=False, errors=(LeanError("timeout"),)

@@ -245,26 +245,6 @@ class TestNextAction:
         assert action.kind is ActionKind.FINISH
         assert action.outcome is not None and not action.outcome.success
 
-    def test_ast_ready_flips_parse_to_extract(self):
-        tree = formal_tree()
-        root = tree.root_node()
-        root.status = NodeStatus.AWAITING_AST_PARSE
-        assert next_action(tree, open_passes=1).kind is ActionKind.PARSE_AST
-        action = next_action(tree, frozenset({root.id}), open_passes=1)
-        assert action.kind is ActionKind.EXTRACT_SUBGOALS
-
-    def test_extraction_has_lowest_priority(self):
-        tree = formal_tree()
-        root = tree.root_node()
-        record_verified(tree, root.id, "decomposer", "theorem tst : True := by\n  sorry")
-        ready_id = tree.add_child(root.id, make_subgoal("ready"))
-        sketching_id = tree.add_child(root.id, make_subgoal("sketching"))
-        root.status = NodeStatus.AWAITING_CHILDREN
-        tree.node(ready_id).status = NodeStatus.AWAITING_AST_PARSE
-        tree.node(sketching_id).status = NodeStatus.AWAITING_SKETCH
-        action = next_action(tree, frozenset({ready_id}), open_passes=1)
-        assert (action.kind, action.node_id) == (ActionKind.SKETCH, sketching_id)
-
     def test_depth_overflow_resolves_to_backtrack(self):
         limits = Limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
@@ -312,13 +292,13 @@ class TestNextAction:
         assert action == Action(ActionKind.PROVE, tree.root, pass_=2)
 
     def test_another_pass_waits_for_ready_work_on_any_node(self):
-        tree, (proving, extracting) = sibling_tree("proving", "extracting")
+        tree, (proving, checking) = sibling_tree("proving", "checking")
         fail_a_prover_round(tree, proving)
-        tree.node(extracting).status = NodeStatus.AWAITING_AST_PARSE
+        tree.node(checking).status = NodeStatus.AWAITING_SKETCH_CHECK
         busy = frozenset({(proving, 1)})
-        action = next_action(tree, frozenset({extracting}), busy, open_passes=2)
-        assert action == Action(ActionKind.EXTRACT_SUBGOALS, extracting)
-        action = next_action(tree, busy=busy | {(extracting, None)}, open_passes=2)
+        action = next_action(tree, busy, open_passes=2)
+        assert action == Action(ActionKind.SKETCH_CHECK, checking)
+        action = next_action(tree, busy=busy | {(checking, None)}, open_passes=2)
         assert action == Action(ActionKind.PROVE, proving, pass_=2)
 
     def test_another_pass_goes_to_the_shallower_then_the_earlier_node(self):
@@ -905,6 +885,11 @@ LAST_FAILURES = {
     ),
     "prover-unfenced": (
         "proving", {"prover": "No code here."}, "did not contain a fenced Lean code block"
+    ),
+    "prover-header-only": (
+        "proving",
+        {"prover": lean_block("import Mathlib\nopen Nat")},
+        "did not contain a fenced Lean code block",
     ),
     "prover-lean-error": (
         "proving", {"prover": lean_block(FAILING_PROOF)}, f"unknown identifier '{FAIL_MARKER}'"

@@ -602,6 +602,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             ProofTree.load(path)
 
+    def test_an_indented_record_of_this_version_is_not_a_checkpoint(self, tmp_path):
+        """A checkpoint is JSON lines: a record of this version indented
+        over several lines is rejected on its first line."""
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(sketch_tree().to_dict(), indent=2), encoding="utf-8")
+        with pytest.raises(ValueError, match="checkpoint line 1 is not valid JSON"):
+            ProofTree.load(path)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_a_history_tail_that_does_not_start_at_the_end_is_malformed(self, tmp_path, shift):
+        tree = sketch_tree()
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        tree.record_attempt(tree.root, "decomposer", "sketch please", "here", failed=True)
+        tree.save(path)
+        tree.close()
+        snapshot, line = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        change = json.loads(line)
+        start, appended = change["nodes"][tree.root]["history"]
+        change["nodes"][tree.root]["history"] = [start + shift, appended]
+        path.write_text(snapshot + json.dumps(change) + "\n", encoding="utf-8")
+        message = re.escape(f"history of {tree.root} resumes at {start + shift}, not its end")
+        with pytest.raises(ValueError, match=f"checkpoint line 2 is malformed: .*{message}"):
+            ProofTree.load(path)
+
 
 @st.composite
 def operation_sequences(draw):
