@@ -160,16 +160,36 @@ def _sorry_events(root: AstNode) -> list[str | None]:
     return events
 
 
+#: The index Lean appends to an inaccessible name (``h✝¹``) when several
+#: share its base.
+_INDEX = "⁰¹²³⁴⁵⁶⁷⁸⁹"
+
+
 def _mentions(goal_type: str, name: str) -> bool:
-    return re.search(rf"(?<![A-Za-z0-9_']){re.escape(name)}(?![A-Za-z0-9_'])", goal_type) is not None
-
-
-def _render_binders(binders) -> str:
-    return "".join(f" ({name} : {_normalize_ws(typ)})" for name, typ in binders)
+    edge = f"A-Za-z0-9_'✝{_INDEX}"
+    return re.search(rf"(?<![{edge}]){re.escape(name)}(?![{edge}])", goal_type) is not None
 
 
 def _render_statement(name: str, binders, goal_type: str) -> str:
-    return f"theorem {name}{_render_binders(binders)} : {_normalize_ws(goal_type)} := by\n  sorry"
+    """The subgoal as a theorem proved by ``sorry``: each binder as
+    ``(name : type)``, and an anonymous instance (``inst✝``) that no type
+    names as ``[type]``. Lean cannot parse any other inaccessible name,
+    and renaming it would break the proof spliced back where it is still
+    inaccessible: raises BadSketch."""
+    rendered = ""
+    for binder, typ in binders:
+        if "✝" not in binder:
+            rendered += f" ({binder} : {_normalize_ws(typ)})"
+        elif binder.rstrip(_INDEX) == "inst✝" and not any(
+            _mentions(text, binder) for text in (goal_type, *(t for _, t in binders))
+        ):
+            rendered += f" [{_normalize_ws(typ)}]"
+        else:
+            raise BadSketch(
+                f"the subgoal's hypothesis {binder} has an inaccessible name; name every "
+                "hypothesis the subgoal uses (intro n h, induction n with ...)"
+            )
+    return f"theorem {name}{rendered} : {_normalize_ws(goal_type)} := by\n  sorry"
 
 
 def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
@@ -183,8 +203,9 @@ def extract_subgoals(ast: AstNode, sorries: list[SorryInfo]) -> list[Subgoal]:
     subgoal's goal type mentions them, so that proofs of independent
     siblings stay independent.
 
-    Raises BadSketch for a sorry outside any named have, and when the
-    tree and the sorries metadata disagree.
+    Raises BadSketch for a sorry outside any named have, for a
+    hypothesis with an inaccessible name other than an instance's, and
+    when the tree and the sorries metadata disagree.
     """
     events = _sorry_events(ast)
     ordered = sorted(sorries, key=lambda s: s.position)

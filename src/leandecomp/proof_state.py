@@ -86,9 +86,6 @@ class Counters:
     sketch_corrections_used: int = 0
     decompositions_used: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        return dict(vars(self))
-
 
 @dataclass
 class ProofNode:
@@ -176,12 +173,11 @@ class ProofTree:
         self._codes: dict[str, dict[int | None, LeanSource]] = {}
         self._passes: dict[str, _Passes] = {}
         # The checkpoint file this tree last saved to, the handle that
-        # appends to it (opened by the first append), and per node what
-        # that file holds: its ``_node_key``, its fields and the length
-        # of its history.
+        # appends to it (opened by the first append), and per node the
+        # ``_node_fields`` record and the history length that file holds.
         self._journal_path: str | None = None
         self._journal: TextIO | None = None
-        self._written: dict[str, tuple[tuple, dict[str, Any], int]] = {}
+        self._written: dict[str, tuple[dict[str, Any], int]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -610,11 +606,12 @@ class ProofTree:
         The first save of this tree to ``path`` writes one snapshot line
         of the whole tree to a temporary file and renames it over
         ``path``. Every later save appends one line holding only what
-        changed since the previous save: changed node fields, the new
-        tails of the node histories and the ids of removed nodes. A
-        failed write makes the next save a snapshot, so a torn line can
-        only be the last one. Appends go through one handle, flushed
-        after every line, until ``close`` or the next snapshot.
+        changed since the previous save: each node's fields that differ
+        from its record last written, the new tails of the node
+        histories and the ids of removed nodes. A failed write makes the
+        next save a snapshot, so a torn line can only be the last one.
+        Appends go through one handle, flushed after every line, until
+        ``close`` or the next snapshot.
         """
         path = os.fspath(path)
         journal, self._journal_path = self._journal_path, None
@@ -632,8 +629,7 @@ class ProofTree:
                 handle.write(_json_line(self.to_dict()))
             os.replace(temp, path)
             self._written = {
-                node.id: (_node_key(node), _node_fields(node), len(node.history))
-                for node in self.nodes.values()
+                node.id: (_node_fields(node), len(node.history)) for node in self.nodes.values()
             }
         self._journal_path = path
 
@@ -644,15 +640,15 @@ class ProofTree:
             handle.close()
 
     def _delta_line(self) -> str | None:
-        """The journal line for what changed since the last save, or
-        None when nothing did; records the new state as written."""
+        """The journal line for what changed since the last save, or None
+        when nothing did: the node fields that differ from the record last
+        written, and the new history tails. Records what it writes."""
         changes: dict[str, Any] = {}
         for node in self.nodes.values():
-            node_key = _node_key(node)
-            old_key, old_fields, written_history = self._written.get(node.id, ((), {}, 0))
-            if node_key == old_key and written_history == len(node.history):
+            fields = _node_fields(node)
+            old_fields, written_history = self._written.get(node.id, ({}, 0))
+            if fields == old_fields and written_history == len(node.history):
                 continue
-            fields = old_fields if node_key == old_key else _node_fields(node)
             change: dict[str, Any] = {}
             changed_fields = {
                 key: value
@@ -665,7 +661,7 @@ class ProofTree:
                 change["history"] = [written_history, node.history[written_history:]]
             if change:
                 changes[node.id] = change
-                self._written[node.id] = (node_key, fields, len(node.history))
+                self._written[node.id] = (fields, len(node.history))
         removed = [node_id for node_id in self._written if node_id not in self.nodes]
         for node_id in removed:
             del self._written[node_id]
@@ -717,28 +713,10 @@ def _require_pass(pass_: int | None) -> int:
     return pass_
 
 
-def _node_key(node: ProofNode) -> tuple:
-    """Every value ``_node_fields`` records, as a tuple that is cheaper to
-    build and compare: a save skips the nodes whose key is unchanged."""
-    return (
-        node.parent,
-        node.depth,
-        node.status,
-        node.informal_statement,
-        node.formal,
-        node.name,
-        tuple(node.children),
-        tuple(vars(node.counters).values()),
-        tuple(map(tuple, node.hints)),
-        node.last_failure,
-    )
-
-
 def _node_fields(node: ProofNode) -> dict[str, Any]:
     """A node's checkpoint record without its ``history``, which the
-    journal writes as appended tails."""
+    journal writes as appended tails. Its id is the record's key."""
     return {
-        "id": node.id,
         "parent": node.parent,
         "depth": node.depth,
         "status": node.status.value,
@@ -748,7 +726,7 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
         else {"preamble": node.formal.preamble, "body": node.formal.body},
         "name": node.name,
         "children": list(node.children),
-        "counters": node.counters.to_dict(),
+        "counters": dict(vars(node.counters)),
         "hints": [list(h) for h in node.hints],
         "last_failure": node.last_failure,
     }

@@ -212,6 +212,50 @@ class TestStandaloneStatement:
         assert count_sorries(sg.standalone_statement) == 1
 
 
+def step_statement(goal: str) -> str:
+    """The standalone statement of the one subgoal, ``step``, of a sketch
+    whose sorry has the goal Lean prints as ``goal``."""
+    payload = build_sketch_payload("theorem t : True := by\n  have step : P := by sorry\n  trivial")
+    payload["sorries"][0]["goal"] = goal
+    (subgoal,) = extract_subgoals(*parse_ast(payload))
+    return subgoal.standalone_statement
+
+
+class TestInaccessibleNames:
+    """Lean prints a hypothesis that the sketch never named with a ``✝``,
+    which no theorem statement can parse."""
+
+    @pytest.mark.parametrize(
+        "goal, binders",
+        [
+            ("inst✝ : Fintype α\nh : Fintype.card α > 0\n⊢ Nonempty α", "[Fintype α]"),
+            (
+                "inst✝¹ : Fintype α\ninst✝ : DecidableEq α\nh : Fintype.card α > 0\n⊢ Nonempty α",
+                "[Fintype α] [DecidableEq α]",
+            ),
+        ],
+        ids=["one-instance", "indexed-instances"],
+    )
+    def test_anonymous_instance_renders_as_instance_binder(self, goal, binders):
+        assert step_statement(goal) == (
+            f"theorem step {binders} (h : Fintype.card α > 0) : Nonempty α := by\n  sorry"
+        )
+
+    @pytest.mark.parametrize(
+        "goal, name",
+        [
+            ("inst✝ : Fintype α\nn✝ : ℕ\nh : n✝ > 0\n⊢ n✝ ≥ 1", "n✝"),
+            ("h✝¹ : 0 < 1\n⊢ True", "h✝¹"),
+            ("inst✝ : Fintype α\n⊢ @Fintype.card α inst✝ > 0", "inst✝"),
+            ("inst✝¹ : Fintype α\ninst✝ : DecidableEq α\n⊢ @Fintype.card α inst✝¹ > 0", "inst✝¹"),
+        ],
+        ids=["variable", "indexed", "instance-in-target", "indexed-instance-in-target"],
+    )
+    def test_other_inaccessible_hypothesis_is_a_bad_sketch(self, goal, name):
+        with pytest.raises(BadSketch, match=f"hypothesis {name} has an inaccessible name"):
+            step_statement(goal)
+
+
 class TestAstNodeShape:
     def test_walk_is_depth_first(self):
         root = AstNode("a", children=[AstNode("b", children=[AstNode("c")]), AstNode("d")])

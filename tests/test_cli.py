@@ -2,6 +2,7 @@
 against scripted localhost HTTP services."""
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,27 @@ class TestInputErrors:
             "supported: this build reads only version 6; start a new run\n"
         )
         assert sorted(path.name for path in out.iterdir()) == ["checkpoint.json", "diagnostic.txt"]
+
+    def test_an_output_directory_that_cannot_be_created_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(["--informal", "x", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot create output directory {out}: ")
+
+    @pytest.mark.parametrize(
+        "flags, level", [([], logging.WARNING), (["-v"], logging.INFO), (["-vv"], logging.DEBUG)]
+    )
+    def test_verbosity_sets_the_package_log_level(self, tmp_path, flags, level):
+        logger = logging.getLogger("leandecomp")
+        previous = logger.level
+        absent = str(tmp_path / "absent.ini")
+        try:
+            assert main([*flags, "--informal", "x", "--config", absent, "--out", str(tmp_path)]) == 2
+            assert logger.level == level
+        finally:
+            logger.setLevel(previous)
 
     def test_zero_workers(self, tmp_path):
         assert main(["--informal", "x", "--workers", "0", "--out", str(tmp_path / "o")]) == 2

@@ -1785,6 +1785,66 @@ class TestCompletionScheduler:
             {"action": e["action"], "outcome": e["outcome"]} for e in entries
         ]
 
+    def test_a_result_landing_after_the_run_failed_is_dropped(self, tmp_path):
+        """tst_a's sketches never export, so its last failed export spends
+        its sketch-correction budget; at depth 1 it has no ancestor to
+        backtrack to, and the run fails. tst_b_a's Prove is held until
+        that export has landed, and lands in the same batch after it:
+        nothing of it is recorded."""
+        released = []
+
+        def landed_count(orch, count):
+            deadline = time.monotonic() + 10
+            while orch._landed.qsize() < count:
+                assert time.monotonic() < deadline, "a call in flight never landed"
+                time.sleep(0.005)
+
+        def on_wait(orch):
+            node = named(orch.tree, "tst_a")
+            gate = prover.gates["tst_b_a"]
+            if (
+                node is None
+                or gate.is_set()
+                or node.counters.sketch_corrections_used != limits.decomposer_self_correction - 1
+                or ActionKind.PARSE_AST not in [a.kind for a in in_flight(orch, node.id)]
+            ):
+                return
+            released.append(prover.started["tst_b_a"].is_set())
+            landed_count(orch, len(orch._inflight) - 1)  # all but the held Prove
+            gate.set()
+            landed_count(orch, len(orch._inflight))
+
+        limits = JOURNAL_LIMITS
+        backends = journal_backends(frozenset({"tst", "tst_a", "tst_b"}))
+        prover = backends["prover"] = GatedChat(backends["prover"], ["tst_b_a"])
+        orch = HookedOrchestrator(
+            formal_tree(limits=limits),
+            backends=backends,
+            verifier=RuleVerifier(),
+            ast_client=BuilderAst(fail_for=["tst_a_a"]),
+            search_client=ScriptedSearch(),
+            workers=2,
+            run_log_path=tmp_path / "run.jsonl",
+            checkpoint_path=tmp_path / "checkpoint.json",
+            on_wait=on_wait,
+        )
+        outcome = orch.run()
+        assert released == [True]
+        assert not outcome.success
+        failed = named(orch.tree, "tst_a")
+        assert f"node {failed.id} at depth 1 spent its sketch-correction budget (2)" in (
+            outcome.report
+        )
+        late = named(orch.tree, "tst_b_a")
+        dropped = next(r for r in prover.inner.replies if "theorem tst_b_a :" in r)
+        assert late.history == [] and late.status is NodeStatus.AWAITING_PROOF
+        assert json.dumps(dropped, ensure_ascii=False) not in (
+            tmp_path / "checkpoint.json"
+        ).read_text(encoding="utf-8")
+        entries = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
+        assert late.id not in {e["node"] for e in entries}
+        assert entries[-1]["action"] == "Finish" and entries[-1]["outcome"] == "failure"
+
 
 # ------------------------------------------------------ overlapping passes
 

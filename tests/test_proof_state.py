@@ -21,7 +21,7 @@ from tests.sample_proofs import (
     INFINITUDE_SKETCH,
     INFINITUDE_SUBGOAL_NAMES,
 )
-from tests.test_ast_model import load_payload
+from tests.test_ast_model import FIXTURES, load_payload
 
 LIMITS = Limits()
 
@@ -441,6 +441,28 @@ class TestCheckpoint:
         clone = ProofTree.load(path)
         assert clone.to_dict() == tree.to_dict()
 
+    def test_a_journal_whose_records_name_their_id_resumes_to_the_same_tree(self, tmp_path):
+        """``checkpoint_with_ids.json`` holds these steps' snapshot and
+        two appended lines (one adds a node and a history tail, one prunes
+        it), saved by a build that also wrote each node's ``id`` inside its
+        record. It loads to the tree the steps make here. This build writes
+        the same lines without ``id``, which the record's key gives."""
+        written, path = FIXTURES / "checkpoint_with_ids.json", tmp_path / "checkpoint.json"
+        tree = sketch_tree()
+        tree.save(path)
+        child = tree.root_node().children[0]
+        tree.add_child(child, make_subgoal("tiny"))
+        tree.record_attempt(child, "prover", "prove it", "no", failed=True, pass_=1)
+        tree.save(path)
+        tree.prune_subtree(child)
+        tree.save(path)
+        tree.close()
+        assert ProofTree.load(written).to_dict() == tree.to_dict()
+        assert not any("id" in record for record in tree.to_dict()["nodes"].values())
+        assert path.read_text(encoding="utf-8") == re.sub(
+            r'"id":"n\d{4}",', "", written.read_text(encoding="utf-8")
+        )
+
     def test_failed_append_makes_next_save_a_snapshot(self, tmp_path):
         tree = sketch_tree()
         path = tmp_path / "checkpoint.json"
@@ -535,8 +557,8 @@ class TestCheckpoint:
     )
     def test_a_change_to_any_one_field_is_appended(self, tmp_path, field):
         """A save appends a node whose only change is one field, so the
-        cheap comparison that lets a save skip unchanged nodes covers
-        every field."""
+        comparison with the record that the last save wrote covers every
+        field."""
         tree = sketch_tree()
         path = tmp_path / "checkpoint.json"
         tree.save(path)
