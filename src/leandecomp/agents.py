@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -33,19 +32,6 @@ class PromptKind(Enum):
     DECOMPOSER_BACKTRACK = "decomposer_backtrack"
 
 
-@dataclass(frozen=True)
-class PromptVars:
-    """Values for the template placeholders; unused fields may stay None."""
-
-    formal_statement_name: str | None = None
-    informal_statement: str | None = None
-    formal_statement: str | None = None
-    formal_theorem: str | None = None
-    prev_round_num: str | None = None
-    error_message_for_prev_round: str | None = None
-    theorem_hints_section: str | None = None
-
-
 _PLACEHOLDER_RE = re.compile(r"\{\{\s*(\w+)\s*\}\}")
 
 
@@ -55,19 +41,20 @@ def _template_text(kind: PromptKind) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-def render_prompt(kind: PromptKind, vars: PromptVars) -> str:
+def render_prompt(kind: PromptKind, **values: str) -> str:
     """
-    Fill a prompt template with the given variables.
+    Fill a prompt template with the values given for its placeholders;
+    a value the template has no placeholder for is left out.
 
     Substitution is single-pass: values containing ``{{`` are inserted
     verbatim, never re-expanded. Raises LeandecompError when the
-    template references a field left as None.
+    template references a placeholder given no value.
     """
     template = _template_text(kind)
 
     def substitute(match: re.Match) -> str:
         name = match.group(1)
-        value = getattr(vars, name, None)
+        value = values.get(name)
         if value is None:
             raise LeandecompError(f"template {kind.value!r} needs variable {name!r}")
         return value

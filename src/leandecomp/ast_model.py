@@ -165,9 +165,14 @@ def _sorry_events(root: AstNode) -> list[str | None]:
 _INDEX = "⁰¹²³⁴⁵⁶⁷⁸⁹"
 
 
+#: The characters of a name besides word characters. A ``.`` before a
+#: name makes it a field (``x.h``); one after it is a projection (``h.1``).
+_NAME_CHARS = f"'!?✝{_INDEX}"
+
+
 def _mentions(goal_type: str, name: str) -> bool:
-    edge = f"A-Za-z0-9_'✝{_INDEX}"
-    return re.search(rf"(?<![{edge}]){re.escape(name)}(?![{edge}])", goal_type) is not None
+    pattern = rf"(?<![\w.{_NAME_CHARS}]){re.escape(name)}(?![\w{_NAME_CHARS}])"
+    return re.search(pattern, goal_type) is not None
 
 
 def _render_statement(name: str, binders, goal_type: str) -> str:

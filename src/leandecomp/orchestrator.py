@@ -3,9 +3,9 @@
 A single coordinator owns the proof tree and repeatedly picks the
 highest-priority ready work: formalizing the root, syntax/semantics-
 validating a formalization, proving and verifying leaves, and — when
-direct proving exhausts its passes — generating search queries,
-retrieving hint theorems, sketching a decomposition, checking the
-sketch and exporting its AST, whose named subgoals become the node's
+direct proving exhausts its passes — generating search queries and
+retrieving hint theorems with them, sketching a decomposition, checking
+the sketch and exporting its AST, whose named subgoals become the node's
 children as the export lands. Equal-priority work is ordered by depth
 then node creation, so subgoals are processed breadth-first. A node
 proves in passes of self-correction rounds. The passes are independent,
@@ -50,7 +50,6 @@ from typing import Any, Callable, Mapping, TextIO
 
 from .agents import (
     PromptKind,
-    PromptVars,
     build_error_annotation,
     format_theorem_hints,
     generate_theorem_name,
@@ -72,7 +71,6 @@ class ActionKind(Enum):
     VERIFY = "Verify"
     PARSE_AST = "ParseAst"
     GEN_QUERIES = "GenQueries"
-    LOOKUP = "Lookup"
     SKETCH = "Sketch"
     SKETCH_CHECK = "SketchCheck"
     BACKTRACK = "Backtrack"
@@ -114,9 +112,8 @@ _STATUS_ACTIONS = {
     NodeStatus.AWAITING_VERIFICATION: (5, ActionKind.VERIFY),
     NodeStatus.AWAITING_AST_PARSE: (6, ActionKind.PARSE_AST),
     NodeStatus.AWAITING_QUERY_GEN: (7, ActionKind.GEN_QUERIES),
-    NodeStatus.AWAITING_LOOKUP: (8, ActionKind.LOOKUP),
-    NodeStatus.AWAITING_SKETCH: (9, ActionKind.SKETCH),
-    NodeStatus.AWAITING_SKETCH_CHECK: (10, ActionKind.SKETCH_CHECK),
+    NodeStatus.AWAITING_SKETCH: (8, ActionKind.SKETCH),
+    NodeStatus.AWAITING_SKETCH_CHECK: (9, ActionKind.SKETCH_CHECK),
 }
 
 
@@ -146,7 +143,7 @@ def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
             and len(passes.open) < open_passes
             and len(passes.seen) < tree.limits.prover_max_pass
         ):
-            yield 11, ActionKind.PROVE, passes.next  # the lowest priority of all
+            yield 10, ActionKind.PROVE, passes.next  # the lowest priority of all
     elif node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
         yield 7, ActionKind.BACKTRACK, None
     elif node.status in _STATUS_ACTIONS:
@@ -484,10 +481,8 @@ class Orchestrator:
             node.name = generate_theorem_name(node.informal_statement or "")
         prompt = render_prompt(
             PromptKind.FORMALIZER,
-            PromptVars(
-                formal_statement_name=node.name,
-                informal_statement=node.informal_statement or "",
-            ),
+            formal_statement_name=node.name,
+            informal_statement=node.informal_statement or "",
         )
         return self._generate(node, "formalizer", [], prompt)
 
@@ -495,10 +490,8 @@ class Orchestrator:
         formal = self.tree.unit(node.id)
         prompt = render_prompt(
             PromptKind.SEMANTIC_CHECK,
-            PromptVars(
-                informal_statement=node.informal_statement or "",
-                formal_statement=formal.body,
-            ),
+            informal_statement=node.informal_statement or "",
+            formal_statement=formal.body,
         )
 
         def apply(response: str | LeandecompError) -> None:
@@ -514,7 +507,7 @@ class Orchestrator:
                 node.formal = formal
                 node.status = NodeStatus.AWAITING_PROOF
             else:
-                self._failed(node, "semantics", None)
+                self._failed(node, "semantics")
 
         return _Call(apply, partial(self._ask, "semantics", [("user", prompt)]))
 
@@ -528,16 +521,13 @@ class Orchestrator:
         conversation = self.tree.conversation(node.id, "prover", pass_)
         if not conversation:
             prompt = render_prompt(
-                PromptKind.PROVER_INITIAL,
-                PromptVars(formal_statement=node.formal.combined()),
+                PromptKind.PROVER_INITIAL, formal_statement=node.formal.combined()
             )
         else:
             prompt = render_prompt(
                 PromptKind.PROVER_CORRECTION,
-                PromptVars(
-                    prev_round_num=str(passes.open[pass_]),
-                    error_message_for_prev_round=passes.notes[pass_] or "unknown error",
-                ),
+                prev_round_num=str(passes.open[pass_]),
+                error_message_for_prev_round=passes.notes[pass_] or "unknown error",
             )
         return self._generate(node, "prover", conversation, prompt, pass_)
 
@@ -581,7 +571,7 @@ class Orchestrator:
                 except BadReply:
                     note = "the completion did not contain a fenced Lean code block"
             self.tree.record_attempt(node.id, role, prompt, response, True, pass_, note)
-            self._failed(node, role, note)
+            self._failed(node, role)
 
         return _Call(apply, partial(self._ask, role, conversation + [("user", prompt)]))
 
@@ -610,7 +600,7 @@ class Orchestrator:
             note = build_error_annotation(unit, result) if annotate else None
             self.tree.record_verdict(node.id, result, pass_, note)
             if not result.passed:
-                self._failed(node, role, note)
+                self._failed(node, role)
             elif role == "formalizer":
                 node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
             elif not result.complete:
@@ -623,15 +613,15 @@ class Orchestrator:
 
     _do_syntax_check = _do_sketch_check = _do_verify
 
-    def _failed(self, node: ProofNode, role: str, note: str | None) -> None:
+    def _failed(self, node: ProofNode, role: str) -> None:
         """Go on after a failed round of ``role``, which the tree has
-        charged to the role's budget. The role tries again until that
+        charged to the role's budget, with the note of what went wrong
+        that the next correction prompt shows (a formalization retry
+        starts afresh and shows none). The role tries again until that
         budget is spent; then formalization fails the run, proving gives
-        way to decomposition and sketching backtracks. ``note`` says what
-        went wrong, for the next decomposer correction prompt (a prover
-        round keeps its note in its pass); a formalization retry starts
-        afresh and shows none. A prover node awaits the check of another
-        pass's round, or its next round, until every pass has ended."""
+        way to decomposition and sketching backtracks. A prover node
+        awaits the check of another pass's round, or its next round,
+        until every pass has ended."""
         limits, counters = self.tree.limits, node.counters
         if role in ("formalizer", "semantics"):
             if counters.formalize_retries < limits.formalizer_max_retries:
@@ -648,7 +638,6 @@ class Orchestrator:
             replied = bool(self.tree.passes(node.id).unjudged)
             node.status = NodeStatus.AWAITING_QUERY_GEN if spent else _AWAITING_REPLY[replied]
             return
-        node.last_failure = note
         if counters.sketch_corrections_used < limits.decomposer_self_correction:
             node.status = NodeStatus.AWAITING_SKETCH
         else:
@@ -660,51 +649,49 @@ class Orchestrator:
     # -------------------------------------------------------- decomposition
 
     def _do_gen_queries(self, node: ProofNode) -> _Call:
+        """The search-query rounds and, in the same call, the search for
+        hint theorems with the queries of the reply that gave them. The
+        hints go into that reply's history entry, where the sketch reads
+        them, and the node awaits its sketch."""
         kind = (
             PromptKind.QUERY_BACKTRACK
             if node.counters.decompositions_used > 0
             else PromptKind.QUERY_INITIAL
         )
-        prompt = render_prompt(kind, PromptVars(formal_theorem=node.formal.body))
+        prompt = render_prompt(kind, formal_theorem=node.formal.body)
         messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
 
-        def ask() -> list[tuple[str | LeandecompError, list[str] | None]]:
-            """Each reply with its queries (None when it has none): one
-            ask plus at most one re-ask."""
+        def ask() -> list[tuple[str | LeandecompError, list[tuple[str, str]] | None]]:
+            """Each reply with the hints its queries found (None when it
+            has no queries): one ask plus at most one re-ask."""
             rounds, turns = [], messages
             for _ in range(2):
                 reply = self._ask("search_query", turns)
                 if isinstance(reply, LeandecompError):
                     return rounds + [(reply, None)]
                 try:
-                    return rounds + [(reply, parse_search_queries(reply))]
+                    queries = parse_search_queries(reply)
                 except BadReply:
                     rounds.append((reply, None))
                     turns = turns + [("assistant", reply), ("user", prompt)]
+                else:
+                    return rounds + [(reply, self._search(queries))]
             return rounds
 
         def apply(rounds) -> None:
-            for reply, queries in rounds:
+            for reply, hints in rounds:
                 if isinstance(reply, LeandecompError):
                     reply = f"(backend failure: {reply})"
                 self.tree.record_attempt(
-                    node.id, "search_query", prompt, reply, failed=queries is None
+                    node.id, "search_query", prompt, reply, failed=hints is None, hints=hints
                 )
-            node.status = NodeStatus.AWAITING_LOOKUP
+            node.status = NodeStatus.AWAITING_SKETCH
 
         return _Call(apply, ask)
 
-    def _do_lookup(self, node: ProofNode) -> _Call | None:
-        def apply(hints: list[tuple[str, str]]) -> None:
-            node.hints = hints
-            node.status = NodeStatus.AWAITING_SKETCH
-
-        asked = self.tree.last_round(node.id)  # the latest search-query round
-        if asked["failed"] or self.search_client is None:
-            return apply([])
-        return _Call(apply, partial(self._search, parse_search_queries(asked["response"])))
-
     def _search(self, queries: list[str]) -> list[tuple[str, str]]:
+        if self.search_client is None:
+            return []
         try:
             hits = self.search_client.search_theorems(queries)
         except ServiceError:
@@ -712,27 +699,28 @@ class Orchestrator:
         return [(hit.full_name, hit.statement) for hit in hits]
 
     def _do_sketch(self, node: ProofNode) -> _Call:
+        """A sketch round. An initial or backtrack sketch shows the hints
+        that the node's latest round, its search-query round, found; a
+        correction shows the note of the node's latest failed round."""
         counters = node.counters
         conversation = self.tree.conversation(node.id, "decomposer")
-        if counters.sketch_corrections_used == 0 and counters.decompositions_used > 0:
-            kind = PromptKind.DECOMPOSER_BACKTRACK
-            vars = PromptVars(
-                prev_round_num=str(len(conversation) // 2),
-                theorem_hints_section=format_theorem_hints(node.hints),
-            )
-        elif counters.sketch_corrections_used == 0:
-            kind = PromptKind.DECOMPOSER_INITIAL
-            vars = PromptVars(
-                formal_theorem=node.formal.body,
-                theorem_hints_section=format_theorem_hints(node.hints),
+        if counters.sketch_corrections_used > 0:
+            notes = (entry["note"] for entry in reversed(node.history) if "note" in entry)
+            prompt = render_prompt(
+                PromptKind.DECOMPOSER_CORRECTION,
+                prev_round_num=str(counters.sketch_corrections_used),
+                error_message_for_prev_round=next(notes, "unknown error"),
             )
         else:
-            kind = PromptKind.DECOMPOSER_CORRECTION
-            vars = PromptVars(
-                prev_round_num=str(counters.sketch_corrections_used),
-                error_message_for_prev_round=node.last_failure or "unknown error",
+            backtrack = counters.decompositions_used > 0
+            hints = self.tree.last_round(node.id).get("hints", [])
+            prompt = render_prompt(  # each template fills the placeholders it has
+                PromptKind.DECOMPOSER_BACKTRACK if backtrack else PromptKind.DECOMPOSER_INITIAL,
+                formal_theorem=node.formal.body,
+                prev_round_num=str(len(conversation) // 2),
+                theorem_hints_section=format_theorem_hints(hints),
             )
-        return self._generate(node, "decomposer", conversation, render_prompt(kind, vars))
+        return self._generate(node, "decomposer", conversation, prompt)
 
     def _do_parse_ast(self, node: ProofNode) -> _Call:
         """The AST export of the node's checked sketch. When it lands, the
@@ -761,8 +749,10 @@ class Orchestrator:
                     defect = "the proof sketch contains no named subgoals"
                 except BadSketch as exc:
                     defect = f"the proof sketch could not be decomposed: {exc}"
-            self.tree.record_attempt(node.id, "decomposer", f"({stage})", defect, failed=True)
-            self._failed(node, "decomposer", defect)
+            self.tree.record_attempt(
+                node.id, "decomposer", f"({stage})", defect, failed=True, note=defect
+            )
+            self._failed(node, "decomposer")
 
         return _Call(apply, partial(self._fetch_ast, self.tree.unit(node.id).combined()))
 

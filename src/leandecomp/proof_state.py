@@ -6,9 +6,11 @@ status, a never-cleared history of agent rounds (from which each
 agent's running conversation is derived), and the retry counters that
 drive scheduling. A generated reply that still awaits its Lean check is
 a round of its node's history; the check appends a verdict entry after
-it. Prover rounds and their verdicts carry the number of their
-``pass``, so that several passes of one node can be open at once, each
-with at most one round awaiting its check. The tree persists as a
+it. The entry of a failed round notes what its correction shows, and a
+search-query round keeps the hint theorems its queries found. Prover
+rounds and their verdicts carry the number of their ``pass``, so that
+several passes of one node can be open at once, each with at most one
+round awaiting its check. The tree persists as a
 checkpoint journal (a snapshot line, then one line per save holding
 what changed) and reconstructs
 complete proofs from proven subtrees by splicing each child's proof
@@ -37,7 +39,7 @@ from .lean_source import (
 from .ast_model import Subgoal
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: The prompts of the decomposer entries that note a defect found in a
 #: verified sketch, at AST export or at subgoal extraction.
@@ -52,7 +54,6 @@ class NodeStatus(Enum):
     AWAITING_VERIFICATION = "AwaitingVerification"
     AWAITING_AST_PARSE = "AwaitingAstParse"
     AWAITING_QUERY_GEN = "AwaitingQueryGen"
-    AWAITING_LOOKUP = "AwaitingLookup"
     AWAITING_SKETCH = "AwaitingSketch"
     AWAITING_SKETCH_CHECK = "AwaitingSketchCheck"
     AWAITING_CHILDREN = "AwaitingChildren"
@@ -99,9 +100,6 @@ class ProofNode:
     children: list[str] = field(default_factory=list)
     history: list[dict[str, Any]] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
-    # working data for the current phase
-    hints: list[tuple[str, str]] = field(default_factory=list)
-    last_failure: str | None = None  # what the next sketch correction shows
 
 
 @dataclass
@@ -160,7 +158,7 @@ class ProofTree:
     """Owner of all nodes, which its methods add, prune and record rounds
     on, of each node's prover passes (``passes``) and of the Lean unit
     that each round proposes (``unit``); the orchestrator sets
-    ``status``, ``formal``, ``hints`` and ``last_failure`` itself."""
+    ``status`` and ``formal`` itself."""
 
     def __init__(self, limits: Limits):
         self.limits = limits
@@ -318,12 +316,16 @@ class ProofTree:
     def record_attempt(
         self, node_id: str, role: str, prompt: str, response: str, failed: bool | None,
         pass_: int | None = None, note: str | None = None,
+        hints: list[tuple[str, str]] | None = None,
     ) -> None:
         """Log one agent round judged at once, in one history entry (see
-        ``_log``). A prover round of no ``failed`` verdict is a reply that
+        ``_log``), with the hint theorems that its search queries found,
+        if any. A prover round of no ``failed`` verdict is a reply that
         landed after another pass verified; it is charged to no budget."""
         entry = {"role": role, "prompt": prompt, "response": response,
                  "failed": failed, "verdict": None}
+        if hints:
+            entry["hints"] = [list(hint) for hint in hints]
         pass_ = self._log(self.node(node_id), entry, role, pass_, note)
         self._codes.get(node_id, {}).pop(pass_, None)
 
@@ -349,11 +351,11 @@ class ProofTree:
         if given), as an entry of its own that repeats no text, and apply
         the round's counter rules.
 
-        A failed prover round consumes one self-correction attempt of its
-        pass, and keeps ``note`` for the pass's next correction; the pass
-        ends when its budget is spent, and the next pass starts a fresh
-        prover conversation. Formalizer and semantics failures consume
-        formalization retries; decomposer failures consume sketch
+        A failed round keeps ``note`` for its next correction. A failed
+        prover round consumes one self-correction attempt of its pass;
+        the pass ends when its budget is spent, and the next pass starts
+        a fresh prover conversation. Formalizer and semantics failures
+        consume formalization retries; decomposer failures consume sketch
         corrections.
         """
         judged = self.unjudged_round(node_id, pass_)
@@ -369,14 +371,15 @@ class ProofTree:
     ) -> int | None:
         """Append a history entry of a ``role`` round, and return its
         prover pass: an entry of a prover round carries its pass, which
-        it must name, and, when the round failed, ``note``. A failed
-        round of another role is charged to that role's budget. A
-        verified prover round ends every pass: the rounds other passes
-        still have awaiting a check are closed unchecked."""
+        it must name, and the entry of a failed round carries ``note``,
+        what its correction shows. A failed round of another role is
+        charged to that role's budget. A verified prover round ends
+        every pass: the rounds other passes still have awaiting a check
+        are closed unchecked."""
         if role == "prover":
             entry["pass"] = _require_pass(pass_)
-            if note is not None and entry.get("failed"):
-                entry["note"] = note
+        if note is not None and entry.get("failed"):
+            entry["note"] = note
         passes = self.passes(node.id)
         node.history.append(entry)
         passes.fold(entry, self.limits.prover_self_correction)
@@ -590,8 +593,6 @@ class ProofTree:
                     children=list(raw["children"]),
                     history=list(raw["history"]),
                     counters=Counters(**{k: int(v) for k, v in raw["counters"].items()}),
-                    hints=[tuple(h) for h in raw["hints"]],
-                    last_failure=raw["last_failure"],
                 )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed checkpoint: {exc!r}") from None
@@ -674,15 +675,13 @@ class ProofTree:
         """
         Read a checkpoint written by ``save``: a snapshot line followed
         by journal lines replayed in order. A torn final line (a crash
-        mid-append) is dropped; a file of another version, or any other
-        defect, raises ValueError.
+        mid-append) is dropped; a first line that is not JSON, a file of
+        another version, or any other defect, raises ValueError.
         """
         with open(path, "rb") as handle:
             try:
                 data = json.loads(handle.readline())
             except ValueError:
-                handle.seek(0)
-                _check_version(json.load(handle))  # one indented object, as version 1 wrote
                 raise ValueError("checkpoint line 1 is not valid JSON") from None
             _check_version(data)
             pending, number = None, 1
@@ -727,8 +726,6 @@ def _node_fields(node: ProofNode) -> dict[str, Any]:
         "name": node.name,
         "children": list(node.children),
         "counters": dict(vars(node.counters)),
-        "hints": [list(h) for h in node.hints],
-        "last_failure": node.last_failure,
     }
 
 

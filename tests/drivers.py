@@ -47,7 +47,6 @@ _FORMALIZATION_STATUSES = frozenset(
 _DECOMPOSITION_STATUSES = frozenset(
     {
         NodeStatus.AWAITING_QUERY_GEN,
-        NodeStatus.AWAITING_LOOKUP,
         NodeStatus.AWAITING_SKETCH,
         NodeStatus.AWAITING_SKETCH_CHECK,
         NodeStatus.AWAITING_AST_PARSE,
@@ -128,7 +127,7 @@ def run_prover_pass(orch: Orchestrator, node_id: str) -> ProveOutcome:
 
 
 def run_decomposition(orch: Orchestrator, node_id: str) -> None:
-    """Drive one node through query/lookup/sketch/check/AST export until
+    """Drive one node through query/sketch/check/AST export until
     children exist (AwaitingChildren), the node is proven outright, or a
     backtrack prunes it / fails the run."""
     tree = orch.tree

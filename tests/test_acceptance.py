@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from leandecomp.agents import PromptKind, PromptVars, render_prompt
+from leandecomp.agents import PromptKind, render_prompt
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits, load, load_config, packaged_defaults
 from leandecomp.lean_source import extract_code_block
@@ -430,7 +430,7 @@ def test_criterion_6_prompt_goldens(capsys):
     with criterion(capsys, 6, "all nine prompts carry their sentinels, no stray placeholders"):
         assert len(PromptKind) == 9
         for kind in PromptKind:
-            rendered = render_prompt(kind, FULL_VARS)
+            rendered = render_prompt(kind, **FULL_VARS)
             assert SENTINELS[kind] in rendered, kind
             assert "{{" not in rendered and "}}" not in rendered, kind
 

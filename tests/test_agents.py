@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from leandecomp.agents import (
     PromptKind,
-    PromptVars,
     build_error_annotation,
     format_theorem_hints,
     generate_theorem_name,
@@ -22,7 +21,7 @@ EVEN_SUM_INFORMAL = (
     "then m + n is even."
 )
 
-FULL_VARS = PromptVars(
+FULL_VARS = dict(
     formal_statement_name="theorem_b2f45cfb951a",
     informal_statement=EVEN_SUM_INFORMAL,
     formal_statement="theorem t : True := by\n  sorry",
@@ -52,34 +51,34 @@ class TestRenderPrompt:
 
     @pytest.mark.parametrize("kind", list(PromptKind))
     def test_sentinel_present_and_no_leftover_placeholders(self, kind):
-        rendered = render_prompt(kind, FULL_VARS)
+        rendered = render_prompt(kind, **FULL_VARS)
         assert SENTINELS[kind] in rendered
         assert "{{" not in rendered and "}}" not in rendered
 
     def test_formalizer_embeds_theorem_name(self):
-        rendered = render_prompt(PromptKind.FORMALIZER, FULL_VARS)
+        rendered = render_prompt(PromptKind.FORMALIZER, **FULL_VARS)
         assert "Use the following theorem name: theorem_b2f45cfb951a" in rendered
         assert EVEN_SUM_INFORMAL in rendered
 
     def test_prover_initial_opening_line(self):
-        rendered = render_prompt(PromptKind.PROVER_INITIAL, FULL_VARS)
+        rendered = render_prompt(PromptKind.PROVER_INITIAL, **FULL_VARS)
         assert rendered.startswith("Complete the following Lean 4 code:")
         assert "```lean4\ntheorem t : True := by\n  sorry```" in rendered
 
     def test_missing_variable_raises(self):
         with pytest.raises(LeandecompError, match="needs variable"):
-            render_prompt(PromptKind.PROVER_CORRECTION, PromptVars(prev_round_num="2"))
+            render_prompt(PromptKind.PROVER_CORRECTION, prev_round_num="2")
 
     def test_substitution_is_single_pass(self):
-        vars = PromptVars(
+        rendered = render_prompt(
+            PromptKind.FORMALIZER,
             formal_statement_name="{{ informal_statement }}",
             informal_statement="plain",
         )
-        rendered = render_prompt(PromptKind.FORMALIZER, vars)
         assert "{{ informal_statement }}" in rendered
 
     def test_semantic_check_examples_use_real_lean_types(self):
-        rendered = render_prompt(PromptKind.SEMANTIC_CHECK, FULL_VARS)
+        rendered = render_prompt(PromptKind.SEMANTIC_CHECK, **FULL_VARS)
         assert "ℝ" in rendered
         assert "mathbb" not in rendered
 

@@ -12,15 +12,17 @@ the action kinds one to one. A dataclass field must be read as an
 attribute (``x.field``) in those files. The check goes by the bare name,
 so a field that nothing reads passes when another class's attribute of
 the same name is read. The orchestrator leaves each node's Lean text
-to the proof tree. Last, each exception class of the program stands for
-one way the program reacts to a failure: some ``except`` names it, and
-no ``except`` names two of them.
+to the proof tree, and every node status has its action, but for a
+node waiting on its children or done. Last, each exception class of
+the program stands for one way the program reacts to a failure: some
+``except`` names it, and no ``except`` names two of them.
 """
 
 import ast
 from pathlib import Path
 
-from leandecomp.orchestrator import ActionKind
+from leandecomp.orchestrator import _STATUS_ACTIONS, ActionKind
+from leandecomp.proof_state import NodeStatus
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/leandecomp/*.py"), *ROOT.glob("perfbench/*.py")])
@@ -32,11 +34,6 @@ ALLOWED = {
     "ProofTree.validate": "the invariant checker that the tests run after every step",
     "DECLARATION_KEYWORDS": "kept for the statement check planned in ROADMAP.md, "
     "which starts declarations at these keywords",
-}
-
-#: Dataclasses whose fields the program reads by name, not as attributes.
-FIELDS_READ_BY_NAME = {
-    "PromptVars": "render_prompt reads each field with getattr, by the template's placeholders",
 }
 
 #: The action kinds that ``dispatch`` runs itself, with no handler.
@@ -145,12 +142,8 @@ def test_every_dataclass_field_is_read_by_the_program():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     fields = [field for module in modules for field in dataclass_fields(module)]
-    assert {cls for cls, _ in fields} >= set(FIELDS_READ_BY_NAME), "drop the stale entries"
-    unread = [
-        f"{cls}.{name}"
-        for cls, name in fields
-        if cls not in FIELDS_READ_BY_NAME and name not in read
-    ]
+    assert fields
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
     assert not unread, f"dataclass fields that the program never reads: {unread}"
 
 
@@ -163,6 +156,14 @@ def test_the_action_handlers_match_the_action_kinds():
     expected = {"_do_" + kind.name.lower() for kind in ActionKind if kind not in UNHANDLED}
     assert not handlers - expected, "handlers that match no action kind"
     assert not expected - handlers, "action kinds with no handler"
+
+
+def test_every_status_but_the_waiting_and_final_ones_has_an_action():
+    """A node's status names the work it awaits, so a status whose action
+    is removed cannot linger: only a node waiting on its children, or one
+    that is done, has no entry in ``_STATUS_ACTIONS``."""
+    idle = {NodeStatus.AWAITING_CHILDREN, NodeStatus.PROVEN, NodeStatus.FAILED}
+    assert set(NodeStatus) - idle == set(_STATUS_ACTIONS)
 
 
 def test_every_allowed_name_is_still_defined_and_unused():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from leandecomp.ast_model import (
     AstNode,
     SorryInfo,
+    _mentions,
     extract_subgoals,
     parse_ast,
 )
@@ -134,6 +135,26 @@ class TestExtractSubgoals:
         # step_three's goal mentions neither sibling
         assert subgoals[2].standalone_statement == "theorem step_three : R 3 := by\n  sorry"
 
+    def test_a_sibling_named_inside_another_name_is_dropped(self):
+        """``h₁`` is a name of its own, not a mention of ``h``."""
+        payload = {
+            "ast": build_sketch_payload(
+                "theorem t : True := by\n"
+                "  have h : P 1 := by sorry\n"
+                "  have h₁ : Q 2 := by sorry\n"
+                "  have step : R h₁ := by sorry\n"
+                "  trivial"
+            )["ast"],
+            "sorries": [
+                {"goal": "⊢ P 1", "pos": {"line": 2, "column": 20}},
+                {"goal": "h : P 1\n⊢ Q 2", "pos": {"line": 3, "column": 21}},
+                {"goal": "h : P 1\nh₁ : Q 2\n⊢ R h₁", "pos": {"line": 4, "column": 23}},
+            ],
+        }
+        subgoals = extract_subgoals(*parse_ast(payload))
+        statement = subgoals[2].standalone_statement
+        assert statement == "theorem step (h₁ : Q 2) : R h₁ := by\n  sorry"
+
     def test_nested_sorry_attaches_to_nearest_have(self):
         payload = {
             "kind": "module",
@@ -156,6 +177,25 @@ class TestExtractSubgoals:
         root, _ = parse_ast({"ast": payload})
         subgoals = extract_subgoals(root, [SorryInfo("True", (), (1, 1))])
         assert [sg.name for sg in subgoals] == ["inner"]
+
+
+class TestMentions:
+    """A name is mentioned where it stands as a whole name: not inside a
+    longer one, and not as a field after a dot."""
+
+    @pytest.mark.parametrize(
+        "text, mentioned",
+        [
+            ("h₁ ∧ hα", False),
+            ("x.h = 1", False),
+            ("h' ∧ h! ∧ h? ∧ h✝ ∧ h¹ ∧ _h ∧ αh", False),
+            ("h.1 = 1", True),
+            ("¬h ∧ (h)", True),
+            ("f h₁ h", True),
+        ],
+    )
+    def test_mentions(self, text, mentioned):
+        assert _mentions(text, "h") is mentioned
 
 
 def unproven_names(payload) -> list[str]:

@@ -59,7 +59,7 @@ SNAPSHOT_LINE = checkpoint_text(lambda data: None)
 CORRUPT_CHECKPOINTS = {
     "missing": None,
     "unsupported-version": '{"version": 999}',
-    "no-limits": '{"version": 6}',
+    "no-limits": '{"version": 7}',
     "unknown-limit": checkpoint_text(lambda data: data["limits"].update(bogus=1)),
     "node-without-depth": checkpoint_text(lambda data: data["nodes"]["n0001"].pop("depth")),
     "not-an-object": "[1]",
@@ -182,18 +182,18 @@ class TestInputErrors:
         checkpoint = out / "checkpoint.json"
         tree = ProofTree.from_formal(EVEN_SUM_FILE, Limits())
         tree.save(checkpoint)
-        tree.root_node().last_failure = "appended"
+        tree.root_node().name = "appended"
         tree.save(checkpoint)
         tree.close()
         snapshot, journal = checkpoint.read_bytes().splitlines(keepends=True)
-        assert snapshot.startswith(b'{"version":6,')
-        checkpoint.write_bytes(snapshot.replace(b'"version":6', b'"version":5', 1) + journal)
+        assert snapshot.startswith(b'{"version":7,')
+        checkpoint.write_bytes(snapshot.replace(b'"version":7', b'"version":6', 1) + journal)
         stored = checkpoint.read_bytes()
         assert main(["--resume", str(checkpoint), "--out", str(out)]) == 2
         assert checkpoint.read_bytes() == stored
         assert (out / "diagnostic.txt").read_text(encoding="utf-8") == (
-            f"input rejected: cannot read {checkpoint}: checkpoint version 5 is not "
-            "supported: this build reads only version 6; start a new run\n"
+            f"input rejected: cannot read {checkpoint}: checkpoint version 6 is not "
+            "supported: this build reads only version 7; start a new run\n"
         )
         assert sorted(path.name for path in out.iterdir()) == ["checkpoint.json", "diagnostic.txt"]
 

@@ -677,25 +677,82 @@ class TestDecomposition:
         ],
         ids=["outage", "queries-of-the-re-ask"],
     )
-    def test_lookup_reads_the_queries_of_the_latest_search_query_round(self, replies, asked):
+    def test_gen_queries_searches_with_the_queries_of_its_last_reply(
+        self, tmp_path, replies, asked
+    ):
+        """One GenQueries asks for queries, re-asks once, and searches with
+        the queries of the reply that gave them; an outage searches
+        nothing. The hints sit on that reply's entry only, and survive a
+        save and a load."""
         tree = formal_tree()
         tree.root_node().status = NodeStatus.AWAITING_QUERY_GEN
-        search_query, calls = ScriptedChat(list(replies)), len(replies)
-        search = ScriptedSearch()
+        search_query = ScriptedChat(list(replies))
+        hit = TheoremHit("Nat.foo", "theorem Nat.foo : True", "Mathlib", 1.0)
+        search = ScriptedSearch(hits=[hit])
         orch = make_orchestrator(
             tree, backends=make_backends(search_query=search_query), search_client=search
         )
         dispatch_now(orch, Action(ActionKind.GEN_QUERIES, tree.root))
-        assert tree.root_node().status is NodeStatus.AWAITING_LOOKUP
-        assert search_query.calls == calls
-        # a resumed run reads the same queries from the history
-        resumed = ProofTree.from_dict(tree.to_dict())
-        for tree_ in (tree, resumed):
-            dispatch_now(
-                make_orchestrator(tree_, search_client=search), Action(ActionKind.LOOKUP, tree_.root)
-            )
-            assert tree_.root_node().status is NodeStatus.AWAITING_SKETCH
-        assert search.seen_queries == ([] if asked is None else [asked, asked])
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_SKETCH
+        assert search_query.calls == len(replies)
+        assert search.seen_queries == ([] if asked is None else [asked])
+        hints = [e.get("hints") for e in root.history]
+        assert hints == [None] * (len(replies) - 1) + [
+            None if asked is None else [["Nat.foo", "theorem Nat.foo : True"]]
+        ]
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        tree.close()
+        assert ProofTree.load(path).root_node().history == root.history
+
+    @pytest.mark.parametrize("decompositions", [0, 1], ids=["initial", "backtrack"])
+    def test_a_sketch_resumed_after_its_queries_landed_sends_the_same_prompt(
+        self, tmp_path, decompositions
+    ):
+        """The sketch reads its hints from the history: a run whose
+        journal is cut once GenQueries has landed resumes to the same
+        sketch prompt as the run that went on."""
+        tree = formal_tree()
+        root = tree.root_node()
+        root.status = NodeStatus.AWAITING_QUERY_GEN
+        root.counters.decompositions_used = decompositions
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        hit = TheoremHit("Nat.foo", "theorem Nat.foo : True", "Mathlib", 1.0)
+        orch = make_orchestrator(
+            tree,
+            backends=make_backends(search_query=ScriptedChat([QUERY_RESPONSE])),
+            search_client=ScriptedSearch(hits=[hit]),
+        )
+        dispatch_now(orch, Action(ActionKind.GEN_QUERIES, tree.root))
+        tree.save(path)  # the journal line of the landed GenQueries
+        tree.close()
+        sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
+        transcripts = []
+        for tree_ in (tree, ProofTree.load(path)):
+            decomposer = ScriptedChat([lean_block(sketch)])
+            orch = make_orchestrator(tree_, backends=make_backends(decomposer=decomposer))
+            dispatch_now(orch, Action(ActionKind.SKETCH, tree_.root))
+            transcripts += decomposer.transcripts
+        went_on, resumed = transcripts
+        assert resumed == went_on
+        assert "- Nat.foo : theorem Nat.foo : True" in went_on[-1][1]
+
+    def test_each_failed_sketch_keeps_its_note_and_the_correction_shows_the_last(self):
+        tree = formal_tree()
+        sketch = "theorem tst : True := by\n  have step : True := by\n    {}\n  exact step"
+        failing, good = lean_block(sketch.format(FAIL_MARKER)), lean_block(sketch.format("sorry"))
+        decomposer = ScriptedChat([failing, "A sketch without code.", good])
+        self.decompose(tree, decomposer)
+        root = tree.root_node()
+        assert root.status is NodeStatus.AWAITING_CHILDREN
+        first, second = [entry["note"] for entry in root.history if "note" in entry]
+        assert f"unknown identifier '{FAIL_MARKER}'" in first
+        assert second == "the completion did not contain a fenced Lean code block"
+        correction = decomposer.transcripts[2][-1][1]
+        assert correction.startswith("The proof sketch (Round 2) is not correct.")
+        assert second in correction and first not in correction
 
     def test_complete_sketch_is_adopted_as_proof(self):
         tree = formal_tree()
@@ -830,7 +887,7 @@ class TestBacktracking:
         at = steps.index(backtrack)
         assert steps[at + 1 : at + 3] == [
             (deep_id, "SketchCheck", "pruned"),
-            (tree.root, "GenQueries", "AwaitingLookup"),
+            (tree.root, "GenQueries", "AwaitingSketch"),
         ]
         assert steps[-2:] == [
             (tree.root, "SketchCheck", "Failed"),
@@ -865,10 +922,18 @@ FIRST_FAILURES = {
 }
 
 #: Each failure kind of each role, as the replies of the round that spends
-#: the last unit of its phase's budget, with what ``last_failure`` then holds.
+#: the last unit of its phase's budget, with the note its entry then holds.
 LAST_FAILURES = {
-    "formalizer-outage": ("formalization", {"formalizer": ServiceError("down")}, None),
-    "formalizer-unfenced": ("formalization", {"formalizer": "No code here."}, None),
+    "formalizer-outage": (
+        "formalization",
+        {"formalizer": ServiceError("down")},
+        "the formalizer backend failed to respond",
+    ),
+    "formalizer-unfenced": (
+        "formalization",
+        {"formalizer": "No code here."},
+        "did not contain a fenced Lean code block",
+    ),
     "formalizer-lean-error": ("formalization", {"formalizer": BAD_FORMALIZATION}, None),
     "semantics-outage": (
         "formalization",
@@ -976,8 +1041,7 @@ class TestFailedRoundAtTheBudgetEdge:
             tree.validate()
         for role, script in scripts.items():
             assert backends[role].calls == len(script), role
-        # a prover round keeps its note in its pass, the others in last_failure
-        failure = node.history[-1].get("note") if phase == "proving" else node.last_failure
+        failure = node.history[-1].get("note")  # the failed round's entry keeps its note
         if note is None:
             assert failure is None
         else:
