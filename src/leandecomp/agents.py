@@ -106,19 +106,17 @@ def generate_theorem_name(informal: str) -> str:
 
 
 def _span_offsets(code: str, span) -> tuple[int, int] | None:
-    """Convert a 1-based (line, column) span to byte offsets into code."""
-    line_starts = [0]
-    for idx, ch in enumerate(code):
-        if ch == "\n":
-            line_starts.append(idx + 1)
-    (l1, c1), (l2, c2) = span
-    if not (1 <= l1 <= len(line_starts) and 1 <= l2 <= len(line_starts)):
-        return None
-    start = line_starts[l1 - 1] + (c1 - 1)
-    end = line_starts[l2 - 1] + (c2 - 1)
-    if start > len(code) or end > len(code) or end < start:
-        return None
-    return start, end
+    """Convert a 1-based (line, column) span to offsets into code; None
+    when a position lies outside its line (a column may be one past the
+    line's last character) or the span runs backwards."""
+    lines = code.split("\n")
+    offsets = []
+    for line, column in span:
+        if not (1 <= line <= len(lines) and 1 <= column <= len(lines[line - 1]) + 1):
+            return None
+        offsets.append(sum(len(text) + 1 for text in lines[: line - 1]) + column - 1)
+    start, end = offsets
+    return (start, end) if start <= end else None
 
 
 def build_error_annotation(code: str, result: VerificationResult) -> str:

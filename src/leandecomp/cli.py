@@ -114,7 +114,7 @@ def _build_tree(args: argparse.Namespace, limits: Limits) -> ProofTree:
         return ProofTree.from_informal(args.informal, limits)
     try:
         if args.resume:
-            tree = ProofTree.load(args.resume)
+            tree = ProofTree.load(args.resume, limits)
             log.info("resumed checkpoint %s (%d nodes)", args.resume, len(tree.nodes))
             return tree
         code = Path(args.file).read_text(encoding="utf-8")
@@ -200,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     if outcome.success:
         proof_path = out_dir / "proof.lean"
         proof_path.write_text(outcome.proof + "\n", encoding="utf-8")
+        (out_dir / "diagnostic.txt").unlink(missing_ok=True)  # of an earlier run
         print(outcome.proof)
         log.info("proof written to %s", proof_path)
         return EXIT_SUCCESS

@@ -17,7 +17,9 @@ unchecked. So a node proven after a failed round may cost up to
 ``workers - 1`` more prover calls. Nodes that exceed the depth limit
 or exhaust their sketch-correction budget trigger a backtrack: the
 nearest grandparent-or-higher ancestor with remaining budget is pruned
-and re-decomposed with the alternative-strategy prompts.
+and re-decomposed with the alternative-strategy prompts. Without one,
+or with its formalization retries spent, the run fails: that is read
+from the tree under the run's limits, never stored.
 
 Every remote call (each chat role, each verify request, AST export and
 theorem search) runs on one of at most ``workers`` threads that live as
@@ -25,16 +27,15 @@ long as the run, with at most ``workers`` calls in flight: ``dispatch``
 returns an action's remote call, the calls dispatched together go onto
 one queue, a worker makes them and puts the results on a second queue,
 which the coordinator waits on. The coordinator applies each result as
-it lands, writes the checkpoint journal once per wake-up and
-dispatches again, so all tree mutations
-happen on the coordinator and the subtrees of a sketch advance
-independently. A node whose call is in flight is not ready; a result
-for a node that a backtrack pruned, or one that lands after the run has
-failed, is dropped. Verify actions coalesce: a reply is not verified
-while a Prove of another node from its dispatch wave is in flight (the
-passes of a node are independent), and then the ready Verifies at its
-depth share one request; with nothing else in flight only those of its
-wave do, which keeps the order of a single worker.
+it lands, writes the checkpoint journal once per wake-up and dispatches
+again, so all tree mutations happen on the coordinator and the subtrees
+of a sketch advance independently. A node whose call is in flight is
+not ready; a result for a node that a backtrack pruned is dropped.
+Verify actions coalesce: a reply is not verified while a Prove of
+another node from its dispatch wave is in flight (the passes of a node
+are independent), and then the ready Verifies at its depth share one
+request; with nothing else in flight only those of its wave do, which
+keeps the order of a single worker.
 """
 
 from __future__ import annotations
@@ -129,39 +130,74 @@ def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
     or the Verify of its reply; with none open, a Prove opens the next.
     Once the node has failed a round, a last Prove at the lowest priority
     opens one more pass, while fewer than ``open_passes`` are open and
-    fewer than ``prover_max_pass`` have opened. Otherwise the node's
-    status has its entry, but a node at the depth limit backtracks in
-    place of query generation."""
-    if node.status in _PROVING:
+    fewer than ``prover_max_pass`` have opened; with none open and that
+    many ended, it awaits query generation. A node that cannot go on
+    (``_stuck``) backtracks, or finishes the run ahead of all other work."""
+    status = node.status
+    if status in _PROVING:
         passes = tree.passes(node.id)
-        for pass_ in passes.open or [passes.next]:
-            replied = pass_ in passes.unjudged
-            yield (*_STATUS_ACTIONS[_AWAITING_REPLY[replied]], pass_)
-        if (
-            passes.open
-            and passes.notes  # a note per pass that failed a round
-            and len(passes.open) < open_passes
-            and len(passes.seen) < tree.limits.prover_max_pass
-        ):
-            yield 10, ActionKind.PROVE, passes.next  # the lowest priority of all
-    elif node.status is NodeStatus.AWAITING_QUERY_GEN and node.depth >= tree.limits.max_depth:
-        yield 7, ActionKind.BACKTRACK, None
-    elif node.status in _STATUS_ACTIONS:
-        yield (*_STATUS_ACTIONS[node.status], None)
+        if passes.open or passes.ended < tree.limits.prover_max_pass:
+            for pass_ in passes.open or [passes.next]:
+                replied = pass_ in passes.unjudged
+                yield (*_STATUS_ACTIONS[_AWAITING_REPLY[replied]], pass_)
+            if (
+                passes.open
+                and passes.notes  # a note per pass that failed a round
+                and len(passes.open) < open_passes
+                and len(passes.seen) < tree.limits.prover_max_pass
+            ):
+                yield 10, ActionKind.PROVE, passes.next  # the lowest priority of all
+            return
+        status = NodeStatus.AWAITING_QUERY_GEN  # its passes spent under a lowered budget
+    stuck = _stuck(tree, node, status)
+    if stuck is None:
+        if status in _STATUS_ACTIONS:
+            yield (*_STATUS_ACTIONS[status], None)
+    elif tree.find_backtrack_ancestor(node.id) is None:
+        yield 0, ActionKind.FINISH, None
+    else:
+        yield stuck, ActionKind.BACKTRACK, None
 
 
-def _resolve_backtrack(tree: ProofTree, node: ProofNode, cause: str) -> Action:
-    """Turn a node that cannot decompose, for ``cause``, into a Backtrack
-    on its eligible ancestor, or a failure Finish when no ancestor has
-    budget left."""
-    ancestor_id = tree.find_backtrack_ancestor(node.id)
-    if ancestor_id is None:
+def _stuck(tree: ProofTree, node: ProofNode, status: NodeStatus) -> int | None:
+    """The backtrack priority of a node that cannot go on under the tree's
+    limits, else None: 0 when its formalization retries or sketch
+    corrections are spent (a budget of 0 still allows one round), 7 when
+    it awaits query generation at the depth limit."""
+    limits, counters = tree.limits, node.counters
+    if status is NodeStatus.AWAITING_QUERY_GEN:
+        return 7 if node.depth >= limits.max_depth else None
+    if status is NodeStatus.AWAITING_FORMALIZATION:
+        used, budget = counters.formalize_retries, limits.formalizer_max_retries
+    elif status is NodeStatus.AWAITING_SKETCH:
+        used, budget = counters.sketch_corrections_used, limits.decomposer_self_correction
+    else:
+        return None
+    return 0 if used >= max(budget, 1) else None
+
+
+def _action(tree: ProofTree, node: ProofNode, kind: ActionKind, pass_: int | None) -> Action:
+    """The action of a candidate of the node: a Backtrack of its ancestor,
+    or a Finish whose report is read from the node and the tree's limits."""
+    if kind is ActionKind.BACKTRACK:
+        return Action(kind, tree.find_backtrack_ancestor(node.id))
+    if kind is not ActionKind.FINISH:
+        return Action(kind, node.id, pass_=pass_)
+    limits = tree.limits
+    if node.status is NodeStatus.AWAITING_FORMALIZATION:
+        report = (
+            f"formalization of node {node.id} exhausted its "
+            f"{limits.formalizer_max_retries} retries without an accepted statement"
+        )
+    else:
+        cause = f"reached the depth limit {limits.max_depth}"
+        if node.status is NodeStatus.AWAITING_SKETCH:
+            cause = f"spent its sketch-correction budget ({limits.decomposer_self_correction})"
         report = (
             f"node {node.id} at depth {node.depth} {cause}, and "
             "no ancestor has remaining decomposition budget for backtracking"
         )
-        return Action(ActionKind.FINISH, node.id, Outcome(success=False, report=report))
-    return Action(ActionKind.BACKTRACK, ancestor_id)
+    return Action(kind, node.id, Outcome(success=False, report=report))
 
 
 def next_action(
@@ -181,18 +217,13 @@ def next_action(
     ``busy`` names the work that is not ready (its call is in flight, or
     its reply is held) as (node id, prover pass) pairs, the pass None for
     work outside a prover pass. ``open_passes`` caps the prover passes
-    open on a node. None means that every node with work is busy. A Proven root maps to
-    Reconstruct, a Failed root to Finish(failure).
+    open on a node. None means that every node with work is busy. A
+    Proven root maps to Reconstruct; a node that cannot go on, with no
+    ancestor to backtrack to, to Finish(failure).
     """
     root = tree.root_node()
     if root.status is NodeStatus.PROVEN:
         return None if (root.id, None) in busy else Action(ActionKind.RECONSTRUCT, root.id)
-    if root.status is NodeStatus.FAILED:
-        return Action(
-            ActionKind.FINISH,
-            root.id,
-            Outcome(success=False, report="proof search failed; see the run history"),
-        )
     best: tuple[tuple[int, int], ProofNode, ActionKind, int | None] | None = None
     waiting = False
     for node in tree.nodes.values():
@@ -212,9 +243,7 @@ def next_action(
             Outcome(success=False, report="no actionable nodes remain"),
         )
     _, node, kind, pass_ = best
-    if kind is ActionKind.BACKTRACK:
-        return _resolve_backtrack(tree, node, f"reached the depth limit {tree.limits.max_depth}")
-    return Action(kind, node.id, pass_=pass_)
+    return _action(tree, node, kind, pass_)
 
 
 @dataclass
@@ -266,7 +295,6 @@ class Orchestrator:
         self.workers = max(1, int(workers))
         self.run_log_path = run_log_path
         self.checkpoint_path = checkpoint_path
-        self._failure_reason: str | None = None
         # Held only while ``run`` executes: the worker threads, the queue
         # of groups for them to take and the queue their results land on,
         # the run log, the groups in flight (by identity) with their
@@ -320,8 +348,7 @@ class Orchestrator:
         when the action ends the run; else None. Makes no remote call."""
         kind = action.kind
         if kind is ActionKind.FINISH:
-            self._fail_run(self.tree.node(action.node_id), action.outcome.report)
-            return Outcome(success=False, report=self._failure_reason)
+            return action.outcome
         if kind is ActionKind.BACKTRACK:
             self.tree.prune_subtree(action.node_id)
             nodes = self.tree.nodes  # forget the held replies of pruned nodes
@@ -439,17 +466,15 @@ class Orchestrator:
 
     def _apply_landed(self) -> Outcome | None:
         """Wait for a call to land, then apply every result that has, in
-        the order they landed. Results for pruned nodes, and every result
-        after one that fails the run, are dropped. Raises the first
-        remote failure once the other results are applied."""
+        the order they landed. Results for pruned nodes are dropped.
+        Raises the first remote failure once the other results are
+        applied."""
         landed = [self._landed.get()]
         while not self._landed.empty():
             landed.append(self._landed.get_nowait())
         error: BaseException | None = None
         for group, results in landed:
             wave, _ = self._inflight.pop(id(group))
-            if self.tree.root_node().status is NodeStatus.FAILED:
-                continue
             if isinstance(results, BaseException):
                 error = error or results
                 continue
@@ -615,36 +640,20 @@ class Orchestrator:
 
     def _failed(self, node: ProofNode, role: str) -> None:
         """Go on after a failed round of ``role``, which the tree has
-        charged to the role's budget, with the note of what went wrong
-        that the next correction prompt shows (a formalization retry
-        starts afresh and shows none). The role tries again until that
-        budget is spent; then formalization fails the run, proving gives
-        way to decomposition and sketching backtracks. A prover node
-        awaits the check of another pass's round, or its next round,
-        until every pass has ended."""
-        limits, counters = self.tree.limits, node.counters
+        charged to the role's budget: the node awaits the role's next
+        round (``_candidates`` sees a spent budget). A prover node awaits
+        another pass's check or its next round until every pass its
+        budget allows has ended, then query generation."""
         if role in ("formalizer", "semantics"):
-            if counters.formalize_retries < limits.formalizer_max_retries:
-                node.status = NodeStatus.AWAITING_FORMALIZATION
+            node.status = NodeStatus.AWAITING_FORMALIZATION
+        elif role == "prover":
+            passes = self.tree.passes(node.id)
+            if not passes.open and passes.ended >= self.tree.limits.prover_max_pass:
+                node.status = NodeStatus.AWAITING_QUERY_GEN
             else:
-                self._fail_run(
-                    node,
-                    f"formalization of node {node.id} exhausted its "
-                    f"{limits.formalizer_max_retries} retries without an accepted statement",
-                )
-            return
-        if role == "prover":
-            spent = self.tree.passes(node.id).ended >= limits.prover_max_pass
-            replied = bool(self.tree.passes(node.id).unjudged)
-            node.status = NodeStatus.AWAITING_QUERY_GEN if spent else _AWAITING_REPLY[replied]
-            return
-        if counters.sketch_corrections_used < limits.decomposer_self_correction:
-            node.status = NodeStatus.AWAITING_SKETCH
+                node.status = _AWAITING_REPLY[bool(passes.unjudged)]
         else:
-            spent = f"spent its sketch-correction budget ({limits.decomposer_self_correction})"
-            action = _resolve_backtrack(self.tree, node, spent)
-            if self.dispatch(action) is None:  # pruned the node; a Finish is logged by _end
-                self._log(action, None)
+            node.status = NodeStatus.AWAITING_SKETCH
 
     # -------------------------------------------------------- decomposition
 
@@ -761,14 +770,6 @@ class Orchestrator:
             return self.ast_client.fetch_ast(sketch)
         except BadSketch as exc:
             return exc
-
-    # ----------------------------------------------------------- backtracking
-
-    def _fail_run(self, node: ProofNode, reason: str) -> None:
-        node.status = NodeStatus.FAILED
-        self.tree.root_node().status = NodeStatus.FAILED
-        if self._failure_reason is None:
-            self._failure_reason = reason
 
     # --------------------------------------------------------- reconstruction
 

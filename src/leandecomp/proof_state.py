@@ -39,7 +39,7 @@ from .lean_source import (
 from .ast_model import Subgoal
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: The prompts of the decomposer entries that note a defect found in a
 #: verified sketch, at AST export or at subgoal extraction.
@@ -58,7 +58,6 @@ class NodeStatus(Enum):
     AWAITING_SKETCH_CHECK = "AwaitingSketchCheck"
     AWAITING_CHILDREN = "AwaitingChildren"
     PROVEN = "Proven"
-    FAILED = "Failed"
 
 
 #: The statuses in which a node has a generated round awaiting its
@@ -143,7 +142,7 @@ class _Passes:
             return
         else:
             round_ = entry
-        if entry["failed"]:
+        if entry["failed"] and pass_ in self.open:  # a lowered per_pass may have ended it
             self.open[pass_] += 1
             self.notes[pass_] = entry.get("note")
             if self.open[pass_] >= per_pass:
@@ -563,7 +562,6 @@ class ProofTree:
             "version": CHECKPOINT_VERSION,
             "root": self.root,
             "seq": self._seq,
-            "limits": dict(vars(self.limits)),
             "nodes": {
                 node.id: {**_node_fields(node), "history": copy.deepcopy(node.history)}
                 for node in self.nodes.values()
@@ -571,13 +569,13 @@ class ProofTree:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProofTree":
-        """Rebuild a tree from a checkpoint record of ``CHECKPOINT_VERSION``;
-        raises ValueError for another version or any structural defect,
-        a missing node field included."""
+    def from_dict(cls, data: dict[str, Any], limits: Limits) -> "ProofTree":
+        """Rebuild a tree, under the run's ``limits``, from a checkpoint
+        record of ``CHECKPOINT_VERSION``; raises ValueError for another
+        version or any structural defect, a missing node field included."""
         _check_version(data)
         try:
-            tree = cls(Limits(**{k: int(v) for k, v in data["limits"].items()}))
+            tree = cls(limits)
             tree.root = data["root"]
             tree._seq = int(data["seq"])
             for node_id, raw in data["nodes"].items():
@@ -671,12 +669,13 @@ class ProofTree:
         return _json_line({"seq": self._seq, "nodes": changes, "removed": removed})
 
     @classmethod
-    def load(cls, path) -> "ProofTree":
+    def load(cls, path, limits: Limits = Limits()) -> "ProofTree":
         """
-        Read a checkpoint written by ``save``: a snapshot line followed
-        by journal lines replayed in order. A torn final line (a crash
-        mid-append) is dropped; a first line that is not JSON, a file of
-        another version, or any other defect, raises ValueError.
+        Read a checkpoint written by ``save`` under the run's ``limits``
+        (the packaged ones by default): a snapshot line, then journal
+        lines replayed in order. A torn final line (a crash mid-append) is
+        dropped; a first line that is not JSON, a file of another version,
+        or any other defect, raises ValueError.
         """
         with open(path, "rb") as handle:
             try:
@@ -691,7 +690,7 @@ class ProofTree:
                 pending, number = line, number + 1
             if pending is not None:
                 _replay(data, pending, number, last=True)
-        return cls.from_dict(data)
+        return cls.from_dict(data, limits)
 
 
 def _check_version(data: Any) -> None:

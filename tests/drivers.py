@@ -17,8 +17,8 @@ from leandecomp.orchestrator import (
     Orchestrator,
     Outcome,
     _Call,
+    _action,
     _candidates,
-    _resolve_backtrack,
 )
 from leandecomp.proof_state import NodeStatus, ProofNode, ProofTree
 
@@ -78,37 +78,29 @@ def latest_decl(tree: ProofTree, node_id: str) -> str:
 
 
 def _node_action(orch: Orchestrator, node: ProofNode) -> Action:
-    """The node's first action, as a single worker would take it."""
+    """The node's first action, as a single worker would take it: for a
+    node that cannot go on, its Backtrack or failure Finish."""
     entry = next(_candidates(orch.tree, node, orch.workers), None)
     if entry is None:
         raise LeandecompError(
             f"node {node.id} has no applicable action in status {node.status.value}"
         )
     _, kind, pass_ = entry
-    if kind is ActionKind.BACKTRACK:
-        return _depth_backtrack(orch, node)
-    return Action(kind, node.id, pass_=pass_)
-
-
-def _depth_backtrack(orch: Orchestrator, node: ProofNode) -> Action:
-    """The Backtrack, or failure Finish, of a node at the depth limit."""
-    limit = orch.tree.limits.max_depth
-    return _resolve_backtrack(orch.tree, node, f"reached the depth limit {limit}")
+    return _action(orch.tree, node, kind, pass_)
 
 
 def run_formalization(orch: Orchestrator, node_id: str) -> None:
     """Drive one node through formalize/syntax/semantics until it is
     formal (AwaitingProof) or the shared retry budget is spent.
 
-    Raises FormalizationExhausted in the latter case.
+    Raises FormalizationExhausted, with the Finish outcome's report, in
+    the latter case.
     """
     node = orch.tree.node(node_id)
     while node.status in _FORMALIZATION_STATUSES:
-        dispatch_now(orch, _node_action(orch, node))
-    if node.status is NodeStatus.FAILED:
-        raise FormalizationExhausted(
-            orch._failure_reason or f"formalization of node {node_id} failed"
-        )
+        outcome = dispatch_now(orch, _node_action(orch, node))
+        if outcome is not None:
+            raise FormalizationExhausted(outcome.report)
 
 
 def run_prover_pass(orch: Orchestrator, node_id: str) -> ProveOutcome:
@@ -140,6 +132,7 @@ def handle_depth_overflow(orch: Orchestrator, node_id: str) -> Action:
     """Backtrack from a node at or beyond the depth limit: prune and
     re-queue the nearest eligible ancestor, or finish with failure when
     none exists. Returns the action that was performed."""
-    action = _depth_backtrack(orch, orch.tree.node(node_id))
+    action = _node_action(orch, orch.tree.node(node_id))
+    assert action.kind in (ActionKind.BACKTRACK, ActionKind.FINISH), action
     dispatch_now(orch, action)
     return action

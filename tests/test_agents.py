@@ -259,6 +259,30 @@ class TestBuildErrorAnnotation:
         assert "<error>" not in annotated
         assert "- timeout" in annotated
 
+    @pytest.mark.parametrize(
+        "span",
+        [((1, 0), (1, 7)), ((1, 24), (2, 3))],
+        ids=["column-below-one", "column-past-the-line-end"],
+    )
+    def test_a_span_outside_its_line_keeps_only_its_message(self, span):
+        """Columns are 1-based, and an end column may be one past its
+        line's last character; a position outside its line marks
+        nothing, where it would otherwise point into another line."""
+        code = "theorem t : True := by\n  FAILTAC"
+        result = VerificationResult(
+            passed=False, complete=False, errors=(LeanError("unknown tactic", span=span),)
+        )
+        assert build_error_annotation(code, result) == code + "\n\nErrors:\n- unknown tactic"
+
+    def test_a_span_may_end_just_past_its_line(self):
+        code = "theorem t : True := by\n  FAILTAC"
+        result = VerificationResult(
+            passed=False, complete=False, errors=(LeanError("bad", span=((2, 3), (2, 10))),)
+        )
+        assert build_error_annotation(code, result).startswith(
+            "theorem t : True := by\n  <error>FAILTAC</error>\n\n"
+        )
+
 
 class TestFormatTheoremHints:
     def test_entry_shape(self):

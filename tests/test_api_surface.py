@@ -13,9 +13,10 @@ attribute (``x.field``) in those files. The check goes by the bare name,
 so a field that nothing reads passes when another class's attribute of
 the same name is read. The orchestrator leaves each node's Lean text
 to the proof tree, and every node status has its action, but for a
-node waiting on its children or done. Last, each exception class of
-the program stands for one way the program reacts to a failure: some
-``except`` names it, and no ``except`` names two of them.
+node waiting on its children or done; only the scheduling loop calls
+``dispatch``. Last, each exception class of the program stands for one
+way the program reacts to a failure: some ``except`` names it, and no
+``except`` names two of them.
 """
 
 import ast
@@ -162,8 +163,25 @@ def test_every_status_but_the_waiting_and_final_ones_has_an_action():
     """A node's status names the work it awaits, so a status whose action
     is removed cannot linger: only a node waiting on its children, or one
     that is done, has no entry in ``_STATUS_ACTIONS``."""
-    idle = {NodeStatus.AWAITING_CHILDREN, NodeStatus.PROVEN, NodeStatus.FAILED}
+    idle = {NodeStatus.AWAITING_CHILDREN, NodeStatus.PROVEN}
     assert set(NodeStatus) - idle == set(_STATUS_ACTIONS)
+
+
+def test_only_the_scheduling_loop_dispatches():
+    """``Orchestrator.dispatch`` is called from ``_dispatch_ready`` alone:
+    applying a result only records it and sets the node's status, and
+    the work that follows, a backtrack or the end of the run included,
+    is chosen by ``next_action``."""
+    callers = [
+        function.name
+        for function in ast.walk(parse(ORCHESTRATOR))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "dispatch"
+    ]
+    assert callers == ["_dispatch_ready"]
 
 
 def test_every_allowed_name_is_still_defined_and_unused():

@@ -3,6 +3,7 @@ against scripted localhost HTTP services."""
 
 import json
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from leandecomp import cli, lean_source, proof_state
 from leandecomp.cli import main, validate_formal_input
 from leandecomp.errors import InputError
 from leandecomp.lean_source import LeanSource, extract_code_block
-from leandecomp.proof_state import NodeStatus, ProofTree
+from leandecomp.orchestrator import ActionKind, next_action
+from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
 from leandecomp.config import Limits, load_config
 
 from .http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
@@ -59,8 +61,10 @@ SNAPSHOT_LINE = checkpoint_text(lambda data: None)
 CORRUPT_CHECKPOINTS = {
     "missing": None,
     "unsupported-version": '{"version": 999}',
-    "no-limits": '{"version": 7}',
-    "unknown-limit": checkpoint_text(lambda data: data["limits"].update(bogus=1)),
+    "version-only": json.dumps({"version": CHECKPOINT_VERSION}),
+    "unknown-counter": checkpoint_text(
+        lambda data: data["nodes"]["n0001"]["counters"].update(bogus=1)
+    ),
     "node-without-depth": checkpoint_text(lambda data: data["nodes"]["n0001"].pop("depth")),
     "not-an-object": "[1]",
     "root-not-a-node": checkpoint_text(lambda data: data.update(root="n0002")),
@@ -186,14 +190,14 @@ class TestInputErrors:
         tree.save(checkpoint)
         tree.close()
         snapshot, journal = checkpoint.read_bytes().splitlines(keepends=True)
-        assert snapshot.startswith(b'{"version":7,')
-        checkpoint.write_bytes(snapshot.replace(b'"version":7', b'"version":6', 1) + journal)
+        assert snapshot.startswith(b'{"version":8,')
+        checkpoint.write_bytes(snapshot.replace(b'"version":8', b'"version":7', 1) + journal)
         stored = checkpoint.read_bytes()
         assert main(["--resume", str(checkpoint), "--out", str(out)]) == 2
         assert checkpoint.read_bytes() == stored
         assert (out / "diagnostic.txt").read_text(encoding="utf-8") == (
-            f"input rejected: cannot read {checkpoint}: checkpoint version 6 is not "
-            "supported: this build reads only version 7; start a new run\n"
+            f"input rejected: cannot read {checkpoint}: checkpoint version 7 is not "
+            "supported: this build reads only version 8; start a new run\n"
         )
         assert sorted(path.name for path in out.iterdir()) == ["checkpoint.json", "diagnostic.txt"]
 
@@ -442,8 +446,9 @@ class TestFullStack:
         assert "node n0001 at depth 0 spent its sketch-correction budget (1), and " in report
         assert "no ancestor has remaining decomposition budget" in report
         assert "failed" in capsys.readouterr().err
-        restored = ProofTree.load(out / "checkpoint.json")
-        assert restored.root_node().status is NodeStatus.FAILED
+        restored = ProofTree.load(out / "checkpoint.json", load_config().typed_limits())
+        finish = next_action(restored, open_passes=1)
+        assert finish.kind is ActionKind.FINISH and finish.outcome.report + "\n" == report
 
     def test_a_subgoal_at_the_depth_limit_names_the_limit(self, tmp_path, monkeypatch):
         """The root's sketch leaves one subgoal at depth 1, the depth
@@ -582,6 +587,168 @@ class TestFullStack:
             service.stop()
         assert code == 0
         assert "trivial" in (out / "proof.lean").read_text()
+
+
+# ------------------------------------------------------ resume after failure
+
+GOAL_FILE = "import Mathlib\n\ntheorem goal : True := by\n  sorry\n"
+ROLE_OF_MODEL = {model: role for role, model in ROLE_MODELS.items()}
+
+
+def goal_scenario(rejections: int = 0, bad_sketches: int = 0):
+    """Chat replies keyed on content, with a count of the calls per role
+    that lives as long as the service does: the semantics checker rejects
+    the first ``rejections`` statements, and the first ``bad_sketches``
+    sketches fail their Lean check. The prover fails ``goal`` and
+    ``goal_a`` and proves anything else; a sketch of ``x`` has the one
+    subgoal ``x_a``."""
+    calls = {role: 0 for role in ROLE_MODELS}
+
+    def reply(model, messages):
+        role = ROLE_OF_MODEL[model]
+        calls[role] += 1
+        if role == "search_query":
+            return QUERY_RESPONSE
+        if role == "semantics":
+            return "Judgement: " + ("Inappropriate" if calls[role] <= rejections else "Appropriate")
+        if role == "formalizer":
+            return lean_block("import Mathlib\n\ntheorem goal_f : True := by\n  sorry")
+        text = "\n".join(message["content"] for message in messages)
+        name = re.search(r"theorem (goal\w*)", text).group(1)
+        if role == "decomposer":
+            step = FAIL_MARKER if calls[role] <= bad_sketches else "sorry"
+            return lean_block(
+                f"theorem {name} : True := by\n  have {name}_a : True := by\n    {step}\n"
+                f"  exact {name}_a"
+            )
+        return lean_block(
+            f"theorem {name} : True := by\n  "
+            + (FAIL_MARKER if name in ("goal", "goal_a") else "trivial")
+        )
+
+    return reply
+
+
+#: Runs that fail once a budget is spent: the option that sets it, its
+#: value for the failing run, a raised value under which the run goes on
+#: to a proof, the scenario, the input, and the report of the failure.
+FAILING_RUNS = {
+    "depth-limit": (
+        "PROVER_AGENT_LLM__MAX_DEPTH", "1", "2", {}, ["--file"],
+        "node n0002 at depth 1 reached the depth limit 1, and "
+        "no ancestor has remaining decomposition budget for backtracking",
+    ),
+    "sketch-budget": (
+        "DECOMPOSER_AGENT_LLM__MAX_SELF_CORRECTION_ATTEMPTS", "1", "2", {"bad_sketches": 1},
+        ["--file"],
+        "node n0001 at depth 0 spent its sketch-correction budget (1), and "
+        "no ancestor has remaining decomposition budget for backtracking",
+    ),
+    "formalization-retries": (
+        "FORMALIZER_AGENT_LLM__MAX_RETRIES", "2", "3", {"rejections": 2},
+        ["--informal", "Truth holds."],
+        "formalization of node n0001 exhausted its 2 retries without an accepted statement",
+    ),
+}
+
+
+def calls_made(service) -> list:
+    """The requests a service received, as comparable tuples: a Lean
+    check by its units, since the ids a batch gives them are random."""
+    calls = []
+    for request in service.requests:
+        body = request.body
+        if request.path == "/api/check":
+            body = [item["code"] for item in body["codes"]]
+        calls.append((request.method, request.path, request.query, json.dumps(body)))
+    return calls
+
+
+class TestResumeAfterFailure:
+    """A run's failure is read from its checkpoint under the limits of
+    the configuration, so a failed run resumed under the same limits
+    fails again at once, and under a raised one goes on."""
+
+    @staticmethod
+    def run(tmp_path, case, out="out"):
+        """Run the case's input into ``out`` at one worker; its exit code."""
+        argv = list(FAILING_RUNS[case][4])
+        if argv == ["--file"]:
+            lean = tmp_path / "goal.lean"
+            lean.write_text(GOAL_FILE, encoding="utf-8")
+            argv.append(str(lean))
+        return main([*argv, "--out", str(tmp_path / out), "--workers", "1"])
+
+    @pytest.mark.parametrize("case", list(FAILING_RUNS))
+    def test_a_failed_run_resumed_under_the_same_limits_makes_no_call(
+        self, tmp_path, monkeypatch, case
+    ):
+        option, value, _, scenario, _, report = FAILING_RUNS[case]
+        service = fake_stack(monkeypatch, goal_scenario(**scenario))
+        monkeypatch.setenv(option, value)
+        out = tmp_path / "out"
+        try:
+            assert self.run(tmp_path, case) == 1
+            diagnostic = (out / "diagnostic.txt").read_bytes()
+            made = len(service.requests)
+            assert main(["--resume", str(out / "checkpoint.json"), "--out", str(out)]) == 1
+        finally:
+            service.stop()
+        assert diagnostic == (report + "\n").encode("utf-8")
+        assert len(service.requests) == made
+        assert (out / "diagnostic.txt").read_bytes() == diagnostic
+
+    @pytest.mark.parametrize("case", list(FAILING_RUNS))
+    def test_a_failed_run_resumed_under_a_raised_limit_makes_the_calls_of_one_run(
+        self, tmp_path, monkeypatch, case
+    ):
+        """At one worker, the failed run and its resume under the raised
+        limit make the calls, in order, of one run under that limit."""
+        option, value, raised, scenario, _, _ = FAILING_RUNS[case]
+        service = fake_stack(monkeypatch, goal_scenario(**scenario))
+        monkeypatch.setenv(option, raised)
+        try:
+            assert self.run(tmp_path, case, out="uninterrupted") == 0
+        finally:
+            service.stop()
+        expected = calls_made(service)
+        service = fake_stack(monkeypatch, goal_scenario(**scenario))
+        monkeypatch.setenv(option, value)
+        out = tmp_path / "out"
+        try:
+            assert self.run(tmp_path, case) == 1
+            monkeypatch.setenv(option, raised)
+            checkpoint = str(out / "checkpoint.json")
+            assert main(["--resume", checkpoint, "--out", str(out), "--workers", "1"]) == 0
+        finally:
+            service.stop()
+        assert calls_made(service) == expected
+        assert (out / "proof.lean").read_text() == (
+            tmp_path / "uninterrupted" / "proof.lean"
+        ).read_text()
+
+    def test_a_successful_resume_removes_the_diagnostic_of_the_aborted_run(
+        self, tmp_path, monkeypatch
+    ):
+        """The verifier is down at the first check, which aborts the run
+        and leaves diagnostic.txt; the resume into the same directory
+        proves the theorem, and proof.lean is then its only outcome."""
+        service = fake_stack(monkeypatch, goal_scenario())
+        monkeypatch.setenv("KIMINA_LEAN_SERVER__MAX_RETRIES", "0")
+        service.fail_next("POST", "/api/check", [503])
+        lean = tmp_path / "input.lean"
+        lean.write_text(GOAL_FILE.replace("goal", "goal_easy"), encoding="utf-8")
+        out = tmp_path / "out"
+        try:
+            assert main(["--file", str(lean), "--out", str(out)]) == 1
+            assert "proof search aborted" in (out / "diagnostic.txt").read_text()
+            assert main(["--resume", str(out / "checkpoint.json"), "--out", str(out)]) == 0
+        finally:
+            service.stop()
+        assert "trivial" in (out / "proof.lean").read_text()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "checkpoint.json", "proof.lean", "run.jsonl"
+        ]
 
 
 class TestDependencies:

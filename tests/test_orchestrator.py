@@ -24,6 +24,7 @@ from leandecomp.orchestrator import (
     Action,
     ActionKind,
     Orchestrator,
+    Outcome,
     next_action,
 )
 from leandecomp.proof_state import NodeStatus, ProofTree
@@ -238,12 +239,24 @@ class TestNextAction:
         assert action.kind is ActionKind.RECONSTRUCT
         assert action.node_id == root.id
 
-    def test_failed_root_finishes_with_failure(self):
-        tree = formal_tree()
-        tree.root_node().status = NodeStatus.FAILED
+    def test_a_root_out_of_formalization_retries_finishes_with_failure(self):
+        """The failure is read from the tree under its limits: with the
+        retries spent the root finishes, and under a raised retry budget
+        the same root formalizes again."""
+        tree = ProofTree.from_informal(INFORMAL, Limits(formalizer_max_retries=3))
+        tree.root_node().counters.formalize_retries = 3
         action = next_action(tree, open_passes=1)
-        assert action.kind is ActionKind.FINISH
-        assert action.outcome is not None and not action.outcome.success
+        assert action == Action(
+            ActionKind.FINISH,
+            tree.root,
+            Outcome(
+                success=False,
+                report=f"formalization of node {tree.root} exhausted its 3 retries "
+                "without an accepted statement",
+            ),
+        )
+        tree.limits = Limits(formalizer_max_retries=4)
+        assert next_action(tree, open_passes=1) == Action(ActionKind.FORMALIZE, tree.root)
 
     def test_depth_overflow_resolves_to_backtrack(self):
         limits = Limits(max_depth=3)
@@ -412,10 +425,12 @@ class TestFormalization:
         orch = make_orchestrator(
             tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
         )
-        with pytest.raises(FormalizationExhausted):
+        report = f"formalization of node {tree.root} exhausted its 10 retries"
+        with pytest.raises(FormalizationExhausted, match=f"^{report} without an accepted statement$"):
             run_formalization(orch, tree.root)
         root = tree.root_node()
-        assert root.status is NodeStatus.FAILED
+        assert root.status is NodeStatus.AWAITING_FORMALIZATION
+        assert next_action(tree, open_passes=1).kind is ActionKind.FINISH
         assert (formalizer.calls, semantics.calls) == (10, 10)
         assert root.counters.formalize_retries == 10
 
@@ -577,8 +592,11 @@ class TestDecomposition:
         outcome = orch.run()
         assert not outcome.success
         assert decomposer.calls == 6
-        assert tree.root_node().status is NodeStatus.FAILED
-        assert "decomposition budget" in outcome.report
+        assert outcome.report == (
+            f"node {tree.root} at depth 0 spent its sketch-correction budget (6), and "
+            "no ancestor has remaining decomposition budget for backtracking"
+        )
+        assert next_action(tree, open_passes=1) == Action(ActionKind.FINISH, tree.root, outcome)
         for round_num in range(1, 6):
             prompt = decomposer.transcripts[round_num][-1][1]
             assert prompt.startswith(f"The proof sketch (Round {round_num}) is not correct.")
@@ -807,9 +825,12 @@ class TestBacktracking:
         orch = make_orchestrator(tree)
         action = handle_depth_overflow(orch, deep_id)
         assert action.kind is ActionKind.FINISH
-        assert not action.outcome.success
-        assert tree.root_node().status is NodeStatus.FAILED
-        assert tree.node(deep_id).status is NodeStatus.FAILED
+        assert action.outcome == Outcome(
+            success=False,
+            report=f"node {deep_id} at depth 3 reached the depth limit 3, and "
+            "no ancestor has remaining decomposition budget for backtracking",
+        )
+        assert next_action(tree, open_passes=1) == action  # the tree stays failed
 
     def test_backtracked_node_uses_backtrack_prompts(self):
         limits = Limits(max_depth=3)
@@ -861,9 +882,9 @@ class TestBacktracking:
 
     def test_a_spent_sketch_budget_logs_its_backtrack_and_names_its_cause(self, tmp_path):
         """Through ``run``: the backtrack that a spent sketch budget
-        performs is a line of the run log, written while the failed check
-        is applied, so before that check's own line. When the root's
-        budget is spent too, the report names that budget."""
+        performs is a line of the run log, the first action after the
+        failed check's own line. When the root's budget is spent too,
+        the report names that budget."""
         limits = Limits(max_depth=10, decomposer_self_correction=2)
         tree, deep_id = chain_tree(2, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
@@ -885,12 +906,13 @@ class TestBacktracking:
         backtrack = (tree.root, "Backtrack", "AwaitingQueryGen")
         assert steps.count(backtrack) == 1
         at = steps.index(backtrack)
-        assert steps[at + 1 : at + 3] == [
-            (deep_id, "SketchCheck", "pruned"),
+        assert steps[at - 1 : at + 2] == [
+            (deep_id, "SketchCheck", "AwaitingSketch"),
+            backtrack,
             (tree.root, "GenQueries", "AwaitingSketch"),
         ]
         assert steps[-2:] == [
-            (tree.root, "SketchCheck", "Failed"),
+            (tree.root, "SketchCheck", "AwaitingSketch"),
             (tree.root, "Finish", "failure"),
         ]
         assert not outcome.success
@@ -1025,7 +1047,8 @@ class TestFailedRoundAtTheBudgetEdge:
         if phase == "formalization":
             with pytest.raises(FormalizationExhausted, match="exhausted its 2 retries"):
                 run_formalization(orch, node_id)
-            assert node.status is NodeStatus.FAILED
+            assert node.status is NodeStatus.AWAITING_FORMALIZATION
+            assert next_action(tree, open_passes=1).kind is ActionKind.FINISH
             assert node.counters.formalize_retries == 2
         elif phase == "proving":
             assert run_prover_pass(orch, node_id) is ProveOutcome.NEEDS_DECOMPOSITION
@@ -1157,7 +1180,7 @@ class TestRun:
         # scheduling stayed breadth-first for every Prove dispatch
         for depth, waiting in orch.prove_depth_snapshots:
             assert depth == min(waiting)
-        restored = ProofTree.load(tmp_path / "checkpoint.json")
+        restored = ProofTree.load(tmp_path / "checkpoint.json", orch.tree.limits)
         assert restored.root_node().status is NodeStatus.PROVEN
         assert len(restored.root_node().children) == 5
 
@@ -1184,7 +1207,7 @@ class TestRun:
         checkpoint = tmp_path / "checkpoint.json"
         tree.save(checkpoint)
 
-        resumed_tree = ProofTree.load(checkpoint)
+        resumed_tree = ProofTree.load(checkpoint, limits)
         root = resumed_tree.root_node()
         assert root.status is NodeStatus.AWAITING_QUERY_GEN
         assert resumed_tree.passes(root.id).ended == 1
@@ -1241,6 +1264,11 @@ JOURNAL_LIMITS = Limits(
 #: one (two) backtracks to ``x``.
 HARD_SUBGOALS = ["tst_a", "tst_b", "tst_a_a", "tst_b_b", "tst_c", "tst_c_a", "tst_d",
                  "tst_e", "tst_e_a"]
+
+#: Every name a subgoal of the journal scenario can have.
+EVERY_SUBGOAL = frozenset(
+    [f"tst_{x}" for x in "abcdef"] + [f"tst_{x}_{y}" for x in "abcdef" for y in "abcdef"]
+)
 
 
 def journal_sketch(messages):
@@ -1347,25 +1375,59 @@ class TestCheckpointJournal:
         """At two workers the root, which fails every round, proves in
         two passes at once; a cut while both are open resumes too."""
         rng = random.Random(17)
-        cuts = self.resume_every_cut(tmp_path, frozenset({"tst_a"}), 2, rng.randint)
+        _, cuts = self.resume_every_cut(tmp_path, frozenset({"tst_a"}), 2, rng.randint)
         assert any(
-            len(ProofTree.from_dict(state).passes(state["root"]).open) == 2
+            len(ProofTree.from_dict(state, JOURNAL_LIMITS).passes(state["root"]).open) == 2
             for _, state, _ in cuts
         )
 
+    @pytest.mark.parametrize(
+        "hard, fail_for, report",
+        [
+            (
+                EVERY_SUBGOAL,
+                (),
+                r"node n\d{4} at depth 2 reached the depth limit 2, and "
+                "no ancestor has remaining decomposition budget for backtracking",
+            ),
+            (
+                frozenset(),
+                ("tst_a",),
+                r"node n0001 at depth 0 spent its sketch-correction budget \(2\), and "
+                "no ancestor has remaining decomposition budget for backtracking",
+            ),
+        ],
+        ids=["depth-limit", "sketch-budget"],
+    )
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_cuts_of_a_failing_run_resume_to_its_failure(
+        self, tmp_path, hard, fail_for, report, workers
+    ):
+        """Every subgoal fails, so the backtracks spend the root's
+        decomposition budget; or every export of the root's sketch fails,
+        so the root spends its sketch-correction budget. The run fails,
+        and every cut resumes, under the same limits, to that failure,
+        report included."""
+        outcome, cuts = self.resume_every_cut(
+            tmp_path, hard, workers, random.Random(29).randint, fail_for
+        )
+        assert not outcome.success and re.fullmatch(report, outcome.report)
+        assert len(cuts) > 10
+
     @staticmethod
-    def resume_every_cut(directory, hard, workers, draw_cut):
-        """Run the journal scenario, with ``tst`` hard as well, cutting the
-        checkpoint inside each line a save appends; every cut reloads to
-        the state saved before it and resumes to the same outcome.
-        Returns the cuts."""
+    def resume_every_cut(directory, hard, workers, draw_cut, fail_for=()):
+        """Run the journal scenario, with ``tst`` hard as well and the AST
+        export failing for sketches that name any of ``fail_for``,
+        cutting the checkpoint inside each line a save appends; every cut
+        reloads to the state saved before it and resumes to the same
+        outcome. Returns the outcome and the cuts."""
 
         def orchestrator(tree, cls=Orchestrator, **kwargs):
             return cls(
                 tree,
                 backends=journal_backends(hard | {"tst"}),
                 verifier=RuleVerifier(),
-                ast_client=BuilderAst(),
+                ast_client=BuilderAst(fail_for=fail_for),
                 search_client=ScriptedSearch(),
                 workers=workers,
                 **kwargs,
@@ -1381,12 +1443,77 @@ class TestCheckpointJournal:
         for number, (cut, state, units) in enumerate(run.cuts):
             path = directory / f"cut{number}.json"
             path.write_bytes(cut)
-            resumed = ProofTree.load(path)
+            resumed = ProofTree.load(path, JOURNAL_LIMITS)
             resumed.validate()
             assert resumed.to_dict() == state
             assert lean_units(resumed) == units
             assert orchestrator(resumed, checkpoint_path=path).run() == outcome
-        return run.cuts
+        return outcome, run.cuts
+
+
+class TestResumeUnderLoweredProverLimits:
+    """Limits come from the run, not the checkpoint, so a resume may
+    lower the prover's budgets below what the history has spent."""
+
+    @staticmethod
+    def resumed(tmp_path, ran: Limits, failed_per_pass: list[int], limits: Limits) -> ProofTree:
+        """A checkpoint of a root that failed ``failed_per_pass[k]``
+        prover rounds in pass k + 1 under ``ran``, loaded under
+        ``limits``."""
+        tree = formal_tree(limits=ran)
+        for pass_, failures in enumerate(failed_per_pass, 1):
+            tree.open_pass(tree.root, pass_)
+            for _ in range(failures):
+                tree.record_attempt(tree.root, "prover", "(prompt)", "(reply)", True, pass_, "(n)")
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        tree.close()
+        return ProofTree.load(path, limits)
+
+    def test_a_pass_past_the_lowered_correction_budget_ends_once(self, tmp_path):
+        tree = self.resumed(
+            tmp_path, Limits(prover_self_correction=2), [2], Limits(prover_self_correction=1)
+        )
+        passes = tree.passes(tree.root)
+        assert (passes.open, passes.ended) == ({}, 1)
+        prover = ScriptedChat([lean_block(TRUE_PROOF)])
+        outcome = make_orchestrator(tree, backends=make_backends(prover=prover)).run()
+        assert outcome.success
+        assert prover.transcripts[0][0][1].startswith("Complete the following Lean 4 code:")
+        assert [e["pass"] for e in tree.root_node().history if "prompt" in e] == [1, 1, 2]
+
+    @pytest.mark.parametrize("max_depth", [20, 0])
+    def test_a_node_whose_passes_a_lowered_budget_has_spent_goes_on_to_decompose(
+        self, tmp_path, max_depth
+    ):
+        """Three passes ended under a budget of four; under a budget of
+        two the root opens no pass, and decomposes, or at the depth
+        limit fails with the report of that limit."""
+        ran = Limits(prover_self_correction=1, prover_max_pass=4)
+        limits = Limits(prover_self_correction=1, prover_max_pass=2, max_depth=max_depth)
+        tree = self.resumed(tmp_path, ran, [1, 1, 1], limits)
+        assert tree.root_node().status is NodeStatus.AWAITING_PROOF
+        prover = ScriptedChat([lean_block("theorem step : True := by\n  trivial")])
+        sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
+        outcome = make_orchestrator(
+            tree,
+            backends=make_backends(
+                prover=prover,
+                decomposer=ScriptedChat([lean_block(sketch)]),
+                search_query=ScriptedChat([QUERY_RESPONSE]),
+            ),
+            ast_client=BuilderAst(),
+        ).run()
+        assert len([e for e in tree.root_node().history if e.get("role") == "prover"]) == 3
+        if max_depth:
+            assert outcome.success and prover.calls == 1  # the subgoal's proof
+        else:
+            assert outcome == Outcome(
+                success=False,
+                report=f"node {tree.root} at depth 0 reached the depth limit 0, and "
+                "no ancestor has remaining decomposition budget for backtracking",
+            )
+            assert prover.calls == 0
 
 
 # ------------------------------------------------- conversations from history
@@ -1657,7 +1784,7 @@ class TestRunResources:
         assert isinstance(error, ServiceError)
         self.assert_released(threads, opened)
         resumed, _ = self.run_journal_scenario(
-            crashed, tree=ProofTree.load(crashed / "checkpoint.json")
+            crashed, tree=ProofTree.load(crashed / "checkpoint.json", JOURNAL_LIMITS)
         )
         assert expected.success and resumed == expected
 
@@ -1841,7 +1968,7 @@ class TestCompletionScheduler:
         assert json.dumps(dropped, ensure_ascii=False) not in (
             tmp_path / "checkpoint.json"
         ).read_text(encoding="utf-8")
-        restored = ProofTree.load(tmp_path / "checkpoint.json")
+        restored = ProofTree.load(tmp_path / "checkpoint.json", orch.tree.limits)
         restored.validate()
         assert restored.to_dict() == orch.tree.to_dict()
         entries = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
@@ -1849,12 +1976,13 @@ class TestCompletionScheduler:
             {"action": e["action"], "outcome": e["outcome"]} for e in entries
         ]
 
-    def test_a_result_landing_after_the_run_failed_is_dropped(self, tmp_path):
+    def test_a_result_landing_in_the_batch_that_fails_the_run_is_recorded(self, tmp_path):
         """tst_a's sketches never export, so its last failed export spends
         its sketch-correction budget; at depth 1 it has no ancestor to
         backtrack to, and the run fails. tst_b_a's Prove is held until
-        that export has landed, and lands in the same batch after it:
-        nothing of it is recorded."""
+        that export has landed, and lands in the same batch after it: it
+        is recorded, since the failure is read from the tree only when
+        the next action is chosen, and that action is the Finish."""
         released = []
 
         def landed_count(orch, count):
@@ -1896,18 +2024,26 @@ class TestCompletionScheduler:
         assert released == [True]
         assert not outcome.success
         failed = named(orch.tree, "tst_a")
-        assert f"node {failed.id} at depth 1 spent its sketch-correction budget (2)" in (
-            outcome.report
+        assert outcome.report == (
+            f"node {failed.id} at depth 1 spent its sketch-correction budget (2), and "
+            "no ancestor has remaining decomposition budget for backtracking"
         )
         late = named(orch.tree, "tst_b_a")
-        dropped = next(r for r in prover.inner.replies if "theorem tst_b_a :" in r)
-        assert late.history == [] and late.status is NodeStatus.AWAITING_PROOF
-        assert json.dumps(dropped, ensure_ascii=False) not in (
+        recorded = next(r for r in prover.inner.replies if "theorem tst_b_a :" in r)
+        assert [e["response"] for e in late.history] == [recorded]
+        assert late.status is NodeStatus.AWAITING_VERIFICATION
+        assert json.dumps(recorded, ensure_ascii=False) in (
             tmp_path / "checkpoint.json"
         ).read_text(encoding="utf-8")
+        restored = ProofTree.load(tmp_path / "checkpoint.json", limits)
+        assert restored.to_dict() == orch.tree.to_dict()
+        assert next_action(restored, open_passes=2) == Action(ActionKind.FINISH, failed.id, outcome)
         entries = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
-        assert late.id not in {e["node"] for e in entries}
-        assert entries[-1]["action"] == "Finish" and entries[-1]["outcome"] == "failure"
+        assert [(e["node"], e["action"], e["outcome"]) for e in entries[-3:]] == [
+            (failed.id, "ParseAst", "AwaitingSketch"),
+            (late.id, "Prove", "AwaitingVerification"),
+            (failed.id, "Finish", "failure"),
+        ]
 
 
 # ------------------------------------------------------ overlapping passes
@@ -2080,7 +2216,7 @@ class TestOverlappingPasses:
         assert len(verifier.checked) == 3
         assert not any("True.intro" in unit for unit in verifier.checked)
         tree.validate()
-        restored = ProofTree.load(tmp_path / "checkpoint.json")
+        restored = ProofTree.load(tmp_path / "checkpoint.json", tree.limits)
         restored.validate()
         assert restored.unit(restored.root).body == TRUE_PROOF
         assert restored.reconstruct(restored.root) == outcome.proof

@@ -10,7 +10,14 @@ from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
 from leandecomp.config import Limits
 from leandecomp.errors import LeandecompError
 from leandecomp.lean_source import LeanSource
-from leandecomp.proof_state import CHECKPOINT_VERSION, Counters, NodeStatus, ProofNode, ProofTree
+from leandecomp.proof_state import (
+    CHECKPOINT_VERSION,
+    Counters,
+    NodeStatus,
+    ProofNode,
+    ProofTree,
+    _Passes,
+)
 from leandecomp.services import VerificationResult
 from tests.drivers import record_verified
 from tests.fakes import count_sorries, lean_block
@@ -193,7 +200,7 @@ class TestAwaitingCheck:
         assert root.history[-1] == {"pass": 2, "failed": None, "verdict": None}
         assert tree.unit(tree.root).body.endswith("exact t1")
         assert tree.passes(tree.root).open == {} and tree.passes(tree.root).ended == 0
-        clone = ProofTree.from_dict(tree.to_dict())
+        clone = ProofTree.from_dict(tree.to_dict(), limits)
         assert clone.passes(clone.root) == tree.passes(tree.root)
 
     def test_no_verdict_without_a_round(self):
@@ -428,7 +435,7 @@ class TestCheckpoint:
         tree.record_attempt(
             tree.root, "decomposer", "sketch please", lean_block(INDUCTION_SKETCH), failed=False
         )
-        clone = ProofTree.from_dict(tree.to_dict())
+        clone = ProofTree.from_dict(tree.to_dict(), tree.limits)
         assert clone.to_dict() == tree.to_dict()
         assert clone.reconstruct(clone.root) == tree.reconstruct(tree.root)
 
@@ -440,6 +447,26 @@ class TestCheckpoint:
         assert data["version"] == CHECKPOINT_VERSION
         clone = ProofTree.load(path)
         assert clone.to_dict() == tree.to_dict()
+
+    def test_a_checkpoint_holds_no_limits_and_loads_under_the_run_s(self, tmp_path):
+        tree = sketch_tree()
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        tree.close()
+        assert "limits" not in json.loads(path.read_text())
+        assert ProofTree.load(path, Limits(max_depth=3)).limits == Limits(max_depth=3)
+        assert ProofTree.load(path).limits == Limits()
+
+    def test_a_failed_round_of_a_pass_that_a_lower_budget_ended_is_folded(self):
+        """Two failed rounds of pass 1, folded with a budget of one round
+        per pass: the first ends the pass, the second changes no count."""
+        passes = _Passes()
+        for note in ("first", "second"):
+            entry = {"role": "prover", "prompt": "p", "response": "r", "failed": True,
+                     "verdict": None, "pass": 1, "note": note}
+            passes.fold(entry, per_pass=1)
+        assert (passes.seen, passes.open, passes.ended) == ({1}, {}, 1)
+        assert passes.notes == {1: "first"}
 
     def test_failed_append_makes_next_save_a_snapshot(self, tmp_path):
         tree = sketch_tree()
@@ -482,9 +509,7 @@ class TestCheckpoint:
         record["history"][0]["prompt"] = "edited"
         record["history"][-1]["verdict"]["passed"] = True
         record["history"].append({"role": "prover"})
-        data["limits"]["max_depth"] = 0
         assert tree.root_node().history == history
-        assert tree.limits == LIMITS
 
     def test_kept_to_dict_result_does_not_follow_the_tree(self):
         tree = sketch_tree()
@@ -521,7 +546,7 @@ class TestCheckpoint:
             )
             assert getattr(node, field.name) != default, field.name
         assert node.children == [grandchild] and node.parent and node.depth
-        assert ProofTree.from_dict(tree.to_dict()).node(node.id) == node
+        assert ProofTree.from_dict(tree.to_dict(), tree.limits).node(node.id) == node
         tree.save(path)
         tree.close()
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
@@ -564,9 +589,9 @@ class TestCheckpoint:
         data = sketch_tree().to_dict()
         del data["nodes"][data["root"]][field]
         with pytest.raises(ValueError, match="malformed checkpoint"):
-            ProofTree.from_dict(data)
+            ProofTree.from_dict(data, LIMITS)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8, 99, None, "missing"])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9, 99, None, "missing"])
     def test_version_guard(self, tmp_path, version):
         """Only CHECKPOINT_VERSION is read, as a record or as a file; the
         error names any other version. A version-1 file is one indented
@@ -595,7 +620,7 @@ class TestCheckpoint:
             f"this build reads only version {CHECKPOINT_VERSION}; start a new run"
         )
         with pytest.raises(ValueError, match=message):
-            ProofTree.from_dict(stamped(tree.to_dict()))
+            ProofTree.from_dict(stamped(tree.to_dict()), LIMITS)
         if version == 1:
             message = "checkpoint line 1 is not valid JSON"
         with pytest.raises(ValueError, match=message):
