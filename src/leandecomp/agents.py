@@ -37,7 +37,9 @@ _PLACEHOLDER_RE = re.compile(r"\{\{\s*(\w+)\s*\}\}")
 
 @lru_cache(maxsize=None)
 def _template_text(kind: PromptKind) -> str:
-    ref = resources.files("leandecomp.data.prompts") / f"{kind.value}.md"
+    # a path under the package, not the data.prompts package: reading a
+    # template during a run imports nothing
+    ref = resources.files(__package__) / "data" / "prompts" / f"{kind.value}.md"
     return ref.read_text(encoding="utf-8")
 
 

@@ -22,7 +22,7 @@ from .errors import ConfigError, InputError, LeandecompError
 from .lean_source import LeanSource, _line_heads, split_source
 from .orchestrator import Orchestrator
 from .proof_state import ProofTree
-from .services import ChatClient, SearchClient, VerifierClient, close_idle_connections
+from .services import ChatClient, SearchClient, VerifierClient
 
 log = logging.getLogger(__name__)
 
@@ -195,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {report}", file=sys.stderr)
         return EXIT_PROOF_FAILURE
     finally:
+        from .transport import close_idle_connections  # loaded when the clients were built
+
         close_idle_connections()
 
     if outcome.success:

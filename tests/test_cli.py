@@ -770,3 +770,27 @@ class TestDependencies:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+    def test_the_http_stack_loads_with_the_first_client(self):
+        """Importing the package, its CLI and its service clients loads no
+        HTTP stack; building the clients loads it, before any request."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import leandecomp, leandecomp.cli, leandecomp.services as s\n"
+            "stack = ('http.client', 'ssl', 'urllib.request', 'email', 'uuid')\n"
+            "print(' '.join(sorted(set(stack) & sys.modules.keys())) or '-')\n"
+            "s.ChatClient(s.ChatBackendConfig(model='m', base_url='http://127.0.0.1:9'))\n"
+            "s.VerifierClient(s.VerifierConfig(url='http://127.0.0.1:9'))\n"
+            "s.SearchClient(s.SearchConfig(url='http://127.0.0.1:9'))\n"
+            "print(' '.join(sorted(set(stack) & sys.modules.keys())) or '-')\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", probe],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        before, after = run.stdout.splitlines()
+        assert before == "-"
+        assert {"http.client", "urllib.request"} <= set(after.split())

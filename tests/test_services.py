@@ -1,6 +1,7 @@
 import base64
 import json
 import logging
+import re
 import socket
 import sys
 import threading
@@ -22,9 +23,8 @@ from leandecomp.services import (
     SearchConfig,
     VerifierClient,
     VerifierConfig,
-    _RetryingHttp,
-    close_idle_connections,
 )
+from leandecomp.transport import _RetryingHttp, close_idle_connections
 from tests.ast_builder import build_sketch_payload
 from tests.http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
 from tests.sample_proofs import EVEN_SUM_PROOF, INFINITUDE_SKETCH
@@ -161,6 +161,20 @@ class TestVerifierClient:
         service.route("POST", "/api/check", verifier_route(diagnose))
         results = make_verifier(service).verify_batch(["good one", "bad one", "good two"], timeout=10)
         assert [r.passed for r in results] == [True, False, True]
+
+    def test_a_batch_names_each_unit_with_a_distinct_random_id(self, service):
+        """Each unit's ``custom_id`` is ``code-<8 random hex digits>-<index>``,
+        so the ids of a batch, and of two batches, differ."""
+        service.route("POST", "/api/check", verifier_route(lambda code: []))
+        verifier = make_verifier(service)
+        for _ in range(2):
+            verifier.verify_batch(["a", "b", "c"], timeout=10)
+        batches = [[item["custom_id"] for item in r.body["codes"]] for r in service.requests]
+        for ids in batches:
+            assert len(set(ids)) == len(ids) == 3
+            for index, cid in enumerate(ids):
+                assert re.fullmatch(rf"code-[0-9a-f]{{8}}-{index}", cid), cid
+        assert batches[0][0] != batches[1][0]
 
     def test_unavailable_after_retries(self, service):
         service.fail_next("POST", "/api/check", [500] * 10)
