@@ -9,11 +9,11 @@ the sketch and exporting its AST, whose named subgoals become the node's
 children as the export lands. Equal-priority work is ordered by depth
 then node creation, so subgoals are processed breadth-first. A node
 proves in passes of self-correction rounds. The passes are independent,
-so a worker that would otherwise idle opens another pass on the
-lowest-depth node whose open passes are all busy, once that node has
-failed a round: at most as many passes as workers are open on a node,
-the first to verify proves it, and a reply that lands later is recorded
-unchecked. So a node proven after a failed round may cost up to
+so once a node has failed a round, a free worker opens another pass on
+it, after every node's next round and ahead of any check or
+decomposition step: at most as many passes as workers are open on a
+node, the first to verify proves it, and a reply that lands later is
+recorded unchecked. So a node proven after a failed round may cost up to
 ``workers - 1`` more prover calls. Nodes that exceed the depth limit
 or exhaust their sketch-correction budget trigger a backtrack: the
 nearest grandparent-or-higher ancestor with remaining budget is pruned
@@ -105,16 +105,17 @@ class Action:
 
 #: The work of a node in each status: its priority (lower = sooner) and
 #: its action. Other statuses have none (terminal, or waiting on children).
+#: Priority 5 is a node's extra prover pass (``_candidates``).
 _STATUS_ACTIONS = {
     NodeStatus.AWAITING_FORMALIZATION: (1, ActionKind.FORMALIZE),
     NodeStatus.AWAITING_SYNTAX_CHECK: (2, ActionKind.SYNTAX_CHECK),
     NodeStatus.AWAITING_SEMANTIC_CHECK: (3, ActionKind.SEMANTIC_CHECK),
     NodeStatus.AWAITING_PROOF: (4, ActionKind.PROVE),
-    NodeStatus.AWAITING_VERIFICATION: (5, ActionKind.VERIFY),
-    NodeStatus.AWAITING_AST_PARSE: (6, ActionKind.PARSE_AST),
-    NodeStatus.AWAITING_QUERY_GEN: (7, ActionKind.GEN_QUERIES),
-    NodeStatus.AWAITING_SKETCH: (8, ActionKind.SKETCH),
-    NodeStatus.AWAITING_SKETCH_CHECK: (9, ActionKind.SKETCH_CHECK),
+    NodeStatus.AWAITING_VERIFICATION: (6, ActionKind.VERIFY),
+    NodeStatus.AWAITING_AST_PARSE: (7, ActionKind.PARSE_AST),
+    NodeStatus.AWAITING_QUERY_GEN: (8, ActionKind.GEN_QUERIES),
+    NodeStatus.AWAITING_SKETCH: (9, ActionKind.SKETCH),
+    NodeStatus.AWAITING_SKETCH_CHECK: (10, ActionKind.SKETCH_CHECK),
 }
 
 
@@ -128,11 +129,13 @@ def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
     """The node's work as (priority, kind, prover pass) triples, from
     ``_STATUS_ACTIONS``. In the prover phase, each open pass has a Prove,
     or the Verify of its reply; with none open, a Prove opens the next.
-    Once the node has failed a round, a last Prove at the lowest priority
-    opens one more pass, while fewer than ``open_passes`` are open and
-    fewer than ``prover_max_pass`` have opened; with none open and that
-    many ended, it awaits query generation. A node that cannot go on
-    (``_stuck``) backtracks, or finishes the run ahead of all other work."""
+    Once the node has failed a round, a last Prove opens one more pass,
+    while fewer than ``open_passes`` are open and fewer than
+    ``prover_max_pass`` have opened. It ranks after every regular Prove
+    and ahead of every check, so replies wait behind the passes the
+    worker cap allows and are checked together. With none open and every
+    pass ended, the node awaits query generation. A node that cannot go
+    on (``_stuck``) backtracks, or finishes the run ahead of all else."""
     status = node.status
     if status in _PROVING:
         passes = tree.passes(node.id)
@@ -146,7 +149,7 @@ def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
                 and len(passes.open) < open_passes
                 and len(passes.seen) < tree.limits.prover_max_pass
             ):
-                yield 10, ActionKind.PROVE, passes.next  # the lowest priority of all
+                yield 5, ActionKind.PROVE, passes.next
             return
         status = NodeStatus.AWAITING_QUERY_GEN  # its passes spent under a lowered budget
     stuck = _stuck(tree, node, status)
@@ -162,11 +165,11 @@ def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
 def _stuck(tree: ProofTree, node: ProofNode, status: NodeStatus) -> int | None:
     """The backtrack priority of a node that cannot go on under the tree's
     limits, else None: 0 when its formalization retries or sketch
-    corrections are spent (a budget of 0 still allows one round), 7 when
-    it awaits query generation at the depth limit."""
+    corrections are spent (a budget of 0 still allows one round), that of
+    query generation when it awaits that at the depth limit."""
     limits, counters = tree.limits, node.counters
     if status is NodeStatus.AWAITING_QUERY_GEN:
-        return 7 if node.depth >= limits.max_depth else None
+        return _STATUS_ACTIONS[status][0] if node.depth >= limits.max_depth else None
     if status is NodeStatus.AWAITING_FORMALIZATION:
         used, budget = counters.formalize_retries, limits.formalizer_max_retries
     elif status is NodeStatus.AWAITING_SKETCH:

@@ -293,8 +293,8 @@ class TestNextAction:
         assert action.kind is ActionKind.FINISH
         assert not action.outcome.success
 
-    # The extra prover pass: the lowest-priority candidate of a node whose
-    # open pass is busy, once that node has failed a round.
+    # The extra prover pass of a node that has failed a round: after every
+    # node's regular Prove, ahead of every check and decomposition step.
 
     def test_a_busy_pass_that_failed_a_round_gets_another_pass(self):
         tree = formal_tree()
@@ -304,15 +304,32 @@ class TestNextAction:
         action = next_action(tree, busy=busy, open_passes=2)
         assert action == Action(ActionKind.PROVE, tree.root, pass_=2)
 
-    def test_another_pass_waits_for_ready_work_on_any_node(self):
-        tree, (proving, checking) = sibling_tree("proving", "checking")
+    def test_another_pass_waits_for_every_ready_prove_at_any_depth(self):
+        tree, (proving, parent) = sibling_tree("proving", "parent")
         fail_a_prover_round(tree, proving)
-        tree.node(checking).status = NodeStatus.AWAITING_SKETCH_CHECK
+        tree.node(parent).status = NodeStatus.AWAITING_CHILDREN
+        first, second = (tree.add_child(parent, make_subgoal(name)) for name in ("deep", "deeper"))
         busy = frozenset({(proving, 1)})
+        for deep in (first, second):
+            assert next_action(tree, busy, open_passes=2) == Action(ActionKind.PROVE, deep, pass_=1)
+            busy |= {(deep, 1)}
+        assert next_action(tree, busy, open_passes=2) == Action(ActionKind.PROVE, proving, pass_=2)
+
+    def test_another_pass_goes_before_the_checks_of_shallower_nodes(self):
+        tree, (verifying, checking, parent) = sibling_tree("verifying", "checking", "parent")
+        reply = lean_block("theorem verifying : True := by\n  trivial")
+        tree.record_reply(verifying, "prover", "(prover prompt)", reply, 1)
+        tree.node(checking).status = NodeStatus.AWAITING_SKETCH_CHECK
+        tree.node(parent).status = NodeStatus.AWAITING_CHILDREN
+        proving = tree.add_child(parent, make_subgoal("proving"))
+        fail_a_prover_round(tree, proving)
+        busy = frozenset({(proving, 1)})
+        assert next_action(tree, busy, open_passes=2) == Action(ActionKind.PROVE, proving, pass_=2)
+        busy |= {(proving, 2)}
         action = next_action(tree, busy, open_passes=2)
+        assert action == Action(ActionKind.VERIFY, verifying, pass_=1)
+        action = next_action(tree, busy | {(verifying, 1)}, open_passes=2)
         assert action == Action(ActionKind.SKETCH_CHECK, checking)
-        action = next_action(tree, busy=busy | {(checking, None)}, open_passes=2)
-        assert action == Action(ActionKind.PROVE, proving, pass_=2)
 
     def test_another_pass_goes_to_the_shallower_then_the_earlier_node(self):
         tree, (first, second) = sibling_tree("first", "second")
@@ -1878,6 +1895,14 @@ def named(tree: ProofTree, name: str):
     return next((node for node in tree.nodes.values() if node.name == name), None)
 
 
+def brood_backends(hard, names):
+    """The journal scenario's backends, with a decomposer that splits the
+    root into one subgoal per name."""
+    haves = "".join(f"  have {name} : True := by\n    sorry\n" for name in names)
+    sketch = lean_block(f"theorem tst : True := by\n{haves}  exact {names[0]}")
+    return {**journal_backends(hard), "decomposer": ScriptedChat(lambda messages: sketch)}
+
+
 class TestCompletionScheduler:
     """Two workers over the journal scenario, with some calls held back
     by events, so that the order in which results land is fixed."""
@@ -1921,6 +1946,76 @@ class TestCompletionScheduler:
         ]
         assert {"tst_a", "tst_b"} in verified
         assert {"tst_a"} not in verified and {"tst_b"} not in verified
+
+    def test_siblings_failing_every_round_open_second_passes_and_share_a_check(self):
+        """Three siblings fail every prover round. tst_c's first Prove is
+        held until a sibling opens a second pass beside its first, which
+        it does ahead of the siblings' ready checks; the replies wait
+        behind those passes, and one request checks those of all three."""
+        names = ["tst_a", "tst_b", "tst_c"]
+        overlapping = set()
+
+        def on_dispatch(orch, action):
+            node = orch.tree.nodes.get(action.node_id)
+            if action.kind is ActionKind.PROVE and node.depth == 1:
+                if len(orch.tree.passes(node.id).open) == 2:
+                    overlapping.add(node.name)
+                    prover.gates["tst_c"].set()
+
+        backends = brood_backends(frozenset(["tst", *names]), names)
+        prover = backends["prover"] = GatedChat(backends["prover"], ["tst_c"])
+        limits = Limits(prover_self_correction=2, prover_max_pass=2, max_depth=1)
+        orch = HookedOrchestrator(
+            formal_tree(limits=limits),
+            backends=backends,
+            verifier=BatchRecordingVerifier(),
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=2,
+            on_dispatch=on_dispatch,
+        )
+        outcome = orch.run()
+        assert not outcome.success and "reached the depth limit 1" in outcome.report
+        assert overlapping
+        checked = [
+            {name for name in names if any(f"theorem {name} :" in unit for unit in batch)}
+            for batch in orch.verifier.batches
+        ]
+        assert set(names) in checked
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_sibling_proven_after_a_failed_round_costs_at_most_workers_minus_one_more_calls(
+        self, workers
+    ):
+        """tst_a fails its first prover round and every later reply of it
+        would prove it, while tst_b and tst_c prove at once beside it.
+        tst_a's further passes open ahead of its check and cost at most
+        ``workers - 1`` calls beyond its two; the proof reconstructs."""
+        names = ["tst_a", "tst_b", "tst_c"]
+        backends = brood_backends(frozenset({"tst"}), names)
+        rounds, lock = Counter(), threading.Lock()
+
+        def prove(messages):
+            unit = extract_code_block(messages[0][1])
+            name = re.search(r"theorem (\w+)", unit).group(1)
+            with lock:
+                rounds[name] += 1
+                failing = name == "tst" or (name, rounds[name]) == ("tst_a", 1)
+            return lean_block(unit.replace("sorry", FAIL_MARKER if failing else "trivial"))
+
+        backends["prover"] = ScriptedChat(prove)
+        limits = Limits(prover_self_correction=2, prover_max_pass=4, max_depth=1)
+        orch = make_orchestrator(
+            formal_tree(limits=limits),
+            backends=backends,
+            ast_client=BuilderAst(),
+            search_client=ScriptedSearch(),
+            workers=workers,
+        )
+        assert orch.run().success
+        assert rounds["tst_b"] == rounds["tst_c"] == 1
+        assert 2 <= rounds["tst_a"] <= 2 + workers - 1
+        orch.tree.validate()
 
     def test_deeper_prove_starts_while_a_sibling_of_its_parent_sketches(self):
         """tst_b's decomposer call is held; tst_a's subgoals are

@@ -225,10 +225,6 @@ class TestAwaitingCheck:
             ("AwaitingProof", [{"failed": True, "verdict": None}]),
             # two rounds of one pass awaiting their check
             ("AwaitingVerification", [prover_round(1), prover_round(1)]),
-            # a pass that failed more rounds than its budget
-            ("AwaitingProof", [prover_round(1, failed=True)] * 3),
-            # more passes than the budget
-            ("AwaitingProof", [prover_round(p, failed=True) for p in range(1, 34)]),
             # a pass's round awaiting its check on a node that awaits none
             ("AwaitingProof", [prover_round(1, failed=True), prover_round(2)]),
         ],
@@ -456,6 +452,30 @@ class TestCheckpoint:
         assert "limits" not in json.loads(path.read_text())
         assert ProofTree.load(path, Limits(max_depth=3)).limits == Limits(max_depth=3)
         assert ProofTree.load(path).limits == Limits()
+
+    @pytest.mark.parametrize(
+        "lowered",
+        [
+            Limits(prover_self_correction=1),
+            Limits(prover_max_pass=1),
+            Limits(formalizer_max_retries=1, decomposer_self_correction=1),
+        ],
+    )
+    def test_a_tree_resumed_under_lowered_limits_validates(self, tmp_path, lowered):
+        """Pass 1 failed two rounds and pass 2 one, and the root spent two
+        formalization retries, sketch corrections and decompositions, all
+        within the packaged limits. Loaded under lower ones, the tree is
+        valid: the run goes on, or fails on the budget it has spent."""
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        for pass_ in (1, 1, 2):
+            tree.record_attempt(tree.root, "prover", "p", "r", failed=True, pass_=pass_)
+        tree.root_node().counters = Counters(2, 2, 2)
+        path = tmp_path / "checkpoint.json"
+        tree.save(path)
+        tree.close()
+        resumed = ProofTree.load(path, lowered)
+        resumed.validate()
+        assert resumed.to_dict() == tree.to_dict()
 
     def test_a_failed_round_of_a_pass_that_a_lower_budget_ended_is_folded(self):
         """Two failed rounds of pass 1, folded with a budget of one round
