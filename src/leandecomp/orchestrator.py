@@ -19,7 +19,10 @@ or exhaust their sketch-correction budget trigger a backtrack: the
 nearest grandparent-or-higher ancestor with remaining budget is pruned
 and re-decomposed with the alternative-strategy prompts. Without one,
 or with its formalization retries spent, the run fails: that is read
-from the tree under the run's limits, never stored.
+from the tree under the run's limits, never stored. Applying a result
+records it in the tree, which folds it into the node's status and
+budget counters: the coordinator sets only a node's formal statement
+and name.
 
 Every remote call (each chat role, each verify request, AST export and
 theorem search) runs on one of at most ``workers`` threads that live as
@@ -119,10 +122,9 @@ _STATUS_ACTIONS = {
 }
 
 
-#: The statuses of a node in its prover phase, by whether a pass's reply
-#: awaits its check.
-_AWAITING_REPLY = {False: NodeStatus.AWAITING_PROOF, True: NodeStatus.AWAITING_VERIFICATION}
-_PROVING = frozenset(_AWAITING_REPLY.values())
+#: The statuses of a node in its prover phase, indexed by whether a
+#: pass's reply awaits its check.
+_PROVING = (NodeStatus.AWAITING_PROOF, NodeStatus.AWAITING_VERIFICATION)
 
 
 def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
@@ -133,41 +135,36 @@ def _candidates(tree: ProofTree, node: ProofNode, open_passes: int):
     while fewer than ``open_passes`` are open and fewer than
     ``prover_max_pass`` have opened. It ranks after every regular Prove
     and ahead of every check, so replies wait behind the passes the
-    worker cap allows and are checked together. With none open and every
-    pass ended, the node awaits query generation. A node that cannot go
-    on (``_stuck``) backtracks, or finishes the run ahead of all else."""
-    status = node.status
-    if status in _PROVING:
+    worker cap allows and are checked together. A node that cannot go on
+    (``_stuck``) backtracks, or finishes the run ahead of all else."""
+    if node.status in _PROVING:
         passes = tree.passes(node.id)
-        if passes.open or passes.ended < tree.limits.prover_max_pass:
-            for pass_ in passes.open or [passes.next]:
-                replied = pass_ in passes.unjudged
-                yield (*_STATUS_ACTIONS[_AWAITING_REPLY[replied]], pass_)
-            if (
-                passes.open
-                and passes.notes  # a note per pass that failed a round
-                and len(passes.open) < open_passes
-                and len(passes.seen) < tree.limits.prover_max_pass
-            ):
-                yield 5, ActionKind.PROVE, passes.next
-            return
-        status = NodeStatus.AWAITING_QUERY_GEN  # its passes spent under a lowered budget
-    stuck = _stuck(tree, node, status)
+        for pass_ in passes.open or [passes.next]:
+            yield (*_STATUS_ACTIONS[_PROVING[pass_ in passes.unjudged]], pass_)
+        if (
+            passes.open
+            and passes.notes  # a note per pass that failed a round
+            and len(passes.open) < open_passes
+            and len(passes.seen) < tree.limits.prover_max_pass
+        ):
+            yield 5, ActionKind.PROVE, passes.next
+        return
+    stuck = _stuck(tree, node)
     if stuck is None:
-        if status in _STATUS_ACTIONS:
-            yield (*_STATUS_ACTIONS[status], None)
+        if node.status in _STATUS_ACTIONS:
+            yield (*_STATUS_ACTIONS[node.status], None)
     elif tree.find_backtrack_ancestor(node.id) is None:
         yield 0, ActionKind.FINISH, None
     else:
         yield stuck, ActionKind.BACKTRACK, None
 
 
-def _stuck(tree: ProofTree, node: ProofNode, status: NodeStatus) -> int | None:
+def _stuck(tree: ProofTree, node: ProofNode) -> int | None:
     """The backtrack priority of a node that cannot go on under the tree's
     limits, else None: 0 when its formalization retries or sketch
     corrections are spent (a budget of 0 still allows one round), that of
     query generation when it awaits that at the depth limit."""
-    limits, counters = tree.limits, node.counters
+    limits, counters, status = tree.limits, node.counters, node.status
     if status is NodeStatus.AWAITING_QUERY_GEN:
         return _STATUS_ACTIONS[status][0] if node.depth >= limits.max_depth else None
     if status is NodeStatus.AWAITING_FORMALIZATION:
@@ -533,9 +530,6 @@ class Orchestrator:
             self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
             if appropriate:
                 node.formal = formal
-                node.status = NodeStatus.AWAITING_PROOF
-            else:
-                self._failed(node, "semantics")
 
         return _Call(apply, partial(self._ask, "semantics", [("user", prompt)]))
 
@@ -559,19 +553,6 @@ class Orchestrator:
             )
         return self._generate(node, "prover", conversation, prompt, pass_)
 
-    def _propagate_proven(self, node: ProofNode) -> None:
-        current = node
-        while current.parent is not None:
-            parent = self.tree.node(current.parent)
-            if parent.status is not NodeStatus.AWAITING_CHILDREN:
-                break
-            if any(
-                self.tree.node(cid).status is not NodeStatus.PROVEN for cid in parent.children
-            ):
-                break
-            parent.status = NodeStatus.PROVEN
-            current = parent
-
     # ------------------------------------------------------ rounds and checks
 
     def _generate(
@@ -580,10 +561,9 @@ class Orchestrator:
     ) -> _Call:
         """The call that asks ``role`` to continue ``conversation`` with
         ``prompt`` (in prover pass ``pass_``). A reply that proposes Lean
-        code becomes the round awaiting its Lean check, and the node
-        awaits that check. Any other reply, or a backend failure, is a
-        failed round. A reply for a node that another prover pass proved
-        meanwhile is recorded unchecked."""
+        code becomes the round awaiting its Lean check. Any other reply,
+        or a backend failure, is a failed round. A reply for a node that
+        another prover pass proved meanwhile is recorded unchecked."""
 
         def apply(reply: str | LeandecompError) -> None:
             response = reply if isinstance(reply, str) else f"(backend failure: {reply})"
@@ -599,7 +579,6 @@ class Orchestrator:
                 except BadReply:
                     note = "the completion did not contain a fenced Lean code block"
             self.tree.record_attempt(node.id, role, prompt, response, True, pass_, note)
-            self._failed(node, role)
 
         return _Call(apply, partial(self._ask, role, conversation + [("user", prompt)]))
 
@@ -607,10 +586,11 @@ class Orchestrator:
         """The Lean check of the node's round awaiting it, for every role:
         a formalizer's statement (SyntaxCheck), a prover's proof of pass
         ``pass_`` (Verify) or a decomposer's sketch (SketchCheck). A proof
-        that compiles only because sorry or admit remains fails; a sketch
-        with goals left goes on to its AST export, and one with none
-        proves the node. The first prover pass to verify proves the node;
-        a result for a round it closed unchecked is dropped."""
+        that compiles only because sorry or admit remains fails. The tree
+        folds the verdict into the node's status: a sketch with goals left
+        goes on to its AST export, and one with none, or the first prover
+        pass to verify, proves the node. A result for a round closed
+        unchecked is dropped."""
         role = self.tree.unjudged_round(node.id, pass_)["role"]
         unit = self.tree.unit(node.id, pass_).combined()
 
@@ -627,36 +607,10 @@ class Orchestrator:
             annotate = not result.passed and role != "formalizer"
             note = build_error_annotation(unit, result) if annotate else None
             self.tree.record_verdict(node.id, result, pass_, note)
-            if not result.passed:
-                self._failed(node, role)
-            elif role == "formalizer":
-                node.status = NodeStatus.AWAITING_SEMANTIC_CHECK
-            elif not result.complete:
-                node.status = NodeStatus.AWAITING_AST_PARSE
-            else:
-                node.status = NodeStatus.PROVEN
-                self._propagate_proven(node)
 
         return _Call(apply, unit=unit)
 
     _do_syntax_check = _do_sketch_check = _do_verify
-
-    def _failed(self, node: ProofNode, role: str) -> None:
-        """Go on after a failed round of ``role``, which the tree has
-        charged to the role's budget: the node awaits the role's next
-        round (``_candidates`` sees a spent budget). A prover node awaits
-        another pass's check or its next round until every pass its
-        budget allows has ended, then query generation."""
-        if role in ("formalizer", "semantics"):
-            node.status = NodeStatus.AWAITING_FORMALIZATION
-        elif role == "prover":
-            passes = self.tree.passes(node.id)
-            if not passes.open and passes.ended >= self.tree.limits.prover_max_pass:
-                node.status = NodeStatus.AWAITING_QUERY_GEN
-            else:
-                node.status = _AWAITING_REPLY[bool(passes.unjudged)]
-        else:
-            node.status = NodeStatus.AWAITING_SKETCH
 
     # -------------------------------------------------------- decomposition
 
@@ -664,7 +618,7 @@ class Orchestrator:
         """The search-query rounds and, in the same call, the search for
         hint theorems with the queries of the reply that gave them. The
         hints go into that reply's history entry, where the sketch reads
-        them, and the node awaits its sketch."""
+        them."""
         kind = (
             PromptKind.QUERY_BACKTRACK
             if node.counters.decompositions_used > 0
@@ -697,7 +651,6 @@ class Orchestrator:
                 self.tree.record_attempt(
                     node.id, "search_query", prompt, reply, failed=hints is None, hints=hints
                 )
-            node.status = NodeStatus.AWAITING_SKETCH
 
         return _Call(apply, ask)
 
@@ -756,7 +709,6 @@ class Orchestrator:
                         self.tree.check_splice(node.id, subgoals)
                         for subgoal in subgoals:
                             self.tree.add_child(node.id, subgoal)
-                        node.status = NodeStatus.AWAITING_CHILDREN
                         return
                     defect = "the proof sketch contains no named subgoals"
                 except BadSketch as exc:
@@ -764,7 +716,6 @@ class Orchestrator:
             self.tree.record_attempt(
                 node.id, "decomposer", f"({stage})", defect, failed=True, note=defect
             )
-            self._failed(node, "decomposer")
 
         return _Call(apply, partial(self._fetch_ast, self.tree.unit(node.id).combined()))
 

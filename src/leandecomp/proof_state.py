@@ -1,21 +1,21 @@
 """Tree-structured proof state.
 
-Each node is a theorem being proved: the root carries the user's
-target, children carry subgoals produced by decomposition. Nodes track
-status, a never-cleared history of agent rounds (from which each
-agent's running conversation is derived), and the retry counters that
-drive scheduling. A generated reply that still awaits its Lean check is
-a round of its node's history; the check appends a verdict entry after
-it. The entry of a failed round notes what its correction shows, and a
-search-query round keeps the hint theorems its queries found. Prover
-rounds and their verdicts carry the number of their ``pass``, so that
-several passes of one node can be open at once, each with at most one
-round awaiting its check. The tree persists as a
-checkpoint journal (a snapshot line, then one line per save holding
-what changed) and reconstructs
-complete proofs from proven subtrees by splicing each child's proof
-into its parent's sketch at the child's sorry, each read from its
-node's history.
+Each node is a theorem being proved: the root carries the user's target,
+children carry subgoals produced by decomposition. Nodes keep a
+never-cleared history of agent rounds and backtracks, from which each
+agent's running conversation is derived, and whose fold is the node's
+status and the retry counters that drive scheduling. A generated reply
+that still awaits its Lean check is a round of its node's history; the
+check appends a verdict entry after it. The entry of a failed round
+notes what its correction shows, and a search-query round keeps the hint
+theorems its queries found. Prover rounds and their verdicts carry the
+number of their ``pass``, so that several passes of one node can be open
+at once, each with at most one round awaiting its check. The tree
+persists as a checkpoint journal (a snapshot line, then one line per
+save holding what changed) of each node's structure and history, and
+reconstructs complete proofs from proven subtrees by splicing each
+child's proof into its parent's sketch at the child's sorry, each read
+from its node's history.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, TextIO
@@ -39,7 +40,7 @@ from .lean_source import (
 from .ast_model import Subgoal
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: The prompts of the decomposer entries that note a defect found in a
 #: verified sketch, at AST export or at subgoal extraction.
@@ -60,12 +61,21 @@ class NodeStatus(Enum):
     PROVEN = "Proven"
 
 
-#: The statuses in which a node has a generated round awaiting its
-#: check (a prover node, one per open pass), and the role that generated it.
+#: The status of a node whose round of a role awaits its check (a prover
+#: node has one per open pass).
 _AWAITING_CHECK = {
-    NodeStatus.AWAITING_SYNTAX_CHECK: "formalizer",
-    NodeStatus.AWAITING_VERIFICATION: "prover",
-    NodeStatus.AWAITING_SKETCH_CHECK: "decomposer",
+    "formalizer": NodeStatus.AWAITING_SYNTAX_CHECK,
+    "prover": NodeStatus.AWAITING_VERIFICATION,
+    "decomposer": NodeStatus.AWAITING_SKETCH_CHECK,
+}
+
+#: The status of a node after a failed and after a passed round of a role
+#: other than the prover (a sketch whose check left no goal proves it).
+_JUDGED = {
+    "formalizer": (NodeStatus.AWAITING_FORMALIZATION, NodeStatus.AWAITING_SEMANTIC_CHECK),
+    "semantics": (NodeStatus.AWAITING_FORMALIZATION, NodeStatus.AWAITING_PROOF),
+    "search_query": (NodeStatus.AWAITING_SKETCH, NodeStatus.AWAITING_SKETCH),
+    "decomposer": (NodeStatus.AWAITING_SKETCH, NodeStatus.AWAITING_AST_PARSE),
 }
 
 
@@ -125,12 +135,12 @@ class _Passes:
         return max(self.seen, default=0) + 1
 
     def fold(self, entry: dict[str, Any], per_pass: int) -> None:
-        """Apply one history entry. A ``failed`` of None closes a round
-        unchecked: its reply landed, or awaited its check, when another
-        pass had already verified."""
-        pass_ = entry.get("pass")
-        if pass_ is None:
-            return
+        """Apply one history entry of a pass. A ``failed`` of None closes a
+        round unchecked: its reply landed, or awaited its check, when
+        another pass had already verified. Raises KeyError for an entry of
+        no pass or a verdict of no round, and ValueError for a second round
+        of a pass awaiting its check."""
+        pass_ = entry["pass"]
         if pass_ not in self.seen:
             self.seen.add(pass_)
             if self.won is None:
@@ -138,6 +148,8 @@ class _Passes:
         if "prompt" not in entry:
             round_ = self.unjudged.pop(pass_)
         elif "failed" not in entry:
+            if pass_ in self.unjudged:
+                raise ValueError(f"pass {pass_} has two rounds awaiting a check")
             self.unjudged[pass_] = entry
             return
         else:
@@ -155,9 +167,10 @@ class _Passes:
 
 class ProofTree:
     """Owner of all nodes, which its methods add, prune and record rounds
-    on, of each node's prover passes (``passes``) and of the Lean unit
-    that each round proposes (``unit``); the orchestrator sets
-    ``status`` and ``formal`` itself."""
+    on, of each node's status, counters and prover passes (``passes``),
+    which it folds from the node's history, and of the Lean unit that
+    each round proposes (``unit``); the orchestrator sets only ``formal``
+    and ``name`` itself."""
 
     def __init__(self, limits: Limits):
         self.limits = limits
@@ -166,9 +179,9 @@ class ProofTree:
         self._seq = 0
         # Per node, the code that the latest round of each prover pass
         # (key: the pass) and of the other roles (key: None) proposes,
-        # once parsed; and the node's prover passes, once derived.
+        # once parsed; and the node's prover passes.
         self._codes: dict[str, dict[int | None, LeanSource]] = {}
-        self._passes: dict[str, _Passes] = {}
+        self._passes: defaultdict[str, _Passes] = defaultdict(_Passes)
         # The checkpoint file this tree last saved to, the handle that
         # appends to it (opened by the first append), and per node the
         # ``_node_fields`` record and the history length that file holds.
@@ -265,14 +278,9 @@ class ProofTree:
         return None
 
     def passes(self, node_id: str) -> _Passes:
-        """The node's prover passes: derived from its history once, then
-        kept up to date as rounds are recorded and passes opened."""
-        passes = self._passes.get(node_id)
-        if passes is None:
-            passes = self._passes[node_id] = _Passes()
-            for entry in self.node(node_id).history:
-                passes.fold(entry, self.limits.prover_self_correction)
-        return passes
+        """The node's prover passes, folded from its history as each entry
+        is appended (``_append``) and as passes open."""
+        return self._passes[node_id]
 
     def last_round(self, node_id: str) -> dict[str, Any] | None:
         """The node's latest agent round, judged or not: the last history
@@ -287,7 +295,7 @@ class ProofTree:
 
         The child's formal unit is the subgoal's standalone statement
         under the parent's preamble; it starts at AwaitingProof since it is
-        already formal.
+        already formal, and the parent awaits its children.
         """
         parent = self.node(parent_id)
         child = ProofNode(
@@ -300,6 +308,7 @@ class ProofTree:
         )
         self.nodes[child.id] = child
         parent.children.append(child.id)
+        parent.status = NodeStatus.AWAITING_CHILDREN
         return child.id
 
     def open_pass(self, node_id: str, pass_: int) -> None:
@@ -331,15 +340,13 @@ class ProofTree:
     def record_reply(
         self, node_id: str, role: str, prompt: str, response: str, pass_: int | None = None
     ) -> None:
-        """Log a generated round whose Lean check is still to come, keep
-        the code it proposes for ``unit`` and move the node to the status
-        awaiting that check. Raises BadReply, logging nothing, when the
-        reply proposes no declaration."""
+        """Log a generated round whose Lean check is still to come, and
+        keep the code it proposes for ``unit``. Raises BadReply, logging
+        nothing, when the reply proposes no declaration."""
         node = self.node(node_id)
         code = reply_code(response)
         entry = {"role": role, "prompt": prompt, "response": response}
         self._codes.setdefault(node_id, {})[self._log(node, entry, role, pass_)] = code
-        node.status = next(s for s, checked in _AWAITING_CHECK.items() if checked == role)
 
     def record_verdict(
         self, node_id: str, verdict: VerificationResult, pass_: int | None = None,
@@ -347,8 +354,7 @@ class ProofTree:
     ) -> None:
         """
         Log the check of the round awaiting it (of prover pass ``pass_``,
-        if given), as an entry of its own that repeats no text, and apply
-        the round's counter rules.
+        if given), as an entry of its own that repeats no text.
 
         A failed round keeps ``note`` for its next correction. A failed
         prover round consumes one self-correction attempt of its pass;
@@ -368,30 +374,77 @@ class ProofTree:
         self, node: ProofNode, entry: dict[str, Any], role: str, pass_: int | None = None,
         note: str | None = None,
     ) -> int | None:
-        """Append a history entry of a ``role`` round, and return its
-        prover pass: an entry of a prover round carries its pass, which
-        it must name, and the entry of a failed round carries ``note``,
-        what its correction shows. A failed round of another role is
-        charged to that role's budget. A verified prover round ends
+        """Append a history entry of a ``role`` round (``_append``), and
+        return its prover pass: an entry of a prover round carries its
+        pass, which it must name, and the entry of a failed round carries
+        ``note``, what its correction shows. A verified prover round ends
         every pass: the rounds other passes still have awaiting a check
         are closed unchecked."""
         if role == "prover":
             entry["pass"] = _require_pass(pass_)
         if note is not None and entry.get("failed"):
             entry["note"] = note
-        passes = self.passes(node.id)
-        node.history.append(entry)
-        passes.fold(entry, self.limits.prover_self_correction)
+        self._append(node, entry)
         if role == "prover" and entry.get("failed") is False:
-            for other in list(passes.unjudged):
-                closed = {"pass": other, "failed": None, "verdict": None}
-                node.history.append(closed)
-                passes.fold(closed, self.limits.prover_self_correction)
-        if entry.get("failed") and role in ("formalizer", "semantics"):
-            node.counters.formalize_retries += 1
-        elif entry.get("failed") and role == "decomposer":
-            node.counters.sketch_corrections_used += 1
+            for other in list(self.passes(node.id).unjudged):
+                self._append(node, {"pass": other, "failed": None, "verdict": None})
         return pass_
+
+    def _append(self, node: ProofNode, entry: dict[str, Any]) -> None:
+        """Append a history entry and fold it into the node's status and
+        counters, which change nowhere else but where a node gets
+        children: after a prover entry the node stands where its passes
+        do; another role's round awaits its check, then goes on as
+        ``_JUDGED`` says and a failed one is charged to the role's budget;
+        a backtrack counts one decomposition and refreshes the sketch
+        corrections. Raises ValueError, KeyError or AttributeError for an
+        entry out of place, of no known role, or not an object."""
+        awaiting = self.unjudged_round(node.id)
+        if awaiting is not None and "pass" not in awaiting:  # only its verdict may follow
+            if "prompt" in entry or "pass" in entry or "failed" not in entry:
+                raise ValueError(f"node {node.id} has a round left unjudged")
+            role = awaiting["role"]
+        elif "prompt" in entry:
+            role = entry["role"]
+        else:  # a backtrack, or an entry of a prover pass (``fold`` reads its pass)
+            role = "backtrack" if entry.get("backtrack") else "prover"
+        node.history.append(entry)
+        if role == "prover":
+            passes = self.passes(node.id)
+            passes.fold(entry, self.limits.prover_self_correction)
+            if passes.won is not None:
+                status = NodeStatus.PROVEN
+            elif passes.open or passes.ended < self.limits.prover_max_pass:
+                status = _AWAITING_CHECK[role] if passes.unjudged else NodeStatus.AWAITING_PROOF
+            else:
+                status = NodeStatus.AWAITING_QUERY_GEN
+        elif role == "backtrack":
+            node.counters.decompositions_used += 1
+            node.counters.sketch_corrections_used = 0
+            status = NodeStatus.AWAITING_QUERY_GEN
+        elif "failed" not in entry:
+            status = _AWAITING_CHECK[role]
+        else:
+            status = _JUDGED[role][not entry["failed"]]
+            if entry["failed"] and role == "decomposer":
+                node.counters.sketch_corrections_used += 1
+            elif entry["failed"] and role != "search_query":
+                node.counters.formalize_retries += 1
+            elif role == "decomposer" and entry["verdict"] and entry["verdict"]["complete"]:
+                status = NodeStatus.PROVEN
+        node.status = status
+        if status is NodeStatus.PROVEN:
+            self._prove_ancestors(node)
+
+    def _prove_ancestors(self, node: ProofNode) -> None:
+        """Prove each ancestor of a proven node, nearest first, that awaits
+        its children once all of them are proven."""
+        parent = self.nodes.get(node.parent)
+        while parent is not None and parent.status is NodeStatus.AWAITING_CHILDREN and all(
+            self.nodes[child].status is NodeStatus.PROVEN for child in parent.children
+        ):
+            parent.status = NodeStatus.PROVEN
+            parent = self.nodes.get(parent.parent)
 
     def find_backtrack_ancestor(self, node_id: str) -> str | None:
         """
@@ -415,11 +468,12 @@ class ProofTree:
         """
         Drop all descendants and queue the node for re-decomposition.
 
-        The node returns to AwaitingQueryGen with one decomposition
-        consumed and a fresh sketch-correction budget; its history, and
-        so the decomposer's conversation, is kept for the backtrack
-        prompts. Raises LeandecompError when the node's decomposition
-        budget is already spent (callers select ancestors with
+        A backtrack entry (``{"backtrack": true}``) appended to the node's
+        history returns it to AwaitingQueryGen with one decomposition
+        consumed and a fresh sketch-correction budget; its history, and so
+        the decomposer's conversation, is kept for the backtrack prompts.
+        Raises LeandecompError when the node's decomposition budget is
+        already spent (callers select ancestors with
         find_backtrack_ancestor, which never picks such a node).
         """
         node = self.node(node_id)
@@ -436,9 +490,7 @@ class ProofTree:
             if child is not None:
                 stack.extend(child.children)
         node.children = []
-        node.status = NodeStatus.AWAITING_QUERY_GEN
-        node.counters.decompositions_used += 1
-        node.counters.sketch_corrections_used = 0
+        self._append(node, {"backtrack": True})
 
     # ---------------------------------------------------------- Lean units
 
@@ -520,28 +572,19 @@ class ProofTree:
         # creation order, which scheduling ties fall back on
         numbers = [int(node_id[1:]) for node_id in self.nodes]
         assert all(a < b for a, b in zip(numbers, numbers[1:])), "node ids out of creation order"
+        # Each history folds as on a load to the node's status and counters;
+        # budgets are not checked, as a run may resume under lower limits.
+        try:
+            rebuilt = ProofTree.from_dict(self.to_dict(), self.limits).nodes
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from None
         for node in self.nodes.values():
             if node.children:
                 sketch = self.last_round(node.id)
                 assert sketch and sketch["role"] == "decomposer", f"{node.id} lacks a sketch"
-            # Per prover pass (None: the other roles) the round awaiting its
-            # check. Another role's round awaiting its check is the last
-            # entry, or its verdict follows it. Budgets are not checked: a
-            # run may resume under limits lower than those it spent.
-            unjudged: dict[int | None, dict[str, Any]] = {}
-            for entry in node.history:
-                pass_ = entry.get("pass")
-                assert None not in unjudged or ("prompt" not in entry and pass_ is None), (
-                    f"{node.id} has a round left unjudged"
-                )
-                if "prompt" not in entry:
-                    assert unjudged.pop(pass_, None), f"{node.id} has a verdict with no round"
-                elif "failed" not in entry:
-                    assert pass_ not in unjudged, f"{node.id} has two unjudged rounds in a pass"
-                    unjudged[pass_] = entry
-            awaiting = {entry["role"] for entry in unjudged.values()}
-            assert awaiting == {_AWAITING_CHECK.get(node.status)} - {None}, (
-                f"{node.id} is {node.status.value} with rounds awaiting a check by {awaiting}"
+            folded = rebuilt[node.id]
+            assert (node.status, node.counters) == (folded.status, folded.counters), (
+                f"{node.id}: {node.status.value} with {node.counters} is not its history's fold"
             )
 
     # ------------------------------------------------------------ persistence
@@ -562,8 +605,10 @@ class ProofTree:
     @classmethod
     def from_dict(cls, data: dict[str, Any], limits: Limits) -> "ProofTree":
         """Rebuild a tree, under the run's ``limits``, from a checkpoint
-        record of ``CHECKPOINT_VERSION``; raises ValueError for another
-        version or any structural defect, a missing node field included."""
+        record of ``CHECKPOINT_VERSION``, folding each node's history into
+        its status and counters (``_append``). Raises ValueError for
+        another version or any structural defect, a missing node field or
+        a history entry the fold cannot read included."""
         _check_version(data)
         try:
             tree = cls(limits)
@@ -571,19 +616,23 @@ class ProofTree:
             tree._seq = int(data["seq"])
             for node_id, raw in data["nodes"].items():
                 formal = raw["formal"]
+                initial = NodeStatus.AWAITING_PROOF if formal else NodeStatus.AWAITING_FORMALIZATION
                 tree.nodes[node_id] = ProofNode(
                     id=node_id,
                     parent=raw["parent"],
                     depth=int(raw["depth"]),
-                    status=NodeStatus(raw["status"]),
+                    status=initial,
                     informal_statement=raw["informal_statement"],
                     formal=None if formal is None else LeanSource(**formal),
                     name=raw["name"],
                     children=list(raw["children"]),
-                    history=list(raw["history"]),
-                    counters=Counters(**{k: int(v) for k, v in raw["counters"].items()}),
                 )
-        except (KeyError, TypeError, AttributeError) as exc:
+            for node, raw in zip(tree.nodes.values(), data["nodes"].values()):
+                for entry in raw["history"]:
+                    tree._append(node, entry)
+                if node.children:  # before they fold: parents come first
+                    node.status = NodeStatus.AWAITING_CHILDREN
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint: {exc!r}") from None
         if tree.root not in tree.nodes:
             raise ValueError(f"malformed checkpoint: root {tree.root!r} is not a node")
@@ -704,18 +753,17 @@ def _require_pass(pass_: int | None) -> int:
 
 def _node_fields(node: ProofNode) -> dict[str, Any]:
     """A node's checkpoint record without its ``history``, which the
-    journal writes as appended tails. Its id is the record's key."""
+    journal writes as appended tails. Its id is the record's key; its
+    status and counters fold from its history on load."""
     return {
         "parent": node.parent,
         "depth": node.depth,
-        "status": node.status.value,
         "informal_statement": node.informal_statement,
         "formal": None
         if node.formal is None
         else {"preamble": node.formal.preamble, "body": node.formal.body},
         "name": node.name,
         "children": list(node.children),
-        "counters": dict(vars(node.counters)),
     }
 
 

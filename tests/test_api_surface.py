@@ -14,20 +14,24 @@ so a field that nothing reads passes when another class's attribute of
 the same name is read. The orchestrator leaves each node's Lean text
 to the proof tree, and every node status has its action, but for a
 node waiting on its children or done; only the scheduling loop calls
-``dispatch``. Last, each exception class of the program stands for one
-way the program reacts to a failure: some ``except`` names it, and no
-``except`` names two of them.
+``dispatch``. A node's status and counters are the fold of its history,
+so only the proof tree sets them, and a node's checkpoint record holds
+its structure alone. Last, each exception class of the program stands
+for one way the program reacts to a failure: some ``except`` names it,
+and no ``except`` names two of them.
 """
 
 import ast
 from pathlib import Path
 
+from leandecomp.config import Limits
 from leandecomp.orchestrator import _STATUS_ACTIONS, ActionKind
-from leandecomp.proof_state import NodeStatus
+from leandecomp.proof_state import NodeStatus, ProofTree, _node_fields
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/leandecomp/*.py"), *ROOT.glob("perfbench/*.py")])
 ORCHESTRATOR = ROOT / "src" / "leandecomp" / "orchestrator.py"
+PROOF_STATE = ROOT / "src" / "leandecomp" / "proof_state.py"
 PROGRAM = sorted(ROOT.glob("src/leandecomp/*.py"))
 
 #: Definitions that the program does not use, each with why it stays.
@@ -169,8 +173,8 @@ def test_every_status_but_the_waiting_and_final_ones_has_an_action():
 
 def test_only_the_scheduling_loop_dispatches():
     """``Orchestrator.dispatch`` is called from ``_dispatch_ready`` alone:
-    applying a result only records it and sets the node's status, and
-    the work that follows, a backtrack or the end of the run included,
+    applying a result only records it in the tree, and the work that
+    follows, a backtrack or the end of the run included,
     is chosen by ``next_action``."""
     callers = [
         function.name
@@ -182,6 +186,33 @@ def test_only_the_scheduling_loop_dispatches():
         and call.func.attr == "dispatch"
     ]
     assert callers == ["_dispatch_ready"]
+
+
+def test_only_the_proof_tree_sets_a_node_status_or_counters():
+    """The tree folds each history entry into the node's status and
+    counters as it appends it, so no other file assigns ``.status`` or
+    ``.counters``, or changes a counter, in place or not."""
+    assigned = [
+        f"{path.relative_to(ROOT)}:{statement.lineno}"
+        for path in SOURCES
+        if path != PROOF_STATE
+        for statement in ast.walk(parse(path))
+        if isinstance(statement, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in getattr(statement, "targets", [getattr(statement, "target", None)])
+        for node in ast.walk(target)
+        if isinstance(node, ast.Attribute) and node.attr in ("status", "counters")
+    ]
+    assert PROOF_STATE in SOURCES
+    assert not assigned, f"a node's status or counters set outside the proof tree: {assigned}"
+
+
+def test_a_node_checkpoint_record_holds_its_structure_alone():
+    """Status and counters fold from the history on load, so a node's
+    record stores neither; its history is journaled apart."""
+    node = ProofTree.from_formal("theorem t : True := by\n  sorry", Limits()).root_node()
+    assert list(_node_fields(node)) == [
+        "parent", "depth", "informal_statement", "formal", "name", "children"
+    ]
 
 
 def test_every_allowed_name_is_still_defined_and_unused():

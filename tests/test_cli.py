@@ -62,8 +62,18 @@ CORRUPT_CHECKPOINTS = {
     "missing": None,
     "unsupported-version": '{"version": 999}',
     "version-only": json.dumps({"version": CHECKPOINT_VERSION}),
-    "unknown-counter": checkpoint_text(
-        lambda data: data["nodes"]["n0001"]["counters"].update(bogus=1)
+    "history-entry-not-an-object": checkpoint_text(
+        lambda data: data["nodes"]["n0001"]["history"].append("x")
+    ),
+    "history-entry-of-an-unknown-role": checkpoint_text(
+        lambda data: data["nodes"]["n0001"]["history"].append(
+            {"role": "bogus", "prompt": "p", "response": "r", "failed": True, "verdict": None}
+        )
+    ),
+    "verdict-without-a-round": checkpoint_text(
+        lambda data: data["nodes"]["n0001"]["history"].append(
+            {"failed": True, "verdict": {"passed": False, "complete": False}}
+        )
     ),
     "node-without-depth": checkpoint_text(lambda data: data["nodes"]["n0001"].pop("depth")),
     "not-an-object": "[1]",
@@ -190,14 +200,14 @@ class TestInputErrors:
         tree.save(checkpoint)
         tree.close()
         snapshot, journal = checkpoint.read_bytes().splitlines(keepends=True)
-        assert snapshot.startswith(b'{"version":8,')
-        checkpoint.write_bytes(snapshot.replace(b'"version":8', b'"version":7', 1) + journal)
+        assert snapshot.startswith(b'{"version":9,')
+        checkpoint.write_bytes(snapshot.replace(b'"version":9', b'"version":8', 1) + journal)
         stored = checkpoint.read_bytes()
         assert main(["--resume", str(checkpoint), "--out", str(out)]) == 2
         assert checkpoint.read_bytes() == stored
         assert (out / "diagnostic.txt").read_text(encoding="utf-8") == (
-            f"input rejected: cannot read {checkpoint}: checkpoint version 7 is not "
-            "supported: this build reads only version 8; start a new run\n"
+            f"input rejected: cannot read {checkpoint}: checkpoint version 8 is not "
+            "supported: this build reads only version 9; start a new run\n"
         )
         assert sorted(path.name for path in out.iterdir()) == ["checkpoint.json", "diagnostic.txt"]
 

@@ -749,9 +749,8 @@ class TestDecomposition:
         journal is cut once GenQueries has landed resumes to the same
         sketch prompt as the run that went on."""
         tree = formal_tree()
-        root = tree.root_node()
-        root.status = NodeStatus.AWAITING_QUERY_GEN
-        root.counters.decompositions_used = decompositions
+        for _ in range(decompositions):
+            tree.prune_subtree(tree.root)
         path = tmp_path / "checkpoint.json"
         tree.save(path)
         hit = TheoremHit("Nat.foo", "theorem Nat.foo : True", "Mathlib", 1.0)
@@ -1509,7 +1508,7 @@ class TestResumeUnderLoweredProverLimits:
         ran = Limits(prover_self_correction=1, prover_max_pass=4)
         limits = Limits(prover_self_correction=1, prover_max_pass=2, max_depth=max_depth)
         tree = self.resumed(tmp_path, ran, [1, 1, 1], limits)
-        assert tree.root_node().status is NodeStatus.AWAITING_PROOF
+        assert tree.root_node().status is NodeStatus.AWAITING_QUERY_GEN
         prover = ScriptedChat([lean_block("theorem step : True := by\n  trivial")])
         sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
         outcome = make_orchestrator(
@@ -1531,6 +1530,75 @@ class TestResumeUnderLoweredProverLimits:
                 "no ancestor has remaining decomposition budget for backtracking",
             )
             assert prover.calls == 0
+
+
+class Stopped(Exception):
+    """Stops a run where a crash would."""
+
+
+class TestResumeUnderARaisedPassBudget:
+    """A node whose prover passes have all ended, but that has not begun
+    decomposing, proves again when a resume raises ``prover_max_pass``;
+    one with a search-query round keeps decomposing."""
+
+    @staticmethod
+    def limits(max_pass: int) -> Limits:
+        return Limits(
+            prover_self_correction=2, prover_max_pass=max_pass, decomposer_self_correction=2,
+            max_depth=2,
+        )
+
+    @staticmethod
+    def services() -> dict:
+        """The journal scenario's services, with the root ``tst`` hard."""
+        return {
+            "backends": journal_backends(frozenset({"tst"})),
+            "verifier": RuleVerifier(),
+            "ast_client": BuilderAst(),
+            "search_client": ScriptedSearch(),
+        }
+
+    @staticmethod
+    def requests(services: dict) -> list:
+        """Every request the services received, in order per service."""
+        chats = [services["backends"][role].transcripts
+                 for role in ("prover", "search_query", "decomposer")]
+        return [*chats, services["verifier"].checked, services["ast_client"].seen,
+                services["search_client"].seen_queries]
+
+    @pytest.mark.parametrize(
+        "stop_at, status, went_on_under",
+        [
+            (ActionKind.GEN_QUERIES, NodeStatus.AWAITING_PROOF, 2),
+            (ActionKind.SKETCH, NodeStatus.AWAITING_SKETCH, 1),
+        ],
+        ids=["awaiting-queries", "decomposing"],
+    )
+    def test_a_resume_makes_the_requests_of_one_run(
+        self, tmp_path, stop_at, status, went_on_under
+    ):
+        """At one worker, the root's one pass ends under ``max_pass=1``,
+        and the run stops as it would dispatch ``stop_at``. Resumed under
+        ``max_pass=2``, the root awaiting query generation opens its
+        second pass, and one that has its queries goes on to sketch: the
+        two runs make the requests of one uninterrupted run under the
+        budget that the root went on under."""
+        uninterrupted = self.services()
+        Orchestrator(formal_tree(limits=self.limits(went_on_under)), **uninterrupted).run()
+        def stop(orch, action):
+            if action.kind is stop_at:  # before its call is handed to a worker
+                raise Stopped(action)
+
+        services, path = self.services(), tmp_path / "checkpoint.json"
+        with pytest.raises(Stopped):
+            HookedOrchestrator(
+                formal_tree(limits=self.limits(1)), checkpoint_path=path, on_dispatch=stop,
+                **services,
+            ).run()
+        resumed = ProofTree.load(path, self.limits(2))
+        assert resumed.root_node().status is status
+        assert Orchestrator(resumed, checkpoint_path=path, **services).run().success
+        assert self.requests(services) == self.requests(uninterrupted)
 
 
 # ------------------------------------------------- conversations from history

@@ -425,12 +425,17 @@ class TestReconstruct:
         assert count_sorries(merged) == 0
 
 
+#: The node fields that fold from its history, which a checkpoint does
+#: not store, and those it stores beside the history.
+FOLDED = ("status", "counters")
+PERSISTED = [
+    f.name for f in dataclasses.fields(ProofNode) if f.name not in ("id", "history", *FOLDED)
+]
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self):
         tree = proven_sketch_tree()
-        tree.record_attempt(
-            tree.root, "decomposer", "sketch please", lean_block(INDUCTION_SKETCH), failed=False
-        )
         clone = ProofTree.from_dict(tree.to_dict(), tree.limits)
         assert clone.to_dict() == tree.to_dict()
         assert clone.reconstruct(clone.root) == tree.reconstruct(tree.root)
@@ -467,15 +472,22 @@ class TestCheckpoint:
         within the packaged limits. Loaded under lower ones, the tree is
         valid: the run goes on, or fails on the budget it has spent."""
         tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        for role in ("formalizer", "semantics"):
+            tree.record_attempt(tree.root, role, "p", "r", failed=True)
         for pass_ in (1, 1, 2):
             tree.record_attempt(tree.root, "prover", "p", "r", failed=True, pass_=pass_)
-        tree.root_node().counters = Counters(2, 2, 2)
+        for _ in range(2):
+            tree.prune_subtree(tree.root)
+        for _ in range(2):
+            tree.record_attempt(tree.root, "decomposer", "p", "r", failed=True)
+        assert tree.root_node().counters == Counters(2, 2, 2)
         path = tmp_path / "checkpoint.json"
         tree.save(path)
         tree.close()
         resumed = ProofTree.load(path, lowered)
         resumed.validate()
         assert resumed.to_dict() == tree.to_dict()
+        assert resumed.root_node().counters == Counters(2, 2, 2)
 
     def test_a_failed_round_of_a_pass_that_a_lower_budget_ended_is_folded(self):
         """Two failed rounds of pass 1, folded with a budget of one round
@@ -543,23 +555,22 @@ class TestCheckpoint:
 
     def test_every_node_field_is_persisted_and_restored(self, tmp_path):
         """Each ProofNode field but ``history`` (which the journal writes
-        as tails) survives to_dict/from_dict and a journal append."""
+        as tails) and what folds from it survives to_dict/from_dict and a
+        journal append."""
         tree = sketch_tree()
         path = tmp_path / "checkpoint.json"
         tree.save(path)
         node = tree.node(tree.root_node().children[0])
         grandchild = tree.add_child(node.id, make_subgoal("tiny"))
         values = {
-            "status": NodeStatus.PROVEN,
             "informal_statement": "informal",
             "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
             "name": "renamed",
-            "counters": Counters(1, 1, 1),
         }
         for field in dataclasses.fields(ProofNode):
             if field.name in values:
                 setattr(node, field.name, values[field.name])
-            if field.name == "history":
+            if field.name in ("history", *FOLDED):
                 continue
             default = (
                 field.default_factory() if callable(field.default_factory) else field.default
@@ -572,10 +583,7 @@ class TestCheckpoint:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
         assert ProofTree.load(path).node(node.id) == node
 
-    @pytest.mark.parametrize(
-        "field",
-        [f.name for f in dataclasses.fields(ProofNode) if f.name not in ("id", "history")],
-    )
+    @pytest.mark.parametrize("field", PERSISTED)
     def test_a_change_to_any_one_field_is_appended(self, tmp_path, field):
         """A save appends a node whose only change is one field, so the
         comparison with the record that the last save wrote covers every
@@ -587,12 +595,10 @@ class TestCheckpoint:
         changed = {
             "parent": "n9999",
             "depth": 7,
-            "status": NodeStatus.PROVEN,
             "informal_statement": "informal",
             "formal": LeanSource(preamble="import Foo", body="theorem x : True := by\n  sorry"),
             "name": "renamed",
             "children": ["n9998"],
-            "counters": Counters(0, 0, 1),
         }[field]
         setattr(node, field, changed)
         tree.save(path)
@@ -600,9 +606,7 @@ class TestCheckpoint:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
         assert getattr(ProofTree.load(path).node(node.id), field) == getattr(node, field)
 
-    @pytest.mark.parametrize(
-        "field", [f.name for f in dataclasses.fields(ProofNode) if f.name != "id"]
-    )
+    @pytest.mark.parametrize("field", [*PERSISTED, "history"])
     def test_a_node_record_without_a_field_is_malformed(self, field):
         """Every field of a node record is read as required; the record's
         key names the node."""
@@ -611,7 +615,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="malformed checkpoint"):
             ProofTree.from_dict(data, LIMITS)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9, 99, None, "missing"])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99, None, "missing"])
     def test_version_guard(self, tmp_path, version):
         """Only CHECKPOINT_VERSION is read, as a record or as a file; the
         error names any other version. A version-1 file is one indented
