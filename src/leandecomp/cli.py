@@ -136,7 +136,6 @@ def _build_orchestrator(
         tree,
         backends=backends,
         verifier=verifier,
-        ast_client=verifier,
         search_client=search_client,
         workers=workers,
         run_log_path=out_dir / "run.jsonl",

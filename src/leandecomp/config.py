@@ -30,6 +30,11 @@ ROLE_SECTIONS = {
 #: Fallback endpoint for backends configured without a url (hosted API).
 DEFAULT_OPENAI_URL = "https://api.openai.com/v1"
 
+#: Per section, the options the accessors read that the defaults may leave unset.
+_UNLISTED_OPTIONS = dict.fromkeys(
+    ROLE_SECTIONS.values(), ("url", "api_key", "max_tokens", "max_completion_tokens")
+) | {"LEAN_EXPLORE_SERVER": ("max_retries", "hint_cap")}
+
 _ENV_KEY_RE = re.compile(r"^([A-Z][A-Z0-9_]*?)__([A-Z0-9_]+)$")
 
 
@@ -154,8 +159,17 @@ def load(
 
     Env keys must look like ``SECTION__OPTION``; unknown sections are
     created rather than rejected so extensions can configure themselves.
+    In a section of ``defaults``, an option that neither it nor any
+    accessor names raises ConfigError, naming where it was set.
     """
     sections = _parse_ini(defaults, "packaged defaults")
+    known = {name: {*keys, *_UNLISTED_OPTIONS.get(name, ())} for name, keys in sections.items()}
+
+    def merge(section: str, option: str, value: str, origin: str) -> None:
+        if section in known and option not in known[section]:
+            raise ConfigError(f"unknown option [{section}] {option} in {origin}")
+        sections.setdefault(section, {})[option] = value
+
     if user_file is not None:
         try:
             with open(user_file, encoding="utf-8") as handle:
@@ -163,15 +177,13 @@ def load(
         except OSError as exc:
             raise ConfigError(f"cannot read config file {user_file}: {exc}") from exc
         for section, options in _parse_ini(user_text, str(user_file)).items():
-            sections.setdefault(section, {}).update(options)
+            for option, value in options.items():
+                merge(section, option, value, f"config file {user_file}")
     if env is None:
         env = os.environ
     for key in sorted(env):
-        match = _ENV_KEY_RE.match(key)
-        if not match:
-            continue
-        section, option = match.group(1), match.group(2).lower()
-        sections.setdefault(section, {})[option] = env[key]
+        if match := _ENV_KEY_RE.match(key):
+            merge(match.group(1), match.group(2).lower(), env[key], f"environment variable {key}")
     return Config(sections=sections)
 
 

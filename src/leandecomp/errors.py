@@ -17,7 +17,7 @@ class BadReply(LeandecompError):
 class BadSketch(LeandecompError):
     """A verified sketch cannot be decomposed: its AST export failed or is
     not a syntax tree, a sorry is not in a named have, or its sorries and
-    subgoals do not splice. The sketch is corrected."""
+    subgoals do not splice. Its check fails, noting why, to be corrected."""
 
 
 class ServiceError(LeandecompError):

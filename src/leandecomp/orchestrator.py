@@ -1,44 +1,45 @@
 """Supervisor state machine driving the proof search.
 
 A single coordinator owns the proof tree and repeatedly picks the
-highest-priority ready work: formalizing the root, syntax/semantics-
-validating a formalization, proving and verifying leaves, and — when
-direct proving exhausts its passes — generating search queries and
-retrieving hint theorems with them, sketching a decomposition, checking
-the sketch and exporting its AST, whose named subgoals become the node's
-children as the export lands. Equal-priority work is ordered by depth
-then node creation, so subgoals are processed breadth-first. A node
-proves in passes of self-correction rounds. The passes are independent,
-so once a node has failed a round, a free worker opens another pass on
-it, after every node's next round and ahead of any check or
-decomposition step: at most as many passes as workers are open on a
-node, the first to verify proves it, and a reply that lands later is
-recorded unchecked. So a node proven after a failed round may cost up to
-``workers - 1`` more prover calls. Nodes that exceed the depth limit
-or exhaust their sketch-correction budget trigger a backtrack: the
-nearest grandparent-or-higher ancestor with remaining budget is pruned
-and re-decomposed with the alternative-strategy prompts. Without one,
-or with its formalization retries spent, the run fails: that is read
-from the tree under the run's limits, never stored. Applying a result
-records it in the tree, which folds it into the node's status and
-budget counters: the coordinator sets only a node's formal statement
-and name.
+highest-priority ready work: formalizing the root,
+syntax/semantics-validating a formalization, proving and verifying
+leaves, and — when direct proving exhausts its passes — generating
+search queries and retrieving hint theorems with them, sketching a
+decomposition, checking the sketch and exporting its AST in one call,
+whose named subgoals become the node's children as that call lands.
+Equal-priority work is ordered by depth then node creation, so subgoals
+are processed breadth-first. A node proves in passes of self-correction
+rounds. The passes are independent, so once a node has failed a round, a
+free worker opens another pass on it, after every node's next round and
+ahead of any check or decomposition step: at most as many passes as
+workers are open on a node, the first to verify proves it, and a reply
+that lands later is recorded unchecked. So a node proven after a failed
+round may cost up to ``workers - 1`` more prover calls. Nodes that
+exceed the depth limit or exhaust their sketch-correction budget trigger
+a backtrack: the nearest grandparent-or-higher ancestor with remaining
+budget is pruned and re-decomposed with the alternative-strategy
+prompts. Without one, or with its formalization retries spent, the run
+fails: that is read from the tree under the run's limits, never stored.
+Applying a result records it in the tree, which folds it into the node's
+status and budget counters: the coordinator sets only a node's formal
+statement and name.
 
-Every remote call (each chat role, each verify request, AST export and
-theorem search) runs on one of at most ``workers`` threads that live as
-long as the run, with at most ``workers`` calls in flight: ``dispatch``
-returns an action's remote call, the calls dispatched together go onto
-one queue, a worker makes them and puts the results on a second queue,
-which the coordinator waits on. The coordinator applies each result as
-it lands, writes the checkpoint journal once per wake-up and dispatches
-again, so all tree mutations happen on the coordinator and the subtrees
-of a sketch advance independently. A node whose call is in flight is
-not ready; a result for a node that a backtrack pruned is dropped.
-Verify actions coalesce: a reply is not verified while a Prove of
-another node from its dispatch wave is in flight (the passes of a node
-are independent), and then the ready Verifies at its depth share one
-request; with nothing else in flight only those of its wave do, which
-keeps the order of a single worker.
+Every remote call (each chat role, each verify request, a sketch's check
+with its AST export, and theorem search) runs on one of at most
+``workers`` threads that live as long as the run, with at most
+``workers`` calls in flight: ``dispatch`` returns an action's remote
+call, the calls dispatched together go onto one queue, a worker makes
+them and puts the results on a second queue, which the coordinator waits
+on. The coordinator applies each result as it lands, writes the
+checkpoint journal once per wake-up and dispatches again, so all tree
+mutations happen on the coordinator and the subtrees of a sketch advance
+independently. A node whose call is in flight is not ready; a result for
+a node that a backtrack pruned is dropped. Verify actions coalesce: a
+reply is not verified while a Prove of another node from its dispatch
+wave is in flight (the passes of a node are independent), and then the
+ready Verifies at its depth share one request; with nothing else in
+flight only those of its wave do, which keeps the order of a single
+worker.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class ActionKind(Enum):
     SEMANTIC_CHECK = "SemanticCheck"
     PROVE = "Prove"
     VERIFY = "Verify"
-    PARSE_AST = "ParseAst"
     GEN_QUERIES = "GenQueries"
     SKETCH = "Sketch"
     SKETCH_CHECK = "SketchCheck"
@@ -115,7 +115,6 @@ _STATUS_ACTIONS = {
     NodeStatus.AWAITING_SEMANTIC_CHECK: (3, ActionKind.SEMANTIC_CHECK),
     NodeStatus.AWAITING_PROOF: (4, ActionKind.PROVE),
     NodeStatus.AWAITING_VERIFICATION: (6, ActionKind.VERIFY),
-    NodeStatus.AWAITING_AST_PARSE: (7, ActionKind.PARSE_AST),
     NodeStatus.AWAITING_QUERY_GEN: (8, ActionKind.GEN_QUERIES),
     NodeStatus.AWAITING_SKETCH: (9, ActionKind.SKETCH),
     NodeStatus.AWAITING_SKETCH_CHECK: (10, ActionKind.SKETCH_CHECK),
@@ -267,13 +266,13 @@ class Orchestrator:
 
     ``backends`` maps the five agent roles — formalizer, prover,
     semantics, search_query, decomposer — to chat backends exposing
-    ``complete(messages) -> str``. ``verifier`` checks Lean units,
-    ``ast_client`` exports sketch ASTs (one VerifierClient does both),
-    ``search_client`` retrieves hint theorems (both optional until
-    decomposition is reached). ``run`` keeps up to ``workers`` remote
-    calls in flight on as many worker threads, started as calls need
-    them and joined when the run ends; ``workers=1`` makes one call at
-    a time, in the order of ``next_action``.
+    ``complete(messages) -> str``. ``verifier`` checks Lean units and,
+    unless ``ast_client`` is given, exports sketch ASTs (one
+    VerifierClient does both); ``search_client`` retrieves hint theorems
+    (optional). ``run`` keeps up to ``workers`` remote calls in flight on
+    as many worker threads, started as calls need them and joined when the
+    run ends; ``workers=1`` makes one call at a time, in the order of
+    ``next_action``.
     """
 
     def __init__(
@@ -290,7 +289,7 @@ class Orchestrator:
         self.tree = tree
         self.backends = dict(backends)
         self.verifier = verifier
-        self.ast_client = ast_client
+        self.ast_client = verifier if ast_client is None else ast_client
         self.search_client = search_client
         self.workers = max(1, int(workers))
         self.run_log_path = run_log_path
@@ -583,18 +582,17 @@ class Orchestrator:
         return _Call(apply, partial(self._ask, role, conversation + [("user", prompt)]))
 
     def _do_verify(self, node: ProofNode, pass_: int | None = None) -> _Call:
-        """The Lean check of the node's round awaiting it, for every role:
-        a formalizer's statement (SyntaxCheck), a prover's proof of pass
-        ``pass_`` (Verify) or a decomposer's sketch (SketchCheck). A proof
-        that compiles only because sorry or admit remains fails. The tree
-        folds the verdict into the node's status: a sketch with goals left
-        goes on to its AST export, and one with none, or the first prover
-        pass to verify, proves the node. A result for a round closed
-        unchecked is dropped."""
+        """The Lean check of the node's round awaiting it: a formalizer's
+        statement (SyntaxCheck), a prover's proof of pass ``pass_`` (Verify)
+        or a sketch (in SketchCheck, whose ``note`` fails a sketch Lean
+        passed). A proof that compiles only because sorry or admit remains
+        fails. The tree folds the verdict into the node's status: a sketch
+        with no goal left, or the first prover pass to verify, proves the
+        node. A result for a round closed unchecked is dropped."""
         role = self.tree.unjudged_round(node.id, pass_)["role"]
         unit = self.tree.unit(node.id, pass_).combined()
 
-        def apply(result: VerificationResult) -> None:
+        def apply(result: VerificationResult, note: str | None = None) -> None:
             if self.tree.unjudged_round(node.id, pass_) is None:
                 return
             if role == "prover" and result.passed and not result.complete:
@@ -604,13 +602,13 @@ class Orchestrator:
                     errors=(LeanError("the proof must not contain sorry or admit"),),
                     time=result.time,
                 )
-            annotate = not result.passed and role != "formalizer"
-            note = build_error_annotation(unit, result) if annotate else None
+            if not result.passed and role != "formalizer":
+                note = build_error_annotation(unit, result)
             self.tree.record_verdict(node.id, result, pass_, note)
 
         return _Call(apply, unit=unit)
 
-    _do_syntax_check = _do_sketch_check = _do_verify
+    _do_syntax_check = _do_verify
 
     # -------------------------------------------------------- decomposition
 
@@ -687,43 +685,40 @@ class Orchestrator:
             )
         return self._generate(node, "decomposer", conversation, prompt)
 
-    def _do_parse_ast(self, node: ProofNode) -> _Call:
-        """The AST export of the node's checked sketch. When it lands, the
-        sketch's named subgoals become the node's children and the node
-        awaits them. A sketch that cannot be exported, or that yields no
-        subgoals to splice, counts against the correction budget as a
-        failed decomposer entry with the prompt ``(ast-export)`` or
-        ``(subgoal-extraction)``, which the decomposer's conversation
-        leaves out."""
-        if self.ast_client is None:
-            raise LeandecompError("decomposition requires an AST client, none configured")
+    def _do_sketch_check(self, node: ProofNode) -> _Call:
+        """The Lean check of the node's sketch and, in the same call when
+        it passes with goals left, its AST export, whose named subgoals
+        become the node's children as the call lands. A sketch that cannot
+        be exported, or yields no subgoals to splice, fails its check with
+        that defect as its note, which costs one sketch correction."""
+        verify = self._do_verify(node)
 
-        def apply(export: tuple[object, list] | LeandecompError) -> None:
-            if isinstance(export, LeandecompError):
-                stage, defect = "ast-export", f"the proof sketch could not be analyzed: {export}"
-            else:
-                stage = "subgoal-extraction"
+        def check() -> tuple[VerificationResult, Any]:
+            [result] = self.verifier.verify_batch([verify.unit])
+            if not result.passed or result.complete:
+                return result, None
+            try:
+                return result, self.ast_client.fetch_ast(verify.unit)
+            except BadSketch as exc:
+                return result, f"the proof sketch could not be analyzed: {exc}"
+
+        def apply(landed: tuple[VerificationResult, Any]) -> None:
+            result, export = landed
+            subgoals, defect = [], export if isinstance(export, str) else None
+            if isinstance(export, tuple):
                 try:
                     subgoals = extract_subgoals(*export)
                     if subgoals:
                         self.tree.check_splice(node.id, subgoals)
-                        for subgoal in subgoals:
-                            self.tree.add_child(node.id, subgoal)
-                        return
-                    defect = "the proof sketch contains no named subgoals"
+                    else:
+                        defect = "the proof sketch contains no named subgoals"
                 except BadSketch as exc:
-                    defect = f"the proof sketch could not be decomposed: {exc}"
-            self.tree.record_attempt(
-                node.id, "decomposer", f"({stage})", defect, failed=True, note=defect
-            )
+                    subgoals, defect = [], f"the proof sketch could not be decomposed: {exc}"
+            verify.apply(result, defect)
+            for subgoal in subgoals:
+                self.tree.add_child(node.id, subgoal)
 
-        return _Call(apply, partial(self._fetch_ast, self.tree.unit(node.id).combined()))
-
-    def _fetch_ast(self, sketch: str) -> tuple[object, list] | LeandecompError:
-        try:
-            return self.ast_client.fetch_ast(sketch)
-        except BadSketch as exc:
-            return exc
+        return _Call(apply, check)
 
     # --------------------------------------------------------- reconstruction
 

@@ -7,15 +7,16 @@ agent's running conversation is derived, and whose fold is the node's
 status and the retry counters that drive scheduling. A generated reply
 that still awaits its Lean check is a round of its node's history; the
 check appends a verdict entry after it. The entry of a failed round
-notes what its correction shows, and a search-query round keeps the hint
-theorems its queries found. Prover rounds and their verdicts carry the
-number of their ``pass``, so that several passes of one node can be open
-at once, each with at most one round awaiting its check. The tree
-persists as a checkpoint journal (a snapshot line, then one line per
-save holding what changed) of each node's structure and history, and
-reconstructs complete proofs from proven subtrees by splicing each
-child's proof into its parent's sketch at the child's sorry, each read
-from its node's history.
+notes what its correction shows: a sketch that verified but cannot be
+split into subgoals fails its verdict with that defect as its note. A
+search-query round keeps the hint theorems its queries found. Prover
+rounds and their verdicts carry the number of their ``pass``, so that
+several passes of one node can be open at once, each with at most one
+round awaiting its check. The tree persists as a checkpoint journal (a
+snapshot line, then one line per save holding what changed) of each
+node's structure and history, and reconstructs complete proofs from
+proven subtrees by splicing each child's proof into its parent's sketch
+at the child's sorry, each read from its node's history.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ from .lean_source import (
 from .ast_model import Subgoal
 from .services import VerificationResult
 
-CHECKPOINT_VERSION = 9
-
-#: The prompts of the decomposer entries that note a defect found in a
-#: verified sketch, at AST export or at subgoal extraction.
-_NOTE_PROMPTS = frozenset({"(ast-export)", "(subgoal-extraction)"})
+CHECKPOINT_VERSION = 10
 
 
 class NodeStatus(Enum):
@@ -53,7 +50,6 @@ class NodeStatus(Enum):
     AWAITING_SEMANTIC_CHECK = "AwaitingSemanticCheck"
     AWAITING_PROOF = "AwaitingProof"
     AWAITING_VERIFICATION = "AwaitingVerification"
-    AWAITING_AST_PARSE = "AwaitingAstParse"
     AWAITING_QUERY_GEN = "AwaitingQueryGen"
     AWAITING_SKETCH = "AwaitingSketch"
     AWAITING_SKETCH_CHECK = "AwaitingSketchCheck"
@@ -75,7 +71,7 @@ _JUDGED = {
     "formalizer": (NodeStatus.AWAITING_FORMALIZATION, NodeStatus.AWAITING_SEMANTIC_CHECK),
     "semantics": (NodeStatus.AWAITING_FORMALIZATION, NodeStatus.AWAITING_PROOF),
     "search_query": (NodeStatus.AWAITING_SKETCH, NodeStatus.AWAITING_SKETCH),
-    "decomposer": (NodeStatus.AWAITING_SKETCH, NodeStatus.AWAITING_AST_PARSE),
+    "decomposer": (NodeStatus.AWAITING_SKETCH, NodeStatus.AWAITING_CHILDREN),
 }
 
 
@@ -244,27 +240,20 @@ class ProofTree:
         node, derived from its history as (speaker, text) turns.
 
         The prover's holds the rounds of pass ``pass_``: each pass starts
-        afresh. The decomposer's holds every round, across backtracks, but
-        not the notes of defects found after a sketch verified. Neither
-        holds a round still awaiting its check.
+        afresh. The decomposer's holds every round, across backtracks.
+        Neither holds a round still awaiting its check.
         """
-        node = self.node(node_id)
         if role == "prover":
             _require_pass(pass_)
-            unjudged = self.passes(node_id).unjudged.get(pass_)
-            rounds = [e for e in node.history
-                      if e.get("pass") == pass_ and "prompt" in e and e is not unjudged]
-        elif role == "decomposer":
-            unjudged = self.unjudged_round(node_id)
-            rounds = [e for e in node.history
-                      if "prompt" in e and e["role"] == role and e is not unjudged
-                      and e["prompt"] not in _NOTE_PROMPTS]
-        else:
+        elif role != "decomposer":
             raise ValueError(f"the {role} agent keeps no conversation")
-        turns: list[tuple[str, str]] = []
-        for entry in rounds:
-            turns += [("user", entry["prompt"]), ("assistant", entry["response"])]
-        return turns
+        unjudged = self.unjudged_round(node_id, pass_)
+        return [
+            turn
+            for e in self.node(node_id).history
+            if "prompt" in e and e["role"] == role and e.get("pass") == pass_ and e is not unjudged
+            for turn in (("user", e["prompt"]), ("assistant", e["response"]))
+        ]
 
     def unjudged_round(self, node_id: str, pass_: int | None = None) -> dict[str, Any] | None:
         """The generated round of prover pass ``pass_`` still awaiting its
@@ -356,17 +345,17 @@ class ProofTree:
         Log the check of the round awaiting it (of prover pass ``pass_``,
         if given), as an entry of its own that repeats no text.
 
-        A failed round keeps ``note`` for its next correction. A failed
-        prover round consumes one self-correction attempt of its pass;
-        the pass ends when its budget is spent, and the next pass starts
-        a fresh prover conversation. Formalizer and semantics failures
-        consume formalization retries; decomposer failures consume sketch
-        corrections.
+        A round fails when Lean failed it or it is given a ``note``, which
+        it keeps for its next correction. A failed prover round consumes
+        one self-correction attempt of its pass; the pass ends when its
+        budget is spent, and the next pass starts a fresh prover
+        conversation. Formalizer and semantics failures consume
+        formalization retries; decomposer failures, sketch corrections.
         """
         judged = self.unjudged_round(node_id, pass_)
         if judged is None:
             raise LeandecompError(f"node {node_id} has no round awaiting a check")
-        entry = {"failed": not verdict.passed,
+        entry = {"failed": not verdict.passed or note is not None,
                  "verdict": {"passed": verdict.passed, "complete": verdict.complete}}
         self._log(self.node(node_id), entry, judged["role"], judged.get("pass"), note)
 
@@ -607,8 +596,8 @@ class ProofTree:
         """Rebuild a tree, under the run's ``limits``, from a checkpoint
         record of ``CHECKPOINT_VERSION``, folding each node's history into
         its status and counters (``_append``). Raises ValueError for
-        another version or any structural defect, a missing node field or
-        a history entry the fold cannot read included."""
+        another version or any structural defect: a missing node field, a
+        history entry the fold cannot read, a passed sketch with no children."""
         _check_version(data)
         try:
             tree = cls(limits)
@@ -632,6 +621,8 @@ class ProofTree:
                     tree._append(node, entry)
                 if node.children:  # before they fold: parents come first
                     node.status = NodeStatus.AWAITING_CHILDREN
+                elif node.status is NodeStatus.AWAITING_CHILDREN:
+                    raise ValueError(f"node {node.id} awaits children but has none")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint: {exc!r}") from None
         if tree.root not in tree.nodes:

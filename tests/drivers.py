@@ -49,7 +49,6 @@ _DECOMPOSITION_STATUSES = frozenset(
         NodeStatus.AWAITING_QUERY_GEN,
         NodeStatus.AWAITING_SKETCH,
         NodeStatus.AWAITING_SKETCH_CHECK,
-        NodeStatus.AWAITING_AST_PARSE,
     }
 )
 
@@ -119,7 +118,7 @@ def run_prover_pass(orch: Orchestrator, node_id: str) -> ProveOutcome:
 
 
 def run_decomposition(orch: Orchestrator, node_id: str) -> None:
-    """Drive one node through query/sketch/check/AST export until
+    """Drive one node through query/sketch/check and AST export until
     children exist (AwaitingChildren), the node is proven outright, or a
     backtrack prunes it / fails the run."""
     tree = orch.tree

@@ -75,6 +75,14 @@ CORRUPT_CHECKPOINTS = {
             {"failed": True, "verdict": {"passed": False, "complete": False}}
         )
     ),
+    "awaiting-children-without-children": checkpoint_text(
+        lambda data: data["nodes"]["n0001"]["history"].extend(
+            [
+                {"role": "decomposer", "prompt": "p", "response": "r"},
+                {"failed": False, "verdict": {"passed": True, "complete": False}},
+            ]
+        )
+    ),
     "node-without-depth": checkpoint_text(lambda data: data["nodes"]["n0001"].pop("depth")),
     "not-an-object": "[1]",
     "root-not-a-node": checkpoint_text(lambda data: data.update(root="n0002")),
@@ -200,14 +208,14 @@ class TestInputErrors:
         tree.save(checkpoint)
         tree.close()
         snapshot, journal = checkpoint.read_bytes().splitlines(keepends=True)
-        assert snapshot.startswith(b'{"version":9,')
-        checkpoint.write_bytes(snapshot.replace(b'"version":9', b'"version":8', 1) + journal)
+        assert snapshot.startswith(b'{"version":10,')
+        checkpoint.write_bytes(snapshot.replace(b'"version":10', b'"version":9', 1) + journal)
         stored = checkpoint.read_bytes()
         assert main(["--resume", str(checkpoint), "--out", str(out)]) == 2
         assert checkpoint.read_bytes() == stored
         assert (out / "diagnostic.txt").read_text(encoding="utf-8") == (
-            f"input rejected: cannot read {checkpoint}: checkpoint version 8 is not "
-            "supported: this build reads only version 9; start a new run\n"
+            f"input rejected: cannot read {checkpoint}: checkpoint version 9 is not "
+            "supported: this build reads only version 10; start a new run\n"
         )
         assert sorted(path.name for path in out.iterdir()) == ["checkpoint.json", "diagnostic.txt"]
 
@@ -243,6 +251,19 @@ class TestInputErrors:
         assert main(["--file", str(lean), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "usage" in err and "[PROVER_AGENT_LLM] max_pass must be at least 1, got 0" in err
+        assert list(out.iterdir()) == []
+
+    def test_a_misspelt_option_exits_two_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PROVER_AGENT_LLM__MAX_PASSES", "8")
+        lean = tmp_path / "t.lean"
+        lean.write_text(EVEN_SUM_FILE)
+        out = tmp_path / "out"
+        assert main(["--file", str(lean), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and (
+            "unknown option [PROVER_AGENT_LLM] max_passes in environment variable "
+            "PROVER_AGENT_LLM__MAX_PASSES"
+        ) in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("url, enabled", [("", False), ("http://localhost:1", True)])

@@ -89,6 +89,43 @@ class TestLayering:
         assert cfg.typed_limits().prover_max_pass == 2
         assert cfg.chat_backend("prover").model == "user-model"
 
+    @pytest.mark.parametrize(
+        "key", ["PROVER_AGENT_LLM__MAX_PASSES", "KIMINA_LEAN_SERVER__MAX_RETRIE"]
+    )
+    def test_a_misspelt_env_option_is_rejected(self, key):
+        section, option = key.split("__")
+        with pytest.raises(ConfigError) as raised:
+            load_config(env={key: "8"})
+        assert str(raised.value) == (
+            f"unknown option [{section}] {option.lower()} in environment variable {key}"
+        )
+
+    def test_a_misspelt_user_file_option_is_rejected(self, tmp_path):
+        user = tmp_path / "config.ini"
+        user.write_text("[PROVER_AGENT_LLM]\nmodel = user-model\nmax_passes = 8\n")
+        with pytest.raises(ConfigError) as raised:
+            load_config(user_file=user, env={})
+        assert str(raised.value) == f"unknown option [PROVER_AGENT_LLM] max_passes in config file {user}"
+
+    def test_options_the_defaults_leave_unset_are_known(self):
+        """The accessors read options the packaged file leaves out; in a
+        section a custom defaults text does not name, any option goes."""
+        env = {
+            "DECOMPOSER_AGENT_LLM__URL": "http://localhost:1/v1",
+            "DECOMPOSER_AGENT_LLM__API_KEY": "k",
+            "DECOMPOSER_AGENT_LLM__MAX_TOKENS": "7",
+            "PROVER_AGENT_LLM__MAX_COMPLETION_TOKENS": "9",
+            "LEAN_EXPLORE_SERVER__MAX_RETRIES": "1",
+            "LEAN_EXPLORE_SERVER__HINT_CAP": "3",
+        }
+        cfg = load_config(env=env)
+        assert cfg.chat_backend("decomposer").max_tokens == 7
+        assert (cfg.search().max_retries, cfg.search().hint_cap) == (1, 3)
+        cfg = load("[KIMINA_LEAN_SERVER]\nurl = u\n", None, {"PROVER_AGENT_LLM__ANYTHING": "x"})
+        assert cfg.get("PROVER_AGENT_LLM", "anything") == "x"
+        with pytest.raises(ConfigError, match=r"unknown option \[KIMINA_LEAN_SERVER\] max_retries"):
+            load("[KIMINA_LEAN_SERVER]\nurl = u\n", None, {"KIMINA_LEAN_SERVER__MAX_RETRIES": "1"})
+
     def test_unknown_env_section_is_created(self):
         cfg = load_config(env={"MY_EXTENSION__FLAG": "on"})
         assert cfg.get("MY_EXTENSION", "flag") == "on"

@@ -667,8 +667,9 @@ class TestDecomposition:
         assert root.status is NodeStatus.AWAITING_CHILDREN
         assert [tree.node(c).name for c in root.children] == ["step"]
         assert root.counters.sketch_corrections_used == 1
-        notes = [e for e in root.history if e.get("prompt") == "(subgoal-extraction)"]
-        assert len(notes) == 1 and note in notes[0]["response"]
+        failed = [e for e in root.history if e.get("failed")]  # the sketch's own verdict
+        assert len(failed) == 1 and "prompt" not in failed[0] and note in failed[0]["note"]
+        assert failed[0]["verdict"] == {"passed": True, "complete": False}
         correction = decomposer.transcripts[1]
         assert correction[-1][1].startswith("The proof sketch (Round 1) is not correct.")
         assert note in correction[-1][1]
@@ -1316,14 +1317,13 @@ def journal_backends(hard: frozenset[str]):
     )
 
 
-#: The statuses in which a node's Lean unit is read: for its Lean check,
-#: its AST export or the reconstruction.
+#: The statuses in which a node's Lean unit is read: for its Lean check
+#: (with its AST export, for a sketch) or the reconstruction.
 UNIT_STATUSES = frozenset(
     {
         NodeStatus.AWAITING_SYNTAX_CHECK,
         NodeStatus.AWAITING_VERIFICATION,
         NodeStatus.AWAITING_SKETCH_CHECK,
-        NodeStatus.AWAITING_AST_PARSE,
         NodeStatus.PROVEN,
     }
 )
@@ -1645,6 +1645,91 @@ class TestSerialSchedule:
         assert [[e["node"], e["action"], e["outcome"]] for e in entries] == recorded
 
 
+class LeanServer(RuleVerifier):
+    """One fake for both Lean endpoints, as one VerifierClient serves
+    both: notes each request as (endpoint, units) in the list of the
+    worker call that made it (``CallNotingOrchestrator``), and goes down
+    at the export numbered ``down_at`` (from 1), once."""
+
+    def __init__(self, down_at=None):
+        super().__init__()
+        self.ast = BuilderAst()
+        self.calls_made: list[list] = []
+        self.exports = 0
+        self.down_at = down_at
+
+    def verify_batch(self, codes, timeout: float = 300.0):
+        self.calls_made[-1].append(("check", tuple(codes)))
+        return super().verify_batch(codes, timeout)
+
+    def fetch_ast(self, code, module_name="User.Code", timeout: float = 300.0):
+        self.calls_made[-1].append(("export", (code,)))
+        self.exports += 1
+        if self.exports == self.down_at:
+            raise ServiceError("Lean server scripted as unavailable")
+        return self.ast.fetch_ast(code)
+
+
+class CallNotingOrchestrator(Orchestrator):
+    """Opens a new request list on its ``LeanServer`` per worker call."""
+
+    def _remote(self, calls):
+        self.verifier.calls_made.append([])
+        return super()._remote(calls)
+
+
+class TestSketchCheckWithExport:
+    @staticmethod
+    def run(lean: LeanServer, backends=None, tree=None, **kwargs):
+        return CallNotingOrchestrator(
+            tree or formal_tree(limits=JOURNAL_LIMITS),
+            backends=backends or journal_backends(GOLDEN_HARD),
+            verifier=lean,
+            ast_client=lean,
+            search_client=ScriptedSearch(),
+            **kwargs,
+        ).run()
+
+    def test_a_sketch_is_checked_and_exported_in_one_call(self, tmp_path):
+        """At one worker, the Lean server sees each sketch's check and
+        then its export, in one worker call; no run.jsonl line is a
+        separate export."""
+        lean, log = LeanServer(), tmp_path / "run.jsonl"
+        assert self.run(lean, run_log_path=log).success
+        entries = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert "ParseAst" not in {entry["action"] for entry in entries}
+        sketch_checks = [e["outcome"] for e in entries if e["action"] == "SketchCheck"]
+        assert sketch_checks == ["AwaitingChildren"] * 3
+        exporting = [call for call in lean.calls_made if "export" in {kind for kind, _ in call}]
+        assert len(exporting) == lean.ast.calls == 3
+        for call in exporting:
+            sketch = call[0][1][0]
+            assert call == [("check", (sketch,)), ("export", (sketch,))]
+            assert count_sorries(sketch) > 0
+
+    def test_a_lean_outage_on_the_export_resumes_with_one_more_check(self, tmp_path):
+        """The export of the second sketch fails: the run aborts before
+        the sketch's verdict is recorded, so the resume checks it again.
+        The two runs make the requests of one uninterrupted run plus that
+        sketch check, and no other."""
+        uninterrupted, expected_backends = LeanServer(), journal_backends(GOLDEN_HARD)
+        expected = self.run(uninterrupted, expected_backends)
+        lean, backends = LeanServer(down_at=2), journal_backends(GOLDEN_HARD)
+        path = tmp_path / "checkpoint.json"
+        with pytest.raises(ServiceError, match="scripted as unavailable"):
+            self.run(lean, backends, checkpoint_path=path)
+        crashed_checks = list(lean.checked)
+        tree = ProofTree.load(path, JOURNAL_LIMITS)
+        [waiting] = [n for n in tree.nodes.values() if n.status is NodeStatus.AWAITING_SKETCH_CHECK]
+        assert crashed_checks[-1] == tree.unit(waiting.id).combined()
+        assert self.run(lean, backends, tree=tree, checkpoint_path=path) == expected
+        assert lean.checked == crashed_checks + uninterrupted.checked[len(crashed_checks) - 1:]
+        assert lean.ast.seen == uninterrupted.ast.seen
+        assert lean.exports == uninterrupted.exports + 1  # the one the outage took
+        for role in ("prover", "search_query", "decomposer"):
+            assert backends[role].transcripts == expected_backends[role].transcripts, role
+
+
 class TestRunLogFormat:
     def test_every_line_is_the_json_of_its_four_fields(self, tmp_path):
         """Each run.jsonl line of the journal scenario holds ts, node,
@@ -1762,8 +1847,9 @@ class TestDerivedConversations:
             assert text.count(escaped) == 1, node_id
 
     def test_sketch_note_never_reaches_the_decomposer(self):
-        """An AST-export failure is noted in the history, but the
-        correction sketch that follows continues only the real round."""
+        """An AST-export failure is the note of the sketch's failed
+        verdict, but the correction sketch that follows continues only
+        the real round."""
         sketch = "theorem tst : True := by\n  have tst_a : True := by\n    sorry\n  exact tst_a"
         first = lean_block(sketch + "\n-- unexportable")
         decomposer = ScriptedChat([first, lean_block(sketch)])
@@ -1775,7 +1861,8 @@ class TestDerivedConversations:
             ast_client=BuilderAst(fail_for=["unexportable"]),
         )
         assert outcome.success
-        assert [entry.get("prompt") for entry in tree.root_node().history].count("(ast-export)") == 1
+        notes = [e for e in tree.root_node().history if "could not be analyzed" in e.get("note", "")]
+        assert len(notes) == 1 and "prompt" not in notes[0]  # the sketch's own verdict
         opening, correction = decomposer.transcripts
         assert correction[:-1] == opening + [("assistant", first)]
         assert "could not be analyzed" in correction[-1][1]
@@ -2140,12 +2227,13 @@ class TestCompletionScheduler:
         ]
 
     def test_a_result_landing_in_the_batch_that_fails_the_run_is_recorded(self, tmp_path):
-        """tst_a's sketches never export, so its last failed export spends
-        its sketch-correction budget; at depth 1 it has no ancestor to
-        backtrack to, and the run fails. tst_b_a's Prove is held until
-        that export has landed, and lands in the same batch after it: it
-        is recorded, since the failure is read from the tree only when
-        the next action is chosen, and that action is the Finish."""
+        """tst_a's sketches never export, so its last sketch check fails at
+        the export and spends its sketch-correction budget; at depth 1 it
+        has no ancestor to backtrack to, and the run fails. tst_b_a's Prove
+        is held until that check has landed, and lands in the same batch
+        after it: it is recorded, since the failure is read from the tree
+        only when the next action is chosen, and that action is the
+        Finish."""
         released = []
 
         def landed_count(orch, count):
@@ -2161,7 +2249,7 @@ class TestCompletionScheduler:
                 node is None
                 or gate.is_set()
                 or node.counters.sketch_corrections_used != limits.decomposer_self_correction - 1
-                or ActionKind.PARSE_AST not in [a.kind for a in in_flight(orch, node.id)]
+                or ActionKind.SKETCH_CHECK not in [a.kind for a in in_flight(orch, node.id)]
             ):
                 return
             released.append(prover.started["tst_b_a"].is_set())
@@ -2203,7 +2291,7 @@ class TestCompletionScheduler:
         assert next_action(restored, open_passes=2) == Action(ActionKind.FINISH, failed.id, outcome)
         entries = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
         assert [(e["node"], e["action"], e["outcome"]) for e in entries[-3:]] == [
-            (failed.id, "ParseAst", "AwaitingSketch"),
+            (failed.id, "SketchCheck", "AwaitingSketch"),
             (late.id, "Prove", "AwaitingVerification"),
             (failed.id, "Finish", "failure"),
         ]

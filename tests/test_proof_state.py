@@ -118,15 +118,22 @@ class TestRecordAttempt:
         assert tree.root_node().counters.sketch_corrections_used == 1
 
     def test_sketch_note_is_history_only(self):
-        tree = sketch_tree()
+        """A sketch that cannot be split fails its own verdict, whose note
+        the conversation leaves out: the round is the sketch's alone."""
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
         tree.record_attempt(tree.root, "decomposer", "p", "r", failed=True)
-        tree.record_attempt(
-            tree.root, "decomposer", "(ast-export)", "the sketch could not be analyzed", failed=True
-        )
+        sketch = lean_block("theorem t : True := by\n  exact sorry")
+        tree.record_reply(tree.root, "decomposer", "p2", sketch)
+        note = "the proof sketch contains no named subgoals"
+        tree.record_verdict(tree.root, VerificationResult(passed=True, complete=False), note=note)
         root = tree.root_node()
         assert root.counters.sketch_corrections_used == 2
-        assert [entry["prompt"] for entry in root.history[-2:]] == ["p", "(ast-export)"]
-        assert tree.conversation(tree.root, "decomposer")[-2:] == [("user", "p"), ("assistant", "r")]
+        assert root.status is NodeStatus.AWAITING_SKETCH
+        assert root.history[-1] == {  # Lean passed it; the note fails it
+            "failed": True, "verdict": {"passed": True, "complete": False}, "note": note
+        }
+        assert [entry["prompt"] for entry in root.history if "prompt" in entry] == ["p", "p2"]
+        assert tree.conversation(tree.root, "decomposer")[-2:] == [("user", "p2"), ("assistant", sketch)]
 
     def test_unknown_node(self):
         tree = sketch_tree()
@@ -615,7 +622,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="malformed checkpoint"):
             ProofTree.from_dict(data, LIMITS)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99, None, "missing"])
+    def test_a_passed_sketch_without_children_is_malformed(self):
+        """A sketch that passed with goals left gets its children as its
+        check lands, so a node that awaits children but has none is not
+        a state any run saves: it is rejected, not left stuck."""
+        tree = ProofTree.from_formal("theorem t : True := by sorry", LIMITS)
+        sketch = lean_block("theorem t : True := by\n  have g : True := by\n    sorry\n  exact g")
+        tree.record_reply(tree.root, "decomposer", "p", sketch)
+        tree.record_verdict(tree.root, VerificationResult(passed=True, complete=False))
+        assert tree.root_node().status is NodeStatus.AWAITING_CHILDREN
+        with pytest.raises(ValueError, match=f"node {tree.root} awaits children but has none"):
+            ProofTree.from_dict(tree.to_dict(), LIMITS)
+        with pytest.raises(AssertionError, match="awaits children but has none"):
+            tree.validate()
+        tree.add_child(tree.root, make_subgoal("g"))
+        tree.validate()
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 99, None, "missing"])
     def test_version_guard(self, tmp_path, version):
         """Only CHECKPOINT_VERSION is read, as a record or as a file; the
         error names any other version. A version-1 file is one indented
