@@ -14,9 +14,10 @@ rounds and their verdicts carry the number of their ``pass``, so that
 several passes of one node can be open at once, each with at most one
 round awaiting its check. The tree persists as a checkpoint journal (a
 snapshot line, then one line per save holding what changed) of each
-node's structure and history, and reconstructs complete proofs from
-proven subtrees by splicing each child's proof into its parent's sketch
-at the child's sorry, each read from its node's history.
+node's structure and history, which a resumed run appends to, and
+reconstructs complete proofs from proven subtrees by splicing each
+child's proof into its parent's sketch at the child's sorry, each read
+from its node's history.
 """
 
 from __future__ import annotations
@@ -635,11 +636,12 @@ class ProofTree:
 
         The first save of this tree to ``path`` writes one snapshot line
         of the whole tree to a temporary file and renames it over
-        ``path``. Every later save appends one line holding only what
-        changed since the previous save: each node's fields that differ
-        from its record last written, the new tails of the node
-        histories and the ids of removed nodes. A failed write makes the
-        next save a snapshot, so a torn line can only be the last one.
+        ``path``, unless ``load`` took ``path`` as the tree's journal.
+        Every later save appends one line holding only what changed since
+        the previous save or load, if anything did: each node's fields
+        that differ from its record last written, the new tails of the
+        node histories and the ids of removed nodes. A failed write makes
+        the next save a snapshot, so a torn line can only be the last one.
         Appends go through one handle, flushed after every line, until
         ``close`` or the next snapshot.
         """
@@ -652,16 +654,21 @@ class ProofTree:
                     self._journal = open(path, "a", encoding="utf-8")
                 self._journal.write(line)
                 self._journal.flush()
+            self._journal_path = path
         else:
             self.close()
             temp = path + ".tmp"
             with open(temp, "w", encoding="utf-8") as handle:
                 handle.write(_json_line(self.to_dict()))
             os.replace(temp, path)
-            self._written = {
-                node.id: (_node_fields(node), len(node.history)) for node in self.nodes.values()
-            }
+            self._adopt(path)
+
+    def _adopt(self, path: str) -> None:
+        """Take ``path``, which holds the tree as it is, as its journal."""
         self._journal_path = path
+        self._written = {
+            node.id: (_node_fields(node), len(node.history)) for node in self.nodes.values()
+        }
 
     def close(self) -> None:
         """Close the journal handle; a later save reopens it."""
@@ -706,22 +713,26 @@ class ProofTree:
         (the packaged ones by default): a snapshot line, then journal
         lines replayed in order. A torn final line (a crash mid-append) is
         dropped; a first line that is not JSON, a file of another version,
-        or any other defect, raises ValueError.
+        or any other defect, raises ValueError. A file whose lines all
+        replayed, ending in a newline, becomes the tree's journal.
         """
         with open(path, "rb") as handle:
+            line = handle.readline()
             try:
-                data = json.loads(handle.readline())
+                data = json.loads(line)
             except ValueError:
                 raise ValueError("checkpoint line 1 is not valid JSON") from None
             _check_version(data)
-            pending, number = None, 1
-            for line in handle:
-                if pending is not None:
-                    _replay(data, pending, number, last=False)
-                pending, number = line, number + 1
-            if pending is not None:
-                _replay(data, pending, number, last=True)
-        return cls.from_dict(data, limits)
+            number = 1
+            for next_line in handle:
+                if number > 1:
+                    _replay(data, line, number, last=False)
+                line, number = next_line, number + 1
+            intact = number == 1 or _replay(data, line, number, last=True)
+        tree = cls.from_dict(data, limits)
+        if intact and line.endswith(b"\n"):
+            tree._adopt(os.fspath(path))
+        return tree
 
 
 def _check_version(data: Any) -> None:
@@ -767,13 +778,13 @@ def _json_line(data: dict[str, Any]) -> str:
     return _ENCODER.encode(data) + "\n"
 
 
-def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:
-    """Apply journal line ``number`` to a checkpoint record in place."""
+def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> bool:
+    """Apply journal line ``number`` to a record in place; False if torn."""
     try:
         change = json.loads(line)
     except ValueError:
         if last:
-            return  # torn by a crash mid-append
+            return False  # torn by a crash mid-append
         raise ValueError(f"checkpoint line {number} is not valid JSON") from None
     try:
         nodes = data["nodes"]
@@ -790,3 +801,4 @@ def _replay(data: dict[str, Any], line: bytes, number: int, last: bool) -> None:
         data["seq"] = change["seq"]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"checkpoint line {number} is malformed: {exc!r}") from None
+    return True

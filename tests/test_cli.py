@@ -721,6 +721,7 @@ class TestResumeAfterFailure:
         try:
             assert self.run(tmp_path, case) == 1
             diagnostic = (out / "diagnostic.txt").read_bytes()
+            checkpoint = (out / "checkpoint.json").read_bytes()
             made = len(service.requests)
             assert main(["--resume", str(out / "checkpoint.json"), "--out", str(out)]) == 1
         finally:
@@ -728,6 +729,7 @@ class TestResumeAfterFailure:
         assert diagnostic == (report + "\n").encode("utf-8")
         assert len(service.requests) == made
         assert (out / "diagnostic.txt").read_bytes() == diagnostic
+        assert (out / "checkpoint.json").read_bytes() == checkpoint
 
     @pytest.mark.parametrize("case", list(FAILING_RUNS))
     def test_a_failed_run_resumed_under_a_raised_limit_makes_the_calls_of_one_run(
@@ -780,6 +782,33 @@ class TestResumeAfterFailure:
         assert sorted(path.name for path in out.iterdir()) == [
             "checkpoint.json", "proof.lean", "run.jsonl"
         ]
+
+    def test_a_resume_appends_to_the_checkpoint_it_loaded(self, tmp_path, monkeypatch):
+        """The verifier is down at the first check, which aborts the run.
+        A resume into another directory leaves the crash-time checkpoint
+        as it was; a resume into the same directory appends to it. The
+        two resumed runs end with the same tree."""
+        service = fake_stack(monkeypatch, goal_scenario())
+        monkeypatch.setenv("KIMINA_LEAN_SERVER__MAX_RETRIES", "0")
+        service.fail_next("POST", "/api/check", [503])
+        lean = tmp_path / "goal.lean"
+        lean.write_text(GOAL_FILE, encoding="utf-8")
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        checkpoint = out / "checkpoint.json"
+        try:
+            assert main(["--file", str(lean), "--out", str(out), "--workers", "1"]) == 1
+            crashed = checkpoint.read_bytes()
+            argv = ["--resume", str(checkpoint), "--workers", "1", "--out"]
+            assert main([*argv, str(elsewhere)]) == 0
+            assert checkpoint.read_bytes() == crashed
+            assert main([*argv, str(out)]) == 0
+        finally:
+            service.stop()
+        final = checkpoint.read_bytes()
+        assert final.startswith(crashed) and len(final) > len(crashed)
+        assert (out / "proof.lean").read_text() == (elsewhere / "proof.lean").read_text()
+        moved = ProofTree.load(elsewhere / "checkpoint.json")
+        assert ProofTree.load(checkpoint).to_dict() == moved.to_dict()
 
 
 class TestDependencies:

@@ -1344,9 +1344,10 @@ def lean_units(tree: ProofTree) -> dict:
 
 
 class JournalCheckingOrchestrator(Orchestrator):
-    """Checks the checkpoint journal after every save, and keeps a copy
-    of the file cut at a drawn byte inside the line that save appended,
-    with the tree state and the Lean units from before it."""
+    """Checks the checkpoint journal after every save, and keeps two
+    copies of the file, with the tree state and the Lean units from
+    before that save: one cut at a drawn byte inside the line it
+    appended, and one cut at the start of that line."""
 
     def __init__(self, *args, draw_cut, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1365,7 +1366,8 @@ class JournalCheckingOrchestrator(Orchestrator):
         if self.saved_state is not None and len(data) > self.saved_size:
             # up to the last line's final byte before its newline
             cut = self.draw_cut(self.saved_size, len(data) - 2)
-            self.cuts.append((data[:cut], self.saved_state, self.saved_units))
+            for end in (cut, self.saved_size):
+                self.cuts.append((data[:end], self.saved_state, self.saved_units))
         self.saved_state, self.saved_size = state, len(data)
         self.saved_units = lean_units(self.tree)
 
@@ -1434,9 +1436,11 @@ class TestCheckpointJournal:
     def resume_every_cut(directory, hard, workers, draw_cut, fail_for=()):
         """Run the journal scenario, with ``tst`` hard as well and the AST
         export failing for sketches that name any of ``fail_for``,
-        cutting the checkpoint inside each line a save appends; every cut
-        reloads to the state saved before it and resumes to the same
-        outcome. Returns the outcome and the cuts."""
+        cutting the checkpoint inside and before each line a save
+        appends, and after the last; every cut reloads to the state saved
+        before it and resumes to the same outcome. A resume from a cut at
+        a line boundary appends to the cut, and its file reloads to the
+        tree it ran. Returns the outcome and the cuts the run kept."""
 
         def orchestrator(tree, cls=Orchestrator, **kwargs):
             return cls(
@@ -1456,7 +1460,8 @@ class TestCheckpointJournal:
             draw_cut=draw_cut,
         )
         outcome = run.run()
-        for number, (cut, state, units) in enumerate(run.cuts):
+        final = (run.checkpoint_path.read_bytes(), run.saved_state, run.saved_units)
+        for number, (cut, state, units) in enumerate([*run.cuts, final]):
             path = directory / f"cut{number}.json"
             path.write_bytes(cut)
             resumed = ProofTree.load(path, JOURNAL_LIMITS)
@@ -1464,6 +1469,11 @@ class TestCheckpointJournal:
             assert resumed.to_dict() == state
             assert lean_units(resumed) == units
             assert orchestrator(resumed, checkpoint_path=path).run() == outcome
+            if cut.endswith(b"\n"):
+                assert path.read_bytes().startswith(cut)
+                reloaded = ProofTree.load(path, JOURNAL_LIMITS)
+                reloaded.validate()
+                assert reloaded.to_dict() == resumed.to_dict()
         return outcome, run.cuts
 
 

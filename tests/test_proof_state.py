@@ -538,6 +538,74 @@ class TestCheckpoint:
         assert len(second.read_text(encoding="utf-8").splitlines()) == 2
         assert ProofTree.load(second).to_dict() == tree.to_dict()
 
+    @staticmethod
+    def journal(path) -> bytes:
+        """Save a tree to ``path`` as a snapshot line and one appended
+        line; the file's bytes."""
+        tree = sketch_tree()
+        tree.save(path)
+        tree.record_attempt(tree.root_node().children[0], "prover", "p", "r", True, pass_=1)
+        tree.save(path)
+        tree.close()
+        return path.read_bytes()
+
+    def test_a_resume_saved_to_the_file_it_loaded_appends_one_line(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        kept = self.journal(path)
+        tree = ProofTree.load(path)
+        tree.record_attempt(tree.root_node().children[1], "prover", "p", "r", True, pass_=1)
+        tree.save(path)
+        tree.close()
+        data = path.read_bytes()
+        assert data.startswith(kept)
+        assert data[len(kept):].count(b"\n") == 1 and data.endswith(b"\n")
+        assert ProofTree.load(path).to_dict() == tree.to_dict()
+
+    def test_a_resume_that_changes_nothing_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        kept = self.journal(path)
+        tree = ProofTree.load(path)
+        tree.save(path)
+        tree.save(path)
+        tree.close()
+        assert path.read_bytes() == kept
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda data: data[:-20], lambda data: data[:-1]],
+        ids=["torn-mid-line", "no-final-newline"],
+    )
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_a_resume_from_a_cut_last_line_saves_a_snapshot(self, tmp_path, cut, changed):
+        """A last line torn mid-line is dropped, and a complete one that
+        lacks its newline is read; an append after either would join it,
+        so the next save replaces the file with one snapshot line."""
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(cut(self.journal(path)))
+        tree = ProofTree.load(path)
+        if changed:
+            tree.record_attempt(tree.root_node().children[1], "prover", "p", "r", True, pass_=1)
+        tree.save(path)
+        tree.close()
+        data = path.read_bytes()
+        assert data.count(b"\n") == 1 and data.endswith(b"\n")
+        assert json.loads(data)["version"] == CHECKPOINT_VERSION
+        assert ProofTree.load(path).to_dict() == tree.to_dict()
+
+    def test_a_resume_saved_elsewhere_leaves_the_file_it_loaded(self, tmp_path):
+        source, target = tmp_path / "a.json", tmp_path / "b.json"
+        kept = self.journal(source)
+        tree = ProofTree.load(source)
+        tree.save(target)
+        tree.record_attempt(tree.root_node().children[1], "prover", "p", "r", True, pass_=1)
+        tree.save(target)
+        tree.close()
+        assert source.read_bytes() == kept
+        snapshot, appended = target.read_text(encoding="utf-8").splitlines()
+        assert json.loads(snapshot)["version"] == CHECKPOINT_VERSION
+        assert "version" not in json.loads(appended)
+        assert ProofTree.load(target).to_dict() == tree.to_dict()
+
     def test_to_dict_result_is_not_the_tree(self):
         tree = sketch_tree()
         tree.record_reply(tree.root, "decomposer", "sketch please", lean_block(INDUCTION_SKETCH))
