@@ -636,7 +636,7 @@ class ProofTree:
 
         The first save of this tree to ``path`` writes one snapshot line
         of the whole tree to a temporary file and renames it over
-        ``path``, unless ``load`` took ``path`` as the tree's journal.
+        ``path``, unless ``load`` took it (by absolute path) as journal.
         Every later save appends one line holding only what changed since
         the previous save or load, if anything did: each node's fields
         that differ from its record last written, the new tails of the
@@ -645,7 +645,7 @@ class ProofTree:
         Appends go through one handle, flushed after every line, until
         ``close`` or the next snapshot.
         """
-        path = os.fspath(path)
+        path = os.path.abspath(path)
         journal, self._journal_path = self._journal_path, None
         if journal == path:
             line = self._delta_line()
@@ -731,7 +731,7 @@ class ProofTree:
             intact = number == 1 or _replay(data, line, number, last=True)
         tree = cls.from_dict(data, limits)
         if intact and line.endswith(b"\n"):
-            tree._adopt(os.fspath(path))
+            tree._adopt(os.path.abspath(path))
         return tree
 
 

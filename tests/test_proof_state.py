@@ -561,6 +561,21 @@ class TestCheckpoint:
         assert data[len(kept):].count(b"\n") == 1 and data.endswith(b"\n")
         assert ProofTree.load(path).to_dict() == tree.to_dict()
 
+    def test_a_resume_saved_to_the_file_it_loaded_by_another_name_appends(
+        self, tmp_path, monkeypatch
+    ):
+        """``--resume ./run1/checkpoint.json --out run1`` names one file."""
+        path = tmp_path / "run1" / "checkpoint.json"
+        path.parent.mkdir()
+        kept = self.journal(path)
+        monkeypatch.chdir(tmp_path)
+        tree = ProofTree.load("./run1/checkpoint.json")
+        tree.record_attempt(tree.root_node().children[1], "prover", "p", "r", True, pass_=1)
+        tree.save(path)
+        tree.close()
+        data = path.read_bytes()
+        assert data.startswith(kept) and data[len(kept):].count(b"\n") == 1
+
     def test_a_resume_that_changes_nothing_leaves_the_file_as_it_was(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         kept = self.journal(path)
