@@ -129,14 +129,12 @@ def _build_orchestrator(
 ) -> Orchestrator:
     backends = {role: ChatClient(config.chat_backend(role)) for role in ROLE_SECTIONS}
     verifier = VerifierClient(config.verifier())
-    search_client = None  # retrieval is optional: without a url, sketch without hints
-    if config.get("LEAN_EXPLORE_SERVER", "url"):
-        search_client = SearchClient(config.search())
+    search = config.get("LEAN_EXPLORE_SERVER", "url")  # unset or empty: sketch without hints
     return Orchestrator(
         tree,
         backends=backends,
         verifier=verifier,
-        search_client=search_client,
+        search_client=SearchClient(config.search()) if search else None,
         workers=workers,
         run_log_path=out_dir / "run.jsonl",
         checkpoint_path=out_dir / "checkpoint.json",

@@ -3,7 +3,8 @@
 Environment overrides use ``SECTION__OPTION`` keys (double underscore,
 uppercase), e.g. ``PROVER_AGENT_LLM__MAX_PASS=8``. Typed accessors
 build the per-agent backend configs, the service configs, and the
-search budget limits.
+search budget limits. ``data/defaults.ini`` states each default once:
+an accessor that finds an option unset raises ConfigError.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import configparser
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .services import ChatBackendConfig, SearchConfig, VerifierConfig
@@ -27,26 +30,24 @@ ROLE_SECTIONS = {
     "decomposer": "DECOMPOSER_AGENT_LLM",
 }
 
-#: Fallback endpoint for backends configured without a url (hosted API).
-DEFAULT_OPENAI_URL = "https://api.openai.com/v1"
-
-#: Per section, the options the accessors read that the defaults may leave unset.
+#: Per section, the options the accessors read that may stay unset: the
+#: api_key (OPENAI_API_KEY stands in) and either one of the token-limit pair.
 _UNLISTED_OPTIONS = dict.fromkeys(
-    ROLE_SECTIONS.values(), ("url", "api_key", "max_tokens", "max_completion_tokens")
-) | {"LEAN_EXPLORE_SERVER": ("max_retries", "hint_cap")}
+    ROLE_SECTIONS.values(), ("api_key", "max_tokens", "max_completion_tokens")
+)
 
 _ENV_KEY_RE = re.compile(r"^([A-Z][A-Z0-9_]*?)__([A-Z0-9_]+)$")
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Search budgets: retry counts, pass counts, and the depth cap."""
+    """Search budgets, read by ``Config.typed_limits``: retry and pass counts, the depth cap."""
 
-    formalizer_max_retries: int = 10
-    prover_self_correction: int = 2
-    prover_max_pass: int = 32
-    decomposer_self_correction: int = 6
-    max_depth: int = 20
+    formalizer_max_retries: int
+    prover_self_correction: int
+    prover_max_pass: int
+    decomposer_self_correction: int
+    max_depth: int
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ class Config:
 
     sections: dict[str, dict[str, str]]
 
-    def get(self, section: str, option: str, fallback: str | None = None) -> str | None:
-        return self.sections.get(section, {}).get(option.lower(), fallback)
+    def get(self, section: str, option: str) -> str | None:
+        return self.sections.get(section, {}).get(option.lower())
 
     def require(self, section: str, option: str) -> str:
         value = self.get(section, option)
@@ -64,12 +65,10 @@ class Config:
             raise ConfigError(f"missing required option [{section}] {option}")
         return value
 
-    def getint(self, section: str, option: str, fallback: int, minimum: int = 0) -> int:
-        """The option as an integer of at least ``minimum``, or ``fallback``
-        when it is unset. Raises ConfigError for any other value."""
-        raw = self.get(section, option)
-        if raw is None:
-            return fallback
+    def getint(self, section: str, option: str, minimum: int = 0) -> int:
+        """The option as an integer of at least ``minimum``. Raises
+        ConfigError when it is unset or any other value."""
+        raw = self.require(section, option)
         try:
             value = int(raw)
         except ValueError:
@@ -82,56 +81,64 @@ class Config:
             )
         return value
 
+    def url(self, section: str) -> str:
+        """The section's ``url``: http:// or https://, a host and, if it
+        names a port, one of 1-65535. Raises ConfigError for any other."""
+        url = self.require(section, "url")
+        with suppress(ValueError):  # an unclosed IPv6 bracket, a port that is not a number
+            parts = urlsplit(url)
+            if parts.scheme in ("http", "https") and parts.hostname and parts.port != 0:
+                return url
+        raise ConfigError(f"option [{section}] url must be http(s)://host[:port], got {url!r}")
+
     def chat_backend(self, role: str) -> ChatBackendConfig:
         """Typed backend config for one of the five agent roles."""
         section = ROLE_SECTIONS[role]
-        url = self.get(section, "url") or DEFAULT_OPENAI_URL
-        api_key = self.get(section, "api_key") or os.environ.get("OPENAI_API_KEY", "")
         # The limit goes out under the name the section sets it by, max_tokens
-        # when it sets both or neither: Ollama reads max_tokens, and OpenAI's
-        # reasoning models accept only max_completion_tokens.
+        # when it sets both (and missing when it sets neither): Ollama reads
+        # max_tokens, and OpenAI's reasoning models accept only max_completion_tokens.
         param = "max_completion_tokens"
         if self.get(section, param) is None or self.get(section, "max_tokens") is not None:
             param = "max_tokens"
         return ChatBackendConfig(
             model=self.require(section, "model"),
-            base_url=url,
-            api_key=api_key,
-            max_tokens=self.getint(section, param, fallback=50000),
+            base_url=self.url(section),
+            api_key=self.get(section, "api_key") or os.environ.get("OPENAI_API_KEY", ""),
+            max_tokens=self.getint(section, param),
             max_tokens_param=param,
-            max_remote_retries=self.getint(section, "max_remote_retries", fallback=5),
+            max_remote_retries=self.getint(section, "max_remote_retries"),
         )
 
     def verifier(self) -> VerifierConfig:
         section = "KIMINA_LEAN_SERVER"
         return VerifierConfig(
-            url=self.require(section, "url"),
-            verify_path=self.get(section, "verify_path", "/api/check"),
-            max_retries=self.getint(section, "max_retries", fallback=5),
+            url=self.url(section),
+            verify_path=self.require(section, "verify_path"),
+            max_retries=self.getint(section, "max_retries"),
         )
 
     def search(self) -> SearchConfig:
         section = "LEAN_EXPLORE_SERVER"
-        raw_filters = self.get(section, "package_filters", "") or ""
+        raw_filters = self.require(section, "package_filters")
         filters = tuple(p.strip() for p in raw_filters.split(",") if p.strip())
         return SearchConfig(
-            url=self.require(section, "url"),
+            url=self.url(section),
             package_filters=filters,
-            max_retries=self.getint(section, "max_retries", fallback=5),
-            hint_cap=self.getint(section, "hint_cap", fallback=20),
+            max_retries=self.getint(section, "max_retries"),
+            hint_cap=self.getint(section, "hint_cap"),
         )
 
     def typed_limits(self) -> Limits:
         return Limits(
-            formalizer_max_retries=self.getint("FORMALIZER_AGENT_LLM", "max_retries", fallback=10),
+            formalizer_max_retries=self.getint("FORMALIZER_AGENT_LLM", "max_retries"),
             prover_self_correction=self.getint(
-                "PROVER_AGENT_LLM", "max_self_correction_attempts", fallback=2, minimum=1
+                "PROVER_AGENT_LLM", "max_self_correction_attempts", minimum=1
             ),
-            prover_max_pass=self.getint("PROVER_AGENT_LLM", "max_pass", fallback=32, minimum=1),
+            prover_max_pass=self.getint("PROVER_AGENT_LLM", "max_pass", minimum=1),
             decomposer_self_correction=self.getint(
-                "DECOMPOSER_AGENT_LLM", "max_self_correction_attempts", fallback=6
+                "DECOMPOSER_AGENT_LLM", "max_self_correction_attempts"
             ),
-            max_depth=self.getint("PROVER_AGENT_LLM", "max_depth", fallback=20),
+            max_depth=self.getint("PROVER_AGENT_LLM", "max_depth"),
         )
 
 
@@ -179,8 +186,7 @@ def load(
         for section, options in _parse_ini(user_text, str(user_file)).items():
             for option, value in options.items():
                 merge(section, option, value, f"config file {user_file}")
-    if env is None:
-        env = os.environ
+    env = os.environ if env is None else env
     for key in sorted(env):
         if match := _ENV_KEY_RE.match(key):
             merge(match.group(1), match.group(2).lower(), env[key], f"environment variable {key}")

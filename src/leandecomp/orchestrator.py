@@ -600,7 +600,6 @@ class Orchestrator:
                     passed=False,
                     complete=False,
                     errors=(LeanError("the proof must not contain sorry or admit"),),
-                    time=result.time,
                 )
             if not result.passed and role != "formalizer":
                 note = build_error_annotation(unit, result)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, TextIO
 
-from .config import Limits
+from .config import Limits, load_config
 from .errors import BadReply, LeandecompError
 from .lean_source import (
     LeanSource,
@@ -707,10 +707,10 @@ class ProofTree:
         return _json_line({"seq": self._seq, "nodes": changes, "removed": removed})
 
     @classmethod
-    def load(cls, path, limits: Limits = Limits()) -> "ProofTree":
+    def load(cls, path, limits: Limits | None = None) -> "ProofTree":
         """
         Read a checkpoint written by ``save`` under the run's ``limits``
-        (the packaged ones by default): a snapshot line, then journal
+        (None: the packaged defaults.ini's): a snapshot line, then journal
         lines replayed in order. A torn final line (a crash mid-append) is
         dropped; a first line that is not JSON, a file of another version,
         or any other defect, raises ValueError. A file whose lines all
@@ -729,7 +729,7 @@ class ProofTree:
                     _replay(data, line, number, last=False)
                 line, number = next_line, number + 1
             intact = number == 1 or _replay(data, line, number, last=True)
-        tree = cls.from_dict(data, limits)
+        tree = cls.from_dict(data, limits or load_config(env={}).typed_limits())
         if intact and line.endswith(b"\n"):
             tree._adopt(os.path.abspath(path))
         return tree

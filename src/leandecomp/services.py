@@ -30,10 +30,10 @@ class ChatBackendConfig:
 
     model: str
     base_url: str
-    api_key: str = ""
-    max_tokens: int = 50000
-    max_tokens_param: str = "max_tokens"  # the request field that carries max_tokens
-    max_remote_retries: int = 5
+    api_key: str
+    max_tokens: int
+    max_tokens_param: str  # the request field that carries max_tokens
+    max_remote_retries: int
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class VerificationResult:
     passed: bool
     complete: bool
     errors: tuple[LeanError, ...] = ()
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -63,16 +62,16 @@ class TheoremHit:
 @dataclass(frozen=True)
 class VerifierConfig:
     url: str
-    verify_path: str = "/api/check"
-    max_retries: int = 5
+    verify_path: str
+    max_retries: int
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     url: str
-    package_filters: tuple[str, ...] = ("Mathlib", "Batteries", "Std", "Init", "Lean")
-    max_retries: int = 5
-    hint_cap: int = 20
+    package_filters: tuple[str, ...]
+    max_retries: int
+    hint_cap: int
 
 
 def _transport(retries: int, backoff_base: float, sleeper):
@@ -148,7 +147,7 @@ class VerifierClient:
     @staticmethod
     def _parse_result(entry: dict) -> VerificationResult:
         """
-        Grade one result entry, ``{"custom_id", "time", "diagnostics":
+        Grade one result entry, ``{"custom_id", "diagnostics":
         [{"severity", "message", "pos", "endPos"}], "error"}``.
 
         An error diagnostic or a non-empty ``error`` fails the unit; only
@@ -190,10 +189,7 @@ class VerifierClient:
             errors.append(LeanError(message=str(entry["error"])))
         passed = not saw_error
         return VerificationResult(
-            passed=passed,
-            complete=passed and not saw_incomplete,
-            errors=tuple(errors),
-            time=float(entry.get("time", 0.0)),
+            passed=passed, complete=passed and not saw_incomplete, errors=tuple(errors)
         )
 
     def verify_batch(self, codes: list[str], timeout: float = 300.0) -> list[VerificationResult]:

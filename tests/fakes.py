@@ -8,9 +8,11 @@ All of them count calls so tests can assert exact budgets.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 from leandecomp.ast_model import parse_ast
+from leandecomp.config import Limits, load_config
 from leandecomp.errors import BadSketch, ServiceError
 from leandecomp.lean_source import tokenize
 from leandecomp.services import LeanError, VerificationResult
@@ -19,6 +21,11 @@ from .ast_builder import build_sketch_payload
 
 #: Marker tactic: any code containing it fails verification.
 FAIL_MARKER = "FAILTAC"
+
+
+def packaged_limits(**overrides) -> Limits:
+    """The search budgets of the packaged defaults.ini, with ``overrides``."""
+    return dataclasses.replace(load_config(env={}).typed_limits(), **overrides)
 
 
 def count_sorries(code: str) -> int:

@@ -39,6 +39,7 @@ from .fakes import (
     count_sorries,
     lean_block,
     make_backends,
+    packaged_limits,
 )
 from .sample_proofs import (
     CANONICAL_PREAMBLE,
@@ -207,7 +208,7 @@ def _leaf(name: str, goal: str = "True") -> Subgoal:
 
 def _reconstruct(sketch_body: str, leaf_proofs: dict[str, str]) -> str:
     statement = sketch_body.splitlines()[0] + "\n  sorry"
-    tree = ProofTree.from_formal(CANONICAL_PREAMBLE + "\n\n" + statement, Limits())
+    tree = ProofTree.from_formal(CANONICAL_PREAMBLE + "\n\n" + statement, packaged_limits())
     root = tree.root_node()
     record_verified(tree, root.id, "decomposer", CANONICAL_PREAMBLE + "\n\n" + sketch_body)
     for name, decl in leaf_proofs.items():
@@ -267,7 +268,7 @@ def test_criterion_2_reconstruction_against_goldens(capsys):
 
         # Two-level recursion: the middle node is itself decomposed.
         tree = ProofTree.from_formal(
-            CANONICAL_PREAMBLE + "\n\ntheorem s9 : True := by\n  sorry", Limits()
+            CANONICAL_PREAMBLE + "\n\ntheorem s9 : True := by\n  sorry", packaged_limits()
         )
         root = tree.root_node()
         record_verified(
@@ -311,7 +312,7 @@ def test_criterion_2_reconstruction_against_goldens(capsys):
 
 
 def _exhaust_prover(self_correction: int, max_pass: int) -> int:
-    limits = Limits(prover_self_correction=self_correction, prover_max_pass=max_pass)
+    limits = packaged_limits(prover_self_correction=self_correction, prover_max_pass=max_pass)
     tree = ProofTree.from_formal("theorem t : True := by\n  sorry", limits)
     prover = ScriptedChat(
         lambda messages: lean_block(f"theorem t : True := by\n  {FAIL_MARKER}")
@@ -353,7 +354,7 @@ def _chain(depth: int, limits: Limits) -> tuple[ProofTree, str]:
 def test_criterion_4_backtracking(capsys):
     with criterion(capsys, 4, "depth overflow prunes + backtrack prompts; else documented failure"):
         # Fresh grandparent: prune and re-decompose with the backtrack prompts.
-        limits = Limits(max_depth=3)
+        limits = packaged_limits(max_depth=3)
         tree, deep_id = _chain(3, limits)
         grandparent_id = tree.node(tree.node(deep_id).parent).parent
         search_query = ScriptedChat([QUERY_RESPONSE])
@@ -405,7 +406,7 @@ def test_criterion_4_backtracking(capsys):
 
 def test_criterion_5_formalization_retry_budget(capsys):
     with criterion(capsys, 5, "always-Inappropriate checker: exactly 10 rounds then exhaustion"):
-        tree = ProofTree.from_informal("The sum of two even numbers is even.", Limits())
+        tree = ProofTree.from_informal("The sum of two even numbers is even.", packaged_limits())
         statement = (
             CANONICAL_PREAMBLE + "\n\ntheorem even_sum : True := by\n  sorry"
         )
@@ -475,6 +476,7 @@ EXPECTED_DEFAULTS = {
     },
     "DECOMPOSER_AGENT_LLM": {
         "model": "gpt-5-2025-08-07",
+        "url": "https://api.openai.com/v1",
         "max_completion_tokens": "50000",
         "max_remote_retries": "5",
         "max_self_correction_attempts": "6",
@@ -487,6 +489,8 @@ EXPECTED_DEFAULTS = {
     "LEAN_EXPLORE_SERVER": {
         "url": "http://localhost:8001/api/v1",
         "package_filters": "Mathlib,Batteries,Std,Init,Lean",
+        "max_retries": "5",
+        "hint_cap": "20",
     },
 }
 
@@ -543,7 +547,7 @@ def _random_scripted_run(seed: int) -> int:
     """One randomized run: nodes whose names end in _split always fail
     direct proof and decompose into a seeded-random brood; _leaf nodes
     prove immediately. Returns the number of Prove dispatches."""
-    limits = Limits(prover_self_correction=1, prover_max_pass=1, max_depth=6)
+    limits = packaged_limits(prover_self_correction=1, prover_max_pass=1, max_depth=6)
     root_name = f"g{seed}_split"
     tree = ProofTree.from_formal(f"theorem {root_name} : True := by\n  sorry", limits)
 

@@ -24,9 +24,10 @@ and no ``except`` names two of them.
 import ast
 from pathlib import Path
 
-from leandecomp.config import Limits
 from leandecomp.orchestrator import _STATUS_ACTIONS, ActionKind
 from leandecomp.proof_state import NodeStatus, ProofTree, _node_fields
+
+from .fakes import packaged_limits
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/leandecomp/*.py"), *ROOT.glob("perfbench/*.py")])
@@ -209,7 +210,7 @@ def test_only_the_proof_tree_sets_a_node_status_or_counters():
 def test_a_node_checkpoint_record_holds_its_structure_alone():
     """Status and counters fold from the history on load, so a node's
     record stores neither; its history is journaled apart."""
-    node = ProofTree.from_formal("theorem t : True := by\n  sorry", Limits()).root_node()
+    node = ProofTree.from_formal("theorem t : True := by\n  sorry", packaged_limits()).root_node()
     assert list(_node_fields(node)) == [
         "parent", "depth", "informal_statement", "formal", "name", "children"
     ]

@@ -16,11 +16,11 @@ from leandecomp.errors import InputError
 from leandecomp.lean_source import LeanSource, extract_code_block
 from leandecomp.orchestrator import ActionKind, next_action
 from leandecomp.proof_state import CHECKPOINT_VERSION, NodeStatus, ProofTree
-from leandecomp.config import Limits, load_config
+from leandecomp.config import load_config
 
 from .http_fakes import FakeService, chat_route, sorry_diagnostics, verifier_route
 from .ast_builder import build_sketch_payload
-from .fakes import FAIL_MARKER, count_sorries, lean_block
+from .fakes import FAIL_MARKER, count_sorries, lean_block, packaged_limits
 from .sample_proofs import CANONICAL_PREAMBLE, INFINITUDE_SKETCH, INFINITUDE_SUBGOAL_NAMES
 
 EVEN_SUM_FILE = (
@@ -50,7 +50,7 @@ ROLE_MODELS = {
 
 def checkpoint_text(edit) -> str:
     """A one-node checkpoint record, changed in place by ``edit``."""
-    data = ProofTree.from_formal(EVEN_SUM_FILE, Limits()).to_dict()
+    data = ProofTree.from_formal(EVEN_SUM_FILE, packaged_limits()).to_dict()
     edit(data)
     return json.dumps(data)
 
@@ -116,7 +116,8 @@ class TestValidateFormalInput:
                 monkeypatch.setattr(module, "normalize_preamble", counted)
         path = tmp_path / "t.lean"
         path.write_text("import Mathlib\n\ntheorem t : True := trivial", encoding="utf-8")
-        tree = cli._build_tree(cli.build_parser().parse_args(["--file", str(path)]), Limits())
+        args = cli.build_parser().parse_args(["--file", str(path)])
+        tree = cli._build_tree(args, packaged_limits())
         assert calls == ["import Mathlib"]
         assert tree.root_node().formal == LeanSource(CANONICAL_PREAMBLE, "theorem t : True := trivial")
 
@@ -202,7 +203,7 @@ class TestInputErrors:
         out = tmp_path / "run1"
         out.mkdir()
         checkpoint = out / "checkpoint.json"
-        tree = ProofTree.from_formal(EVEN_SUM_FILE, Limits())
+        tree = ProofTree.from_formal(EVEN_SUM_FILE, packaged_limits())
         tree.save(checkpoint)
         tree.root_node().name = "appended"
         tree.save(checkpoint)
@@ -269,7 +270,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("url, enabled", [("", False), ("http://localhost:1", True)])
     def test_an_empty_search_url_turns_retrieval_off(self, tmp_path, url, enabled):
         config = load_config(env={"LEAN_EXPLORE_SERVER__URL": url})
-        tree = ProofTree.from_formal(EVEN_SUM_FILE, Limits())
+        tree = ProofTree.from_formal(EVEN_SUM_FILE, packaged_limits())
         orchestrator = cli._build_orchestrator(config, tree, tmp_path, 1)
         assert (orchestrator.search_client is not None) is enabled
 
@@ -531,6 +532,37 @@ class TestFullStack:
         assert f"[LEAN_EXPLORE_SERVER] {option.lower()} must be" in capsys.readouterr().err
         assert service.requests == []
 
+    @pytest.mark.parametrize(
+        "section, url",
+        [
+            ("PROVER_AGENT_LLM", "localhost:11434/v1"),
+            ("DECOMPOSER_AGENT_LLM", ""),
+            ("KIMINA_LEAN_SERVER", "0.0.0.0:8000"),
+            ("LEAN_EXPLORE_SERVER", "http://:8001/api/v1"),
+        ],
+    )
+    def test_a_service_url_that_is_not_http_exits_two_before_the_run(
+        self, tmp_path, monkeypatch, capsys, section, url
+    ):
+        """A URL no request can be sent to fails at start-up, not after a
+        whole budget of failed calls blamed on another limit."""
+
+        def reply(model, messages):
+            return lean_block(EVEN_SUM_FILE.replace("sorry", "exact fun m n hm hn => hm.add hn"))
+
+        service = fake_stack(monkeypatch, reply)
+        monkeypatch.setenv(f"{section}__URL", url)
+        try:
+            lean = tmp_path / "input.lean"
+            lean.write_text(EVEN_SUM_FILE)
+            code = main(["--file", str(lean), "--out", str(tmp_path / "out")])
+        finally:
+            service.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and f"option [{section}] url must be http(s)://host[:port]" in err
+        assert service.requests == []
+
     def test_search_answering_an_array_leaves_the_sketch_without_hints(
         self, tmp_path, monkeypatch
     ):
@@ -601,7 +633,7 @@ class TestFullStack:
 
     def test_resume_checkpoint_through_cli(self, tmp_path, monkeypatch):
         tree = ProofTree.from_formal(
-            "import Mathlib\n\ntheorem t : True := by\n  sorry", Limits()
+            "import Mathlib\n\ntheorem t : True := by\n  sorry", packaged_limits()
         )
         checkpoint = tmp_path / "checkpoint.json"
         tree.save(checkpoint)
@@ -841,9 +873,12 @@ class TestDependencies:
             "import leandecomp, leandecomp.cli, leandecomp.services as s\n"
             "stack = ('http.client', 'ssl', 'urllib.request', 'email', 'uuid')\n"
             "print(' '.join(sorted(set(stack) & sys.modules.keys())) or '-')\n"
-            "s.ChatClient(s.ChatBackendConfig(model='m', base_url='http://127.0.0.1:9'))\n"
-            "s.VerifierClient(s.VerifierConfig(url='http://127.0.0.1:9'))\n"
-            "s.SearchClient(s.SearchConfig(url='http://127.0.0.1:9'))\n"
+            "s.ChatClient(s.ChatBackendConfig(model='m', base_url='http://127.0.0.1:9', api_key='',"
+            " max_tokens=1, max_tokens_param='max_tokens', max_remote_retries=0))\n"
+            "s.VerifierClient(s.VerifierConfig(url='http://127.0.0.1:9', verify_path='/api/check',"
+            " max_retries=0))\n"
+            "s.SearchClient(s.SearchConfig(url='http://127.0.0.1:9', package_filters=(),"
+            " max_retries=0, hint_cap=1))\n"
             "print(' '.join(sorted(set(stack) & sys.modules.keys())) or '-')\n"
         )
         run = subprocess.run(

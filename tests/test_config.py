@@ -1,9 +1,42 @@
+import configparser
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leandecomp.config import Config, Limits, load, load_config, packaged_defaults
+from leandecomp.config import ROLE_SECTIONS, Config, Limits, load, load_config, packaged_defaults
 from leandecomp.errors import ConfigError
+from leandecomp.services import ChatBackendConfig, SearchConfig, VerifierConfig
+
+
+def listed_options() -> list[tuple[str, str]]:
+    """(section, option) of each option the packaged defaults.ini lists."""
+    parser = configparser.RawConfigParser()
+    parser.read_string(packaged_defaults())
+    return [(section, option) for section in parser.sections() for option in parser[section]]
+
+
+def without_line(text: str, section: str, option: str) -> str:
+    """``text`` with the line that sets ``option`` in ``section`` removed."""
+    kept, current = [], None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            current = line.strip()[1:-1]
+        elif current == section and line.partition("=")[0].strip() == option:
+            continue
+        kept.append(line)
+    assert len(kept) == len(text.splitlines()) - 1
+    return "".join(kept)
+
+
+def read_every_option(cfg: Config) -> None:
+    """Build every typed accessor's result, as a run does."""
+    cfg.typed_limits()
+    for role in ROLE_SECTIONS:
+        cfg.chat_backend(role)
+    cfg.verifier()
+    cfg.search()
 
 
 class TestDefaults:
@@ -57,10 +90,13 @@ class TestDefaults:
         decomposer = cfg.chat_backend("decomposer")
         assert (decomposer.max_tokens, decomposer.max_tokens_param) == (100, "max_tokens")
 
-    def test_a_section_with_no_limit_sends_max_tokens(self):
-        cfg = load("[PROVER_AGENT_LLM]\nmodel = m\n", env={})
-        prover = cfg.chat_backend("prover")
-        assert (prover.max_tokens, prover.max_tokens_param) == (50000, "max_tokens")
+    def test_a_section_with_no_limit_is_rejected(self):
+        cfg = load(
+            "[PROVER_AGENT_LLM]\nmodel = m\nurl = http://h/v1\nmax_remote_retries = 1\n", env={}
+        )
+        with pytest.raises(ConfigError) as raised:
+            cfg.chat_backend("prover")
+        assert str(raised.value) == "missing required option [PROVER_AGENT_LLM] max_tokens"
 
     def test_default_services(self):
         cfg = load_config(env={})
@@ -71,6 +107,40 @@ class TestDefaults:
         search = cfg.search()
         assert search.url == "http://localhost:8001/api/v1"
         assert search.package_filters == ("Mathlib", "Batteries", "Std", "Init", "Lean")
+
+
+class TestOneStatementOfEachDefault:
+    """The packaged defaults.ini states each option's default; no code
+    states it again, so an option missing there is an error, not a
+    silent fallback."""
+
+    def test_the_packaged_defaults_build_every_accessor(self):
+        read_every_option(load_config(env={}))
+
+    @pytest.mark.parametrize("section, option", listed_options())
+    def test_an_option_left_out_of_the_defaults_is_missing(self, monkeypatch, section, option):
+        cfg = load(without_line(packaged_defaults(), section, option), None, {})
+        if option == "api_key":  # the one option that may stay unset
+            monkeypatch.setenv("OPENAI_API_KEY", "from-env")
+            read_every_option(cfg)
+            role = next(role for role, name in ROLE_SECTIONS.items() if name == section)
+            assert cfg.chat_backend(role).api_key == "from-env"
+            return
+        # a section that sets neither token limit is missing the default name
+        missing = "max_tokens" if option == "max_completion_tokens" else option
+        with pytest.raises(ConfigError) as raised:
+            read_every_option(cfg)
+        assert str(raised.value) == f"missing required option [{section}] {missing}"
+
+    @pytest.mark.parametrize("cls", [Limits, ChatBackendConfig, VerifierConfig, SearchConfig])
+    def test_no_config_field_has_a_default(self, cls):
+        defaulted = [
+            field.name
+            for field in dataclasses.fields(cls)
+            if field.default is not dataclasses.MISSING
+            or field.default_factory is not dataclasses.MISSING
+        ]
+        assert not defaulted
 
 
 class TestLayering:
@@ -209,6 +279,30 @@ class TestErrors:
         cfg = load("[KIMINA_LEAN_SERVER]\nmax_retries = 5\n", None, {})
         with pytest.raises(ConfigError, match=r"missing required option \[KIMINA_LEAN_SERVER\] url"):
             cfg.verifier()
+
+    @pytest.mark.parametrize(
+        "url",
+        ["localhost:11434/v1", "", "ftp://host", "http://:8000", "http://host:port", "http://[::1"],
+    )
+    @pytest.mark.parametrize(
+        "section, accessor",
+        [
+            ("DECOMPOSER_AGENT_LLM", lambda cfg: cfg.chat_backend("decomposer")),
+            ("KIMINA_LEAN_SERVER", Config.verifier),
+            ("LEAN_EXPLORE_SERVER", Config.search),
+        ],
+    )
+    def test_a_service_url_that_is_not_http_names_its_section(self, section, accessor, url):
+        cfg = load_config(env={f"{section}__URL": url})
+        with pytest.raises(ConfigError) as raised:
+            accessor(cfg)
+        assert str(raised.value) == (
+            f"option [{section}] url must be http(s)://host[:port], got {url!r}"
+        )
+
+    @pytest.mark.parametrize("url", ["HTTPS://host/v1", "http://[::1]:8000", "http://u:p@h:1/v1"])
+    def test_an_http_url_is_accepted(self, url):
+        assert load_config(env={"LEAN_EXPLORE_SERVER__URL": url}).search().url == url
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):

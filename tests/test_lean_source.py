@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leandecomp.config import Limits
 from leandecomp.errors import BadReply, BadSketch
 from leandecomp.lean_source import (
     CANONICAL_PREAMBLE_LINES,
@@ -14,7 +13,7 @@ from leandecomp.lean_source import (
     tokenize,
 )
 from leandecomp.proof_state import ProofTree
-from tests.fakes import count_sorries
+from tests.fakes import count_sorries, packaged_limits
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
     EVEN_SUM_PROOF,
@@ -135,7 +134,8 @@ class TestNormalizePreamble:
     def test_extra_imports_follow_the_canonical_imports(self):
         """Lean accepts ``import`` only before every other command."""
         tree = ProofTree.from_formal(
-            "import Mathlib\nimport Mathlib.Tactic.Linarith\n\ntheorem t : True := trivial", Limits()
+            "import Mathlib\nimport Mathlib.Tactic.Linarith\n\ntheorem t : True := trivial",
+            packaged_limits(),
         )
         assert tree.root_node().formal.combined() == (
             "import Mathlib\nimport Aesop\nimport Mathlib.Tactic.Linarith\n\n"
@@ -231,7 +231,7 @@ class TestNormalizePreamble:
     def test_comments_after_the_header_leave_the_body_outside(self):
         tree = ProofTree.from_formal(
             "import Mathlib\n/- first\n-/\n/- second\n-/\ntheorem t : True := by\n  trivial",
-            Limits(),
+            packaged_limits(),
         )
         assert split_source(tree.root_node().formal.combined()).body.startswith("theorem t")
 

@@ -51,6 +51,7 @@ from .fakes import (
     count_sorries,
     lean_block,
     make_backends,
+    packaged_limits,
 )
 from .sample_proofs import CANONICAL_PREAMBLE, INFINITUDE_SKETCH, INFINITUDE_SUBGOAL_NAMES
 
@@ -91,7 +92,7 @@ UNSPLICEABLE_SKETCH = (
 
 
 def formal_tree(statement: str = TRUE_THEOREM, limits: Limits | None = None) -> ProofTree:
-    return ProofTree.from_formal(statement, limits or Limits())
+    return ProofTree.from_formal(statement, limits or packaged_limits())
 
 
 def make_subgoal(name: str) -> Subgoal:
@@ -198,7 +199,7 @@ class RecordingOrchestrator(Orchestrator):
 
 class TestNextAction:
     def test_informal_root_formalizes_first(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         action = next_action(tree, open_passes=1)
         assert action.kind is ActionKind.FORMALIZE
         assert action.node_id == tree.root
@@ -243,7 +244,7 @@ class TestNextAction:
         """The failure is read from the tree under its limits: with the
         retries spent the root finishes, and under a raised retry budget
         the same root formalizes again."""
-        tree = ProofTree.from_informal(INFORMAL, Limits(formalizer_max_retries=3))
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits(formalizer_max_retries=3))
         tree.root_node().counters.formalize_retries = 3
         action = next_action(tree, open_passes=1)
         assert action == Action(
@@ -255,11 +256,11 @@ class TestNextAction:
                 "without an accepted statement",
             ),
         )
-        tree.limits = Limits(formalizer_max_retries=4)
+        tree.limits = packaged_limits(formalizer_max_retries=4)
         assert next_action(tree, open_passes=1) == Action(ActionKind.FORMALIZE, tree.root)
 
     def test_depth_overflow_resolves_to_backtrack(self):
-        limits = Limits(max_depth=3)
+        limits = packaged_limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
         action = next_action(tree, open_passes=1)
@@ -268,7 +269,7 @@ class TestNextAction:
         assert action.node_id == grandparent.id
 
     def test_depth_overflow_without_ancestor_finishes(self):
-        limits = Limits(max_depth=3)
+        limits = packaged_limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         deep = tree.node(deep_id)
         deep.status = NodeStatus.AWAITING_QUERY_GEN
@@ -351,7 +352,7 @@ class TestNextAction:
         assert next_action(tree, busy=frozenset({(tree.root, 1)}), open_passes=1) is None
 
     def test_no_other_pass_beyond_the_pass_budget(self):
-        tree = formal_tree(limits=Limits(prover_max_pass=2))
+        tree = formal_tree(limits=packaged_limits(prover_max_pass=2))
         fail_a_prover_round(tree, tree.root)
         tree.open_pass(tree.root, 2)  # its first Prove is in flight
         busy = frozenset({(tree.root, 1), (tree.root, 2)})
@@ -368,7 +369,7 @@ class TestNextAction:
 
 class TestFormalization:
     def test_single_round_success(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         formalizer = ScriptedChat([GOOD_FORMALIZATION])
         semantics = ScriptedChat([APPROPRIATE])
         verifier = RuleVerifier()
@@ -390,7 +391,7 @@ class TestFormalization:
         assert INFORMAL in check_prompt and GOOD_STATEMENT in check_prompt
 
     def test_syntax_failure_consumes_one_retry(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         bad = lean_block(
             CANONICAL_PREAMBLE + f"\n\ntheorem {INFORMAL_NAME} : {FAIL_MARKER} := by\n  sorry"
         )
@@ -406,7 +407,7 @@ class TestFormalization:
         assert (formalizer.calls, semantics.calls) == (2, 1)
 
     def test_unfenced_reply_consumes_one_retry(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         formalizer = ScriptedChat(["Here is the theorem, no code though.", GOOD_FORMALIZATION])
         semantics = ScriptedChat([APPROPRIATE])
         orch = make_orchestrator(
@@ -417,7 +418,7 @@ class TestFormalization:
         assert formalizer.calls == 2
 
     def test_semantics_outage_and_missing_judgement_each_consume_a_retry(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         formalizer = ScriptedChat(lambda messages: GOOD_FORMALIZATION)
         semantics = ScriptedChat([ServiceError("semantics down"), "Looks fine to me.", APPROPRIATE])
         orch = make_orchestrator(
@@ -436,7 +437,7 @@ class TestFormalization:
         ]
 
     def test_semantic_veto_exhausts_after_ten_rounds(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         formalizer = ScriptedChat(lambda messages: GOOD_FORMALIZATION)
         semantics = ScriptedChat(lambda messages: INAPPROPRIATE)
         orch = make_orchestrator(
@@ -452,7 +453,7 @@ class TestFormalization:
         assert root.counters.formalize_retries == 10
 
     def test_run_surfaces_formalization_failure(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         orch = make_orchestrator(
             tree,
             backends=make_backends(
@@ -502,7 +503,7 @@ class TestProverLoop:
         assert prover.transcripts[2][0][1].startswith("Complete the following Lean 4 code:")
 
     def test_always_failing_prover_spends_sixty_four_calls(self):
-        tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=32))
+        tree = formal_tree(limits=packaged_limits(prover_self_correction=2, prover_max_pass=32))
         prover = ScriptedChat(lambda messages: lean_block(FAILING_PROOF))
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
         assert run_prover_pass(orch, tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
@@ -512,7 +513,7 @@ class TestProverLoop:
         assert tree.passes(root.id).ended == 32
 
     def test_small_pass_budget_spends_six_calls(self):
-        tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=3))
+        tree = formal_tree(limits=packaged_limits(prover_self_correction=2, prover_max_pass=3))
         prover = ScriptedChat(lambda messages: lean_block(FAILING_PROOF))
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
         assert run_prover_pass(orch, tree.root) is ProveOutcome.NEEDS_DECOMPOSITION
@@ -819,7 +820,7 @@ class TestDecomposition:
 
 class TestBacktracking:
     def test_depth_overflow_prunes_grandparent(self):
-        limits = Limits(max_depth=3)
+        limits = packaged_limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
         grandparent_id = tree.node(tree.node(deep_id).parent).parent
@@ -834,7 +835,7 @@ class TestBacktracking:
         tree.validate()
 
     def test_depth_overflow_without_ancestor_fails_run(self):
-        limits = Limits(max_depth=3)
+        limits = packaged_limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
         for _, ancestor in tree.ancestors(deep_id):
@@ -850,7 +851,7 @@ class TestBacktracking:
         assert next_action(tree, open_passes=1) == action  # the tree stays failed
 
     def test_backtracked_node_uses_backtrack_prompts(self):
-        limits = Limits(max_depth=3)
+        limits = packaged_limits(max_depth=3)
         tree, deep_id = chain_tree(3, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
         search_query = ScriptedChat([QUERY_RESPONSE])
@@ -874,7 +875,7 @@ class TestBacktracking:
         assert target.status is NodeStatus.AWAITING_CHILDREN
 
     def test_exhausted_sketch_budget_backtracks_midrun(self):
-        limits = Limits(max_depth=10, decomposer_self_correction=2)
+        limits = packaged_limits(max_depth=10, decomposer_self_correction=2)
         tree, deep_id = chain_tree(2, limits)
         deep = tree.node(deep_id)
         deep.status = NodeStatus.AWAITING_QUERY_GEN
@@ -902,7 +903,7 @@ class TestBacktracking:
         performs is a line of the run log, the first action after the
         failed check's own line. When the root's budget is spent too,
         the report names that budget."""
-        limits = Limits(max_depth=10, decomposer_self_correction=2)
+        limits = packaged_limits(max_depth=10, decomposer_self_correction=2)
         tree, deep_id = chain_tree(2, limits)
         tree.node(deep_id).status = NodeStatus.AWAITING_QUERY_GEN
         bad_sketch = (
@@ -941,7 +942,7 @@ class TestBacktracking:
 
 # ------------------------------------------------------ failed-round rule
 
-EDGE_LIMITS = Limits(
+EDGE_LIMITS = packaged_limits(
     formalizer_max_retries=2,
     prover_self_correction=2,
     prover_max_pass=1,
@@ -1150,7 +1151,7 @@ class TestRun:
         assert verifier.checked == [outcome.proof]  # the final unit, verified once
 
     def test_informal_statement_end_to_end(self):
-        tree = ProofTree.from_informal(INFORMAL, Limits())
+        tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         proof = GOOD_STATEMENT.replace("sorry", "exact fun m n hm hn => hm.add hn")
         orch = make_orchestrator(
             tree,
@@ -1166,7 +1167,7 @@ class TestRun:
         assert f"theorem {INFORMAL_NAME}" in outcome.proof
 
     def infinitude_orchestrator(self, tmp_path=None, workers=1, cls=Orchestrator):
-        limits = Limits(prover_self_correction=1, prover_max_pass=1)
+        limits = packaged_limits(prover_self_correction=1, prover_max_pass=1)
         tree = formal_tree(INFINITUDE_STATEMENT, limits=limits)
         prover = content_keyed_prover()
         decomposer = ScriptedChat([lean_block(INFINITUDE_SKETCH)])
@@ -1214,7 +1215,7 @@ class TestRun:
         assert sorted(orch.verifier.batch_sizes) == [1, 1, 1, 1, 4]
 
     def test_resume_from_checkpoint(self, tmp_path):
-        limits = Limits(prover_self_correction=1, prover_max_pass=1)
+        limits = packaged_limits(prover_self_correction=1, prover_max_pass=1)
         tree = formal_tree(INFINITUDE_STATEMENT, limits=limits)
         failing_prover = ScriptedChat(
             [lean_block(INFINITUDE_STATEMENT.replace("sorry", FAIL_MARKER))]
@@ -1271,7 +1272,7 @@ class TestRun:
 #: conversation is replaced once a pass is spent; two decompositions per
 #: node; subgoals of subgoals at the depth limit, so that a hard
 #: grandchild backtracks to the root and prunes its subtree.
-JOURNAL_LIMITS = Limits(
+JOURNAL_LIMITS = packaged_limits(
     prover_self_correction=2, prover_max_pass=2, decomposer_self_correction=2, max_depth=2
 )
 
@@ -1498,7 +1499,10 @@ class TestResumeUnderLoweredProverLimits:
 
     def test_a_pass_past_the_lowered_correction_budget_ends_once(self, tmp_path):
         tree = self.resumed(
-            tmp_path, Limits(prover_self_correction=2), [2], Limits(prover_self_correction=1)
+            tmp_path,
+            packaged_limits(prover_self_correction=2),
+            [2],
+            packaged_limits(prover_self_correction=1),
         )
         passes = tree.passes(tree.root)
         assert (passes.open, passes.ended) == ({}, 1)
@@ -1515,8 +1519,8 @@ class TestResumeUnderLoweredProverLimits:
         """Three passes ended under a budget of four; under a budget of
         two the root opens no pass, and decomposes, or at the depth
         limit fails with the report of that limit."""
-        ran = Limits(prover_self_correction=1, prover_max_pass=4)
-        limits = Limits(prover_self_correction=1, prover_max_pass=2, max_depth=max_depth)
+        ran = packaged_limits(prover_self_correction=1, prover_max_pass=4)
+        limits = packaged_limits(prover_self_correction=1, prover_max_pass=2, max_depth=max_depth)
         tree = self.resumed(tmp_path, ran, [1, 1, 1], limits)
         assert tree.root_node().status is NodeStatus.AWAITING_QUERY_GEN
         prover = ScriptedChat([lean_block("theorem step : True := by\n  trivial")])
@@ -1553,7 +1557,7 @@ class TestResumeUnderARaisedPassBudget:
 
     @staticmethod
     def limits(max_pass: int) -> Limits:
-        return Limits(
+        return packaged_limits(
             prover_self_correction=2, prover_max_pass=max_pass, decomposer_self_correction=2,
             max_depth=2,
         )
@@ -2129,7 +2133,7 @@ class TestCompletionScheduler:
 
         backends = brood_backends(frozenset(["tst", *names]), names)
         prover = backends["prover"] = GatedChat(backends["prover"], ["tst_c"])
-        limits = Limits(prover_self_correction=2, prover_max_pass=2, max_depth=1)
+        limits = packaged_limits(prover_self_correction=2, prover_max_pass=2, max_depth=1)
         orch = HookedOrchestrator(
             formal_tree(limits=limits),
             backends=backends,
@@ -2169,7 +2173,7 @@ class TestCompletionScheduler:
             return lean_block(unit.replace("sorry", FAIL_MARKER if failing else "trivial"))
 
         backends["prover"] = ScriptedChat(prove)
-        limits = Limits(prover_self_correction=2, prover_max_pass=4, max_depth=1)
+        limits = packaged_limits(prover_self_correction=2, prover_max_pass=4, max_depth=1)
         orch = make_orchestrator(
             formal_tree(limits=limits),
             backends=backends,
@@ -2402,7 +2406,7 @@ class TestOverlappingPasses:
         exactly six prover calls, with two passes, never more, open at
         once, and it generates search queries only once its last pass has
         ended."""
-        limits = Limits(
+        limits = packaged_limits(
             prover_self_correction=2, prover_max_pass=3, decomposer_self_correction=2, max_depth=2
         )
         open_passes, decomposing = [], []
@@ -2495,7 +2499,7 @@ class TestOverlappingPasses:
         whose replies are spent, and the proof still reconstructs."""
         failing, passing = lean_block(FAILING_PROOF), lean_block(TRUE_PROOF)
         prover = ScriptedChat([failing] * (proving_reply - 1) + [passing] * 8)
-        tree = formal_tree(limits=Limits(prover_self_correction=2, prover_max_pass=4))
+        tree = formal_tree(limits=packaged_limits(prover_self_correction=2, prover_max_pass=4))
         orch = make_orchestrator(tree, backends=make_backends(prover=prover), workers=workers)
         outcome = orch.run()
         assert outcome.success and outcome.proof.endswith(TRUE_PROOF)
@@ -2580,7 +2584,7 @@ def random_tree_calls(seed: int, workers: int) -> Counter:
     every prover round and decompose into a seeded brood; ``_leaf``
     nodes prove at once) at ``workers``; returns every remote call as
     (role, theorem, messages or unit)."""
-    limits = Limits(prover_self_correction=2, prover_max_pass=3, max_depth=6)
+    limits = packaged_limits(prover_self_correction=2, prover_max_pass=3, max_depth=6)
     tree = ProofTree.from_formal(f"theorem g{seed}_split : True := by\n  sorry", limits)
 
     def prove(messages):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leandecomp.ast_model import Subgoal, extract_subgoals, parse_ast
-from leandecomp.config import Limits
 from leandecomp.errors import LeandecompError
 from leandecomp.lean_source import LeanSource
 from leandecomp.proof_state import (
@@ -20,7 +19,7 @@ from leandecomp.proof_state import (
 )
 from leandecomp.services import VerificationResult
 from tests.drivers import record_verified
-from tests.fakes import count_sorries, lean_block
+from tests.fakes import count_sorries, lean_block, packaged_limits
 from tests.sample_proofs import (
     CANONICAL_PREAMBLE,
     EVEN_SUM_PROOF,
@@ -30,7 +29,7 @@ from tests.sample_proofs import (
 )
 from tests.test_ast_model import load_payload
 
-LIMITS = Limits()
+LIMITS = packaged_limits()
 
 PASS = VerificationResult(passed=True, complete=True)
 FAIL = VerificationResult(passed=False, complete=False)
@@ -183,7 +182,7 @@ class TestAwaitingCheck:
         """Two passes each have a round awaiting its check; a verdict
         judges the round of its pass, and a verified round closes the
         other pass's round unchecked."""
-        limits = Limits(prover_max_pass=2)
+        limits = packaged_limits(prover_max_pass=2)
         tree = ProofTree.from_formal("theorem t : True := by sorry", limits)
         root = tree.root_node()
         tree.record_attempt(tree.root, "prover", "p1", "r1", failed=True, pass_=1)
@@ -462,15 +461,16 @@ class TestCheckpoint:
         tree.save(path)
         tree.close()
         assert "limits" not in json.loads(path.read_text())
-        assert ProofTree.load(path, Limits(max_depth=3)).limits == Limits(max_depth=3)
-        assert ProofTree.load(path).limits == Limits()
+        lowered = packaged_limits(max_depth=3)
+        assert ProofTree.load(path, lowered).limits == lowered
+        assert ProofTree.load(path).limits == packaged_limits()
 
     @pytest.mark.parametrize(
         "lowered",
         [
-            Limits(prover_self_correction=1),
-            Limits(prover_max_pass=1),
-            Limits(formalizer_max_retries=1, decomposer_self_correction=1),
+            packaged_limits(prover_self_correction=1),
+            packaged_limits(prover_max_pass=1),
+            packaged_limits(formalizer_max_retries=1, decomposer_self_correction=1),
         ],
     )
     def test_a_tree_resumed_under_lowered_limits_validates(self, tmp_path, lowered):

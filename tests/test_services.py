@@ -42,6 +42,7 @@ def make_chat_client(fake, retries=5):
         base_url=fake.base_url + "/v1",
         api_key="key",
         max_tokens=128,
+        max_tokens_param="max_tokens",
         max_remote_retries=retries,
     )
     return ChatClient(config, request_timeout=5, backoff_base=0)
@@ -119,7 +120,9 @@ class TestChatClient:
 
 def make_verifier(fake, retries=5, **kwargs):
     return VerifierClient(
-        VerifierConfig(url=fake.base_url, max_retries=retries), backoff_base=0, **kwargs
+        VerifierConfig(url=fake.base_url, verify_path="/api/check", max_retries=retries),
+        backoff_base=0,
+        **kwargs,
     )
 
 
@@ -186,11 +189,10 @@ class TestVerifierClient:
         "fields",
         [
             {"response": {"messages": [{"severity": "error", "message": "unknown tactic"}]}},
-            {"diagnostics": [], "time": None},
             {"diagnostics": ["declaration uses 'sorry'"]},
             {"diagnostics": [{"severity": "error", "message": "x", "pos": {"line": "one"}}]},
         ],
-        ids=["no-diagnostics-list", "null-time", "diagnostic-not-an-object", "non-numeric-position"],
+        ids=["no-diagnostics-list", "diagnostic-not-an-object", "non-numeric-position"],
     )
     def test_malformed_entry_is_bad_response(self, service, fields):
         service.route(
@@ -202,6 +204,19 @@ class TestVerifierClient:
         )
         with pytest.raises(ServiceError, match="verification result"):
             make_verifier(service).verify_batch(["theorem t : True := by trivial"], timeout=10)
+
+    def test_the_server_time_is_not_read(self, service):
+        """An entry's ``time`` grades nothing, so a null one is no defect."""
+        service.route(
+            "POST",
+            "/api/check",
+            lambda r: (200, {"results": [
+                {"custom_id": item["custom_id"], "diagnostics": [], "time": None}
+                for item in r.body["codes"]
+            ]}),
+        )
+        (result,) = make_verifier(service).verify_batch(["theorem t : True := by trivial"], timeout=10)
+        assert result.passed and result.complete
 
     def test_error_entry_without_diagnostics_fails_the_unit(self, service):
         service.route(
@@ -358,7 +373,15 @@ class TestConnectionReuse:
         fake.route("GET", "/api/v1/search", search_results_route({}))
         chats = [make_chat_client(fake) for _ in range(5)]
         lean = make_verifier(fake)
-        search = SearchClient(SearchConfig(url=fake.base_url + "/api/v1"), backoff_base=0)
+        search = SearchClient(
+            SearchConfig(
+                url=fake.base_url + "/api/v1",
+                package_filters=("Mathlib", "Batteries", "Std", "Init", "Lean"),
+                max_retries=5,
+                hint_cap=20,
+            ),
+            backoff_base=0,
+        )
         for number, chat in enumerate(chats):
             assert chat.complete([("user", f"c{number}")]) == f"c{number}"
         assert lean.verify_batch(["theorem t : True := trivial"])[0].complete
@@ -525,7 +548,12 @@ class TestResponses:
 
         service.route("POST", "/v1/chat/completions", slow)
         config = ChatBackendConfig(
-            model="m", base_url=service.base_url + "/v1", max_remote_retries=0
+            model="m",
+            base_url=service.base_url + "/v1",
+            api_key="",
+            max_tokens=50000,
+            max_tokens_param="max_tokens",
+            max_remote_retries=0,
         )
         try:
             with pytest.raises(ServiceError, match="timed out"):
@@ -606,7 +634,8 @@ class TestMalformedAnswers:
         service.route("POST", "/v1/chat/completions", lambda r: (200, text))
         lean = make_verifier(service, retries=0)
         search = SearchClient(
-            SearchConfig(url=service.base_url, package_filters=(), max_retries=0), backoff_base=0
+            SearchConfig(url=service.base_url, package_filters=(), max_retries=0, hint_cap=20),
+            backoff_base=0,
         )
         def verify():
             (result,) = lean.verify_batch(["theorem t : True := trivial"], timeout=10)
