@@ -103,7 +103,7 @@ class Config:
         return ChatBackendConfig(
             model=self.require(section, "model"),
             base_url=self.url(section),
-            api_key=self.get(section, "api_key") or os.environ.get("OPENAI_API_KEY", ""),
+            api_key=self.get(section, "api_key") or "",
             max_tokens=self.getint(section, param),
             max_tokens_param=param,
             max_remote_retries=self.getint(section, "max_remote_retries"),
@@ -190,6 +190,9 @@ def load(
     for key in sorted(env):
         if match := _ENV_KEY_RE.match(key):
             merge(match.group(1), match.group(2).lower(), env[key], f"environment variable {key}")
+    for section in ROLE_SECTIONS.values():  # OPENAI_API_KEY stands in for an empty api_key
+        if section in sections and not sections[section].get("api_key"):
+            sections[section]["api_key"] = env.get("OPENAI_API_KEY", "")
     return Config(sections=sections)
 
 

@@ -9,9 +9,9 @@ class LeandecompError(Exception):
 
 
 class BadReply(LeandecompError):
-    """A model's reply lacks what its role must give: a fenced Lean block
-    with a declaration, a Judgement verdict or a <search> tag. The round
-    fails."""
+    """A model's reply lacks what its role must give (a fenced Lean block
+    with a declaration, a Judgement verdict or a <search> tag), or a chat
+    service refused the request (a 4xx not retried, no text). The round fails."""
 
 
 class BadSketch(LeandecompError):
@@ -22,8 +22,8 @@ class BadSketch(LeandecompError):
 
 class ServiceError(LeandecompError):
     """A service could not be reached within its retry budget, or answered
-    with an unusable payload. A chat round fails, a search gives no hints,
-    and a Lean server error aborts the run resumably."""
+    with an unusable payload. The run aborts resumably, once the calls in
+    flight have landed, except that a failed search gives no hints."""
 
 
 class ConfigError(LeandecompError):

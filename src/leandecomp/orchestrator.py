@@ -39,12 +39,16 @@ reply is not verified while a Prove of another node from its dispatch
 wave is in flight (the passes of a node are independent), and then the
 ready Verifies at its depth share one request; with nothing else in
 flight only those of its wave do, which keeps the order of a single
-worker.
+worker. A service outage (ServiceError) of any call but a search ends
+the run once the calls in flight have landed and their results are
+applied and written, so ``--resume`` makes none of them again; a chat
+request its backend refused (BadReply) fails its round.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -315,7 +319,9 @@ class Orchestrator:
 
         Each wake-up applies the results that landed and dispatches
         again; the checkpoint journal and the run log are written before
-        the coordinator waits. The worker threads, the run-log handle and
+        the coordinator waits. A remote failure is raised once the calls
+        in flight have landed and their results are applied and written
+        (``_apply_landed``). The worker threads, the run-log handle and
         the checkpoint journal handle are released when the run returns
         or raises, even when that last journal write fails; calls still
         in flight are waited for and dropped, and queued calls no worker
@@ -402,14 +408,15 @@ class Orchestrator:
                 results = exc
             landed.put((group, results))
 
-    def _stop_workers(self) -> None:
-        """Take back the groups no worker has taken, then stop every
-        worker once its call in flight returns, and join it."""
-        try:
+    def _take_back(self) -> None:
+        """Take back the groups no worker has taken: they are never sent."""
+        with suppress(Empty):
             while True:
-                self._work.get_nowait()
-        except Empty:
-            pass
+                del self._inflight[id(self._work.get_nowait())]
+
+    def _stop_workers(self) -> None:
+        """Stop every worker once its call in flight returns, and join it."""
+        self._take_back()
         for _ in self._workers:
             self._work.put(None)
         for worker in self._workers:
@@ -465,17 +472,19 @@ class Orchestrator:
 
     def _apply_landed(self) -> Outcome | None:
         """Wait for a call to land, then apply every result that has, in
-        the order they landed. Results for pruned nodes are dropped.
-        Raises the first remote failure once the other results are
-        applied."""
+        the order they landed. Results for pruned nodes are dropped. A
+        remote failure dispatches nothing more: it is raised once the calls
+        in flight have landed and been applied, unless one ends the run."""
         landed = [self._landed.get()]
         while not self._landed.empty():
             landed.append(self._landed.get_nowait())
         error: BaseException | None = None
-        for group, results in landed:
+        while landed or (error is not None and self._inflight):
+            group, results = landed.pop(0) if landed else self._landed.get()
             wave, _ = self._inflight.pop(id(group))
             if isinstance(results, BaseException):
                 error = error or results
+                self._take_back()
                 continue
             for (action, call), result in zip(group, results):
                 if action.node_id not in self.tree.nodes:
@@ -518,14 +527,11 @@ class Orchestrator:
             formal_statement=formal.body,
         )
 
-        def apply(response: str | LeandecompError) -> None:
-            if isinstance(response, LeandecompError):
-                response, appropriate = f"(backend failure: {response})", False
-            else:
-                try:
-                    appropriate = parse_judgement(response)
-                except BadReply:
-                    appropriate = False
+        def apply(response: str) -> None:
+            try:
+                appropriate = parse_judgement(response)
+            except BadReply:
+                appropriate = False
             self.tree.record_attempt(node.id, "semantics", prompt, response, failed=not appropriate)
             if appropriate:
                 node.formal = formal
@@ -560,24 +566,19 @@ class Orchestrator:
     ) -> _Call:
         """The call that asks ``role`` to continue ``conversation`` with
         ``prompt`` (in prover pass ``pass_``). A reply that proposes Lean
-        code becomes the round awaiting its Lean check. Any other reply,
-        or a backend failure, is a failed round. A reply for a node that
-        another prover pass proved meanwhile is recorded unchecked."""
+        code becomes the round awaiting its Lean check; any other reply is
+        a failed round. A reply for a node that another prover pass proved
+        meanwhile is recorded unchecked."""
 
-        def apply(reply: str | LeandecompError) -> None:
-            response = reply if isinstance(reply, str) else f"(backend failure: {reply})"
+        def apply(reply: str) -> None:
             if node.status is NodeStatus.PROVEN:
-                self.tree.record_attempt(node.id, role, prompt, response, None, pass_)
+                self.tree.record_attempt(node.id, role, prompt, reply, None, pass_)
                 return
-            if isinstance(reply, LeandecompError):
-                note = f"the {role} backend failed to respond"
-            else:
-                try:
-                    self.tree.record_reply(node.id, role, prompt, reply, pass_)
-                    return
-                except BadReply:
-                    note = "the completion did not contain a fenced Lean code block"
-            self.tree.record_attempt(node.id, role, prompt, response, True, pass_, note)
+            try:
+                self.tree.record_reply(node.id, role, prompt, reply, pass_)
+            except BadReply:
+                note = "the completion did not contain a fenced Lean code block"
+                self.tree.record_attempt(node.id, role, prompt, reply, True, pass_, note)
 
         return _Call(apply, partial(self._ask, role, conversation + [("user", prompt)]))
 
@@ -624,14 +625,12 @@ class Orchestrator:
         prompt = render_prompt(kind, formal_theorem=node.formal.body)
         messages = self.tree.conversation(node.id, "decomposer") + [("user", prompt)]
 
-        def ask() -> list[tuple[str | LeandecompError, list[tuple[str, str]] | None]]:
+        def ask() -> list[tuple[str, list[tuple[str, str]] | None]]:
             """Each reply with the hints its queries found (None when it
             has no queries): one ask plus at most one re-ask."""
             rounds, turns = [], messages
             for _ in range(2):
                 reply = self._ask("search_query", turns)
-                if isinstance(reply, LeandecompError):
-                    return rounds + [(reply, None)]
                 try:
                     queries = parse_search_queries(reply)
                 except BadReply:
@@ -643,8 +642,6 @@ class Orchestrator:
 
         def apply(rounds) -> None:
             for reply, hints in rounds:
-                if isinstance(reply, LeandecompError):
-                    reply = f"(backend failure: {reply})"
                 self.tree.record_attempt(
                     node.id, "search_query", prompt, reply, failed=hints is None, hints=hints
                 )
@@ -742,16 +739,18 @@ class Orchestrator:
 
     # -------------------------------------------------------------- plumbing
 
-    def _ask(self, role: str, messages: list[tuple[str, str]]) -> str | LeandecompError:
-        """The role's reply, or the backend failure that stands in for it.
-        Raises LeandecompError when no backend serves the role."""
+    def _ask(self, role: str, messages: list[tuple[str, str]]) -> str:
+        """The role's reply, or for a request its backend refused (BadReply)
+        a stand-in, one line without ``<``, that fails the round: no role's
+        parser accepts it. A ServiceError aborts the run; LeandecompError
+        is raised when no backend serves the role."""
         backend = self.backends.get(role)
         if backend is None:
             raise LeandecompError(f"no chat backend configured for role {role!r}")
         try:
             return backend.complete(messages)
-        except ServiceError as exc:
-            return exc
+        except BadReply as exc:
+            return "(request refused: " + " ".join(str(exc).split()).replace("<", "&lt;") + ")"
 
     def _persist(self) -> None:
         """Write the checkpoint journal and flush the run log."""

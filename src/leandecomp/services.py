@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .ast_model import AstNode, SorryInfo, parse_ast
-from .errors import BadSketch, ServiceError
+from .errors import BadReply, BadSketch, ServiceError
 
 #: Lean's warning for a declaration that still contains sorry (or admit).
 _SORRY_WARNING = "declaration uses 'sorry'"
@@ -100,9 +100,9 @@ class ChatClient:
         """
         Send a conversation, return the first choice's assistant text.
 
-        Raises ServiceError when the retry budget is spent on transient
-        failures and on anything structurally wrong (non-transient HTTP
-        errors, missing choices).
+        Raises BadReply when the service refused the request (a 4xx
+        answer that is not retried) or gave no text choice, ServiceError
+        when the retry budget is spent or the body is not a JSON object.
         """
         if not messages:
             raise ValueError("messages must be non-empty")
@@ -116,14 +116,15 @@ class ChatClient:
             self.config.max_tokens_param: self.config.max_tokens,
         }
         body = self._http.request(
-            "POST", url, payload=payload, headers=headers, timeout=self._request_timeout
+            "POST", url, payload=payload, headers=headers, timeout=self._request_timeout,
+            refused=BadReply,
         )
         try:
             content = body["choices"][0]["message"]["content"]
         except (LookupError, TypeError) as exc:
-            raise ServiceError(f"chat response missing choices: {exc}") from exc
+            raise BadReply(f"chat response missing choices: {exc}") from exc
         if not isinstance(content, str):
-            raise ServiceError("chat response content is not text")
+            raise BadReply("chat response content is not text")
         return content
 
 

@@ -30,13 +30,13 @@ def _is_transient_status(status: int) -> bool:
     return status in _TRANSIENT_STATUS or status >= 500
 
 
-def _json_object(request: str, status: int, data: bytes) -> dict:
+def _json_object(request: str, status: int, data: bytes, refused: type[Exception]) -> dict:
     """The JSON object of a final answer to ``request``; raises
-    ServiceError for a 4xx or 5xx status and for a body that is not a
-    JSON object."""
+    ``refused`` for an error status and ServiceError for a body that is
+    not a JSON object."""
     if status >= 400:
         text = data[:200].decode("utf-8", "replace")
-        raise ServiceError(f"{request} returned HTTP {status}: {text}")
+        raise refused(f"{request} returned HTTP {status}: {text}")
     try:
         body = json.loads(data)
     except ValueError:
@@ -123,19 +123,25 @@ class _RetryingHttp:
         payload=None,
         params: dict[str, str] | None = None,
         headers: dict[str, str] | None = None,
+        refused: type[Exception] = ServiceError,
     ) -> dict:
         """
         Send one request, retrying transient failures, and return the
         JSON object of the first non-transient response.
 
         ``payload`` is sent as a JSON body and ``params`` as the query
-        string. Raises ServiceError once the budget is spent, for a
-        redirect, which is never followed, for a 4xx answer that is not
-        retried, and for a body that is not a JSON object.
+        string. Raises ``refused`` for a 4xx answer that is not retried.
+        Raises ServiceError for a URL that is not http(s)://host[:port],
+        once the budget is spent, for a redirect, which is never
+        followed, and for a body that is not a JSON object.
         """
-        parts = urlsplit(url)
-        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
-            raise ServiceError(f"{method} {url}: not an http:// or https:// URL")
+        try:  # ValueError: an unclosed IPv6 bracket, a port that is not a number in 0-65535
+            parts = urlsplit(url)
+            usable = parts.scheme in _DEFAULT_PORTS and bool(parts.hostname) and parts.port != 0
+        except ValueError:
+            usable = False
+        if not usable:
+            raise ServiceError(f"{method} {url}: not an http(s)://host[:port] URL")
         query = "&".join(q for q in (parts.query, urlencode(params or {})) if q)
         target = (parts.path or "/") + ("?" + query if query else "")
         headers = {"User-Agent": "leandecomp", **(headers or {})}
@@ -151,7 +157,7 @@ class _RetryingHttp:
                 reason = f"network error: {exc!r}"
             else:
                 if not _is_transient_status(status):
-                    return _json_object(f"{method} {url}", status, data)
+                    return _json_object(f"{method} {url}", status, data, refused)
                 reason = f"HTTP {status}"
             if attempt < attempts:
                 log.warning(

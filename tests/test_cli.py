@@ -843,6 +843,59 @@ class TestResumeAfterFailure:
         assert ProofTree.load(checkpoint).to_dict() == moved.to_dict()
 
 
+class TestServiceOutage:
+    def test_a_chat_outage_exits_one_resumably_with_nothing_recorded(self, tmp_path, monkeypatch):
+        """A prover URL that refuses connections, with no retry, one round
+        per pass and a depth limit of 0: the run exits 1 asking for
+        --resume, not blaming a limit, and its checkpoint is one line
+        whose root has no history. Resumed against the prover that
+        answers, it makes the requests of one uninterrupted run."""
+        service = fake_stack(monkeypatch, goal_scenario())
+        monkeypatch.setenv("PROVER_AGENT_LLM__MAX_DEPTH", "0")
+        lean = tmp_path / "goal.lean"
+        lean.write_text(GOAL_FILE.replace("goal", "goal_easy"), encoding="utf-8")
+        out = tmp_path / "out"
+        try:
+            assert main(["--file", str(lean), "--out", str(tmp_path / "uninterrupted")]) == 0
+            expected = calls_made(service)
+            service.requests.clear()
+            with monkeypatch.context() as dead:
+                dead.setenv("PROVER_AGENT_LLM__URL", "http://127.0.0.1:9/v1")
+                dead.setenv("PROVER_AGENT_LLM__MAX_REMOTE_RETRIES", "0")
+                assert main(["--file", str(lean), "--out", str(out)]) == 1
+            diagnostic = (out / "diagnostic.txt").read_text(encoding="utf-8")
+            lines = (out / "checkpoint.json").read_text(encoding="utf-8").splitlines()
+            assert main(["--resume", str(out / "checkpoint.json"), "--out", str(out)]) == 0
+        finally:
+            service.stop()
+        assert diagnostic.startswith("proof search aborted: POST http://127.0.0.1:9/v1")
+        assert "resume with --resume" in diagnostic and "limit" not in diagnostic
+        assert len(lines) == 1
+        snapshot = json.loads(lines[0])
+        assert snapshot["nodes"][snapshot["root"]]["history"] == []
+        assert calls_made(service) == expected
+
+    def test_a_refused_chat_request_costs_one_failed_round(self, tmp_path, monkeypatch):
+        """The chat server answers the prover's first request with HTTP
+        400: that round fails, and its correction proves the goal."""
+        service = fake_stack(monkeypatch, goal_scenario())
+        monkeypatch.setenv("PROVER_AGENT_LLM__MAX_SELF_CORRECTION_ATTEMPTS", "2")
+        service.fail_next("POST", "/chat/completions", [400])
+        lean = tmp_path / "goal.lean"
+        lean.write_text(GOAL_FILE.replace("goal", "goal_easy"), encoding="utf-8")
+        out = tmp_path / "out"
+        try:
+            assert main(["--file", str(lean), "--out", str(out)]) == 0
+        finally:
+            service.stop()
+        assert service.request_count("POST", "/chat/completions") == 2
+        history = ProofTree.load(out / "checkpoint.json").root_node().history
+        replies = [entry for entry in history if entry.get("role") == "prover"]
+        assert len(replies) == 2 and replies[0]["failed"] is True and "failed" not in replies[1]
+        assert replies[0]["response"].startswith("(request refused: POST http://127.0.0.1:")
+        assert "returned HTTP 400" in replies[0]["response"]
+
+
 class TestDependencies:
     def test_cli_loads_only_the_standard_library(self):
         """The package has no runtime dependencies: importing the CLI in a

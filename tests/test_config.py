@@ -118,19 +118,30 @@ class TestOneStatementOfEachDefault:
         read_every_option(load_config(env={}))
 
     @pytest.mark.parametrize("section, option", listed_options())
-    def test_an_option_left_out_of_the_defaults_is_missing(self, monkeypatch, section, option):
-        cfg = load(without_line(packaged_defaults(), section, option), None, {})
+    def test_an_option_left_out_of_the_defaults_is_missing(self, section, option):
+        defaults = without_line(packaged_defaults(), section, option)
         if option == "api_key":  # the one option that may stay unset
-            monkeypatch.setenv("OPENAI_API_KEY", "from-env")
+            cfg = load(defaults, None, {"OPENAI_API_KEY": "from-env"})
             read_every_option(cfg)
             role = next(role for role, name in ROLE_SECTIONS.items() if name == section)
             assert cfg.chat_backend(role).api_key == "from-env"
             return
+        cfg = load(defaults, None, {})
         # a section that sets neither token limit is missing the default name
         missing = "max_tokens" if option == "max_completion_tokens" else option
         with pytest.raises(ConfigError) as raised:
             read_every_option(cfg)
         assert str(raised.value) == f"missing required option [{section}] {missing}"
+
+    @pytest.mark.parametrize("env", [{}, {"OPENAI_API_KEY": ""}], ids=["unset", "empty"])
+    def test_an_explicit_env_isolates_the_api_key_from_the_process(self, monkeypatch, env):
+        """``OPENAI_API_KEY`` stands in for an unset api_key only when the
+        mapping given as ``env`` names it; ``env=None`` reads the process
+        environment, as the CLI does."""
+        monkeypatch.setenv("OPENAI_API_KEY", "leak")
+        defaults = without_line(packaged_defaults(), "PROVER_AGENT_LLM", "api_key")
+        assert load(defaults, None, env).chat_backend("prover").api_key == ""
+        assert load(defaults, None, None).chat_backend("prover").api_key == "leak"
 
     @pytest.mark.parametrize("cls", [Limits, ChatBackendConfig, VerifierConfig, SearchConfig])
     def test_no_config_field_has_a_default(self, cls):

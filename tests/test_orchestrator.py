@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import threading
 import time
 from collections import Counter
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 
 import leandecomp.orchestrator as orchestrator_module
 import leandecomp.proof_state as proof_state_module
-from leandecomp.agents import generate_theorem_name
+from leandecomp.agents import generate_theorem_name, parse_judgement, parse_search_queries
 from leandecomp.ast_model import Subgoal, parse_ast
 from leandecomp.config import Limits
-from leandecomp.errors import ServiceError
+from leandecomp.errors import BadReply, ServiceError
 from leandecomp.lean_source import extract_code_block
 from leandecomp.orchestrator import (
     Action,
@@ -71,6 +72,9 @@ QUERY_RESPONSE = (
     "<search>product of primes in a finite range</search>\n"
     "<search>existence of a prime greater than n</search>\n"
 )
+
+#: A chat server's answer to a request it refused for the request itself.
+REFUSAL = "POST http://h/v1/chat/completions returned HTTP 400: context length exceeded"
 
 INFORMAL = "The sum of two even numbers is even."
 INFORMAL_NAME = generate_theorem_name(INFORMAL)
@@ -417,10 +421,10 @@ class TestFormalization:
         assert tree.root_node().counters.formalize_retries == 1
         assert formalizer.calls == 2
 
-    def test_semantics_outage_and_missing_judgement_each_consume_a_retry(self):
+    def test_a_refused_request_and_missing_judgement_each_consume_a_retry(self):
         tree = ProofTree.from_informal(INFORMAL, packaged_limits())
         formalizer = ScriptedChat(lambda messages: GOOD_FORMALIZATION)
-        semantics = ScriptedChat([ServiceError("semantics down"), "Looks fine to me.", APPROPRIATE])
+        semantics = ScriptedChat([BadReply(REFUSAL), "Looks fine to me.", APPROPRIATE])
         orch = make_orchestrator(
             tree, backends=make_backends(formalizer=formalizer, semantics=semantics)
         )
@@ -431,7 +435,7 @@ class TestFormalization:
         assert (formalizer.calls, semantics.calls) == (3, 3)
         judged = [(e["response"], e["failed"]) for e in root.history if e.get("role") == "semantics"]
         assert judged == [
-            ("(backend failure: semantics down)", True),
+            (f"(request refused: {REFUSAL})", True),
             ("Looks fine to me.", True),
             (APPROPRIATE, False),
         ]
@@ -527,15 +531,33 @@ class TestProverLoop:
         correction = prover.transcripts[1][-1][1]
         assert "must not contain sorry or admit" in correction
 
-    def test_backend_outage_is_a_recorded_failure(self):
+    def test_a_refused_request_is_a_recorded_failure(self):
         tree = formal_tree()
-        prover = ScriptedChat([ServiceError("backend down"), lean_block(TRUE_PROOF)])
+        prover = ScriptedChat([BadReply(REFUSAL), lean_block(TRUE_PROOF)])
         orch = make_orchestrator(tree, backends=make_backends(prover=prover))
         assert run_prover_pass(orch, tree.root) is ProveOutcome.PROVEN
         root = tree.root_node()
         assert root.history[0]["failed"] is True
+        assert root.history[0]["response"] == f"(request refused: {REFUSAL})"
         assert prover.calls == 2
-        assert "failed to respond" in prover.transcripts[1][-1][1]
+        assert prover.transcripts[1][1] == ("assistant", f"(request refused: {REFUSAL})")
+        assert "did not contain a fenced Lean code block" in prover.transcripts[1][-1][1]
+
+    def test_a_refusal_never_parses_as_a_reply(self):
+        """A refusal that echoes a fenced block, a Judgement line and a
+        search tag still stands in as a reply that no role's parser
+        accepts."""
+        refusal = (
+            f"{REFUSAL}\n```lean4\ntheorem x : True := trivial\n```\n"
+            "Judgement: Appropriate\n<search>q</search>"
+        )
+        prover = ScriptedChat([BadReply(refusal)])
+        orch = make_orchestrator(formal_tree(), backends=make_backends(prover=prover))
+        reply = orch._ask("prover", [("user", "prompt")])
+        assert reply.startswith(f"(request refused: {REFUSAL} ```lean4 theorem x")
+        for parse in (extract_code_block, parse_judgement, parse_search_queries):
+            with pytest.raises(BadReply):
+                parse(reply)
 
 
 # ------------------------------------------------------------ decomposition
@@ -632,18 +654,19 @@ class TestDecomposition:
         correction = decomposer.transcripts[1][-1][1]
         assert "could not be analyzed" in correction
 
-    def test_decomposer_outage_and_unfenced_reply_each_consume_a_correction(self):
+    def test_a_refused_request_and_unfenced_reply_each_consume_a_correction(self):
         tree = formal_tree()
         sketch = "theorem tst : True := by\n  have step : True := by\n    sorry\n  exact step"
         decomposer = ScriptedChat(
-            [ServiceError("decomposer down"), "A sketch without code.", lean_block(sketch)]
+            [BadReply(REFUSAL), "A sketch without code.", lean_block(sketch)]
         )
         self.decompose(tree, decomposer)
         root = tree.root_node()
         assert root.status is NodeStatus.AWAITING_CHILDREN
         assert root.counters.sketch_corrections_used == 2
         assert decomposer.transcripts[1][-1][1].startswith("The proof sketch (Round 1) is not correct.")
-        assert "the decomposer backend failed to respond" in decomposer.transcripts[1][-1][1]
+        assert decomposer.transcripts[1][-2] == ("assistant", f"(request refused: {REFUSAL})")
+        assert "did not contain a fenced Lean code block" in decomposer.transcripts[1][-1][1]
         assert decomposer.transcripts[2][-1][1].startswith("The proof sketch (Round 2) is not correct.")
         assert "did not contain a fenced Lean code block" in decomposer.transcripts[2][-1][1]
 
@@ -707,20 +730,21 @@ class TestDecomposition:
     @pytest.mark.parametrize(
         "replies, asked",
         [
-            ([ServiceError("search query down")], None),
+            ([BadReply(REFUSAL), BadReply(REFUSAL)], None),
             (["no tags here", QUERY_RESPONSE], ["prime divisor of factorial plus one",
                                                 "product of primes in a finite range",
                                                 "existence of a prime greater than n"]),
         ],
-        ids=["outage", "queries-of-the-re-ask"],
+        ids=["refused-twice", "queries-of-the-re-ask"],
     )
     def test_gen_queries_searches_with_the_queries_of_its_last_reply(
         self, tmp_path, replies, asked
     ):
         """One GenQueries asks for queries, re-asks once, and searches with
-        the queries of the reply that gave them; an outage searches
-        nothing. The hints sit on that reply's entry only, and survive a
-        save and a load."""
+        the queries of the reply that gave them; a refused request is
+        re-asked as an unparsable reply is, and two search nothing. The
+        hints sit on that reply's entry only, and survive a save and a
+        load."""
         tree = formal_tree()
         tree.root_node().status = NodeStatus.AWAITING_QUERY_GEN
         search_query = ScriptedChat(list(replies))
@@ -964,10 +988,10 @@ FIRST_FAILURES = {
 #: Each failure kind of each role, as the replies of the round that spends
 #: the last unit of its phase's budget, with the note its entry then holds.
 LAST_FAILURES = {
-    "formalizer-outage": (
+    "formalizer-refused": (
         "formalization",
-        {"formalizer": ServiceError("down")},
-        "the formalizer backend failed to respond",
+        {"formalizer": BadReply(REFUSAL)},
+        "did not contain a fenced Lean code block",
     ),
     "formalizer-unfenced": (
         "formalization",
@@ -975,9 +999,9 @@ LAST_FAILURES = {
         "did not contain a fenced Lean code block",
     ),
     "formalizer-lean-error": ("formalization", {"formalizer": BAD_FORMALIZATION}, None),
-    "semantics-outage": (
+    "semantics-refused": (
         "formalization",
-        {"formalizer": GOOD_FORMALIZATION, "semantics": ServiceError("down")},
+        {"formalizer": GOOD_FORMALIZATION, "semantics": BadReply(REFUSAL)},
         None,
     ),
     "semantics-no-judgement": (
@@ -985,8 +1009,8 @@ LAST_FAILURES = {
         {"formalizer": GOOD_FORMALIZATION, "semantics": "Looks fine to me."},
         None,
     ),
-    "prover-outage": (
-        "proving", {"prover": ServiceError("down")}, "the prover backend failed to respond"
+    "prover-refused": (
+        "proving", {"prover": BadReply(REFUSAL)}, "did not contain a fenced Lean code block"
     ),
     "prover-unfenced": (
         "proving", {"prover": "No code here."}, "did not contain a fenced Lean code block"
@@ -1002,10 +1026,10 @@ LAST_FAILURES = {
     "prover-sorry-only": (
         "proving", {"prover": lean_block(TRUE_THEOREM)}, "must not contain sorry or admit"
     ),
-    "decomposer-outage": (
+    "decomposer-refused": (
         "sketching",
-        {"decomposer": ServiceError("down")},
-        "the decomposer backend failed to respond",
+        {"decomposer": BadReply(REFUSAL)},
+        "did not contain a fenced Lean code block",
     ),
     "decomposer-unfenced": (
         "sketching", {"decomposer": "No code here."}, "did not contain a fenced Lean code block"
@@ -2348,7 +2372,7 @@ LATE_PROOF = "theorem tst : True := by\n  exact True.intro"
 class LateSecondPass:
     """The root's prover, by round. Pass 1 fails, then proves the root
     with its correction, sent once pass 2's correction is in flight.
-    Pass 2 opens with a backend failure, and its correction answers
+    Pass 2 opens with a reply without code, and its correction answers
     ``LATE_PROOF`` once ``release`` is set."""
 
     def __init__(self):
@@ -2363,8 +2387,8 @@ class LateSecondPass:
                 self.openings += 1
                 if self.openings == 1:
                     return lean_block(FAILING_PROOF)
-            raise ServiceError("prover down")
-        if "failed to respond" in messages[-1][1]:
+            return "No code here."
+        if "did not contain a fenced Lean code block" in messages[-1][1]:
             self.correcting.set()
             assert self.release.wait(timeout=10), "the late reply was never released"
             return lean_block(LATE_PROOF)
@@ -2643,15 +2667,30 @@ class Recorded:
         return recorded
 
 
+def chat_calls(*backend_sets) -> Counter:
+    """Every call the scripted chat backends received, as (role, messages)."""
+    return Counter(
+        (role, tuple(messages))
+        for backends in backend_sets
+        for role, backend in backends.items()
+        if isinstance(backend, ScriptedChat)
+        for messages in backend.transcripts
+    )
+
+
 class TestHandOffUnderFailure:
-    def test_an_outage_waits_for_the_held_call_and_drops_its_reply(self, tmp_path):
+    HARD = frozenset({"tst", "tst_a", "tst_b"})
+
+    def test_an_outage_waits_for_the_held_call_and_records_its_reply(self, tmp_path):
         """Two workers. tst_a_a's prover call is held in flight when a
-        verify request fails; run() raises the outage, and the held call
-        is released only as the run stops its workers. Its reply is
-        waited for and dropped, and nothing is called after the outage."""
+        verify request fails, and released once the outage has landed.
+        run() raises the outage only after the held reply is recorded and
+        written; nothing is called after the outage, and no thread is
+        left. The resume makes no second call for tst_a_a: the two runs
+        make the chat calls of one uninterrupted run."""
         calls: list[str] = []
-        backends = journal_backends(frozenset({"tst", "tst_a", "tst_b"}))
-        answers = backends["prover"]
+        crashed = journal_backends(self.HARD)
+        answers = crashed["prover"]
 
         class LateAnswer:
             """Takes a moment to answer once released, so that a run
@@ -2673,12 +2712,13 @@ class TestHandOffUnderFailure:
                 return super().verify_batch(codes, timeout)
 
         class ReleasingOrchestrator(Orchestrator):
-            def _stop_workers(self):
-                held.set()
-                super()._stop_workers()
+            def _take_back(self):
+                super()._take_back()
+                held.set()  # the outage has landed
 
-        backends = {role: Recorded(chat, calls) for role, chat in backends.items()}
+        backends = {role: Recorded(chat, calls) for role, chat in crashed.items()}
         backends["prover"] = Recorded(prover, calls)
+        path = tmp_path / "checkpoint.json"
         orch = ReleasingOrchestrator(
             formal_tree(limits=JOURNAL_LIMITS),
             backends=backends,
@@ -2686,7 +2726,7 @@ class TestHandOffUnderFailure:
             ast_client=Recorded(BuilderAst(), calls),
             search_client=Recorded(ScriptedSearch(), calls),
             workers=2,
-            checkpoint_path=tmp_path / "checkpoint.json",
+            checkpoint_path=path,
         )
         before = set(threading.enumerate())
         with pytest.raises(ServiceError, match="verifier scripted as unavailable"):
@@ -2696,8 +2736,136 @@ class TestHandOffUnderFailure:
         assert calls[calls.index("outage") + 1 :] == []
         reply = next(r for r in answers.replies if "theorem tst_a_a :" in r)
         node = named(orch.tree, "tst_a_a")
-        assert node is not None and node.status is NodeStatus.AWAITING_PROOF
-        assert not any(entry.get("response") == reply for entry in node.history)
-        assert json.dumps(reply, ensure_ascii=False) not in (
-            tmp_path / "checkpoint.json"
-        ).read_text(encoding="utf-8")
+        assert node is not None and node.status is NodeStatus.AWAITING_VERIFICATION
+        assert [entry.get("response") for entry in node.history] == [reply]
+        restored = named(ProofTree.load(path, JOURNAL_LIMITS), "tst_a_a")
+        assert restored.history == node.history
+
+        def run(tree, backends, **kwargs):
+            return Orchestrator(
+                tree, backends=backends, verifier=RuleVerifier(), ast_client=BuilderAst(),
+                search_client=ScriptedSearch(), workers=2, **kwargs,
+            ).run()
+
+        resumed, uninterrupted = journal_backends(self.HARD), journal_backends(self.HARD)
+        outcome = run(ProofTree.load(path, JOURNAL_LIMITS), resumed, checkpoint_path=path)
+        expected = run(formal_tree(limits=JOURNAL_LIMITS), uninterrupted)
+        assert expected.success and outcome == expected
+        made = chat_calls(crashed, resumed)
+        assert sum(n for (_, messages), n in made.items() if "tst_a_a :" in messages[0][1]) == 1
+        assert made == chat_calls(uninterrupted)
+
+
+class TestOutage:
+    """Any service outage aborts the run resumably; a refused request
+    fails its round."""
+
+    def test_a_prover_outage_aborts_with_no_history_entry_and_resumes(self, tmp_path):
+        """Two passes of one round and a depth limit of 0, as a dead
+        prover server would meet them: the run raises the outage with
+        nothing recorded, and its one-line checkpoint resumes, against a
+        prover that answers, to the calls of one uninterrupted run."""
+        limits = packaged_limits(prover_self_correction=1, prover_max_pass=2, max_depth=0)
+        path = tmp_path / "checkpoint.json"
+        dead = ScriptedChat(lambda messages: ServiceError("connection refused"))
+        tree = formal_tree(limits=limits)
+        with pytest.raises(ServiceError, match="connection refused"):
+            make_orchestrator(
+                tree, backends=make_backends(prover=dead), checkpoint_path=path
+            ).run()
+        assert dead.calls == 1
+        assert tree.root_node().history == []
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+        def prover():
+            return ScriptedChat([lean_block(FAILING_PROOF), lean_block(TRUE_PROOF)])
+
+        resumed, resumed_lean = prover(), RuleVerifier()
+        outcome = make_orchestrator(
+            ProofTree.load(path, limits), backends=make_backends(prover=resumed),
+            verifier=resumed_lean, checkpoint_path=path,
+        ).run()
+        expected, expected_lean = prover(), RuleVerifier()
+        uninterrupted = make_orchestrator(
+            formal_tree(limits=limits), backends=make_backends(prover=expected),
+            verifier=expected_lean,
+        ).run()
+        assert uninterrupted.success and outcome == uninterrupted
+        assert resumed.transcripts == expected.transcripts
+        assert resumed_lean.checked == expected_lean.checked
+
+    @pytest.mark.parametrize("role", ["formalizer", "semantics", "search_query", "decomposer"])
+    def test_an_outage_of_any_chat_role_aborts_with_no_history_entry(self, tmp_path, role):
+        """Each role's outage raises out of run() and spends no budget."""
+        if role in ("formalizer", "semantics"):
+            tree = ProofTree.from_informal(INFORMAL, packaged_limits())
+        else:
+            tree = formal_tree()
+            tree.root_node().status = NodeStatus.AWAITING_QUERY_GEN
+        scripts = {
+            "formalizer": ScriptedChat(lambda messages: GOOD_FORMALIZATION),
+            "search_query": ScriptedChat(lambda messages: QUERY_RESPONSE),
+            role: ScriptedChat(lambda messages: ServiceError(f"{role} down")),
+        }
+        orch = make_orchestrator(
+            tree, backends=make_backends(**scripts), ast_client=BuilderAst(),
+            checkpoint_path=tmp_path / "checkpoint.json",
+        )
+        with pytest.raises(ServiceError, match=f"{role} down"):
+            orch.run()
+        root = ProofTree.load(tmp_path / "checkpoint.json", tree.limits).root_node()
+        assert not [entry for entry in root.history if entry.get("role") == role]
+        assert scripts[role].calls == 1
+
+    def test_sibling_replies_in_flight_at_an_outage_are_kept(self, tmp_path):
+        """Four workers on two cores, threads switching as often as the
+        interpreter allows. The root decomposes into four subgoals whose
+        Proves go out together; the prover is down for tst_d's and slow
+        for the others, which land after the outage. They are recorded,
+        so the run and its resume make the chat calls of one
+        uninterrupted run."""
+        names = ["tst_a", "tst_b", "tst_c", "tst_d"]
+
+        class DownForD:
+            def __init__(self, inner):
+                self.inner, self.down = inner, True
+
+            def complete(self, messages):
+                if "theorem tst_d :" in messages[0][1] and self.down:
+                    self.down = False
+                    raise ServiceError("prover scripted as unavailable")
+                if "theorem tst_" in messages[0][1]:
+                    time.sleep(0.05)  # lands after tst_d's outage
+                return self.inner.complete(messages)
+
+        def run(tree, backends, **kwargs):
+            return Orchestrator(
+                tree, backends=backends, verifier=RuleVerifier(), ast_client=BuilderAst(),
+                search_client=ScriptedSearch(), workers=4, **kwargs,
+            ).run()
+
+        path = tmp_path / "checkpoint.json"
+        crashed, resumed, uninterrupted = (
+            brood_backends(frozenset({"tst"}), names) for _ in range(3)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(ServiceError, match="scripted as unavailable"):
+                run(
+                    formal_tree(limits=JOURNAL_LIMITS),
+                    {**crashed, "prover": DownForD(crashed["prover"])},
+                    checkpoint_path=path,
+                )
+            tree = ProofTree.load(path, JOURNAL_LIMITS)
+            landed = {node.name: node.status for node in tree.nodes.values() if node.depth == 1}
+            outcome = run(tree, resumed, checkpoint_path=path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert landed == {
+            **dict.fromkeys(names[:3], NodeStatus.AWAITING_VERIFICATION),
+            "tst_d": NodeStatus.AWAITING_PROOF,
+        }
+        expected = run(formal_tree(limits=JOURNAL_LIMITS), uninterrupted)
+        assert expected.success and outcome == expected
+        assert chat_calls(crashed, resumed) == chat_calls(uninterrupted)

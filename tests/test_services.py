@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from leandecomp.agents import format_theorem_hints
 from leandecomp.config import load_config
-from leandecomp.errors import BadSketch, LeandecompError, ServiceError
+from leandecomp.errors import BadReply, BadSketch, LeandecompError, ServiceError
 from leandecomp.services import (
     ChatBackendConfig,
     ChatClient,
@@ -76,16 +76,17 @@ class TestChatClient:
         assert service.request_count() == 4  # 1 + budget
 
     def test_non_transient_4xx_fails_fast(self, service):
+        """A refused request is a BadReply: the round fails, the run goes on."""
         service.route("POST", "/v1/chat/completions", lambda r: (401, {"error": "bad key"}))
         client = make_chat_client(service)
-        with pytest.raises(ServiceError, match="HTTP 401"):
+        with pytest.raises(BadReply, match="HTTP 401"):
             client.complete([("user", "hi")])
         assert service.request_count() == 1
 
     def test_missing_choices_is_bad_response(self, service):
         service.route("POST", "/v1/chat/completions", lambda r: (200, {"choices": []}))
         client = make_chat_client(service)
-        with pytest.raises(ServiceError, match="missing choices"):
+        with pytest.raises(BadReply, match="missing choices"):
             client.complete([("user", "hi")])
 
     def test_sends_model_messages_and_bearer_key(self, service):
@@ -592,6 +593,16 @@ def with_id(value, custom_id):
     if isinstance(value, dict):
         return {key: with_id(item, custom_id) for key, item in value.items()}
     return value
+
+
+class TestMalformedUrls:
+    @pytest.mark.parametrize("url", ["http://h:abc", "http://[::1", "http://127.0.0.1:0/v1"])
+    def test_a_url_that_is_not_http_host_port_is_a_service_error(self, url):
+        """A port that is not a number in 1-65535 or an unclosed IPv6
+        bracket raises ServiceError, the one outage reaction, before any
+        connection is made."""
+        with pytest.raises(ServiceError, match="not an http"):
+            _RetryingHttp(0).request("POST", url, payload={}, timeout=1)
 
 
 class TestMalformedAnswers:
